@@ -381,7 +381,7 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool) -> AllGr
         d_z = dxs[0].copy()
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        fusion_pairs, _dx = slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion)
+        fusion_pairs = slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion)
         fusion_grads = [g for pair in fusion_pairs for g in pair]
 
     return AllGrads(

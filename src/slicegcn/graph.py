@@ -42,13 +42,79 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# Diagonals covering fewer rows than this are summed by one np.add.at call
+# instead of one gather-add each. On hub-heavy graphs the per-diagonal call
+# overhead would otherwise dominate: the hub of a 50k-node star alone adds
+# 49,998 single-row diagonals.
+_MIN_DIAGONAL_ROWS = 8
+
+
+@dataclass(frozen=True)
+class JaggedDiagonals:
+    """Jagged-diagonal (JDS) layout of a CSR matrix, the SpMM's iteration order.
+
+    Rows are ranked by descending degree (ties keep row order). Diagonal k
+    holds the k-th stored neighbour of every row whose degree exceeds k; those
+    rows are a prefix of the ranking, so diagonal k is the contiguous slice
+    `indices[bounds[k]:bounds[k + 1]]`, aligned with ranks 0, 1, ... Row v
+    has rank `rank[v]`. Only diagonals of at least `_MIN_DIAGONAL_ROWS` rows
+    get bounds; the narrower ones follow in `indices[bounds[-1]:]`, still in
+    diagonal order, and `tail_rank` holds the rank of each of those entries.
+    """
+
+    indices: np.ndarray  # int64, length nnz, read-only
+    bounds: tuple  # of int, one more than the wide diagonals
+    tail_rank: np.ndarray  # int64, length nnz - bounds[-1], read-only
+    rank: np.ndarray  # int64, length num_nodes, read-only
+
+
+def _jagged_diagonals(offsets: np.ndarray, cols: np.ndarray) -> JaggedDiagonals:
+    n = len(offsets) - 1
+    deg = np.diff(offsets)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-deg, kind="stable")] = np.arange(n)
+    # rows with degree > k, for k = 0 .. max degree - 1
+    widths = n - np.cumsum(np.bincount(deg, minlength=1))[:-1]
+    bounds = np.concatenate([[0], np.cumsum(widths)])
+    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+    slot = bounds[np.arange(len(cols)) - offsets[rows]] + rank[rows]
+    indices = np.empty(len(cols), dtype=np.int64)
+    indices[slot] = cols
+    owner = np.empty(len(cols), dtype=np.int64)
+    owner[slot] = rank[rows]
+    wide = int(np.count_nonzero(widths >= _MIN_DIAGONAL_ROWS))  # widths never grow
+    tail_rank = owner[bounds[wide] :].copy()
+    return JaggedDiagonals(
+        _readonly(indices), tuple(bounds[: wide + 1].tolist()), _readonly(tail_rank), _readonly(rank)
+    )
+
+
 @dataclass(frozen=True)
 class CsrAdjacency:
-    """CSR adjacency: neighbor lists sorted ascending, no duplicates."""
+    """CSR adjacency: neighbor lists sorted ascending, no duplicates.
+
+    Row v lists the nodes v aggregates from. The jagged-diagonal layouts of
+    the matrix A (`jds`) and of its transpose (`jds_t`, the same object when A
+    is symmetric) are built once here, so threads only ever read them.
+    """
 
     num_nodes: int
     row_offsets: np.ndarray  # int64, length num_nodes + 1
     col_indices: np.ndarray  # int64, length nnz
+    jds: JaggedDiagonals = field(init=False, repr=False, compare=False)
+    jds_t: JaggedDiagonals = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
+        jds = _jagged_diagonals(offsets, cols)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        t_offsets, t_cols = _csr_from_keys(cols * n + rows, n)
+        if np.array_equal(t_offsets, offsets) and np.array_equal(t_cols, cols):
+            jds_t = jds
+        else:
+            jds_t = _jagged_diagonals(t_offsets, t_cols)
+        object.__setattr__(self, "jds", jds)
+        object.__setattr__(self, "jds_t", jds_t)
 
     @property
     def num_edges(self) -> int:
@@ -72,25 +138,36 @@ def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
 
 
 def build_csr(num_nodes: int, edges, symmetrize: bool = True, self_loops: bool = False) -> CsrAdjacency:
-    """Build a validated CSR adjacency from an iterable of (u, v) pairs."""
+    """Build a validated CSR adjacency from an iterable of (u, v) pairs.
+
+    Each pair is keyed as u * num_nodes + v; one sort of the keys orders the
+    entries by (row, col) and puts repeated pairs side by side, where they
+    are dropped.
+    """
+    if num_nodes * num_nodes >= 2**63:
+        raise ValueError(f"num_nodes {num_nodes} too large: (u, v) keys need num_nodes**2 < 2**63")
     edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges, dtype=np.int64)
     edges = edges.reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
         raise ValueError("edge endpoint out of range")
+    keys = [edges[:, 0] * num_nodes + edges[:, 1]]
     if symmetrize:
-        edges = symmetrize_edges(edges)
+        keys.append(edges[:, 1] * num_nodes + edges[:, 0])
     if self_loops:
-        loops = np.arange(num_nodes, dtype=np.int64)
-        edges = np.concatenate([edges, np.stack([loops, loops], axis=1)], axis=0)
-    if len(edges):
-        edges = np.unique(edges, axis=0)  # sorts by (row, col) and dedupes
-        rows, cols = edges[:, 0], edges[:, 1]
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    return CsrAdjacency(num_nodes, _readonly(offsets), _readonly(cols.copy()))
+        keys.append(np.arange(num_nodes, dtype=np.int64) * (num_nodes + 1))
+    offsets, cols = _csr_from_keys(np.concatenate(keys), num_nodes)
+    return CsrAdjacency(num_nodes, _readonly(offsets), _readonly(cols))
+
+
+def _csr_from_keys(keys: np.ndarray, n: int):
+    """(row offsets, col indices) of the entries keyed u * n + v, deduplicated."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    rows, cols = np.divmod(keys[keep], max(n, 1))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets, cols
 
 
 def degree_norms(adj: CsrAdjacency) -> np.ndarray:

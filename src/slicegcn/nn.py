@@ -10,8 +10,13 @@ drops the self path:
 
     H_out = ReLU(b + agg(H_in) @ W_agg)
 
-All backward passes are hand-derived reverse-mode gradients; the aggregation
-operator is symmetric on undirected graphs, so its transpose is itself.
+where agg(H) = Â H with Â = S A S: A[v, u] = 1 when u is stored in row v of
+the adjacency, and S = diag(s) holds 1/sqrt of each row's degree (the
+in-degree on directed graphs) on both sides.
+
+All backward passes are hand-derived reverse-mode gradients. The input
+gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
+undirected graphs.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj,
     dw_self = cache.h_in.T @ d_out if params.w_self is not None else None
     d_in = None
     if need_d_in:
-        d_in = ops.spmm_norm(adj, s, d_pre @ params.w_agg.T)
+        d_in = ops.spmm_norm(adj, s, d_pre @ params.w_agg.T, transpose=True)
         if params.w_self is not None:
             d_in = d_in + d_out @ params.w_self.T
     return dw_agg, dw_self, db, d_in
@@ -133,8 +138,8 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool):
     return h, cache
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams):
-    """Returns ([(dW, db) per layer], d_input)."""
+def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True):
+    """Returns ([(dW, db) per layer], d_input); d_input is None unless need_d_in."""
     grads = [None] * len(mlp.layers)
     d = d_out
     for li in range(len(mlp.layers) - 1, -1, -1):
@@ -145,7 +150,7 @@ def mlp_backward(cache, d_out, mlp: MlpParams):
                 d = d * mask
             d = ops.relu_backward(z, d)
         grads[li] = (h.T @ d, d.sum(axis=0))
-        d = d @ w.T
+        d = d @ w.T if li > 0 or need_d_in else None
     return grads, d
 
 

@@ -15,10 +15,6 @@ STREAM_FUSION = 1 << 16
 STREAM_ENCODING = (1 << 16) + 1
 STREAM_CLASSIFIER = (1 << 16) + 2
 
-# Row-block budget (in edges) for the sparse aggregation, keeps the gathered
-# intermediate bounded (~128 MB at f32, 128 columns).
-_SPMM_EDGE_CHUNK = 1 << 18
-
 
 def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id).
@@ -38,44 +34,39 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def spmm_norm(adj, s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Degree-normalized sparse aggregation.
+def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Degree-normalized sparse aggregation, out = Â H with Â = S A S.
 
-    out[v, :] = sum over neighbors u of s[u] * s[v] * h[u, :].
+    A[v, u] = 1 when u is stored in row v of `adj`, and S = diag(s), where s
+    is 1/sqrt of the row degree (the in-degree on directed graphs) on both
+    sides: out[v, :] = sum over u in row v of s[u] * s[v] * h[u, :].
+    `transpose=True` computes Âᵀ H = S Aᵀ S H instead, which the backward
+    pass needs; on undirected graphs the two coincide.
 
-    The operator is symmetric for undirected graphs, so the same routine
-    serves forward and backward. Reduction order is fixed (CSR row order,
-    sequential within each row), which keeps results bit-identical for any
-    thread schedule.
+    The product runs over the precomputed jagged diagonals of A (or Aᵀ):
+    one vectorized gather-add per wide diagonal, one np.add.at over the
+    narrow ones, then the rows are put back in node order. Each row sums its
+    terms one after another in CSR order, so results are bit-identical for
+    any thread schedule.
     """
     n = adj.num_nodes
     if h.ndim != 2 or h.shape[0] != n:
         raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, graph has {n} nodes")
     if s.shape != (n,):
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
-    offsets = adj.row_offsets
-    cols = adj.col_indices
-    out = np.zeros_like(h)
-    if len(cols) == 0:
-        return out
+    jds = adj.jds_t if transpose else adj.jds
     scaled = h * s[:, None]
-    row = 0
-    while row < n:
-        # Extend the row block until the edge budget is hit.
-        end = int(np.searchsorted(offsets, offsets[row] + _SPMM_EDGE_CHUNK, side="right")) - 1
-        end = min(max(end, row + 1), n)
-        lo, hi = int(offsets[row]), int(offsets[end])
-        if hi > lo:
-            gathered = scaled[cols[lo:hi]]
-            starts = offsets[row:end] - lo
-            counts = np.diff(offsets[row : end + 1])
-            nonempty = counts > 0
-            # reduceat over only the nonempty rows: each segment runs to the
-            # next nonempty start, which is exactly this row's edge span.
-            sums = np.add.reduceat(gathered, starts[nonempty], axis=0)
-            block = out[row:end]
-            block[nonempty] = sums
-        row = end
+    acc = np.zeros_like(h)
+    gathered = np.empty_like(h)
+    bounds, indices = jds.bounds, jds.indices
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m = hi - lo
+        # indices are in range; "clip" lets take write into the buffer unbuffered
+        np.take(scaled, indices[lo:hi], axis=0, out=gathered[:m], mode="clip")
+        acc[:m] += gathered[:m]
+    # the narrow diagonals: np.add.at adds entry by entry, in diagonal order
+    np.add.at(acc, jds.tail_rank, scaled[indices[bounds[-1] :]])
+    out = acc[jds.rank]
     out *= s[:, None]
     return out
 

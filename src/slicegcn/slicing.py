@@ -97,7 +97,9 @@ def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
-    d_z = sum of per-worker input gradients in fixed device order. The
-    gradient w.r.t. the raw features is returned but callers discard it.
+    d_z = sum of per-worker input gradients in fixed device order. Returns
+    [(dW, db) per layer]; the gradient w.r.t. the raw features is not
+    computed, since nothing upstream of the features trains.
     """
-    return nn.mlp_backward(cache, d_z, ff)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, need_d_in=False)
+    return grads

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import time
-
+import slicegcn
 from slicegcn import engine, nn
 from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
 from slicegcn.graph import synth_graph
@@ -274,3 +279,20 @@ class TestAucRoc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc_roc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+class TestNumpyOnly:
+    def test_training_loads_no_scipy(self):
+        # a fresh interpreter, so no other test's imports count
+        script = (
+            "import sys\n"
+            "import slicegcn\n"
+            "g = slicegcn.synth_graph(n=60, classes=3, d_feat=8, p_in=0.2, p_out=0.02, signal=1.0, seed=0)\n"
+            "slicegcn.train(g, slicegcn.TrainConfig(variant='slice_ffse', p=2, epochs=1, hidden=8))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(slicegcn.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

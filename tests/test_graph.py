@@ -67,6 +67,83 @@ class TestCsr:
         adj = build_csr(3, [(0, 1)], self_loops=True)
         assert all(v in set(adj.neighbors(v)) for v in range(3))
 
+    @given(edge_lists, st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_unique_reference(self, edges, symmetrize, self_loops):
+        # reference: dedupe (u, v) rows with np.unique(axis=0), count rows with np.add.at
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if symmetrize:
+            e = np.concatenate([e, e[:, ::-1]])
+        if self_loops:
+            e = np.concatenate([e, np.repeat(np.arange(10), 2).reshape(-1, 2)])
+        e = np.unique(e, axis=0) if len(e) else e
+        offsets = np.zeros(11, dtype=np.int64)
+        np.add.at(offsets, e[:, 0] + 1, 1)
+        adj = build_csr(10, edges, symmetrize=symmetrize, self_loops=self_loops)
+        np.testing.assert_array_equal(adj.row_offsets, np.cumsum(offsets))
+        np.testing.assert_array_equal(adj.col_indices, e[:, 1])
+        assert adj.row_offsets.dtype == adj.col_indices.dtype == np.int64
+
+    def test_too_many_nodes_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            build_csr(2**32, [])
+
+
+class TestJaggedDiagonals:
+    @staticmethod
+    def _rows(jds, n):
+        """Each row's entries in summation order, read back from the layout."""
+        by_rank = [[] for _ in range(n)]
+        for lo, hi in zip(jds.bounds[:-1], jds.bounds[1:]):
+            for r in range(hi - lo):
+                by_rank[r].append(int(jds.indices[lo + r]))
+        for i, r in enumerate(jds.tail_rank):
+            by_rank[r].append(int(jds.indices[jds.bounds[-1] + i]))
+        return [by_rank[jds.rank[v]] for v in range(n)]
+
+    def _check(self, adj):
+        n = adj.num_nodes
+        assert self._rows(adj.jds, n) == [list(adj.neighbors(v)) for v in range(n)]
+        dense = np.zeros((n, n), dtype=int)
+        for u, v in adj.edge_list():
+            dense[u, v] = 1
+        assert self._rows(adj.jds_t, n) == [list(np.flatnonzero(dense[:, v])) for v in range(n)]
+        # ranks order rows by descending degree, ties by row
+        deg = np.diff(adj.row_offsets)
+        order = np.argsort(adj.jds.rank)
+        assert all((-deg[a], a) < (-deg[b], b) for a, b in zip(order[:-1], order[1:]))
+
+    @given(edge_lists, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_layout_holds_the_csr_rows(self, edges, symmetrize):
+        self._check(build_csr(10, edges, symmetrize=symmetrize))
+
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_wide_and_narrow_diagonals(self, symmetrize):
+        rng = np.random.default_rng(4)
+        edges = [(u, v) for u in range(60) for v in range(60) if rng.random() < 0.15]
+        edges += [(0, v) for v in range(1, 60)]  # a hub, so narrow diagonals remain
+        adj = build_csr(60, edges, symmetrize=symmetrize)
+        assert len(adj.jds.bounds) > 2 and len(adj.jds.tail_rank) > 0
+        self._check(adj)
+
+    def test_star_hub_is_one_wide_diagonal_and_a_tail(self):
+        adj = build_csr(50, [(0, v) for v in range(1, 50)])
+        assert adj.jds.bounds == (0, 50)  # every node has a first neighbour
+        np.testing.assert_array_equal(adj.jds.tail_rank, np.zeros(48))  # the rest are the hub's
+
+    def test_symmetric_graph_shares_one_layout(self):
+        adj = build_csr(4, [(0, 1), (1, 2)])
+        assert adj.jds_t is adj.jds
+        directed = build_csr(4, [(0, 1), (1, 2)], symmetrize=False)
+        assert directed.jds_t is not directed.jds
+
+    def test_layout_is_read_only(self):
+        adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
+        for jds in (adj.jds, adj.jds_t):
+            for a in (jds.indices, jds.tail_rank, jds.rank):
+                assert not a.flags.writeable
+
 
 class TestDegreeNorms:
     def test_path_graph_values(self):

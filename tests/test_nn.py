@@ -139,6 +139,28 @@ class TestGcnLayer:
         _, _, _, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
         assert rel_err(central_diff(loss, h_in), d_in) <= 1e-5
 
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    def test_directed_graph_gradients_match_finite_differences(self, form):
+        # in-degrees differ from out-degrees, so Âᵀ != Â and the input
+        # gradient needs the transposed operator
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 6), (6, 7), (7, 5), (2, 7)]
+        adj = build_csr(8, edges, symmetrize=False)
+        s = degree_norms(adj)
+        rng = ops.rng_stream(12, 0)
+        params = nn.init_gcn_layer(4, 3, rng, np.float64, form=form)
+        params.bias[:] = 0.01 * rng.standard_normal(3)
+        h_in = rng.standard_normal((8, 4))
+        target = rng.standard_normal((8, 3))
+
+        def loss():
+            out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+            return 0.5 * float(((out - target) ** 2).sum())
+
+        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        dw_agg, _, db, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
+        for param, ana in ((h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)):
+            assert rel_err(central_diff(loss, param), ana) <= 1e-5
+
 
 class TestSliceEncoding:
     def test_zero_table_identity(self):
@@ -209,6 +231,19 @@ class TestMlp:
             assert rel_err(central_diff(loss, w), dw) <= 1e-5
             assert rel_err(central_diff(loss, b), db) <= 1e-5
         assert rel_err(central_diff(loss, x), d_x) <= 1e-5
+
+    def test_skipping_input_gradient_keeps_weight_gradients(self):
+        rng = ops.rng_stream(13, 0)
+        mlp = nn.init_mlp([5, 6, 3], rng, np.float64, dropout=0.3)
+        x = rng.standard_normal((8, 5))
+        out, cache = nn.mlp_forward(x, mlp, rng, training=True)
+        d_out = rng.standard_normal(out.shape)
+        full, d_x = nn.mlp_backward(cache, d_out, mlp)
+        skipped, none = nn.mlp_backward(cache, d_out, mlp, need_d_in=False)
+        assert d_x is not None and none is None
+        for (dw, db), (sw, sb) in zip(full, skipped):
+            np.testing.assert_array_equal(dw, sw)
+            np.testing.assert_array_equal(db, sb)
 
     def test_width_mismatch(self):
         rng = ops.rng_stream(11, 0)

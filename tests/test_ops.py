@@ -32,8 +32,9 @@ class TestSpmmNorm:
     def test_edgeless_graph_zero(self):
         adj = build_csr(4, [])
         s = degree_norms(adj)
-        out = ops.spmm_norm(adj, s, np.ones((4, 3)))
-        np.testing.assert_array_equal(out, np.zeros((4, 3)))
+        for transpose in (False, True):
+            out = ops.spmm_norm(adj, s, np.ones((4, 3)), transpose=transpose)
+            np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_single_edge_permutes(self):
         adj = build_csr(2, [(0, 1)])
@@ -60,16 +61,53 @@ class TestSpmmNorm:
         dense = dense_norm_adjacency(adj) @ h
         np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense, atol=1e-12)
 
-    def test_chunked_rows_match_unchunked(self, monkeypatch):
-        # force tiny edge chunks so the blocked path is exercised
-        rng = np.random.default_rng(1)
-        edges = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.2]
-        adj = build_csr(40, edges)
+    @staticmethod
+    def _check_against_dense(adj, h):
+        """spmm_norm and its transpose against the dense S A S oracle."""
         s = degree_norms(adj)
-        h = rng.standard_normal((40, 7))
-        full = ops.spmm_norm(adj, s, h)
-        monkeypatch.setattr(ops, "_SPMM_EDGE_CHUNK", 5)
-        np.testing.assert_array_equal(ops.spmm_norm(adj, s, h), full)
+        dense = dense_norm_adjacency(adj)
+        np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense @ h, atol=1e-12)
+        np.testing.assert_allclose(ops.spmm_norm(adj, s, h, transpose=True), dense.T @ h, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_oracle_random_directed_graphs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 25))
+        mask = rng.random((n, n)) < 0.25
+        edges = [(u, v) for u in range(n) for v in range(n) if mask[u, v]]  # self-loops too
+        adj = build_csr(n, edges, symmetrize=False)
+        self._check_against_dense(adj, rng.standard_normal((n, 4)))
+
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_star_graph(self, symmetrize):
+        n = 50
+        adj = build_csr(n, [(0, v) for v in range(1, n)], symmetrize=symmetrize)
+        self._check_against_dense(adj, np.random.default_rng(1).standard_normal((n, 3)))
+
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_isolated_nodes(self, symmetrize):
+        # nodes 0, 3 and 7 touch no edge
+        edges = [(1, 2), (2, 4), (4, 1), (5, 6), (6, 8), (8, 5), (2, 6)]
+        adj = build_csr(9, edges, symmetrize=symmetrize)
+        h = np.random.default_rng(2).standard_normal((9, 5))
+        self._check_against_dense(adj, h)
+        for v in (0, 3, 7):
+            assert not ops.spmm_norm(adj, degree_norms(adj), h)[v].any()
+
+    def test_rows_sum_in_csr_order(self):
+        # each row is a left-to-right sum of its terms, in CSR order
+        rng = np.random.default_rng(3)
+        edges = [(u, v) for u in range(30) for v in range(30) if u != v and rng.random() < 0.3]
+        adj = build_csr(30, edges, symmetrize=False)
+        s = degree_norms(adj).astype(np.float32)
+        h = rng.standard_normal((30, 6)).astype(np.float32)
+        scaled = h * s[:, None]
+        expect = np.zeros_like(h)
+        for v in range(30):
+            for u in adj.neighbors(v):
+                expect[v] += scaled[u]
+        expect *= s[:, None]
+        np.testing.assert_array_equal(ops.spmm_norm(adj, s, h), expect)
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
