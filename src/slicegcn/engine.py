@@ -92,17 +92,25 @@ class WorkerState:
     h_out: int
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     grads: Optional[list] = None  # flat, aligned with param_arrays()
+    input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
 
     def param_arrays(self) -> list:
         return [a for layer in self.layers for a in layer.arrays()]
 
-    def forward(self, adj, s, x, training: bool, dropout_rate: float):
+    def forward(self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False):
+        """`fixed_input`: x is the same in every call, so Â·x is computed once."""
+        agg = None
+        if fixed_input:
+            if self.input_agg is None:
+                self.input_agg = ops.spmm_norm(adj, s, x)
+            agg = self.input_agg
         h = x
         caches = []
         last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
-            h, c = nn.gcn_layer_forward(adj, s, h, layer, self.rng, training, rate)
+            h, c = nn.gcn_layer_forward(adj, s, h, layer, self.rng, training, rate, agg=agg)
+            agg = None
             caches.append(c)
         self.cache = caches if training else None
         return h
@@ -326,7 +334,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
 
     def fwd(item):
         worker, x = item
-        return worker.forward(adj, s, x, training, cfg.dropout)
+        return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff)
 
     outputs = pool.run(fwd, list(zip(run.workers, inputs)))
     if cfg.use_se:

@@ -130,13 +130,6 @@ class CsrAdjacency:
         return np.stack([rows, self.col_indices], axis=1)
 
 
-def symmetrize_edges(edges: np.ndarray) -> np.ndarray:
-    """Add reverse pairs and dedupe; idempotent. Self-loops kept as-is."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    both = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    return np.unique(both, axis=0)
-
-
 def build_csr(num_nodes: int, edges, symmetrize: bool = True, self_loops: bool = False) -> CsrAdjacency:
     """Build a validated CSR adjacency from an iterable of (u, v) pairs.
 
@@ -234,6 +227,18 @@ def _read_exact(path: Path, dtype, count: int) -> np.ndarray:
     return data
 
 
+def _meta_size(meta, key: str) -> int:
+    """meta[key] as a positive JSON integer, or a DatasetError naming it."""
+    if key not in meta:
+        raise DatasetError(f"meta.json missing key '{key}'")
+    value = meta[key]
+    if type(value) is not int:  # bool is an int subclass; floats and strings are not sizes
+        raise DatasetError(f"meta.json field {key} must be an integer, got {value!r}")
+    if value <= 0:
+        raise DatasetError(f"meta.json field {key} must be positive, got {value}")
+    return value
+
+
 def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) -> AttributedGraph:
     """Load and validate a dataset directory.
 
@@ -250,14 +255,9 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise DatasetError(f"meta.json is not valid JSON: {e}") from e
-    try:
-        n = int(meta["num_nodes"])
-        dim = int(meta["num_features"])
-        c = int(meta["num_classes"])
-    except KeyError as e:
-        raise DatasetError(f"meta.json missing key {e}") from e
-    if n <= 0 or dim <= 0 or c <= 0:
-        raise DatasetError("meta.json declares non-positive sizes")
+    if not isinstance(meta, dict):
+        raise DatasetError(f"meta.json must hold a JSON object, not {type(meta).__name__}")
+    n, dim, c = (_meta_size(meta, key) for key in ("num_nodes", "num_features", "num_classes"))
 
     edges_path = d / "edges.bin"
     if not edges_path.is_file():

@@ -14,9 +14,18 @@ where agg(H) = Â H with Â = S A S: A[v, u] = 1 when u is stored in row v of
 the adjacency, and S = diag(s) holds 1/sqrt of each row's degree (the
 in-degree on directed graphs) on both sides.
 
+Each layer aggregates once, on its narrow side. Since Â (H W) = (Â H) W,
+a narrowing layer (w_in > w_out) multiplies by W_agg first and aggregates
+w_out columns; any other layer aggregates H. A caller whose input H is the
+same in every forward (a device's fixed feature slice; dropout acts on layer
+outputs, not on H) computes Â H once and passes it in as `agg`, and the
+layer then skips its aggregation.
+
 All backward passes are hand-derived reverse-mode gradients. The input
 gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
-undirected graphs.
+undirected graphs. Backward aggregates on the same side as forward: a
+narrowing layer forms Âᵀ d_pre once and reuses it for both the weight and
+the input gradient.
 """
 
 from __future__ import annotations
@@ -65,33 +74,61 @@ def init_gcn_layer(w_in: int, w_out: int, rng, dtype, form: str = FORM_DUAL) -> 
 @dataclass
 class GcnLayerCache:
     h_in: np.ndarray
-    agg: np.ndarray  # normalized neighbor sum of h_in
-    pre: np.ndarray  # agg @ W_agg + b, pre-activation
-    drop_mask: Optional[np.ndarray]
+    agg: Optional[np.ndarray]  # Â h_in; None when the layer multiplied by W_agg first
+    pre: np.ndarray  # Â h_in W_agg + b, pre-activation
+    keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
+    scale: Optional[np.generic]  # dropout scale 1/(1-rate)
 
 
-def gcn_layer_forward(adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0):
-    """One layer. Dropout (if rate > 0) is applied to the layer output."""
-    agg = ops.spmm_norm(adj, s, h_in)
-    pre = agg @ params.w_agg + params.bias
+def _narrows(params: GcnLayerParams) -> bool:
+    w_in, w_out = params.w_agg.shape
+    return w_in > w_out
+
+
+def gcn_layer_forward(
+    adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None
+):
+    """One layer. Dropout (if rate > 0) is applied to the layer output.
+
+    `agg`, when given, is Â h_in computed by the caller and is used as is.
+    Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
+    other layer aggregates H.
+    """
+    if agg is None and _narrows(params):
+        pre = ops.spmm_norm(adj, s, h_in @ params.w_agg) + params.bias
+    else:
+        if agg is None:
+            agg = ops.spmm_norm(adj, s, h_in)
+        pre = agg @ params.w_agg + params.bias
     h_out = ops.relu(pre)
     if params.w_self is not None:
         h_out = h_out + h_in @ params.w_self
-    h_out, drop_mask = ops.dropout(h_out, dropout_rate, training, rng)
-    return h_out, GcnLayerCache(h_in=h_in, agg=agg, pre=pre, drop_mask=drop_mask)
+    h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng)
+    return h_out, GcnLayerCache(h_in=h_in, agg=agg, pre=pre, keep=keep, scale=scale)
 
 
 def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, need_d_in: bool = True):
-    """Gradients (dW_agg, dW_self, db, dH_in); dW_self/dH_in may be None."""
-    if cache.drop_mask is not None:
-        d_out = d_out * cache.drop_mask
+    """Gradients (dW_agg, dW_self, db, dH_in); dW_self/dH_in may be None.
+
+    A narrowing layer forms G = Âᵀ d_pre once, at the output width, for
+    dW_agg = H_inᵀ G (when the forward kept no aggregate) and dH_in = G W_aggᵀ.
+    """
+    if cache.keep is not None:
+        d_out = ops.apply_mask(d_out, cache.keep, cache.scale)
     d_pre = ops.relu_backward(cache.pre, d_out)
     db = d_pre.sum(axis=0)
-    dw_agg = cache.agg.T @ d_pre
+    narrows = _narrows(params)
+    g = None
+    if narrows and (cache.agg is None or need_d_in):
+        g = ops.spmm_norm(adj, s, d_pre, transpose=True)
+    dw_agg = cache.h_in.T @ g if cache.agg is None else cache.agg.T @ d_pre
     dw_self = cache.h_in.T @ d_out if params.w_self is not None else None
     d_in = None
     if need_d_in:
-        d_in = ops.spmm_norm(adj, s, d_pre @ params.w_agg.T, transpose=True)
+        if narrows:
+            d_in = g @ params.w_agg.T
+        else:
+            d_in = ops.spmm_norm(adj, s, d_pre @ params.w_agg.T, transpose=True)
         if params.w_self is not None:
             d_in = d_in + d_out @ params.w_self.T
     return dw_agg, dw_self, db, d_in
@@ -129,11 +166,11 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool):
         z = h @ w + b
         if li < last:
             a = ops.relu(z)
-            a, mask = ops.dropout(a, mlp.dropout, training, rng)
-            cache.append((h, z, mask))
+            a, keep, scale = ops.dropout(a, mlp.dropout, training, rng)
+            cache.append((h, z, keep, scale))
             h = a
         else:
-            cache.append((h, None, None))
+            cache.append((h, None, None, None))
             h = z
     return h, cache
 
@@ -143,11 +180,11 @@ def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True):
     grads = [None] * len(mlp.layers)
     d = d_out
     for li in range(len(mlp.layers) - 1, -1, -1):
-        h, z, mask = cache[li]
+        h, z, keep, scale = cache[li]
         w, _ = mlp.layers[li]
         if z is not None:  # hidden layer: undo dropout and ReLU
-            if mask is not None:
-                d = d * mask
+            if keep is not None:
+                d = ops.apply_mask(d, keep, scale)
             d = ops.relu_backward(z, d)
         grads[li] = (h.T @ d, d.sum(axis=0))
         d = d @ w.T if li > 0 or need_d_in else None

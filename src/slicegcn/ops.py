@@ -27,13 +27,6 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C = A @ B with an explicit shape check."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Degree-normalized sparse aggregation, out = Â H with Â = S A S.
 
@@ -89,19 +82,30 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 def dropout(a, rate, training, rng):
-    """Inverted dropout: (output, scaled keep mask).
+    """Inverted dropout: (output, keep mask, scale).
 
-    Survivors are scaled by 1/(1-rate) at train time so evaluation is a plain
-    forward pass. Returns (a, None) when inactive; no rng draw happens then,
-    keeping stream positions independent of evaluation passes.
+    The keep mask is bool and the scale is the scalar 1/(1-rate) in a's
+    dtype; survivors are scaled at train time so evaluation is a plain
+    forward pass. Returns (a, None, None) when inactive; no rng draw happens
+    then, keeping stream positions independent of evaluation passes.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a, None
+        return a, None, None
     keep = rng.random(a.shape) >= rate
-    mask = keep.astype(a.dtype) / a.dtype.type(1.0 - rate)
-    return a * mask, mask
+    scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
+    return apply_mask(a, keep, scale), keep, scale
+
+
+def apply_mask(a, keep, scale):
+    """(a * keep) * scale: dropout forward, and its backward on a gradient.
+
+    Dropped entries become zeros carrying a's sign, as with a float mask.
+    """
+    out = a * keep
+    out *= scale
+    return out
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

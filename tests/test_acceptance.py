@@ -57,10 +57,25 @@ def test_c01_slice_strategy_matches_reference():
           not mismatches and elapsed < 1.0, f"mismatches={mismatches[:5]} elapsed={elapsed:.2f}s")
 
 
-def test_c02_gradients_match_finite_differences():
-    t0 = time.perf_counter()
-    graph = synth_graph(n=30, classes=3, d_feat=10, p_in=0.3, p_out=0.1, signal=1.0, seed=2)
-    cfg = TrainConfig(variant="slice_ffse", p=2, epochs=1, hidden=6, layers=2,
+def _directed_copy(graph: AttributedGraph) -> AttributedGraph:
+    """The graph with one direction of each edge.
+
+    A row left empty gets one entry: there the pre-activation is the bias,
+    which starts at the ReLU kink, where finite differences are undefined.
+    """
+    n = graph.num_nodes
+    pairs = graph.adj.edge_list()
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    empty = np.setdiff1d(np.arange(n), pairs[:, 0])
+    chords = np.stack([empty, (empty + 1) % n], axis=1)
+    adj = build_csr(n, np.concatenate([pairs, chords]), symmetrize=False)
+    return AttributedGraph(adj=adj, features=graph.features, labels=graph.labels,
+                           num_classes=graph.num_classes, split=graph.split)
+
+
+def _gradient_failures(graph, variant) -> list:
+    """(group, relative error) for every parameter group of one epoch off its FD."""
+    cfg = TrainConfig(variant=variant, p=2, epochs=1, hidden=6, layers=2,
                       dropout=0.0, seed=4, precision="f64")
     run = engine.build_run(graph, cfg)
     pool = _WorkerPool(1)
@@ -80,9 +95,10 @@ def test_c02_gradients_match_finite_differences():
     for li, (wt, b) in enumerate(run.head.classifier.layers):
         groups[f"classifier.{li}.w"] = (wt, grads.classifier[2 * li])
         groups[f"classifier.{li}.b"] = (b, grads.classifier[2 * li + 1])
-    for li, (wt, b) in enumerate(run.head.fusion.layers):
-        groups[f"fusion.{li}.w"] = (wt, grads.fusion[2 * li])
-        groups[f"fusion.{li}.b"] = (b, grads.fusion[2 * li + 1])
+    if cfg.use_ff:
+        for li, (wt, b) in enumerate(run.head.fusion.layers):
+            groups[f"fusion.{li}.w"] = (wt, grads.fusion[2 * li])
+            groups[f"fusion.{li}.b"] = (b, grads.fusion[2 * li + 1])
     groups["encoding"] = (run.head.encoding.table, grads.encoding)
 
     step = 1e-6
@@ -105,6 +121,19 @@ def test_c02_gradients_match_finite_differences():
         )
         if rel > 1e-5:
             failures.append((name, rel))
+    return failures
+
+
+def test_c02_gradients_match_finite_differences():
+    # slice_ffse: device layer 0 narrows (fusion width 6 -> 3) and the input
+    # gradient flows into the fusion MLP; slice_se: each device reuses Â·X of
+    # its fixed slice. Both on the undirected graph and on a directed copy.
+    t0 = time.perf_counter()
+    graph = synth_graph(n=30, classes=3, d_feat=10, p_in=0.3, p_out=0.1, signal=1.0, seed=2)
+    failures = []
+    for g, kind in ((graph, "undirected"), (_directed_copy(graph), "directed")):
+        for variant in ("slice_ffse", "slice_se"):
+            failures += [(kind, variant, *f) for f in _gradient_failures(g, variant)]
     elapsed = time.perf_counter() - t0
     check(2, "all parameter-group gradients match central differences",
           not failures and elapsed < 30.0, f"failures={failures} elapsed={elapsed:.1f}s")

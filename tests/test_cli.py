@@ -153,3 +153,20 @@ class TestValidateDataset:
         rc = run_cli(["validate-dataset", str(tmp_path / "ds")])
         assert rc == cli.EXIT_DATA
         assert "features.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "meta",
+        [[{"num_nodes": 20, "num_features": 4, "num_classes": 2}],
+         {"num_nodes": "sixty", "num_features": 4, "num_classes": 2}],
+        ids=["non-object", "non-integer-size"],
+    )
+    def test_malformed_meta_is_a_data_error(self, tmp_path, capsys, meta):
+        g = synth_graph(n=20, classes=2, d_feat=4, p_in=0.3, p_out=0.1, signal=1.0, seed=4)
+        save_dataset(g, tmp_path / "ds")
+        (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+        for args in (["validate-dataset", str(tmp_path / "ds")],
+                     ["train", "--dataset", str(tmp_path / "ds"), "--epochs", "1",
+                      "--out", str(tmp_path / "m.json")]):
+            rc = run_cli(args)
+            assert rc == cli.EXIT_DATA
+            assert "meta.json" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slicegcn
-from slicegcn import engine, nn
+from slicegcn import engine, nn, ops
 from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
 from slicegcn.graph import synth_graph
 
@@ -279,6 +279,45 @@ class TestAucRoc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             auc_roc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+class TestInputAggregate:
+    @staticmethod
+    def _spmm_calls_per_epoch(monkeypatch, graph, variant) -> list:
+        calls = []
+        spmm = ops.spmm_norm
+        monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
+        per_epoch = []
+        cfg = TrainConfig(variant=variant, p=2, epochs=4, hidden=16, layers=2, seed=1)
+        engine.train(graph, cfg, on_epoch=lambda report, logits: per_epoch.append(len(calls) - sum(per_epoch)))
+        return per_epoch
+
+    def test_fixed_slice_aggregated_once(self, small_graph, monkeypatch):
+        # per device: Â·X in the first forward only, then layer 1 in the
+        # training forward, in backward and in the eval forward
+        assert self._spmm_calls_per_epoch(monkeypatch, small_graph, "slice") == [2 * 4] + [2 * 3] * 3
+
+    def test_fused_input_aggregated_every_pass(self, small_graph, monkeypatch):
+        # the fusion output changes every epoch: per device, both layers in
+        # the training forward, in backward and in the eval forward
+        assert self._spmm_calls_per_epoch(monkeypatch, small_graph, "slice_ff") == [2 * 6] * 4
+
+    def test_reused_aggregate_equals_a_fresh_one(self, small_graph):
+        cfg = TrainConfig(variant="slice_se", p=2, epochs=4, hidden=16, layers=2, seed=3)
+        run = engine.build_run(small_graph, cfg)
+        assert all(w.input_agg is None for w in run.workers)
+        with _WorkerPool(2) as pool:
+            for _ in range(cfg.epochs):
+                _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+                engine.apply_updates(run, engine.epoch_backward(run, ctx, pool), 1e-2, pool)
+                engine.epoch_forward(run, training=False, pool=pool)
+        adj, s = small_graph.adj, run.norm_scale
+        for w, x in zip(run.workers, run.slices):
+            np.testing.assert_array_equal(w.input_agg, ops.spmm_norm(adj, s, x))
+            # layer 0 widens (6 -> 8), so reuse keeps the aggregate-first order bit for bit
+            reused = w.forward(adj, s, x, False, cfg.dropout, fixed_input=True)
+            fresh = w.forward(adj, s, x, False, cfg.dropout)
+            np.testing.assert_array_equal(reused, fresh)
 
 
 class TestNumpyOnly:

@@ -15,7 +15,6 @@ from slicegcn.graph import (
     degree_norms,
     load_dataset,
     save_dataset,
-    symmetrize_edges,
     synth_graph,
 )
 
@@ -51,10 +50,10 @@ class TestCsr:
     @given(edge_lists)
     @settings(max_examples=60, deadline=None)
     def test_symmetrize_idempotent(self, edges):
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        once = symmetrize_edges(e)
-        twice = symmetrize_edges(once)
-        np.testing.assert_array_equal(once, twice)
+        once = build_csr(10, edges, symmetrize=True)
+        twice = build_csr(10, once.edge_list(), symmetrize=True)
+        np.testing.assert_array_equal(once.row_offsets, twice.row_offsets)
+        np.testing.assert_array_equal(once.col_indices, twice.col_indices)
 
     @given(edge_lists)
     @settings(max_examples=60, deadline=None)
@@ -281,6 +280,27 @@ class TestDatasetIO:
         self._write_tiny(d)
         np.array([0, np.nan, 0, 0, 0, 0], dtype="<f4").tofile(d / "features.bin")
         with pytest.raises(DatasetError, match="finite"):
+            load_dataset(d)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_nodes", "sixty"), ("num_nodes", 3.0), ("num_features", True), ("num_classes", None),
+         ("num_classes", 0), ("num_features", -2)],
+    )
+    def test_bad_meta_size_names_field(self, tmp_path, field, value):
+        d = tmp_path / "ds"
+        self._write_tiny(d)
+        meta = json.loads((d / "meta.json").read_text())
+        meta[field] = value
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match=f"meta.json field {field}"):
+            load_dataset(d)
+
+    def test_missing_meta_key(self, tmp_path):
+        d = tmp_path / "ds"
+        self._write_tiny(d)
+        (d / "meta.json").write_text(json.dumps({"num_nodes": 3, "num_features": 2}))
+        with pytest.raises(DatasetError, match="meta.json missing key 'num_classes'"):
             load_dataset(d)
 
 

@@ -31,6 +31,19 @@ def rand_graph():
     return g.adj, g.norm_scale.copy()
 
 
+@pytest.fixture(scope="module")
+def directed_graph():
+    # in-degrees differ from out-degrees, so Âᵀ != Â and the input
+    # gradient needs the transposed operator
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 6), (6, 7), (7, 5), (2, 7)]
+    adj = build_csr(8, edges, symmetrize=False)
+    return adj, degree_norms(adj)
+
+
+# (w_in, w_out): a narrowing layer multiplies by W_agg before aggregating
+LAYER_SHAPES = {"narrowing": (5, 3), "widening": (3, 5), "equal": (4, 4)}
+
+
 class TestGcnLayer:
     def test_edgeless_graph_keeps_self_path(self):
         adj = build_csr(4, [])
@@ -140,12 +153,8 @@ class TestGcnLayer:
         assert rel_err(central_diff(loss, h_in), d_in) <= 1e-5
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
-    def test_directed_graph_gradients_match_finite_differences(self, form):
-        # in-degrees differ from out-degrees, so Âᵀ != Â and the input
-        # gradient needs the transposed operator
-        edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 6), (6, 7), (7, 5), (2, 7)]
-        adj = build_csr(8, edges, symmetrize=False)
-        s = degree_norms(adj)
+    def test_directed_graph_gradients_match_finite_differences(self, directed_graph, form):
+        adj, s = directed_graph
         rng = ops.rng_stream(12, 0)
         params = nn.init_gcn_layer(4, 3, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(3)
@@ -160,6 +169,59 @@ class TestGcnLayer:
         dw_agg, _, db, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
         for param, ana in ((h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)):
             assert rel_err(central_diff(loss, param), ana) <= 1e-5
+
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    @pytest.mark.parametrize("graph", ["rand_graph", "directed_graph"])
+    def test_both_aggregation_orders_match_finite_differences(self, request, graph, shape, form):
+        adj, s = request.getfixturevalue(graph)
+        w_in, w_out = LAYER_SHAPES[shape]
+        n = adj.num_nodes
+        rng = ops.rng_stream(14, 0)
+        params = nn.init_gcn_layer(w_in, w_out, rng, np.float64, form=form)
+        params.bias[:] = 0.01 * rng.standard_normal(w_out)
+        h_in = rng.standard_normal((n, w_in))
+        target = rng.standard_normal((n, w_out))
+
+        def loss():
+            out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+            return 0.5 * float(((out - target) ** 2).sum())
+
+        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        assert (cache.agg is None) == (shape == "narrowing")
+        dw_agg, dw_self, db, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
+        groups = [(h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)]
+        if form == nn.FORM_DUAL:
+            groups.append((params.w_self, dw_self))
+        for param, ana in groups:
+            assert rel_err(central_diff(loss, param), ana) <= 1e-5
+
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_given_aggregate_replaces_aggregation(self, rand_graph, monkeypatch, shape):
+        adj, s = rand_graph
+        w_in, w_out = LAYER_SHAPES[shape]
+        rng = ops.rng_stream(15, 0)
+        params = nn.init_gcn_layer(w_in, w_out, rng, np.float64)
+        h_in = rng.standard_normal((30, w_in))
+        d_out = rng.standard_normal((30, w_out))
+        own, own_cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        own_grads = nn.gcn_layer_backward(own_cache, d_out, params, adj, s, need_d_in=False)
+        agg = ops.spmm_norm(adj, s, h_in)
+
+        calls = []
+        spmm = ops.spmm_norm
+        monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
+        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False, agg=agg)
+        grads = nn.gcn_layer_backward(cache, d_out, params, adj, s, need_d_in=False)
+        assert not calls and cache.agg is agg
+        if shape == "narrowing":  # the layer's own order differs; values agree
+            np.testing.assert_allclose(out, own, atol=1e-12)
+            for g, o in zip(grads[:3], own_grads[:3]):
+                np.testing.assert_allclose(g, o, atol=1e-12)
+        else:  # the same order: bit for bit
+            np.testing.assert_array_equal(out, own)
+            for g, o in zip(grads[:3], own_grads[:3]):
+                np.testing.assert_array_equal(g, o)
 
 
 class TestSliceEncoding:

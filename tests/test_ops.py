@@ -8,26 +8,6 @@ from slicegcn import ops
 from slicegcn.graph import build_csr, degree_norms
 
 
-class TestMatmul:
-    def test_identity(self):
-        rng = ops.rng_stream(0, 0)
-        a = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(ops.matmul(a, np.eye(3)), a)
-
-    def test_hand_multiplied(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(ops.matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_zero_annihilates(self):
-        b = np.ones((3, 5))
-        np.testing.assert_array_equal(ops.matmul(np.zeros((2, 3)), b), np.zeros((2, 5)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ops.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 class TestSpmmNorm:
     def test_edgeless_graph_zero(self):
         adj = build_csr(4, [])
@@ -166,17 +146,17 @@ class TestRelu:
 class TestDropout:
     def test_rate_zero_identity(self):
         a = np.ones((3, 3))
-        out, mask = ops.dropout(a, 0.0, True, ops.rng_stream(0, 0))
-        assert out is a and mask is None
+        out, keep, scale = ops.dropout(a, 0.0, True, ops.rng_stream(0, 0))
+        assert out is a and keep is None and scale is None
 
     def test_eval_identity(self):
         a = np.ones((3, 3))
-        out, mask = ops.dropout(a, 0.9, False, ops.rng_stream(0, 0))
-        assert out is a and mask is None
+        out, keep, scale = ops.dropout(a, 0.9, False, ops.rng_stream(0, 0))
+        assert out is a and keep is None and scale is None
 
     def test_inverted_scaling_preserves_mean(self):
         a = np.ones((400, 400))
-        out, _ = ops.dropout(a, 0.5, True, ops.rng_stream(7, 0))
+        out, _, _ = ops.dropout(a, 0.5, True, ops.rng_stream(7, 0))
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_rate_one_rejected(self):
@@ -186,8 +166,25 @@ class TestDropout:
     def test_mask_reusable_for_backward(self):
         rng = ops.rng_stream(8, 0)
         a = np.ones((10, 10))
-        out, mask = ops.dropout(a, 0.3, True, rng)
-        np.testing.assert_array_equal(out, a * mask)
+        out, keep, scale = ops.dropout(a, 0.3, True, rng)
+        assert keep.dtype == bool and np.ndim(scale) == 0
+        np.testing.assert_array_equal(out, ops.apply_mask(a, keep, scale))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_mask_matches_float_mask_bitwise(self, dtype):
+        # the float mask keep / (1 - rate) gives the same bits, zero signs too
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((50, 40)).astype(dtype)
+        a[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):  # inf * 0
+            out, keep, scale = ops.dropout(a, 0.3, True, ops.rng_stream(9, 0))
+            float_mask = keep.astype(dtype) / dtype(1.0 - 0.3)
+            expect = a * float_mask
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.view(f"u{a.itemsize}"), expect.view(f"u{a.itemsize}"))
+        d = rng.standard_normal(a.shape).astype(dtype)
+        back = ops.apply_mask(d, keep, scale)
+        np.testing.assert_array_equal(back.view(f"u{a.itemsize}"), (d * float_mask).view(f"u{a.itemsize}"))
 
 
 class TestSoftmaxCrossEntropy:
@@ -261,7 +258,7 @@ class TestDeterminism:
             rng = ops.rng_stream(42, 3)
             w = ops.glorot_init(12, 8, rng, np.float32)
             x = rng.standard_normal((20, 12)).astype(np.float32)
-            y, _ = ops.dropout(ops.relu(ops.matmul(x, w)), 0.4, True, rng)
+            y, _, _ = ops.dropout(ops.relu(x @ w), 0.4, True, rng)
             return y
 
         np.testing.assert_array_equal(pipeline(), pipeline())
