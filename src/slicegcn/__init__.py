@@ -10,7 +10,6 @@ from .engine import (
     EpochReport,
     RunSummary,
     TrainConfig,
-    accuracy,
     auc_roc,
     build_run,
     evaluate,
@@ -38,7 +37,6 @@ __all__ = [
     "RunSummary",
     "SliceStrategy",
     "TrainConfig",
-    "accuracy",
     "auc_roc",
     "build_csr",
     "build_run",

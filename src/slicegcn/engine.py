@@ -14,6 +14,14 @@ scattered inputs, the gathered outputs, and the gradient blocks. Every
 worker owns its parameters, optimizer state, and RNG stream, so results are
 bit-identical for a fixed seed no matter how the OS schedules the threads,
 and a single-threaded reference execution (threads=1) matches exactly.
+
+Each epoch ends with an evaluation forward, and the next epoch's training
+forward runs with the same parameters. Layer 0 of a direct-slice device and
+layer 0 of the fusion MLP see a fixed input, and dropout is the first random
+draw of a training forward, so the evaluation pass hands those dropout-free
+results to the next training forward: the worker and the head each keep
+their own, the training forward consumes it, and a parameter update drops
+it. The evaluation pass of the last epoch keeps nothing.
 """
 
 from __future__ import annotations
@@ -93,24 +101,38 @@ class WorkerState:
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     grads: Optional[list] = None  # flat, aligned with param_arrays()
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
+    layer0: Optional[tuple] = None  # (output, pre) of layer 0, kept by an eval forward
 
     def param_arrays(self) -> list:
         return [a for layer in self.layers for a in layer.arrays()]
 
-    def forward(self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False):
-        """`fixed_input`: x is the same in every call, so Â·x is computed once."""
-        agg = None
+    def forward(
+        self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False,
+        keep: bool = False,
+    ):
+        """`fixed_input`: x is the same in every call, so Â·x is computed once.
+
+        `keep` (an eval forward over a fixed input, followed by a forward
+        with the same parameters) keeps layer 0's dropout-free result for
+        that forward, which consumes it.
+        """
+        if keep and (training or not fixed_input):
+            raise ValueError("only an eval forward over a fixed input keeps layer 0")
+        agg = kept = None
         if fixed_input:
             if self.input_agg is None:
                 self.input_agg = ops.spmm_norm(adj, s, x)
             agg = self.input_agg
+            kept, self.layer0 = self.layer0, None
         h = x
         caches = []
         last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
-            h, c = nn.gcn_layer_forward(adj, s, h, layer, self.rng, training, rate, agg=agg)
-            agg = None
+            h, c = nn.gcn_layer_forward(adj, s, h, layer, self.rng, training, rate, agg=agg, kept=kept)
+            if li == 0 and keep:
+                self.layer0 = (h, c.pre)
+            agg = kept = None
             caches.append(c)
         self.cache = caches if training else None
         return h
@@ -133,6 +155,7 @@ class WorkerState:
         nn.adam_step(self.param_arrays(), self.grads, self.adam, lr)
         self.grads = None
         self.cache = None
+        self.layer0 = None
 
 
 @dataclass
@@ -147,6 +170,7 @@ class MasterHead:
     fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
     enc_adam: Optional[nn.AdamState] = None
+    fusion_layer0: Optional[tuple] = None  # (z, relu(z)) of fusion layer 0, kept by an eval forward
 
 
 @dataclass
@@ -317,24 +341,34 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     )
 
 
-def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
-    """One full forward pass; returns (training-mask loss, logits, context)."""
+def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool = False):
+    """One full forward pass; returns (training-mask loss, logits, context).
+
+    `keep` (eval forwards only): the next forward runs with the same
+    parameters, so the dropout-free layer-0 results are kept for it.
+    """
+    if keep and training:
+        raise ValueError("only an eval forward keeps layer 0")
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
 
     fusion_cache = None
     if cfg.use_ff:
+        kept, head.fusion_layer0 = head.fusion_layer0, None
         z, fusion_cache = slicing.feature_fusion_forward(
-            run.features, head.fusion, head.fusion_rng, training
+            run.features, head.fusion, head.fusion_rng, training, kept=kept
         )
+        if keep:
+            head.fusion_layer0 = nn.mlp_first_layer(fusion_cache)
         inputs = [z] * cfg.p
     else:
         inputs = run.slices
 
     def fwd(item):
         worker, x = item
-        return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff)
+        return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff,
+                              keep=keep and not cfg.use_ff)
 
     outputs = pool.run(fwd, list(zip(run.workers, inputs)))
     if cfg.use_se:
@@ -374,7 +408,7 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool) -> AllGr
     if cfg.use_se:
         rows = []
         for i in range(cfg.p):
-            d_row, blocks[i] = nn.slice_encode_backward(blocks[i], i)
+            d_row, blocks[i] = nn.slice_encode_backward(blocks[i])
             rows.append(d_row)
         enc_grad = np.stack(rows, axis=0)
 
@@ -409,6 +443,7 @@ def apply_updates(run: RunState, grads: AllGrads, lr: float, pool: _WorkerPool) 
         nn.adam_step([head.encoding.table], [grads.encoding], head.enc_adam, lr)
     if run.config.use_ff:
         nn.adam_step(head.fusion.arrays(), grads.fusion, head.fusion_adam, lr)
+        head.fusion_layer0 = None
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -448,14 +483,6 @@ def evaluate(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray, num_class
     return float((pred == labels[idx]).mean())
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
-    """Plain argmax accuracy over a split, for any class count."""
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        raise ValueError("empty split")
-    return float((logits[idx].argmax(axis=1) == labels[idx]).mean())
-
-
 def _metrics(run: RunState, logits: np.ndarray):
     g = run.graph
     return tuple(
@@ -471,7 +498,8 @@ def train(
     """Run the full training loop; returns (RunSummary, [EpochReport]).
 
     Each epoch: training forward, backward, cosine-annealed Adam step for
-    every parameter group, then an evaluation forward with dropout disabled.
+    every parameter group, then an evaluation forward with dropout disabled,
+    which keeps its layer-0 results for the next epoch's training forward.
     The reported test metric is taken at the epoch with the best validation
     metric. Throughput covers the loop only (forward+backward+step+eval).
     `on_epoch(report, eval_logits)` is called after each epoch when given.
@@ -501,10 +529,12 @@ def train(
                 grads = epoch_backward(run, ctx, pool)
                 lr = nn.cosine_lr(epoch, config.epochs, config.lr)
                 apply_updates(run, grads, lr, pool)
+                ctx = grads = None
+                _, logits, _ = epoch_forward(
+                    run, training=False, pool=pool, keep=epoch + 1 < config.epochs
+                )
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}: {err}") from err
-            ctx = None
-            _, logits, _ = epoch_forward(run, training=False, pool=pool)
             train_m, val_m, test_m = _metrics(run, logits)
             wall = time.perf_counter() - t0
             total_seconds += wall

@@ -242,6 +242,9 @@ def _meta_size(meta, key: str) -> int:
 def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) -> AttributedGraph:
     """Load and validate a dataset directory.
 
+    Every split must hold at least one node, and in a binary task (scored by
+    AUC-ROC) both classes, so that training can compute every metric.
+
     Directed inputs are symmetrized (reverse edges added, dedup) by default.
     With symmetrize=False the stored direction is preserved and a node
     aggregates over its in-neighborhood. Self-loops are off by default; the
@@ -279,6 +282,17 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
         raise DatasetError(f"label {labels.max()} >= num_classes {c}")
     if not np.isin(split, (TRAIN, VAL, TEST)).all():
         raise DatasetError("splits.bin contains a tag outside {0, 1, 2}")
+    # nodes per (split, class)
+    counts = np.bincount(split.astype(np.int64) * c + labels, minlength=3 * c).reshape(3, c)
+    for tag, name in ((TRAIN, "train"), (VAL, "val"), (TEST, "test")):
+        held = np.flatnonzero(counts[tag])
+        if len(held) == 0:
+            raise DatasetError(f"splits.bin: the {name} split is empty")
+        if c == 2 and len(held) == 1:
+            raise DatasetError(
+                f"splits.bin: the {name} split holds only class {held[0]}; "
+                "a binary task's AUC-ROC needs both classes"
+            )
 
     if not symmetrize:
         # In-neighborhood aggregation: row v lists u for every stored (u, v).

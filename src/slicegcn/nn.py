@@ -21,6 +21,12 @@ same in every forward (a device's fixed feature slice; dropout acts on layer
 outputs, not on H) computes Â H once and passes it in as `agg`, and the
 layer then skips its aggregation.
 
+A layer's dropout-free result depends only on its input and parameters, and
+dropout is the first random draw of a training forward. So an evaluation
+pass over a fixed input can hand its first layer's result (`kept`) to the
+next training forward, which then only draws dropout. The same holds for
+the first layer of an MLP. Any parameter update invalidates a kept result.
+
 All backward passes are hand-derived reverse-mode gradients. The input
 gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
 undirected graphs. Backward aggregates on the same side as forward: a
@@ -86,23 +92,31 @@ def _narrows(params: GcnLayerParams) -> bool:
 
 
 def gcn_layer_forward(
-    adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None
+    adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
+    kept=None,
 ):
     """One layer. Dropout (if rate > 0) is applied to the layer output.
 
     `agg`, when given, is Â h_in computed by the caller and is used as is.
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
-    other layer aggregates H.
+    other layer aggregates H. `kept`, when given, is the (output, pre) pair
+    of an evaluation forward over the same h_in, agg and parameters; only
+    dropout is computed then.
     """
-    if agg is None and _narrows(params):
-        pre = ops.spmm_norm(adj, s, h_in @ params.w_agg) + params.bias
-    else:
+    if kept is not None:
         if agg is None:
-            agg = ops.spmm_norm(adj, s, h_in)
-        pre = agg @ params.w_agg + params.bias
-    h_out = ops.relu(pre)
-    if params.w_self is not None:
-        h_out = h_out + h_in @ params.w_self
+            raise ValueError("a kept layer result needs the aggregate its backward pass uses")
+        h_out, pre = kept
+    else:
+        if agg is None and _narrows(params):
+            pre = ops.spmm_norm(adj, s, h_in @ params.w_agg) + params.bias
+        else:
+            if agg is None:
+                agg = ops.spmm_norm(adj, s, h_in)
+            pre = agg @ params.w_agg + params.bias
+        h_out = ops.relu(pre)
+        if params.w_self is not None:
+            h_out = h_out + h_in @ params.w_self
     h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng)
     return h_out, GcnLayerCache(h_in=h_in, agg=agg, pre=pre, keep=keep, scale=scale)
 
@@ -155,24 +169,38 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=layers, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool):
-    """Returns (output, cache). The last layer is linear (no activation)."""
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None):
+    """Returns (output, cache). The last layer is linear (no activation).
+
+    `kept`, when given, is the (z, relu(z)) pair of the first hidden layer
+    from an evaluation forward over the same x and parameters (see
+    `mlp_first_layer`); that layer then only applies dropout.
+    """
     cache = []
     h = x
     last = len(mlp.layers) - 1
     for li, (w, b) in enumerate(mlp.layers):
         if h.shape[1] != w.shape[0]:
             raise ValueError(f"mlp layer {li}: input width {h.shape[1]} != {w.shape[0]}")
-        z = h @ w + b
-        if li < last:
-            a = ops.relu(z)
-            a, keep, scale = ops.dropout(a, mlp.dropout, training, rng)
-            cache.append((h, z, keep, scale))
-            h = a
-        else:
+        if li == last:
             cache.append((h, None, None, None))
-            h = z
+            h = h @ w + b
+            continue
+        if li == 0 and kept is not None:
+            z, a = kept
+        else:
+            z = h @ w + b
+            a = ops.relu(z)
+        a, keep, scale = ops.dropout(a, mlp.dropout, training, rng)
+        cache.append((h, z, keep, scale))
+        h = a
     return h, cache
+
+
+def mlp_first_layer(cache):
+    """The (z, relu(z)) pair of the first hidden layer, from an evaluation
+    forward's cache (no dropout, so the second layer's input is relu(z))."""
+    return cache[0][1], cache[1][0]
 
 
 def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True):
@@ -214,7 +242,7 @@ def slice_encode(h, enc: SliceEncoding, device_index: int):
     return h + enc.table[device_index]
 
 
-def slice_encode_backward(d_h, device_index: int):
+def slice_encode_backward(d_h):
     """Returns (d_table_row, d_h); the pass-through gradient is unchanged."""
     return d_h.sum(axis=0), d_h
 

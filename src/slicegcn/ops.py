@@ -7,6 +7,8 @@ state, so arrays can be shared freely across worker threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Stream ids for master-owned draws. Worker i uses stream id i, so master
@@ -93,7 +95,11 @@ def dropout(a, rate, training, rng):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a, None, None
-    keep = rng.random(a.shape) >= rate
+    # rng.random() is (raw >> 11) * 2**-53 of one raw 64-bit draw, so comparing
+    # the raw draws with ceil(rate * 2**53) << 11 gives its mask and leaves
+    # the stream at the same position, without the float64 array.
+    threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
+    keep = rng.bit_generator.random_raw(a.shape) >= threshold
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
     return apply_mask(a, keep, scale), keep, scale
 

@@ -81,16 +81,17 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
     return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
 
 
-def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool):
+def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept=None):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
-    not one per device.
+    not one per device. `kept` is the hidden layer's result from an
+    evaluation forward with the same parameters (see `nn.mlp_forward`).
     """
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
         raise ValueError(f"fusion hidden layer {w0.shape} does not match feature dim {x.shape[1]}")
-    return nn.mlp_forward(x, ff, rng, training)
+    return nn.mlp_forward(x, ff, rng, training, kept=kept)
 
 
 def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams):

@@ -184,14 +184,16 @@ def test_c06_convergence_on_planted_partition():
     for seed in (1, 2, 3):
         graph = synth_graph(n=400, classes=2, d_feat=16, p_in=0.05, p_out=0.005,
                             signal=1.0, seed=seed)
-        test_mask = graph.split_mask(2)
+        test_idx = np.flatnonzero(graph.split_mask(2))
         for variant, p in (("baseline", 1), ("slice", 2), ("slice_ffse", 2)):
             cfg = TrainConfig(variant=variant, p=p, epochs=200, hidden=64, layers=2,
                               lr=5e-3, dropout=0.5, seed=seed, precision="f32")
             best = [0.0]
 
-            def on_epoch(report, logits, best=best, graph=graph, test_mask=test_mask):
-                best[0] = max(best[0], engine.accuracy(logits, graph.labels, test_mask))
+            # argmax accuracy: engine.evaluate would score these binary graphs by AUC-ROC
+            def on_epoch(report, logits, best=best, graph=graph, test_idx=test_idx):
+                accuracy = float((logits[test_idx].argmax(axis=1) == graph.labels[test_idx]).mean())
+                best[0] = max(best[0], accuracy)
 
             engine.train(graph, cfg, on_epoch=on_epoch)
             results[(seed, variant)] = best[0]

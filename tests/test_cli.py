@@ -170,3 +170,23 @@ class TestValidateDataset:
             rc = run_cli(args)
             assert rc == cli.EXIT_DATA
             assert "meta.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["empty-train", "one-class-val"])
+    def test_unusable_split_fails_before_epoch_0(self, tmp_path, capsys, monkeypatch, case):
+        g = synth_graph(n=20, classes=2, d_feat=4, p_in=0.3, p_out=0.1, signal=1.0, seed=4)
+        save_dataset(g, tmp_path / "ds")
+        split, labels = g.split.copy(), g.labels.astype("<u4")
+        if case == "empty-train":
+            split[split == 0] = 2
+            split.tofile(tmp_path / "ds" / "splits.bin")
+        else:
+            labels[split == 1] = 1
+            labels.tofile(tmp_path / "ds" / "labels.bin")
+        forwards = []
+        monkeypatch.setattr(engine, "epoch_forward", lambda *a, **k: forwards.append(1))
+        for args in (["validate-dataset", str(tmp_path / "ds")],
+                     ["train", "--dataset", str(tmp_path / "ds"), "--epochs", "1",
+                      "--out", str(tmp_path / "m.json")]):
+            assert run_cli(args) == cli.EXIT_DATA
+            assert "splits.bin" in capsys.readouterr().err
+        assert not forwards and not (tmp_path / "m.json").exists()

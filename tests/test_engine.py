@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -222,6 +223,108 @@ class TestTrain:
         summary, _ = engine.train(g, cfg)
         external = cfg.epochs / (time.perf_counter() - t0)
         assert summary.throughput_eps == pytest.approx(external, rel=0.01)
+
+    def test_eval_forward_numeric_error_names_epoch(self, small_graph, monkeypatch):
+        forward, evals = engine.epoch_forward, []
+
+        def failing_eval(run, training, pool, **kw):
+            if not training:
+                evals.append(1)
+                if len(evals) == 2:
+                    raise nn.NumericError("non-finite training loss (nan)")
+            return forward(run, training, pool, **kw)
+
+        monkeypatch.setattr(engine, "epoch_forward", failing_eval)
+        cfg = TrainConfig(variant="slice", p=2, epochs=3, hidden=8, layers=2, seed=1)
+        with pytest.raises(nn.NumericError, match="^epoch 1: non-finite training loss"):
+            engine.train(small_graph, cfg)
+
+
+def _kept(run) -> list:
+    """The kept layer-0 results: one per device, then the head's fusion layer 0."""
+    return [w.layer0 for w in run.workers] + [run.head.fusion_layer0]
+
+
+class TestLayer0Reuse:
+    """The eval forward hands layer 0 (and fusion layer 0) to the next training forward."""
+
+    @staticmethod
+    def _recomputing_reference(graph, cfg) -> list:
+        """engine.train's loop with nothing kept between passes."""
+        run = engine.build_run(graph, cfg)
+        rows = []
+        with _WorkerPool(1) as pool:
+            for epoch in range(cfg.epochs):
+                loss, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+                grads = engine.epoch_backward(run, ctx, pool)
+                lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
+                engine.apply_updates(run, grads, lr, pool)
+                _, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
+                assert not any(k is not None for k in _kept(run))
+                rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
+        return rows
+
+    @pytest.mark.parametrize("variant", ["slice", "slice_se", "slice_ffse"])
+    def test_reuse_matches_recomputing_reference(self, small_graph, monkeypatch, variant):
+        runs, kept_after = [], []
+        build = engine.build_run
+        monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
+        cfg = TrainConfig(variant=variant, p=2, epochs=4, hidden=16, layers=2, seed=6)
+        _, reports = engine.train(
+            small_graph, cfg, on_epoch=lambda report, logits: kept_after.append(_kept(runs[-1]))
+        )
+        _, sequential = engine.train(small_graph, dataclasses.replace(cfg, threads=1))
+
+        def rows(reps):
+            return [(r.epoch, r.lr, r.loss, r.train_metric, r.val_metric, r.test_metric) for r in reps]
+
+        # bit for bit: floats compare exactly
+        assert rows(reports) == self._recomputing_reference(small_graph, cfg) == rows(sequential)
+        # every eval but the last kept its layer 0: on the devices in direct
+        # mode, on the head in fusion mode; afterwards nothing is held
+        held = [[k is not None for k in kept] for kept in kept_after]
+        expect = [False] * cfg.p + [True] if cfg.use_ff else [True] * cfg.p + [False]
+        assert held[:-1] == [expect] * (cfg.epochs - 1)
+        assert not any(held[-1]) and not any(k is not None for k in _kept(runs[0]))
+
+    @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
+    def test_update_drops_kept_result(self, small_graph, variant):
+        # eval forward (keep) -> parameter update -> training forward: the
+        # training forward recomputes layer 0 from the updated parameters
+        cfg = TrainConfig(variant=variant, p=2, epochs=2, hidden=16, layers=2, seed=7)
+        logits, losses = [], []
+        for keep in (True, False):
+            run = engine.build_run(small_graph, cfg)
+            with _WorkerPool(2) as pool:
+                _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+                grads = engine.epoch_backward(run, ctx, pool)
+                engine.epoch_forward(run, training=False, pool=pool, keep=keep)
+                assert any(k is not None for k in _kept(run)) == keep
+                engine.apply_updates(run, grads, 1e-2, pool)
+                assert not any(k is not None for k in _kept(run))
+                loss, out, _ = engine.epoch_forward(run, training=True, pool=pool)
+            losses.append(loss)
+            logits.append(out)
+        assert losses[0] == losses[1]
+        np.testing.assert_array_equal(logits[0], logits[1])
+
+    def test_kept_result_used_by_the_training_forward(self, small_graph):
+        cfg = TrainConfig(variant="slice", p=2, epochs=2, hidden=16, layers=2, seed=7)
+        run = engine.build_run(small_graph, cfg)
+        with _WorkerPool(1) as pool:
+            engine.epoch_forward(run, training=False, pool=pool, keep=True)
+            kept = [w.layer0 for w in run.workers]
+            engine.epoch_forward(run, training=True, pool=pool)
+        for w, (_, pre) in zip(run.workers, kept):
+            assert w.cache[0].pre is pre and w.layer0 is None
+
+    def test_only_eval_forwards_keep(self, small_graph):
+        run = engine.build_run(small_graph, TrainConfig(variant="slice_ff", p=2, hidden=8))
+        with _WorkerPool(1) as pool, pytest.raises(ValueError, match="eval forward"):
+            engine.epoch_forward(run, training=True, pool=pool, keep=True)
+        w, x = run.workers[0], run.features
+        with pytest.raises(ValueError, match="fixed input"):
+            w.forward(small_graph.adj, run.norm_scale, x, False, 0.5, keep=True)
 
 
 class TestEvaluate:

@@ -220,6 +220,17 @@ class TestSynthGraph:
             synth_graph(n=10, classes=2, d_feat=3, p_in=1.5, p_out=0.0, signal=1.0, seed=0)
 
 
+def _graph_with_splits(labels, split, classes):
+    n = len(labels)
+    return AttributedGraph(
+        adj=build_csr(n, [(v, v + 1) for v in range(n - 1)]),
+        features=np.zeros((n, 2), dtype=np.float32),
+        labels=np.array(labels, dtype=np.int64),
+        num_classes=classes,
+        split=np.array(split, dtype=np.uint8),
+    )
+
+
 class TestDatasetIO:
     def test_round_trip(self, tmp_path, small_graph):
         save_dataset(small_graph, tmp_path / "ds")
@@ -233,7 +244,7 @@ class TestDatasetIO:
     def _write_tiny(self, d, directed=True):
         d.mkdir()
         (d / "meta.json").write_text(
-            json.dumps({"num_nodes": 3, "num_features": 2, "num_classes": 2, "directed": directed})
+            json.dumps({"num_nodes": 3, "num_features": 2, "num_classes": 3, "directed": directed})
         )
         np.array([[0, 1]], dtype="<u4").tofile(d / "edges.bin")
         np.arange(6, dtype="<f4").tofile(d / "features.bin")
@@ -295,6 +306,30 @@ class TestDatasetIO:
         (d / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(DatasetError, match=f"meta.json field {field}"):
             load_dataset(d)
+
+    @pytest.mark.parametrize("split, name", [([1, 1, 2], "train"), ([0, 2, 2], "val"), ([0, 1, 1], "test")])
+    def test_empty_split_rejected(self, tmp_path, split, name):
+        d = tmp_path / "ds"
+        self._write_tiny(d)
+        np.array(split, dtype="u1").tofile(d / "splits.bin")
+        with pytest.raises(DatasetError, match=f"splits.bin: the {name} split is empty"):
+            load_dataset(d)
+
+    @pytest.mark.parametrize("name", ["train", "val", "test"])
+    def test_binary_split_with_one_class_rejected(self, tmp_path, name):
+        # two nodes per split, one of each class, except that one split lacks class 1
+        labels = [0, 1, 0, 1, 0, 1]
+        labels[2 * ("train", "val", "test").index(name) + 1] = 0
+        d = tmp_path / "ds"
+        save_dataset(_graph_with_splits(labels, [0, 0, 1, 1, 2, 2], classes=2), d)
+        with pytest.raises(DatasetError, match=f"splits.bin: the {name} split holds only class 0"):
+            load_dataset(d)
+
+    def test_one_class_split_accepted_beyond_binary(self, tmp_path):
+        # accuracy is defined on a one-class split; only AUC-ROC needs both
+        d = tmp_path / "ds"
+        save_dataset(_graph_with_splits([0, 0, 1, 1, 2, 2], [0, 0, 1, 1, 2, 2], classes=3), d)
+        assert load_dataset(d).num_classes == 3
 
     def test_missing_meta_key(self, tmp_path):
         d = tmp_path / "ds"

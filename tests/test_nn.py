@@ -223,6 +223,38 @@ class TestGcnLayer:
             for g, o in zip(grads[:3], own_grads[:3]):
                 np.testing.assert_array_equal(g, o)
 
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_kept_result_replaces_layer_arithmetic(self, rand_graph, monkeypatch, shape, form):
+        # an eval forward's (output, pre) handed to a training forward: the same
+        # output, cache and stream position as computing the layer again
+        adj, s = rand_graph
+        w_in, w_out = LAYER_SHAPES[shape]
+        params = nn.init_gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
+        h_in = ops.rng_stream(16, 1).standard_normal((30, w_in)).astype(np.float32)
+        agg = ops.spmm_norm(adj, s, h_in)
+        h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg)
+        rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
+        fresh, c_fresh = nn.gcn_layer_forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
+
+        for param in params.arrays():  # a layer that computed again would give NaN
+            param[:] = np.nan
+        monkeypatch.setattr(ops, "spmm_norm", None)
+        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, agg=agg,
+                                          kept=(h_eval, c_eval.pre))
+        np.testing.assert_array_equal(out, fresh)
+        assert cache.pre is c_eval.pre and cache.agg is agg and cache.h_in is h_in
+        np.testing.assert_array_equal(cache.keep, c_fresh.keep)
+        assert cache.scale == c_fresh.scale and rng.random() == ref.random()
+
+    def test_kept_result_needs_the_aggregate(self, rand_graph):
+        adj, s = rand_graph
+        params = nn.init_gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
+        h_in = np.ones((30, 4))
+        h, c = nn.gcn_layer_forward(adj, s, h_in, params, None, False)
+        with pytest.raises(ValueError, match="aggregate"):
+            nn.gcn_layer_forward(adj, s, h_in, params, None, False, kept=(h, c.pre))
+
 
 class TestSliceEncoding:
     def test_zero_table_identity(self):
@@ -245,7 +277,7 @@ class TestSliceEncoding:
             return 0.5 * float(((nn.slice_encode(h, enc, 0) - target) ** 2).sum())
 
         d_out = nn.slice_encode(h, enc, 0) - target
-        d_row, d_h = nn.slice_encode_backward(d_out, 0)
+        d_row, d_h = nn.slice_encode_backward(d_out)
         fd = central_diff(loss, enc.table)
         assert rel_err(fd[0], d_row) <= 1e-5
         assert not fd[1].any()  # the other device's row is untouched
@@ -306,6 +338,27 @@ class TestMlp:
         for (dw, db), (sw, sb) in zip(full, skipped):
             np.testing.assert_array_equal(dw, sw)
             np.testing.assert_array_equal(db, sb)
+
+    def test_kept_first_layer_replaces_its_arithmetic(self):
+        mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(14, 0), np.float32, dropout=0.4)
+        x = ops.rng_stream(14, 1).standard_normal((9, 5)).astype(np.float32)
+        _, eval_cache = nn.mlp_forward(x, mlp, None, training=False)
+        z, a = nn.mlp_first_layer(eval_cache)
+        w, b = mlp.layers[0]
+        np.testing.assert_array_equal(z, x @ w + b)
+        np.testing.assert_array_equal(a, ops.relu(z))
+
+        rng, ref = ops.rng_stream(15, 0), ops.rng_stream(15, 0)
+        fresh, fresh_cache = nn.mlp_forward(x, mlp, ref, training=True)
+        for param in mlp.layers[0]:  # a first layer that computed again would give NaN
+            param[:] = np.nan
+        out, cache = nn.mlp_forward(x, mlp, rng, training=True, kept=(z, a))
+        np.testing.assert_array_equal(out, fresh)
+        assert cache[0][0] is x and cache[0][1] is z
+        for got, want in zip(cache, fresh_cache):
+            for g, f in zip(got, want):
+                np.testing.assert_array_equal(g, f)
+        assert rng.random() == ref.random()
 
     def test_width_mismatch(self):
         rng = ops.rng_stream(11, 0)

@@ -186,6 +186,17 @@ class TestDropout:
         back = ops.apply_mask(d, keep, scale)
         np.testing.assert_array_equal(back.view(f"u{a.itemsize}"), (d * float_mask).view(f"u{a.itemsize}"))
 
+    @pytest.mark.parametrize("rate", [1e-17, 0.1, 1 / 3, 0.5, 0.7, 0.999999])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 129), (5,)])
+    def test_raw_draw_matches_uniform_draw(self, rate, shape):
+        # the mask comes from raw 64-bit draws; it must be the mask of
+        # rng.random() >= rate and leave the stream where rng.random() would
+        rng, ref = ops.rng_stream(21, 3), ops.rng_stream(21, 3)
+        _, keep, _ = ops.dropout(np.ones(shape, np.float32), rate, True, rng)
+        np.testing.assert_array_equal(keep, ref.random(shape) >= rate)
+        assert rng.random() == ref.random()
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_ln_c(self):
