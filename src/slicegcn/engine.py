@@ -200,8 +200,7 @@ class EpochContext:
 
 @dataclass
 class AllGrads:
-    worker_grads: list  # per device, flat lists
-    classifier: list
+    classifier: list  # each device keeps its own gradients in WorkerState.grads
     encoding: Optional[np.ndarray] = None  # p x h_out
     fusion: Optional[list] = None
 
@@ -426,12 +425,7 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool) -> AllGr
         fusion_pairs = slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion)
         fusion_grads = [g for pair in fusion_pairs for g in pair]
 
-    return AllGrads(
-        worker_grads=[w.grads for w in run.workers],
-        classifier=cls_grads,
-        encoding=enc_grad,
-        fusion=fusion_grads,
-    )
+    return AllGrads(classifier=cls_grads, encoding=enc_grad, fusion=fusion_grads)
 
 
 def apply_updates(run: RunState, grads: AllGrads, lr: float, pool: _WorkerPool) -> None:

@@ -42,79 +42,77 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Diagonals covering fewer rows than this are summed by one np.add.at call
-# instead of one gather-add each. On hub-heavy graphs the per-diagonal call
-# overhead would otherwise dominate: the hub of a 50k-node star alone adds
-# 49,998 single-row diagonals.
-_MIN_DIAGONAL_ROWS = 8
+# Gather entries per row block: B rows whose first degree is D pad to D * B
+# entries, and B is the most rows that keep D * B within this budget (a row
+# above it is a block of its own). It trades the SpMM's gather buffer against
+# its two numpy calls per block: on the CLI-default graph 2048 was no faster
+# and raised peak memory.
+_BLOCK_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
-class JaggedDiagonals:
-    """Jagged-diagonal (JDS) layout of a CSR matrix, the SpMM's iteration order.
+class RowBlocks:
+    """Row-block (sliced ELL) layout of a CSR matrix, the SpMM's iteration order.
 
-    Rows are ranked by descending degree (ties keep row order). Diagonal k
-    holds the k-th stored neighbour of every row whose degree exceeds k; those
-    rows are a prefix of the ranking, so diagonal k is the contiguous slice
-    `indices[bounds[k]:bounds[k + 1]]`, aligned with ranks 0, 1, ... Row v
-    has rank `rank[v]`. Only diagonals of at least `_MIN_DIAGONAL_ROWS` rows
-    get bounds; the narrower ones follow in `indices[bounds[-1]:]`, still in
-    diagonal order, and `tail_rank` holds the rank of each of those entries.
+    Rows are ranked by descending degree, ties in row order; row v has rank
+    `rank[v]`. Consecutive ranks form blocks, listed as (first rank, end rank,
+    D, offset) with D the degree of the block's first row. A block of B rows
+    owns the D x B index matrix `indices[offset : offset + D * B]`: entry
+    [k, b] is the k-th CSR neighbour of the block's row b, or n past that
+    row's degree, which points at a zero row appended to the SpMM's input.
     """
 
-    indices: np.ndarray  # int64, length nnz, read-only
-    bounds: tuple  # of int, one more than the wide diagonals
-    tail_rank: np.ndarray  # int64, length nnz - bounds[-1], read-only
+    indices: np.ndarray  # int64, read-only
+    blocks: tuple  # of (first rank, end rank, D, offset), ints
     rank: np.ndarray  # int64, length num_nodes, read-only
+    max_entries: int  # largest D * B over the blocks
 
 
-def _jagged_diagonals(offsets: np.ndarray, cols: np.ndarray) -> JaggedDiagonals:
+def _row_blocks(offsets: np.ndarray, cols: np.ndarray) -> RowBlocks:
     n = len(offsets) - 1
     deg = np.diff(offsets)
+    order = np.argsort(-deg, kind="stable")
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(-deg, kind="stable")] = np.arange(n)
-    # rows with degree > k, for k = 0 .. max degree - 1
-    widths = n - np.cumsum(np.bincount(deg, minlength=1))[:-1]
-    bounds = np.concatenate([[0], np.cumsum(widths)])
-    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-    slot = bounds[np.arange(len(cols)) - offsets[rows]] + rank[rows]
-    indices = np.empty(len(cols), dtype=np.int64)
+    rank[order] = np.arange(n)
+    starts = [0]
+    while starts[-1] < n:
+        d = int(deg[order[starts[-1]]])
+        starts.append(n if d == 0 else min(n, starts[-1] + max(1, _BLOCK_ENTRIES // d)))
+    starts = np.asarray(starts, dtype=np.int64)
+    size, first_deg = np.diff(starts), deg[order[starts[:-1]]]
+    block_offsets = np.concatenate([[0], np.cumsum(first_deg * size)])
+    # entry k of row v goes to [k, b] of its block: offset + b + k * B
+    stride = np.repeat(size, size)[rank]
+    base = (np.arange(n) + np.repeat(block_offsets[:-1] - starts[:-1], size))[rank]
+    slot = np.repeat(base - offsets[:-1] * stride, deg) + np.arange(len(cols)) * np.repeat(stride, deg)
+    indices = np.full(block_offsets[-1], n, dtype=np.int64)
     indices[slot] = cols
-    owner = np.empty(len(cols), dtype=np.int64)
-    owner[slot] = rank[rows]
-    wide = int(np.count_nonzero(widths >= _MIN_DIAGONAL_ROWS))  # widths never grow
-    tail_rank = owner[bounds[wide] :].copy()
-    return JaggedDiagonals(
-        _readonly(indices), tuple(bounds[: wide + 1].tolist()), _readonly(tail_rank), _readonly(rank)
-    )
+    blocks = tuple(zip(starts[:-1].tolist(), starts[1:].tolist(), first_deg.tolist(), block_offsets[:-1].tolist()))
+    return RowBlocks(_readonly(indices), blocks, _readonly(rank), int((first_deg * size).max(initial=0)))
 
 
 @dataclass(frozen=True)
 class CsrAdjacency:
     """CSR adjacency: neighbor lists sorted ascending, no duplicates.
 
-    Row v lists the nodes v aggregates from. The jagged-diagonal layouts of
-    the matrix A (`jds`) and of its transpose (`jds_t`, the same object when A
-    is symmetric) are built once here, so threads only ever read them.
+    Row v lists the nodes v aggregates from. The row-block layouts of the
+    matrix A (`blocks`) and of its transpose (`blocks_t`, the same object when
+    A is symmetric) are built once here, so threads only ever read them.
     """
 
     num_nodes: int
     row_offsets: np.ndarray  # int64, length num_nodes + 1
     col_indices: np.ndarray  # int64, length nnz
-    jds: JaggedDiagonals = field(init=False, repr=False, compare=False)
-    jds_t: JaggedDiagonals = field(init=False, repr=False, compare=False)
+    blocks: RowBlocks = field(init=False, repr=False, compare=False)
+    blocks_t: RowBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
-        jds = _jagged_diagonals(offsets, cols)
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         t_offsets, t_cols = _csr_from_keys(cols * n + rows, n)
-        if np.array_equal(t_offsets, offsets) and np.array_equal(t_cols, cols):
-            jds_t = jds
-        else:
-            jds_t = _jagged_diagonals(t_offsets, t_cols)
-        object.__setattr__(self, "jds", jds)
-        object.__setattr__(self, "jds_t", jds_t)
+        symmetric = np.array_equal(t_offsets, offsets) and np.array_equal(t_cols, cols)
+        object.__setattr__(self, "blocks", _row_blocks(offsets, cols))
+        object.__setattr__(self, "blocks_t", self.blocks if symmetric else _row_blocks(t_offsets, t_cols))
 
     @property
     def num_edges(self) -> int:
@@ -211,9 +209,6 @@ class AttributedGraph:
     def num_features(self) -> int:
         return int(self.features.shape[1])
 
-    def split_mask(self, tag: int) -> np.ndarray:
-        return self.split == tag
-
 
 def _read_exact(path: Path, dtype, count: int) -> np.ndarray:
     if not path.is_file():
@@ -255,8 +250,8 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
     if not meta_path.is_file():
         raise DatasetError(f"missing file: {meta_path.name}")
     try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
+        meta = json.loads(meta_path.read_bytes())
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not text
         raise DatasetError(f"meta.json is not valid JSON: {e}") from e
     if not isinstance(meta, dict):
         raise DatasetError(f"meta.json must hold a JSON object, not {type(meta).__name__}")

@@ -17,6 +17,8 @@ STREAM_FUSION = 1 << 16
 STREAM_ENCODING = (1 << 16) + 1
 STREAM_CLASSIFIER = (1 << 16) + 2
 
+_DROPOUT_CHUNK = 1 << 17  # raw draws per chunk of a dropout mask: 1 MB of uint64
+
 
 def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id).
@@ -38,30 +40,31 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False) -> np.
     `transpose=True` computes Âᵀ H = S Aᵀ S H instead, which the backward
     pass needs; on undirected graphs the two coincide.
 
-    The product runs over the precomputed jagged diagonals of A (or Aᵀ):
-    one vectorized gather-add per wide diagonal, one np.add.at over the
-    narrow ones, then the rows are put back in node order. Each row sums its
-    terms one after another in CSR order, so results are bit-identical for
-    any thread schedule.
+    The product runs over the precomputed row blocks of A (or Aᵀ): each block
+    gathers its D x B rows of S H (above a zero row) in one np.take and sums
+    over k in one np.add.reduce; then rows go back to node order. The reduce
+    adds each row's terms one by one in CSR order from +0.0 (padding adds
+    +0.0, a no-op there), so results are bit-identical for any thread schedule.
     """
-    n = adj.num_nodes
+    n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
         raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, graph has {n} nodes")
     if s.shape != (n,):
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
-    jds = adj.jds_t if transpose else adj.jds
-    scaled = h * s[:, None]
-    acc = np.zeros_like(h)
-    gathered = np.empty_like(h)
-    bounds, indices = jds.bounds, jds.indices
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        m = hi - lo
+    lay = adj.blocks_t if transpose else adj.blocks
+    width = max(c, 2)  # one column would make a one-row block's reduce pairwise, out of order
+    scaled = np.empty((n + 1, width), dtype=h.dtype)
+    np.multiply(h, s[:, None], out=scaled[:n, :c])
+    scaled[:n, c:] = scaled[n] = 0
+    acc = np.empty((n, width), dtype=h.dtype)
+    buf = np.empty((lay.max_entries, width), dtype=h.dtype)
+    for lo, hi, d, offset in lay.blocks:
+        m = d * (hi - lo)
         # indices are in range; "clip" lets take write into the buffer unbuffered
-        np.take(scaled, indices[lo:hi], axis=0, out=gathered[:m], mode="clip")
-        acc[:m] += gathered[:m]
-    # the narrow diagonals: np.add.at adds entry by entry, in diagonal order
-    np.add.at(acc, jds.tail_rank, scaled[indices[bounds[-1] :]])
-    out = acc[jds.rank]
+        np.take(scaled, lay.indices[offset : offset + m], axis=0, out=buf[:m], mode="clip")
+        np.add.reduce(buf[:m].reshape(d, hi - lo, width), axis=0, out=acc[lo:hi], initial=0)
+    # back to node order, into scaled, which is no longer read
+    out = np.take(acc, lay.rank, axis=0, out=scaled[:n], mode="clip")[:, :c]
     out *= s[:, None]
     return out
 
@@ -99,7 +102,11 @@ def dropout(a, rate, training, rng):
     # the raw draws with ceil(rate * 2**53) << 11 gives its mask and leaves
     # the stream at the same position, without the float64 array.
     threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
-    keep = rng.bit_generator.random_raw(a.shape) >= threshold
+    keep = np.empty(a.shape, dtype=bool)
+    flat = keep.reshape(-1)
+    for lo in range(0, flat.size, _DROPOUT_CHUNK):  # in C order, as one draw of a.shape
+        part = flat[lo : lo + _DROPOUT_CHUNK]
+        np.greater_equal(rng.bit_generator.random_raw(part.size), threshold, out=part)
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
     return apply_mask(a, keep, scale), keep, scale
 

@@ -90,7 +90,7 @@ def _gradient_failures(graph, variant) -> list:
     groups = {}
     for w in run.workers:
         flat = w.param_arrays()
-        for k, (param, grad) in enumerate(zip(flat, grads.worker_grads[w.device_index])):
+        for k, (param, grad) in enumerate(zip(flat, w.grads)):
             groups[f"worker{w.device_index}.param{k}"] = (param, grad)
     for li, (wt, b) in enumerate(run.head.classifier.layers):
         groups[f"classifier.{li}.w"] = (wt, grads.classifier[2 * li])
@@ -184,7 +184,7 @@ def test_c06_convergence_on_planted_partition():
     for seed in (1, 2, 3):
         graph = synth_graph(n=400, classes=2, d_feat=16, p_in=0.05, p_out=0.005,
                             signal=1.0, seed=seed)
-        test_idx = np.flatnonzero(graph.split_mask(2))
+        test_idx = np.flatnonzero(graph.split == 2)
         for variant, p in (("baseline", 1), ("slice", 2), ("slice_ffse", 2)):
             cfg = TrainConfig(variant=variant, p=p, epochs=200, hidden=64, layers=2,
                               lr=5e-3, dropout=0.5, seed=seed, precision="f32")

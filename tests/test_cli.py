@@ -171,6 +171,18 @@ class TestValidateDataset:
             assert rc == cli.EXIT_DATA
             assert "meta.json" in capsys.readouterr().err
 
+    def test_meta_that_is_not_text_is_a_data_error(self, tmp_path, capsys):
+        g = synth_graph(n=20, classes=2, d_feat=4, p_in=0.3, p_out=0.1, signal=1.0, seed=4)
+        save_dataset(g, tmp_path / "ds")
+        with open(tmp_path / "ds" / "meta.json", "ab") as f:
+            f.write(b"\xff")  # invalid UTF-8
+        for args in (["validate-dataset", str(tmp_path / "ds")],
+                     ["train", "--dataset", str(tmp_path / "ds"), "--epochs", "1",
+                      "--out", str(tmp_path / "m.json")]):
+            rc = run_cli(args)
+            assert rc == cli.EXIT_DATA
+            assert "meta.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", ["empty-train", "one-class-val"])
     def test_unusable_split_fails_before_epoch_0(self, tmp_path, capsys, monkeypatch, case):
         g = synth_graph(n=20, classes=2, d_feat=4, p_in=0.3, p_out=0.1, signal=1.0, seed=4)

@@ -130,7 +130,7 @@ class TestEpochBackward:
             _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
             ctx.d_logits[:] = 0
             grads = engine.epoch_backward(run, ctx, pool)
-        for flat in grads.worker_grads:
+        for flat in (w.grads for w in run.workers):
             assert all(not g.any() for g in flat)
         assert all(not g.any() for g in grads.classifier)
         assert all(not g.any() for g in grads.fusion)

@@ -1,10 +1,15 @@
+import functools
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slicegcn import graph
 from slicegcn.graph import (
     TEST,
     TRAIN,
@@ -88,59 +93,96 @@ class TestCsr:
             build_csr(2**32, [])
 
 
-class TestJaggedDiagonals:
+class TestRowBlocks:
     @staticmethod
-    def _rows(jds, n):
-        """Each row's entries in summation order, read back from the layout."""
-        by_rank = [[] for _ in range(n)]
-        for lo, hi in zip(jds.bounds[:-1], jds.bounds[1:]):
-            for r in range(hi - lo):
-                by_rank[r].append(int(jds.indices[lo + r]))
-        for i, r in enumerate(jds.tail_rank):
-            by_rank[r].append(int(jds.indices[jds.bounds[-1] + i]))
-        return [by_rank[jds.rank[v]] for v in range(n)]
+    def _columns(lay, n):
+        """Each row's column of its block's index matrix, in summation order."""
+        by_rank = [None] * n
+        for lo, hi, d, offset in lay.blocks:
+            mat = lay.indices[offset : offset + d * (hi - lo)].reshape(d, hi - lo)
+            for b in range(hi - lo):
+                by_rank[lo + b] = mat[:, b].tolist()
+        return [by_rank[lay.rank[v]] for v in range(n)]
 
-    def _check(self, adj):
+    def _check(self, lay, offsets, rows):
+        """`lay` holds `rows` (the CSR rows, as lists) and is well formed."""
+        n = len(rows)
+        deg = np.diff(offsets)
+        for v, column in enumerate(self._columns(lay, n)):
+            # the CSR row in order, then padding that points at the zero row n
+            assert column == rows[v] + [n] * (len(column) - len(rows[v]))
+        # ranks order rows by descending degree, ties by row
+        order = np.argsort(lay.rank)
+        assert all((-deg[a], a) < (-deg[b], b) for a, b in zip(order[:-1], order[1:]))
+        # blocks cover the ranks in order, back to back, each padded to its first degree
+        assert [b[0] for b in lay.blocks] == [0] + [b[1] for b in lay.blocks[:-1]]
+        assert lay.blocks[-1][1] == n
+        sizes = [d * (hi - lo) for lo, hi, d, _ in lay.blocks]
+        assert [b[3] for b in lay.blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert len(lay.indices) == sum(sizes) and lay.max_entries == max(sizes, default=0)
+        for lo, hi, d, _ in lay.blocks:
+            assert d == deg[order[lo]]
+            # as many rows as the budget allows, or a single row above it
+            budget = graph._BLOCK_ENTRIES
+            assert d * (hi - lo) <= budget or hi - lo == 1
+            assert hi == n or d == 0 or d * (hi - lo + 1) > budget
+
+    def _check_both(self, adj):
         n = adj.num_nodes
-        assert self._rows(adj.jds, n) == [list(adj.neighbors(v)) for v in range(n)]
         dense = np.zeros((n, n), dtype=int)
         for u, v in adj.edge_list():
             dense[u, v] = 1
-        assert self._rows(adj.jds_t, n) == [list(np.flatnonzero(dense[:, v])) for v in range(n)]
-        # ranks order rows by descending degree, ties by row
-        deg = np.diff(adj.row_offsets)
-        order = np.argsort(adj.jds.rank)
-        assert all((-deg[a], a) < (-deg[b], b) for a, b in zip(order[:-1], order[1:]))
+        self._check(adj.blocks, adj.row_offsets, [list(adj.neighbors(v)) for v in range(n)])
+        t_rows = [np.flatnonzero(dense[:, v]).tolist() for v in range(n)]
+        self._check(adj.blocks_t, np.concatenate([[0], np.cumsum(dense.sum(axis=0))]), t_rows)
 
-    @given(edge_lists, st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_layout_holds_the_csr_rows(self, edges, symmetrize):
-        self._check(build_csr(10, edges, symmetrize=symmetrize))
+    @given(edge_lists, st.booleans(), st.sampled_from([1, 3, 8, 2048]))
+    @settings(max_examples=100, deadline=None)
+    def test_layout_holds_the_csr_rows(self, edges, symmetrize, budget):
+        with mock.patch.object(graph, "_BLOCK_ENTRIES", budget):
+            self._check_both(build_csr(10, edges, symmetrize=symmetrize))
 
     @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_wide_and_narrow_diagonals(self, symmetrize):
+    def test_several_blocks_and_a_hub(self, symmetrize):
+        n = graph._BLOCK_ENTRIES + 100
         rng = np.random.default_rng(4)
-        edges = [(u, v) for u in range(60) for v in range(60) if rng.random() < 0.15]
-        edges += [(0, v) for v in range(1, 60)]  # a hub, so narrow diagonals remain
-        adj = build_csr(60, edges, symmetrize=symmetrize)
-        assert len(adj.jds.bounds) > 2 and len(adj.jds.tail_rank) > 0
-        self._check(adj)
+        edges = rng.integers(0, n, size=(6 * n, 2))
+        edges = np.concatenate([edges, [(0, v) for v in range(1, n)]])  # node 0 is a hub
+        adj = build_csr(n, edges, symmetrize=symmetrize)
+        for lay in {id(adj.blocks): adj.blocks, id(adj.blocks_t): adj.blocks_t}.values():
+            assert len(lay.blocks) > 3
+        # the hub's row is above the budget, so it is a block by itself
+        hub_deg = len(adj.neighbors(0))
+        assert hub_deg > graph._BLOCK_ENTRIES and adj.blocks.blocks[0] == (0, 1, hub_deg, 0)
+        self._check_both(adj)
 
-    def test_star_hub_is_one_wide_diagonal_and_a_tail(self):
-        adj = build_csr(50, [(0, v) for v in range(1, 50)])
-        assert adj.jds.bounds == (0, 50)  # every node has a first neighbour
-        np.testing.assert_array_equal(adj.jds.tail_rank, np.zeros(48))  # the rest are the hub's
+    def test_star_hub_is_a_block_of_its_own(self):
+        n = graph._BLOCK_ENTRIES + 2
+        adj = build_csr(n, [(0, v) for v in range(1, n)])
+        assert adj.blocks.blocks == (
+            (0, 1, n - 1, 0),
+            (1, n - 1, 1, n - 1),  # as many leaves as the budget allows
+            (n - 1, n, 1, 2 * n - 3),
+        )
+        assert adj.blocks.max_entries == n - 1
+
+    def test_isolated_rows_end_in_one_empty_block(self):
+        with mock.patch.object(graph, "_BLOCK_ENTRIES", 2):
+            adj = build_csr(6, [(0, 1)])
+        assert adj.blocks.blocks == ((0, 2, 1, 0), (2, 6, 0, 2))
+        # under the real budget the one-neighbour block pads the isolated rows
+        assert build_csr(6, [(0, 1)]).blocks.blocks == ((0, 6, 1, 0),)
 
     def test_symmetric_graph_shares_one_layout(self):
         adj = build_csr(4, [(0, 1), (1, 2)])
-        assert adj.jds_t is adj.jds
+        assert adj.blocks_t is adj.blocks
         directed = build_csr(4, [(0, 1), (1, 2)], symmetrize=False)
-        assert directed.jds_t is not directed.jds
+        assert directed.blocks_t is not directed.blocks
 
     def test_layout_is_read_only(self):
         adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
-        for jds in (adj.jds, adj.jds_t):
-            for a in (jds.indices, jds.tail_rank, jds.rank):
+        for lay in (adj.blocks, adj.blocks_t):
+            for a in (lay.indices, lay.rank):
                 assert not a.flags.writeable
 
 
@@ -218,6 +260,18 @@ class TestSynthGraph:
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             synth_graph(n=10, classes=2, d_feat=3, p_in=1.5, p_out=0.0, signal=1.0, seed=0)
+
+
+_DATASET_FILES = ("edges.bin", "features.bin", "labels.bin", "meta.json", "splits.bin")
+
+
+@functools.lru_cache(maxsize=None)
+def _dataset_files() -> dict:
+    """The five files of a small valid dataset, by name."""
+    g = synth_graph(n=24, classes=3, d_feat=3, p_in=0.3, p_out=0.05, signal=1.0, seed=7)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(g, tmp)
+        return {name: (Path(tmp) / name).read_bytes() for name in _DATASET_FILES}
 
 
 def _graph_with_splits(labels, split, classes):
@@ -306,6 +360,34 @@ class TestDatasetIO:
         (d / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(DatasetError, match=f"meta.json field {field}"):
             load_dataset(d)
+
+    def test_meta_that_is_not_text_is_a_dataset_error(self, tmp_path):
+        d = tmp_path / "ds"
+        self._write_tiny(d)
+        with open(d / "meta.json", "ab") as f:
+            f.write(b"\xff")  # invalid UTF-8
+        with pytest.raises(DatasetError, match="meta.json"):
+            load_dataset(d)
+
+    @given(st.sampled_from(_DATASET_FILES), st.sampled_from(["truncate", "extend", "flip"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_corrupt_file_loads_or_raises_dataset_error(self, name, how, data):
+        files = _dataset_files()
+        payload = bytearray(files[name])
+        if how == "truncate":
+            del payload[data.draw(st.integers(0, len(payload) - 1), label="cut at") :]
+        elif how == "extend":
+            payload += data.draw(st.binary(min_size=1, max_size=16), label="extra bytes")
+        else:
+            for at in data.draw(st.lists(st.integers(0, len(payload) - 1), min_size=1, max_size=4), label="at"):
+                payload[at] ^= data.draw(st.integers(1, 255), label="xor")
+        with tempfile.TemporaryDirectory() as tmp:
+            for file, content in files.items():
+                (Path(tmp) / file).write_bytes(payload if file == name else content)
+            try:
+                load_dataset(tmp)
+            except DatasetError:
+                pass
 
     @pytest.mark.parametrize("split, name", [([1, 1, 2], "train"), ([0, 2, 2], "val"), ([0, 1, 1], "test")])
     def test_empty_split_rejected(self, tmp_path, split, name):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_norm_adjacency
-from slicegcn import ops
+from slicegcn import graph, ops
 from slicegcn.graph import build_csr, degree_norms
 
 
@@ -88,6 +88,38 @@ class TestSpmmNorm:
                 expect[v] += scaled[u]
         expect *= s[:, None]
         np.testing.assert_array_equal(ops.spmm_norm(adj, s, h), expect)
+
+    @pytest.mark.parametrize("cols", [1, 2, 7])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rows_sum_in_csr_order_across_blocks(self, transpose, cols):
+        # a directed graph of several row blocks; node 0 is a hub above the
+        # block budget in A and in Aᵀ, so it is a block by itself in both
+        n = graph._BLOCK_ENTRIES + 100
+        rng = np.random.default_rng(5)
+        hub = [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)]
+        adj = build_csr(n, np.concatenate([rng.integers(0, n, size=(8 * n, 2)), hub]), symmetrize=False)
+        lay = adj.blocks_t if transpose else adj.blocks
+        assert len(lay.blocks) > 3 and lay.blocks[0][:2] == (0, 1) and lay.blocks[0][2] > graph._BLOCK_ENTRIES
+        s = degree_norms(adj).astype(np.float32)
+        h = rng.standard_normal((n, cols)).astype(np.float32)
+        scaled = h * s[:, None]
+        expect = np.zeros_like(h)
+        for v in range(n):  # row u of Aᵀ lists, ascending, the rows v of A that store u
+            for u in adj.neighbors(v):
+                if transpose:
+                    expect[u] += scaled[v]
+                else:
+                    expect[v] += scaled[u]
+        expect *= s[:, None]
+        out = ops.spmm_norm(adj, s, h, transpose=transpose)
+        np.testing.assert_array_equal(out.view(np.uint32), expect.view(np.uint32))
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        # the sequential sum starts from +0.0, so -0.0 + -0.0 + ... gives +0.0
+        adj = build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], symmetrize=False)
+        h = np.full((5, 3), -0.0)
+        out = ops.spmm_norm(adj, degree_norms(adj), h)
+        np.testing.assert_array_equal(out.view(np.uint64), np.zeros((5, 3), np.uint64))
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
@@ -187,7 +219,11 @@ class TestDropout:
         np.testing.assert_array_equal(back.view(f"u{a.itemsize}"), (d * float_mask).view(f"u{a.itemsize}"))
 
     @pytest.mark.parametrize("rate", [1e-17, 0.1, 1 / 3, 0.5, 0.7, 0.999999])
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 129), (5,)])
+    @pytest.mark.parametrize(
+        "shape",
+        # the last two span several draw chunks: two whole ones, and 2.3
+        [(1, 1), (7, 3), (64, 129), (5,), (2, ops._DROPOUT_CHUNK), (300, 1000)],
+    )
     def test_raw_draw_matches_uniform_draw(self, rate, shape):
         # the mask comes from raw 64-bit draws; it must be the mask of
         # rng.random() >= rate and leave the stream where rng.random() would
