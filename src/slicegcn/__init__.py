@@ -2,8 +2,12 @@
 
 Node features are cut (or fused) into per-device inputs; p independent GCN
 workers each process the full graph structure on their slice; the master
-concatenates the outputs for classification. Communication happens only at
-the initial scatter and the final gather.
+concatenates the outputs for classification. Devices never exchange data
+with each other; each epoch they exchange data with the master in five rounds,
+six with feature fusion: the training forward scatters the inputs and
+gathers the outputs, the backward pass scatters the gradient blocks (and,
+with fusion, gathers the devices' input gradients), and the evaluation
+forward scatters and gathers again.
 """
 
 from .engine import (
@@ -25,7 +29,7 @@ from .graph import (
     save_dataset,
     synth_graph,
 )
-from .nn import NumericError, cosine_lr, count_params
+from .nn import NumericError, cosine_lr
 from .slicing import SliceStrategy, slice_feature, slice_strategy_generator
 
 __all__ = [
@@ -41,7 +45,6 @@ __all__ = [
     "build_csr",
     "build_run",
     "cosine_lr",
-    "count_params",
     "degree_norms",
     "evaluate",
     "load_dataset",

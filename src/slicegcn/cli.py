@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine
@@ -30,22 +30,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Run-spec / flag defaults. lr, dropout, and slice scale follow the usual
-# full-batch GCN settings; the rest are desk-scale defaults.
+_CONFIG_FIELDS = dataclasses.fields(TrainConfig)
+
+# Run-spec / flag defaults; the model's are TrainConfig's own.
 DEFAULTS = {
     "dataset": None,
-    "variant": "slice",
-    "p": 1,
-    "epochs": 200,
-    "hidden": 64,
-    "layers": 2,
-    "lr": 1e-3,
-    "dropout": 0.5,
-    "slice_scale": 1.0,
-    "seed": 0,
-    "precision": "f32",
-    "layer_form": "eq6",
-    "threads": None,
+    **{f.name: f.default for f in _CONFIG_FIELDS},
     "out": "metrics.json",
     "no_timing": False,
     "synth_nodes": 400,
@@ -67,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class MetricsArtifact:
     """Run summary plus per-epoch records; JSON round-trips exactly."""
 
@@ -147,8 +137,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--dropout", type=float)
     p.add_argument("--slice-scale", type=float, dest="slice_scale")
     p.add_argument("--seed", type=int)
-    p.add_argument("--precision", choices=("f32", "f64"))
-    p.add_argument("--layer-form", choices=("eq1", "eq6"), dest="layer_form")
+    p.add_argument("--precision", choices=engine.PRECISIONS)
+    p.add_argument("--layer-form", choices=engine.LAYER_FORMS, dest="layer_form")
     p.add_argument("--threads", type=int, help="worker thread count (default: p; 1 = sequential)")
     p.add_argument("--synth-nodes", type=int, dest="synth_nodes")
     p.add_argument("--synth-classes", type=int, dest="synth_classes")
@@ -173,6 +163,8 @@ def make_parser() -> _Parser:
         dest="no_timing",
         help="null out wall-time fields for byte-reproducible artifacts",
     )
+    # run-spec values are type-checked against the flags that set the same keys
+    t.set_defaults(spec_flags={a.dest: a for a in t._actions})
 
     b = sub.add_parser("bench", help="benchmark a list of (variant, p) cells")
     _add_run_flags(b)
@@ -188,7 +180,7 @@ def make_parser() -> _Parser:
     return parser
 
 
-def _load_spec(path: str) -> dict:
+def _load_spec(path: str, flags: dict) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
@@ -200,7 +192,25 @@ def _load_spec(path: str) -> dict:
     unknown = set(doc) - set(DEFAULTS)
     if unknown:
         raise UsageError(f"unknown run-spec keys: {', '.join(sorted(unknown))}")
-    return doc
+    return {key: _spec_value(key, value, flags[key]) for key, value in doc.items()}
+
+
+def _spec_value(key: str, value, flag: argparse.Action):
+    """A run-spec value as the flag setting `key` parses it, or a UsageError."""
+    if value is None and DEFAULTS[key] is None:
+        return value  # the built-in default
+    if flag.nargs == 0:  # a store_true switch
+        expected, ok = "true or false", isinstance(value, bool)
+    elif flag.choices is not None:
+        expected = f"one of {', '.join(flag.choices)}"
+        ok = isinstance(value, str) and value in flag.choices
+    else:
+        kind = flag.type or str
+        expected = kind.__name__
+        ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise UsageError(f"run-spec key {key}: expected {expected}, got {json.dumps(value)}")
+    return float(value) if flag.type is float else value
 
 
 def _merge_settings(args: argparse.Namespace, spec: dict) -> dict:
@@ -231,20 +241,7 @@ def _resolve_graph(settings: dict):
 
 
 def _make_config(settings: dict) -> TrainConfig:
-    return TrainConfig(
-        variant=settings["variant"],
-        p=settings["p"],
-        epochs=settings["epochs"],
-        hidden=settings["hidden"],
-        layers=settings["layers"],
-        lr=settings["lr"],
-        dropout=settings["dropout"],
-        slice_scale=settings["slice_scale"],
-        seed=settings["seed"],
-        precision=settings["precision"],
-        layer_form=settings["layer_form"],
-        threads=settings["threads"],
-    )
+    return TrainConfig(**{f.name: settings[f.name] for f in _CONFIG_FIELDS})
 
 
 def _config_echo(settings: dict) -> dict:
@@ -261,7 +258,7 @@ def _config_echo(settings: dict) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec) if getattr(args, "spec", None) else {}
+    spec = _load_spec(args.spec, args.spec_flags) if args.spec else {}
     settings = _merge_settings(args, spec)
     graph = _resolve_graph(settings)
     config = _make_config(settings)

@@ -26,6 +26,7 @@ it. The evaluation pass of the last epoch keeps nothing.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,14 +35,22 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import nn, ops, slicing
-from .graph import TRAIN, VAL, TEST, AttributedGraph
+from .graph import TRAIN, VAL, TEST, AttributedGraph, degree_norms
 from .nn import NumericError
 
 VARIANTS = ("baseline", "slice", "slice_se", "slice_ff", "slice_ffse")
+PRECISIONS = ("f32", "f64")
+LAYER_FORMS = (nn.FORM_SINGLE, nn.FORM_DUAL)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings; these defaults are the CLI's defaults too.
+
+    lr, dropout and slice scale follow the usual full-batch GCN settings;
+    the rest are desk-scale defaults.
+    """
+
     variant: str = "slice"
     p: int = 1
     epochs: int = 200
@@ -68,9 +77,13 @@ class TrainConfig:
             raise ValueError("hidden and layers must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.precision not in ("f32", "f64"):
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not (math.isfinite(self.slice_scale) and self.slice_scale > 0):
+            raise ValueError(f"slice_scale must be finite and > 0, got {self.slice_scale}")
+        if self.precision not in PRECISIONS:
             raise ValueError("precision must be f32 or f64")
-        if self.layer_form not in (nn.FORM_SINGLE, nn.FORM_DUAL):
+        if self.layer_form not in LAYER_FORMS:
             raise ValueError(f"layer form must be {nn.FORM_SINGLE} or {nn.FORM_DUAL}")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be >= 1")
@@ -96,8 +109,6 @@ class WorkerState:
     layers: list  # of GcnLayerParams
     adam: nn.AdamState
     rng: np.random.Generator
-    w_in: int
-    h_out: int
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     grads: Optional[list] = None  # flat, aligned with param_arrays()
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
@@ -177,14 +188,23 @@ class MasterHead:
 class RunState:
     graph: AttributedGraph
     config: TrainConfig
-    strategy: slicing.SliceStrategy
     workers: list
     head: MasterHead
-    shapes: nn.ModelShapes
     features: np.ndarray  # run-precision copy of graph features
-    norm_scale: np.ndarray  # run-precision degree norms
+    norm_scale: np.ndarray  # degree norms of graph.adj, in run precision
     slices: Optional[list]  # precomputed per-device inputs (direct mode)
     train_idx: np.ndarray
+
+    @property
+    def param_count(self) -> int:
+        """Total size of the arrays the optimizers step."""
+        head = self.head
+        arrays = [a for w in self.workers for a in w.param_arrays()] + head.classifier.arrays()
+        if head.fusion is not None:
+            arrays += head.fusion.arrays()
+        if head.encoding is not None:
+            arrays.append(head.encoding.table)
+        return sum(a.size for a in arrays)
 
 
 @dataclass
@@ -254,43 +274,25 @@ class _WorkerPool:
         return False
 
 
-def derive_shapes(d_feat: int, num_classes: int, config: TrainConfig) -> nn.ModelShapes:
-    """Width bookkeeping shared by build_run and parameter accounting."""
-    strategy = slicing.slice_strategy_generator(d_feat, config.p, config.slice_scale)
-    if config.use_ff:
-        w_in = slicing.fusion_output_width(d_feat, config.p)
-        fusion_width = w_in
-    else:
-        w_in = strategy.width
-        fusion_width = 0
-    h_out = -(-config.hidden // config.p)
-    return nn.ModelShapes(
-        p=config.p,
-        w_in=w_in,
-        h_out=h_out,
-        layers=config.layers,
-        layer_form=config.layer_form,
-        use_ff=config.use_ff,
-        use_se=config.use_se,
-        d_feat=d_feat,
-        fusion_width=fusion_width,
-        classifier_sizes=(config.p * h_out, config.hidden, num_classes),
-    )
-
-
 def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
-    """Initialize workers and head from per-purpose RNG streams."""
+    """Initialize workers and head from per-purpose RNG streams.
+
+    A device's input is its feature slice, or the fusion output; each device
+    layer is ceil(hidden / p) wide. These widths are derived here only, and
+    the built arrays are the run's record of them.
+    """
     d_feat = graph.num_features
     if config.p > d_feat:
         raise ValueError(f"p={config.p} devices exceed the {d_feat} feature columns")
     strategy = slicing.slice_strategy_generator(d_feat, config.p, config.slice_scale)
-    shapes = derive_shapes(d_feat, graph.num_classes, config)
+    w_in = slicing.fusion_output_width(d_feat, config.p) if config.use_ff else strategy.width
+    h_out = -(-config.hidden // config.p)
+    widths = [w_in] + [h_out] * config.layers
     dtype = config.dtype
 
     workers = []
     for i in range(config.p):
         rng = ops.rng_stream(config.seed, i)
-        widths = [shapes.w_in] + [shapes.h_out] * config.layers
         layers = [
             nn.init_gcn_layer(widths[li], widths[li + 1], rng, dtype, config.layer_form)
             for li in range(config.layers)
@@ -302,13 +304,12 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
                 layers=layers,
                 adam=nn.AdamState.for_params(params),
                 rng=rng,
-                w_in=shapes.w_in,
-                h_out=shapes.h_out,
             )
         )
 
     cls_rng = ops.rng_stream(config.seed, ops.STREAM_CLASSIFIER)
-    classifier = nn.init_mlp(list(shapes.classifier_sizes), cls_rng, dtype, config.dropout)
+    classifier_sizes = [config.p * h_out, config.hidden, graph.num_classes]
+    classifier = nn.init_mlp(classifier_sizes, cls_rng, dtype, config.dropout)
     head = MasterHead(
         classifier=classifier,
         cls_adam=nn.AdamState.for_params(classifier.arrays()),
@@ -320,21 +321,18 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
         head.fusion_adam = nn.AdamState.for_params(head.fusion.arrays())
     if config.use_se:
         enc_rng = ops.rng_stream(config.seed, ops.STREAM_ENCODING)
-        head.encoding = nn.init_slice_encoding(config.p, shapes.h_out, enc_rng, dtype)
+        head.encoding = nn.init_slice_encoding(config.p, h_out, enc_rng, dtype)
         head.enc_adam = nn.AdamState.for_params([head.encoding.table])
 
     features = np.ascontiguousarray(graph.features, dtype=dtype)
-    norm_scale = graph.norm_scale.astype(dtype)
     slices = None if config.use_ff else slicing.slice_feature(features, strategy)
     return RunState(
         graph=graph,
         config=config,
-        strategy=strategy,
         workers=workers,
         head=head,
-        shapes=shapes,
         features=features,
-        norm_scale=norm_scale,
+        norm_scale=degree_norms(graph.adj).astype(dtype),
         slices=slices,
         train_idx=np.flatnonzero(graph.split == TRAIN),
     )
@@ -400,8 +398,8 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool) -> AllGr
     cls_pairs, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, head.classifier)
     cls_grads = [g for pair in cls_pairs for g in pair]
 
-    h_out = run.shapes.h_out
-    blocks = [d_rep[:, i * h_out : (i + 1) * h_out] for i in range(cfg.p)]
+    width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
+    blocks = [d_rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
 
     enc_grad = None
     if cfg.use_se:
@@ -509,7 +507,7 @@ def train(
                 best_epoch=-1,
                 best_val=val_m,
                 test_at_best_val=test_m,
-                param_count=nn.count_params(run.shapes).total,
+                param_count=run.param_count,
                 epochs=0,
                 throughput_eps=None,
             )
@@ -550,7 +548,7 @@ def train(
         best_epoch=best,
         best_val=reports[best].val_metric,
         test_at_best_val=reports[best].test_metric,
-        param_count=nn.count_params(run.shapes).total,
+        param_count=run.param_count,
         epochs=config.epochs,
         throughput_eps=config.epochs / total_seconds if total_seconds > 0 else None,
     )

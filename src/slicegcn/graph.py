@@ -6,8 +6,7 @@ without copies.
 
 Dataset directory layout (all multi-byte values little-endian):
 
-    meta.json      {"num_nodes": n, "num_features": d, "num_classes": c,
-                    "directed": bool}
+    meta.json      {"num_nodes": n, "num_features": d, "num_classes": c}
     edges.bin      sequence of (u: u32, v: u32) pairs
     features.bin   n * d float32, row-major
     labels.bin     n u32
@@ -182,7 +181,6 @@ class AttributedGraph:
     labels: np.ndarray  # n, int64 in [0, num_classes)
     num_classes: int
     split: np.ndarray  # n, uint8 in {TRAIN, VAL, TEST}
-    norm_scale: np.ndarray = field(default=None)  # n, float64
 
     def __post_init__(self):
         n = self.adj.num_nodes
@@ -196,8 +194,6 @@ class AttributedGraph:
             raise ValueError("split tags must be 0 (train), 1 (val), or 2 (test)")
         if not np.isfinite(self.features).all():
             raise ValueError("non-finite feature value")
-        if self.norm_scale is None:
-            object.__setattr__(self, "norm_scale", degree_norms(self.adj))
         for a in (self.features, self.labels, self.split):
             a.setflags(write=False)
 
@@ -296,7 +292,7 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
     return AttributedGraph(adj=adj, features=features, labels=labels, num_classes=c, split=split)
 
 
-def save_dataset(graph: AttributedGraph, dir_path, directed: bool = False) -> None:
+def save_dataset(graph: AttributedGraph, dir_path) -> None:
     """Write a graph in the dataset directory format.
 
     Stored edges are the full symmetric pair set of the adjacency; a loader
@@ -308,7 +304,6 @@ def save_dataset(graph: AttributedGraph, dir_path, directed: bool = False) -> No
         "num_nodes": graph.num_nodes,
         "num_features": graph.num_features,
         "num_classes": graph.num_classes,
-        "directed": bool(directed),
     }
     (d / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     graph.adj.edge_list().astype("<u4").tofile(d / "edges.bin")

@@ -1,4 +1,4 @@
-"""Model layers with explicit forward/backward, optimizer, and accounting.
+"""Model layers with explicit forward/backward, and the optimizer.
 
 Layer update, per device and layer (the default "dual" form):
 
@@ -289,55 +289,3 @@ def cosine_lr(epoch: int, total: int, lr0: float, lr_min: float = 0.0) -> float:
         raise ValueError("schedule horizon must be >= 1")
     return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / total))
 
-
-# ---------------------------------------------------------------------------
-# Parameter accounting
-
-
-@dataclass(frozen=True)
-class ModelShapes:
-    """Fully specified widths of one run's parameter stacks."""
-
-    p: int
-    w_in: int  # per-device input width
-    h_out: int  # per-device layer width
-    layers: int
-    layer_form: str
-    use_ff: bool
-    use_se: bool
-    d_feat: int
-    fusion_width: int  # fusion output width (0 when fusion is off)
-    classifier_sizes: tuple  # e.g. (p * h_out, hidden, num_classes)
-
-
-@dataclass(frozen=True)
-class ParamCount:
-    workers: int
-    fusion: int
-    encoding: int
-    classifier: int
-
-    @property
-    def total(self) -> int:
-        return self.workers + self.fusion + self.encoding + self.classifier
-
-
-def count_params(shapes: ModelShapes) -> ParamCount:
-    """Exact parameter totals (weights + biases) for each subsystem."""
-    per_weight = 2 if shapes.layer_form == FORM_DUAL else 1
-    worker = 0
-    w_in = shapes.w_in
-    for _ in range(shapes.layers):
-        worker += per_weight * w_in * shapes.h_out + shapes.h_out
-        w_in = shapes.h_out
-    fusion = 0
-    if shapes.use_ff:
-        d = shapes.d_feat
-        fusion = (d * d + d) + (d * shapes.fusion_width + shapes.fusion_width)
-    encoding = shapes.p * shapes.h_out if shapes.use_se else 0
-    classifier = 0
-    for a, b in zip(shapes.classifier_sizes[:-1], shapes.classifier_sizes[1:]):
-        classifier += a * b + b
-    return ParamCount(
-        workers=shapes.p * worker, fusion=fusion, encoding=encoding, classifier=classifier
-    )

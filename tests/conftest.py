@@ -11,6 +11,17 @@ def small_graph():
 
 
 @pytest.fixture(scope="session")
+def wide_graph():
+    """300 features and 18 classes: the graph parameter counts are taken on.
+
+    Apart from its sizes and seed it uses the CLI's synth defaults, so
+    `train --dataset synth --synth-nodes 90 --synth-classes 18
+    --synth-feat 300 --seed 7` trains on this same graph.
+    """
+    return synth_graph(n=90, classes=18, d_feat=300, p_in=0.1, p_out=0.01, signal=1.0, seed=7)
+
+
+@pytest.fixture(scope="session")
 def tiny_graph():
     """30-node graph for finite-difference checks."""
     return synth_graph(n=30, classes=3, d_feat=10, p_in=0.3, p_out=0.1, signal=1.0, seed=2)

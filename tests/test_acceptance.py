@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from slicegcn import cli, engine, nn, ops, slicing
+from slicegcn import cli, engine, slicing
 from slicegcn.engine import TrainConfig, _WorkerPool
 from slicegcn.graph import AttributedGraph, build_csr, save_dataset, synth_graph
 
@@ -153,27 +153,25 @@ def test_c03_single_device_run_equals_baseline():
           f"max|dloss|={delta:.2e} elapsed={elapsed:.1f}s")
 
 
-def test_c04_fusion_parameter_deltas():
+def test_c04_fusion_parameter_deltas(wide_graph):
     # 300 input features: the fusion stage adds exactly 120,701 parameters
-    # at p=3 (output width 101) and 135,751 at p=2 (output width 151)
+    # at p=3 (output width 101) and 135,751 at p=2 (output width 151):
+    # (300 * 300 + 300) + (300 * w + w) for output width w
     results = {}
     for p, expect in ((3, 120_701), (2, 135_751)):
         cfg = TrainConfig(variant="slice_ff", p=p, hidden=256, layers=3)
-        shapes = engine.derive_shapes(300, 18, cfg)
-        counted = nn.count_params(shapes).fusion
-        built = slicing.init_fusion(300, p, ops.rng_stream(0, 0), np.float64, 0.5)
-        actual = sum(a.size for a in built.arrays())
-        results[p] = (counted, actual, expect)
-    ok = all(c == a == e for c, a, e in results.values())
+        run = engine.build_run(wide_graph, cfg)
+        results[p] = (sum(a.size for a in run.head.fusion.arrays()), expect)
+    ok = all(counted == expect for counted, expect in results.values())
     check(4, "feature fusion adds exactly 120,701 (p=3) / 135,751 (p=2) parameters",
           ok, str(results))
 
 
-def test_c05_parameter_count_monotone_in_devices():
+def test_c05_parameter_count_monotone_in_devices(wide_graph):
     counts = {}
     for variant, p in (("baseline", 1), ("slice", 2), ("slice", 3)):
         cfg = TrainConfig(variant=variant, p=p, hidden=256, layers=3)
-        counts[p] = nn.count_params(engine.derive_shapes(300, 18, cfg)).total
+        counts[p] = engine.build_run(wide_graph, cfg).param_count
     check(5, "parameter count decreases as devices increase",
           counts[3] < counts[2] < counts[1], str(counts))
 

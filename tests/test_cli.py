@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from slicegcn import cli, engine, nn
+from slicegcn import cli, engine
 from slicegcn.cli import MetricsArtifact
 from slicegcn.graph import save_dataset, synth_graph
 
@@ -46,16 +46,20 @@ class TestTrainCommand:
                 for opt in action.option_strings:
                     assert opt in text, f"{name}: {opt} missing from --help"
 
-    def test_artifact_param_count_matches_accounting(self, tmp_path):
+    def test_artifact_param_count_matches_accounting(self, tmp_path, wide_graph):
         out = tmp_path / "m.json"
-        rc = run_cli(["train", *SYNTH_ARGS, "--variant", "slice_ffse", "-p", "2",
-                      "--out", str(out)])
+        rc = run_cli(["train", "--dataset", "synth", "--synth-nodes", "90", "--synth-classes", "18",
+                      "--synth-feat", "300", "--epochs", "4", "--seed", "7",
+                      "--variant", "slice_ffse", "-p", "2", "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         cfg = engine.TrainConfig(variant="slice_ffse", p=2, epochs=4, hidden=64,
                                  layers=2, seed=7)
-        expect = nn.count_params(engine.derive_shapes(12, 3, cfg)).total
-        assert doc["summary"]["param_count"] == expect
+        # fusion (300*300 + 300) + (300*151 + 151) = 135,751; two devices of
+        # (2*151*32 + 32) + (2*32*32 + 32) = 11,776; encoding 2*32 = 64;
+        # classifier (64*64 + 64) + (64*18 + 18) = 5,330
+        expect = engine.build_run(wide_graph, cfg).param_count
+        assert doc["summary"]["param_count"] == expect == 135_751 + 2 * 11_776 + 64 + 5_330
 
     def test_csv_row_count_equals_epochs(self, tmp_path):
         out = tmp_path / "m.json"
@@ -84,6 +88,18 @@ class TestTrainCommand:
         assert doc["config"]["p"] == 2
         assert len(doc["epochs"]) == 3
 
+    def test_run_spec_and_flags_give_identical_artifacts(self, tmp_path):
+        # a JSON integer for a float flag is the float the flag parses
+        spec = {"dataset": "synth", "epochs": 2, "lr": 1, "synth_feat": 10, "seed": 7,
+                "no_timing": True, "out": str(tmp_path / "s.json")}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run_cli(["train", "--spec", str(spec_path)]) == 0
+        assert run_cli(["train", "--dataset", "synth", "--epochs", "2", "--lr", "1",
+                        "--synth-feat", "10", "--seed", "7", "--no-timing",
+                        "--out", str(tmp_path / "f.json")]) == 0
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "f.json").read_bytes()
+
     def test_flags_override_run_spec(self, tmp_path):
         spec = {"dataset": "synth", "epochs": 3, "synth_feat": 10,
                 "out": str(tmp_path / "s.json")}
@@ -99,6 +115,35 @@ class TestTrainCommand:
         spec_path.write_text(json.dumps({"dataset": "synth", "warp_factor": 9}))
         rc = run_cli(["train", "--spec", str(spec_path)])
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"p": "2"}, {"epochs": 2.5}, {"hidden": True}, {"synth_nodes": "x"}, {"dataset": 5},
+         {"variant": "nope"}, {"no_timing": 1}],
+        ids=lambda spec: next(iter(spec)),
+    )
+    def test_mistyped_spec_value_names_key(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"dataset": "synth", "epochs": 1, **spec}))
+        rc = run_cli(["train", "--spec", str(spec_path), "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert f"run-spec key {next(iter(spec))}:" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
+         ("--slice-scale", "nan"), ("--slice-scale", "inf"), ("--slice-scale", "0")],
+    )
+    def test_bad_rate_or_scale_fails_before_epoch_0(self, tmp_path, capsys, monkeypatch, flag, value):
+        forwards = []
+        monkeypatch.setattr(engine, "epoch_forward", lambda *a, **k: forwards.append(1))
+        rc = run_cli(["train", *SYNTH_ARGS, flag, value, "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE
+        assert flag.removeprefix("--").replace("-", "_") in err and "Traceback" not in err
+        assert not forwards
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_run_exits_numeric(self, tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import slicegcn
 from slicegcn import engine, nn, ops
 from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
-from slicegcn.graph import synth_graph
+from slicegcn.graph import degree_norms, synth_graph
 
 
 def auc_pair_counting(scores, labels):
@@ -31,52 +31,52 @@ class TestConfig:
 
     def test_rejects_bad_values(self):
         for kw in ({"p": 0}, {"epochs": -1}, {"dropout": 1.0}, {"precision": "f16"},
-                   {"variant": "nope"}, {"threads": 0}):
+                   {"variant": "nope"}, {"threads": 0}, {"lr": float("nan")}, {"lr": float("inf")},
+                   {"lr": -1.0}, {"slice_scale": float("nan")}, {"slice_scale": float("inf")},
+                   {"slice_scale": 0.0}, {"slice_scale": -1.0}):
             with pytest.raises(ValueError):
                 TrainConfig(**kw)
 
 
-class TestBuildRun:
-    def test_baseline_shapes(self, small_graph):
-        cfg = TrainConfig(variant="baseline", p=1, hidden=16, layers=2, seed=0)
-        run = engine.build_run(small_graph, cfg)
-        assert len(run.workers) == 1
-        assert run.workers[0].w_in == small_graph.num_features
-        assert run.workers[0].h_out == 16
+def _layer_shapes(run) -> list:
+    """(w_in, w_out) of each device's layers, one list per device."""
+    return [[layer.w_agg.shape for layer in w.layers] for w in run.workers]
 
-    def test_fused_width_and_scaled_hidden(self):
+
+class TestBuildRun:
+    def test_baseline_shapes(self, wide_graph):
+        cfg = TrainConfig(variant="baseline", p=1, hidden=16, layers=2, seed=0)
+        run = engine.build_run(wide_graph, cfg)
+        assert len(run.workers) == 1
+        assert _layer_shapes(run) == [[(300, 16), (16, 16)]]
+
+    def test_fused_width_and_scaled_hidden(self, wide_graph):
         # 300 features, 3 devices, fusion on: input width 101, hidden 86
         cfg = TrainConfig(variant="slice_ffse", p=3, hidden=256, layers=3, seed=0)
-        shapes = engine.derive_shapes(300, 18, cfg)
-        assert shapes.w_in == 101
-        assert shapes.h_out == 86
-        assert shapes.classifier_sizes == (258, 256, 18)
+        run = engine.build_run(wide_graph, cfg)
+        assert _layer_shapes(run) == [[(101, 86), (86, 86), (86, 86)]] * 3
+        assert [w.shape for w, _ in run.head.classifier.layers] == [(258, 256), (256, 18)]
 
-    def test_same_seed_identical_parameters(self, small_graph):
+    def test_same_seed_identical_parameters(self, wide_graph):
         cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
-        a = engine.build_run(small_graph, cfg)
-        b = engine.build_run(small_graph, cfg)
+        a = engine.build_run(wide_graph, cfg)
+        b = engine.build_run(wide_graph, cfg)
         for wa, wb in zip(a.workers, b.workers):
             for pa, pb in zip(wa.param_arrays(), wb.param_arrays()):
                 np.testing.assert_array_equal(pa, pb)
         np.testing.assert_array_equal(a.head.encoding.table, b.head.encoding.table)
 
-    def test_more_devices_than_columns_rejected(self, small_graph):
+    def test_more_devices_than_columns_rejected(self, wide_graph):
         with pytest.raises(ValueError, match="feature columns"):
-            engine.build_run(small_graph, TrainConfig(variant="slice", p=13))
+            engine.build_run(wide_graph, TrainConfig(variant="slice", p=301))
 
-    def test_param_count_matches_built_arrays(self, small_graph):
-        for variant, p in (("baseline", 1), ("slice", 2), ("slice_se", 3),
-                           ("slice_ff", 2), ("slice_ffse", 3)):
-            cfg = TrainConfig(variant=variant, p=p, hidden=12, layers=2, seed=1)
-            run = engine.build_run(small_graph, cfg)
-            actual = sum(a.size for w in run.workers for a in w.param_arrays())
-            actual += sum(a.size for a in run.head.classifier.arrays())
-            if run.head.fusion is not None:
-                actual += sum(a.size for a in run.head.fusion.arrays())
-            if run.head.encoding is not None:
-                actual += run.head.encoding.table.size
-            assert actual == nn.count_params(run.shapes).total
+    def test_norm_scale_consistent_with_degrees(self, small_graph):
+        for precision in ("f32", "f64"):
+            run = engine.build_run(small_graph, TrainConfig(precision=precision))
+            assert run.norm_scale.dtype == run.config.dtype
+            np.testing.assert_array_equal(
+                run.norm_scale, degree_norms(small_graph.adj).astype(run.config.dtype)
+            )
 
 
 class TestEpochForward:
@@ -112,8 +112,8 @@ class TestEpochForward:
             for a in run.workers[1].param_arrays():
                 a += 0.37
             _, _, ctx1 = engine.epoch_forward(run, training=False, pool=pool)
-        h_out = run.shapes.h_out
         before, after = ctx0.representation, ctx1.representation
+        h_out = before.shape[1] // 3
         changed = [
             not np.array_equal(before[:, i * h_out : (i + 1) * h_out],
                                after[:, i * h_out : (i + 1) * h_out])
@@ -141,7 +141,7 @@ class TestEpochBackward:
         # 0's parameter gradients unchanged (column blocks are independent)
         cfg = TrainConfig(variant="slice", p=2, hidden=8, layers=2, seed=7, precision="f64")
         run = engine.build_run(small_graph, cfg)
-        h_out = run.shapes.h_out
+        h_out = run.workers[0].layers[-1].bias.size
         adj, s = run.graph.adj, run.norm_scale
         with _WorkerPool(1) as pool:
             _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
@@ -197,23 +197,22 @@ class TestTrain:
         assert summary.best_val == reports[best].val_metric
         assert summary.test_at_best_val == reports[best].test_metric
 
-    def test_parameter_count_decreases_with_devices(self):
+    def test_parameter_count_decreases_with_devices(self, wide_graph):
         counts = []
         for variant, p in (("baseline", 1), ("slice", 2), ("slice", 3)):
             cfg = TrainConfig(variant=variant, p=p, hidden=256, layers=3)
-            counts.append(nn.count_params(engine.derive_shapes(300, 18, cfg)).total)
+            counts.append(engine.build_run(wide_graph, cfg).param_count)
         assert counts[2] < counts[1] < counts[0]
 
-    def test_aggregation_only_layer_form(self, small_graph):
+    def test_aggregation_only_layer_form(self, wide_graph):
         cfg = TrainConfig(variant="slice", p=2, epochs=5, hidden=16, layers=2,
                           layer_form="eq1", seed=3)
-        summary, reports = engine.train(small_graph, cfg)
+        summary, reports = engine.train(wide_graph, cfg)
         assert all(np.isfinite(r.loss) for r in reports)
         assert reports[-1].loss < reports[0].loss
         # half the layer weights of the dual form
-        dual = engine.derive_shapes(12, 3, TrainConfig(variant="slice", p=2,
-                                                       hidden=16, layers=2))
-        assert summary.param_count < nn.count_params(dual).total
+        dual = engine.build_run(wide_graph, dataclasses.replace(cfg, layer_form="eq6"))
+        assert summary.param_count < dual.param_count
 
     def test_reported_throughput_matches_stopwatch(self):
         g = synth_graph(n=20000, classes=3, d_feat=32, p_in=3e-4, p_out=1e-4,

@@ -294,6 +294,8 @@ class TestDatasetIO:
         np.testing.assert_allclose(loaded.features, small_graph.features)
         np.testing.assert_array_equal(loaded.labels, small_graph.labels)
         np.testing.assert_array_equal(loaded.split, small_graph.split)
+        meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+        assert meta == {"num_nodes": 120, "num_features": 12, "num_classes": 3}
 
     def _write_tiny(self, d, directed=True):
         d.mkdir()
@@ -422,9 +424,6 @@ class TestDatasetIO:
 
 
 class TestAttributedGraph:
-    def test_norm_scale_consistent_with_degrees(self, small_graph):
-        np.testing.assert_allclose(small_graph.norm_scale, degree_norms(small_graph.adj))
-
     def test_immutable_arrays(self, small_graph):
         with pytest.raises(ValueError):
             small_graph.features[0, 0] = 1.0

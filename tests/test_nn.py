@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from slicegcn import nn, ops
+from slicegcn import engine, nn, ops
 from slicegcn.graph import build_csr, degree_norms, synth_graph
 
 
@@ -28,7 +30,7 @@ def rel_err(a, b):
 @pytest.fixture(scope="module")
 def rand_graph():
     g = synth_graph(n=30, classes=3, d_feat=6, p_in=0.3, p_out=0.1, signal=1.0, seed=7)
-    return g.adj, g.norm_scale.copy()
+    return g.adj, degree_norms(g.adj)
 
 
 @pytest.fixture(scope="module")
@@ -431,38 +433,21 @@ class TestCosineSchedule:
 
 class TestCountParams:
     def test_hand_counted_tiny_model(self):
-        shapes = nn.ModelShapes(
-            p=2,
-            w_in=3,
-            h_out=4,
-            layers=2,
-            layer_form=nn.FORM_DUAL,
-            use_ff=False,
-            use_se=True,
-            d_feat=6,
-            fusion_width=0,
-            classifier_sizes=(8, 5, 3),
-        )
-        count = nn.count_params(shapes)
+        # 6 features on 2 devices: slices of width 3, layers ceil(7/2) = 4 wide
+        g = synth_graph(n=30, classes=3, d_feat=6, p_in=0.3, p_out=0.1, signal=1.0, seed=7)
+        run = engine.build_run(g, engine.TrainConfig(variant="slice_se", p=2, hidden=7, layers=2))
         # per worker: (2*3*4+4) + (2*4*4+4) = 64; two workers
-        assert count.workers == 2 * 64
-        assert count.fusion == 0
-        assert count.encoding == 8
-        assert count.classifier == (8 * 5 + 5) + (5 * 3 + 3)
-        assert count.total == 128 + 8 + 63
+        assert [sum(a.size for a in w.param_arrays()) for w in run.workers] == [64, 64]
+        assert run.head.fusion is None
+        assert run.head.encoding.table.size == 8
+        # classifier 8 -> 7 -> 3
+        assert sum(a.size for a in run.head.classifier.arrays()) == (8 * 7 + 7) + (7 * 3 + 3)
+        assert run.param_count == 128 + 8 + 87
 
     def test_single_form_halves_layer_weights(self):
-        kw = dict(
-            p=1,
-            w_in=3,
-            h_out=4,
-            layers=1,
-            use_ff=False,
-            use_se=False,
-            d_feat=3,
-            fusion_width=0,
-            classifier_sizes=(4, 2),
-        )
-        dual = nn.count_params(nn.ModelShapes(layer_form=nn.FORM_DUAL, **kw))
-        single = nn.count_params(nn.ModelShapes(layer_form=nn.FORM_SINGLE, **kw))
-        assert dual.workers - single.workers == 3 * 4
+        g = synth_graph(n=30, classes=2, d_feat=3, p_in=0.3, p_out=0.1, signal=1.0, seed=7)
+        cfg = engine.TrainConfig(variant="baseline", p=1, hidden=4, layers=1)
+        dual = engine.build_run(g, dataclasses.replace(cfg, layer_form=nn.FORM_DUAL))
+        single = engine.build_run(g, dataclasses.replace(cfg, layer_form=nn.FORM_SINGLE))
+        # one 3 x 4 self-path weight fewer
+        assert dual.param_count - single.param_count == 3 * 4

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_norm_adjacency
 from slicegcn import graph, ops
 from slicegcn.graph import build_csr, degree_norms
 
@@ -23,7 +22,7 @@ class TestSpmmNorm:
         np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_oracle_random_graphs(self, seed):
+    def test_matches_dense_oracle_random_graphs(self, seed, dense_oracle):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 17))
         mask = rng.random((n, n)) < 0.3
@@ -31,46 +30,46 @@ class TestSpmmNorm:
         adj = build_csr(n, edges)
         s = degree_norms(adj)
         h = rng.standard_normal((n, 5))
-        dense = dense_norm_adjacency(adj) @ h
+        dense = dense_oracle(adj) @ h
         np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense, atol=1e-12)
 
-    def test_path_graph_all_ones_column(self):
+    def test_path_graph_all_ones_column(self, dense_oracle):
         adj = build_csr(3, [(0, 1), (1, 2)])
         s = degree_norms(adj)
         h = np.ones((3, 1))
-        dense = dense_norm_adjacency(adj) @ h
+        dense = dense_oracle(adj) @ h
         np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense, atol=1e-12)
 
     @staticmethod
-    def _check_against_dense(adj, h):
+    def _check_against_dense(dense_oracle, adj, h):
         """spmm_norm and its transpose against the dense S A S oracle."""
         s = degree_norms(adj)
-        dense = dense_norm_adjacency(adj)
+        dense = dense_oracle(adj)
         np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense @ h, atol=1e-12)
         np.testing.assert_allclose(ops.spmm_norm(adj, s, h, transpose=True), dense.T @ h, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_oracle_random_directed_graphs(self, seed):
+    def test_matches_dense_oracle_random_directed_graphs(self, seed, dense_oracle):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 25))
         mask = rng.random((n, n)) < 0.25
         edges = [(u, v) for u in range(n) for v in range(n) if mask[u, v]]  # self-loops too
         adj = build_csr(n, edges, symmetrize=False)
-        self._check_against_dense(adj, rng.standard_normal((n, 4)))
+        self._check_against_dense(dense_oracle, adj, rng.standard_normal((n, 4)))
 
     @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_star_graph(self, symmetrize):
+    def test_star_graph(self, symmetrize, dense_oracle):
         n = 50
         adj = build_csr(n, [(0, v) for v in range(1, n)], symmetrize=symmetrize)
-        self._check_against_dense(adj, np.random.default_rng(1).standard_normal((n, 3)))
+        self._check_against_dense(dense_oracle, adj, np.random.default_rng(1).standard_normal((n, 3)))
 
     @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_isolated_nodes(self, symmetrize):
+    def test_isolated_nodes(self, symmetrize, dense_oracle):
         # nodes 0, 3 and 7 touch no edge
         edges = [(1, 2), (2, 4), (4, 1), (5, 6), (6, 8), (8, 5), (2, 6)]
         adj = build_csr(9, edges, symmetrize=symmetrize)
         h = np.random.default_rng(2).standard_normal((9, 5))
-        self._check_against_dense(adj, h)
+        self._check_against_dense(dense_oracle, adj, h)
         for v in (0, 3, 7):
             assert not ops.spmm_norm(adj, degree_norms(adj), h)[v].any()
 
