@@ -101,7 +101,7 @@ def gcn_layer_forward(
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
     other layer aggregates H. `kept`, when given, is the (output, pre) pair
     of an evaluation forward over the same h_in, agg and parameters; only
-    dropout is computed then.
+    dropout is computed then, in place, so the kept output is consumed.
     """
     if kept is not None:
         if agg is None:
@@ -174,7 +174,8 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None):
 
     `kept`, when given, is the (z, relu(z)) pair of the first hidden layer
     from an evaluation forward over the same x and parameters (see
-    `mlp_first_layer`); that layer then only applies dropout.
+    `mlp_first_layer`); that layer then only applies dropout, in place, so
+    the kept relu(z) is consumed.
     """
     cache = []
     h = x

@@ -1,8 +1,10 @@
 """Dense kernels with explicit gradients, plus deterministic RNG streams.
 
 Matrices are plain numpy arrays, row-major, float32 or float64 (chosen once
-per run). Every kernel is a pure function of its inputs; nothing here keeps
-state, so arrays can be shared freely across worker threads.
+per run). Every kernel is a pure function of its inputs, except `dropout`,
+which writes its output into the array it is given (callers pass arrays they
+own). Nothing here keeps state, so arrays can be shared freely across worker
+threads.
 """
 
 from __future__ import annotations
@@ -87,28 +89,42 @@ def relu_backward(a: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 def dropout(a, rate, training, rng):
-    """Inverted dropout: (output, keep mask, scale).
+    """Inverted dropout, in place: (a, keep mask, scale).
 
-    The keep mask is bool and the scale is the scalar 1/(1-rate) in a's
-    dtype; survivors are scaled at train time so evaluation is a plain
-    forward pass. Returns (a, None, None) when inactive; no rng draw happens
-    then, keeping stream positions independent of evaluation passes.
+    Writes (a * keep) * scale into `a` and returns it; the keep mask is bool
+    and the scale is the scalar 1/(1-rate) in a's dtype. Survivors are scaled
+    at train time so evaluation is a plain forward pass. Returns
+    (a, None, None) when inactive; no rng draw happens then, keeping stream
+    positions independent of evaluation passes.
+
+    Each mask element costs 16 random bits. Element i (in C order) is 16-bit
+    field i of the stream, where field 4k+j is bits [16j, 16j+16) of raw
+    64-bit draw k, so an N-element mask consumes ceil(N/4) raw draws, and the
+    mask is the same on every platform. An element is kept iff its field is
+    >= t = ceil(rate * 2**16): rate 0.5 is exact, and any other rate keeps
+    with probability 1 - t/2**16, below 1 - rate by less than 2**-16. A rate
+    above 1 - 2**-16 gives t = 2**16 and drops every element.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a, None, None
-    # rng.random() is (raw >> 11) * 2**-53 of one raw 64-bit draw, so comparing
-    # the raw draws with ceil(rate * 2**53) << 11 gives its mask and leaves
-    # the stream at the same position, without the float64 array.
-    threshold = np.uint64(math.ceil(rate * 2.0**53) << 11)
+    threshold = math.ceil(rate * 2.0**16)  # at most 2**16, as rate < 1
     keep = np.empty(a.shape, dtype=bool)
     flat = keep.reshape(-1)
-    for lo in range(0, flat.size, _DROPOUT_CHUNK):  # in C order, as one draw of a.shape
-        part = flat[lo : lo + _DROPOUT_CHUNK]
-        np.greater_equal(rng.bit_generator.random_raw(part.size), threshold, out=part)
+    step = 4 * _DROPOUT_CHUNK  # whole raw draws, so the chunk size leaves the mask alone
+    for lo in range(0, flat.size, step):
+        part = flat[lo : lo + step]
+        raw = rng.bit_generator.random_raw(-(-part.size // 4))
+        if threshold == 1 << 16:  # past every field: nothing is kept
+            part[...] = False
+        else:
+            fields = raw.astype("<u8", copy=False).view("<u2")[: part.size]
+            np.greater_equal(fields, np.uint16(threshold), out=part)
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
-    return apply_mask(a, keep, scale), keep, scale
+    np.multiply(a, keep, out=a)  # the two roundings of apply_mask
+    a *= scale
+    return a, keep, scale
 
 
 def apply_mask(a, keep, scale):

@@ -151,6 +151,13 @@ class TestTrainCommand:
                       "--out", str(tmp_path / "m.json")])
         assert rc == cli.EXIT_NUMERIC
 
+    def test_dropout_that_drops_every_element(self, tmp_path, capsys):
+        # ceil(0.99999 * 2**16) is 2**16, past every 16-bit mask field
+        rc = run_cli(["train", *SYNTH_ARGS, "--dropout", "0.99999", "--epochs", "1",
+                      "--out", str(tmp_path / "m.json")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_dataset_directory(self, tmp_path):
         rc = run_cli(["train", "--dataset", str(tmp_path / "nope"), "--out",
                       str(tmp_path / "m.json")])

@@ -205,14 +205,36 @@ class TestTrain:
         assert counts[2] < counts[1] < counts[0]
 
     def test_aggregation_only_layer_form(self, wide_graph):
+        # without dropout, so that the falling loss does not rest on the masks drawn
         cfg = TrainConfig(variant="slice", p=2, epochs=5, hidden=16, layers=2,
-                          layer_form="eq1", seed=3)
+                          layer_form="eq1", dropout=0.0, seed=3)
         summary, reports = engine.train(wide_graph, cfg)
         assert all(np.isfinite(r.loss) for r in reports)
         assert reports[-1].loss < reports[0].loss
         # half the layer weights of the dual form
         dual = engine.build_run(wide_graph, dataclasses.replace(cfg, layer_form="eq6"))
         assert summary.param_count < dual.param_count
+
+    @pytest.mark.parametrize("variant,rounds", [("baseline", 5), ("slice", 5), ("slice_se", 5),
+                                                ("slice_ff", 6), ("slice_ffse", 6)])
+    def test_master_device_rounds_per_epoch(self, small_graph, monkeypatch, variant, rounds):
+        # a pool call is one round in when its items carry an array, and one
+        # round out when its results do
+        run, counted = _WorkerPool.run, []
+
+        def carries_array(xs):
+            return any(isinstance(v, np.ndarray) for x in xs for v in (x if isinstance(x, tuple) else (x,)))
+
+        def counting_run(pool, fn, items):
+            results = run(pool, fn, items)
+            counted.append(carries_array(items) + carries_array(results))
+            return results
+
+        monkeypatch.setattr(_WorkerPool, "run", counting_run)
+        epochs = 3
+        p = 1 if variant == "baseline" else 2
+        engine.train(small_graph, TrainConfig(variant=variant, p=p, epochs=epochs, hidden=8, seed=1))
+        assert sum(counted) == rounds * epochs
 
     def test_reported_throughput_matches_stopwatch(self):
         g = synth_graph(n=20000, classes=3, d_feat=32, p_in=3e-4, p_out=1e-4,

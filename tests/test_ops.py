@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,7 +200,7 @@ class TestDropout:
     def test_mask_reusable_for_backward(self):
         rng = ops.rng_stream(8, 0)
         a = np.ones((10, 10))
-        out, keep, scale = ops.dropout(a, 0.3, True, rng)
+        out, keep, scale = ops.dropout(a.copy(), 0.3, True, rng)
         assert keep.dtype == bool and np.ndim(scale) == 0
         np.testing.assert_array_equal(out, ops.apply_mask(a, keep, scale))
 
@@ -208,7 +211,7 @@ class TestDropout:
         a = rng.standard_normal((50, 40)).astype(dtype)
         a[0, :4] = [0.0, -0.0, np.inf, -np.inf]
         with np.errstate(invalid="ignore"):  # inf * 0
-            out, keep, scale = ops.dropout(a, 0.3, True, ops.rng_stream(9, 0))
+            out, keep, scale = ops.dropout(a.copy(), 0.3, True, ops.rng_stream(9, 0))
             float_mask = keep.astype(dtype) / dtype(1.0 - 0.3)
             expect = a * float_mask
         assert out.dtype == dtype
@@ -217,20 +220,88 @@ class TestDropout:
         back = ops.apply_mask(d, keep, scale)
         np.testing.assert_array_equal(back.view(f"u{a.itemsize}"), (d * float_mask).view(f"u{a.itemsize}"))
 
+    def test_writes_into_its_input_and_returns_it(self):
+        a = np.full((30, 7), 2.0, np.float32)
+        out, keep, scale = ops.dropout(a, 0.5, True, ops.rng_stream(4, 0))
+        assert out is a
+        np.testing.assert_array_equal(a, np.where(keep, np.float32(4.0), np.float32(0.0)))
+
+    @staticmethod
+    def _reference_mask(raw, size, rate):
+        # field 4k+j of the stream is bits [16j, 16j+16) of raw draw k
+        shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
+        fields = ((raw[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:size]
+        return fields >= np.uint64(math.ceil(rate * 2**16))
+
     @pytest.mark.parametrize("rate", [1e-17, 0.1, 1 / 3, 0.5, 0.7, 0.999999])
     @pytest.mark.parametrize(
         "shape",
-        # the last two span several draw chunks: two whole ones, and 2.3
-        [(1, 1), (7, 3), (64, 129), (5,), (2, ops._DROPOUT_CHUNK), (300, 1000)],
+        # sizes that are not multiples of 4; the last two span 2.25 and 1.34
+        # chunks of raw draws
+        [(1, 1), (7, 3), (64, 129), (5,), (9, ops._DROPOUT_CHUNK + 1), (301, 2333)],
     )
-    def test_raw_draw_matches_uniform_draw(self, rate, shape):
-        # the mask comes from raw 64-bit draws; it must be the mask of
-        # rng.random() >= rate and leave the stream where rng.random() would
-        rng, ref = ops.rng_stream(21, 3), ops.rng_stream(21, 3)
+    def test_mask_matches_reference_from_raw_draws(self, rate, shape):
+        rng, ref = ops.rng_stream(21, 3), ops.rng_stream(21, 3).bit_generator
         _, keep, _ = ops.dropout(np.ones(shape, np.float32), rate, True, rng)
-        np.testing.assert_array_equal(keep, ref.random(shape) >= rate)
+        size = int(np.prod(shape))
+        raw = ref.random_raw(-(-size // 4))
+        np.testing.assert_array_equal(keep.reshape(-1), self._reference_mask(raw, size, rate))
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 130, 1 << 10])
+    def test_stream_sits_after_a_quarter_draw_per_element(self, size):
+        rng, ref = ops.rng_stream(5, 1), ops.rng_stream(5, 1)
+        ops.dropout(np.ones(size), 0.3, True, rng)
+        ref.bit_generator.random_raw(-(-size // 4))
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
         assert rng.random() == ref.random()
-        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 17])
+    def test_mask_does_not_depend_on_chunk_size(self, chunk, monkeypatch):
+        shape, rate = (37, 29), 0.3
+        _, expect, _ = ops.dropout(np.ones(shape), rate, True, ops.rng_stream(6, 2))
+        monkeypatch.setattr(ops, "_DROPOUT_CHUNK", chunk)
+        rng = ops.rng_stream(6, 2)
+        _, keep, _ = ops.dropout(np.ones(shape), rate, True, rng)
+        np.testing.assert_array_equal(keep, expect)
+        ref = ops.rng_stream(6, 2).bit_generator
+        ref.random_raw(-(-keep.size // 4))
+        assert rng.bit_generator.random_raw() == ref.random_raw()
+
+    def test_rate_half_threshold_is_two_to_the_fifteen(self):
+        class Words:  # a stream that hands out chosen raw draws
+            def __init__(self, words):
+                self.words = np.array(words, dtype=np.uint64)
+
+            def random_raw(self, size):
+                out, self.words = self.words[:size], self.words[size:]
+                return out
+
+        def fields(*f):  # four 16-bit fields, low bits first
+            return sum(int(v) << (16 * j) for j, v in enumerate(f))
+
+        rng = SimpleNamespace(bit_generator=Words([fields(0x7FFF, 0x8000, 0, 0xFFFF),
+                                                   fields(0x8001, 1, 0x7FFE, 0x8000)]))
+        _, keep, _ = ops.dropout(np.ones(7), 0.5, True, rng)
+        np.testing.assert_array_equal(keep, [False, True, False, True, True, False, False])
+        assert rng.bit_generator.words.size == 0
+
+    @pytest.mark.parametrize("rate", [1e-6, 0.1, 0.5, 0.9])
+    def test_keep_fraction_within_binomial_bound(self, rate):
+        n = 1 << 18
+        _, keep, _ = ops.dropout(np.ones(n), rate, True, ops.rng_stream(13, 0))
+        p = 1 - math.ceil(rate * 2**16) / 2**16
+        assert 0 <= (1 - rate) - p < 2**-16
+        assert abs(int(keep.sum()) - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1
+
+    @pytest.mark.parametrize("rate", [1 - 2**-17, 0.99999, math.nextafter(1.0, 0.0)])
+    def test_rate_near_one_drops_everything(self, rate):
+        # ceil(rate * 2**16) is 2**16 here, one past the largest 16-bit field
+        rng, ref = ops.rng_stream(2, 0), ops.rng_stream(2, 0).bit_generator
+        a = np.ones((5, 3), np.float32)
+        out, keep, _ = ops.dropout(a, rate, True, rng)
+        assert not keep.any() and not out.any()
+        ref.random_raw(4)  # ceil(15 / 4)
+        assert rng.bit_generator.random_raw() == ref.random_raw()
 
 
 class TestSoftmaxCrossEntropy:
