@@ -228,10 +228,11 @@ class TestDropout:
 
     @staticmethod
     def _reference_mask(raw, size, rate):
-        # field 4k+j of the stream is bits [16j, 16j+16) of raw draw k
+        # field 4k+j of the stream is bits [16j, 16j+16) of raw draw k; as a
+        # uniform draw u = field / 2**16 in [0, 1) it is kept iff u >= rate
         shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
         fields = ((raw[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:size]
-        return fields >= np.uint64(math.ceil(rate * 2**16))
+        return fields / 2.0**16 >= rate
 
     @pytest.mark.parametrize("rate", [1e-17, 0.1, 1 / 3, 0.5, 0.7, 0.999999])
     @pytest.mark.parametrize(
@@ -240,7 +241,7 @@ class TestDropout:
         # chunks of raw draws
         [(1, 1), (7, 3), (64, 129), (5,), (9, ops._DROPOUT_CHUNK + 1), (301, 2333)],
     )
-    def test_mask_matches_reference_from_raw_draws(self, rate, shape):
+    def test_raw_draw_matches_uniform_draw(self, rate, shape):
         rng, ref = ops.rng_stream(21, 3), ops.rng_stream(21, 3).bit_generator
         _, keep, _ = ops.dropout(np.ones(shape, np.float32), rate, True, rng)
         size = int(np.prod(shape))
