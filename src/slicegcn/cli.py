@@ -139,7 +139,11 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int)
     p.add_argument("--precision", choices=engine.PRECISIONS)
     p.add_argument("--layer-form", choices=engine.LAYER_FORMS, dest="layer_form")
-    p.add_argument("--threads", type=int, help="worker thread count (default: p; 1 = sequential)")
+    p.add_argument(
+        "--threads", type=int,
+        help="threads running the devices, the master's included: it runs device 0 itself "
+             "(default: p; 1 = sequential)",
+    )
     p.add_argument("--synth-nodes", type=int, dest="synth_nodes")
     p.add_argument("--synth-classes", type=int, dest="synth_classes")
     p.add_argument("--synth-feat", type=int, dest="synth_feat")

@@ -7,13 +7,22 @@ One run is p simulated devices plus a master. Per epoch, barrier-synchronous:
     -> master gathers outputs in device order, concatenates column-wise,
        applies the classifier, computes the masked training loss
     -> master backpropagates the head, scatters per-device gradient blocks
-    -> workers backpropagate their stacks and step their own optimizers.
+    -> workers backpropagate their stacks and step their own optimizers
+    -> master steps the head's optimizers.
 
-Workers never talk to each other; the only cross-thread payloads are the
-scattered inputs, the gathered outputs, and the gradient blocks. Every
-worker owns its parameters, optimizer state, and RNG stream, so results are
-bit-identical for a fixed seed no matter how the OS schedules the threads,
-and a single-threaded reference execution (threads=1) matches exactly.
+The master thread runs device 0's task of each phase itself and hands the
+other devices' tasks to threads - 1 pool threads, so `threads` counts the
+master's thread. Workers never talk to each other; the only cross-thread
+payloads are the scattered inputs, the gathered outputs, and the gradient
+blocks. Every worker owns its parameters, optimizer state, and RNG stream,
+so results are bit-identical for a fixed seed no matter how the OS schedules
+the threads, and a single-threaded reference execution (threads=1) matches
+exactly.
+
+Each optimizer group (a device's layer stack, the classifier, the fusion
+MLP, the slice encoding) keeps its parameters, gradients and Adam moments in
+one flat buffer each (`nn.ParamGroup`): layers are views into it, backward
+passes write the gradients into it, and a step is one pass over it.
 
 Each epoch ends with an evaluation forward, and the next epoch's training
 forward runs with the same parameters. Layer 0 of a direct-slice device and
@@ -62,7 +71,7 @@ class TrainConfig:
     seed: int = 0
     precision: str = "f32"
     layer_form: str = nn.FORM_DUAL
-    threads: Optional[int] = None  # None -> p; 1 -> sequential in-thread
+    threads: Optional[int] = None  # None -> p; counts the master's; 1 -> sequential in-thread
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -103,19 +112,15 @@ class TrainConfig:
 
 @dataclass
 class WorkerState:
-    """One simulated device: its layer stack, optimizer, and RNG stream."""
+    """One simulated device: its layer stack, their optimizer group, and RNG stream."""
 
     device_index: int
-    layers: list  # of GcnLayerParams
-    adam: nn.AdamState
+    layers: list  # of GcnLayerParams, views into group
+    group: nn.ParamGroup
     rng: np.random.Generator
     cache: Optional[list] = None  # per-layer forward caches, one epoch
-    grads: Optional[list] = None  # flat, aligned with param_arrays()
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
     layer0: Optional[tuple] = None  # (output, pre) of layer 0, kept by an eval forward
-
-    def param_arrays(self) -> list:
-        return [a for layer in self.layers for a in layer.arrays()]
 
     def forward(
         self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False,
@@ -149,22 +154,20 @@ class WorkerState:
         return h
 
     def backward(self, adj, s, d_h, need_dx: bool):
-        flat = []
+        """Writes the stack's gradients into its group; returns dX (None in direct mode)."""
+        grads = self.group.grads
+        end = len(grads)
         d = d_h
         for li in range(len(self.layers) - 1, -1, -1):
-            need_d_in = li > 0 or need_dx
-            dw_agg, dw_self, db, d_in = nn.gcn_layer_backward(
-                self.cache[li], d, self.layers[li], adj, s, need_d_in
+            start = end - len(self.layers[li].arrays())
+            *_, d = nn.gcn_layer_backward(
+                self.cache[li], d, self.layers[li], adj, s, li > 0 or need_dx, out=grads[start:end]
             )
-            group = [dw_agg] + ([dw_self] if dw_self is not None else []) + [db]
-            flat = group + flat
-            d = d_in
-        self.grads = flat
-        return d  # dX for this device (None in direct mode)
+            end = start
+        return d
 
     def step(self, lr: float):
-        nn.adam_step(self.param_arrays(), self.grads, self.adam, lr)
-        self.grads = None
+        nn.adam_step(self.group, lr)
         self.cache = None
         self.layer0 = None
 
@@ -174,14 +177,16 @@ class MasterHead:
     """Master-owned parameters: fusion (optional), encoding (optional), classifier."""
 
     classifier: nn.MlpParams
-    cls_adam: nn.AdamState
     cls_rng: np.random.Generator
     fusion: Optional[nn.MlpParams] = None
-    fusion_adam: Optional[nn.AdamState] = None
     fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
-    enc_adam: Optional[nn.AdamState] = None
     fusion_layer0: Optional[tuple] = None  # (z, relu(z)) of fusion layer 0, kept by an eval forward
+
+    def groups(self) -> list:
+        """The head's optimizer groups."""
+        parts = (self.classifier, self.encoding, self.fusion)
+        return [part.group for part in parts if part is not None]
 
 
 @dataclass
@@ -197,14 +202,8 @@ class RunState:
 
     @property
     def param_count(self) -> int:
-        """Total size of the arrays the optimizers step."""
-        head = self.head
-        arrays = [a for w in self.workers for a in w.param_arrays()] + head.classifier.arrays()
-        if head.fusion is not None:
-            arrays += head.fusion.arrays()
-        if head.encoding is not None:
-            arrays.append(head.encoding.table)
-        return sum(a.size for a in arrays)
+        """Total size of the optimizer groups."""
+        return sum(g.size for g in [w.group for w in self.workers] + self.head.groups())
 
 
 @dataclass
@@ -216,13 +215,6 @@ class EpochContext:
     cls_cache: Optional[list] = None
     fusion_cache: Optional[list] = None
     d_logits: Optional[np.ndarray] = None
-
-
-@dataclass
-class AllGrads:
-    classifier: list  # each device keeps its own gradients in WorkerState.grads
-    encoding: Optional[np.ndarray] = None  # p x h_out
-    fusion: Optional[list] = None
 
 
 @dataclass(frozen=True)
@@ -249,18 +241,28 @@ class RunSummary:
 class _WorkerPool:
     """Runs one task per device per phase, gathered in device order.
 
-    threads == 1 executes in the calling thread (the sequential reference);
-    more threads dispatch to a pool. Results do not depend on the choice.
+    `threads` counts the calling thread. The calling thread (the master)
+    runs item 0 itself and hands the other items to threads - 1 pool
+    threads, so a p-device round hands off p - 1 tasks. threads == 1 runs
+    every item in the calling thread, in order: the sequential reference.
+    Results do not depend on the choice. `run` returns or raises only once
+    every task of the round has finished, so no task outlives a failed round;
+    of several failures, the one of the lowest item is raised.
     """
 
     def __init__(self, threads: int):
-        self._ex = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+        self._ex = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else None
 
     def run(self, fn: Callable, items: list) -> list:
         if self._ex is None:
             return [fn(item) for item in items]
-        futures = [self._ex.submit(fn, item) for item in items]
-        return [f.result() for f in futures]
+        futures = [self._ex.submit(fn, item) for item in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            for f in futures:
+                f.exception()  # waits for the task; its error, if any, is raised below
+        return [first] + [f.result() for f in futures]
 
     def close(self):
         if self._ex is not None:
@@ -293,36 +295,21 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     workers = []
     for i in range(config.p):
         rng = ops.rng_stream(config.seed, i)
-        layers = [
-            nn.init_gcn_layer(widths[li], widths[li + 1], rng, dtype, config.layer_form)
-            for li in range(config.layers)
-        ]
-        params = [a for layer in layers for a in layer.arrays()]
-        workers.append(
-            WorkerState(
-                device_index=i,
-                layers=layers,
-                adam=nn.AdamState.for_params(params),
-                rng=rng,
-            )
-        )
+        layers, group = nn.init_gcn_layers(widths, rng, dtype, config.layer_form)
+        workers.append(WorkerState(device_index=i, layers=layers, group=group, rng=rng))
 
     cls_rng = ops.rng_stream(config.seed, ops.STREAM_CLASSIFIER)
     classifier_sizes = [config.p * h_out, config.hidden, graph.num_classes]
-    classifier = nn.init_mlp(classifier_sizes, cls_rng, dtype, config.dropout)
     head = MasterHead(
-        classifier=classifier,
-        cls_adam=nn.AdamState.for_params(classifier.arrays()),
+        classifier=nn.init_mlp(classifier_sizes, cls_rng, dtype, config.dropout),
         cls_rng=cls_rng,
     )
     if config.use_ff:
         head.fusion_rng = ops.rng_stream(config.seed, ops.STREAM_FUSION)
         head.fusion = slicing.init_fusion(d_feat, config.p, head.fusion_rng, dtype, config.dropout)
-        head.fusion_adam = nn.AdamState.for_params(head.fusion.arrays())
     if config.use_se:
         enc_rng = ops.rng_stream(config.seed, ops.STREAM_ENCODING)
         head.encoding = nn.init_slice_encoding(config.p, h_out, enc_rng, dtype)
-        head.enc_adam = nn.AdamState.for_params([head.encoding.table])
 
     features = np.ascontiguousarray(graph.features, dtype=dtype)
     slices = None if config.use_ff else slicing.slice_feature(features, strategy)
@@ -389,53 +376,49 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
     return loss, logits, ctx
 
 
-def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool) -> AllGrads:
-    """Reverse the epoch: head backward, scatter blocks, worker backward."""
+def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: float) -> None:
+    """Reverse the epoch: head backward, scatter blocks, worker backward.
+
+    Every group's gradients land in its own buffer. Each device steps its
+    optimizer at `lr` at the end of its backward task; the head's groups
+    step in `apply_updates`.
+    """
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
 
-    cls_pairs, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, head.classifier)
-    cls_grads = [g for pair in cls_pairs for g in pair]
+    cls_grads = head.classifier.group.grads
+    _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, head.classifier, out=cls_grads)
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
     blocks = [d_rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
 
-    enc_grad = None
     if cfg.use_se:
-        rows = []
+        (d_table,) = head.encoding.group.grads
         for i in range(cfg.p):
-            d_row, blocks[i] = nn.slice_encode_backward(blocks[i])
-            rows.append(d_row)
-        enc_grad = np.stack(rows, axis=0)
+            d_table[i], blocks[i] = nn.slice_encode_backward(blocks[i])
 
     def bwd(item):
         worker, d_h = item
-        return worker.backward(adj, s, d_h, need_dx=cfg.use_ff)
+        dx = worker.backward(adj, s, d_h, need_dx=cfg.use_ff)
+        worker.step(lr)
+        return dx
 
     dxs = pool.run(bwd, list(zip(run.workers, blocks)))
 
-    fusion_grads = None
     if cfg.use_ff:
         d_z = dxs[0].copy()
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        fusion_pairs = slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion)
-        fusion_grads = [g for pair in fusion_pairs for g in pair]
-
-    return AllGrads(classifier=cls_grads, encoding=enc_grad, fusion=fusion_grads)
+        slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads)
 
 
-def apply_updates(run: RunState, grads: AllGrads, lr: float, pool: _WorkerPool) -> None:
-    """Every parameter group takes one optimizer step at the epoch's lr."""
-    head = run.head
-    pool.run(lambda w: w.step(lr), run.workers)
-    nn.adam_step(head.classifier.arrays(), grads.classifier, head.cls_adam, lr)
-    if run.config.use_se:
-        nn.adam_step([head.encoding.table], [grads.encoding], head.enc_adam, lr)
-    if run.config.use_ff:
-        nn.adam_step(head.fusion.arrays(), grads.fusion, head.fusion_adam, lr)
-        head.fusion_layer0 = None
+def apply_updates(run: RunState, lr: float) -> None:
+    """The head's groups take their optimizer step at the epoch's lr (the
+    devices stepped at the end of their backward tasks)."""
+    for group in run.head.groups():
+        nn.adam_step(group, lr)
+    run.head.fusion_layer0 = None
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -489,8 +472,9 @@ def train(
 ):
     """Run the full training loop; returns (RunSummary, [EpochReport]).
 
-    Each epoch: training forward, backward, cosine-annealed Adam step for
-    every parameter group, then an evaluation forward with dropout disabled,
+    Each epoch: training forward, backward (each device steps its optimizer
+    at the end of its backward task), a cosine-annealed Adam step for each
+    of the head's groups, then an evaluation forward with dropout disabled,
     which keeps its layer-0 results for the next epoch's training forward.
     The reported test metric is taken at the epoch with the best validation
     metric. Throughput covers the loop only (forward+backward+step+eval).
@@ -518,10 +502,10 @@ def train(
             t0 = time.perf_counter()
             try:
                 loss, _, ctx = epoch_forward(run, training=True, pool=pool)
-                grads = epoch_backward(run, ctx, pool)
                 lr = nn.cosine_lr(epoch, config.epochs, config.lr)
-                apply_updates(run, grads, lr, pool)
-                ctx = grads = None
+                epoch_backward(run, ctx, pool, lr)
+                apply_updates(run, lr)
+                ctx = None
                 _, logits, _ = epoch_forward(
                     run, training=False, pool=pool, keep=epoch + 1 < config.epochs
                 )

@@ -32,6 +32,11 @@ gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
 undirected graphs. Backward aggregates on the same side as forward: a
 narrowing layer forms Âᵀ d_pre once and reuses it for both the weight and
 the input gradient.
+
+Parameters live in optimizer groups (`ParamGroup`): the layers of a group
+are views into one flat parameter buffer, backward passes can write their
+gradients into views of the group's flat gradient buffer (`out`), and
+`adam_step` updates a whole group in one in-place pass.
 """
 
 from __future__ import annotations
@@ -70,11 +75,20 @@ class GcnLayerParams:
         return out
 
 
-def init_gcn_layer(w_in: int, w_out: int, rng, dtype, form: str = FORM_DUAL) -> GcnLayerParams:
-    w_agg = ops.glorot_init(w_in, w_out, rng, dtype)
-    w_self = ops.glorot_init(w_in, w_out, rng, dtype) if form == FORM_DUAL else None
-    bias = np.zeros(w_out, dtype=dtype)
-    return GcnLayerParams(w_agg=w_agg, w_self=w_self, bias=bias)
+def init_gcn_layers(widths, rng, dtype, form: str = FORM_DUAL):
+    """GCN layers widths[0] -> ... -> widths[-1], built in one new group.
+
+    Returns (layers, group): the layers hold views into the group.
+    """
+    dual = form == FORM_DUAL
+    shapes = [
+        s for w_in, w_out in zip(widths[:-1], widths[1:])
+        for s in [(w_in, w_out)] * (2 if dual else 1) + [(w_out,)]
+    ]
+    group = ParamGroup(shapes, rng, dtype)
+    it = iter(group.params)
+    layers = [GcnLayerParams(next(it), next(it) if dual else None, next(it)) for _ in widths[1:]]
+    return layers, group
 
 
 @dataclass
@@ -121,22 +135,32 @@ def gcn_layer_forward(
     return h_out, GcnLayerCache(h_in=h_in, agg=agg, pre=pre, keep=keep, scale=scale)
 
 
-def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, need_d_in: bool = True):
+def gcn_layer_backward(
+    cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, need_d_in: bool = True, out=None
+):
     """Gradients (dW_agg, dW_self, db, dH_in); dW_self/dH_in may be None.
+
+    `out`, when given, holds the arrays to write the parameter gradients
+    into, aligned with `params.arrays()`; they are returned.
 
     A narrowing layer forms G = Âᵀ d_pre once, at the output width, for
     dW_agg = H_inᵀ G (when the forward kept no aggregate) and dH_in = G W_aggᵀ.
     """
+    if out is None:
+        out = [None] * len(params.arrays())
     if cache.keep is not None:
         d_out = ops.apply_mask(d_out, cache.keep, cache.scale)
     d_pre = ops.relu_backward(cache.pre, d_out)
-    db = d_pre.sum(axis=0)
+    db = np.sum(d_pre, axis=0, out=out[-1])
     narrows = _narrows(params)
     g = None
     if narrows and (cache.agg is None or need_d_in):
         g = ops.spmm_norm(adj, s, d_pre, transpose=True)
-    dw_agg = cache.h_in.T @ g if cache.agg is None else cache.agg.T @ d_pre
-    dw_self = cache.h_in.T @ d_out if params.w_self is not None else None
+    if cache.agg is None:
+        dw_agg = np.matmul(cache.h_in.T, g, out=out[0])
+    else:
+        dw_agg = np.matmul(cache.agg.T, d_pre, out=out[0])
+    dw_self = np.matmul(cache.h_in.T, d_out, out=out[1]) if params.w_self is not None else None
     d_in = None
     if need_d_in:
         if narrows:
@@ -154,19 +178,18 @@ def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj,
 
 @dataclass
 class MlpParams:
-    layers: list  # of (W, b)
+    layers: list  # of (W, b), views into group
+    group: ParamGroup
     dropout: float = 0.0
-
-    def arrays(self) -> list:
-        return [a for w, b in self.layers for a in (w, b)]
 
 
 def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
-    """Linear layers sizes[0] -> ... -> sizes[-1], ReLU + dropout between."""
-    layers = []
-    for w_in, w_out in zip(sizes[:-1], sizes[1:]):
-        layers.append((ops.glorot_init(w_in, w_out, rng, dtype), np.zeros(w_out, dtype=dtype)))
-    return MlpParams(layers=layers, dropout=dropout)
+    """Linear layers sizes[0] -> ... -> sizes[-1], ReLU + dropout between,
+    built in one new group."""
+    shapes = [s for w_in, w_out in zip(sizes[:-1], sizes[1:]) for s in ((w_in, w_out), (w_out,))]
+    group = ParamGroup(shapes, rng, dtype)
+    it = iter(group.params)
+    return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
 def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None):
@@ -204,8 +227,14 @@ def mlp_first_layer(cache):
     return cache[0][1], cache[1][0]
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True):
-    """Returns ([(dW, db) per layer], d_input); d_input is None unless need_d_in."""
+def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True, out=None):
+    """Returns ([(dW, db) per layer], d_input); d_input is None unless need_d_in.
+
+    `out`, when given, holds the arrays to write the parameter gradients
+    into: W and b of each layer, in layer order.
+    """
+    if out is None:
+        out = [None] * (2 * len(mlp.layers))
     grads = [None] * len(mlp.layers)
     d = d_out
     for li in range(len(mlp.layers) - 1, -1, -1):
@@ -215,7 +244,7 @@ def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True):
             if keep is not None:
                 d = ops.apply_mask(d, keep, scale)
             d = ops.relu_backward(z, d)
-        grads[li] = (h.T @ d, d.sum(axis=0))
+        grads[li] = (np.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
         d = d @ w.T if li > 0 or need_d_in else None
     return grads, d
 
@@ -229,10 +258,12 @@ class SliceEncoding:
     """One learned offset row per device, added to that device's output."""
 
     table: np.ndarray  # p x width
+    group: Optional[ParamGroup] = None  # the group the table is a view into
 
 
 def init_slice_encoding(p: int, width: int, rng, dtype) -> SliceEncoding:
-    return SliceEncoding(table=ops.glorot_init(p, width, rng, dtype))
+    group = ParamGroup([(p, width)], rng, dtype)
+    return SliceEncoding(table=group.params[0], group=group)
 
 
 def slice_encode(h, enc: SliceEncoding, device_index: int):
@@ -252,36 +283,88 @@ def slice_encode_backward(d_h):
 # Optimizer and schedule
 
 
-@dataclass
-class AdamState:
-    m: list
-    v: list
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def for_params(cls, params: list) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+_ADAM_CHUNK = 1 << 16  # elements per pass of adam_step; a group's scratch holds two
 
 
-def adam_step(params: list, grads: list, state: AdamState, lr: float) -> None:
-    """In-place Adam update with bias correction. Fails fast on bad grads."""
-    if len(params) != len(state.m):
-        raise ValueError("optimizer state does not match parameter list")
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient")
-    state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+class ParamGroup:
+    """One optimizer group: parameters, gradients and Adam moments, each in
+    one flat buffer.
+
+    `params` and `grads` are views into `param` and `grad`, one per shape, in
+    order; a group's layers are `params` views, and their backward passes
+    write into the `grads` views. The parameters are built in place: each
+    2-D shape is Glorot-drawn from `rng` in order, each 1-D shape (a bias)
+    starts at zero.
+    """
+
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, shapes, rng, dtype):
+        size = sum(math.prod(shape) for shape in shapes)
+        self.param, self.grad, self.m, self.v = (np.zeros(size, dtype=dtype) for _ in range(4))
+        self.t = 0
+        self.params = _views(self.param, shapes)
+        self.grads = _views(self.grad, shapes)
+        self.scratch = np.empty((2, min(size, _ADAM_CHUNK)), dtype=dtype)
+        for a in self.params:
+            if a.ndim == 2:
+                ops.glorot_init(a, rng)
+
+    @property
+    def size(self) -> int:
+        return self.param.size
+
+
+def _views(flat: np.ndarray, shapes) -> list:
+    views, start = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(flat[start : start + n].reshape(shape))
+        start += n
+    return views
+
+
+def adam_step(group: ParamGroup, lr: float) -> None:
+    """One in-place Adam step with bias correction over a whole group.
+
+    Fails fast on a non-finite gradient, before anything changes. The update
+    is the per-array formula
+
+        m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g²,
+        p -= lr (m / c1) / (sqrt(v / c2) + eps),   c_i = 1 - b_i^t,
+
+    with the same roundings in the same order, so the bits do not depend on
+    how parameters are grouped. It runs over the flat buffers in chunks,
+    through the group's two scratch rows: it allocates nothing the size of
+    the group, and leaves the gradients as they were.
+    """
+    grad = group.grad
+    if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):  # min and max propagate NaN
+        raise NumericError("non-finite gradient")
+    group.t += 1
+    b1, b2, eps = group.beta1, group.beta2, group.eps
+    c1 = 1.0 - b1 ** group.t
+    c2 = 1.0 - b2 ** group.t
+    chunk = group.scratch.shape[1]
+    for lo in range(0, grad.size, chunk):
+        p, g, m, v = (a[lo : lo + chunk] for a in (group.param, grad, group.m, group.v))
+        s, d = group.scratch[:, : g.size]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.square(g, out=s)
+        s *= 1.0 - b2
+        v += s
+        np.divide(m, c1, out=s)
+        s *= lr
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += eps
+        s /= d
+        p -= s
 
 
 def cosine_lr(epoch: int, total: int, lr0: float, lr_min: float = 0.0) -> float:

@@ -71,12 +71,17 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False) -> np.
     return out
 
 
-def glorot_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
-    """Uniform in [-a, a] with a = sqrt(6 / (rows + cols))."""
+def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fills the rows x cols array `out` with Uniform[-a, a], a = sqrt(6 / (rows + cols)).
+
+    The draws are float64, rounded to out's dtype. Returns `out`.
+    """
+    rows, cols = out.shape
     if rows < 1 or cols < 1:
         raise ValueError("glorot_init needs positive dimensions")
     a = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-a, a, size=(rows, cols)).astype(dtype)
+    out[...] = rng.uniform(-a, a, size=(rows, cols))
+    return out
 
 
 def relu(a: np.ndarray) -> np.ndarray:

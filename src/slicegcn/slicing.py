@@ -94,13 +94,14 @@ def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool,
     return nn.mlp_forward(x, ff, rng, training, kept=kept)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams):
+def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, out=None):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
     d_z = sum of per-worker input gradients in fixed device order. Returns
-    [(dW, db) per layer]; the gradient w.r.t. the raw features is not
+    [(dW, db) per layer], written into `out` when given (see
+    `nn.mlp_backward`); the gradient w.r.t. the raw features is not
     computed, since nothing upstream of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, need_d_in=False)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, need_d_in=False, out=out)
     return grads

@@ -85,21 +85,22 @@ def _gradient_failures(graph, variant) -> list:
         return loss
 
     _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-    grads = engine.epoch_backward(run, ctx, pool)
+    engine.epoch_backward(run, ctx, pool, 0.0)  # lr 0: the devices' steps leave them as they are
 
     groups = {}
     for w in run.workers:
-        flat = w.param_arrays()
-        for k, (param, grad) in enumerate(zip(flat, w.grads)):
+        for k, (param, grad) in enumerate(zip(w.group.params, w.group.grads)):
             groups[f"worker{w.device_index}.param{k}"] = (param, grad)
+    cls_grads = run.head.classifier.group.grads
     for li, (wt, b) in enumerate(run.head.classifier.layers):
-        groups[f"classifier.{li}.w"] = (wt, grads.classifier[2 * li])
-        groups[f"classifier.{li}.b"] = (b, grads.classifier[2 * li + 1])
+        groups[f"classifier.{li}.w"] = (wt, cls_grads[2 * li])
+        groups[f"classifier.{li}.b"] = (b, cls_grads[2 * li + 1])
     if cfg.use_ff:
+        fusion_grads = run.head.fusion.group.grads
         for li, (wt, b) in enumerate(run.head.fusion.layers):
-            groups[f"fusion.{li}.w"] = (wt, grads.fusion[2 * li])
-            groups[f"fusion.{li}.b"] = (b, grads.fusion[2 * li + 1])
-    groups["encoding"] = (run.head.encoding.table, grads.encoding)
+            groups[f"fusion.{li}.w"] = (wt, fusion_grads[2 * li])
+            groups[f"fusion.{li}.b"] = (b, fusion_grads[2 * li + 1])
+    groups["encoding"] = (run.head.encoding.table, run.head.encoding.group.grads[0])
 
     step = 1e-6
     failures = []
@@ -161,7 +162,7 @@ def test_c04_fusion_parameter_deltas(wide_graph):
     for p, expect in ((3, 120_701), (2, 135_751)):
         cfg = TrainConfig(variant="slice_ff", p=p, hidden=256, layers=3)
         run = engine.build_run(wide_graph, cfg)
-        results[p] = (sum(a.size for a in run.head.fusion.arrays()), expect)
+        results[p] = (sum(a.size for layer in run.head.fusion.layers for a in layer), expect)
     ok = all(counted == expect for counted, expect in results.values())
     check(4, "feature fusion adds exactly 120,701 (p=3) / 135,751 (p=2) parameters",
           ok, str(results))

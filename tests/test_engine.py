@@ -2,7 +2,9 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,9 +64,26 @@ class TestBuildRun:
         a = engine.build_run(wide_graph, cfg)
         b = engine.build_run(wide_graph, cfg)
         for wa, wb in zip(a.workers, b.workers):
-            for pa, pb in zip(wa.param_arrays(), wb.param_arrays()):
+            for pa, pb in zip(wa.group.params, wb.group.params):
                 np.testing.assert_array_equal(pa, pb)
         np.testing.assert_array_equal(a.head.encoding.table, b.head.encoding.table)
+
+    def test_every_parameter_is_a_view_of_its_group(self, wide_graph):
+        cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
+        run = engine.build_run(wide_graph, cfg)
+        head = run.head
+        cls_arrays = [a for layer in head.classifier.layers for a in layer]
+        fusion_arrays = [a for layer in head.fusion.layers for a in layer]
+        owners = [(w.group, [a for layer in w.layers for a in layer.arrays()]) for w in run.workers]
+        owners += [(head.classifier.group, cls_arrays), (head.encoding.group, [head.encoding.table]),
+                   (head.fusion.group, fusion_arrays)]
+        assert [g for g, _ in owners] == [w.group for w in run.workers] + head.groups()
+        for group, arrays in owners:
+            assert all(np.shares_memory(a, group.param) for a in arrays)
+            assert all(np.shares_memory(g, group.grad) for g in group.grads)
+            assert [a.shape for a in arrays] == [g.shape for g in group.grads]
+            assert sum(a.size for a in arrays) == group.size
+        assert run.param_count == sum(group.size for group, _ in owners)
 
     def test_more_devices_than_columns_rejected(self, wide_graph):
         with pytest.raises(ValueError, match="feature columns"):
@@ -84,10 +103,9 @@ class TestEpochForward:
         cfg = TrainConfig(variant="slice_se", p=2, hidden=8, layers=2, seed=0, precision="f64")
         run = engine.build_run(small_graph, cfg)
         for w in run.workers:
-            for a in w.param_arrays():
+            for a in w.group.params:
                 a[:] = 0
-        for a in run.head.classifier.arrays():
-            a[:] = 0
+        run.head.classifier.group.param[:] = 0
         run.head.encoding.table[:] = 0
         with _WorkerPool(1) as pool:
             loss, _, _ = engine.epoch_forward(run, training=False, pool=pool)
@@ -109,7 +127,7 @@ class TestEpochForward:
         run = engine.build_run(small_graph, cfg)
         with _WorkerPool(1) as pool:
             _, _, ctx0 = engine.epoch_forward(run, training=False, pool=pool)
-            for a in run.workers[1].param_arrays():
+            for a in run.workers[1].group.params:
                 a += 0.37
             _, _, ctx1 = engine.epoch_forward(run, training=False, pool=pool)
         before, after = ctx0.representation, ctx1.representation
@@ -126,15 +144,17 @@ class TestEpochBackward:
     def test_zero_upstream_zeroes_everything(self, small_graph):
         cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=6, precision="f64")
         run = engine.build_run(small_graph, cfg)
+        for group in [w.group for w in run.workers] + run.head.groups():
+            group.grad[:] = np.nan  # every element must be written
         with _WorkerPool(1) as pool:
             _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
             ctx.d_logits[:] = 0
-            grads = engine.epoch_backward(run, ctx, pool)
-        for flat in (w.grads for w in run.workers):
+            engine.epoch_backward(run, ctx, pool, 1e-2)
+        for flat in (w.group.grads for w in run.workers):
             assert all(not g.any() for g in flat)
-        assert all(not g.any() for g in grads.classifier)
-        assert all(not g.any() for g in grads.fusion)
-        assert not grads.encoding.any()
+        assert all(not g.any() for g in run.head.classifier.group.grads)
+        assert all(not g.any() for g in run.head.fusion.group.grads)
+        assert not run.head.encoding.group.grads[0].any()
 
     def test_worker_gradient_ignores_other_blocks(self, small_graph):
         # zeroing worker 1's columns of the gathered gradient leaves worker
@@ -147,12 +167,61 @@ class TestEpochBackward:
             _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
         _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, run.head.classifier)
         run.workers[0].backward(adj, s, d_rep[:, :h_out], need_dx=False)
-        keep = [g.copy() for g in run.workers[0].grads]
+        keep = [g.copy() for g in run.workers[0].group.grads]
         zeroed = d_rep.copy()
         zeroed[:, h_out:] = 0  # worker 1's block
         run.workers[0].backward(adj, s, zeroed[:, :h_out], need_dx=False)
-        for a, b in zip(keep, run.workers[0].grads):
+        for a, b in zip(keep, run.workers[0].group.grads):
             np.testing.assert_array_equal(a, b)
+
+
+class TestWorkerPool:
+    @staticmethod
+    def _threads(pool, n):
+        return pool.run(lambda i: threading.get_ident(), list(range(n)))
+
+    def test_item_zero_runs_on_the_calling_thread(self):
+        with _WorkerPool(3) as pool:
+            idents = self._threads(pool, 3)
+        assert idents[0] == threading.get_ident()
+        assert threading.get_ident() not in idents[1:]
+
+    def test_one_thread_runs_everything_inline(self):
+        with _WorkerPool(1) as pool:
+            assert self._threads(pool, 3) == [threading.get_ident()] * 3
+
+    def test_more_items_than_threads(self):
+        # three devices on two threads: the master and one pool thread
+        with _WorkerPool(2) as pool:
+            idents = self._threads(pool, 3)
+            assert pool.run(lambda i: i * i, [0, 1, 2]) == [0, 1, 4]
+        assert idents[0] == threading.get_ident()
+        assert idents[1] == idents[2] != idents[0]
+
+    def test_results_in_item_order(self):
+        def task(i):
+            time.sleep(0.01 * (4 - i))  # later items finish first
+            return i
+
+        with _WorkerPool(4) as pool:
+            assert pool.run(task, [0, 1, 2, 3]) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failure_raised_after_every_task_finished(self, failing):
+        finished = []
+
+        def task(i):
+            if i == failing:
+                raise RuntimeError(f"task {i}")
+            time.sleep(0.2)
+            finished.append(i)
+            return i
+
+        with _WorkerPool(3) as pool:
+            with pytest.raises(RuntimeError, match=f"task {failing}"):
+                pool.run(task, [0, 1, 2])
+            # when the failure reaches the caller, no task is still running
+            assert sorted(finished) == sorted({0, 1, 2} - {failing})
 
 
 class TestTrain:
@@ -188,6 +257,44 @@ class TestTrain:
         for a, b in zip(rep_t, rep_s):
             assert (a.epoch, a.lr, a.loss, a.train_metric, a.val_metric, a.test_metric) == (
                 b.epoch, b.lr, b.loss, b.train_metric, b.val_metric, b.test_metric)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_thread_count_does_not_change_results(self, small_graph, threads):
+        # p=3: fewer threads than devices, one per device, and one more
+        cfg = TrainConfig(variant="slice_ffse", p=3, epochs=4, hidden=12, layers=2, seed=8)
+
+        def rows(c):
+            summary, reports = engine.train(small_graph, c)
+            return summary.param_count, [
+                (r.epoch, r.lr, r.loss, r.train_metric, r.val_metric, r.test_metric) for r in reports
+            ]
+
+        assert rows(dataclasses.replace(cfg, threads=threads)) == rows(dataclasses.replace(cfg, threads=1))
+
+    def test_pool_calls_and_submissions_per_epoch(self, small_graph, monkeypatch):
+        # training forward, backward (each device steps in its task), eval
+        # forward: three pool calls per epoch, each handing off p - 1 tasks
+        run, submit = _WorkerPool.run, ThreadPoolExecutor.submit
+        calls, submitted = [], []
+
+        def counting_run(pool, fn, items):
+            calls.append(len(items))
+            return run(pool, fn, items)
+
+        def counting_submit(ex, fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(ex, fn, *args, **kwargs)
+
+        monkeypatch.setattr(_WorkerPool, "run", counting_run)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        epochs, p = 3, 2
+        engine.train(small_graph, TrainConfig(variant="slice_ffse", p=p, epochs=epochs, hidden=8, seed=1))
+        assert calls == [p] * 3 * epochs
+        assert len(submitted) == (p - 1) * 3 * epochs
+        calls.clear()
+        submitted.clear()
+        engine.train(small_graph, TrainConfig(variant="baseline", epochs=epochs, hidden=8, seed=1))
+        assert calls == [1] * 3 * epochs and submitted == []
 
     def test_test_metric_taken_at_best_val_epoch(self, small_graph):
         cfg = TrainConfig(variant="baseline", epochs=8, hidden=16, layers=2, seed=9)
@@ -277,9 +384,9 @@ class TestLayer0Reuse:
         with _WorkerPool(1) as pool:
             for epoch in range(cfg.epochs):
                 loss, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-                grads = engine.epoch_backward(run, ctx, pool)
                 lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
-                engine.apply_updates(run, grads, lr, pool)
+                engine.epoch_backward(run, ctx, pool, lr)
+                engine.apply_updates(run, lr)
                 _, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
                 assert not any(k is not None for k in _kept(run))
                 rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
@@ -312,16 +419,19 @@ class TestLayer0Reuse:
     def test_update_drops_kept_result(self, small_graph, variant):
         # eval forward (keep) -> parameter update -> training forward: the
         # training forward recomputes layer 0 from the updated parameters
+        # (the update steps every group once more, on the same gradients)
         cfg = TrainConfig(variant=variant, p=2, epochs=2, hidden=16, layers=2, seed=7)
         logits, losses = [], []
         for keep in (True, False):
             run = engine.build_run(small_graph, cfg)
             with _WorkerPool(2) as pool:
                 _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-                grads = engine.epoch_backward(run, ctx, pool)
+                engine.epoch_backward(run, ctx, pool, 1e-2)
                 engine.epoch_forward(run, training=False, pool=pool, keep=keep)
                 assert any(k is not None for k in _kept(run)) == keep
-                engine.apply_updates(run, grads, 1e-2, pool)
+                for w in run.workers:
+                    w.step(1e-2)
+                engine.apply_updates(run, 1e-2)
                 assert not any(k is not None for k in _kept(run))
                 loss, out, _ = engine.epoch_forward(run, training=True, pool=pool)
             losses.append(loss)
@@ -433,7 +543,8 @@ class TestInputAggregate:
         with _WorkerPool(2) as pool:
             for _ in range(cfg.epochs):
                 _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-                engine.apply_updates(run, engine.epoch_backward(run, ctx, pool), 1e-2, pool)
+                engine.epoch_backward(run, ctx, pool, 1e-2)
+                engine.apply_updates(run, 1e-2)
                 engine.epoch_forward(run, training=False, pool=pool)
         adj, s = small_graph.adj, run.norm_scale
         for w, x in zip(run.workers, run.slices):

@@ -1,7 +1,11 @@
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicegcn import engine, nn, ops
 from slicegcn.graph import build_csr, degree_norms, synth_graph
@@ -42,6 +46,11 @@ def directed_graph():
     return adj, degree_norms(adj)
 
 
+def _gcn_layer(w_in, w_out, rng, dtype, form=nn.FORM_DUAL):
+    (layer,), _ = nn.init_gcn_layers([w_in, w_out], rng, dtype, form)
+    return layer
+
+
 # (w_in, w_out): a narrowing layer multiplies by W_agg before aggregating
 LAYER_SHAPES = {"narrowing": (5, 3), "widening": (3, 5), "equal": (4, 4)}
 
@@ -51,7 +60,7 @@ class TestGcnLayer:
         adj = build_csr(4, [])
         s = degree_norms(adj)
         rng = ops.rng_stream(0, 0)
-        params = nn.init_gcn_layer(3, 3, rng, np.float64)
+        params = _gcn_layer(3, 3, rng, np.float64)
         params.bias[:] = 0
         h_in = rng.standard_normal((4, 3))
         h_out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
@@ -72,7 +81,7 @@ class TestGcnLayer:
         adj = build_csr(2, [(0, 1)])
         s = degree_norms(adj)
         rng = ops.rng_stream(2, 0)
-        params = nn.init_gcn_layer(3, 2, rng, np.float64, form=nn.FORM_SINGLE)
+        params = _gcn_layer(3, 2, rng, np.float64, form=nn.FORM_SINGLE)
         params.bias[:] = rng.standard_normal(2)
         h_in = rng.standard_normal((2, 3))
         h_out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
@@ -85,7 +94,7 @@ class TestGcnLayer:
         adj = build_csr(3, [(0, 1), (1, 2)])
         s = degree_norms(adj)
         rng = ops.rng_stream(3, 0)
-        params = nn.init_gcn_layer(4, 4, rng, np.float64)
+        params = _gcn_layer(4, 4, rng, np.float64)
         params.w_agg[:] = 0
         params.bias[:] = rng.standard_normal(4)
         h_in = rng.standard_normal((3, 4))
@@ -97,7 +106,7 @@ class TestGcnLayer:
     def test_zero_upstream_zero_grads(self, rand_graph):
         adj, s = rand_graph
         rng = ops.rng_stream(4, 0)
-        params = nn.init_gcn_layer(6, 5, rng, np.float64)
+        params = _gcn_layer(6, 5, rng, np.float64)
         h_in = rng.standard_normal((30, 6))
         h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=True)
         dw_agg, dw_self, db, d_in = nn.gcn_layer_backward(
@@ -108,7 +117,7 @@ class TestGcnLayer:
     def test_zero_agg_weight_self_gradient(self, rand_graph):
         adj, s = rand_graph
         rng = ops.rng_stream(5, 0)
-        params = nn.init_gcn_layer(6, 5, rng, np.float64)
+        params = _gcn_layer(6, 5, rng, np.float64)
         params.w_agg[:] = 0
         params.bias[:] = -1e3  # keep the ReLU branch inactive
         h_in = rng.standard_normal((30, 6))
@@ -121,7 +130,7 @@ class TestGcnLayer:
     def test_gradients_match_finite_differences(self, rand_graph, form):
         adj, s = rand_graph
         rng = ops.rng_stream(6, 0)
-        params = nn.init_gcn_layer(6, 5, rng, np.float64, form=form)
+        params = _gcn_layer(6, 5, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(5)
         h_in = rng.standard_normal((30, 6))
         target = rng.standard_normal((30, 5))
@@ -142,7 +151,7 @@ class TestGcnLayer:
     def test_input_gradient_matches_finite_differences(self, rand_graph):
         adj, s = rand_graph
         rng = ops.rng_stream(7, 0)
-        params = nn.init_gcn_layer(4, 3, rng, np.float64)
+        params = _gcn_layer(4, 3, rng, np.float64)
         h_in = rng.standard_normal((30, 4))
         target = rng.standard_normal((30, 3))
 
@@ -158,7 +167,7 @@ class TestGcnLayer:
     def test_directed_graph_gradients_match_finite_differences(self, directed_graph, form):
         adj, s = directed_graph
         rng = ops.rng_stream(12, 0)
-        params = nn.init_gcn_layer(4, 3, rng, np.float64, form=form)
+        params = _gcn_layer(4, 3, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(3)
         h_in = rng.standard_normal((8, 4))
         target = rng.standard_normal((8, 3))
@@ -180,7 +189,7 @@ class TestGcnLayer:
         w_in, w_out = LAYER_SHAPES[shape]
         n = adj.num_nodes
         rng = ops.rng_stream(14, 0)
-        params = nn.init_gcn_layer(w_in, w_out, rng, np.float64, form=form)
+        params = _gcn_layer(w_in, w_out, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(w_out)
         h_in = rng.standard_normal((n, w_in))
         target = rng.standard_normal((n, w_out))
@@ -203,7 +212,7 @@ class TestGcnLayer:
         adj, s = rand_graph
         w_in, w_out = LAYER_SHAPES[shape]
         rng = ops.rng_stream(15, 0)
-        params = nn.init_gcn_layer(w_in, w_out, rng, np.float64)
+        params = _gcn_layer(w_in, w_out, rng, np.float64)
         h_in = rng.standard_normal((30, w_in))
         d_out = rng.standard_normal((30, w_out))
         own, own_cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
@@ -232,7 +241,7 @@ class TestGcnLayer:
         # output, cache and stream position as computing the layer again
         adj, s = rand_graph
         w_in, w_out = LAYER_SHAPES[shape]
-        params = nn.init_gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
+        params = _gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
         h_in = ops.rng_stream(16, 1).standard_normal((30, w_in)).astype(np.float32)
         agg = ops.spmm_norm(adj, s, h_in)
         h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg)
@@ -251,7 +260,7 @@ class TestGcnLayer:
 
     def test_kept_result_needs_the_aggregate(self, rand_graph):
         adj, s = rand_graph
-        params = nn.init_gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
+        params = _gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
         h_in = np.ones((30, 4))
         h, c = nn.gcn_layer_forward(adj, s, h_in, params, None, False)
         with pytest.raises(ValueError, match="aggregate"):
@@ -369,29 +378,47 @@ class TestMlp:
             nn.mlp_forward(np.zeros((2, 4)), mlp, rng, training=False)
 
 
+def _group(*arrays) -> nn.ParamGroup:
+    """A group whose parameters start as copies of `arrays`."""
+    group = nn.ParamGroup([a.shape for a in arrays], ops.rng_stream(0, 0), arrays[0].dtype)
+    for view, a in zip(group.params, arrays):
+        view[...] = a
+    return group
+
+
+def _reference_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-array Adam step the group step must reproduce bit for bit."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * np.square(g)
+        p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+
+
 class TestAdam:
     def test_zero_gradient_no_change(self):
-        p = [np.ones((3, 3))]
-        state = nn.AdamState.for_params(p)
-        before = p[0].copy()
-        nn.adam_step(p, [np.zeros((3, 3))], state, lr=0.1)
-        np.testing.assert_array_equal(p[0], before)
+        group = _group(np.ones((3, 3)))
+        before = group.param.copy()
+        nn.adam_step(group, lr=0.1)
+        np.testing.assert_array_equal(group.param, before)
 
     def test_scalar_hand_value(self):
-        p = [np.array([1.0])]
-        state = nn.AdamState.for_params(p)
-        nn.adam_step(p, [np.array([1.0])], state, lr=0.1)
-        assert p[0][0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-15)
+        group = _group(np.array([1.0]))
+        group.grad[:] = 1.0
+        nn.adam_step(group, lr=0.1)
+        assert group.param[0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-15)
 
     def test_bit_identical_trajectories(self):
         def run():
             rng = ops.rng_stream(12, 0)
-            p = [rng.standard_normal((4, 4))]
-            state = nn.AdamState.for_params(p)
+            group = _group(rng.standard_normal((4, 4)))
             for _ in range(20):
-                g = [rng.standard_normal((4, 4))]
-                nn.adam_step(p, g, state, lr=0.01)
-            return p[0]
+                group.grad[:] = rng.standard_normal(16)
+                nn.adam_step(group, lr=0.01)
+            return group.param
 
         np.testing.assert_array_equal(run(), run())
 
@@ -400,20 +427,90 @@ class TestAdam:
         g = rng.standard_normal((5, 5))
         deltas = []
         for c in (1.0, 100.0):
-            p = [np.zeros((5, 5))]
-            state = nn.AdamState.for_params(p)
-            nn.adam_step(p, [c * g], state, lr=0.05)
-            deltas.append(p[0].copy())
+            group = _group(np.zeros((5, 5)))
+            group.grads[0][...] = c * g
+            nn.adam_step(group, lr=0.05)
+            deltas.append(group.params[0].copy())
         np.testing.assert_array_equal(np.sign(deltas[0]), np.sign(deltas[1]))
         # first-step magnitude is bounded by lr for any gradient scale
         for d in deltas:
             assert np.abs(d).max() <= 0.05 + 1e-12
 
     def test_non_finite_gradient_fails_fast(self):
-        p = [np.ones(2)]
-        state = nn.AdamState.for_params(p)
-        with pytest.raises(nn.NumericError):
-            nn.adam_step(p, [np.array([1.0, np.nan])], state, lr=0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            group = _group(np.ones(2), np.ones((2, 2)))
+            group.grad[:] = 1.0
+            group.grads[1][1, 0] = bad
+            before = [a.copy() for a in (group.param, group.m, group.v)]
+            with pytest.raises(nn.NumericError):
+                nn.adam_step(group, lr=0.1)
+            # nothing changed
+            assert group.t == 0
+            for a, b in zip(before, (group.param, group.m, group.v)):
+                np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shapes=st.lists(
+            st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 7), st.integers(1, 7))),
+            min_size=1, max_size=4,
+        ),
+        lrs=st.lists(st.sampled_from([0.0, 1e-3, 0.01, 0.3]), min_size=1, max_size=4),
+        chunk=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_group_step_matches_per_array_reference(self, dtype, shapes, lrs, chunk, seed):
+        rng = np.random.default_rng(seed)
+        start = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        with mock.patch.object(nn, "_ADAM_CHUNK", chunk):  # several passes, the last one short
+            group = _group(*start)
+        params = [a.copy() for a in start]
+        m = [np.zeros_like(a) for a in start]
+        v = [np.zeros_like(a) for a in start]
+        for t, lr in enumerate(lrs, start=1):
+            grads = [(rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 4)).astype(dtype) for a in start]
+            for view, g in zip(group.grads, grads):
+                view[...] = g
+            nn.adam_step(group, lr)
+            _reference_adam(params, grads, m, v, t, lr)
+            for got, want in zip(group.params, params):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            for got, want in zip(group.grads, grads):  # the gradients are left as they were
+                np.testing.assert_array_equal(got, want)
+
+    def test_step_over_a_large_group_allocates_no_temporary(self):
+        group = nn.ParamGroup([(1000, 1000)], ops.rng_stream(19, 0), np.float32)
+        group.grad[:] = 0.5
+        tracemalloc.start()
+        try:
+            nn.adam_step(group, lr=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no temporary of the group's 4 MB, nor of one 256 kB chunk
+        assert peak < 64 << 10
+
+
+class TestParamGroup:
+    def test_built_in_place_from_the_stream_in_order(self):
+        shapes = [(3, 4), (4,), (4, 2), (2,)]
+        group = nn.ParamGroup(shapes, ops.rng_stream(20, 0), np.float32)
+        ref = ops.rng_stream(20, 0)
+        for view, shape in zip(group.params, shapes):
+            assert view.shape == shape and np.shares_memory(view, group.param)
+            if len(shape) == 2:
+                a = np.sqrt(6.0 / sum(shape))
+                np.testing.assert_array_equal(view, ref.uniform(-a, a, size=shape).astype(np.float32))
+            else:
+                assert not view.any()
+        assert group.size == 12 + 4 + 8 + 2
+        # views tile the buffers in order
+        offsets = [a.ctypes.data - group.param.ctypes.data for a in group.params]
+        assert offsets == [0, 48, 64, 96]
+        grad_offsets = [a.ctypes.data - group.grad.ctypes.data for a in group.grads]
+        assert grad_offsets == offsets
 
 
 class TestCosineSchedule:
@@ -437,11 +534,11 @@ class TestCountParams:
         g = synth_graph(n=30, classes=3, d_feat=6, p_in=0.3, p_out=0.1, signal=1.0, seed=7)
         run = engine.build_run(g, engine.TrainConfig(variant="slice_se", p=2, hidden=7, layers=2))
         # per worker: (2*3*4+4) + (2*4*4+4) = 64; two workers
-        assert [sum(a.size for a in w.param_arrays()) for w in run.workers] == [64, 64]
+        assert [sum(a.size for a in w.group.params) for w in run.workers] == [64, 64]
         assert run.head.fusion is None
         assert run.head.encoding.table.size == 8
         # classifier 8 -> 7 -> 3
-        assert sum(a.size for a in run.head.classifier.arrays()) == (8 * 7 + 7) + (7 * 3 + 3)
+        assert sum(a.size for layer in run.head.classifier.layers for a in layer) == (8 * 7 + 7) + (7 * 3 + 3)
         assert run.param_count == 128 + 8 + 87
 
     def test_single_form_halves_layer_weights(self):

@@ -131,23 +131,23 @@ class TestSpmmNorm:
 
 class TestGlorot:
     def test_bound(self):
-        m = ops.glorot_init(20, 30, ops.rng_stream(1, 0))
+        m = ops.glorot_init(np.empty((20, 30)), ops.rng_stream(1, 0))
         assert np.abs(m).max() <= np.sqrt(6.0 / 50)
 
     def test_large_sample_mean_near_zero(self):
-        m = ops.glorot_init(512, 512, ops.rng_stream(2, 0))
+        m = ops.glorot_init(np.empty((512, 512)), ops.rng_stream(2, 0))
         a = np.sqrt(6.0 / 1024)
         # uniform std is a/sqrt(3); allow 3 sigma of the sample mean
         assert abs(m.mean()) < 3 * a / np.sqrt(3 * 512 * 512)
 
     def test_same_stream_same_matrix(self):
-        a = ops.glorot_init(8, 8, ops.rng_stream(3, 4))
-        b = ops.glorot_init(8, 8, ops.rng_stream(3, 4))
+        a = ops.glorot_init(np.empty((8, 8)), ops.rng_stream(3, 4))
+        b = ops.glorot_init(np.empty((8, 8)), ops.rng_stream(3, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
-            ops.glorot_init(0, 4, ops.rng_stream(0, 0))
+            ops.glorot_init(np.empty((0, 4)), ops.rng_stream(0, 0))
 
 
 class TestRelu:
@@ -374,7 +374,7 @@ class TestDeterminism:
     def test_op_sequence_bit_identical(self):
         def pipeline():
             rng = ops.rng_stream(42, 3)
-            w = ops.glorot_init(12, 8, rng, np.float32)
+            w = ops.glorot_init(np.empty((12, 8), np.float32), rng)
             x = rng.standard_normal((20, 12)).astype(np.float32)
             y, _, _ = ops.dropout(ops.relu(x @ w), 0.4, True, rng)
             return y

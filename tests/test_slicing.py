@@ -127,7 +127,7 @@ class TestFeatureFusion:
         # 300 features: 120,701 fused-slice parameters at p=3, 135,751 at p=2
         for p, expect in ((3, 120_701), (2, 135_751)):
             ff = self._fusion(300, p)
-            assert sum(a.size for a in ff.arrays()) == expect
+            assert sum(a.size for layer in ff.layers for a in layer) == expect
 
     def test_zero_weights_zero_output(self):
         ff = self._fusion(6, 2)
@@ -177,7 +177,7 @@ class TestFeatureFusion:
         z, cache = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
         grads = slicing.feature_fusion_backward(z - target, cache, ff)
         flat = [g for pair in grads for g in pair]
-        params = ff.arrays()
+        params = [a for layer in ff.layers for a in layer]
         h = 1e-6
         for param, ana in zip(params, flat):
             fd = np.zeros_like(param)
