@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import os
+import resource
 import sys
 from pathlib import Path
 
@@ -261,6 +262,18 @@ def _config_echo(settings: dict) -> dict:
     return echo
 
 
+def _log_epoch(report, _logits) -> None:
+    """One debug line per epoch: loss, and the process's minor page faults
+    and peak resident memory so far (getrusage). Log only: the artifact
+    never sees it."""
+    if log.isEnabledFor(logging.DEBUG):
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        log.debug(
+            "epoch %d loss=%.6f minor_faults=%d max_rss_kb=%d",
+            report.epoch, report.loss, usage.ru_minflt, usage.ru_maxrss,
+        )
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec, args.spec_flags) if args.spec else {}
     settings = _merge_settings(args, spec)
@@ -273,7 +286,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         graph.num_nodes,
         graph.num_features,
     )
-    summary, reports = engine.train(graph, config)
+    summary, reports = engine.train(graph, config, on_epoch=_log_epoch)
     include_timing = not settings["no_timing"]
     artifact = build_artifact(_config_echo(settings), summary, reports, include_timing)
 
@@ -357,9 +370,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_validate_dataset(path: str) -> int:
     graph = load_dataset(path)
-    undirected_edges = graph.adj.num_edges // 2
+    rows, cols = graph.adj.edge_list().T
+    loops = int((rows == cols).sum())  # a self-loop is stored once, any other edge twice
     print(f"nodes:    {graph.num_nodes}")
-    print(f"edges:    {undirected_edges}")
+    print(f"edges:    {(graph.adj.num_edges - loops) // 2 + loops} (self-loops: {loops})")
     print(f"features: {graph.num_features}")
     print(f"classes:  {graph.num_classes}")
     counts = [int((graph.split == t).sum()) for t in (0, 1, 2)]

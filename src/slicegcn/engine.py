@@ -31,6 +31,13 @@ draw of a training forward, so the evaluation pass hands those dropout-free
 results to the next training forward: the worker and the head each keep
 their own, the training forward consumes it, and a parameter update drops
 it. The evaluation pass of the last epoch keeps nothing.
+
+Every device and the head own workspaces (`ops.Workspace`) that hold their
+per-epoch arrays, made in the first epoch and reused after: a kept layer 0
+stays where the evaluation pass wrote it, devices write their outputs
+straight into their column blocks of the head's representation, and
+backward passes write gradients over forward arrays that are dead by then
+(README, "Memory").
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,7 +119,8 @@ class TrainConfig:
 
 @dataclass
 class WorkerState:
-    """One simulated device: its layer stack, their optimizer group, and RNG stream."""
+    """One simulated device: its layer stack, their optimizer group, RNG
+    stream, and the workspace its per-epoch arrays live in."""
 
     device_index: int
     layers: list  # of GcnLayerParams, views into group
@@ -121,16 +129,21 @@ class WorkerState:
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
     layer0: Optional[tuple] = None  # (output, pre) of layer 0, kept by an eval forward
+    ws: ops.Workspace = field(default_factory=ops.Workspace)
 
     def forward(
         self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False,
-        keep: bool = False,
+        keep: bool = False, out=None,
     ):
         """`fixed_input`: x is the same in every call, so Â·x is computed once.
 
         `keep` (an eval forward over a fixed input, followed by a forward
         with the same parameters) keeps layer 0's dropout-free result for
-        that forward, which consumes it.
+        that forward, which consumes it. It stays where the forward wrote
+        it, in the device's workspace; a one-layer stack keeps nothing, as
+        its output goes to `out`. `out`, when given, is the array the last
+        layer writes the device's output into; otherwise that is the
+        workspace too, and valid until the device's next forward.
         """
         if keep and (training or not fixed_input):
             raise ValueError("only an eval forward over a fixed input keeps layer 0")
@@ -145,8 +158,11 @@ class WorkerState:
         last = len(self.layers) - 1
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
-            h, c = nn.gcn_layer_forward(adj, s, h, layer, self.rng, training, rate, agg=agg, kept=kept)
-            if li == 0 and keep:
+            h, c = nn.gcn_layer_forward(
+                adj, s, h, layer, self.rng, training, rate, agg=agg, kept=kept,
+                ws=self.ws, layer=li, out=out if li == last else None,
+            )
+            if li == 0 and keep and li < last:
                 self.layer0 = (h, c.pre)
             agg = kept = None
             caches.append(c)
@@ -154,14 +170,28 @@ class WorkerState:
         return h
 
     def backward(self, adj, s, d_h, need_dx: bool):
-        """Writes the stack's gradients into its group; returns dX (None in direct mode)."""
+        """Writes the stack's gradients into its group; returns dX (None in direct mode).
+
+        It consumes the training forward's caches: the input gradient of
+        layer li > 0 is written over that layer's input, the output of layer
+        li - 1, which nothing reads afterwards; so one forward serves one
+        backward. dX goes to an array of the device's workspace, valid until
+        its next backward.
+        """
         grads = self.group.grads
         end = len(grads)
         d = d_h
         for li in range(len(self.layers) - 1, -1, -1):
-            start = end - len(self.layers[li].arrays())
+            layer, cache = self.layers[li], self.cache[li]
+            start = end - len(layer.arrays())
+            if li > 0:
+                d_in = cache.h_in
+            elif need_dx:
+                d_in = self.ws.get("dx", cache.h_in.shape, cache.h_in.dtype)
+            else:
+                d_in = None
             *_, d = nn.gcn_layer_backward(
-                self.cache[li], d, self.layers[li], adj, s, li > 0 or need_dx, out=grads[start:end]
+                cache, d, layer, adj, s, d_in is not None, out=grads[start:end], ws=self.ws, d_in=d_in
             )
             end = start
         return d
@@ -174,7 +204,11 @@ class WorkerState:
 
 @dataclass
 class MasterHead:
-    """Master-owned parameters: fusion (optional), encoding (optional), classifier."""
+    """Master-owned parameters: fusion (optional), encoding (optional), classifier.
+
+    The classifier's workspace also holds the gathered representation and
+    the logits' gradient; the fusion MLP has a workspace of its own.
+    """
 
     classifier: nn.MlpParams
     cls_rng: np.random.Generator
@@ -182,6 +216,8 @@ class MasterHead:
     fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
     fusion_layer0: Optional[tuple] = None  # (z, relu(z)) of fusion layer 0, kept by an eval forward
+    cls_ws: ops.Workspace = field(default_factory=ops.Workspace)
+    fusion_ws: ops.Workspace = field(default_factory=ops.Workspace)
 
     def groups(self) -> list:
         """The head's optimizer groups."""
@@ -198,7 +234,9 @@ class RunState:
     features: np.ndarray  # run-precision copy of graph features
     norm_scale: np.ndarray  # degree norms of graph.adj, in run precision
     slices: Optional[list]  # precomputed per-device inputs (direct mode)
-    train_idx: np.ndarray
+    train_idx: np.ndarray  # node indices of the train, val and test splits
+    val_idx: np.ndarray
+    test_idx: np.ndarray
 
     @property
     def param_count(self) -> int:
@@ -322,6 +360,8 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
         norm_scale=degree_norms(graph.adj).astype(dtype),
         slices=slices,
         train_idx=np.flatnonzero(graph.split == TRAIN),
+        val_idx=np.flatnonzero(graph.split == VAL),
+        test_idx=np.flatnonzero(graph.split == TEST),
     )
 
 
@@ -341,7 +381,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
     if cfg.use_ff:
         kept, head.fusion_layer0 = head.fusion_layer0, None
         z, fusion_cache = slicing.feature_fusion_forward(
-            run.features, head.fusion, head.fusion_rng, training, kept=kept
+            run.features, head.fusion, head.fusion_rng, training, kept=kept, ws=head.fusion_ws
         )
         if keep:
             head.fusion_layer0 = nn.mlp_first_layer(fusion_cache)
@@ -349,17 +389,24 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
     else:
         inputs = run.slices
 
+    # each device writes its output straight into its column block of the
+    # representation (the gather), which the slice encoding then updates in place
+    rep_shape = (run.graph.num_nodes, head.classifier.layers[0][0].shape[0])
+    rep = head.cls_ws.get("rep", rep_shape, run.features.dtype)
+    width = rep.shape[1] // cfg.p  # every device's output is equally wide
+    blocks = [rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
+
     def fwd(item):
-        worker, x = item
+        worker, x, out = item
         return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff,
-                              keep=keep and not cfg.use_ff)
+                              keep=keep and not cfg.use_ff, out=out)
 
-    outputs = pool.run(fwd, list(zip(run.workers, inputs)))
+    outputs = pool.run(fwd, list(zip(run.workers, inputs, blocks)))
     if cfg.use_se:
-        outputs = [nn.slice_encode(h, head.encoding, i) for i, h in enumerate(outputs)]
-    rep = outputs[0] if cfg.p == 1 else np.concatenate(outputs, axis=1)
+        for i, h in enumerate(outputs):
+            nn.slice_encode(h, head.encoding, i, out=h)
 
-    logits, cls_cache = nn.mlp_forward(rep, head.classifier, head.cls_rng, training)
+    logits, cls_cache = nn.mlp_forward(rep, head.classifier, head.cls_rng, training, ws=head.cls_ws)
     loss, d_sub = ops.softmax_cross_entropy(
         logits[run.train_idx], run.graph.labels[run.train_idx]
     )
@@ -368,7 +415,8 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
 
     ctx = EpochContext(representation=rep, logits=logits)
     if training:
-        d_logits = np.zeros_like(logits)
+        d_logits = head.cls_ws.get("d_logits", logits.shape, logits.dtype)
+        d_logits.fill(0)
         d_logits[run.train_idx] = d_sub
         ctx.cls_cache = cls_cache
         ctx.fusion_cache = fusion_cache
@@ -387,8 +435,12 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
 
-    cls_grads = head.classifier.group.grads
-    _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, head.classifier, out=cls_grads)
+    # the representation is dead once the classifier's weight gradients are
+    # formed, so its gradient is written over it
+    _, d_rep = nn.mlp_backward(
+        ctx.cls_cache, ctx.d_logits, head.classifier, out=head.classifier.group.grads,
+        ws=head.cls_ws, d_in=ctx.representation,
+    )
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
     blocks = [d_rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
@@ -407,10 +459,12 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
     dxs = pool.run(bwd, list(zip(run.workers, blocks)))
 
     if cfg.use_ff:
-        d_z = dxs[0].copy()
+        d_z = dxs[0]  # device 0's own array, dead after this sum
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads)
+        slicing.feature_fusion_backward(
+            d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads, ws=head.fusion_ws
+        )
 
 
 def apply_updates(run: RunState, lr: float) -> None:
@@ -446,9 +500,8 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def evaluate(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray, num_classes: int) -> float:
-    """Split metric: argmax accuracy, or AUC-ROC for binary tasks."""
-    idx = np.flatnonzero(mask)
+def evaluate(logits: np.ndarray, labels: np.ndarray, idx: np.ndarray, num_classes: int) -> float:
+    """Metric over the nodes `idx` of a split: argmax accuracy, or AUC-ROC for binary tasks."""
     if len(idx) == 0:
         raise ValueError("empty split")
     if num_classes == 2:
@@ -461,7 +514,7 @@ def evaluate(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray, num_class
 def _metrics(run: RunState, logits: np.ndarray):
     g = run.graph
     return tuple(
-        evaluate(logits, g.labels, g.split == tag, g.num_classes) for tag in (TRAIN, VAL, TEST)
+        evaluate(logits, g.labels, idx, g.num_classes) for idx in (run.train_idx, run.val_idx, run.test_idx)
     )
 
 
@@ -479,6 +532,9 @@ def train(
     The reported test metric is taken at the epoch with the best validation
     metric. Throughput covers the loop only (forward+backward+step+eval).
     `on_epoch(report, eval_logits)` is called after each epoch when given.
+    `eval_logits` is the classifier's output array, which every forward
+    rewrites: it is valid until the callback returns, and a callback that
+    keeps the logits keeps a copy.
     """
     run = build_run(graph, config)
     threads = config.threads if config.threads is not None else config.p

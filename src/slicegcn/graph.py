@@ -238,8 +238,9 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
 
     Directed inputs are symmetrized (reverse edges added, dedup) by default.
     With symmetrize=False the stored direction is preserved and a node
-    aggregates over its in-neighborhood. Self-loops are off by default; the
-    self path of the layer update covers the node itself.
+    aggregates over its in-neighborhood. A self-loop stored in edges.bin is
+    kept, as one entry; self_loops=True adds one to every node (by default
+    none is added: the self path of the layer update covers the node itself).
     """
     d = Path(dir_path)
     meta_path = d / "meta.json"

@@ -1,10 +1,14 @@
-"""Dense kernels with explicit gradients, plus deterministic RNG streams.
+"""Dense kernels with explicit gradients, deterministic RNG streams, and
+the workspace that holds an owner's reusable arrays.
 
 Matrices are plain numpy arrays, row-major, float32 or float64 (chosen once
 per run). Every kernel is a pure function of its inputs, except `dropout`,
 which writes its output into the array it is given (callers pass arrays they
-own). Nothing here keeps state, so arrays can be shared freely across worker
-threads.
+own). A kernel's `out=` keyword names the array its result is written into,
+and `ws=` a `Workspace` its temporaries come from; with neither, it
+allocates. Either way it rounds exactly as the allocating form does.
+Kernels keep no state; a workspace belongs to one owner, which uses it from
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +26,43 @@ STREAM_CLASSIFIER = (1 << 16) + 2
 _DROPOUT_CHUNK = 1 << 17  # raw draws per chunk of a dropout mask: 1 MB of uint64
 
 
+class Workspace:
+    """Arrays one owner reuses from call to call, each made at its first use.
+
+    `get(key, shape, dtype)` returns an array of that shape and dtype over
+    the key's memory, replacing the memory by a larger one when it is too
+    small; the same key, shape and dtype give the same array object. A key
+    names a lifetime, not a call site: values of different shapes share a
+    key when each is dead before the next is written (a kernel's
+    temporaries die when it returns), so a key's memory is the largest of
+    them and not their sum.
+    """
+
+    def __init__(self):
+        self._memory = {}  # key -> 1-D uint8 array
+        self._arrays = {}  # (key, shape, dtype) -> view of the key's memory
+
+    def get(self, key, shape: tuple, dtype) -> np.ndarray:
+        a = self._arrays.get((key, shape, dtype))
+        if a is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            memory = self._memory.get(key)
+            if memory is None or memory.size < nbytes:
+                memory = self._memory[key] = np.empty(nbytes, dtype=np.uint8)
+                self._arrays = {k: v for k, v in self._arrays.items() if k[0] != key}
+            a = self._arrays[key, shape, dtype] = memory[:nbytes].view(dtype).reshape(shape)
+        return a
+
+
+def _fresh(key, shape: tuple, dtype) -> np.ndarray:
+    return np.empty(shape, dtype=dtype)
+
+
+def allocator(ws: "Workspace | None"):
+    """`ws.get`, or a function of the same arguments returning a new array."""
+    return _fresh if ws is None else ws.get
+
+
 def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id).
 
@@ -33,7 +74,7 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False) -> np.ndarray:
+def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=None, ws=None) -> np.ndarray:
     """Degree-normalized sparse aggregation, out = Â H with Â = S A S.
 
     A[v, u] = 1 when u is stored in row v of `adj`, and S = diag(s), where s
@@ -47,28 +88,35 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False) -> np.
     over k in one np.add.reduce; then rows go back to node order. The reduce
     adds each row's terms one by one in CSR order from +0.0 (padding adds
     +0.0, a no-op there), so results are bit-identical for any thread schedule.
+
+    The padded input, the accumulator and the gather buffer come from `ws`
+    when given (they are dead when the call returns), and the result is
+    written into `out`, which a call with `ws` needs. Without `out` the
+    result is a view of the padded input, which is then allocated.
     """
     n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
         raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, graph has {n} nodes")
     if s.shape != (n,):
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
+    if ws is not None and out is None:
+        raise ValueError("spmm_norm: a call with a workspace needs `out`")
     lay = adj.blocks_t if transpose else adj.blocks
     width = max(c, 2)  # one column would make a one-row block's reduce pairwise, out of order
-    scaled = np.empty((n + 1, width), dtype=h.dtype)
+    new = allocator(ws)
+    scaled = new("spmm.padded", (n + 1, width), h.dtype)
     np.multiply(h, s[:, None], out=scaled[:n, :c])
     scaled[:n, c:] = scaled[n] = 0
-    acc = np.empty((n, width), dtype=h.dtype)
-    buf = np.empty((lay.max_entries, width), dtype=h.dtype)
+    acc = new("spmm.acc", (n, width), h.dtype)
+    buf = new("spmm.gather", (lay.max_entries, width), h.dtype)
     for lo, hi, d, offset in lay.blocks:
         m = d * (hi - lo)
         # indices are in range; "clip" lets take write into the buffer unbuffered
         np.take(scaled, lay.indices[offset : offset + m], axis=0, out=buf[:m], mode="clip")
         np.add.reduce(buf[:m].reshape(d, hi - lo, width), axis=0, out=acc[lo:hi], initial=0)
     # back to node order, into scaled, which is no longer read
-    out = np.take(acc, lay.rank, axis=0, out=scaled[:n], mode="clip")[:, :c]
-    out *= s[:, None]
-    return out
+    res = np.take(acc, lay.rank, axis=0, out=scaled[:n], mode="clip")[:, :c]
+    return np.multiply(res, s[:, None], out=res if out is None else out)
 
 
 def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -84,23 +132,27 @@ def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def relu(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0)
+def relu(a: np.ndarray, out=None) -> np.ndarray:
+    return np.maximum(a, 0, out=out)
 
 
-def relu_backward(a: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-    # Subgradient at 0 is 0.
-    return d_out * (a > 0)
+def relu_backward(a: np.ndarray, d_out: np.ndarray, out=None, mask=None) -> np.ndarray:
+    """d_out * (a > 0); the subgradient at 0 is 0.
+
+    `mask`, when given, is the bool array a > 0 is formed in; `out` may be
+    d_out itself.
+    """
+    return np.multiply(d_out, np.greater(a, 0, out=mask), out=out)
 
 
-def dropout(a, rate, training, rng):
+def dropout(a, rate, training, rng, keep=None):
     """Inverted dropout, in place: (a, keep mask, scale).
 
     Writes (a * keep) * scale into `a` and returns it; the keep mask is bool
-    and the scale is the scalar 1/(1-rate) in a's dtype. Survivors are scaled
-    at train time so evaluation is a plain forward pass. Returns
-    (a, None, None) when inactive; no rng draw happens then, keeping stream
-    positions independent of evaluation passes.
+    (written into `keep` when given) and the scale is the scalar 1/(1-rate)
+    in a's dtype. Survivors are scaled at train time so evaluation is a
+    plain forward pass. Returns (a, None, None) when inactive; no rng draw
+    happens then, keeping stream positions independent of evaluation passes.
 
     Each mask element costs 16 random bits. Element i (in C order) is 16-bit
     field i of the stream, where field 4k+j is bits [16j, 16j+16) of raw
@@ -115,7 +167,8 @@ def dropout(a, rate, training, rng):
     if not training or rate == 0.0:
         return a, None, None
     threshold = math.ceil(rate * 2.0**16)  # at most 2**16, as rate < 1
-    keep = np.empty(a.shape, dtype=bool)
+    if keep is None:
+        keep = np.empty(a.shape, dtype=bool)
     flat = keep.reshape(-1)
     step = 4 * _DROPOUT_CHUNK  # whole raw draws, so the chunk size leaves the mask alone
     for lo in range(0, flat.size, step):
@@ -132,12 +185,13 @@ def dropout(a, rate, training, rng):
     return a, keep, scale
 
 
-def apply_mask(a, keep, scale):
+def apply_mask(a, keep, scale, out=None):
     """(a * keep) * scale: dropout forward, and its backward on a gradient.
 
     Dropped entries become zeros carrying a's sign, as with a float mask.
+    `out` may be `a` itself.
     """
-    out = a * keep
+    out = np.multiply(a, keep, out=out)
     out *= scale
     return out
 

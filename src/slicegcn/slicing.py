@@ -81,27 +81,28 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
     return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
 
 
-def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept=None):
+def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept=None, ws=None):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
     not one per device. `kept` is the hidden layer's result from an
-    evaluation forward with the same parameters (see `nn.mlp_forward`).
+    evaluation forward with the same parameters, and `ws` the workspace the
+    MLP's arrays live in (see `nn.mlp_forward`).
     """
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
         raise ValueError(f"fusion hidden layer {w0.shape} does not match feature dim {x.shape[1]}")
-    return nn.mlp_forward(x, ff, rng, training, kept=kept)
+    return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, out=None):
+def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, out=None, ws=None):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
     d_z = sum of per-worker input gradients in fixed device order. Returns
     [(dW, db) per layer], written into `out` when given (see
-    `nn.mlp_backward`); the gradient w.r.t. the raw features is not
-    computed, since nothing upstream of the features trains.
+    `nn.mlp_backward`, also for `ws`); the gradient w.r.t. the raw features
+    is not computed, since nothing upstream of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, need_d_in=False, out=out)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, need_d_in=False, out=out, ws=ws)
     return grads

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slicegcn import cli, engine
 from slicegcn.cli import MetricsArtifact
-from slicegcn.graph import save_dataset, synth_graph
+from slicegcn.graph import AttributedGraph, build_csr, save_dataset, synth_graph
 
 SYNTH_ARGS = ["--dataset", "synth", "--synth-feat", "12", "--epochs", "4", "--seed", "7"]
 
@@ -163,6 +168,26 @@ class TestTrainCommand:
                       str(tmp_path / "m.json")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("level", ["debug", None])
+    def test_per_epoch_memory_line_only_under_debug(self, tmp_path, level):
+        # a fresh interpreter, so that SLICEGCN_LOG configures logging as it does for a user
+        env = {k: v for k, v in os.environ.items() if k != "SLICEGCN_LOG"}
+        if level:
+            env["SLICEGCN_LOG"] = level
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "m.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "slicegcn.cli", "train", *SYNTH_ARGS, "--out", str(out), "--no-timing"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = [line for line in done.stderr.splitlines() if "minor_faults=" in line]
+        assert len(lines) == (4 if level else 0)
+        if level:
+            assert all("loss=" in line and "max_rss_kb=" in line for line in lines)
+        assert "minor_faults" not in out.read_text()
+
 
 class TestBenchCommand:
     def test_three_cells_all_live(self, tmp_path, capsys):
@@ -197,6 +222,17 @@ class TestValidateDataset:
         assert f"edges:    {g.adj.num_edges // 2}" in text
         assert "features: 7" in text
         assert "classes:  3" in text
+
+    def test_self_loop_counted_once(self, tmp_path, capsys):
+        # edges 0-1, 1-2, 3-3, 4-5: a self-loop is stored once, every other edge twice
+        edges = np.array([[0, 1], [1, 2], [3, 3], [4, 5]])
+        g = AttributedGraph(
+            adj=build_csr(6, edges), features=np.zeros((6, 2), np.float32),
+            labels=np.array([0, 1, 2, 0, 1, 2]), num_classes=3, split=np.array([0, 0, 1, 1, 2, 2], np.uint8),
+        )
+        save_dataset(g, tmp_path / "ds")
+        assert run_cli(["validate-dataset", str(tmp_path / "ds")]) == 0
+        assert "edges:    4 (self-loops: 1)" in capsys.readouterr().out
 
     def test_truncated_features_names_file(self, tmp_path, capsys):
         g = synth_graph(n=20, classes=2, d_feat=4, p_in=0.3, p_out=0.1, signal=1.0, seed=4)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import slicegcn
 from slicegcn import engine, nn, ops
 from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
-from slicegcn.graph import degree_norms, synth_graph
+from slicegcn.graph import TEST, TRAIN, VAL, degree_norms, synth_graph
 
 
 def auc_pair_counting(scores, labels):
@@ -98,6 +99,12 @@ class TestBuildRun:
             )
 
 
+    def test_split_indices_held_by_the_run(self, small_graph):
+        run = engine.build_run(small_graph, TrainConfig())
+        for idx, tag in ((run.train_idx, TRAIN), (run.val_idx, VAL), (run.test_idx, TEST)):
+            np.testing.assert_array_equal(idx, np.flatnonzero(small_graph.split == tag))
+
+
 class TestEpochForward:
     def test_zero_model_uniform_loss(self, small_graph):
         cfg = TrainConfig(variant="slice_se", p=2, hidden=8, layers=2, seed=0, precision="f64")
@@ -127,10 +134,11 @@ class TestEpochForward:
         run = engine.build_run(small_graph, cfg)
         with _WorkerPool(1) as pool:
             _, _, ctx0 = engine.epoch_forward(run, training=False, pool=pool)
+            before = ctx0.representation.copy()  # the next forward rewrites the head's array
             for a in run.workers[1].group.params:
                 a += 0.37
             _, _, ctx1 = engine.epoch_forward(run, training=False, pool=pool)
-        before, after = ctx0.representation, ctx1.representation
+        after = ctx1.representation
         h_out = before.shape[1] // 3
         changed = [
             not np.array_equal(before[:, i * h_out : (i + 1) * h_out],
@@ -158,20 +166,21 @@ class TestEpochBackward:
 
     def test_worker_gradient_ignores_other_blocks(self, small_graph):
         # zeroing worker 1's columns of the gathered gradient leaves worker
-        # 0's parameter gradients unchanged (column blocks are independent)
+        # 0's parameter gradients unchanged (column blocks are independent);
+        # a backward consumes its forward, so each backward gets a run of its own
         cfg = TrainConfig(variant="slice", p=2, hidden=8, layers=2, seed=7, precision="f64")
-        run = engine.build_run(small_graph, cfg)
-        h_out = run.workers[0].layers[-1].bias.size
-        adj, s = run.graph.adj, run.norm_scale
-        with _WorkerPool(1) as pool:
-            _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-        _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, run.head.classifier)
-        run.workers[0].backward(adj, s, d_rep[:, :h_out], need_dx=False)
-        keep = [g.copy() for g in run.workers[0].group.grads]
-        zeroed = d_rep.copy()
-        zeroed[:, h_out:] = 0  # worker 1's block
-        run.workers[0].backward(adj, s, zeroed[:, :h_out], need_dx=False)
-        for a, b in zip(keep, run.workers[0].group.grads):
+        grads = []
+        for zero_other_block in (False, True):
+            run = engine.build_run(small_graph, cfg)
+            h_out = run.workers[0].layers[-1].bias.size
+            with _WorkerPool(1) as pool:
+                _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+            _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, run.head.classifier)
+            if zero_other_block:
+                d_rep[:, h_out:] = 0  # worker 1's block
+            run.workers[0].backward(run.graph.adj, run.norm_scale, d_rep[:, :h_out], need_dx=False)
+            grads.append(run.workers[0].group.grads)
+        for a, b in zip(*grads):
             np.testing.assert_array_equal(a, b)
 
 
@@ -462,17 +471,17 @@ class TestEvaluate:
     def test_perfect_predictions(self):
         labels = np.array([0, 1, 2, 1])
         logits = np.eye(3)[labels] * 10.0
-        assert evaluate(logits, labels, np.ones(4, bool), 3) == 1.0
+        assert evaluate(logits, labels, np.arange(4), 3) == 1.0
 
     def test_binary_uses_ranking(self):
         labels = np.array([1, 0, 1, 0])
         logits = np.array([[0.0, 3.0], [0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
         # scores rank pos, neg, pos, neg -> 3 of 4 pairs concordant
-        assert evaluate(logits, labels, np.ones(4, bool), 2) == pytest.approx(0.75)
+        assert evaluate(logits, labels, np.arange(4), 2) == pytest.approx(0.75)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            evaluate(np.zeros((2, 3)), np.zeros(2, dtype=int), np.zeros(2, bool), 3)
+            evaluate(np.zeros((2, 3)), np.zeros(2, dtype=int), np.arange(0), 3)
 
 
 class TestAucRoc:
@@ -550,9 +559,83 @@ class TestInputAggregate:
         for w, x in zip(run.workers, run.slices):
             np.testing.assert_array_equal(w.input_agg, ops.spmm_norm(adj, s, x))
             # layer 0 widens (6 -> 8), so reuse keeps the aggregate-first order bit for bit
-            reused = w.forward(adj, s, x, False, cfg.dropout, fixed_input=True)
+            # a forward's output lives in the device's workspace until its next forward
+            reused = w.forward(adj, s, x, False, cfg.dropout, fixed_input=True).copy()
             fresh = w.forward(adj, s, x, False, cfg.dropout)
             np.testing.assert_array_equal(reused, fresh)
+
+
+class TestBuffers:
+    """Per-epoch arrays live in buffers their owners reuse from epoch to epoch."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice", 2), ("slice_ffse", 2)])
+    def test_steady_epoch_allocates_less_than_one_layer_array(self, variant, p, threads):
+        # from one epoch's end to the next, traced memory never rises by as much
+        # as one n x hidden f32 array once the buffers exist (after epoch 0);
+        # what remains are dropout's raw draws, half a mask's f32 size, and
+        # numpy's fixed-size ufunc buffers
+        n, hidden = 1000, 64
+        g = synth_graph(n=n, classes=3, d_feat=16, p_in=0.1, p_out=0.01, signal=1.0, seed=2)
+        cfg = TrainConfig(variant=variant, p=p, epochs=6, hidden=hidden, seed=1, threads=threads)
+        rises, base = [], []
+
+        def on_epoch(report, logits):
+            current, peak = tracemalloc.get_traced_memory()
+            if base:
+                rises.append(peak - base[-1])
+            tracemalloc.reset_peak()
+            base.append(current)
+
+        tracemalloc.start()
+        try:
+            engine.train(g, cfg, on_epoch=on_epoch)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == cfg.epochs - 1
+        assert max(rises[1:]) < n * hidden * 4, rises
+
+    @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_se", 2), ("slice_ffse", 2)])
+    def test_trainings_in_one_process_are_bit_identical(self, small_graph, variant, p):
+        # no state leaks from one run's buffers into the next run
+        cfg = TrainConfig(variant=variant, p=p, epochs=4, hidden=16, layers=3, seed=5)
+
+        def rows():
+            _, reports = engine.train(small_graph, cfg)
+            return [(r.loss, r.train_metric, r.val_metric, r.test_metric) for r in reports]
+
+        assert rows() == rows()
+
+    def test_eval_logits_valid_until_the_callback_returns(self, small_graph):
+        # on_epoch gets the classifier's own array, which the next forward rewrites
+        seen, copies = [], []
+
+        def on_epoch(report, logits):
+            seen.append(logits)
+            copies.append(logits.copy())
+
+        engine.train(small_graph, TrainConfig(variant="slice", p=2, epochs=3, hidden=8, seed=1), on_epoch=on_epoch)
+        assert seen[0] is seen[1] is seen[2]
+        assert not np.array_equal(copies[0], copies[1])
+        np.testing.assert_array_equal(seen[0], copies[-1])
+
+    def test_backward_writes_over_dead_forward_arrays(self, small_graph):
+        # the representation's gradient is written over the representation,
+        # bit for bit the allocating backward's; fusion mode sums the devices'
+        # input gradients into device 0's own array
+        cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
+        run = engine.build_run(small_graph, cfg)
+        seen = []
+        fusion_backward = engine.slicing.feature_fusion_backward
+        with _WorkerPool(1) as pool, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine.slicing, "feature_fusion_backward",
+                       lambda d_z, *a, **k: seen.append(d_z) or fusion_backward(d_z, *a, **k))
+            _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+            _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, run.head.classifier)
+            engine.epoch_backward(run, ctx, pool, 1e-2)
+        np.testing.assert_array_equal(ctx.representation, d_rep)
+        w0 = run.workers[0]
+        assert seen[0] is w0.ws.get("dx", seen[0].shape, seen[0].dtype)
 
 
 class TestNumpyOnly:
