@@ -274,9 +274,27 @@ def _log_epoch(report, _logits) -> None:
         )
 
 
+def _check_out_path(path: Path) -> None:
+    """Fails unless a file can be written at `path`: it is no directory, and
+    its nearest existing ancestor is one. Checked before any epoch runs."""
+    if path.is_dir():
+        raise UsageError(f"cannot write {path}: it is a directory")
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise UsageError(f"cannot write {path}: {parent} is not a directory")
+            return
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec, args.spec_flags) if args.spec else {}
     settings = _merge_settings(args, spec)
+    out_path = Path(settings["out"])
+    _check_out_path(out_path)
+    csv_path = out_path.with_suffix(".csv")
+    if csv_path == out_path:
+        raise UsageError(f"cannot write {out_path}: the per-epoch CSV goes to the same path")
+    _check_out_path(csv_path)
     graph = _resolve_graph(settings)
     config = _make_config(settings)
     log.info(
@@ -290,10 +308,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     include_timing = not settings["no_timing"]
     artifact = build_artifact(_config_echo(settings), summary, reports, include_timing)
 
-    out_path = Path(settings["out"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(artifact.to_json())
-    csv_path = out_path.with_suffix(".csv")
     csv_path.write_text(epochs_csv(reports))
 
     print(
@@ -345,16 +361,18 @@ def bench_table(rows: list) -> str:
 def cmd_bench(args: argparse.Namespace) -> int:
     cells = _parse_cells(args.cells)
     settings = _merge_settings(args, {})
+    out = Path(args.out) if args.out else None
+    if out:
+        _check_out_path(out)
+    configs = [_make_config(dict(settings, variant=variant, p=p)) for variant, p in cells]
     graph = _resolve_graph(settings)
     rows = []
-    for variant, p in cells:
-        cell_settings = dict(settings, variant=variant, p=p)
-        config = _make_config(cell_settings)
-        log.info("bench cell %s p=%d", variant, p)
+    for config in configs:
+        log.info("bench cell %s p=%d", config.variant, config.p)
         summary, _ = engine.train(graph, config)
         rows.append(
             {
-                "cell": f"{variant} p={p}",
+                "cell": f"{config.variant} p={config.p}",
                 "metric": summary.test_at_best_val,
                 "throughput_eps": summary.throughput_eps or 0.0,
                 "params": summary.param_count,
@@ -362,9 +380,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
     table = bench_table(rows)
     print(table)
-    if getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps({"cells": rows}, indent=2) + "\n")
-        print(f"wrote {args.out}")
+    if out:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps({"cells": rows}, indent=2) + "\n")
+        print(f"wrote {out}")
     return EXIT_OK
 
 

@@ -32,12 +32,12 @@ results to the next training forward: the worker and the head each keep
 their own, the training forward consumes it, and a parameter update drops
 it. The evaluation pass of the last epoch keeps nothing.
 
-Every device and the head own workspaces (`ops.Workspace`) that hold their
-per-epoch arrays, made in the first epoch and reused after: a kept layer 0
-stays where the evaluation pass wrote it, devices write their outputs
-straight into their column blocks of the head's representation, and
-backward passes write gradients over forward arrays that are dead by then
-(README, "Memory").
+Every device and the head own workspaces (`ops.Workspace`), and each
+layer and SpMM runs in its owner's, where its per-epoch arrays are made in
+the first epoch and reused after: a kept layer 0 stays where the
+evaluation pass wrote it, devices write their outputs straight into their
+column blocks of the head's representation, and backward passes write
+gradients over forward arrays that are dead by then (README, "Memory").
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class WorkerState:
         agg = kept = None
         if fixed_input:
             if self.input_agg is None:
-                self.input_agg = ops.spmm_norm(adj, s, x)
+                self.input_agg = ops.spmm_norm(adj, s, x, ws=ops.Workspace())  # keeps its padded buffer
             agg = self.input_agg
             kept, self.layer0 = self.layer0, None
         h = x
@@ -191,7 +191,7 @@ class WorkerState:
             else:
                 d_in = None
             *_, d = nn.gcn_layer_backward(
-                cache, d, layer, adj, s, d_in is not None, out=grads[start:end], ws=self.ws, d_in=d_in
+                cache, d, layer, adj, s, out=grads[start:end], ws=self.ws, d_in=d_in
             )
             end = start
         return d

@@ -27,14 +27,14 @@ pass over a fixed input can hand its first layer's result (`kept`) to the
 next training forward, which then only draws dropout. The same holds for
 the first layer of an MLP. Any parameter update invalidates a kept result.
 
-Forward and backward passes take an `ops.Workspace` (`ws`) of their owner.
-With one, a layer writes its cached arrays and output under per-layer keys,
-so each pass writes the arrays the previous pass did; a kept result is then
-already where the training forward reads it. Temporaries share the
-workspace's scratch keys, and backward passes write gradients over forward
-arrays that nothing reads afterwards (see `mlp_backward`). `out` and `d_in`
-name arrays to write a result into. Without a workspace every array is
-allocated; the arithmetic, and so every bit of the results, is the same.
+Forward and backward passes run in their owner's `ops.Workspace` (`ws`),
+and a result lives there unless `out` names an array for it; parameter
+gradients go to the `out` arrays, and an input gradient to `d_in`, formed
+only when given. A layer writes its cached arrays and output under
+per-layer keys, so each pass writes the arrays the previous pass did; a kept
+result is then already where the training forward reads it. Temporaries
+share scratch keys, and backward passes write gradients over forward arrays
+that nothing reads afterwards (see `mlp_backward`).
 
 All backward passes are hand-derived reverse-mode gradients. The input
 gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
@@ -110,11 +110,8 @@ class GcnLayerCache:
 
 
 def _relu_mask(keep, ws, shape):
-    """The bool array a backward pass with a workspace forms ReLU's mask in:
-    the dropout keep mask, dead once applied, or else scratch. None without
-    a workspace (the mask is then allocated)."""
-    if ws is None:
-        return None
+    """The bool array a backward pass forms ReLU's mask in: the dropout keep
+    mask, dead once applied, or else scratch."""
     return keep if keep is not None else ws.get("relu.mask", shape, bool)
 
 
@@ -125,7 +122,7 @@ def _narrows(params: GcnLayerParams) -> bool:
 
 def gcn_layer_forward(
     adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
-    kept=None, ws=None, layer=0, out=None,
+    kept=None, *, ws, layer=0, out=None,
 ):
     """One layer. Dropout (if rate > 0) is applied to the layer output.
 
@@ -135,83 +132,72 @@ def gcn_layer_forward(
     of an evaluation forward over the same h_in, agg and parameters; only
     dropout is computed then, in place, so the kept output is consumed.
 
-    With a workspace `ws`, the layer's cached arrays (pre-activation,
-    aggregate, keep mask) and its output live under keys (layer, name), so
-    every pass through layer `layer` writes the same arrays, and its
-    temporaries share the workspace's scratch keys. `out`, when given, is
-    the array the output is written into instead.
+    The layer's cached arrays (pre-activation, aggregate, keep mask) and
+    its output live in `ws` under keys (layer, name), so every pass through
+    layer `layer` writes the same arrays, and its temporaries share the
+    workspace's scratch keys. `out`, when given, is the array the output is
+    written into instead.
     """
-    new = ops.allocator(ws)
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
     if kept is not None:
         if agg is None:
             raise ValueError("a kept layer result needs the aggregate its backward pass uses")
         h_out, pre = kept
     else:
-        pre = new((layer, "pre"), (n, w_out), dtype)
+        pre = ws.get((layer, "pre"), (n, w_out), dtype)
         if agg is None and _narrows(params):
-            t = np.matmul(h_in, params.w_agg, out=new("tmp", (n, w_out), dtype))
+            t = np.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
             ops.spmm_norm(adj, s, t, out=pre, ws=ws)
         else:
             if agg is None:
-                agg = ops.spmm_norm(adj, s, h_in, out=new((layer, "agg"), (n, w_in), dtype), ws=ws)
+                agg = ops.spmm_norm(adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws)
             np.matmul(agg, params.w_agg, out=pre)
         pre += params.bias
-        h_out = ops.relu(pre, out=new((layer, "out"), (n, w_out), dtype) if out is None else out)
+        h_out = ops.relu(pre, out=ws.get((layer, "out"), (n, w_out), dtype) if out is None else out)
         if params.w_self is not None:
-            h_out += np.matmul(h_in, params.w_self, out=new("tmp", (n, w_out), dtype))
-    keep = new((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
+            h_out += np.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
+    keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
     h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep)
     return h_out, GcnLayerCache(h_in=h_in, agg=agg, pre=pre, keep=keep, scale=scale)
 
 
-def gcn_layer_backward(
-    cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, need_d_in: bool = True, out=None,
-    ws=None, d_in=None,
-):
+def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, out, ws, d_in=None):
     """Gradients (dW_agg, dW_self, db, dH_in); dW_self/dH_in may be None.
 
-    `out`, when given, holds the arrays to write the parameter gradients
-    into, aligned with `params.arrays()`; they are returned. `d_in`, when
-    given, is the array dH_in is written into. With a workspace `ws` the
-    temporaries come from its scratch keys and the dropout mask is applied
-    to `d_out` in place.
+    `out` holds the arrays to write the parameter gradients into, aligned
+    with `params.arrays()`; they are returned. dH_in is written into `d_in`,
+    and is not formed without it. The temporaries come from the scratch keys
+    of `ws`, and the dropout mask is applied to `d_out` in place.
 
     A narrowing layer forms G = Âᵀ d_pre once, at the output width, for
     dW_agg = H_inᵀ G (when the forward kept no aggregate) and dH_in = G W_aggᵀ.
     dH_in is formed last, after every read of H_in, so `d_in` may be H_in's
     own array.
     """
-    new = ops.allocator(ws)
     n, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
-    if out is None:
-        out = [None] * len(params.arrays())
     if cache.keep is not None:
-        d_out = ops.apply_mask(d_out, cache.keep, cache.scale, out=None if ws is None else d_out)
-    d_pre = ops.relu_backward(
-        cache.pre, d_out, out=new("d_pre", (n, w_out), dtype), mask=_relu_mask(cache.keep, ws, cache.pre.shape)
-    )
+        ops.apply_mask(d_out, cache.keep, cache.scale, out=d_out)
+    mask = _relu_mask(cache.keep, ws, cache.pre.shape)
+    d_pre = ops.relu_backward(cache.pre, d_out, out=ws.get("d_pre", (n, w_out), dtype), mask=mask)
     db = np.sum(d_pre, axis=0, out=out[-1])
     narrows = _narrows(params)
     g = None
-    if narrows and (cache.agg is None or need_d_in):
-        g = ops.spmm_norm(adj, s, d_pre, transpose=True, out=new("tmp", (n, w_out), dtype), ws=ws)
+    if narrows and (cache.agg is None or d_in is not None):
+        g = ops.spmm_norm(adj, s, d_pre, transpose=True, out=ws.get("tmp", (n, w_out), dtype), ws=ws)
     if cache.agg is None:
         dw_agg = np.matmul(cache.h_in.T, g, out=out[0])
     else:
         dw_agg = np.matmul(cache.agg.T, d_pre, out=out[0])
     dw_self = np.matmul(cache.h_in.T, d_out, out=out[1]) if params.w_self is not None else None
-    if not need_d_in:
-        return dw_agg, dw_self, db, None
     if d_in is None:
-        d_in = np.empty((n, w_in), dtype=dtype)
+        return dw_agg, dw_self, db, None
     if narrows:
         np.matmul(g, params.w_agg.T, out=d_in)
     else:
-        t = np.matmul(d_pre, params.w_agg.T, out=new("tmp", (n, w_in), dtype))
+        t = np.matmul(d_pre, params.w_agg.T, out=ws.get("tmp", (n, w_in), dtype))
         ops.spmm_norm(adj, s, t, transpose=True, out=d_in, ws=ws)
     if params.w_self is not None:
-        d_in += np.matmul(d_out, params.w_self.T, out=new("tmp", (n, w_in), dtype))
+        d_in += np.matmul(d_out, params.w_self.T, out=ws.get("tmp", (n, w_in), dtype))
     return dw_agg, dw_self, db, d_in
 
 
@@ -235,17 +221,16 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, ws=None):
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, *, ws):
     """Returns (output, cache). The last layer is linear (no activation).
 
     `kept`, when given, is the (z, relu(z)) pair of the first hidden layer
     from an evaluation forward over the same x and parameters (see
     `mlp_first_layer`); that layer then only applies dropout, in place, so
-    the kept relu(z) is consumed. With a workspace `ws`, layer li writes z,
-    relu(z), its keep mask and the output under keys (li, name), so every
-    pass writes the same arrays, and a kept pair is already in place.
+    the kept relu(z) is consumed. Layer li writes z, relu(z), its keep mask
+    and the output into `ws` under keys (li, name), so every pass writes the
+    same arrays, and a kept pair is already in place.
     """
-    new = ops.allocator(ws)
     cache = []
     h = x
     last = len(mlp.layers) - 1
@@ -255,16 +240,16 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, ws=None):
         shape = (h.shape[0], w.shape[1])
         if li == last:
             cache.append((h, None, None, None))
-            h = np.matmul(h, w, out=new((li, "out"), shape, h.dtype))
+            h = np.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
             h += b
             continue
         if li == 0 and kept is not None:
             z, a = kept
         else:
-            z = np.matmul(h, w, out=new((li, "z"), shape, h.dtype))
+            z = np.matmul(h, w, out=ws.get((li, "z"), shape, h.dtype))
             z += b
-            a = ops.relu(z, out=new((li, "a"), shape, h.dtype))
-        keep = new((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
+            a = ops.relu(z, out=ws.get((li, "a"), shape, h.dtype))
+        keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
         a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep)
         cache.append((h, z, keep, scale))
         h = a
@@ -277,17 +262,15 @@ def mlp_first_layer(cache):
     return cache[0][1], cache[1][0]
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True, out=None, ws=None, d_in=None):
-    """Returns ([(dW, db) per layer], d_input); d_input is None unless need_d_in.
+def mlp_backward(cache, d_out, mlp: MlpParams, *, out, ws, d_in=None):
+    """Returns ([(dW, db) per layer], d_input); d_input is None without `d_in`.
 
-    `out`, when given, holds the arrays to write the parameter gradients
-    into: W and b of each layer, in layer order. `d_in`, when given, is the
-    array d_input is written into. With a workspace `ws` the backward
-    consumes the forward's cache: the gradient of each hidden layer's output
-    is written over that output, which nothing reads afterwards.
+    `out` holds the arrays to write the parameter gradients into: W and b of
+    each layer, in layer order. d_input is written into `d_in`, and is not
+    formed without it. The backward consumes the forward's cache: the
+    gradient of each hidden layer's output is written over that output,
+    which nothing reads afterwards; its scratch comes from `ws`.
     """
-    if out is None:
-        out = [None] * (2 * len(mlp.layers))
     grads = [None] * len(mlp.layers)
     d = d_out
     for li in range(len(mlp.layers) - 1, -1, -1):
@@ -298,10 +281,9 @@ def mlp_backward(cache, d_out, mlp: MlpParams, need_d_in: bool = True, out=None,
                 d = ops.apply_mask(d, keep, scale, out=d)
             d = ops.relu_backward(z, d, out=d, mask=_relu_mask(keep, ws, z.shape))
         grads[li] = (np.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
-        if li > 0:
-            d = np.matmul(d, w.T, out=None if ws is None else h)
-        else:
-            d = np.matmul(d, w.T, out=d_in) if need_d_in else None
+        if li == 0 and d_in is None:
+            return grads, None
+        d = np.matmul(d, w.T, out=h if li > 0 else d_in)
     return grads, d
 
 

@@ -4,11 +4,11 @@ the workspace that holds an owner's reusable arrays.
 Matrices are plain numpy arrays, row-major, float32 or float64 (chosen once
 per run). Every kernel is a pure function of its inputs, except `dropout`,
 which writes its output into the array it is given (callers pass arrays they
-own). A kernel's `out=` keyword names the array its result is written into,
-and `ws=` a `Workspace` its temporaries come from; with neither, it
-allocates. Either way it rounds exactly as the allocating form does.
-Kernels keep no state; a workspace belongs to one owner, which uses it from
-one thread at a time.
+own). The element-wise kernels follow numpy: `out=` names the array their
+result is written into, and without it they return a new one. `spmm_norm`
+runs in its owner's `Workspace` (`ws=`): its temporaries live there, and so
+does its result unless `out=` names an array for it. Kernels keep no state;
+a workspace belongs to one owner, which uses it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -54,15 +54,6 @@ class Workspace:
         return a
 
 
-def _fresh(key, shape: tuple, dtype) -> np.ndarray:
-    return np.empty(shape, dtype=dtype)
-
-
-def allocator(ws: "Workspace | None"):
-    """`ws.get`, or a function of the same arguments returning a new array."""
-    return _fresh if ws is None else ws.get
-
-
 def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     """Counter-based generator for (seed, stream_id).
 
@@ -74,7 +65,7 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=None, ws=None) -> np.ndarray:
+def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=None, *, ws) -> np.ndarray:
     """Degree-normalized sparse aggregation, out = Â H with Â = S A S.
 
     A[v, u] = 1 when u is stored in row v of `adj`, and S = diag(s), where s
@@ -90,25 +81,22 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=No
     +0.0, a no-op there), so results are bit-identical for any thread schedule.
 
     The padded input, the accumulator and the gather buffer come from `ws`
-    when given (they are dead when the call returns), and the result is
-    written into `out`, which a call with `ws` needs. Without `out` the
-    result is a view of the padded input, which is then allocated.
+    (they are dead when the call returns). The result is written into
+    `out`, or else it is a view of the padded input, valid until the next
+    call in `ws`.
     """
     n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
         raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, graph has {n} nodes")
     if s.shape != (n,):
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
-    if ws is not None and out is None:
-        raise ValueError("spmm_norm: a call with a workspace needs `out`")
     lay = adj.blocks_t if transpose else adj.blocks
     width = max(c, 2)  # one column would make a one-row block's reduce pairwise, out of order
-    new = allocator(ws)
-    scaled = new("spmm.padded", (n + 1, width), h.dtype)
+    scaled = ws.get("spmm.padded", (n + 1, width), h.dtype)
     np.multiply(h, s[:, None], out=scaled[:n, :c])
     scaled[:n, c:] = scaled[n] = 0
-    acc = new("spmm.acc", (n, width), h.dtype)
-    buf = new("spmm.gather", (lay.max_entries, width), h.dtype)
+    acc = ws.get("spmm.acc", (n, width), h.dtype)
+    buf = ws.get("spmm.gather", (lay.max_entries, width), h.dtype)
     for lo, hi, d, offset in lay.blocks:
         m = d * (hi - lo)
         # indices are in range; "clip" lets take write into the buffer unbuffered

@@ -3,7 +3,8 @@
 Two ways to produce per-device inputs from the n x d feature matrix:
 direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
-is broadcast to every device.
+is broadcast to every device. Both fusion passes run in their owner's
+workspace, as every layer does (see `nn`).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
     return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
 
 
-def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept=None, ws=None):
+def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept=None, *, ws):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
@@ -95,14 +96,14 @@ def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool,
     return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, out=None, ws=None):
+def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, ws):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
     d_z = sum of per-worker input gradients in fixed device order. Returns
-    [(dW, db) per layer], written into `out` when given (see
-    `nn.mlp_backward`, also for `ws`); the gradient w.r.t. the raw features
-    is not computed, since nothing upstream of the features trains.
+    [(dW, db) per layer], written into `out` (see `nn.mlp_backward`, also
+    for `ws`); the gradient w.r.t. the raw features is not computed, since
+    nothing upstream of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, need_d_in=False, out=out, ws=ws)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out, ws=ws)
     return grads

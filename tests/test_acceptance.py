@@ -203,19 +203,24 @@ def test_c06_convergence_on_planted_partition():
 
 
 def test_c07_byte_identical_artifacts(tmp_path):
+    # slice_ffse also sums the devices' input gradients into device 0's array
+    # and hands fusion layer 0 from the evaluation pass to the next training forward
     t0 = time.perf_counter()
-    blobs = []
-    for name, extra in (("r1", []), ("r2", []), ("seq", ["--threads", "1"])):
-        d = tmp_path / name
-        d.mkdir()
-        rc = cli.main(["train", "--dataset", "synth", "--synth-feat", "12",
-                       "--variant", "slice", "-p", "3", "--epochs", "5", "--seed", "7",
-                       "--no-timing", "--out", str(d / "metrics.json"), *extra])
-        assert rc == 0
-        blobs.append((d / "metrics.json").read_bytes())
+    identical = {}
+    for variant in ("slice", "slice_ffse"):
+        blobs = []
+        for name, extra in (("r1", []), ("r2", []), ("seq", ["--threads", "1"])):
+            d = tmp_path / variant / name
+            d.mkdir(parents=True)
+            rc = cli.main(["train", "--dataset", "synth", "--synth-feat", "12",
+                           "--variant", variant, "-p", "3", "--epochs", "5", "--seed", "7",
+                           "--no-timing", "--out", str(d / "metrics.json"), *extra])
+            assert rc == 0
+            blobs.append((d / "metrics.json").read_bytes())
+        identical[variant] = blobs[0] == blobs[1] == blobs[2]
     elapsed = time.perf_counter() - t0
     check(7, "threaded twice + sequential reference give byte-identical artifacts",
-          blobs[0] == blobs[1] == blobs[2] and elapsed < 60.0, f"elapsed={elapsed:.1f}s")
+          all(identical.values()) and elapsed < 60.0, f"{identical} elapsed={elapsed:.1f}s")
 
 
 def test_c08_auc_matches_pair_counting():

@@ -189,6 +189,44 @@ class TestTrainCommand:
         assert "minor_faults" not in out.read_text()
 
 
+class TestOutPath:
+    """A path the results cannot be written to fails before any training."""
+
+    @pytest.fixture
+    def trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.engine, "train", lambda *a, **k: calls.append(a))
+        return calls
+
+    @staticmethod
+    def _run(command, out):
+        extra = ["--cells", "slice:2"] if command == "bench" else []
+        return run_cli([command, *SYNTH_ARGS, *extra, "--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_directory_out_fails_before_training(self, tmp_path, capsys, trains, command):
+        assert self._run(command, tmp_path) == cli.EXIT_USAGE
+        assert not trains and f"cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_out_under_a_file_fails_before_training(self, tmp_path, capsys, trains, command):
+        blocker = tmp_path / "f"
+        blocker.write_text("x")
+        assert self._run(command, blocker / "m.json") == cli.EXIT_USAGE
+        assert not trains and f"{blocker} is not a directory" in capsys.readouterr().err
+
+    def test_csv_out_fails_before_training(self, tmp_path, capsys, trains):
+        # the per-epoch CSV would be written over the metrics JSON
+        out = tmp_path / "m.csv"
+        assert self._run("train", out) == cli.EXIT_USAGE
+        assert not trains and not out.exists() and f"cannot write {out}" in capsys.readouterr().err
+
+    def test_bench_makes_the_out_directory(self, tmp_path):
+        out = tmp_path / "new" / "bench.json"
+        assert self._run("bench", out) == cli.EXIT_OK
+        assert len(json.loads(out.read_text())["cells"]) == 1
+
+
 class TestBenchCommand:
     def test_three_cells_all_live(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -205,6 +243,13 @@ class TestBenchCommand:
     def test_empty_cells_usage_error(self):
         rc = run_cli(["bench", "--dataset", "synth", "--cells", ","])
         assert rc == cli.EXIT_USAGE
+
+    def test_every_cell_checked_before_any_trains(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.engine, "train", lambda *a, **k: calls.append(a))
+        rc = run_cli(["bench", "--dataset", "synth", "--cells", "slice:2,baseline:2"])
+        assert rc == cli.EXIT_USAGE and not calls
+        assert "baseline variant runs on a single device" in capsys.readouterr().err
 
     def test_bad_cell_spec(self):
         rc = run_cli(["bench", "--dataset", "synth", "--cells", "slice:two"])

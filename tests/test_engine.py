@@ -27,6 +27,19 @@ def auc_pair_counting(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def _reference_d_rep(run, ctx):
+    """The classifier's input gradient, from its backward over copies of the
+    forward's cache, in a fresh workspace and into new arrays: the run's own
+    backward still finds its forward's arrays."""
+    cache = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in layer) for layer in ctx.cls_cache]
+    classifier = run.head.classifier
+    out = [np.empty_like(a) for a in classifier.group.params]
+    _, d_rep = nn.mlp_backward(
+        cache, ctx.d_logits, classifier, out=out, ws=ops.Workspace(), d_in=np.empty_like(ctx.representation)
+    )
+    return d_rep
+
+
 class TestConfig:
     def test_baseline_forces_single_device(self):
         with pytest.raises(ValueError):
@@ -175,7 +188,7 @@ class TestEpochBackward:
             h_out = run.workers[0].layers[-1].bias.size
             with _WorkerPool(1) as pool:
                 _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-            _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, run.head.classifier)
+            d_rep = _reference_d_rep(run, ctx)
             if zero_other_block:
                 d_rep[:, h_out:] = 0  # worker 1's block
             run.workers[0].backward(run.graph.adj, run.norm_scale, d_rep[:, :h_out], need_dx=False)
@@ -557,7 +570,7 @@ class TestInputAggregate:
                 engine.epoch_forward(run, training=False, pool=pool)
         adj, s = small_graph.adj, run.norm_scale
         for w, x in zip(run.workers, run.slices):
-            np.testing.assert_array_equal(w.input_agg, ops.spmm_norm(adj, s, x))
+            np.testing.assert_array_equal(w.input_agg, ops.spmm_norm(adj, s, x, ws=ops.Workspace()))
             # layer 0 widens (6 -> 8), so reuse keeps the aggregate-first order bit for bit
             # a forward's output lives in the device's workspace until its next forward
             reused = w.forward(adj, s, x, False, cfg.dropout, fixed_input=True).copy()
@@ -621,8 +634,8 @@ class TestBuffers:
 
     def test_backward_writes_over_dead_forward_arrays(self, small_graph):
         # the representation's gradient is written over the representation,
-        # bit for bit the allocating backward's; fusion mode sums the devices'
-        # input gradients into device 0's own array
+        # bit for bit that of a backward over copies of the forward's arrays;
+        # fusion mode sums the devices' input gradients into device 0's own array
         cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
         run = engine.build_run(small_graph, cfg)
         seen = []
@@ -631,7 +644,7 @@ class TestBuffers:
             mp.setattr(engine.slicing, "feature_fusion_backward",
                        lambda d_z, *a, **k: seen.append(d_z) or fusion_backward(d_z, *a, **k))
             _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-            _, d_rep = nn.mlp_backward(ctx.cls_cache, ctx.d_logits, run.head.classifier)
+            d_rep = _reference_d_rep(run, ctx)
             engine.epoch_backward(run, ctx, pool, 1e-2)
         np.testing.assert_array_equal(ctx.representation, d_rep)
         w0 = run.workers[0]

@@ -51,6 +51,31 @@ def _gcn_layer(w_in, w_out, rng, dtype, form=nn.FORM_DUAL):
     return layer
 
 
+def _forward(*args, **kwargs):
+    """gcn_layer_forward in a fresh workspace of its own."""
+    return nn.gcn_layer_forward(*args, ws=ops.Workspace(), **kwargs)
+
+
+def _backward(cache, d_out, params, adj, s, input_grad=True):
+    """gcn_layer_backward in a fresh workspace, into new gradient arrays."""
+    out = [np.empty_like(a) for a in params.arrays()]
+    d_in = np.empty_like(cache.h_in) if input_grad else None
+    return nn.gcn_layer_backward(cache, d_out, params, adj, s, out=out, ws=ops.Workspace(), d_in=d_in)
+
+
+def _mlp_forward(*args, **kwargs):
+    """mlp_forward in a fresh workspace of its own."""
+    return nn.mlp_forward(*args, ws=ops.Workspace(), **kwargs)
+
+
+def _mlp_backward(cache, d_out, mlp, input_grad=True):
+    """mlp_backward in a fresh workspace, into new gradient arrays. It
+    consumes the forward's cache, so each backward needs a forward."""
+    out = [np.empty_like(a) for a in mlp.group.params]
+    d_in = np.empty_like(cache[0][0]) if input_grad else None
+    return nn.mlp_backward(cache, d_out, mlp, out=out, ws=ops.Workspace(), d_in=d_in)
+
+
 # (w_in, w_out): a narrowing layer multiplies by W_agg before aggregating
 LAYER_SHAPES = {"narrowing": (5, 3), "widening": (3, 5), "equal": (4, 4)}
 
@@ -63,7 +88,7 @@ class TestGcnLayer:
         params = _gcn_layer(3, 3, rng, np.float64)
         params.bias[:] = 0
         h_in = rng.standard_normal((4, 3))
-        h_out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
         np.testing.assert_allclose(h_out, h_in @ params.w_self)
 
     def test_identity_self_path(self):
@@ -74,7 +99,7 @@ class TestGcnLayer:
             w_agg=np.zeros((4, 4)), w_self=np.eye(4), bias=np.zeros(4)
         )
         h_in = rng.standard_normal((3, 4))
-        h_out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
         np.testing.assert_array_equal(h_out, h_in)
 
     def test_single_form_matches_dense_oracle(self):
@@ -84,7 +109,7 @@ class TestGcnLayer:
         params = _gcn_layer(3, 2, rng, np.float64, form=nn.FORM_SINGLE)
         params.bias[:] = rng.standard_normal(2)
         h_in = rng.standard_normal((2, 3))
-        h_out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
         dense = np.array([[0.0, 1.0], [1.0, 0.0]])  # normalized single edge
         expect = np.maximum(dense @ h_in @ params.w_agg + params.bias, 0)
         np.testing.assert_allclose(h_out, expect, atol=1e-12)
@@ -98,7 +123,7 @@ class TestGcnLayer:
         params.w_agg[:] = 0
         params.bias[:] = rng.standard_normal(4)
         h_in = rng.standard_normal((3, 4))
-        h_out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
         np.testing.assert_allclose(
             h_out, h_in @ params.w_self + np.maximum(params.bias, 0), atol=1e-12
         )
@@ -108,8 +133,8 @@ class TestGcnLayer:
         rng = ops.rng_stream(4, 0)
         params = _gcn_layer(6, 5, rng, np.float64)
         h_in = rng.standard_normal((30, 6))
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=True)
-        dw_agg, dw_self, db, d_in = nn.gcn_layer_backward(
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
+        dw_agg, dw_self, db, d_in = _backward(
             cache, np.zeros_like(h_out), params, adj, s
         )
         assert not dw_agg.any() and not dw_self.any() and not db.any() and not d_in.any()
@@ -121,9 +146,9 @@ class TestGcnLayer:
         params.w_agg[:] = 0
         params.bias[:] = -1e3  # keep the ReLU branch inactive
         h_in = rng.standard_normal((30, 6))
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=True)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
         d_out = rng.standard_normal(h_out.shape)
-        _, dw_self, _, _ = nn.gcn_layer_backward(cache, d_out, params, adj, s)
+        _, dw_self, _, _ = _backward(cache, d_out, params, adj, s)
         np.testing.assert_allclose(dw_self, h_in.T @ d_out, atol=1e-12)
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
@@ -136,12 +161,12 @@ class TestGcnLayer:
         target = rng.standard_normal((30, 5))
 
         def loss():
-            out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
         d_out = h_out - target
-        dw_agg, dw_self, db, d_in = nn.gcn_layer_backward(cache, d_out, params, adj, s)
+        dw_agg, dw_self, db, d_in = _backward(cache, d_out, params, adj, s)
         groups = [(params.w_agg, dw_agg), (params.bias, db)]
         if form == nn.FORM_DUAL:
             groups.append((params.w_self, dw_self))
@@ -156,11 +181,11 @@ class TestGcnLayer:
         target = rng.standard_normal((30, 3))
 
         def loss():
-            out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
-        _, _, _, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
+        _, _, _, d_in = _backward(cache, h_out - target, params, adj, s)
         assert rel_err(central_diff(loss, h_in), d_in) <= 1e-5
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
@@ -173,11 +198,11 @@ class TestGcnLayer:
         target = rng.standard_normal((8, 3))
 
         def loss():
-            out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
-        dw_agg, _, db, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
+        dw_agg, _, db, d_in = _backward(cache, h_out - target, params, adj, s)
         for param, ana in ((h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)):
             assert rel_err(central_diff(loss, param), ana) <= 1e-5
 
@@ -195,12 +220,12 @@ class TestGcnLayer:
         target = rng.standard_normal((n, w_out))
 
         def loss():
-            out, _ = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
         assert (cache.agg is None) == (shape == "narrowing")
-        dw_agg, dw_self, db, d_in = nn.gcn_layer_backward(cache, h_out - target, params, adj, s)
+        dw_agg, dw_self, db, d_in = _backward(cache, h_out - target, params, adj, s)
         groups = [(h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)]
         if form == nn.FORM_DUAL:
             groups.append((params.w_self, dw_self))
@@ -215,15 +240,15 @@ class TestGcnLayer:
         params = _gcn_layer(w_in, w_out, rng, np.float64)
         h_in = rng.standard_normal((30, w_in))
         d_out = rng.standard_normal((30, w_out))
-        own, own_cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False)
-        own_grads = nn.gcn_layer_backward(own_cache, d_out, params, adj, s, need_d_in=False)
-        agg = ops.spmm_norm(adj, s, h_in)
+        own, own_cache = _forward(adj, s, h_in, params, rng, training=False)
+        own_grads = _backward(own_cache, d_out, params, adj, s, input_grad=False)
+        agg = ops.spmm_norm(adj, s, h_in, ws=ops.Workspace())
 
         calls = []
         spmm = ops.spmm_norm
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
-        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training=False, agg=agg)
-        grads = nn.gcn_layer_backward(cache, d_out, params, adj, s, need_d_in=False)
+        out, cache = _forward(adj, s, h_in, params, rng, training=False, agg=agg)
+        grads = _backward(cache, d_out, params, adj, s, input_grad=False)
         assert not calls and cache.agg is agg
         if shape == "narrowing":  # the layer's own order differs; values agree
             np.testing.assert_allclose(out, own, atol=1e-12)
@@ -243,15 +268,15 @@ class TestGcnLayer:
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
         h_in = ops.rng_stream(16, 1).standard_normal((30, w_in)).astype(np.float32)
-        agg = ops.spmm_norm(adj, s, h_in)
-        h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg)
+        agg = ops.spmm_norm(adj, s, h_in, ws=ops.Workspace())
+        h_eval, c_eval = _forward(adj, s, h_in, params, None, False, agg=agg)
         rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
-        fresh, c_fresh = nn.gcn_layer_forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
+        fresh, c_fresh = _forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
 
         for param in params.arrays():  # a layer that computed again would give NaN
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
-        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, agg=agg,
+        out, cache = _forward(adj, s, h_in, params, rng, True, 0.5, agg=agg,
                                           kept=(h_eval, c_eval.pre))
         np.testing.assert_array_equal(out, fresh)
         assert cache.pre is c_eval.pre and cache.agg is agg and cache.h_in is h_in
@@ -262,9 +287,91 @@ class TestGcnLayer:
         adj, s = rand_graph
         params = _gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
         h_in = np.ones((30, 4))
-        h, c = nn.gcn_layer_forward(adj, s, h_in, params, None, False)
+        h, c = _forward(adj, s, h_in, params, None, False)
         with pytest.raises(ValueError, match="aggregate"):
-            nn.gcn_layer_forward(adj, s, h_in, params, None, False, kept=(h, c.pre))
+            _forward(adj, s, h_in, params, None, False, kept=(h, c.pre))
+
+
+class _FilledWorkspace(ops.Workspace):
+    """A workspace whose arrays hold `byte` in every byte each time it hands
+    one out, however often it did before."""
+
+    def __init__(self, byte):
+        super().__init__()
+        self.byte = byte
+
+    def get(self, key, shape, dtype):
+        a = super().get(key, shape, dtype)
+        a.reshape(-1).view(np.uint8).fill(self.byte)
+        return a
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+class TestPassesReadOnlyWhatTheyWrite:
+    """In a workspace of 0xFF bytes (NaN in f32 and f64), with NaN-filled
+    output arrays, a pass gives bit for bit the results of a fresh workspace.
+    The fresh one is zero-filled: memory numpy hands out may hold a freed
+    poisoned buffer's bytes, and a read of those would go unseen."""
+
+    DTYPES = [np.float32, np.float64]
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_spmm_norm(self, directed_graph, transpose, dtype):
+        adj, s = directed_graph
+        s = s.astype(dtype)
+        h = ops.rng_stream(30, 0).standard_normal((adj.num_nodes, 3)).astype(dtype)
+
+        def run(ws, fill):
+            given = ops.spmm_norm(adj, s, h, transpose, out=np.full_like(h, fill), ws=ws)
+            return [given, ops.spmm_norm(adj, s, h, transpose, ws=ws)]
+
+        _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_gcn_layer(self, directed_graph, shape, form, dropout, dtype):
+        adj, s = directed_graph
+        s = s.astype(dtype)
+        w_in, w_out = LAYER_SHAPES[shape]
+        params = _gcn_layer(w_in, w_out, ops.rng_stream(31, 0), dtype, form)
+        params.bias[:] = 0.1 * ops.rng_stream(31, 1).standard_normal(w_out)
+        h_in = ops.rng_stream(31, 2).standard_normal((adj.num_nodes, w_in)).astype(dtype)
+        d_out = ops.rng_stream(31, 3).standard_normal((adj.num_nodes, w_out)).astype(dtype)
+
+        def run(ws, fill):
+            rng = ops.rng_stream(32, 0)
+            h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, dropout, ws=ws)
+            h_out = h_out.copy()
+            out = [np.full_like(a, fill) for a in params.arrays()]
+            d_in = np.full_like(h_in, fill)
+            nn.gcn_layer_backward(cache, d_out.copy(), params, adj, s, out=out, ws=ws, d_in=d_in)
+            return [h_out, *out, d_in]
+
+        _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_mlp(self, dropout, dtype):
+        mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(33, 0), dtype, dropout)
+        x = ops.rng_stream(33, 1).standard_normal((9, 5)).astype(dtype)
+        d_out = ops.rng_stream(33, 2).standard_normal((9, 3)).astype(dtype)
+
+        def run(ws, fill):
+            y, cache = nn.mlp_forward(x, mlp, ops.rng_stream(34, 0), True, ws=ws)
+            y = y.copy()
+            out = [np.full_like(a, fill) for a in mlp.group.params]
+            d_in = np.full_like(x, fill)
+            nn.mlp_backward(cache, d_out, mlp, out=out, ws=ws, d_in=d_in)
+            return [y, *out, d_in]
+
+        _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
 
 
 class TestSliceEncoding:
@@ -307,7 +414,7 @@ class TestMlp:
         for w, b in mlp.layers:
             w[:] = 0
         x = rng.standard_normal((7, 5))
-        out, _ = nn.mlp_forward(x, mlp, rng, training=False)
+        out, _ = _mlp_forward(x, mlp, rng, training=False)
         loss, _ = ops.softmax_cross_entropy(out, np.zeros(7, dtype=np.int64))
         assert loss == pytest.approx(np.log(3), abs=1e-12)
 
@@ -315,7 +422,7 @@ class TestMlp:
         rng = ops.rng_stream(9, 0)
         mlp = nn.init_mlp([5, 3], rng, np.float64)
         x = rng.standard_normal((4, 5))
-        out, _ = nn.mlp_forward(x, mlp, rng, training=False)
+        out, _ = _mlp_forward(x, mlp, rng, training=False)
         w, b = mlp.layers[0]
         np.testing.assert_allclose(out, x @ w + b, atol=1e-15)
 
@@ -326,12 +433,12 @@ class TestMlp:
         labels = rng.integers(0, 3, 8)
 
         def loss():
-            out, _ = nn.mlp_forward(x, mlp, rng, training=False)
+            out, _ = _mlp_forward(x, mlp, rng, training=False)
             return ops.softmax_cross_entropy(out, labels)[0]
 
-        out, cache = nn.mlp_forward(x, mlp, rng, training=False)
+        out, cache = _mlp_forward(x, mlp, rng, training=False)
         _, d_logits = ops.softmax_cross_entropy(out, labels)
-        grads, d_x = nn.mlp_backward(cache, d_logits, mlp)
+        grads, d_x = _mlp_backward(cache, d_logits, mlp)
         for (w, b), (dw, db) in zip(mlp.layers, grads):
             assert rel_err(central_diff(loss, w), dw) <= 1e-5
             assert rel_err(central_diff(loss, b), db) <= 1e-5
@@ -341,10 +448,14 @@ class TestMlp:
         rng = ops.rng_stream(13, 0)
         mlp = nn.init_mlp([5, 6, 3], rng, np.float64, dropout=0.3)
         x = rng.standard_normal((8, 5))
-        out, cache = nn.mlp_forward(x, mlp, rng, training=True)
-        d_out = rng.standard_normal(out.shape)
-        full, d_x = nn.mlp_backward(cache, d_out, mlp)
-        skipped, none = nn.mlp_backward(cache, d_out, mlp, need_d_in=False)
+        d_out = rng.standard_normal((8, 3))
+
+        def backward(input_grad):  # each backward over a forward of its own, with the same mask
+            _, cache = _mlp_forward(x, mlp, ops.rng_stream(13, 1), training=True)
+            return _mlp_backward(cache, d_out, mlp, input_grad)
+
+        full, d_x = backward(True)
+        skipped, none = backward(False)
         assert d_x is not None and none is None
         for (dw, db), (sw, sb) in zip(full, skipped):
             np.testing.assert_array_equal(dw, sw)
@@ -353,17 +464,17 @@ class TestMlp:
     def test_kept_first_layer_replaces_its_arithmetic(self):
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(14, 0), np.float32, dropout=0.4)
         x = ops.rng_stream(14, 1).standard_normal((9, 5)).astype(np.float32)
-        _, eval_cache = nn.mlp_forward(x, mlp, None, training=False)
+        _, eval_cache = _mlp_forward(x, mlp, None, training=False)
         z, a = nn.mlp_first_layer(eval_cache)
         w, b = mlp.layers[0]
         np.testing.assert_array_equal(z, x @ w + b)
         np.testing.assert_array_equal(a, ops.relu(z))
 
         rng, ref = ops.rng_stream(15, 0), ops.rng_stream(15, 0)
-        fresh, fresh_cache = nn.mlp_forward(x, mlp, ref, training=True)
+        fresh, fresh_cache = _mlp_forward(x, mlp, ref, training=True)
         for param in mlp.layers[0]:  # a first layer that computed again would give NaN
             param[:] = np.nan
-        out, cache = nn.mlp_forward(x, mlp, rng, training=True, kept=(z, a))
+        out, cache = _mlp_forward(x, mlp, rng, training=True, kept=(z, a))
         np.testing.assert_array_equal(out, fresh)
         assert cache[0][0] is x and cache[0][1] is z
         for got, want in zip(cache, fresh_cache):
@@ -375,7 +486,7 @@ class TestMlp:
         rng = ops.rng_stream(11, 0)
         mlp = nn.init_mlp([5, 3], rng, np.float64)
         with pytest.raises(ValueError):
-            nn.mlp_forward(np.zeros((2, 4)), mlp, rng, training=False)
+            _mlp_forward(np.zeros((2, 4)), mlp, rng, training=False)
 
 
 def _group(*arrays) -> nn.ParamGroup:

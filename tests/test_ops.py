@@ -10,18 +10,23 @@ from slicegcn import graph, ops
 from slicegcn.graph import build_csr, degree_norms
 
 
+def _spmm(adj, s, h, transpose=False):
+    """spmm_norm in a fresh workspace; the result is a view of its buffer."""
+    return ops.spmm_norm(adj, s, h, transpose, ws=ops.Workspace())
+
+
 class TestSpmmNorm:
     def test_edgeless_graph_zero(self):
         adj = build_csr(4, [])
         s = degree_norms(adj)
         for transpose in (False, True):
-            out = ops.spmm_norm(adj, s, np.ones((4, 3)), transpose=transpose)
+            out = _spmm(adj, s, np.ones((4, 3)), transpose=transpose)
             np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_single_edge_permutes(self):
         adj = build_csr(2, [(0, 1)])
         h = np.eye(2)
-        out = ops.spmm_norm(adj, np.ones(2), h)
+        out = _spmm(adj, np.ones(2), h)
         np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -34,22 +39,22 @@ class TestSpmmNorm:
         s = degree_norms(adj)
         h = rng.standard_normal((n, 5))
         dense = dense_oracle(adj) @ h
-        np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense, atol=1e-12)
+        np.testing.assert_allclose(_spmm(adj, s, h), dense, atol=1e-12)
 
     def test_path_graph_all_ones_column(self, dense_oracle):
         adj = build_csr(3, [(0, 1), (1, 2)])
         s = degree_norms(adj)
         h = np.ones((3, 1))
         dense = dense_oracle(adj) @ h
-        np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense, atol=1e-12)
+        np.testing.assert_allclose(_spmm(adj, s, h), dense, atol=1e-12)
 
     @staticmethod
     def _check_against_dense(dense_oracle, adj, h):
         """spmm_norm and its transpose against the dense S A S oracle."""
         s = degree_norms(adj)
         dense = dense_oracle(adj)
-        np.testing.assert_allclose(ops.spmm_norm(adj, s, h), dense @ h, atol=1e-12)
-        np.testing.assert_allclose(ops.spmm_norm(adj, s, h, transpose=True), dense.T @ h, atol=1e-12)
+        np.testing.assert_allclose(_spmm(adj, s, h), dense @ h, atol=1e-12)
+        np.testing.assert_allclose(_spmm(adj, s, h, transpose=True), dense.T @ h, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_oracle_random_directed_graphs(self, seed, dense_oracle):
@@ -74,7 +79,7 @@ class TestSpmmNorm:
         h = np.random.default_rng(2).standard_normal((9, 5))
         self._check_against_dense(dense_oracle, adj, h)
         for v in (0, 3, 7):
-            assert not ops.spmm_norm(adj, degree_norms(adj), h)[v].any()
+            assert not _spmm(adj, degree_norms(adj), h)[v].any()
 
     def test_rows_sum_in_csr_order(self):
         # each row is a left-to-right sum of its terms, in CSR order
@@ -89,7 +94,7 @@ class TestSpmmNorm:
             for u in adj.neighbors(v):
                 expect[v] += scaled[u]
         expect *= s[:, None]
-        np.testing.assert_array_equal(ops.spmm_norm(adj, s, h), expect)
+        np.testing.assert_array_equal(_spmm(adj, s, h), expect)
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("transpose", [False, True])
@@ -113,20 +118,20 @@ class TestSpmmNorm:
                 else:
                     expect[v] += scaled[u]
         expect *= s[:, None]
-        out = ops.spmm_norm(adj, s, h, transpose=transpose)
+        out = _spmm(adj, s, h, transpose=transpose)
         np.testing.assert_array_equal(out.view(np.uint32), expect.view(np.uint32))
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         # the sequential sum starts from +0.0, so -0.0 + -0.0 + ... gives +0.0
         adj = build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], symmetrize=False)
         h = np.full((5, 3), -0.0)
-        out = ops.spmm_norm(adj, degree_norms(adj), h)
+        out = _spmm(adj, degree_norms(adj), h)
         np.testing.assert_array_equal(out.view(np.uint64), np.zeros((5, 3), np.uint64))
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
         with pytest.raises(ValueError):
-            ops.spmm_norm(adj, degree_norms(adj), np.ones((4, 2)))
+            _spmm(adj, degree_norms(adj), np.ones((4, 2)))
 
 
 class TestGlorot:

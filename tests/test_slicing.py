@@ -113,6 +113,18 @@ class TestSliceFeature:
         np.testing.assert_array_equal(rebuilt, x)
 
 
+def _fusion_forward(*args, **kwargs):
+    """feature_fusion_forward in a fresh workspace of its own."""
+    return slicing.feature_fusion_forward(*args, ws=ops.Workspace(), **kwargs)
+
+
+def _fusion_backward(d_z, cache, ff):
+    """feature_fusion_backward in a fresh workspace, into new gradient arrays.
+    It consumes the forward's cache, so each backward needs a forward."""
+    out = [np.empty_like(a) for a in ff.group.params]
+    return slicing.feature_fusion_backward(d_z, cache, ff, out=out, ws=ops.Workspace())
+
+
 class TestFeatureFusion:
     def _fusion(self, d, p, dtype=np.float64, dropout=0.0):
         rng = ops.rng_stream(3, ops.STREAM_FUSION)
@@ -134,21 +146,21 @@ class TestFeatureFusion:
         for w, b in ff.layers:
             w[:] = 0
         x = np.random.default_rng(0).standard_normal((5, 6))
-        z, _ = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=False)
+        z, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=False)
         np.testing.assert_array_equal(z, np.zeros((5, 4)))
 
     def test_eval_forward_deterministic(self):
         ff = self._fusion(6, 2, dropout=0.5)
         x = np.random.default_rng(1).standard_normal((5, 6))
-        z1, _ = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=False)
-        z2, _ = slicing.feature_fusion_forward(x, ff, ops.rng_stream(9, 9), training=False)
+        z1, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=False)
+        z2, _ = _fusion_forward(x, ff, ops.rng_stream(9, 9), training=False)
         np.testing.assert_array_equal(z1, z2)
 
     def test_zero_upstream_zero_grads(self):
         ff = self._fusion(6, 3)
         x = np.random.default_rng(2).standard_normal((5, 6))
-        z, cache = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
-        grads = slicing.feature_fusion_backward(np.zeros_like(z), cache, ff)
+        z, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        grads = _fusion_backward(np.zeros_like(z), cache, ff)
         for dw, db in grads:
             assert not dw.any() and not db.any()
 
@@ -156,10 +168,11 @@ class TestFeatureFusion:
         # two identical consumers contribute exactly twice the single gradient
         ff = self._fusion(5, 2)
         x = np.random.default_rng(3).standard_normal((4, 5))
-        z, cache = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        z, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
         dz = np.random.default_rng(4).standard_normal(z.shape)
-        g1 = slicing.feature_fusion_backward(dz, cache, ff)
-        g2 = slicing.feature_fusion_backward(dz + dz, cache, ff)
+        g1 = _fusion_backward(dz, cache, ff)
+        _, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)  # g1 consumed the first
+        g2 = _fusion_backward(dz + dz, cache, ff)
         for (dw1, db1), (dw2, db2) in zip(g1, g2):
             np.testing.assert_allclose(dw2, 2 * dw1, rtol=1e-12)
             np.testing.assert_allclose(db2, 2 * db1, rtol=1e-12)
@@ -171,11 +184,11 @@ class TestFeatureFusion:
         target = rng.standard_normal((6, 4))
 
         def loss():
-            z, _ = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+            z, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
             return 0.5 * float(((z - target) ** 2).sum())
 
-        z, cache = slicing.feature_fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
-        grads = slicing.feature_fusion_backward(z - target, cache, ff)
+        z, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        grads = _fusion_backward(z - target, cache, ff)
         flat = [g for pair in grads for g in pair]
         params = [a for layer in ff.layers for a in layer]
         h = 1e-6
@@ -198,6 +211,6 @@ class TestFeatureFusion:
     def test_hidden_width_must_match_features(self):
         ff = self._fusion(6, 2)
         with pytest.raises(ValueError):
-            slicing.feature_fusion_forward(
+            _fusion_forward(
                 np.zeros((3, 7)), ff, ops.rng_stream(0, 0), training=False
             )
