@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclasses.dataclass(frozen=True)
 class MetricsArtifact:
-    """Run summary plus per-epoch records; JSON round-trips exactly."""
+    """Run summary plus per-epoch records, written out as JSON (`to_json`)."""
 
     schema_version: int
     config: dict
@@ -75,16 +75,6 @@ class MetricsArtifact:
             "epochs": self.epochs,
         }
         return json.dumps(doc, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsArtifact":
-        doc = json.loads(text)
-        return cls(
-            schema_version=doc["schema_version"],
-            config=doc["config"],
-            summary=doc["summary"],
-            epochs=doc["epochs"],
-        )
 
 
 def build_artifact(config_echo: dict, summary, reports, include_timing: bool) -> MetricsArtifact:
@@ -142,8 +132,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--layer-form", choices=engine.LAYER_FORMS, dest="layer_form")
     p.add_argument(
         "--threads", type=int,
-        help="threads running the devices, the master's included: it runs device 0 itself "
-             "(default: p; 1 = sequential)",
+        help="upper bound on the threads running the devices, the master's included: it runs "
+             "device 0 itself (default: p; 1 = sequential). A run whose devices do too little "
+             "work for a thread hand-off to pay runs them all on the master",
     )
     p.add_argument("--synth-nodes", type=int, dest="synth_nodes")
     p.add_argument("--synth-classes", type=int, dest="synth_classes")
@@ -366,6 +357,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _check_out_path(out)
     configs = [_make_config(dict(settings, variant=variant, p=p)) for variant, p in cells]
     graph = _resolve_graph(settings)
+    for config in configs:
+        try:
+            engine.slice_strategy(config, graph.num_features)
+        except ValueError as err:
+            raise UsageError(f"bad cell '{config.variant}:{config.p}': {err}") from err
     rows = []
     for config in configs:
         log.info("bench cell %s p=%d", config.variant, config.p)

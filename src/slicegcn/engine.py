@@ -12,12 +12,23 @@ One run is p simulated devices plus a master. Per epoch, barrier-synchronous:
 
 The master thread runs device 0's task of each phase itself and hands the
 other devices' tasks to threads - 1 pool threads, so `threads` counts the
-master's thread. Workers never talk to each other; the only cross-thread
-payloads are the scattered inputs, the gathered outputs, and the gradient
-blocks. Every worker owns its parameters, optimizer state, and RNG stream,
-so results are bit-identical for a fixed seed no matter how the OS schedules
-the threads, and a single-threaded reference execution (threads=1) matches
-exactly.
+master's thread. A pool round costs a hand-off of the interpreter lock per
+task, which a small device's work does not repay, so `train` decides once
+per run, from the built run's shapes alone: when one device's forward
+(`forward_work`) is below `POOL_MIN_WORK` multiply-adds, every round runs
+inline on the master, and `threads` is an upper bound. Workers never talk
+to each other; the only cross-thread payloads are the scattered inputs, the
+gathered outputs, and the gradient blocks. Every worker owns its parameters,
+optimizer state, and RNG stream, so results are bit-identical for a fixed
+seed no matter how the OS schedules the threads, and a single-threaded
+reference execution (threads=1) matches exactly.
+
+In the fusion variants every device gets the same input z. When a device's
+layer 0 does not narrow, it aggregates z first, so the master computes Â·z
+once per forward, in the fusion MLP's workspace, and every device's layer 0
+takes it as its aggregate: the same kernel on the same input, so the same
+bits. It stays there until the next forward, as the devices' backward
+passes read it for their layer-0 weight gradients.
 
 Each optimizer group (a device's layer stack, the classifier, the fusion
 MLP, the slice encoding) keeps its parameters, gradients and Adam moments in
@@ -57,6 +68,11 @@ from .nn import NumericError
 VARIANTS = ("baseline", "slice", "slice_se", "slice_ff", "slice_ffse")
 PRECISIONS = ("f32", "f64")
 LAYER_FORMS = (nn.FORM_SINGLE, nn.FORM_DUAL)
+
+# Multiply-adds of one device's forward below which a pool round costs more
+# than it overlaps: such runs keep every round on the master (README, "Pool
+# rounds", has the crossover sweep this is taken from).
+POOL_MIN_WORK = 16e6
 
 
 @dataclass(frozen=True)
@@ -133,9 +149,12 @@ class WorkerState:
 
     def forward(
         self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False,
-        keep: bool = False, out=None,
+        keep: bool = False, out=None, agg=None,
     ):
         """`fixed_input`: x is the same in every call, so Â·x is computed once.
+        `agg`, when given, is Â·x computed by the caller, which layer 0 uses
+        as its aggregate (see `nn.gcn_layer_forward`); it must stay valid
+        until the device's backward pass.
 
         `keep` (an eval forward over a fixed input, followed by a forward
         with the same parameters) keeps layer 0's dropout-free result for
@@ -147,7 +166,7 @@ class WorkerState:
         """
         if keep and (training or not fixed_input):
             raise ValueError("only an eval forward over a fixed input keeps layer 0")
-        agg = kept = None
+        kept = None
         if fixed_input:
             if self.input_agg is None:
                 self.input_agg = ops.spmm_norm(adj, s, x, ws=ops.Workspace())  # keeps its padded buffer
@@ -314,6 +333,34 @@ class _WorkerPool:
         return False
 
 
+def forward_work(n: int, nnz: int, widths, dual: bool) -> int:
+    """Multiply-adds of one device's forward through layers of widths
+    widths[0] -> ... -> widths[-1] over a graph of n nodes and nnz stored
+    edges: each layer's SpMM, on its narrow side, and its dense products,
+    two in the dual form (W_agg and W_self) and one in the single form."""
+    per_product = 2 if dual else 1
+    return sum(nnz * min(a, b) + n * a * b * per_product for a, b in zip(widths, widths[1:]))
+
+
+def pool_threads(run: RunState) -> int:
+    """Threads the run's rounds use: `config.threads` (default p), or 1 when
+    one device's forward is below `POOL_MIN_WORK` multiply-adds."""
+    cfg, layers = run.config, run.workers[0].layers
+    widths = [layers[0].w_agg.shape[0]] + [layer.w_agg.shape[1] for layer in layers]
+    work = forward_work(run.graph.num_nodes, run.graph.adj.num_edges, widths, layers[0].w_self is not None)
+    if work < POOL_MIN_WORK:
+        return 1
+    return cfg.threads if cfg.threads is not None else cfg.p
+
+
+def slice_strategy(config: TrainConfig, d_feat: int) -> slicing.SliceStrategy:
+    """The run's slice strategy over d_feat feature columns; raises
+    ValueError when the config's p or slice scale does not fit them."""
+    if config.p > d_feat:
+        raise ValueError(f"p={config.p} devices exceed the {d_feat} feature columns")
+    return slicing.slice_strategy_generator(d_feat, config.p, config.slice_scale)
+
+
 def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     """Initialize workers and head from per-purpose RNG streams.
 
@@ -322,9 +369,7 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     the built arrays are the run's record of them.
     """
     d_feat = graph.num_features
-    if config.p > d_feat:
-        raise ValueError(f"p={config.p} devices exceed the {d_feat} feature columns")
-    strategy = slicing.slice_strategy_generator(d_feat, config.p, config.slice_scale)
+    strategy = slice_strategy(config, d_feat)
     w_in = slicing.fusion_output_width(d_feat, config.p) if config.use_ff else strategy.width
     h_out = -(-config.hidden // config.p)
     widths = [w_in] + [h_out] * config.layers
@@ -377,7 +422,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
 
-    fusion_cache = None
+    fusion_cache = agg = None
     if cfg.use_ff:
         kept, head.fusion_layer0 = head.fusion_layer0, None
         z, fusion_cache = slicing.feature_fusion_forward(
@@ -386,6 +431,11 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
         if keep:
             head.fusion_layer0 = nn.mlp_first_layer(fusion_cache)
         inputs = [z] * cfg.p
+        if not nn.narrows(run.workers[0].layers[0]):
+            # every device's layer 0 would aggregate this same z
+            agg = ops.spmm_norm(
+                adj, s, z, out=head.fusion_ws.get("agg", z.shape, z.dtype), ws=head.fusion_ws
+            )
     else:
         inputs = run.slices
 
@@ -399,7 +449,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
     def fwd(item):
         worker, x, out = item
         return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff,
-                              keep=keep and not cfg.use_ff, out=out)
+                              keep=keep and not cfg.use_ff, out=out, agg=agg)
 
     outputs = pool.run(fwd, list(zip(run.workers, inputs, blocks)))
     if cfg.use_se:
@@ -537,9 +587,8 @@ def train(
     keeps the logits keeps a copy.
     """
     run = build_run(graph, config)
-    threads = config.threads if config.threads is not None else config.p
     reports = []
-    with _WorkerPool(threads) as pool:
+    with _WorkerPool(pool_threads(run)) as pool:
         if config.epochs == 0:
             _, logits, _ = epoch_forward(run, training=False, pool=pool)
             _, val_m, test_m = _metrics(run, logits)

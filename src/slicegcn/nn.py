@@ -115,7 +115,8 @@ def _relu_mask(keep, ws, shape):
     return keep if keep is not None else ws.get("relu.mask", shape, bool)
 
 
-def _narrows(params: GcnLayerParams) -> bool:
+def narrows(params: GcnLayerParams) -> bool:
+    """Whether the layer narrows (w_in > w_out), and so multiplies by W_agg before it aggregates."""
     w_in, w_out = params.w_agg.shape
     return w_in > w_out
 
@@ -145,7 +146,7 @@ def gcn_layer_forward(
         h_out, pre = kept
     else:
         pre = ws.get((layer, "pre"), (n, w_out), dtype)
-        if agg is None and _narrows(params):
+        if agg is None and narrows(params):
             t = np.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
             ops.spmm_norm(adj, s, t, out=pre, ws=ws)
         else:
@@ -180,9 +181,9 @@ def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj,
     mask = _relu_mask(cache.keep, ws, cache.pre.shape)
     d_pre = ops.relu_backward(cache.pre, d_out, out=ws.get("d_pre", (n, w_out), dtype), mask=mask)
     db = np.sum(d_pre, axis=0, out=out[-1])
-    narrows = _narrows(params)
+    narrowing = narrows(params)
     g = None
-    if narrows and (cache.agg is None or d_in is not None):
+    if narrowing and (cache.agg is None or d_in is not None):
         g = ops.spmm_norm(adj, s, d_pre, transpose=True, out=ws.get("tmp", (n, w_out), dtype), ws=ws)
     if cache.agg is None:
         dw_agg = np.matmul(cache.h_in.T, g, out=out[0])
@@ -191,7 +192,7 @@ def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj,
     dw_self = np.matmul(cache.h_in.T, d_out, out=out[1]) if params.w_self is not None else None
     if d_in is None:
         return dw_agg, dw_self, db, None
-    if narrows:
+    if narrowing:
         np.matmul(g, params.w_agg.T, out=d_in)
     else:
         t = np.matmul(d_pre, params.w_agg.T, out=ws.get("tmp", (n, w_in), dtype))

@@ -1,7 +1,31 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from slicegcn import synth_graph
+from slicegcn import engine, synth_graph
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """The tasks handed to pool threads, in the order they were handed off."""
+    tasks, submit = [], ThreadPoolExecutor.submit
+
+    def counting_submit(ex, fn, *args, **kwargs):
+        tasks.append(fn)
+        return submit(ex, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+    return tasks
+
+
+@pytest.fixture
+def pooled(monkeypatch, submitted):
+    """Rounds of every size go to the pool (`engine.POOL_MIN_WORK` is 0), as
+    a large graph's do; the fixture is the list of tasks handed to pool
+    threads, so a test can show that it used the pool."""
+    monkeypatch.setattr(engine, "POOL_MIN_WORK", 0)
+    return submitted
 
 
 @pytest.fixture(scope="session")

@@ -202,9 +202,10 @@ def test_c06_convergence_on_planted_partition():
           ok, f"{results} elapsed={elapsed:.0f}s")
 
 
-def test_c07_byte_identical_artifacts(tmp_path):
+def test_c07_byte_identical_artifacts(tmp_path, pooled):
     # slice_ffse also sums the devices' input gradients into device 0's array
-    # and hands fusion layer 0 from the evaluation pass to the next training forward
+    # and hands fusion layer 0 from the evaluation pass to the next training forward;
+    # `pooled` sends these small runs' rounds to the pool, as a large graph's are
     t0 = time.perf_counter()
     identical = {}
     for variant in ("slice", "slice_ffse"):
@@ -220,7 +221,8 @@ def test_c07_byte_identical_artifacts(tmp_path):
         identical[variant] = blobs[0] == blobs[1] == blobs[2]
     elapsed = time.perf_counter() - t0
     check(7, "threaded twice + sequential reference give byte-identical artifacts",
-          all(identical.values()) and elapsed < 60.0, f"{identical} elapsed={elapsed:.1f}s")
+          all(identical.values()) and len(pooled) > 0 and elapsed < 60.0,
+          f"{identical} pool tasks={len(pooled)} elapsed={elapsed:.1f}s")
 
 
 def test_c08_auc_matches_pair_counting():

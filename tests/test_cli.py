@@ -18,6 +18,13 @@ def run_cli(args):
     return cli.main(args)
 
 
+def _parse_artifact(text: str) -> MetricsArtifact:
+    doc = json.loads(text)
+    return MetricsArtifact(
+        schema_version=doc["schema_version"], config=doc["config"], summary=doc["summary"], epochs=doc["epochs"]
+    )
+
+
 class TestTrainCommand:
     def test_identical_runs_identical_artifacts(self, tmp_path):
         blobs = []
@@ -77,8 +84,8 @@ class TestTrainCommand:
     def test_artifact_round_trip(self, tmp_path):
         out = tmp_path / "m.json"
         run_cli(["train", *SYNTH_ARGS, "--out", str(out)])
-        art = MetricsArtifact.from_json(out.read_text())
-        assert MetricsArtifact.from_json(art.to_json()) == art
+        art = _parse_artifact(out.read_text())
+        assert _parse_artifact(art.to_json()) == art
         assert art.to_json() == out.read_text()
 
     def test_run_spec_file(self, tmp_path):
@@ -250,6 +257,17 @@ class TestBenchCommand:
         rc = run_cli(["bench", "--dataset", "synth", "--cells", "slice:2,baseline:2"])
         assert rc == cli.EXIT_USAGE and not calls
         assert "baseline variant runs on a single device" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cells,extra,bad", [
+        ("slice:2,slice:99", [], "slice:99"),  # more devices than the 16 feature columns
+        ("slice:2,slice:1", ["--slice-scale", "2"], "slice:1"),  # a 32-column slice of 16
+    ])
+    def test_cells_checked_against_the_features_before_any_trains(self, monkeypatch, capsys, cells, extra, bad):
+        calls = []
+        monkeypatch.setattr(cli.engine, "train", lambda *a, **k: calls.append(a))
+        rc = run_cli(["bench", "--dataset", "synth", "--cells", cells, *extra])
+        assert rc == cli.EXIT_USAGE and not calls
+        assert f"bad cell '{bad}'" in capsys.readouterr().err
 
     def test_bad_cell_spec(self):
         rc = run_cli(["bench", "--dataset", "synth", "--cells", "slice:two"])

@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -271,17 +270,18 @@ class TestTrain:
         _, reports = engine.train(g, cfg)
         assert reports[-1].loss < reports[0].loss
 
-    def test_schedule_independent_reports(self, small_graph):
+    def test_schedule_independent_reports(self, small_graph, pooled):
         cfg_t = TrainConfig(variant="slice", p=2, epochs=6, hidden=16, layers=2, seed=8)
         cfg_s = TrainConfig(variant="slice", p=2, epochs=6, hidden=16, layers=2, seed=8, threads=1)
         _, rep_t = engine.train(small_graph, cfg_t)
+        assert pooled
         _, rep_s = engine.train(small_graph, cfg_s)
         for a, b in zip(rep_t, rep_s):
             assert (a.epoch, a.lr, a.loss, a.train_metric, a.val_metric, a.test_metric) == (
                 b.epoch, b.lr, b.loss, b.train_metric, b.val_metric, b.test_metric)
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-    def test_thread_count_does_not_change_results(self, small_graph, threads):
+    def test_thread_count_does_not_change_results(self, small_graph, threads, pooled):
         # p=3: fewer threads than devices, one per device, and one more
         cfg = TrainConfig(variant="slice_ffse", p=3, epochs=4, hidden=12, layers=2, seed=8)
 
@@ -291,32 +291,46 @@ class TestTrain:
                 (r.epoch, r.lr, r.loss, r.train_metric, r.val_metric, r.test_metric) for r in reports
             ]
 
-        assert rows(dataclasses.replace(cfg, threads=threads)) == rows(dataclasses.replace(cfg, threads=1))
+        threaded = rows(dataclasses.replace(cfg, threads=threads))
+        assert bool(pooled) == (threads > 1)
+        assert threaded == rows(dataclasses.replace(cfg, threads=1))
 
-    def test_pool_calls_and_submissions_per_epoch(self, small_graph, monkeypatch):
+    def test_pool_calls_and_submissions_per_epoch(self, small_graph, monkeypatch, pooled):
         # training forward, backward (each device steps in its task), eval
         # forward: three pool calls per epoch, each handing off p - 1 tasks
-        run, submit = _WorkerPool.run, ThreadPoolExecutor.submit
-        calls, submitted = [], []
+        run = _WorkerPool.run
+        calls = []
 
         def counting_run(pool, fn, items):
             calls.append(len(items))
             return run(pool, fn, items)
 
-        def counting_submit(ex, fn, *args, **kwargs):
-            submitted.append(fn)
-            return submit(ex, fn, *args, **kwargs)
-
         monkeypatch.setattr(_WorkerPool, "run", counting_run)
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
         epochs, p = 3, 2
         engine.train(small_graph, TrainConfig(variant="slice_ffse", p=p, epochs=epochs, hidden=8, seed=1))
         assert calls == [p] * 3 * epochs
-        assert len(submitted) == (p - 1) * 3 * epochs
+        assert len(pooled) == (p - 1) * 3 * epochs
         calls.clear()
-        submitted.clear()
+        pooled.clear()
         engine.train(small_graph, TrainConfig(variant="baseline", epochs=epochs, hidden=8, seed=1))
-        assert calls == [1] * 3 * epochs and submitted == []
+        assert calls == [1] * 3 * epochs and pooled == []
+
+    def test_small_run_submits_no_task(self, submitted):
+        # the CLI's default graph: one device's forward is far below
+        # POOL_MIN_WORK, so every round runs on the master
+        g = synth_graph(n=400, classes=3, d_feat=16, p_in=0.1, p_out=0.01, signal=1.0, seed=0)
+        engine.train(g, TrainConfig(variant="slice_ffse", p=2, epochs=3, seed=1))
+        assert submitted == []
+
+    @pytest.mark.parametrize("name,n,nnz,widths,to_pool", [
+        # the benchmark's sliced cells (p=2, dual form, hidden 64/256/128):
+        # fused input 9, 718 (Cora's 1433 features) and a direct slice of 16
+        ("small_default", 400, 6_400, [9, 32, 32], False),
+        ("wide_features", 2708, 10_000, [718, 128, 128], True),
+        ("large_sparse", 50_000, 400_000, [16, 64, 64], True),
+    ])
+    def test_pool_threshold_splits_the_benchmark_shapes(self, name, n, nnz, widths, to_pool):
+        assert (engine.forward_work(n, nnz, widths, dual=True) >= engine.POOL_MIN_WORK) == to_pool
 
     def test_test_metric_taken_at_best_val_epoch(self, small_graph):
         cfg = TrainConfig(variant="baseline", epochs=8, hidden=16, layers=2, seed=9)
@@ -415,7 +429,7 @@ class TestLayer0Reuse:
         return rows
 
     @pytest.mark.parametrize("variant", ["slice", "slice_se", "slice_ffse"])
-    def test_reuse_matches_recomputing_reference(self, small_graph, monkeypatch, variant):
+    def test_reuse_matches_recomputing_reference(self, small_graph, monkeypatch, variant, pooled):
         runs, kept_after = [], []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
@@ -423,6 +437,7 @@ class TestLayer0Reuse:
         _, reports = engine.train(
             small_graph, cfg, on_epoch=lambda report, logits: kept_after.append(_kept(runs[-1]))
         )
+        assert pooled
         _, sequential = engine.train(small_graph, dataclasses.replace(cfg, threads=1))
 
         def rows(reps):
@@ -554,9 +569,46 @@ class TestInputAggregate:
         assert self._spmm_calls_per_epoch(monkeypatch, small_graph, "slice") == [2 * 4] + [2 * 3] * 3
 
     def test_fused_input_aggregated_every_pass(self, small_graph, monkeypatch):
-        # the fusion output changes every epoch: per device, both layers in
-        # the training forward, in backward and in the eval forward
-        assert self._spmm_calls_per_epoch(monkeypatch, small_graph, "slice_ff") == [2 * 6] * 4
+        # the fusion output changes every epoch: in the training and the eval
+        # forward the master aggregates it once for every device's layer 0
+        # (7 -> 8 widens) and each device its layer 1; in backward, each
+        # device both layers
+        assert self._spmm_calls_per_epoch(monkeypatch, small_graph, "slice_ff") == [2 * (1 + 2) + 2 * 2] * 4
+
+    @pytest.mark.parametrize("p,hidden,widens", [(2, 16, True), (3, 18, True), (2, 8, False), (3, 12, False)])
+    def test_shared_fusion_aggregate_saves_p_minus_1_calls(self, small_graph, monkeypatch, p, hidden, widens):
+        # 12 features: the fused input is 7 wide at p=2 and 5 at p=3, and a
+        # device layer is hidden / p wide
+        run = engine.build_run(small_graph, TrainConfig(variant="slice_ffse", p=p, hidden=hidden, layers=2))
+        assert nn.narrows(run.workers[0].layers[0]) != widens
+        calls = []
+        spmm = ops.spmm_norm
+        monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
+        with _WorkerPool(1) as pool:
+            engine.epoch_forward(run, training=True, pool=pool)
+        assert len(calls) == 2 * p - (p - 1 if widens else 0)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_shared_fusion_aggregate_matches_each_device_aggregating(self, small_graph, monkeypatch, training):
+        cfg = TrainConfig(variant="slice_ffse", p=3, hidden=18, layers=3, seed=2)
+        results = []
+        for share in (True, False):
+            run = engine.build_run(small_graph, cfg)
+            with pytest.MonkeyPatch.context() as mp, _WorkerPool(2) as pool:
+                if not share:
+                    forward = engine.WorkerState.forward
+                    mp.setattr(engine.WorkerState, "forward", lambda w, *a, agg=None, **k: forward(w, *a, **k))
+                loss, logits, ctx = engine.epoch_forward(run, training=training, pool=pool)
+                arrays = [ctx.representation.copy(), logits.copy()]
+                if training:
+                    engine.epoch_backward(run, ctx, pool, 1e-2)
+                    # the devices stepped on their gradients in their backward tasks
+                    arrays += [run.head.fusion.group.grad.copy()] + [w.group.param.copy() for w in run.workers]
+            results.append((loss, arrays))
+        (loss_a, shared), (loss_b, own) = results
+        assert loss_a == loss_b
+        for a, b in zip(shared, own, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_reused_aggregate_equals_a_fresh_one(self, small_graph):
         cfg = TrainConfig(variant="slice_se", p=2, epochs=4, hidden=16, layers=2, seed=3)
@@ -583,7 +635,7 @@ class TestBuffers:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice", 2), ("slice_ffse", 2)])
-    def test_steady_epoch_allocates_less_than_one_layer_array(self, variant, p, threads):
+    def test_steady_epoch_allocates_less_than_one_layer_array(self, variant, p, threads, pooled):
         # from one epoch's end to the next, traced memory never rises by as much
         # as one n x hidden f32 array once the buffers exist (after epoch 0);
         # what remains are dropout's raw draws, half a mask's f32 size, and
@@ -607,6 +659,7 @@ class TestBuffers:
             tracemalloc.stop()
         assert len(rises) == cfg.epochs - 1
         assert max(rises[1:]) < n * hidden * 4, rises
+        assert bool(pooled) == (threads > 1 and p > 1)
 
     @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_se", 2), ("slice_ffse", 2)])
     def test_trainings_in_one_process_are_bit_identical(self, small_graph, variant, p):
