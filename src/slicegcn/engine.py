@@ -144,7 +144,7 @@ class WorkerState:
     rng: np.random.Generator
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
-    layer0: Optional[tuple] = None  # (output, pre) of layer 0, kept by an eval forward
+    layer0: Optional[tuple] = None  # (output, ReLU mask) of layer 0, kept by an eval forward
     ws: ops.Workspace = field(default_factory=ops.Workspace)
 
     def forward(
@@ -169,7 +169,7 @@ class WorkerState:
         kept = None
         if fixed_input:
             if self.input_agg is None:
-                self.input_agg = ops.spmm_norm(adj, s, x, ws=ops.Workspace())  # keeps its padded buffer
+                self.input_agg = ops.spmm_norm(adj, s, x, out=np.empty_like(x), ws=ops.Workspace())
             agg = self.input_agg
             kept, self.layer0 = self.layer0, None
         h = x
@@ -182,7 +182,7 @@ class WorkerState:
                 ws=self.ws, layer=li, out=out if li == last else None,
             )
             if li == 0 and keep and li < last:
-                self.layer0 = (h, c.pre)
+                self.layer0 = (h, c.mask)
             agg = kept = None
             caches.append(c)
         self.cache = caches if training else None
@@ -234,7 +234,7 @@ class MasterHead:
     fusion: Optional[nn.MlpParams] = None
     fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
-    fusion_layer0: Optional[tuple] = None  # (z, relu(z)) of fusion layer 0, kept by an eval forward
+    fusion_layer0: Optional[tuple] = None  # (mask, relu(z)) of fusion layer 0, kept by an eval forward
     cls_ws: ops.Workspace = field(default_factory=ops.Workspace)
     fusion_ws: ops.Workspace = field(default_factory=ops.Workspace)
 
@@ -489,7 +489,7 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
     # formed, so its gradient is written over it
     _, d_rep = nn.mlp_backward(
         ctx.cls_cache, ctx.d_logits, head.classifier, out=head.classifier.group.grads,
-        ws=head.cls_ws, d_in=ctx.representation,
+        d_in=ctx.representation,
     )
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
@@ -512,9 +512,7 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
         d_z = dxs[0]  # device 0's own array, dead after this sum
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        slicing.feature_fusion_backward(
-            d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads, ws=head.fusion_ws
-        )
+        slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads)
 
 
 def apply_updates(run: RunState, lr: float) -> None:

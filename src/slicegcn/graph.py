@@ -118,16 +118,13 @@ class CsrAdjacency:
         """Stored directed entries (an undirected edge counts twice)."""
         return int(len(self.col_indices))
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[v] : self.row_offsets[v + 1]]
-
     def edge_list(self) -> np.ndarray:
         """All stored (row, col) pairs, row-major order."""
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.row_offsets))
         return np.stack([rows, self.col_indices], axis=1)
 
 
-def build_csr(num_nodes: int, edges, symmetrize: bool = True, self_loops: bool = False) -> CsrAdjacency:
+def build_csr(num_nodes: int, edges, symmetrize: bool = True) -> CsrAdjacency:
     """Build a validated CSR adjacency from an iterable of (u, v) pairs.
 
     Each pair is keyed as u * num_nodes + v; one sort of the keys orders the
@@ -143,8 +140,6 @@ def build_csr(num_nodes: int, edges, symmetrize: bool = True, self_loops: bool =
     keys = [edges[:, 0] * num_nodes + edges[:, 1]]
     if symmetrize:
         keys.append(edges[:, 1] * num_nodes + edges[:, 0])
-    if self_loops:
-        keys.append(np.arange(num_nodes, dtype=np.int64) * (num_nodes + 1))
     offsets, cols = _csr_from_keys(np.concatenate(keys), num_nodes)
     return CsrAdjacency(num_nodes, _readonly(offsets), _readonly(cols))
 
@@ -230,7 +225,7 @@ def _meta_size(meta, key: str) -> int:
     return value
 
 
-def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) -> AttributedGraph:
+def load_dataset(dir_path, symmetrize: bool = True) -> AttributedGraph:
     """Load and validate a dataset directory.
 
     Every split must hold at least one node, and in a binary task (scored by
@@ -239,8 +234,8 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
     Directed inputs are symmetrized (reverse edges added, dedup) by default.
     With symmetrize=False the stored direction is preserved and a node
     aggregates over its in-neighborhood. A self-loop stored in edges.bin is
-    kept, as one entry; self_loops=True adds one to every node (by default
-    none is added: the self path of the layer update covers the node itself).
+    kept, as one entry; none is added (the self path of the layer update
+    covers the node itself).
     """
     d = Path(dir_path)
     meta_path = d / "meta.json"
@@ -289,7 +284,7 @@ def load_dataset(dir_path, symmetrize: bool = True, self_loops: bool = False) ->
     if not symmetrize:
         # In-neighborhood aggregation: row v lists u for every stored (u, v).
         edges = edges[:, ::-1]
-    adj = build_csr(n, edges, symmetrize=symmetrize, self_loops=self_loops)
+    adj = build_csr(n, edges, symmetrize=symmetrize)
     return AttributedGraph(adj=adj, features=features, labels=labels, num_classes=c, split=split)
 
 

@@ -21,20 +21,26 @@ same in every forward (a device's fixed feature slice; dropout acts on layer
 outputs, not on H) computes Â H once and passes it in as `agg`, and the
 layer then skips its aggregation.
 
+A rectified layer keeps, for its backward pass, only where its
+pre-activation was positive: it forms the pre-activation in its output
+array, records pre > 0 in a bool mask, and rectifies in place, and backward
+forms d_pre = d_out * mask.
+
 A layer's dropout-free result depends only on its input and parameters, and
 dropout is the first random draw of a training forward. So an evaluation
 pass over a fixed input can hand its first layer's result (`kept`) to the
 next training forward, which then only draws dropout. The same holds for
 the first layer of an MLP. Any parameter update invalidates a kept result.
 
-Forward and backward passes run in their owner's `ops.Workspace` (`ws`),
-and a result lives there unless `out` names an array for it; parameter
-gradients go to the `out` arrays, and an input gradient to `d_in`, formed
-only when given. A layer writes its cached arrays and output under
-per-layer keys, so each pass writes the arrays the previous pass did; a kept
-result is then already where the training forward reads it. Temporaries
-share scratch keys, and backward passes write gradients over forward arrays
-that nothing reads afterwards (see `mlp_backward`).
+Forward passes and the GCN layer's backward run in their owner's
+`ops.Workspace` (`ws`), and a result lives there unless `out` names an
+array for it; parameter gradients go to the `out` arrays, and an input
+gradient to `d_in`, formed only when given. A layer writes its cached
+arrays and output under per-layer keys, so each pass writes the arrays the
+previous pass did; a kept result is then already where the training
+forward reads it. Temporaries share scratch keys, and backward passes write
+gradients over forward arrays that nothing reads afterwards (see
+`mlp_backward`, which so needs no scratch).
 
 All backward passes are hand-derived reverse-mode gradients. The input
 gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
@@ -104,15 +110,16 @@ def init_gcn_layers(widths, rng, dtype, form: str = FORM_DUAL):
 class GcnLayerCache:
     h_in: np.ndarray
     agg: Optional[np.ndarray]  # Â h_in; None when the layer multiplied by W_agg first
-    pre: np.ndarray  # Â h_in W_agg + b, pre-activation
+    mask: np.ndarray  # bool, where the pre-activation Â h_in W_agg + b is positive
     keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
 
 
-def _relu_mask(keep, ws, shape):
-    """The bool array a backward pass forms ReLU's mask in: the dropout keep
-    mask, dead once applied, or else scratch."""
-    return keep if keep is not None else ws.get("relu.mask", shape, bool)
+def _rectify(pre, mask):
+    """Records pre > 0 in the bool array `mask` and rectifies `pre` in place;
+    returns (relu(pre), mask)."""
+    np.greater(pre, 0, out=mask)
+    return ops.relu(pre, out=pre), mask
 
 
 def narrows(params: GcnLayerParams) -> bool:
@@ -129,37 +136,37 @@ def gcn_layer_forward(
 
     `agg`, when given, is Â h_in computed by the caller and is used as is.
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
-    other layer aggregates H. `kept`, when given, is the (output, pre) pair
+    other layer aggregates H. `kept`, when given, is the (output, mask) pair
     of an evaluation forward over the same h_in, agg and parameters; only
     dropout is computed then, in place, so the kept output is consumed.
 
-    The layer's cached arrays (pre-activation, aggregate, keep mask) and
-    its output live in `ws` under keys (layer, name), so every pass through
+    The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
+    output live in `ws` under keys (layer, name), so every pass through
     layer `layer` writes the same arrays, and its temporaries share the
     workspace's scratch keys. `out`, when given, is the array the output is
-    written into instead.
+    written into instead; the pre-activation is formed there too.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
     if kept is not None:
         if agg is None:
             raise ValueError("a kept layer result needs the aggregate its backward pass uses")
-        h_out, pre = kept
+        h_out, mask = kept
     else:
-        pre = ws.get((layer, "pre"), (n, w_out), dtype)
+        h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
         if agg is None and narrows(params):
             t = np.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
-            ops.spmm_norm(adj, s, t, out=pre, ws=ws)
+            ops.spmm_norm(adj, s, t, out=h_out, ws=ws)
         else:
             if agg is None:
                 agg = ops.spmm_norm(adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws)
-            np.matmul(agg, params.w_agg, out=pre)
-        pre += params.bias
-        h_out = ops.relu(pre, out=ws.get((layer, "out"), (n, w_out), dtype) if out is None else out)
+            np.matmul(agg, params.w_agg, out=h_out)
+        h_out += params.bias
+        h_out, mask = _rectify(h_out, ws.get((layer, "mask"), (n, w_out), bool))
         if params.w_self is not None:
             h_out += np.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
     h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep)
-    return h_out, GcnLayerCache(h_in=h_in, agg=agg, pre=pre, keep=keep, scale=scale)
+    return h_out, GcnLayerCache(h_in=h_in, agg=agg, mask=mask, keep=keep, scale=scale)
 
 
 def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, out, ws, d_in=None):
@@ -178,8 +185,7 @@ def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj,
     n, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
     if cache.keep is not None:
         ops.apply_mask(d_out, cache.keep, cache.scale, out=d_out)
-    mask = _relu_mask(cache.keep, ws, cache.pre.shape)
-    d_pre = ops.relu_backward(cache.pre, d_out, out=ws.get("d_pre", (n, w_out), dtype), mask=mask)
+    d_pre = np.multiply(d_out, cache.mask, out=ws.get("d_pre", (n, w_out), dtype))
     db = np.sum(d_pre, axis=0, out=out[-1])
     narrowing = narrows(params)
     g = None
@@ -225,12 +231,12 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
 def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, *, ws):
     """Returns (output, cache). The last layer is linear (no activation).
 
-    `kept`, when given, is the (z, relu(z)) pair of the first hidden layer
-    from an evaluation forward over the same x and parameters (see
+    `kept`, when given, is the (mask, relu(z)) pair of the first hidden
+    layer from an evaluation forward over the same x and parameters (see
     `mlp_first_layer`); that layer then only applies dropout, in place, so
-    the kept relu(z) is consumed. Layer li writes z, relu(z), its keep mask
-    and the output into `ws` under keys (li, name), so every pass writes the
-    same arrays, and a kept pair is already in place.
+    the kept relu(z) is consumed. Layer li writes relu(z), its ReLU and
+    keep masks and the output into `ws` under keys (li, name), so every
+    pass writes the same arrays, and a kept pair is already in place.
     """
     cache = []
     h = x
@@ -245,42 +251,42 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, *, ws):
             h += b
             continue
         if li == 0 and kept is not None:
-            z, a = kept
+            mask, a = kept
         else:
-            z = np.matmul(h, w, out=ws.get((li, "z"), shape, h.dtype))
-            z += b
-            a = ops.relu(z, out=ws.get((li, "a"), shape, h.dtype))
+            a = np.matmul(h, w, out=ws.get((li, "a"), shape, h.dtype))
+            a += b
+            a, mask = _rectify(a, ws.get((li, "mask"), shape, bool))
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
         a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep)
-        cache.append((h, z, keep, scale))
+        cache.append((h, mask, keep, scale))
         h = a
     return h, cache
 
 
 def mlp_first_layer(cache):
-    """The (z, relu(z)) pair of the first hidden layer, from an evaluation
+    """The (mask, relu(z)) pair of the first hidden layer, from an eval
     forward's cache (no dropout, so the second layer's input is relu(z))."""
     return cache[0][1], cache[1][0]
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams, *, out, ws, d_in=None):
+def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None):
     """Returns ([(dW, db) per layer], d_input); d_input is None without `d_in`.
 
     `out` holds the arrays to write the parameter gradients into: W and b of
     each layer, in layer order. d_input is written into `d_in`, and is not
     formed without it. The backward consumes the forward's cache: the
     gradient of each hidden layer's output is written over that output,
-    which nothing reads afterwards; its scratch comes from `ws`.
+    which nothing reads afterwards, so it needs no scratch.
     """
     grads = [None] * len(mlp.layers)
     d = d_out
     for li in range(len(mlp.layers) - 1, -1, -1):
-        h, z, keep, scale = cache[li]
+        h, mask, keep, scale = cache[li]
         w, _ = mlp.layers[li]
-        if z is not None:  # hidden layer: undo dropout and ReLU, in place (d is this pass's own)
+        if mask is not None:  # hidden layer: undo dropout and ReLU, in place (d is this pass's own)
             if keep is not None:
                 d = ops.apply_mask(d, keep, scale, out=d)
-            d = ops.relu_backward(z, d, out=d, mask=_relu_mask(keep, ws, z.shape))
+            d = np.multiply(d, mask, out=d)
         grads[li] = (np.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
         if li == 0 and d_in is None:
             return grads, None

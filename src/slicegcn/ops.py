@@ -80,10 +80,13 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=No
     adds each row's terms one by one in CSR order from +0.0 (padding adds
     +0.0, a no-op there), so results are bit-identical for any thread schedule.
 
-    The padded input, the accumulator and the gather buffer come from `ws`
-    (they are dead when the call returns). The result is written into
-    `out`, or else it is a view of the padded input, valid until the next
-    call in `ws`.
+    The padded input and the gather buffer come from `ws` (they are dead
+    when the call returns). The blocks sum into `out`, which may be `h`
+    itself, as the input is read only through the padded copy; then the
+    rows go back to node order in the padded buffer, and from there, scaled,
+    into `out`. Without `out`, or with one column (padded to two), they sum
+    into a scratch accumulator of `ws` instead, and the result is a view of
+    the padded input, valid until the next call in `ws`.
     """
     n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
@@ -95,7 +98,7 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=No
     scaled = ws.get("spmm.padded", (n + 1, width), h.dtype)
     np.multiply(h, s[:, None], out=scaled[:n, :c])
     scaled[:n, c:] = scaled[n] = 0
-    acc = ws.get("spmm.acc", (n, width), h.dtype)
+    acc = out if out is not None and width == c else ws.get("spmm.acc", (n, width), h.dtype)
     buf = ws.get("spmm.gather", (lay.max_entries, width), h.dtype)
     for lo, hi, d, offset in lay.blocks:
         m = d * (hi - lo)
@@ -122,15 +125,6 @@ def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def relu(a: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(a, 0, out=out)
-
-
-def relu_backward(a: np.ndarray, d_out: np.ndarray, out=None, mask=None) -> np.ndarray:
-    """d_out * (a > 0); the subgradient at 0 is 0.
-
-    `mask`, when given, is the bool array a > 0 is formed in; `out` may be
-    d_out itself.
-    """
-    return np.multiply(d_out, np.greater(a, 0, out=mask), out=out)
 
 
 def dropout(a, rate, training, rng, keep=None):

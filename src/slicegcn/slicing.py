@@ -3,8 +3,9 @@
 Two ways to produce per-device inputs from the n x d feature matrix:
 direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
-is broadcast to every device. Both fusion passes run in their owner's
-workspace, as every layer does (see `nn`).
+is broadcast to every device. The fusion forward runs in its owner's
+workspace, as every layer does, and keeps only a bool ReLU mask of its
+hidden layer for backward (see `nn`).
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool,
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
-    not one per device. `kept` is the hidden layer's result from an
-    evaluation forward with the same parameters, and `ws` the workspace the
-    MLP's arrays live in (see `nn.mlp_forward`).
+    not one per device. `kept` is the hidden layer's (ReLU mask, output)
+    pair from an evaluation forward with the same parameters, and `ws` the
+    workspace the MLP's arrays live in (see `nn.mlp_forward`).
     """
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
@@ -96,14 +97,14 @@ def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool,
     return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, ws):
+def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
     d_z = sum of per-worker input gradients in fixed device order. Returns
-    [(dW, db) per layer], written into `out` (see `nn.mlp_backward`, also
-    for `ws`); the gradient w.r.t. the raw features is not computed, since
-    nothing upstream of the features trains.
+    [(dW, db) per layer], written into `out` (see `nn.mlp_backward`); the
+    gradient w.r.t. the raw features is not computed, since nothing upstream
+    of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out, ws=ws)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out)
     return grads

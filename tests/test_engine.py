@@ -34,7 +34,7 @@ def _reference_d_rep(run, ctx):
     classifier = run.head.classifier
     out = [np.empty_like(a) for a in classifier.group.params]
     _, d_rep = nn.mlp_backward(
-        cache, ctx.d_logits, classifier, out=out, ws=ops.Workspace(), d_in=np.empty_like(ctx.representation)
+        cache, ctx.d_logits, classifier, out=out, d_in=np.empty_like(ctx.representation)
     )
     return d_rep
 
@@ -483,8 +483,8 @@ class TestLayer0Reuse:
             engine.epoch_forward(run, training=False, pool=pool, keep=True)
             kept = [w.layer0 for w in run.workers]
             engine.epoch_forward(run, training=True, pool=pool)
-        for w, (_, pre) in zip(run.workers, kept):
-            assert w.cache[0].pre is pre and w.layer0 is None
+        for w, (_, mask) in zip(run.workers, kept):
+            assert w.cache[0].mask is mask and w.layer0 is None
 
     def test_only_eval_forwards_keep(self, small_graph):
         run = engine.build_run(small_graph, TrainConfig(variant="slice_ff", p=2, hidden=8))
@@ -660,6 +660,45 @@ class TestBuffers:
         assert len(rises) == cfg.epochs - 1
         assert max(rises[1:]) < n * hidden * 4, rises
         assert bool(pooled) == (threads > 1 and p > 1)
+
+    @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_ffse", 2)])
+    def test_workspaces_hold_what_backward_reads(self, small_graph, monkeypatch, variant, p):
+        # every workspace key and its bytes after a training, counted by hand:
+        # a layer keeps a bool ReLU mask (1 byte per element, like the dropout
+        # keep mask), no f32 pre-activation, and the SpMM sums into its output
+        runs = []
+        build = engine.build_run
+        monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
+        cfg = TrainConfig(variant=variant, p=p, epochs=2, hidden=14, layers=2, seed=4)
+        engine.train(small_graph, cfg)
+        (run,) = runs
+        n, d, c = small_graph.num_nodes, small_graph.num_features, small_graph.num_classes
+        e = small_graph.adj.blocks.max_entries  # rows of the SpMM's gather buffer
+        h = cfg.hidden // p  # a device layer's width; the fusion output is as wide
+        f4 = 4  # bytes of an f32
+        device = {
+            (0, "out"): n * h * f4, (0, "mask"): n * h, (0, "keep"): n * h,
+            (1, "agg"): n * h * f4, (1, "mask"): n * h,
+            "tmp": n * h * f4, "d_pre": n * h * f4,
+            "spmm.padded": (n + 1) * h * f4, "spmm.gather": e * h * f4,
+        }
+        if cfg.use_ff:
+            assert engine.slicing.fusion_output_width(d, p) == h
+            device["dx"] = n * h * f4  # the input gradient, summed into d_z
+        classifier = {
+            "rep": n * p * h * f4, (0, "a"): n * cfg.hidden * f4, (0, "mask"): n * cfg.hidden,
+            (0, "keep"): n * cfg.hidden, (1, "out"): n * c * f4, "d_logits": n * c * f4,
+        }
+        owners = [(w.ws, device) for w in run.workers] + [(run.head.cls_ws, classifier)]
+        if cfg.use_ff:
+            fusion = {
+                (0, "a"): n * d * f4, (0, "mask"): n * d, (0, "keep"): n * d, (1, "out"): n * h * f4,
+                "agg": n * h * f4, "spmm.padded": (n + 1) * h * f4, "spmm.gather": e * h * f4,
+            }
+            owners.append((run.head.fusion_ws, fusion))
+        for ws, want in owners:
+            assert {k: m.size for k, m in ws._memory.items()} == want
+            assert all(dtype is bool for (k, _, dtype) in ws._arrays if k[-1] in ("mask", "keep"))
 
     @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_se", 2), ("slice_ffse", 2)])
     def test_trainings_in_one_process_are_bit_identical(self, small_graph, variant, p):

@@ -69,11 +69,11 @@ def _mlp_forward(*args, **kwargs):
 
 
 def _mlp_backward(cache, d_out, mlp, input_grad=True):
-    """mlp_backward in a fresh workspace, into new gradient arrays. It
-    consumes the forward's cache, so each backward needs a forward."""
+    """mlp_backward into new gradient arrays. It consumes the forward's
+    cache, so each backward needs a forward."""
     out = [np.empty_like(a) for a in mlp.group.params]
     d_in = np.empty_like(cache[0][0]) if input_grad else None
-    return nn.mlp_backward(cache, d_out, mlp, out=out, ws=ops.Workspace(), d_in=d_in)
+    return nn.mlp_backward(cache, d_out, mlp, out=out, d_in=d_in)
 
 
 # (w_in, w_out): a narrowing layer multiplies by W_agg before aggregating
@@ -262,7 +262,7 @@ class TestGcnLayer:
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_kept_result_replaces_layer_arithmetic(self, rand_graph, monkeypatch, shape, form):
-        # an eval forward's (output, pre) handed to a training forward: the same
+        # an eval forward's (output, mask) handed to a training forward: the same
         # output, cache and stream position as computing the layer again
         adj, s = rand_graph
         w_in, w_out = LAYER_SHAPES[shape]
@@ -277,9 +277,10 @@ class TestGcnLayer:
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
         out, cache = _forward(adj, s, h_in, params, rng, True, 0.5, agg=agg,
-                                          kept=(h_eval, c_eval.pre))
+                                          kept=(h_eval, c_eval.mask))
         np.testing.assert_array_equal(out, fresh)
-        assert cache.pre is c_eval.pre and cache.agg is agg and cache.h_in is h_in
+        assert cache.mask is c_eval.mask and cache.agg is agg and cache.h_in is h_in
+        np.testing.assert_array_equal(cache.mask, c_fresh.mask)
         np.testing.assert_array_equal(cache.keep, c_fresh.keep)
         assert cache.scale == c_fresh.scale and rng.random() == ref.random()
 
@@ -289,7 +290,7 @@ class TestGcnLayer:
         h_in = np.ones((30, 4))
         h, c = _forward(adj, s, h_in, params, None, False)
         with pytest.raises(ValueError, match="aggregate"):
-            _forward(adj, s, h_in, params, None, False, kept=(h, c.pre))
+            _forward(adj, s, h_in, params, None, False, kept=(h, c.mask))
 
 
 class _FilledWorkspace(ops.Workspace):
@@ -368,7 +369,7 @@ class TestPassesReadOnlyWhatTheyWrite:
             y = y.copy()
             out = [np.full_like(a, fill) for a in mlp.group.params]
             d_in = np.full_like(x, fill)
-            nn.mlp_backward(cache, d_out, mlp, out=out, ws=ws, d_in=d_in)
+            nn.mlp_backward(cache, d_out, mlp, out=out, d_in=d_in)
             return [y, *out, d_in]
 
         _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
@@ -465,18 +466,20 @@ class TestMlp:
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(14, 0), np.float32, dropout=0.4)
         x = ops.rng_stream(14, 1).standard_normal((9, 5)).astype(np.float32)
         _, eval_cache = _mlp_forward(x, mlp, None, training=False)
-        z, a = nn.mlp_first_layer(eval_cache)
+        mask, a = nn.mlp_first_layer(eval_cache)
         w, b = mlp.layers[0]
-        np.testing.assert_array_equal(z, x @ w + b)
+        z = x @ w + b
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, z > 0)
         np.testing.assert_array_equal(a, ops.relu(z))
 
         rng, ref = ops.rng_stream(15, 0), ops.rng_stream(15, 0)
         fresh, fresh_cache = _mlp_forward(x, mlp, ref, training=True)
         for param in mlp.layers[0]:  # a first layer that computed again would give NaN
             param[:] = np.nan
-        out, cache = _mlp_forward(x, mlp, rng, training=True, kept=(z, a))
+        out, cache = _mlp_forward(x, mlp, rng, training=True, kept=(mask, a))
         np.testing.assert_array_equal(out, fresh)
-        assert cache[0][0] is x and cache[0][1] is z
+        assert cache[0][0] is x and cache[0][1] is mask
         for got, want in zip(cache, fresh_cache):
             for g, f in zip(got, want):
                 np.testing.assert_array_equal(g, f)

@@ -81,7 +81,7 @@ class TestSpmmNorm:
         for v in (0, 3, 7):
             assert not _spmm(adj, degree_norms(adj), h)[v].any()
 
-    def test_rows_sum_in_csr_order(self):
+    def test_rows_sum_in_csr_order(self, neighbors):
         # each row is a left-to-right sum of its terms, in CSR order
         rng = np.random.default_rng(3)
         edges = [(u, v) for u in range(30) for v in range(30) if u != v and rng.random() < 0.3]
@@ -91,14 +91,14 @@ class TestSpmmNorm:
         scaled = h * s[:, None]
         expect = np.zeros_like(h)
         for v in range(30):
-            for u in adj.neighbors(v):
+            for u in neighbors(adj, v):
                 expect[v] += scaled[u]
         expect *= s[:, None]
         np.testing.assert_array_equal(_spmm(adj, s, h), expect)
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_rows_sum_in_csr_order_across_blocks(self, transpose, cols):
+    def test_rows_sum_in_csr_order_across_blocks(self, neighbors, transpose, cols):
         # a directed graph of several row blocks; node 0 is a hub above the
         # block budget in A and in Aᵀ, so it is a block by itself in both
         n = graph._BLOCK_ENTRIES + 100
@@ -112,7 +112,7 @@ class TestSpmmNorm:
         scaled = h * s[:, None]
         expect = np.zeros_like(h)
         for v in range(n):  # row u of Aᵀ lists, ascending, the rows v of A that store u
-            for u in adj.neighbors(v):
+            for u in neighbors(adj, v):
                 if transpose:
                     expect[u] += scaled[v]
                 else:
@@ -127,6 +127,32 @@ class TestSpmmNorm:
         h = np.full((5, 3), -0.0)
         out = _spmm(adj, degree_norms(adj), h)
         np.testing.assert_array_equal(out.view(np.uint64), np.zeros((5, 3), np.uint64))
+
+    @pytest.mark.parametrize("case", ["out_is_h", "column_block", "one_column", "transpose_directed"])
+    def test_sums_into_given_output(self, case, dense_oracle):
+        # the blocks sum straight into `out` (a one-column input keeps the
+        # scratch accumulator): the bits of a fresh output and of the
+        # accumulator that a call without `out` sums into, the oracle's values
+        rng = np.random.default_rng(12)
+        n, cols = 300, 1 if case == "one_column" else 5
+        directed = case == "transpose_directed"
+        adj = build_csr(n, rng.integers(0, n, size=(6 * n, 2)), symmetrize=not directed)
+        s = degree_norms(adj).astype(np.float32)
+        x = rng.standard_normal((n, cols)).astype(np.float32)
+        fresh = ops.spmm_norm(adj, s, x, directed, out=np.zeros_like(x), ws=ops.Workspace())
+        h = x.copy()
+        if case == "out_is_h":
+            out = h
+        elif case == "column_block":  # as a device's block of the representation
+            out = np.full((n, 3 * cols), np.nan, dtype=np.float32)[:, cols : 2 * cols]
+        else:
+            out = np.full_like(h, np.nan)
+        ws = ops.Workspace()
+        assert ops.spmm_norm(adj, s, h, directed, out=out, ws=ws) is out
+        assert out.tobytes() == fresh.tobytes() == _spmm(adj, s, x, directed).tobytes()
+        dense = dense_oracle(adj)
+        np.testing.assert_allclose(out, (dense.T if directed else dense) @ x, rtol=1e-5, atol=1e-6)
+        assert ("spmm.acc" in ws._memory) == (cols == 1)
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
@@ -155,6 +181,12 @@ class TestGlorot:
             ops.glorot_init(np.empty((0, 4)), ops.rng_stream(0, 0))
 
 
+def _relu_backward(a, d_out):
+    """ReLU's gradient as the layers form it: d_out times the bool mask
+    a > 0 their forward records; the subgradient at 0 is 0."""
+    return np.multiply(d_out, a > 0)
+
+
 class TestRelu:
     def test_all_negative(self):
         np.testing.assert_array_equal(ops.relu(-np.ones((2, 2))), np.zeros((2, 2)))
@@ -163,12 +195,12 @@ class TestRelu:
         a = np.ones((2, 3))
         d = np.full((2, 3), 2.0)
         np.testing.assert_array_equal(ops.relu(a), a)
-        np.testing.assert_array_equal(ops.relu_backward(a, d), d)
+        np.testing.assert_array_equal(_relu_backward(a, d), d)
 
     def test_zero_input_zero_gradient(self):
         a = np.zeros((2, 2))
         assert ops.relu(a).sum() == 0
-        assert ops.relu_backward(a, np.ones((2, 2))).sum() == 0
+        assert _relu_backward(a, np.ones((2, 2))).sum() == 0
 
     def test_matches_finite_differences(self):
         rng = ops.rng_stream(5, 0)
@@ -176,7 +208,7 @@ class TestRelu:
         d_out = rng.standard_normal((6, 4))
         h = 1e-6
         fd = ((ops.relu(a + h) - ops.relu(a - h)) / (2 * h)) * d_out
-        ana = ops.relu_backward(a, d_out)
+        ana = _relu_backward(a, d_out)
         # away from the kink the subgradient equals the difference quotient
         away = np.abs(a) > 1e-4
         np.testing.assert_allclose(ana[away], fd[away], rtol=1e-5)

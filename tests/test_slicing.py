@@ -119,10 +119,10 @@ def _fusion_forward(*args, **kwargs):
 
 
 def _fusion_backward(d_z, cache, ff):
-    """feature_fusion_backward in a fresh workspace, into new gradient arrays.
-    It consumes the forward's cache, so each backward needs a forward."""
+    """feature_fusion_backward into new gradient arrays. It consumes the
+    forward's cache, so each backward needs a forward."""
     out = [np.empty_like(a) for a in ff.group.params]
-    return slicing.feature_fusion_backward(d_z, cache, ff, out=out, ws=ops.Workspace())
+    return slicing.feature_fusion_backward(d_z, cache, ff, out=out)
 
 
 class TestFeatureFusion:
