@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import engine
 from .engine import TrainConfig
-from .graph import DatasetError, load_dataset, synth_graph
+from .graph import DatasetError, check_splits, load_dataset, synth_graph
 from .nn import NumericError
 
 log = logging.getLogger("slicegcn")
@@ -224,15 +224,16 @@ def _resolve_graph(settings: dict):
     if dataset is None:
         raise UsageError("--dataset is required (a directory path, or 'synth')")
     if dataset == "synth":
-        return synth_graph(
-            n=settings["synth_nodes"],
-            classes=settings["synth_classes"],
-            d_feat=settings["synth_feat"],
-            p_in=settings["synth_pin"],
-            p_out=settings["synth_pout"],
-            signal=settings["synth_signal"],
-            seed=settings["seed"],
+        n, classes = settings["synth_nodes"], settings["synth_classes"]
+        graph = synth_graph(
+            n=n, classes=classes, d_feat=settings["synth_feat"], p_in=settings["synth_pin"],
+            p_out=settings["synth_pout"], signal=settings["synth_signal"], seed=settings["seed"],
         )
+        try:
+            check_splits(graph.split, graph.labels, classes)
+        except ValueError as err:
+            raise UsageError(f"--synth-nodes {n} --synth-classes {classes} gives unscorable splits: {err}") from err
+        return graph
     return load_dataset(dataset)
 
 

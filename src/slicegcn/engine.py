@@ -38,14 +38,15 @@ passes write the gradients into it, and a step is one pass over it.
 Each epoch ends with an evaluation forward, and the next epoch's training
 forward runs with the same parameters. Layer 0 of a direct-slice device and
 layer 0 of the fusion MLP see a fixed input, and dropout is the first random
-draw of a training forward, so the evaluation pass hands those dropout-free
-results to the next training forward: the worker and the head each keep
-their own, the training forward consumes it, and a parameter update drops
-it. The evaluation pass of the last epoch keeps nothing.
+draw of a training forward, so the evaluation pass's layer-0 output and
+ReLU mask, left in the owner's workspace, serve the next training forward:
+the owner stamps them with its optimizer group's step count `t`, a forward
+reuses them while `t` is unchanged, and a training forward, whose dropout
+consumes them, clears the stamp (`WorkerState.forward`, `epoch_forward`).
 
 Every device and the head own workspaces (`ops.Workspace`), and each
 layer and SpMM runs in its owner's, where its per-epoch arrays are made in
-the first epoch and reused after: a kept layer 0 stays where the
+the first epoch and reused after: a reused layer 0 stays where the
 evaluation pass wrote it, devices write their outputs straight into their
 column blocks of the head's representation, and backward passes write
 gradients over forward arrays that are dead by then (README, "Memory").
@@ -144,34 +145,31 @@ class WorkerState:
     rng: np.random.Generator
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
-    layer0: Optional[tuple] = None  # (output, ReLU mask) of layer 0, kept by an eval forward
+    layer0_t: Optional[int] = None  # group.t when an eval forward left layer 0 in ws
     ws: ops.Workspace = field(default_factory=ops.Workspace)
 
     def forward(
-        self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False,
-        keep: bool = False, out=None, agg=None,
+        self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False, *, out, agg=None,
     ):
-        """`fixed_input`: x is the same in every call, so Â·x is computed once.
+        """Runs the stack on x; the last layer writes the device's output into `out`.
+
+        `fixed_input`: x is the same in every call, so Â·x is computed once.
         `agg`, when given, is Â·x computed by the caller, which layer 0 uses
         as its aggregate (see `nn.gcn_layer_forward`); it must stay valid
         until the device's backward pass.
 
-        `keep` (an eval forward over a fixed input, followed by a forward
-        with the same parameters) keeps layer 0's dropout-free result for
-        that forward, which consumes it. It stays where the forward wrote
-        it, in the device's workspace; a one-layer stack keeps nothing, as
-        its output goes to `out`. `out`, when given, is the array the last
-        layer writes the device's output into; otherwise that is the
-        workspace too, and valid until the device's next forward.
+        Over a fixed input, an eval forward of a stack of two or more layers
+        leaves layer 0's dropout-free output and mask in the device's
+        workspace and stamps them with `group.t`; any later forward reuses
+        them while the stamp equals `group.t`. Every other forward clears
+        the stamp: a training forward's dropout consumes the output.
         """
-        if keep and (training or not fixed_input):
-            raise ValueError("only an eval forward over a fixed input keeps layer 0")
-        kept = None
+        kept = False
         if fixed_input:
             if self.input_agg is None:
                 self.input_agg = ops.spmm_norm(adj, s, x, out=np.empty_like(x), ws=ops.Workspace())
             agg = self.input_agg
-            kept, self.layer0 = self.layer0, None
+            kept = self.layer0_t == self.group.t
         h = x
         caches = []
         last = len(self.layers) - 1
@@ -181,10 +179,9 @@ class WorkerState:
                 adj, s, h, layer, self.rng, training, rate, agg=agg, kept=kept,
                 ws=self.ws, layer=li, out=out if li == last else None,
             )
-            if li == 0 and keep and li < last:
-                self.layer0 = (h, c.mask)
-            agg = kept = None
+            agg, kept = None, False
             caches.append(c)
+        self.layer0_t = self.group.t if fixed_input and not training and last > 0 else None
         self.cache = caches if training else None
         return h
 
@@ -218,7 +215,6 @@ class WorkerState:
     def step(self, lr: float):
         nn.adam_step(self.group, lr)
         self.cache = None
-        self.layer0 = None
 
 
 @dataclass
@@ -234,7 +230,7 @@ class MasterHead:
     fusion: Optional[nn.MlpParams] = None
     fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
-    fusion_layer0: Optional[tuple] = None  # (mask, relu(z)) of fusion layer 0, kept by an eval forward
+    fusion_layer0_t: Optional[int] = None  # fusion.group.t when an eval forward left layer 0 in fusion_ws
     cls_ws: ops.Workspace = field(default_factory=ops.Workspace)
     fusion_ws: ops.Workspace = field(default_factory=ops.Workspace)
 
@@ -410,26 +406,20 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     )
 
 
-def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool = False):
-    """One full forward pass; returns (training-mask loss, logits, context).
-
-    `keep` (eval forwards only): the next forward runs with the same
-    parameters, so the dropout-free layer-0 results are kept for it.
-    """
-    if keep and training:
-        raise ValueError("only an eval forward keeps layer 0")
+def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
+    """One full forward pass; returns (training-mask loss, logits, context)."""
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
 
     fusion_cache = agg = None
     if cfg.use_ff:
-        kept, head.fusion_layer0 = head.fusion_layer0, None
+        group = head.fusion.group
         z, fusion_cache = slicing.feature_fusion_forward(
-            run.features, head.fusion, head.fusion_rng, training, kept=kept, ws=head.fusion_ws
+            run.features, head.fusion, head.fusion_rng, training,
+            kept=head.fusion_layer0_t == group.t, ws=head.fusion_ws,
         )
-        if keep:
-            head.fusion_layer0 = nn.mlp_first_layer(fusion_cache)
+        head.fusion_layer0_t = None if training else group.t
         inputs = [z] * cfg.p
         if not nn.narrows(run.workers[0].layers[0]):
             # every device's layer 0 would aggregate this same z
@@ -448,8 +438,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool, keep: bool =
 
     def fwd(item):
         worker, x, out = item
-        return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff,
-                              keep=keep and not cfg.use_ff, out=out, agg=agg)
+        return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff, out=out, agg=agg)
 
     outputs = pool.run(fwd, list(zip(run.workers, inputs, blocks)))
     if cfg.use_se:
@@ -520,7 +509,6 @@ def apply_updates(run: RunState, lr: float) -> None:
     devices stepped at the end of their backward tasks)."""
     for group in run.head.groups():
         nn.adam_step(group, lr)
-    run.head.fusion_layer0 = None
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -576,7 +564,7 @@ def train(
     Each epoch: training forward, backward (each device steps its optimizer
     at the end of its backward task), a cosine-annealed Adam step for each
     of the head's groups, then an evaluation forward with dropout disabled,
-    which keeps its layer-0 results for the next epoch's training forward.
+    whose layer-0 results the next epoch's training forward reuses.
     The reported test metric is taken at the epoch with the best validation
     metric. Throughput covers the loop only (forward+backward+step+eval).
     `on_epoch(report, eval_logits)` is called after each epoch when given.
@@ -609,9 +597,7 @@ def train(
                 epoch_backward(run, ctx, pool, lr)
                 apply_updates(run, lr)
                 ctx = None
-                _, logits, _ = epoch_forward(
-                    run, training=False, pool=pool, keep=epoch + 1 < config.epochs
-                )
+                _, logits, _ = epoch_forward(run, training=False, pool=pool)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}: {err}") from err
             train_m, val_m, test_m = _metrics(run, logits)

@@ -201,6 +201,18 @@ class AttributedGraph:
         return int(self.features.shape[1])
 
 
+def check_splits(split: np.ndarray, labels: np.ndarray, c: int) -> None:
+    """Raises ValueError unless every split holds a node and, in a binary
+    task (c == 2 classes, scored by AUC-ROC), nodes of both classes."""
+    counts = np.bincount(split.astype(np.int64) * c + labels, minlength=3 * c).reshape(3, c)
+    for tag, name in ((TRAIN, "train"), (VAL, "val"), (TEST, "test")):
+        held = np.flatnonzero(counts[tag])  # the classes of the split's nodes
+        if len(held) == 0:
+            raise ValueError(f"the {name} split is empty")
+        if c == 2 and len(held) == 1:
+            raise ValueError(f"the {name} split holds only class {held[0]}; AUC-ROC needs both classes")
+
+
 def _read_exact(path: Path, dtype, count: int) -> np.ndarray:
     if not path.is_file():
         raise DatasetError(f"missing file: {path.name}")
@@ -228,8 +240,7 @@ def _meta_size(meta, key: str) -> int:
 def load_dataset(dir_path, symmetrize: bool = True) -> AttributedGraph:
     """Load and validate a dataset directory.
 
-    Every split must hold at least one node, and in a binary task (scored by
-    AUC-ROC) both classes, so that training can compute every metric.
+    The splits must pass `check_splits`.
 
     Directed inputs are symmetrized (reverse edges added, dedup) by default.
     With symmetrize=False the stored direction is preserved and a node
@@ -269,17 +280,10 @@ def load_dataset(dir_path, symmetrize: bool = True) -> AttributedGraph:
         raise DatasetError(f"label {labels.max()} >= num_classes {c}")
     if not np.isin(split, (TRAIN, VAL, TEST)).all():
         raise DatasetError("splits.bin contains a tag outside {0, 1, 2}")
-    # nodes per (split, class)
-    counts = np.bincount(split.astype(np.int64) * c + labels, minlength=3 * c).reshape(3, c)
-    for tag, name in ((TRAIN, "train"), (VAL, "val"), (TEST, "test")):
-        held = np.flatnonzero(counts[tag])
-        if len(held) == 0:
-            raise DatasetError(f"splits.bin: the {name} split is empty")
-        if c == 2 and len(held) == 1:
-            raise DatasetError(
-                f"splits.bin: the {name} split holds only class {held[0]}; "
-                "a binary task's AUC-ROC needs both classes"
-            )
+    try:
+        check_splits(split, labels, c)
+    except ValueError as e:
+        raise DatasetError(f"splits.bin: {e}") from e
 
     if not symmetrize:
         # In-neighborhood aggregation: row v lists u for every stored (u, v).

@@ -27,17 +27,19 @@ array, records pre > 0 in a bool mask, and rectifies in place, and backward
 forms d_pre = d_out * mask.
 
 A layer's dropout-free result depends only on its input and parameters, and
-dropout is the first random draw of a training forward. So an evaluation
-pass over a fixed input can hand its first layer's result (`kept`) to the
-next training forward, which then only draws dropout. The same holds for
-the first layer of an MLP. Any parameter update invalidates a kept result.
+dropout is the first random draw of a training forward. So after an
+evaluation pass over a fixed input, the first layer's output and ReLU mask
+are still current in the workspace until a parameter update, and a later
+forward over the same input can reuse them (`kept=True`), drawing only
+dropout. The same holds for the first layer of an MLP. Whether they are
+current is the caller's to know (see `engine`).
 
 Forward passes and the GCN layer's backward run in their owner's
 `ops.Workspace` (`ws`), and a result lives there unless `out` names an
 array for it; parameter gradients go to the `out` arrays, and an input
 gradient to `d_in`, formed only when given. A layer writes its cached
 arrays and output under per-layer keys, so each pass writes the arrays the
-previous pass did; a kept result is then already where the training
+previous pass did; a kept result is then already where the next
 forward reads it. Temporaries share scratch keys, and backward passes write
 gradients over forward arrays that nothing reads afterwards (see
 `mlp_backward`, which so needs no scratch).
@@ -115,11 +117,10 @@ class GcnLayerCache:
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
 
 
-def _rectify(pre, mask):
-    """Records pre > 0 in the bool array `mask` and rectifies `pre` in place;
-    returns (relu(pre), mask)."""
+def _rectify(pre, mask) -> None:
+    """Records pre > 0 in the bool array `mask` and rectifies `pre` in place."""
     np.greater(pre, 0, out=mask)
-    return ops.relu(pre, out=pre), mask
+    ops.relu(pre, out=pre)
 
 
 def narrows(params: GcnLayerParams) -> bool:
@@ -130,15 +131,16 @@ def narrows(params: GcnLayerParams) -> bool:
 
 def gcn_layer_forward(
     adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
-    kept=None, *, ws, layer=0, out=None,
+    kept: bool = False, *, ws, layer=0, out=None,
 ):
     """One layer. Dropout (if rate > 0) is applied to the layer output.
 
     `agg`, when given, is Â h_in computed by the caller and is used as is.
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
-    other layer aggregates H. `kept`, when given, is the (output, mask) pair
-    of an evaluation forward over the same h_in, agg and parameters; only
-    dropout is computed then, in place, so the kept output is consumed.
+    other layer aggregates H. `kept=True` says that `ws` still holds the
+    output and mask of an evaluation forward over the same h_in, agg and
+    parameters; only dropout is computed then, in place, so a training
+    forward consumes the kept output.
 
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
@@ -147,12 +149,13 @@ def gcn_layer_forward(
     written into instead; the pre-activation is formed there too.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
-    if kept is not None:
-        if agg is None:
-            raise ValueError("a kept layer result needs the aggregate its backward pass uses")
-        h_out, mask = kept
-    else:
-        h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
+    if kept and agg is None:
+        raise ValueError("a kept layer result needs the aggregate its backward pass uses")
+    if kept and out is not None:
+        raise ValueError("a kept layer result is in the workspace, not in out")
+    h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
+    mask = ws.get((layer, "mask"), (n, w_out), bool)
+    if not kept:
         if agg is None and narrows(params):
             t = np.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
             ops.spmm_norm(adj, s, t, out=h_out, ws=ws)
@@ -161,7 +164,7 @@ def gcn_layer_forward(
                 agg = ops.spmm_norm(adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws)
             np.matmul(agg, params.w_agg, out=h_out)
         h_out += params.bias
-        h_out, mask = _rectify(h_out, ws.get((layer, "mask"), (n, w_out), bool))
+        _rectify(h_out, mask)
         if params.w_self is not None:
             h_out += np.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
@@ -228,15 +231,15 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, *, ws):
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws):
     """Returns (output, cache). The last layer is linear (no activation).
 
-    `kept`, when given, is the (mask, relu(z)) pair of the first hidden
-    layer from an evaluation forward over the same x and parameters (see
-    `mlp_first_layer`); that layer then only applies dropout, in place, so
-    the kept relu(z) is consumed. Layer li writes relu(z), its ReLU and
-    keep masks and the output into `ws` under keys (li, name), so every
-    pass writes the same arrays, and a kept pair is already in place.
+    Layer li writes relu(z), its ReLU and keep masks and the output into
+    `ws` under keys (li, name), so every pass writes the same arrays.
+    `kept=True` says that `ws` still holds the first hidden layer's relu(z)
+    and mask from an evaluation forward over the same x and parameters;
+    that layer then only applies dropout, in place, so a training forward
+    consumes the kept relu(z).
     """
     cache = []
     h = x
@@ -250,23 +253,16 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept=None, *, ws):
             h = np.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
             h += b
             continue
-        if li == 0 and kept is not None:
-            mask, a = kept
-        else:
-            a = np.matmul(h, w, out=ws.get((li, "a"), shape, h.dtype))
+        a, mask = ws.get((li, "a"), shape, h.dtype), ws.get((li, "mask"), shape, bool)
+        if not (li == 0 and kept):
+            np.matmul(h, w, out=a)
             a += b
-            a, mask = _rectify(a, ws.get((li, "mask"), shape, bool))
+            _rectify(a, mask)
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
         a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep)
         cache.append((h, mask, keep, scale))
         h = a
     return h, cache
-
-
-def mlp_first_layer(cache):
-    """The (mask, relu(z)) pair of the first hidden layer, from an eval
-    forward's cache (no dropout, so the second layer's input is relu(z))."""
-    return cache[0][1], cache[1][0]
 
 
 def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None):

@@ -6,9 +6,9 @@ per run). Every kernel is a pure function of its inputs, except `dropout`,
 which writes its output into the array it is given (callers pass arrays they
 own). The element-wise kernels follow numpy: `out=` names the array their
 result is written into, and without it they return a new one. `spmm_norm`
-runs in its owner's `Workspace` (`ws=`): its temporaries live there, and so
-does its result unless `out=` names an array for it. Kernels keep no state;
-a workspace belongs to one owner, which uses it from one thread at a time.
+writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
+where its temporaries live. Kernels keep no state; a workspace belongs to
+one owner, which uses it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=None, *, ws) -> np.ndarray:
+def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out, ws) -> np.ndarray:
     """Degree-normalized sparse aggregation, out = Â H with Â = S A S.
 
     A[v, u] = 1 when u is stored in row v of `adj`, and S = diag(s), where s
@@ -84,9 +84,8 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=No
     when the call returns). The blocks sum into `out`, which may be `h`
     itself, as the input is read only through the padded copy; then the
     rows go back to node order in the padded buffer, and from there, scaled,
-    into `out`. Without `out`, or with one column (padded to two), they sum
-    into a scratch accumulator of `ws` instead, and the result is a view of
-    the padded input, valid until the next call in `ws`.
+    into `out`, which is returned. With one column (padded to two) they sum
+    into a scratch accumulator of `ws` instead.
     """
     n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
@@ -98,7 +97,7 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=No
     scaled = ws.get("spmm.padded", (n + 1, width), h.dtype)
     np.multiply(h, s[:, None], out=scaled[:n, :c])
     scaled[:n, c:] = scaled[n] = 0
-    acc = out if out is not None and width == c else ws.get("spmm.acc", (n, width), h.dtype)
+    acc = out if width == c else ws.get("spmm.acc", (n, width), h.dtype)
     buf = ws.get("spmm.gather", (lay.max_entries, width), h.dtype)
     for lo, hi, d, offset in lay.blocks:
         m = d * (hi - lo)
@@ -107,7 +106,7 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, out=No
         np.add.reduce(buf[:m].reshape(d, hi - lo, width), axis=0, out=acc[lo:hi], initial=0)
     # back to node order, into scaled, which is no longer read
     res = np.take(acc, lay.rank, axis=0, out=scaled[:n], mode="clip")[:, :c]
-    return np.multiply(res, s[:, None], out=res if out is None else out)
+    return np.multiply(res, s[:, None], out=out)
 
 
 def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:

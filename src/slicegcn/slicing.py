@@ -83,13 +83,13 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
     return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
 
 
-def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept=None, *, ws):
+def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept: bool = False, *, ws):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
-    not one per device. `kept` is the hidden layer's (ReLU mask, output)
-    pair from an evaluation forward with the same parameters, and `ws` the
-    workspace the MLP's arrays live in (see `nn.mlp_forward`).
+    not one per device. `ws` is the workspace the MLP's arrays live in, and
+    `kept=True` reuses the hidden layer an evaluation forward with the same
+    parameters left there (see `nn.mlp_forward`).
     """
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):

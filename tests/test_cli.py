@@ -353,3 +353,21 @@ class TestValidateDataset:
             assert run_cli(args) == cli.EXIT_DATA
             assert "splits.bin" in capsys.readouterr().err
         assert not forwards and not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("nodes,classes,why", [
+        ("3", "3", "the test split is empty"),
+        ("6", "2", "split holds only class"),  # AUC-ROC needs both classes
+    ])
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    def test_unscorable_synth_graph_fails_before_epoch_0(
+        self, tmp_path, capsys, monkeypatch, command, nodes, classes, why
+    ):
+        forwards = []
+        monkeypatch.setattr(engine, "epoch_forward", lambda *a, **k: forwards.append(1))
+        extra = ["--cells", "slice:2"] if command == "bench" else []
+        rc = run_cli([command, "--dataset", "synth", "--synth-nodes", nodes, "--synth-classes", classes,
+                      "--epochs", "1", *extra, "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_USAGE and why in err
+        assert f"--synth-nodes {nodes}" in err and f"--synth-classes {classes}" in err
+        assert not forwards and not (tmp_path / "m.json").exists()

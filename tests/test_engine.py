@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slicegcn
-from slicegcn import engine, nn, ops
+from slicegcn import engine, nn, ops, slicing
 from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
 from slicegcn.graph import TEST, TRAIN, VAL, degree_norms, synth_graph
 
@@ -404,40 +404,82 @@ class TestTrain:
             engine.train(small_graph, cfg)
 
 
-def _kept(run) -> list:
-    """The kept layer-0 results: one per device, then the head's fusion layer 0."""
-    return [w.layer0 for w in run.workers] + [run.head.fusion_layer0]
+def _stamped(run) -> list:
+    """Per device, then for the fusion MLP: whether the owner's stamp says
+    that an eval forward's layer 0 is still current in its workspace."""
+    head = run.head
+    return [w.layer0_t == w.group.t for w in run.workers] + [
+        head.fusion is not None and head.fusion_layer0_t == head.fusion.group.t
+    ]
+
+
+def _clear_stamps(run) -> None:
+    for w in run.workers:
+        w.layer0_t = None
+    run.head.fusion_layer0_t = None
+
+
+@pytest.fixture
+def reuses(monkeypatch) -> list:
+    """One entry per layer-0 forward, in call order: ("device", kept) for a
+    device's layer 0 and ("fusion", kept) for the fusion MLP, where kept
+    says whether it reused the result an eval forward left in place."""
+    calls = []
+    layer_forward, fusion_forward = nn.gcn_layer_forward, slicing.feature_fusion_forward
+
+    def spy_layer(*args, kept=False, layer=0, **kwargs):
+        if layer == 0:
+            calls.append(("device", kept))
+        return layer_forward(*args, kept=kept, layer=layer, **kwargs)
+
+    def spy_fusion(*args, kept=False, **kwargs):
+        calls.append(("fusion", kept))
+        return fusion_forward(*args, kept=kept, **kwargs)
+
+    monkeypatch.setattr(nn, "gcn_layer_forward", spy_layer)
+    monkeypatch.setattr(slicing, "feature_fusion_forward", spy_fusion)
+    return calls
+
+
+def _count(calls, name) -> int:
+    return sum(kept for who, kept in calls if who == name)
 
 
 class TestLayer0Reuse:
-    """The eval forward hands layer 0 (and fusion layer 0) to the next training forward."""
+    """A forward reuses the layer 0 (and fusion layer 0) that an eval forward
+    left in its owner's workspace, while the owner's group has not stepped."""
 
     @staticmethod
     def _recomputing_reference(graph, cfg) -> list:
-        """engine.train's loop with nothing kept between passes."""
+        """engine.train's loop with the stamps cleared before every training
+        forward, so that nothing is reused."""
         run = engine.build_run(graph, cfg)
         rows = []
         with _WorkerPool(1) as pool:
             for epoch in range(cfg.epochs):
+                _clear_stamps(run)
                 loss, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
                 lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
                 engine.epoch_backward(run, ctx, pool, lr)
                 engine.apply_updates(run, lr)
                 _, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
-                assert not any(k is not None for k in _kept(run))
                 rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
         return rows
 
     @pytest.mark.parametrize("variant", ["slice", "slice_se", "slice_ffse"])
-    def test_reuse_matches_recomputing_reference(self, small_graph, monkeypatch, variant, pooled):
-        runs, kept_after = [], []
+    def test_reuse_matches_recomputing_reference(self, small_graph, monkeypatch, variant, pooled, reuses):
+        runs, stamped_after = [], []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
         cfg = TrainConfig(variant=variant, p=2, epochs=4, hidden=16, layers=2, seed=6)
         _, reports = engine.train(
-            small_graph, cfg, on_epoch=lambda report, logits: kept_after.append(_kept(runs[-1]))
+            small_graph, cfg, on_epoch=lambda report, logits: stamped_after.append(_stamped(runs[-1]))
         )
         assert pooled
+        # every training forward but the first reused layer 0: on each device
+        # in direct mode, on the head in fusion mode
+        assert _count(reuses, "device") == (0 if cfg.use_ff else cfg.p * (cfg.epochs - 1))
+        assert _count(reuses, "fusion") == (cfg.epochs - 1 if cfg.use_ff else 0)
         _, sequential = engine.train(small_graph, dataclasses.replace(cfg, threads=1))
 
         def rows(reps):
@@ -445,54 +487,98 @@ class TestLayer0Reuse:
 
         # bit for bit: floats compare exactly
         assert rows(reports) == self._recomputing_reference(small_graph, cfg) == rows(sequential)
-        # every eval but the last kept its layer 0: on the devices in direct
-        # mode, on the head in fusion mode; afterwards nothing is held
-        held = [[k is not None for k in kept] for kept in kept_after]
+        # every eval forward stamped its layer 0
         expect = [False] * cfg.p + [True] if cfg.use_ff else [True] * cfg.p + [False]
-        assert held[:-1] == [expect] * (cfg.epochs - 1)
-        assert not any(held[-1]) and not any(k is not None for k in _kept(runs[0]))
+        assert stamped_after == [expect] * cfg.epochs
 
     @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
-    def test_update_drops_kept_result(self, small_graph, variant):
-        # eval forward (keep) -> parameter update -> training forward: the
-        # training forward recomputes layer 0 from the updated parameters
-        # (the update steps every group once more, on the same gradients)
+    def test_update_drops_kept_result(self, small_graph, variant, reuses):
+        # eval forward -> parameter update -> training forward: the training
+        # forward recomputes layer 0 from the updated parameters, as it does
+        # with the stamps cleared (the update steps every group once more, on
+        # the same gradients)
         cfg = TrainConfig(variant=variant, p=2, epochs=2, hidden=16, layers=2, seed=7)
         logits, losses = [], []
-        for keep in (True, False):
+        for clear in (False, True):
             run = engine.build_run(small_graph, cfg)
             with _WorkerPool(2) as pool:
                 _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
                 engine.epoch_backward(run, ctx, pool, 1e-2)
-                engine.epoch_forward(run, training=False, pool=pool, keep=keep)
-                assert any(k is not None for k in _kept(run)) == keep
+                engine.epoch_forward(run, training=False, pool=pool)
+                if clear:
+                    _clear_stamps(run)
+                assert any(_stamped(run)) != clear
                 for w in run.workers:
                     w.step(1e-2)
                 engine.apply_updates(run, 1e-2)
-                assert not any(k is not None for k in _kept(run))
+                assert not any(_stamped(run))
+                reuses.clear()
                 loss, out, _ = engine.epoch_forward(run, training=True, pool=pool)
+                assert reuses and not any(kept for _, kept in reuses)
             losses.append(loss)
             logits.append(out)
         assert losses[0] == losses[1]
         np.testing.assert_array_equal(logits[0], logits[1])
 
-    def test_kept_result_used_by_the_training_forward(self, small_graph):
+    def test_a_step_ends_the_reuse_of_its_own_group_only(self, small_graph, reuses):
+        # eval forward -> device 0 steps -> training forward: device 0
+        # recomputes its layer 0, device 1 reuses its own
+        run = engine.build_run(small_graph, TrainConfig(variant="slice", p=2, hidden=16, layers=2, seed=7))
+        with _WorkerPool(1) as pool:
+            engine.epoch_forward(run, training=False, pool=pool)
+            run.workers[0].step(1e-2)
+            reuses.clear()
+            engine.epoch_forward(run, training=True, pool=pool)
+        assert reuses == [("device", False), ("device", True)]
+
+    def test_kept_result_used_by_the_training_forward(self, small_graph, reuses):
         cfg = TrainConfig(variant="slice", p=2, epochs=2, hidden=16, layers=2, seed=7)
         run = engine.build_run(small_graph, cfg)
+        shape = (small_graph.num_nodes, run.workers[0].layers[0].w_agg.shape[1])
         with _WorkerPool(1) as pool:
-            engine.epoch_forward(run, training=False, pool=pool, keep=True)
-            kept = [w.layer0 for w in run.workers]
+            engine.epoch_forward(run, training=False, pool=pool)
+            masks = [w.ws.get((0, "mask"), shape, bool) for w in run.workers]
             engine.epoch_forward(run, training=True, pool=pool)
-        for w, (_, mask) in zip(run.workers, kept):
-            assert w.cache[0].mask is mask and w.layer0 is None
+        assert reuses == [("device", False)] * cfg.p + [("device", True)] * cfg.p
+        # the training cache holds the very mask array the eval forward wrote
+        for w, mask in zip(run.workers, masks):
+            assert w.cache[0].mask is mask and w.layer0_t is None
 
-    def test_only_eval_forwards_keep(self, small_graph):
-        run = engine.build_run(small_graph, TrainConfig(variant="slice_ff", p=2, hidden=8))
-        with _WorkerPool(1) as pool, pytest.raises(ValueError, match="eval forward"):
-            engine.epoch_forward(run, training=True, pool=pool, keep=True)
-        w, x = run.workers[0], run.features
-        with pytest.raises(ValueError, match="fixed input"):
-            w.forward(small_graph.adj, run.norm_scale, x, False, 0.5, keep=True)
+    def test_fused_input_is_never_reused_by_a_device(self, small_graph, reuses):
+        # no group steps between the two forwards, but the training forward's
+        # fusion dropout changes every device's input
+        run = engine.build_run(small_graph, TrainConfig(variant="slice_ff", p=2, hidden=16, layers=2, seed=7))
+        with _WorkerPool(1) as pool:
+            engine.epoch_forward(run, training=False, pool=pool)
+            assert all(w.layer0_t is None for w in run.workers)
+            engine.epoch_forward(run, training=True, pool=pool)
+        assert [w.group.t for w in run.workers] == [0, 0]
+        assert reuses == [("fusion", False)] + [("device", False)] * 2 + [("fusion", True)] + [("device", False)] * 2
+
+    def test_one_layer_stack_reuses_nothing(self, small_graph, reuses):
+        # its layer 0 writes into the representation, which the next forward overwrites
+        runs = []
+        build = engine.build_run
+        cfg = TrainConfig(variant="slice", p=2, epochs=3, hidden=16, layers=1, seed=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
+            engine.train(small_graph, cfg)
+        assert len(reuses) == 2 * cfg.epochs * cfg.p and not any(kept for _, kept in reuses)
+        assert all(w.layer0_t is None for w in runs[0].workers)
+
+    @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
+    def test_second_eval_forward_reuses_layer_0_bit_for_bit(self, small_graph, variant, reuses):
+        cfg = TrainConfig(variant=variant, p=2, hidden=16, layers=2, seed=7)
+        run = engine.build_run(small_graph, cfg)
+        with _WorkerPool(1) as pool:
+            loss_a, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
+            first, n = logits.copy(), len(reuses)
+            loss_b, second, _ = engine.epoch_forward(run, training=False, pool=pool)
+        assert not any(kept for _, kept in reuses[:n])
+        owner = "fusion" if cfg.use_ff else "device"
+        assert _count(reuses[n:], owner) == (1 if cfg.use_ff else cfg.p)
+        assert loss_a == loss_b
+        np.testing.assert_array_equal(first, second)
 
 
 class TestEvaluate:
@@ -622,11 +708,12 @@ class TestInputAggregate:
                 engine.epoch_forward(run, training=False, pool=pool)
         adj, s = small_graph.adj, run.norm_scale
         for w, x in zip(run.workers, run.slices):
-            np.testing.assert_array_equal(w.input_agg, ops.spmm_norm(adj, s, x, ws=ops.Workspace()))
+            fresh_agg = ops.spmm_norm(adj, s, x, out=np.empty_like(x), ws=ops.Workspace())
+            np.testing.assert_array_equal(w.input_agg, fresh_agg)
             # layer 0 widens (6 -> 8), so reuse keeps the aggregate-first order bit for bit
-            # a forward's output lives in the device's workspace until its next forward
-            reused = w.forward(adj, s, x, False, cfg.dropout, fixed_input=True).copy()
-            fresh = w.forward(adj, s, x, False, cfg.dropout)
+            reused, fresh = np.empty((2, x.shape[0], w.layers[-1].w_agg.shape[1]), dtype=x.dtype)
+            w.forward(adj, s, x, False, cfg.dropout, fixed_input=True, out=reused)
+            w.forward(adj, s, x, False, cfg.dropout, out=fresh)
             np.testing.assert_array_equal(reused, fresh)
 
 

@@ -17,6 +17,7 @@ from slicegcn.graph import (
     AttributedGraph,
     DatasetError,
     build_csr,
+    check_splits,
     degree_norms,
     load_dataset,
     save_dataset,
@@ -256,6 +257,11 @@ class TestSynthGraph:
         assert abs(counts[0] - n * 0.50) <= 1
         assert abs(counts[1] - n * 0.25) <= 1
         assert abs(counts[2] - n * 0.25) <= 1
+
+    def test_tiny_graph_is_built_but_its_splits_cannot_be_scored(self):
+        g = synth_graph(n=3, classes=3, d_feat=3, p_in=0.5, p_out=0.5, signal=1.0, seed=0)
+        with pytest.raises(ValueError, match="the test split is empty"):
+            check_splits(g.split, g.labels, g.num_classes)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):

@@ -242,7 +242,7 @@ class TestGcnLayer:
         d_out = rng.standard_normal((30, w_out))
         own, own_cache = _forward(adj, s, h_in, params, rng, training=False)
         own_grads = _backward(own_cache, d_out, params, adj, s, input_grad=False)
-        agg = ops.spmm_norm(adj, s, h_in, ws=ops.Workspace())
+        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
 
         calls = []
         spmm = ops.spmm_norm
@@ -262,24 +262,25 @@ class TestGcnLayer:
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_kept_result_replaces_layer_arithmetic(self, rand_graph, monkeypatch, shape, form):
-        # an eval forward's (output, mask) handed to a training forward: the same
-        # output, cache and stream position as computing the layer again
+        # an eval forward's output and mask, left in the workspace, reused by a
+        # training forward: the same output, cache and stream position as
+        # computing the layer again
         adj, s = rand_graph
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
         h_in = ops.rng_stream(16, 1).standard_normal((30, w_in)).astype(np.float32)
-        agg = ops.spmm_norm(adj, s, h_in, ws=ops.Workspace())
-        h_eval, c_eval = _forward(adj, s, h_in, params, None, False, agg=agg)
+        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
+        ws = ops.Workspace()
+        h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg, ws=ws)
         rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
         fresh, c_fresh = _forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
 
         for param in params.arrays():  # a layer that computed again would give NaN
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
-        out, cache = _forward(adj, s, h_in, params, rng, True, 0.5, agg=agg,
-                                          kept=(h_eval, c_eval.mask))
+        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, agg=agg, kept=True, ws=ws)
         np.testing.assert_array_equal(out, fresh)
-        assert cache.mask is c_eval.mask and cache.agg is agg and cache.h_in is h_in
+        assert out is h_eval and cache.mask is c_eval.mask and cache.agg is agg and cache.h_in is h_in
         np.testing.assert_array_equal(cache.mask, c_fresh.mask)
         np.testing.assert_array_equal(cache.keep, c_fresh.keep)
         assert cache.scale == c_fresh.scale and rng.random() == ref.random()
@@ -288,9 +289,21 @@ class TestGcnLayer:
         adj, s = rand_graph
         params = _gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
         h_in = np.ones((30, 4))
-        h, c = _forward(adj, s, h_in, params, None, False)
+        ws = ops.Workspace()
+        nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws)
         with pytest.raises(ValueError, match="aggregate"):
-            _forward(adj, s, h_in, params, None, False, kept=(h, c.mask))
+            nn.gcn_layer_forward(adj, s, h_in, params, None, False, kept=True, ws=ws)
+
+    def test_kept_result_takes_no_out(self, rand_graph):
+        adj, s = rand_graph
+        params = _gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
+        h_in = np.ones((30, 4))
+        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
+        ws = ops.Workspace()
+        nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg, ws=ws)
+        with pytest.raises(ValueError, match="workspace"):
+            nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg, kept=True, ws=ws,
+                                 out=np.empty((30, 4)))
 
 
 class _FilledWorkspace(ops.Workspace):
@@ -328,8 +341,9 @@ class TestPassesReadOnlyWhatTheyWrite:
         h = ops.rng_stream(30, 0).standard_normal((adj.num_nodes, 3)).astype(dtype)
 
         def run(ws, fill):
-            given = ops.spmm_norm(adj, s, h, transpose, out=np.full_like(h, fill), ws=ws)
-            return [given, ops.spmm_norm(adj, s, h, transpose, ws=ws)]
+            # three columns sum into out; one column, into the workspace's accumulator
+            col = np.ascontiguousarray(h[:, :1])
+            return [ops.spmm_norm(adj, s, a, transpose, out=np.full_like(a, fill), ws=ws) for a in (h, col)]
 
         _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
 
@@ -465,8 +479,10 @@ class TestMlp:
     def test_kept_first_layer_replaces_its_arithmetic(self):
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(14, 0), np.float32, dropout=0.4)
         x = ops.rng_stream(14, 1).standard_normal((9, 5)).astype(np.float32)
-        _, eval_cache = _mlp_forward(x, mlp, None, training=False)
-        mask, a = nn.mlp_first_layer(eval_cache)
+        ws = ops.Workspace()
+        _, eval_cache = nn.mlp_forward(x, mlp, None, training=False, ws=ws)
+        # no dropout in an eval forward, so the second layer's input is relu(z)
+        mask, a = eval_cache[0][1], eval_cache[1][0]
         w, b = mlp.layers[0]
         z = x @ w + b
         assert mask.dtype == bool
@@ -477,9 +493,9 @@ class TestMlp:
         fresh, fresh_cache = _mlp_forward(x, mlp, ref, training=True)
         for param in mlp.layers[0]:  # a first layer that computed again would give NaN
             param[:] = np.nan
-        out, cache = _mlp_forward(x, mlp, rng, training=True, kept=(mask, a))
+        out, cache = nn.mlp_forward(x, mlp, rng, training=True, kept=True, ws=ws)
         np.testing.assert_array_equal(out, fresh)
-        assert cache[0][0] is x and cache[0][1] is mask
+        assert cache[0][0] is x and cache[0][1] is mask and cache[1][0] is a
         for got, want in zip(cache, fresh_cache):
             for g, f in zip(got, want):
                 np.testing.assert_array_equal(g, f)

@@ -11,8 +11,8 @@ from slicegcn.graph import build_csr, degree_norms
 
 
 def _spmm(adj, s, h, transpose=False):
-    """spmm_norm in a fresh workspace; the result is a view of its buffer."""
-    return ops.spmm_norm(adj, s, h, transpose, ws=ops.Workspace())
+    """spmm_norm in a fresh workspace, into a new array."""
+    return ops.spmm_norm(adj, s, h, transpose, out=np.empty_like(h), ws=ops.Workspace())
 
 
 class TestSpmmNorm:
