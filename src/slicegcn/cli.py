@@ -133,8 +133,10 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--threads", type=int,
         help="upper bound on the threads running the devices, the master's included: it runs "
-             "device 0 itself (default: p; 1 = sequential). A run whose devices do too little "
-             "work for a thread hand-off to pay runs them all on the master",
+             "device 0 itself (default: p; 1 = sequential). With p > 1 these are all of the run's "
+             "compute threads, as BLAS runs on one thread, and the master's large products and "
+             "optimizer steps use them too. A run whose devices do too little work for a thread "
+             "hand-off to pay runs them all on the master",
     )
     p.add_argument("--synth-nodes", type=int, dest="synth_nodes")
     p.add_argument("--synth-classes", type=int, dest="synth_classes")

@@ -23,6 +23,18 @@ optimizer state, and RNG stream, so results are bit-identical for a fixed
 seed no matter how the OS schedules the threads, and a single-threaded
 reference execution (threads=1) matches exactly.
 
+A run with p > 1 holds the loaded OpenBLAS at one thread from start to end
+(`blas.limit_threads`), so every core it uses is one of its own threads:
+BLAS workers neither compete with the device rounds nor spin between calls,
+and the results do not depend on the environment's BLAS thread setting. The
+master's dense phases use the pool instead: the fusion MLP's and the
+classifier's products run in p fixed blocks, column blocks of the output
+for a layer and its weight gradient and row blocks for an input gradient
+(`ops.Blocks`, Megatron-LM's column- and row-parallel layers), and each head
+group's Adam step in p ranges. The blocks depend on p and the shapes only,
+and run inline when the run's rounds do, so `threads` leaves every bit as it
+is. A p = 1 run keeps the caller's BLAS threads and splits nothing.
+
 In the fusion variants every device gets the same input z. When a device's
 layer 0 does not narrow, it aggregates z first, so the master computes Â·z
 once per forward, in the fusion MLP's workspace, and every device's layer 0
@@ -54,6 +66,7 @@ gradients over forward arrays that are dead by then (README, "Memory").
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +75,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import nn, ops, slicing
+from . import blas, nn, ops, slicing
 from .graph import TRAIN, VAL, TEST, AttributedGraph, degree_norms
 from .nn import NumericError
 
@@ -411,13 +424,14 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
+    split = ops.Blocks(cfg.p, pool.run)
 
     fusion_cache = agg = None
     if cfg.use_ff:
         group = head.fusion.group
         z, fusion_cache = slicing.feature_fusion_forward(
             run.features, head.fusion, head.fusion_rng, training,
-            kept=head.fusion_layer0_t == group.t, ws=head.fusion_ws,
+            kept=head.fusion_layer0_t == group.t, ws=head.fusion_ws, split=split,
         )
         head.fusion_layer0_t = None if training else group.t
         inputs = [z] * cfg.p
@@ -445,10 +459,14 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
         for i, h in enumerate(outputs):
             nn.slice_encode(h, head.encoding, i, out=h)
 
-    logits, cls_cache = nn.mlp_forward(rep, head.classifier, head.cls_rng, training, ws=head.cls_ws)
-    loss, d_sub = ops.softmax_cross_entropy(
-        logits[run.train_idx], run.graph.labels[run.train_idx]
+    logits, cls_cache = nn.mlp_forward(
+        rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, split=split
     )
+    train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
+    if training:
+        loss, d_sub = ops.softmax_cross_entropy(train_logits, train_labels)
+    else:
+        loss = ops.cross_entropy(train_logits, train_labels)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss ({loss})")
 
@@ -473,12 +491,13 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head = run.head
+    split = ops.Blocks(cfg.p, pool.run)
 
     # the representation is dead once the classifier's weight gradients are
     # formed, so its gradient is written over it
     _, d_rep = nn.mlp_backward(
         ctx.cls_cache, ctx.d_logits, head.classifier, out=head.classifier.group.grads,
-        d_in=ctx.representation,
+        d_in=ctx.representation, split=split,
     )
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
@@ -501,14 +520,18 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
         d_z = dxs[0]  # device 0's own array, dead after this sum
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        slicing.feature_fusion_backward(d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads)
+        slicing.feature_fusion_backward(
+            d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads, split=split
+        )
 
 
-def apply_updates(run: RunState, lr: float) -> None:
-    """The head's groups take their optimizer step at the epoch's lr (the
-    devices stepped at the end of their backward tasks)."""
+def apply_updates(run: RunState, lr: float, pool: _WorkerPool) -> None:
+    """The head's groups take their optimizer step at the epoch's lr, each
+    in up to p ranges on the pool (the devices stepped at the end of their
+    backward tasks)."""
+    split = ops.Blocks(run.config.p, pool.run)
     for group in run.head.groups():
-        nn.adam_step(group, lr)
+        nn.adam_step(group, lr, split)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -570,11 +593,13 @@ def train(
     `on_epoch(report, eval_logits)` is called after each epoch when given.
     `eval_logits` is the classifier's output array, which every forward
     rewrites: it is valid until the callback returns, and a callback that
-    keeps the logits keeps a copy.
+    keeps the logits keeps a copy. A run with p > 1 sets the loaded OpenBLAS
+    to one thread and gives the caller's count back when it returns or raises.
     """
     run = build_run(graph, config)
     reports = []
-    with _WorkerPool(pool_threads(run)) as pool:
+    one_blas_thread = blas.limit_threads(1) if config.p > 1 else contextlib.nullcontext()
+    with one_blas_thread, _WorkerPool(pool_threads(run)) as pool:
         if config.epochs == 0:
             _, logits, _ = epoch_forward(run, training=False, pool=pool)
             _, val_m, test_m = _metrics(run, logits)
@@ -595,7 +620,7 @@ def train(
                 loss, _, ctx = epoch_forward(run, training=True, pool=pool)
                 lr = nn.cosine_lr(epoch, config.epochs, config.lr)
                 epoch_backward(run, ctx, pool, lr)
-                apply_updates(run, lr)
+                apply_updates(run, lr, pool)
                 ctx = None
                 _, logits, _ = epoch_forward(run, training=False, pool=pool)
             except NumericError as err:

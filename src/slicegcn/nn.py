@@ -231,7 +231,7 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws):
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws, split=ops.WHOLE):
     """Returns (output, cache). The last layer is linear (no activation).
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
@@ -239,7 +239,8 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
     `kept=True` says that `ws` still holds the first hidden layer's relu(z)
     and mask from an evaluation forward over the same x and parameters;
     that layer then only applies dropout, in place, so a training forward
-    consumes the kept relu(z).
+    consumes the kept relu(z). Each layer's product runs in column blocks of
+    its output (`ops.Blocks.matmul`).
     """
     cache = []
     h = x
@@ -250,12 +251,12 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
         shape = (h.shape[0], w.shape[1])
         if li == last:
             cache.append((h, None, None, None))
-            h = np.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
+            h = split.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
             h += b
             continue
         a, mask = ws.get((li, "a"), shape, h.dtype), ws.get((li, "mask"), shape, bool)
         if not (li == 0 and kept):
-            np.matmul(h, w, out=a)
+            split.matmul(h, w, out=a)
             a += b
             _rectify(a, mask)
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
@@ -265,14 +266,15 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
     return h, cache
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None):
+def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, split=ops.WHOLE):
     """Returns ([(dW, db) per layer], d_input); d_input is None without `d_in`.
 
     `out` holds the arrays to write the parameter gradients into: W and b of
     each layer, in layer order. d_input is written into `d_in`, and is not
     formed without it. The backward consumes the forward's cache: the
     gradient of each hidden layer's output is written over that output,
-    which nothing reads afterwards, so it needs no scratch.
+    which nothing reads afterwards, so it needs no scratch. Weight gradients
+    run in column blocks and input gradients in row blocks (`ops.Blocks`).
     """
     grads = [None] * len(mlp.layers)
     d = d_out
@@ -283,10 +285,10 @@ def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None):
             if keep is not None:
                 d = ops.apply_mask(d, keep, scale, out=d)
             d = np.multiply(d, mask, out=d)
-        grads[li] = (np.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
+        grads[li] = (split.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
         if li == 0 and d_in is None:
             return grads, None
-        d = np.matmul(d, w.T, out=h if li > 0 else d_in)
+        d = split.matmul(d, w.T, out=h if li > 0 else d_in, rows=True)
     return grads, d
 
 
@@ -325,7 +327,8 @@ def slice_encode_backward(d_h):
 # Optimizer and schedule
 
 
-_ADAM_CHUNK = 1 << 16  # elements per pass of adam_step; a group's scratch holds two
+_ADAM_CHUNK = 1 << 16  # elements per pass of adam_step; a scratch array holds two
+_ADAM_MIN_RANGE = 1 << 18  # elements of one range of a split step
 
 
 class ParamGroup:
@@ -336,7 +339,8 @@ class ParamGroup:
     order; a group's layers are `params` views, and their backward passes
     write into the `grads` views. The parameters are built in place: each
     2-D shape is Glorot-drawn from `rng` in order, each 1-D shape (a bias)
-    starts at zero.
+    starts at zero. `scratch` holds one two-row array per range of a step,
+    the first made here, the others at the first step split that far.
     """
 
     beta1 = 0.9
@@ -349,7 +353,7 @@ class ParamGroup:
         self.t = 0
         self.params = _views(self.param, shapes)
         self.grads = _views(self.grad, shapes)
-        self.scratch = np.empty((2, min(size, _ADAM_CHUNK)), dtype=dtype)
+        self.scratch = [np.empty((2, min(size, _ADAM_CHUNK)), dtype=dtype)]
         for a in self.params:
             if a.ndim == 2:
                 ops.glorot_init(a, rng)
@@ -368,7 +372,7 @@ def _views(flat: np.ndarray, shapes) -> list:
     return views
 
 
-def adam_step(group: ParamGroup, lr: float) -> None:
+def adam_step(group: ParamGroup, lr: float, split=ops.WHOLE) -> None:
     """One in-place Adam step with bias correction over a whole group.
 
     Fails fast on a non-finite gradient, before anything changes. The update
@@ -379,20 +383,32 @@ def adam_step(group: ParamGroup, lr: float) -> None:
 
     with the same roundings in the same order, so the bits do not depend on
     how parameters are grouped. It runs over the flat buffers in chunks,
-    through the group's two scratch rows: it allocates nothing the size of
-    the group, and leaves the gradients as they were.
+    through two scratch rows per range: it allocates nothing the size of
+    the group, and leaves the gradients as they were. The update is
+    element-wise, so `split` may cut the buffers into ranges
+    (`ops.Blocks.ranges`) and run them at once, with the same bits.
     """
     grad = group.grad
     if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):  # min and max propagate NaN
         raise NumericError("non-finite gradient")
     group.t += 1
+    c1 = 1.0 - group.beta1 ** group.t
+    c2 = 1.0 - group.beta2 ** group.t
+    ranges = split.ranges(grad.size, _ADAM_MIN_RANGE)
+    while len(group.scratch) < len(ranges):
+        group.scratch.append(np.empty_like(group.scratch[0]))
+    split.each(lambda item: _adam_range(group, *item, lr, c1, c2), list(zip(ranges, group.scratch)))
+
+
+def _adam_range(group: ParamGroup, span, scratch, lr: float, c1: float, c2: float) -> None:
+    """The Adam update of the group's elements [start, end), chunk by chunk through `scratch`."""
     b1, b2, eps = group.beta1, group.beta2, group.eps
-    c1 = 1.0 - b1 ** group.t
-    c2 = 1.0 - b2 ** group.t
-    chunk = group.scratch.shape[1]
-    for lo in range(0, grad.size, chunk):
-        p, g, m, v = (a[lo : lo + chunk] for a in (group.param, grad, group.m, group.v))
-        s, d = group.scratch[:, : g.size]
+    start, end = span
+    chunk = scratch.shape[1]
+    for lo in range(start, end, chunk):
+        hi = min(lo + chunk, end)
+        p, g, m, v = (a[lo:hi] for a in (group.param, group.grad, group.m, group.v))
+        s, d = scratch[:, : g.size]
         m *= b1
         np.multiply(g, 1.0 - b1, out=s)
         m += s

@@ -9,11 +9,16 @@ result is written into, and without it they return a new one. `spmm_norm`
 writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
 where its temporaries live. Kernels keep no state; a workspace belongs to
 one owner, which uses it from one thread at a time.
+
+`Blocks` cuts a large dense product into a fixed number of blocks of its
+output, which its owner's thread pool can run at once.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +29,68 @@ STREAM_ENCODING = (1 << 16) + 1
 STREAM_CLASSIFIER = (1 << 16) + 2
 
 _DROPOUT_CHUNK = 1 << 17  # raw draws per chunk of a dropout mask: 1 MB of uint64
+
+# Multiply-adds of one block of a split product below which its hand-off to
+# a pool thread costs more than it overlaps (README, "Pool rounds"), and the
+# fewest rows or columns a block may have: a one-column product takes BLAS's
+# matrix-vector path, which rounds differently.
+SPLIT_MIN_WORK = 16e6
+SPLIT_MIN_WIDTH = 16
+
+
+def _in_order(fn: Callable, items: list) -> list:
+    return [fn(item) for item in items]
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """Splits large element-wise passes and dense products into `parts`
+    fixed blocks, which `run(fn, items)` runs and returns in order (by
+    default one after another, in the calling thread).
+
+    `ranges` cuts a length into `parts` near-equal ranges, and `matmul` cuts
+    a product's output into `parts` column blocks (row blocks with
+    `rows=True`) when every block reaches `SPLIT_MIN_WORK` multiply-adds and
+    `SPLIT_MIN_WIDTH` columns (rows); otherwise either is one whole. So the
+    blocks depend on `parts` and the shapes alone. Each block of a product
+    is one BLAS call that writes its own part of `out` over the whole inner
+    dimension, so no block sums what another formed; at one BLAS thread the
+    blocks' bits are the whole product's (`tests/test_ops.py` checks the
+    shapes the engine splits). A task calls numpy only.
+    """
+
+    parts: int = 1
+    run: Callable = _in_order
+
+    def ranges(self, size: int, min_size: int) -> list:
+        """`parts` (start, end) ranges over [0, size) when each has at least
+        `min_size` elements, else [(0, size)]."""
+        if self.parts < 2 or size < self.parts * min_size:
+            return [(0, size)]
+        bounds = [i * size // self.parts for i in range(self.parts + 1)]
+        return list(zip(bounds, bounds[1:]))
+
+    def each(self, fn: Callable, items: list) -> None:
+        """fn(item) for every item; through `run` when there are several."""
+        if len(items) == 1:
+            fn(items[0])
+        else:
+            self.run(fn, items)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray, *, out: np.ndarray, rows: bool = False) -> np.ndarray:
+        """out = a @ b, in blocks of out's columns (rows with `rows=True`); returns out."""
+        (m, k), n = a.shape, b.shape[1]
+        if m * k * n < self.parts * SPLIT_MIN_WORK:
+            return np.matmul(a, b, out=out)
+        blocks = self.ranges(m if rows else n, SPLIT_MIN_WIDTH)
+        if rows:
+            self.each(lambda r: np.matmul(a[r[0] : r[1]], b, out=out[r[0] : r[1]]), blocks)
+        else:
+            self.each(lambda r: np.matmul(a, b[:, r[0] : r[1]], out=out[:, r[0] : r[1]]), blocks)
+        return out
+
+
+WHOLE = Blocks()  # every product and pass in one piece, in the calling thread
 
 
 class Workspace:
@@ -177,14 +244,8 @@ def apply_mask(a, keep, scale, out=None):
     return out
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient.
-
-    loss = mean over rows of -log softmax(logits)[label]
-    dLogits = (softmax - onehot) / m
-
-    Rows are shifted by their max before exponentiation.
-    """
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """(loss, exp, denom, rows): the loss and the softmax's parts."""
     m, c = logits.shape
     if m == 0:
         raise ValueError("softmax_cross_entropy: empty batch")
@@ -195,7 +256,24 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     denom = exp.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(denom)
     rows = np.arange(m)
-    loss = float(-log_probs[rows, labels].mean())
+    return float(-log_probs[rows, labels].mean()), exp, denom, rows
+
+
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """The loss of `softmax_cross_entropy`, bit for bit, without its gradient."""
+    return _cross_entropy(logits, labels)[0]
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and its gradient.
+
+    loss = mean over rows of -log softmax(logits)[label]
+    dLogits = (softmax - onehot) / m
+
+    Rows are shifted by their max before exponentiation.
+    """
+    loss, exp, denom, rows = _cross_entropy(logits, labels)
+    m = len(rows)
     d_logits = exp / denom
     d_logits[rows, labels] -= 1
     d_logits /= m

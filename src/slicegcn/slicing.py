@@ -5,7 +5,8 @@ direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
 is broadcast to every device. The fusion forward runs in its owner's
 workspace, as every layer does, and keeps only a bool ReLU mask of its
-hidden layer for backward (see `nn`).
+hidden layer for backward (see `nn`). Its products run in the blocks the
+caller gives (`ops.Blocks`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, ops
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
     return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
 
 
-def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept: bool = False, *, ws):
+def feature_fusion_forward(
+    x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept: bool = False, *, ws, split=ops.WHOLE,
+):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
@@ -94,10 +97,10 @@ def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, rng, training: bool,
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
         raise ValueError(f"fusion hidden layer {w0.shape} does not match feature dim {x.shape[1]}")
-    return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws)
+    return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws, split=split)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out):
+def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, split=ops.WHOLE):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
@@ -106,5 +109,5 @@ def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out):
     gradient w.r.t. the raw features is not computed, since nothing upstream
     of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out, split=split)
     return grads

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slicegcn
-from slicegcn import engine, nn, ops, slicing
+from slicegcn import blas, engine, nn, ops, slicing
 from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
 from slicegcn.graph import TEST, TRAIN, VAL, degree_norms, synth_graph
 
@@ -404,6 +404,147 @@ class TestTrain:
             engine.train(small_graph, cfg)
 
 
+@pytest.fixture
+def two_blas_threads():
+    """The loaded OpenBLAS at 2 threads for the test, and back after it."""
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS with a thread-count control is loaded")
+    with blas.limit_threads(2):
+        yield
+
+
+class TestBlasThreads:
+    """A p > 1 run holds the loaded OpenBLAS at one thread; a p = 1 run
+    leaves the caller's count."""
+
+    @pytest.mark.parametrize("variant,p,inside", [("slice_ffse", 2, 1), ("slice", 2, 1), ("baseline", 1, 2)])
+    def test_count_during_and_after_the_run(self, small_graph, two_blas_threads, pooled, variant, p, inside):
+        seen = []
+        cfg = TrainConfig(variant=variant, p=p, epochs=2, hidden=8, seed=1)
+        engine.train(small_graph, cfg, on_epoch=lambda report, logits: seen.append(blas.threads()))
+        assert seen == [inside] * 2
+        assert blas.threads() == 2
+
+    def test_count_restored_after_a_numeric_error(self, small_graph, two_blas_threads, monkeypatch):
+        def failing_backward(*args):
+            raise nn.NumericError("non-finite gradient")
+
+        monkeypatch.setattr(engine, "epoch_backward", failing_backward)
+        with pytest.raises(nn.NumericError):
+            engine.train(small_graph, TrainConfig(variant="slice", p=2, epochs=2, hidden=8, seed=1))
+        assert blas.threads() == 2
+
+    def test_without_a_library_the_run_is_unchanged(self, small_graph, monkeypatch, pooled):
+        cfg = TrainConfig(variant="slice_ffse", p=2, epochs=3, hidden=8, seed=4)
+
+        def rows(c):
+            return [(r.loss, r.train_metric, r.val_metric, r.test_metric) for r in engine.train(small_graph, c)[1]]
+
+        found = rows(cfg)
+        monkeypatch.setattr(blas, "_controls", lambda: None)
+        assert blas.threads() is None
+        assert rows(cfg) == rows(dataclasses.replace(cfg, threads=1)) == found
+        assert pooled
+
+    def test_artifacts_do_not_depend_on_the_blas_environment(self, tmp_path):
+        # fusion products (2000 x 600 x 600) large enough for threaded BLAS,
+        # which rounds them differently at 2 threads than at 1
+        src = str(Path(slicegcn.__file__).resolve().parents[1])
+        blobs = []
+        for count in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = count
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / count / "m.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "slicegcn.cli", "train", "--dataset", "synth", "--synth-nodes", "2000",
+                 "--synth-feat", "600", "--variant", "slice_ffse", "-p", "2", "--epochs", "2", "--seed", "3",
+                 "--no-timing", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+_TRACED = [  # the functions the benchmark's tracer wraps, which no block of a split may call
+    (ops, "spmm_norm"), (ops, "dropout"), (slicing, "feature_fusion_forward"), (slicing, "feature_fusion_backward"),
+    *[(nn, name) for name in ("gcn_layer_forward", "gcn_layer_backward", "mlp_forward", "mlp_backward", "adam_step")],
+]
+
+
+@pytest.fixture
+def split_rounds(monkeypatch):
+    """The engine's blocks, watched: the fixture is (the item count of each
+    round of blocks, a thread-local whose `inside` is true while a block runs)."""
+    rounds, local = [], threading.local()
+    blocks = ops.Blocks
+
+    def watched_blocks(parts, run):
+        def watched(fn, items):
+            rounds.append(len(items))
+
+            def task(item):
+                local.inside = True
+                try:
+                    return fn(item)
+                finally:
+                    local.inside = False
+
+            return run(task, items)
+
+        return blocks(parts, watched)
+
+    monkeypatch.setattr(engine.ops, "Blocks", watched_blocks)
+    return rounds, local
+
+
+def _fusion_graph():
+    """600 nodes, 400 features: every product of the fusion MLP splits at p=2."""
+    return synth_graph(n=600, classes=3, d_feat=400, p_in=0.05, p_out=0.01, signal=1.0, seed=2)
+
+
+class TestSplitRounds:
+    """The head's large dense products and Adam steps run in p blocks."""
+
+    def test_split_tasks_call_no_traced_function(self, monkeypatch, pooled, split_rounds):
+        # a pool thread's span parents under the master's innermost open span,
+        # so a traced call inside a block would misplace its span
+        rounds, local = split_rounds
+        inside = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                inside.append(getattr(local, "inside", False))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for module, name in _TRACED:
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        monkeypatch.setattr(nn, "_ADAM_MIN_RANGE", 1 << 12)  # the fusion MLP's step splits too
+        engine.train(_fusion_graph(), TrainConfig(variant="slice_ffse", p=2, epochs=2, hidden=16, seed=1))
+        assert rounds and set(rounds) == {2}
+        assert inside and not any(inside)
+
+    def test_blocks_on_the_pool_or_inline_give_the_same_bits(self, pooled, split_rounds):
+        rounds, _ = split_rounds
+        graph, cfg = _fusion_graph(), TrainConfig(variant="slice_ffse", p=2, epochs=3, hidden=16, seed=1)
+
+        def rows(c):
+            return [(r.loss, r.train_metric, r.val_metric, r.test_metric) for r in engine.train(graph, c)[1]]
+
+        assert rows(cfg) == rows(dataclasses.replace(cfg, threads=1))
+        # per epoch at least A W1 in training, X W0 and A W1 in eval, and three backward products
+        assert len(rounds) >= 2 * 6 * cfg.epochs
+
+    def test_eval_forward_forms_no_loss_gradient(self, small_graph, monkeypatch):
+        calls, full = [], ops.softmax_cross_entropy
+        monkeypatch.setattr(ops, "softmax_cross_entropy", lambda *a: calls.append(1) or full(*a))
+        engine.train(small_graph, TrainConfig(variant="slice", p=2, epochs=3, hidden=8, seed=1))
+        assert len(calls) == 3  # one per training forward
+
+
 def _stamped(run) -> list:
     """Per device, then for the fusion MLP: whether the owner's stamp says
     that an eval forward's layer 0 is still current in its workspace."""
@@ -461,7 +602,7 @@ class TestLayer0Reuse:
                 loss, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
                 lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
                 engine.epoch_backward(run, ctx, pool, lr)
-                engine.apply_updates(run, lr)
+                engine.apply_updates(run, lr, pool)
                 _, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
                 rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
         return rows
@@ -510,7 +651,7 @@ class TestLayer0Reuse:
                 assert any(_stamped(run)) != clear
                 for w in run.workers:
                     w.step(1e-2)
-                engine.apply_updates(run, 1e-2)
+                engine.apply_updates(run, 1e-2, pool)
                 assert not any(_stamped(run))
                 reuses.clear()
                 loss, out, _ = engine.epoch_forward(run, training=True, pool=pool)
@@ -704,7 +845,7 @@ class TestInputAggregate:
             for _ in range(cfg.epochs):
                 _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
                 engine.epoch_backward(run, ctx, pool, 1e-2)
-                engine.apply_updates(run, 1e-2)
+                engine.apply_updates(run, 1e-2, pool)
                 engine.epoch_forward(run, training=False, pool=pool)
         adj, s = small_graph.adj, run.norm_scale
         for w, x in zip(run.workers, run.slices):

@@ -610,6 +610,25 @@ class TestAdam:
             for got, want in zip(group.grads, grads):  # the gradients are left as they were
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_split_step_matches_the_whole_step(self, parts):
+        # ranges of several chunks each, run last first: the update is
+        # element-wise, so neither the cut nor the order moves a bit
+        rng = np.random.default_rng(parts)
+        start = [rng.standard_normal(shape).astype(np.float32) for shape in ((40, 30), (30,), (30, 7))]
+        with mock.patch.object(nn, "_ADAM_CHUNK", 64), mock.patch.object(nn, "_ADAM_MIN_RANGE", 100):
+            whole, cut = _group(*start), _group(*start)
+            rounds = []
+            split = ops.Blocks(parts, lambda fn, items: rounds.append(len(items)) or [fn(i) for i in items[::-1]])
+            for lr in (0.01, 0.003, 0.3):
+                grad = rng.standard_normal(whole.size).astype(np.float32)
+                whole.grad[:] = cut.grad[:] = grad
+                nn.adam_step(whole, lr)
+                nn.adam_step(cut, lr, split)
+        assert rounds == [parts] * 3 and len(cut.scratch) == parts
+        for a, b in ((whole.param, cut.param), (whole.m, cut.m), (whole.v, cut.v)):
+            np.testing.assert_array_equal(a, b)
+
     def test_step_over_a_large_group_allocates_no_temporary(self):
         group = nn.ParamGroup([(1000, 1000)], ops.rng_stream(19, 0), np.float32)
         group.grad[:] = 0.5

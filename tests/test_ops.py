@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegcn import graph, ops
+from slicegcn import blas, graph, ops
 from slicegcn.graph import build_csr, degree_norms
 
 
@@ -393,6 +393,70 @@ class TestSoftmaxCrossEntropy:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             ops.softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_only_form_has_the_same_bits(self, dtype):
+        rng = ops.rng_stream(12, 0)
+        logits = (rng.standard_normal((50, 7)) * 4).astype(dtype)
+        labels = rng.integers(0, 7, 50)
+        assert ops.cross_entropy(logits, labels) == ops.softmax_cross_entropy(logits, labels)[0]
+        with pytest.raises(ValueError):
+            ops.cross_entropy(logits, labels + 7)
+
+
+def _counting(parts):
+    """Blocks of `parts` whose run records the items of each call."""
+    calls = []
+
+    def run(fn, items):
+        calls.append(list(items))
+        return [fn(item) for item in items]
+
+    return ops.Blocks(parts, run), calls
+
+
+def _f32(rng, *shape):
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+class TestBlocks:
+    def test_ranges_cover_the_length(self):
+        assert ops.Blocks(3).ranges(10, 2) == [(0, 3), (3, 6), (6, 10)]
+        assert ops.Blocks(3).ranges(5, 2) == [(0, 5)]  # a range would be under 2
+        assert ops.WHOLE.ranges(10, 1) == [(0, 10)]
+
+    def test_small_or_narrow_products_stay_whole(self, monkeypatch):
+        # a product below the work floor, and, with no floor, one whose
+        # blocks would be one column wide (BLAS's matrix-vector path)
+        rng = np.random.default_rng(0)
+        a, square, narrow = _f32(rng, 400, 64), _f32(rng, 64, 64), _f32(rng, 64, 2)
+        for floor, b, blocks in [(ops.SPLIT_MIN_WORK, square, []), (0, narrow, []), (0, square, [2])]:
+            monkeypatch.setattr(ops, "SPLIT_MIN_WORK", floor)
+            split, calls = _counting(2)
+            out = split.matmul(a, b, out=np.empty((a.shape[0], b.shape[1]), np.float32))
+            assert [len(c) for c in calls] == blocks
+            np.testing.assert_array_equal(out, a @ b)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_split_products_equal_the_whole_at_one_blas_thread(self, parts):
+        # each product the engine splits, at the benchmark's shapes: the
+        # fusion MLP of Cora-sized features (2708 x 1433, hidden 1433, output
+        # 718) and the classifier's first layer over 50k nodes (128 -> 128)
+        rng = np.random.default_rng(1)
+        x, a, d_z, d_a = _f32(rng, 2708, 1433), _f32(rng, 2708, 1433), _f32(rng, 2708, 718), _f32(rng, 2708, 1433)
+        w0, w1 = _f32(rng, 1433, 1433), _f32(rng, 1433, 718)
+        rep, d_h, cls_w0 = _f32(rng, 50_000, 128), _f32(rng, 50_000, 128), _f32(rng, 128, 128)
+        products = [
+            (x, w0, False), (a, w1, False), (a.T, d_z, False), (x.T, d_a, False), (d_z, w1.T, True),
+            (rep, cls_w0, False), (rep.T, d_h, False), (d_h, cls_w0.T, True),
+        ]
+        with blas.limit_threads(1):
+            for lhs, rhs, rows in products:
+                split, calls = _counting(parts)
+                shape = (lhs.shape[0], rhs.shape[1])
+                got = split.matmul(lhs, rhs, out=np.empty(shape, np.float32), rows=rows)
+                assert [len(c) for c in calls] == [parts]
+                np.testing.assert_array_equal(got, np.matmul(lhs, rhs))
 
 
 class TestDeterminism:
