@@ -10,18 +10,20 @@ One run is p simulated devices plus a master. Per epoch, barrier-synchronous:
     -> workers backpropagate their stacks and step their own optimizers
     -> master steps the head's optimizers.
 
-The master thread runs device 0's task of each phase itself and hands the
-other devices' tasks to threads - 1 pool threads, so `threads` counts the
-master's thread. A pool round costs a hand-off of the interpreter lock per
-task, which a small device's work does not repay, so `train` decides once
-per run, from the built run's shapes alone: when one device's forward
-(`forward_work`) is below `POOL_MIN_WORK` multiply-adds, every round runs
-inline on the master, and `threads` is an upper bound. Workers never talk
-to each other; the only cross-thread payloads are the scattered inputs, the
-gathered outputs, and the gradient blocks. Every worker owns its parameters,
-optimizer state, and RNG stream, so results are bit-identical for a fixed
-seed no matter how the OS schedules the threads, and a single-threaded
-reference execution (threads=1) matches exactly.
+Each run owns one `ops.Pool` (`RunState.pool`), which `build_run` makes
+and `train` closes. The master thread runs device 0's task of each phase
+itself and hands the other devices' tasks to threads - 1 pool threads, so
+`threads` counts the master's thread. A pool round costs a hand-off of the
+interpreter lock per task, which a small device's work does not repay, so
+`build_run` decides once per run, from the shapes alone: when one device's
+forward (`forward_work`) is below `ops.MIN_TASK_WORK` multiply-adds, the
+pool has no threads and every round runs inline on the master, and
+`threads` is an upper bound. Workers never talk to each other; the only
+cross-thread payloads are the scattered inputs, the gathered outputs, and
+the gradient blocks. Every worker owns its parameters, optimizer state, and
+RNG stream, so results are bit-identical for a fixed seed no matter how the
+OS schedules the threads, and a single-threaded reference execution
+(threads=1) matches exactly.
 
 A run with p > 1 holds the loaded OpenBLAS at one thread from start to end
 (`blas.limit_threads`), so every core it uses is one of its own threads:
@@ -30,10 +32,10 @@ and the results do not depend on the environment's BLAS thread setting. The
 master's dense phases use the pool instead: the fusion MLP's and the
 classifier's products run in p fixed blocks, column blocks of the output
 for a layer and its weight gradient and row blocks for an input gradient
-(`ops.Blocks`, Megatron-LM's column- and row-parallel layers), and each head
-group's Adam step in p ranges. The blocks depend on p and the shapes only,
-and run inline when the run's rounds do, so `threads` leaves every bit as it
-is. A p = 1 run keeps the caller's BLAS threads and splits nothing.
+(`ops.Pool.matmul`, Megatron-LM's column- and row-parallel layers), and each
+head group's Adam step in p ranges. The blocks depend on p and the shapes
+only, and run inline when the run's rounds do, so `threads` leaves every bit
+as it is. A p = 1 run keeps the caller's BLAS threads and splits nothing.
 
 In the fusion variants every device gets the same input z. When a device's
 layer 0 does not narrow, it aggregates z first, so the master computes Â·z
@@ -69,7 +71,6 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -82,11 +83,6 @@ from .nn import NumericError
 VARIANTS = ("baseline", "slice", "slice_se", "slice_ff", "slice_ffse")
 PRECISIONS = ("f32", "f64")
 LAYER_FORMS = (nn.FORM_SINGLE, nn.FORM_DUAL)
-
-# Multiply-adds of one device's forward below which a pool round costs more
-# than it overlaps: such runs keep every round on the master (README, "Pool
-# rounds", has the crossover sweep this is taken from).
-POOL_MIN_WORK = 16e6
 
 
 @dataclass(frozen=True)
@@ -265,6 +261,7 @@ class RunState:
     train_idx: np.ndarray  # node indices of the train, val and test splits
     val_idx: np.ndarray
     test_idx: np.ndarray
+    pool: ops.Pool  # the run's device rounds and split blocks
 
     @property
     def param_count(self) -> int:
@@ -277,7 +274,6 @@ class EpochContext:
     """Forward intermediates the backward pass needs."""
 
     representation: np.ndarray  # gathered pre-classifier matrix
-    logits: np.ndarray
     cls_cache: Optional[list] = None
     fusion_cache: Optional[list] = None
     d_logits: Optional[np.ndarray] = None
@@ -304,44 +300,6 @@ class RunSummary:
     throughput_eps: Optional[float]
 
 
-class _WorkerPool:
-    """Runs one task per device per phase, gathered in device order.
-
-    `threads` counts the calling thread. The calling thread (the master)
-    runs item 0 itself and hands the other items to threads - 1 pool
-    threads, so a p-device round hands off p - 1 tasks. threads == 1 runs
-    every item in the calling thread, in order: the sequential reference.
-    Results do not depend on the choice. `run` returns or raises only once
-    every task of the round has finished, so no task outlives a failed round;
-    of several failures, the one of the lowest item is raised.
-    """
-
-    def __init__(self, threads: int):
-        self._ex = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else None
-
-    def run(self, fn: Callable, items: list) -> list:
-        if self._ex is None:
-            return [fn(item) for item in items]
-        futures = [self._ex.submit(fn, item) for item in items[1:]]
-        try:
-            first = fn(items[0])
-        finally:
-            for f in futures:
-                f.exception()  # waits for the task; its error, if any, is raised below
-        return [first] + [f.result() for f in futures]
-
-    def close(self):
-        if self._ex is not None:
-            self._ex.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 def forward_work(n: int, nnz: int, widths, dual: bool) -> int:
     """Multiply-adds of one device's forward through layers of widths
     widths[0] -> ... -> widths[-1] over a graph of n nodes and nnz stored
@@ -351,15 +309,15 @@ def forward_work(n: int, nnz: int, widths, dual: bool) -> int:
     return sum(nnz * min(a, b) + n * a * b * per_product for a, b in zip(widths, widths[1:]))
 
 
-def pool_threads(run: RunState) -> int:
-    """Threads the run's rounds use: `config.threads` (default p), or 1 when
-    one device's forward is below `POOL_MIN_WORK` multiply-adds."""
-    cfg, layers = run.config, run.workers[0].layers
+def pool_threads(config: TrainConfig, graph: AttributedGraph, layers: list) -> int:
+    """Threads a run's rounds use: `config.threads` (default p), or 1 when
+    one device's forward through `layers` is below `ops.MIN_TASK_WORK`
+    multiply-adds."""
     widths = [layers[0].w_agg.shape[0]] + [layer.w_agg.shape[1] for layer in layers]
-    work = forward_work(run.graph.num_nodes, run.graph.adj.num_edges, widths, layers[0].w_self is not None)
-    if work < POOL_MIN_WORK:
+    work = forward_work(graph.num_nodes, graph.adj.num_edges, widths, layers[0].w_self is not None)
+    if work < ops.MIN_TASK_WORK:
         return 1
-    return cfg.threads if cfg.threads is not None else cfg.p
+    return config.threads if config.threads is not None else config.p
 
 
 def slice_strategy(config: TrainConfig, d_feat: int) -> slicing.SliceStrategy:
@@ -375,7 +333,8 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
     A device's input is its feature slice, or the fusion output; each device
     layer is ceil(hidden / p) wide. These widths are derived here only, and
-    the built arrays are the run's record of them.
+    the built arrays are the run's record of them. The run's pool cuts
+    products into p blocks and has `pool_threads` threads; its owner closes it.
     """
     d_feat = graph.num_features
     strategy = slice_strategy(config, d_feat)
@@ -416,22 +375,22 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
         train_idx=np.flatnonzero(graph.split == TRAIN),
         val_idx=np.flatnonzero(graph.split == VAL),
         test_idx=np.flatnonzero(graph.split == TEST),
+        pool=ops.Pool(config.p, pool_threads(config, graph, workers[0].layers)),
     )
 
 
-def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
+def epoch_forward(run: RunState, training: bool):
     """One full forward pass; returns (training-mask loss, logits, context)."""
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
-    head = run.head
-    split = ops.Blocks(cfg.p, pool.run)
+    head, pool = run.head, run.pool
 
     fusion_cache = agg = None
     if cfg.use_ff:
         group = head.fusion.group
         z, fusion_cache = slicing.feature_fusion_forward(
             run.features, head.fusion, head.fusion_rng, training,
-            kept=head.fusion_layer0_t == group.t, ws=head.fusion_ws, split=split,
+            kept=head.fusion_layer0_t == group.t, ws=head.fusion_ws, pool=pool,
         )
         head.fusion_layer0_t = None if training else group.t
         inputs = [z] * cfg.p
@@ -460,7 +419,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
             nn.slice_encode(h, head.encoding, i, out=h)
 
     logits, cls_cache = nn.mlp_forward(
-        rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, split=split
+        rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, pool=pool
     )
     train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
     if training:
@@ -470,7 +429,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss ({loss})")
 
-    ctx = EpochContext(representation=rep, logits=logits)
+    ctx = EpochContext(representation=rep)
     if training:
         d_logits = head.cls_ws.get("d_logits", logits.shape, logits.dtype)
         d_logits.fill(0)
@@ -481,7 +440,7 @@ def epoch_forward(run: RunState, training: bool, pool: _WorkerPool):
     return loss, logits, ctx
 
 
-def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: float) -> None:
+def epoch_backward(run: RunState, ctx: EpochContext, lr: float) -> None:
     """Reverse the epoch: head backward, scatter blocks, worker backward.
 
     Every group's gradients land in its own buffer. Each device steps its
@@ -490,14 +449,13 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
     """
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
-    head = run.head
-    split = ops.Blocks(cfg.p, pool.run)
+    head, pool = run.head, run.pool
 
     # the representation is dead once the classifier's weight gradients are
     # formed, so its gradient is written over it
     _, d_rep = nn.mlp_backward(
         ctx.cls_cache, ctx.d_logits, head.classifier, out=head.classifier.group.grads,
-        d_in=ctx.representation, split=split,
+        d_in=ctx.representation, pool=pool,
     )
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
@@ -521,17 +479,16 @@ def epoch_backward(run: RunState, ctx: EpochContext, pool: _WorkerPool, lr: floa
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
         slicing.feature_fusion_backward(
-            d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads, split=split
+            d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads, pool=pool
         )
 
 
-def apply_updates(run: RunState, lr: float, pool: _WorkerPool) -> None:
+def apply_updates(run: RunState, lr: float) -> None:
     """The head's groups take their optimizer step at the epoch's lr, each
-    in up to p ranges on the pool (the devices stepped at the end of their
-    backward tasks)."""
-    split = ops.Blocks(run.config.p, pool.run)
+    in up to p ranges on the run's pool (the devices stepped at the end of
+    their backward tasks)."""
     for group in run.head.groups():
-        nn.adam_step(group, lr, split)
+        nn.adam_step(group, lr, run.pool)
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -594,35 +551,27 @@ def train(
     `eval_logits` is the classifier's output array, which every forward
     rewrites: it is valid until the callback returns, and a callback that
     keeps the logits keeps a copy. A run with p > 1 sets the loaded OpenBLAS
-    to one thread and gives the caller's count back when it returns or raises.
+    to one thread and gives the caller's count back, and the run's pool
+    threads end, when it returns or raises.
     """
     run = build_run(graph, config)
     reports = []
+    total_seconds = 0.0
     one_blas_thread = blas.limit_threads(1) if config.p > 1 else contextlib.nullcontext()
-    with one_blas_thread, _WorkerPool(pool_threads(run)) as pool:
+    with one_blas_thread, run.pool:
         if config.epochs == 0:
-            _, logits, _ = epoch_forward(run, training=False, pool=pool)
+            _, logits, _ = epoch_forward(run, training=False)
             _, val_m, test_m = _metrics(run, logits)
-            summary = RunSummary(
-                best_epoch=-1,
-                best_val=val_m,
-                test_at_best_val=test_m,
-                param_count=run.param_count,
-                epochs=0,
-                throughput_eps=None,
-            )
-            return summary, reports
-
-        total_seconds = 0.0
+            best = (-1, val_m, test_m)
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             try:
-                loss, _, ctx = epoch_forward(run, training=True, pool=pool)
+                loss, _, ctx = epoch_forward(run, training=True)
                 lr = nn.cosine_lr(epoch, config.epochs, config.lr)
-                epoch_backward(run, ctx, pool, lr)
-                apply_updates(run, lr, pool)
+                epoch_backward(run, ctx, lr)
+                apply_updates(run, lr)
                 ctx = None
-                _, logits, _ = epoch_forward(run, training=False, pool=pool)
+                _, logits, _ = epoch_forward(run, training=False)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}: {err}") from err
             train_m, val_m, test_m = _metrics(run, logits)
@@ -641,11 +590,11 @@ def train(
             if on_epoch is not None:
                 on_epoch(report, logits)
 
-    best = max(range(len(reports)), key=lambda i: reports[i].val_metric)
+    if reports:
+        i = max(range(len(reports)), key=lambda i: reports[i].val_metric)
+        best = (i, reports[i].val_metric, reports[i].test_metric)
     summary = RunSummary(
-        best_epoch=best,
-        best_val=reports[best].val_metric,
-        test_at_best_val=reports[best].test_metric,
+        *best,
         param_count=run.param_count,
         epochs=config.epochs,
         throughput_eps=config.epochs / total_seconds if total_seconds > 0 else None,

@@ -231,7 +231,7 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws, split=ops.WHOLE):
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws, pool=ops.INLINE):
     """Returns (output, cache). The last layer is linear (no activation).
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
@@ -240,7 +240,7 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
     and mask from an evaluation forward over the same x and parameters;
     that layer then only applies dropout, in place, so a training forward
     consumes the kept relu(z). Each layer's product runs in column blocks of
-    its output (`ops.Blocks.matmul`).
+    its output on `pool` (`ops.Pool.matmul`).
     """
     cache = []
     h = x
@@ -251,12 +251,12 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
         shape = (h.shape[0], w.shape[1])
         if li == last:
             cache.append((h, None, None, None))
-            h = split.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
+            h = pool.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
             h += b
             continue
         a, mask = ws.get((li, "a"), shape, h.dtype), ws.get((li, "mask"), shape, bool)
         if not (li == 0 and kept):
-            split.matmul(h, w, out=a)
+            pool.matmul(h, w, out=a)
             a += b
             _rectify(a, mask)
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
@@ -266,7 +266,7 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
     return h, cache
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, split=ops.WHOLE):
+def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, pool=ops.INLINE):
     """Returns ([(dW, db) per layer], d_input); d_input is None without `d_in`.
 
     `out` holds the arrays to write the parameter gradients into: W and b of
@@ -274,7 +274,8 @@ def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, split=ops.WHOL
     formed without it. The backward consumes the forward's cache: the
     gradient of each hidden layer's output is written over that output,
     which nothing reads afterwards, so it needs no scratch. Weight gradients
-    run in column blocks and input gradients in row blocks (`ops.Blocks`).
+    run in column blocks and input gradients in row blocks on `pool`
+    (`ops.Pool.matmul`).
     """
     grads = [None] * len(mlp.layers)
     d = d_out
@@ -285,10 +286,10 @@ def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, split=ops.WHOL
             if keep is not None:
                 d = ops.apply_mask(d, keep, scale, out=d)
             d = np.multiply(d, mask, out=d)
-        grads[li] = (split.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
+        grads[li] = (pool.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
         if li == 0 and d_in is None:
             return grads, None
-        d = split.matmul(d, w.T, out=h if li > 0 else d_in, rows=True)
+        d = pool.matmul(d, w.T, out=h if li > 0 else d_in, rows=True)
     return grads, d
 
 
@@ -372,7 +373,7 @@ def _views(flat: np.ndarray, shapes) -> list:
     return views
 
 
-def adam_step(group: ParamGroup, lr: float, split=ops.WHOLE) -> None:
+def adam_step(group: ParamGroup, lr: float, pool=ops.INLINE) -> None:
     """One in-place Adam step with bias correction over a whole group.
 
     Fails fast on a non-finite gradient, before anything changes. The update
@@ -385,8 +386,8 @@ def adam_step(group: ParamGroup, lr: float, split=ops.WHOLE) -> None:
     how parameters are grouped. It runs over the flat buffers in chunks,
     through two scratch rows per range: it allocates nothing the size of
     the group, and leaves the gradients as they were. The update is
-    element-wise, so `split` may cut the buffers into ranges
-    (`ops.Blocks.ranges`) and run them at once, with the same bits.
+    element-wise, so `pool` may cut the buffers into ranges
+    (`ops.Pool.ranges`) and run them at once, with the same bits.
     """
     grad = group.grad
     if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):  # min and max propagate NaN
@@ -394,10 +395,10 @@ def adam_step(group: ParamGroup, lr: float, split=ops.WHOLE) -> None:
     group.t += 1
     c1 = 1.0 - group.beta1 ** group.t
     c2 = 1.0 - group.beta2 ** group.t
-    ranges = split.ranges(grad.size, _ADAM_MIN_RANGE)
+    ranges = pool.ranges(grad.size, _ADAM_MIN_RANGE)
     while len(group.scratch) < len(ranges):
         group.scratch.append(np.empty_like(group.scratch[0]))
-    split.each(lambda item: _adam_range(group, *item, lr, c1, c2), list(zip(ranges, group.scratch)))
+    pool.each(lambda item: _adam_range(group, *item, lr, c1, c2), list(zip(ranges, group.scratch)))
 
 
 def _adam_range(group: ParamGroup, span, scratch, lr: float, c1: float, c2: float) -> None:

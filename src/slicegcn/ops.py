@@ -10,14 +10,15 @@ writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
 where its temporaries live. Kernels keep no state; a workspace belongs to
 one owner, which uses it from one thread at a time.
 
-`Blocks` cuts a large dense product into a fixed number of blocks of its
-output, which its owner's thread pool can run at once.
+`Pool` holds a run's threads: it runs one task per device, and cuts a
+large dense product or element-wise pass into a fixed number of blocks,
+which it runs at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -30,37 +31,62 @@ STREAM_CLASSIFIER = (1 << 16) + 2
 
 _DROPOUT_CHUNK = 1 << 17  # raw draws per chunk of a dropout mask: 1 MB of uint64
 
-# Multiply-adds of one block of a split product below which its hand-off to
-# a pool thread costs more than it overlaps (README, "Pool rounds"), and the
-# fewest rows or columns a block may have: a one-column product takes BLAS's
-# matrix-vector path, which rounds differently.
-SPLIT_MIN_WORK = 16e6
+# Multiply-adds of one pool task below which its hand-off to a pool thread
+# costs more than it overlaps (README, "Pool rounds"): the floor of one
+# device's forward for a run's device rounds, and of one block of a split
+# product. A block also has at least SPLIT_MIN_WIDTH rows or columns: a
+# one-column product takes BLAS's matrix-vector path, which rounds differently.
+MIN_TASK_WORK = 16e6
 SPLIT_MIN_WIDTH = 16
 
 
-def _in_order(fn: Callable, items: list) -> list:
-    return [fn(item) for item in items]
+class Pool:
+    """A run's threads, and the fixed blocks its large products and
+    element-wise passes are cut into.
 
-
-@dataclass(frozen=True)
-class Blocks:
-    """Splits large element-wise passes and dense products into `parts`
-    fixed blocks, which `run(fn, items)` runs and returns in order (by
-    default one after another, in the calling thread).
+    `run(fn, items)` returns [fn(item) for item in items]. `threads` counts
+    the calling thread: it runs item 0 itself and hands the other items to
+    threads - 1 pool threads, and threads == 1 runs every item in the
+    calling thread, in order. Results do not depend on the choice. `run`
+    returns or raises only once every task has finished, so no task
+    outlives a failed call; of several failures, the lowest item's is
+    raised.
 
     `ranges` cuts a length into `parts` near-equal ranges, and `matmul` cuts
     a product's output into `parts` column blocks (row blocks with
-    `rows=True`) when every block reaches `SPLIT_MIN_WORK` multiply-adds and
+    `rows=True`) when every block reaches `MIN_TASK_WORK` multiply-adds and
     `SPLIT_MIN_WIDTH` columns (rows); otherwise either is one whole. So the
-    blocks depend on `parts` and the shapes alone. Each block of a product
-    is one BLAS call that writes its own part of `out` over the whole inner
-    dimension, so no block sums what another formed; at one BLAS thread the
-    blocks' bits are the whole product's (`tests/test_ops.py` checks the
-    shapes the engine splits). A task calls numpy only.
+    blocks depend on `parts` and the shapes alone, not on `threads`. Each
+    block of a product is one BLAS call that writes its own part of `out`
+    over the whole inner dimension, so no block sums what another formed;
+    at one BLAS thread the blocks' bits are the whole product's
+    (`tests/test_ops.py` checks the shapes the engine splits). A block task
+    calls numpy only.
+
+    `close` (or leaving a `with` block) waits for and ends the pool threads.
     """
 
-    parts: int = 1
-    run: Callable = _in_order
+    def __init__(self, parts: int = 1, threads: int = 1):
+        self.parts = parts
+        self._ex = ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else None
+
+    def run(self, fn: Callable, items: list) -> list:
+        if self._ex is None:
+            return [fn(item) for item in items]
+        futures = [self._ex.submit(fn, item) for item in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            for f in futures:
+                f.exception()  # waits for the task; its error, if any, is raised below
+        return [first] + [f.result() for f in futures]
+
+    def each(self, fn: Callable, items: list) -> None:
+        """fn(item) for every item; through `run` when there are several."""
+        if len(items) == 1:
+            fn(items[0])
+        else:
+            self.run(fn, items)
 
     def ranges(self, size: int, min_size: int) -> list:
         """`parts` (start, end) ranges over [0, size) when each has at least
@@ -70,17 +96,10 @@ class Blocks:
         bounds = [i * size // self.parts for i in range(self.parts + 1)]
         return list(zip(bounds, bounds[1:]))
 
-    def each(self, fn: Callable, items: list) -> None:
-        """fn(item) for every item; through `run` when there are several."""
-        if len(items) == 1:
-            fn(items[0])
-        else:
-            self.run(fn, items)
-
     def matmul(self, a: np.ndarray, b: np.ndarray, *, out: np.ndarray, rows: bool = False) -> np.ndarray:
         """out = a @ b, in blocks of out's columns (rows with `rows=True`); returns out."""
         (m, k), n = a.shape, b.shape[1]
-        if m * k * n < self.parts * SPLIT_MIN_WORK:
+        if m * k * n < self.parts * MIN_TASK_WORK:
             return np.matmul(a, b, out=out)
         blocks = self.ranges(m if rows else n, SPLIT_MIN_WIDTH)
         if rows:
@@ -89,8 +108,19 @@ class Blocks:
             self.each(lambda r: np.matmul(a, b[:, r[0] : r[1]], out=out[:, r[0] : r[1]]), blocks)
         return out
 
+    def close(self):
+        if self._ex is not None:
+            self._ex.shutdown(wait=True)
 
-WHOLE = Blocks()  # every product and pass in one piece, in the calling thread
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+INLINE = Pool()  # every product and pass in one piece, and every item in the calling thread
 
 
 class Workspace:

@@ -5,8 +5,8 @@ direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
 is broadcast to every device. The fusion forward runs in its owner's
 workspace, as every layer does, and keeps only a bool ReLU mask of its
-hidden layer for backward (see `nn`). Its products run in the blocks the
-caller gives (`ops.Blocks`).
+hidden layer for backward (see `nn`). Its products run in blocks on the
+pool the caller gives (`ops.Pool`).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
 
 
 def feature_fusion_forward(
-    x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept: bool = False, *, ws, split=ops.WHOLE,
+    x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept: bool = False, *, ws, pool=ops.INLINE,
 ):
     """Compress features into the shared per-device input Z.
 
@@ -97,10 +97,10 @@ def feature_fusion_forward(
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
         raise ValueError(f"fusion hidden layer {w0.shape} does not match feature dim {x.shape[1]}")
-    return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws, split=split)
+    return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws, pool=pool)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, split=ops.WHOLE):
+def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, pool=ops.INLINE):
     """Gradients of the fusion MLP given the summed worker input gradient.
 
     Because every worker consumes the same Z, the caller accumulates
@@ -109,5 +109,5 @@ def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, sp
     gradient w.r.t. the raw features is not computed, since nothing upstream
     of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out, split=split)
+    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out, pool=pool)
     return grads

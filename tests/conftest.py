@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from slicegcn import engine, synth_graph
+from slicegcn import ops, synth_graph
 
 
 @pytest.fixture
@@ -21,10 +21,15 @@ def submitted(monkeypatch):
 
 @pytest.fixture
 def pooled(monkeypatch, submitted):
-    """Rounds of every size go to the pool (`engine.POOL_MIN_WORK` is 0), as
-    a large graph's do; the fixture is the list of tasks handed to pool
-    threads, so a test can show that it used the pool."""
-    monkeypatch.setattr(engine, "POOL_MIN_WORK", 0)
+    """Tasks of every size go to the pool (`ops.MIN_TASK_WORK` is 0), as a
+    large graph's do: runs built under it hand devices 1 … p−1 to pool
+    threads, and the head's products split into p blocks wherever
+    `ops.SPLIT_MIN_WIDTH` allows. A pooled run and its `threads=1`
+    reference split alike, so they compare like with like; a test that
+    compares a pooled run with one built outside the fixture does not. The
+    fixture is the list of tasks handed to pool threads, so a test can show
+    that it used the pool."""
+    monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
     return submitted
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from slicegcn import cli, engine, slicing
-from slicegcn.engine import TrainConfig, _WorkerPool
+from slicegcn.engine import TrainConfig
 from slicegcn.graph import AttributedGraph, build_csr, save_dataset, synth_graph
 
 
@@ -78,14 +78,13 @@ def _gradient_failures(graph, variant) -> list:
     cfg = TrainConfig(variant=variant, p=2, epochs=1, hidden=6, layers=2,
                       dropout=0.0, seed=4, precision="f64")
     run = engine.build_run(graph, cfg)
-    pool = _WorkerPool(1)
 
     def loss_fn():
-        loss, _, _ = engine.epoch_forward(run, training=True, pool=pool)
+        loss, _, _ = engine.epoch_forward(run, training=True)
         return loss
 
-    _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-    engine.epoch_backward(run, ctx, pool, 0.0)  # lr 0: the devices' steps leave them as they are
+    _, _, ctx = engine.epoch_forward(run, training=True)
+    engine.epoch_backward(run, ctx, 0.0)  # lr 0: the devices' steps leave them as they are
 
     groups = {}
     for w in run.workers:

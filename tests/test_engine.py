@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import slicegcn
 from slicegcn import blas, engine, nn, ops, slicing
-from slicegcn.engine import TrainConfig, _WorkerPool, auc_roc, evaluate
+from slicegcn.engine import TrainConfig, auc_roc, evaluate
 from slicegcn.graph import TEST, TRAIN, VAL, degree_norms, synth_graph
 
 
@@ -126,17 +126,17 @@ class TestEpochForward:
                 a[:] = 0
         run.head.classifier.group.param[:] = 0
         run.head.encoding.table[:] = 0
-        with _WorkerPool(1) as pool:
-            loss, _, _ = engine.epoch_forward(run, training=False, pool=pool)
+        loss, _, _ = engine.epoch_forward(run, training=False)
         assert loss == pytest.approx(np.log(small_graph.num_classes), abs=1e-12)
 
-    def test_threaded_matches_sequential_bitwise(self, small_graph):
+    def test_threaded_matches_sequential_bitwise(self, small_graph, pooled):
         cfg = TrainConfig(variant="slice", p=2, hidden=16, layers=2, seed=4, precision="f32")
-        run_t = engine.build_run(small_graph, cfg)
-        run_s = engine.build_run(small_graph, cfg)
-        with _WorkerPool(2) as pt, _WorkerPool(1) as ps:
-            lt, logits_t, _ = engine.epoch_forward(run_t, training=True, pool=pt)
-            ls, logits_s, _ = engine.epoch_forward(run_s, training=True, pool=ps)
+        run_t = engine.build_run(small_graph, dataclasses.replace(cfg, threads=2))
+        run_s = engine.build_run(small_graph, dataclasses.replace(cfg, threads=1))
+        with run_t.pool, run_s.pool:
+            lt, logits_t, _ = engine.epoch_forward(run_t, training=True)
+            ls, logits_s, _ = engine.epoch_forward(run_s, training=True)
+        assert pooled
         assert lt == ls
         np.testing.assert_array_equal(logits_t, logits_s)
 
@@ -144,12 +144,11 @@ class TestEpochForward:
         # perturbing worker 1 leaves other devices' representation columns alone
         cfg = TrainConfig(variant="slice", p=3, hidden=12, layers=2, seed=5, precision="f64")
         run = engine.build_run(small_graph, cfg)
-        with _WorkerPool(1) as pool:
-            _, _, ctx0 = engine.epoch_forward(run, training=False, pool=pool)
-            before = ctx0.representation.copy()  # the next forward rewrites the head's array
-            for a in run.workers[1].group.params:
-                a += 0.37
-            _, _, ctx1 = engine.epoch_forward(run, training=False, pool=pool)
+        _, _, ctx0 = engine.epoch_forward(run, training=False)
+        before = ctx0.representation.copy()  # the next forward rewrites the head's array
+        for a in run.workers[1].group.params:
+            a += 0.37
+        _, _, ctx1 = engine.epoch_forward(run, training=False)
         after = ctx1.representation
         h_out = before.shape[1] // 3
         changed = [
@@ -166,10 +165,9 @@ class TestEpochBackward:
         run = engine.build_run(small_graph, cfg)
         for group in [w.group for w in run.workers] + run.head.groups():
             group.grad[:] = np.nan  # every element must be written
-        with _WorkerPool(1) as pool:
-            _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-            ctx.d_logits[:] = 0
-            engine.epoch_backward(run, ctx, pool, 1e-2)
+        _, _, ctx = engine.epoch_forward(run, training=True)
+        ctx.d_logits[:] = 0
+        engine.epoch_backward(run, ctx, 1e-2)
         for flat in (w.group.grads for w in run.workers):
             assert all(not g.any() for g in flat)
         assert all(not g.any() for g in run.head.classifier.group.grads)
@@ -185,8 +183,7 @@ class TestEpochBackward:
         for zero_other_block in (False, True):
             run = engine.build_run(small_graph, cfg)
             h_out = run.workers[0].layers[-1].bias.size
-            with _WorkerPool(1) as pool:
-                _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+            _, _, ctx = engine.epoch_forward(run, training=True)
             d_rep = _reference_d_rep(run, ctx)
             if zero_other_block:
                 d_rep[:, h_out:] = 0  # worker 1's block
@@ -202,18 +199,18 @@ class TestWorkerPool:
         return pool.run(lambda i: threading.get_ident(), list(range(n)))
 
     def test_item_zero_runs_on_the_calling_thread(self):
-        with _WorkerPool(3) as pool:
+        with ops.Pool(threads=3) as pool:
             idents = self._threads(pool, 3)
         assert idents[0] == threading.get_ident()
         assert threading.get_ident() not in idents[1:]
 
     def test_one_thread_runs_everything_inline(self):
-        with _WorkerPool(1) as pool:
+        with ops.Pool(threads=1) as pool:
             assert self._threads(pool, 3) == [threading.get_ident()] * 3
 
     def test_more_items_than_threads(self):
         # three devices on two threads: the master and one pool thread
-        with _WorkerPool(2) as pool:
+        with ops.Pool(threads=2) as pool:
             idents = self._threads(pool, 3)
             assert pool.run(lambda i: i * i, [0, 1, 2]) == [0, 1, 4]
         assert idents[0] == threading.get_ident()
@@ -224,7 +221,7 @@ class TestWorkerPool:
             time.sleep(0.01 * (4 - i))  # later items finish first
             return i
 
-        with _WorkerPool(4) as pool:
+        with ops.Pool(threads=4) as pool:
             assert pool.run(task, [0, 1, 2, 3]) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("failing", [0, 1])
@@ -238,7 +235,7 @@ class TestWorkerPool:
             finished.append(i)
             return i
 
-        with _WorkerPool(3) as pool:
+        with ops.Pool(threads=3) as pool:
             with pytest.raises(RuntimeError, match=f"task {failing}"):
                 pool.run(task, [0, 1, 2])
             # when the failure reaches the caller, no task is still running
@@ -295,29 +292,31 @@ class TestTrain:
         assert bool(pooled) == (threads > 1)
         assert threaded == rows(dataclasses.replace(cfg, threads=1))
 
-    def test_pool_calls_and_submissions_per_epoch(self, small_graph, monkeypatch, pooled):
+    def test_pool_calls_and_submissions_per_epoch(self, tiny_graph, monkeypatch, pooled):
         # training forward, backward (each device steps in its task), eval
-        # forward: three pool calls per epoch, each handing off p - 1 tasks
-        run = _WorkerPool.run
+        # forward: three pool calls per epoch, each handing off p - 1 tasks;
+        # on 30 nodes no product reaches two blocks of `ops.SPLIT_MIN_WIDTH`
+        # rows or columns, so every pool call is a device round
+        run = ops.Pool.run
         calls = []
 
         def counting_run(pool, fn, items):
             calls.append(len(items))
             return run(pool, fn, items)
 
-        monkeypatch.setattr(_WorkerPool, "run", counting_run)
+        monkeypatch.setattr(ops.Pool, "run", counting_run)
         epochs, p = 3, 2
-        engine.train(small_graph, TrainConfig(variant="slice_ffse", p=p, epochs=epochs, hidden=8, seed=1))
+        engine.train(tiny_graph, TrainConfig(variant="slice_ffse", p=p, epochs=epochs, hidden=8, seed=1))
         assert calls == [p] * 3 * epochs
         assert len(pooled) == (p - 1) * 3 * epochs
         calls.clear()
         pooled.clear()
-        engine.train(small_graph, TrainConfig(variant="baseline", epochs=epochs, hidden=8, seed=1))
+        engine.train(tiny_graph, TrainConfig(variant="baseline", epochs=epochs, hidden=8, seed=1))
         assert calls == [1] * 3 * epochs and pooled == []
 
     def test_small_run_submits_no_task(self, submitted):
         # the CLI's default graph: one device's forward is far below
-        # POOL_MIN_WORK, so every round runs on the master
+        # ops.MIN_TASK_WORK, so every round runs on the master
         g = synth_graph(n=400, classes=3, d_feat=16, p_in=0.1, p_out=0.01, signal=1.0, seed=0)
         engine.train(g, TrainConfig(variant="slice_ffse", p=2, epochs=3, seed=1))
         assert submitted == []
@@ -330,7 +329,7 @@ class TestTrain:
         ("large_sparse", 50_000, 400_000, [16, 64, 64], True),
     ])
     def test_pool_threshold_splits_the_benchmark_shapes(self, name, n, nnz, widths, to_pool):
-        assert (engine.forward_work(n, nnz, widths, dual=True) >= engine.POOL_MIN_WORK) == to_pool
+        assert (engine.forward_work(n, nnz, widths, dual=True) >= ops.MIN_TASK_WORK) == to_pool
 
     def test_test_metric_taken_at_best_val_epoch(self, small_graph):
         cfg = TrainConfig(variant="baseline", epochs=8, hidden=16, layers=2, seed=9)
@@ -363,7 +362,7 @@ class TestTrain:
     def test_master_device_rounds_per_epoch(self, small_graph, monkeypatch, variant, rounds):
         # a pool call is one round in when its items carry an array, and one
         # round out when its results do
-        run, counted = _WorkerPool.run, []
+        run, counted = ops.Pool.run, []
 
         def carries_array(xs):
             return any(isinstance(v, np.ndarray) for x in xs for v in (x if isinstance(x, tuple) else (x,)))
@@ -373,7 +372,7 @@ class TestTrain:
             counted.append(carries_array(items) + carries_array(results))
             return results
 
-        monkeypatch.setattr(_WorkerPool, "run", counting_run)
+        monkeypatch.setattr(ops.Pool, "run", counting_run)
         epochs = 3
         p = 1 if variant == "baseline" else 2
         engine.train(small_graph, TrainConfig(variant=variant, p=p, epochs=epochs, hidden=8, seed=1))
@@ -391,17 +390,38 @@ class TestTrain:
     def test_eval_forward_numeric_error_names_epoch(self, small_graph, monkeypatch):
         forward, evals = engine.epoch_forward, []
 
-        def failing_eval(run, training, pool, **kw):
+        def failing_eval(run, training, **kw):
             if not training:
                 evals.append(1)
                 if len(evals) == 2:
                     raise nn.NumericError("non-finite training loss (nan)")
-            return forward(run, training, pool, **kw)
+            return forward(run, training, **kw)
 
         monkeypatch.setattr(engine, "epoch_forward", failing_eval)
         cfg = TrainConfig(variant="slice", p=2, epochs=3, hidden=8, layers=2, seed=1)
         with pytest.raises(nn.NumericError, match="^epoch 1: non-finite training loss"):
             engine.train(small_graph, cfg)
+
+    def test_no_pool_thread_outlives_the_run(self, small_graph, monkeypatch, pooled):
+        # the run's pool threads end when train returns, and when it raises
+        # after its rounds have started threads
+        cfg = TrainConfig(variant="slice", p=3, epochs=3, hidden=12, seed=1)
+        before = set(threading.enumerate())
+        engine.train(small_graph, cfg)
+        assert pooled and set(threading.enumerate()) == before
+        forward, calls = engine.epoch_forward, []
+
+        def failing_forward(run, training, **kw):
+            calls.append(1)
+            if len(calls) == 3:  # epoch 1's training forward
+                raise nn.NumericError("non-finite training loss (nan)")
+            return forward(run, training, **kw)
+
+        monkeypatch.setattr(engine, "epoch_forward", failing_forward)
+        pooled.clear()
+        with pytest.raises(nn.NumericError, match="^epoch 1: "):
+            engine.train(small_graph, cfg)
+        assert pooled and set(threading.enumerate()) == before
 
 
 @pytest.fixture
@@ -475,27 +495,26 @@ _TRACED = [  # the functions the benchmark's tracer wraps, which no block of a s
 
 @pytest.fixture
 def split_rounds(monkeypatch):
-    """The engine's blocks, watched: the fixture is (the item count of each
-    round of blocks, a thread-local whose `inside` is true while a block runs)."""
+    """The pool's blocks, watched: the fixture is (the item count of each
+    round of several blocks, a thread-local whose `inside` is true while a
+    block runs)."""
     rounds, local = [], threading.local()
-    blocks = ops.Blocks
+    each = ops.Pool.each
 
-    def watched_blocks(parts, run):
-        def watched(fn, items):
+    def watched_each(pool, fn, items):
+        if len(items) > 1:
             rounds.append(len(items))
 
-            def task(item):
-                local.inside = True
-                try:
-                    return fn(item)
-                finally:
-                    local.inside = False
+        def task(item):
+            local.inside = True
+            try:
+                return fn(item)
+            finally:
+                local.inside = False
 
-            return run(task, items)
+        return each(pool, task, items)
 
-        return blocks(parts, watched)
-
-    monkeypatch.setattr(engine.ops, "Blocks", watched_blocks)
+    monkeypatch.setattr(ops.Pool, "each", watched_each)
     return rounds, local
 
 
@@ -592,19 +611,18 @@ class TestLayer0Reuse:
 
     @staticmethod
     def _recomputing_reference(graph, cfg) -> list:
-        """engine.train's loop with the stamps cleared before every training
-        forward, so that nothing is reused."""
-        run = engine.build_run(graph, cfg)
+        """engine.train's loop, in the calling thread, with the stamps
+        cleared before every training forward, so that nothing is reused."""
+        run = engine.build_run(graph, dataclasses.replace(cfg, threads=1))
         rows = []
-        with _WorkerPool(1) as pool:
-            for epoch in range(cfg.epochs):
-                _clear_stamps(run)
-                loss, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-                lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
-                engine.epoch_backward(run, ctx, pool, lr)
-                engine.apply_updates(run, lr, pool)
-                _, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
-                rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
+        for epoch in range(cfg.epochs):
+            _clear_stamps(run)
+            loss, _, ctx = engine.epoch_forward(run, training=True)
+            lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
+            engine.epoch_backward(run, ctx, lr)
+            engine.apply_updates(run, lr)
+            _, logits, _ = engine.epoch_forward(run, training=False)
+            rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
         return rows
 
     @pytest.mark.parametrize("variant", ["slice", "slice_se", "slice_ffse"])
@@ -633,7 +651,7 @@ class TestLayer0Reuse:
         assert stamped_after == [expect] * cfg.epochs
 
     @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
-    def test_update_drops_kept_result(self, small_graph, variant, reuses):
+    def test_update_drops_kept_result(self, small_graph, variant, pooled, reuses):
         # eval forward -> parameter update -> training forward: the training
         # forward recomputes layer 0 from the updated parameters, as it does
         # with the stamps cleared (the update steps every group once more, on
@@ -642,22 +660,23 @@ class TestLayer0Reuse:
         logits, losses = [], []
         for clear in (False, True):
             run = engine.build_run(small_graph, cfg)
-            with _WorkerPool(2) as pool:
-                _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-                engine.epoch_backward(run, ctx, pool, 1e-2)
-                engine.epoch_forward(run, training=False, pool=pool)
+            with run.pool:
+                _, _, ctx = engine.epoch_forward(run, training=True)
+                engine.epoch_backward(run, ctx, 1e-2)
+                engine.epoch_forward(run, training=False)
                 if clear:
                     _clear_stamps(run)
                 assert any(_stamped(run)) != clear
                 for w in run.workers:
                     w.step(1e-2)
-                engine.apply_updates(run, 1e-2, pool)
+                engine.apply_updates(run, 1e-2)
                 assert not any(_stamped(run))
                 reuses.clear()
-                loss, out, _ = engine.epoch_forward(run, training=True, pool=pool)
+                loss, out, _ = engine.epoch_forward(run, training=True)
                 assert reuses and not any(kept for _, kept in reuses)
             losses.append(loss)
             logits.append(out)
+        assert pooled
         assert losses[0] == losses[1]
         np.testing.assert_array_equal(logits[0], logits[1])
 
@@ -665,21 +684,19 @@ class TestLayer0Reuse:
         # eval forward -> device 0 steps -> training forward: device 0
         # recomputes its layer 0, device 1 reuses its own
         run = engine.build_run(small_graph, TrainConfig(variant="slice", p=2, hidden=16, layers=2, seed=7))
-        with _WorkerPool(1) as pool:
-            engine.epoch_forward(run, training=False, pool=pool)
-            run.workers[0].step(1e-2)
-            reuses.clear()
-            engine.epoch_forward(run, training=True, pool=pool)
+        engine.epoch_forward(run, training=False)
+        run.workers[0].step(1e-2)
+        reuses.clear()
+        engine.epoch_forward(run, training=True)
         assert reuses == [("device", False), ("device", True)]
 
     def test_kept_result_used_by_the_training_forward(self, small_graph, reuses):
         cfg = TrainConfig(variant="slice", p=2, epochs=2, hidden=16, layers=2, seed=7)
         run = engine.build_run(small_graph, cfg)
         shape = (small_graph.num_nodes, run.workers[0].layers[0].w_agg.shape[1])
-        with _WorkerPool(1) as pool:
-            engine.epoch_forward(run, training=False, pool=pool)
-            masks = [w.ws.get((0, "mask"), shape, bool) for w in run.workers]
-            engine.epoch_forward(run, training=True, pool=pool)
+        engine.epoch_forward(run, training=False)
+        masks = [w.ws.get((0, "mask"), shape, bool) for w in run.workers]
+        engine.epoch_forward(run, training=True)
         assert reuses == [("device", False)] * cfg.p + [("device", True)] * cfg.p
         # the training cache holds the very mask array the eval forward wrote
         for w, mask in zip(run.workers, masks):
@@ -689,10 +706,9 @@ class TestLayer0Reuse:
         # no group steps between the two forwards, but the training forward's
         # fusion dropout changes every device's input
         run = engine.build_run(small_graph, TrainConfig(variant="slice_ff", p=2, hidden=16, layers=2, seed=7))
-        with _WorkerPool(1) as pool:
-            engine.epoch_forward(run, training=False, pool=pool)
-            assert all(w.layer0_t is None for w in run.workers)
-            engine.epoch_forward(run, training=True, pool=pool)
+        engine.epoch_forward(run, training=False)
+        assert all(w.layer0_t is None for w in run.workers)
+        engine.epoch_forward(run, training=True)
         assert [w.group.t for w in run.workers] == [0, 0]
         assert reuses == [("fusion", False)] + [("device", False)] * 2 + [("fusion", True)] + [("device", False)] * 2
 
@@ -711,10 +727,9 @@ class TestLayer0Reuse:
     def test_second_eval_forward_reuses_layer_0_bit_for_bit(self, small_graph, variant, reuses):
         cfg = TrainConfig(variant=variant, p=2, hidden=16, layers=2, seed=7)
         run = engine.build_run(small_graph, cfg)
-        with _WorkerPool(1) as pool:
-            loss_a, logits, _ = engine.epoch_forward(run, training=False, pool=pool)
-            first, n = logits.copy(), len(reuses)
-            loss_b, second, _ = engine.epoch_forward(run, training=False, pool=pool)
+        loss_a, logits, _ = engine.epoch_forward(run, training=False)
+        first, n = logits.copy(), len(reuses)
+        loss_b, second, _ = engine.epoch_forward(run, training=False)
         assert not any(kept for _, kept in reuses[:n])
         owner = "fusion" if cfg.use_ff else "device"
         assert _count(reuses[n:], owner) == (1 if cfg.use_ff else cfg.p)
@@ -811,42 +826,45 @@ class TestInputAggregate:
         calls = []
         spmm = ops.spmm_norm
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
-        with _WorkerPool(1) as pool:
-            engine.epoch_forward(run, training=True, pool=pool)
+        engine.epoch_forward(run, training=True)
         assert len(calls) == 2 * p - (p - 1 if widens else 0)
 
     @pytest.mark.parametrize("training", [True, False])
-    def test_shared_fusion_aggregate_matches_each_device_aggregating(self, small_graph, monkeypatch, training):
-        cfg = TrainConfig(variant="slice_ffse", p=3, hidden=18, layers=3, seed=2)
+    def test_shared_fusion_aggregate_matches_each_device_aggregating(
+        self, small_graph, monkeypatch, training, pooled
+    ):
+        cfg = TrainConfig(variant="slice_ffse", p=3, hidden=18, layers=3, seed=2, threads=2)
         results = []
         for share in (True, False):
             run = engine.build_run(small_graph, cfg)
-            with pytest.MonkeyPatch.context() as mp, _WorkerPool(2) as pool:
+            with pytest.MonkeyPatch.context() as mp, run.pool:
                 if not share:
                     forward = engine.WorkerState.forward
                     mp.setattr(engine.WorkerState, "forward", lambda w, *a, agg=None, **k: forward(w, *a, **k))
-                loss, logits, ctx = engine.epoch_forward(run, training=training, pool=pool)
+                loss, logits, ctx = engine.epoch_forward(run, training=training)
                 arrays = [ctx.representation.copy(), logits.copy()]
                 if training:
-                    engine.epoch_backward(run, ctx, pool, 1e-2)
+                    engine.epoch_backward(run, ctx, 1e-2)
                     # the devices stepped on their gradients in their backward tasks
                     arrays += [run.head.fusion.group.grad.copy()] + [w.group.param.copy() for w in run.workers]
             results.append((loss, arrays))
+        assert pooled
         (loss_a, shared), (loss_b, own) = results
         assert loss_a == loss_b
         for a, b in zip(shared, own, strict=True):
             np.testing.assert_array_equal(a, b)
 
-    def test_reused_aggregate_equals_a_fresh_one(self, small_graph):
+    def test_reused_aggregate_equals_a_fresh_one(self, small_graph, pooled):
         cfg = TrainConfig(variant="slice_se", p=2, epochs=4, hidden=16, layers=2, seed=3)
         run = engine.build_run(small_graph, cfg)
         assert all(w.input_agg is None for w in run.workers)
-        with _WorkerPool(2) as pool:
+        with run.pool:
             for _ in range(cfg.epochs):
-                _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
-                engine.epoch_backward(run, ctx, pool, 1e-2)
-                engine.apply_updates(run, 1e-2, pool)
-                engine.epoch_forward(run, training=False, pool=pool)
+                _, _, ctx = engine.epoch_forward(run, training=True)
+                engine.epoch_backward(run, ctx, 1e-2)
+                engine.apply_updates(run, 1e-2)
+                engine.epoch_forward(run, training=False)
+        assert pooled
         adj, s = small_graph.adj, run.norm_scale
         for w, x in zip(run.workers, run.slices):
             fresh_agg = ops.spmm_norm(adj, s, x, out=np.empty_like(x), ws=ops.Workspace())
@@ -960,12 +978,12 @@ class TestBuffers:
         run = engine.build_run(small_graph, cfg)
         seen = []
         fusion_backward = engine.slicing.feature_fusion_backward
-        with _WorkerPool(1) as pool, pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine.slicing, "feature_fusion_backward",
                        lambda d_z, *a, **k: seen.append(d_z) or fusion_backward(d_z, *a, **k))
-            _, _, ctx = engine.epoch_forward(run, training=True, pool=pool)
+            _, _, ctx = engine.epoch_forward(run, training=True)
             d_rep = _reference_d_rep(run, ctx)
-            engine.epoch_backward(run, ctx, pool, 1e-2)
+            engine.epoch_backward(run, ctx, 1e-2)
         np.testing.assert_array_equal(ctx.representation, d_rep)
         w0 = run.workers[0]
         assert seen[0] is w0.ws.get("dx", seen[0].shape, seen[0].dtype)

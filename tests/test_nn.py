@@ -619,12 +619,13 @@ class TestAdam:
         with mock.patch.object(nn, "_ADAM_CHUNK", 64), mock.patch.object(nn, "_ADAM_MIN_RANGE", 100):
             whole, cut = _group(*start), _group(*start)
             rounds = []
-            split = ops.Blocks(parts, lambda fn, items: rounds.append(len(items)) or [fn(i) for i in items[::-1]])
+            pool = ops.Pool(parts)
+            pool.run = lambda fn, items: rounds.append(len(items)) or [fn(i) for i in items[::-1]]
             for lr in (0.01, 0.003, 0.3):
                 grad = rng.standard_normal(whole.size).astype(np.float32)
                 whole.grad[:] = cut.grad[:] = grad
                 nn.adam_step(whole, lr)
-                nn.adam_step(cut, lr, split)
+                nn.adam_step(cut, lr, pool)
         assert rounds == [parts] * 3 and len(cut.scratch) == parts
         for a, b in ((whole.param, cut.param), (whole.m, cut.m), (whole.v, cut.v)):
             np.testing.assert_array_equal(a, b)

@@ -405,14 +405,16 @@ class TestSoftmaxCrossEntropy:
 
 
 def _counting(parts):
-    """Blocks of `parts` whose run records the items of each call."""
+    """A pool of `parts` blocks whose run records the items of each call."""
     calls = []
+    pool = ops.Pool(parts)
 
     def run(fn, items):
         calls.append(list(items))
         return [fn(item) for item in items]
 
-    return ops.Blocks(parts, run), calls
+    pool.run = run
+    return pool, calls
 
 
 def _f32(rng, *shape):
@@ -421,19 +423,19 @@ def _f32(rng, *shape):
 
 class TestBlocks:
     def test_ranges_cover_the_length(self):
-        assert ops.Blocks(3).ranges(10, 2) == [(0, 3), (3, 6), (6, 10)]
-        assert ops.Blocks(3).ranges(5, 2) == [(0, 5)]  # a range would be under 2
-        assert ops.WHOLE.ranges(10, 1) == [(0, 10)]
+        assert ops.Pool(3).ranges(10, 2) == [(0, 3), (3, 6), (6, 10)]
+        assert ops.Pool(3).ranges(5, 2) == [(0, 5)]  # a range would be under 2
+        assert ops.INLINE.ranges(10, 1) == [(0, 10)]
 
     def test_small_or_narrow_products_stay_whole(self, monkeypatch):
         # a product below the work floor, and, with no floor, one whose
         # blocks would be one column wide (BLAS's matrix-vector path)
         rng = np.random.default_rng(0)
         a, square, narrow = _f32(rng, 400, 64), _f32(rng, 64, 64), _f32(rng, 64, 2)
-        for floor, b, blocks in [(ops.SPLIT_MIN_WORK, square, []), (0, narrow, []), (0, square, [2])]:
-            monkeypatch.setattr(ops, "SPLIT_MIN_WORK", floor)
-            split, calls = _counting(2)
-            out = split.matmul(a, b, out=np.empty((a.shape[0], b.shape[1]), np.float32))
+        for floor, b, blocks in [(ops.MIN_TASK_WORK, square, []), (0, narrow, []), (0, square, [2])]:
+            monkeypatch.setattr(ops, "MIN_TASK_WORK", floor)
+            pool, calls = _counting(2)
+            out = pool.matmul(a, b, out=np.empty((a.shape[0], b.shape[1]), np.float32))
             assert [len(c) for c in calls] == blocks
             np.testing.assert_array_equal(out, a @ b)
 
@@ -452,9 +454,9 @@ class TestBlocks:
         ]
         with blas.limit_threads(1):
             for lhs, rhs, rows in products:
-                split, calls = _counting(parts)
+                pool, calls = _counting(parts)
                 shape = (lhs.shape[0], rhs.shape[1])
-                got = split.matmul(lhs, rhs, out=np.empty(shape, np.float32), rows=rows)
+                got = pool.matmul(lhs, rhs, out=np.empty(shape, np.float32), rows=rows)
                 assert [len(c) for c in calls] == [parts]
                 np.testing.assert_array_equal(got, np.matmul(lhs, rhs))
 
