@@ -132,11 +132,12 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--layer-form", choices=engine.LAYER_FORMS, dest="layer_form")
     p.add_argument(
         "--threads", type=int,
-        help="upper bound on the threads running the devices, the master's included: it runs "
-             "device 0 itself (default: p; 1 = sequential). With p > 1 these are all of the run's "
-             "compute threads, as BLAS runs on one thread, and the master's large products and "
-             "optimizer steps use them too. A run whose devices do too little work for a thread "
-             "hand-off to pay runs them all on the master",
+        help="upper bound on the run's threads, the master's included: it runs device 0 itself "
+             "(default: the cores this process may use; 1 = sequential). These are all of the run's "
+             "compute threads, as BLAS runs on one thread: they run the devices, and the master's "
+             "large products, SpMMs, element-wise passes and optimizer steps in parts (with p = 1, "
+             "one part per thread, the device's too). A run whose devices do too little work for a "
+             "thread hand-off to pay runs everything on the master",
     )
     p.add_argument("--synth-nodes", type=int, dest="synth_nodes")
     p.add_argument("--synth-classes", type=int, dest="synth_classes")

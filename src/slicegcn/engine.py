@@ -13,7 +13,8 @@ One run is p simulated devices plus a master. Per epoch, barrier-synchronous:
 Each run owns one `ops.Pool` (`RunState.pool`), which `build_run` makes
 and `train` closes. The master thread runs device 0's task of each phase
 itself and hands the other devices' tasks to threads - 1 pool threads, so
-`threads` counts the master's thread. A pool round costs a hand-off of the
+`threads` counts the master's thread; by default it is the number of cores
+the process may run on. A pool round costs a hand-off of the
 interpreter lock per task, which a small device's work does not repay, so
 `build_run` decides once per run, from the shapes alone: when one device's
 forward (`forward_work`) is below `ops.MIN_TASK_WORK` multiply-adds, the
@@ -25,17 +26,20 @@ RNG stream, so results are bit-identical for a fixed seed no matter how the
 OS schedules the threads, and a single-threaded reference execution
 (threads=1) matches exactly.
 
-A run with p > 1 holds the loaded OpenBLAS at one thread from start to end
+Every run holds the loaded OpenBLAS at one thread from start to end
 (`blas.limit_threads`), so every core it uses is one of its own threads:
-BLAS workers neither compete with the device rounds nor spin between calls,
-and the results do not depend on the environment's BLAS thread setting. The
-master's dense phases use the pool instead: the fusion MLP's and the
-classifier's products run in p fixed blocks, column blocks of the output
-for a layer and its weight gradient and row blocks for an input gradient
-(`ops.Pool.matmul`, Megatron-LM's column- and row-parallel layers), and each
-head group's Adam step in p ranges. The blocks depend on p and the shapes
-only, and run inline when the run's rounds do, so `threads` leaves every bit
-as it is. A p = 1 run keeps the caller's BLAS threads and splits nothing.
+BLAS workers neither compete with the pool nor spin between calls, and the
+results do not depend on the environment's BLAS thread setting. The
+master's passes outside device rounds use the pool instead: the fusion
+MLP's and the classifier's products run in blocks along the output's longer
+side (`ops.Pool.matmul`), the shared Â·z in runs of row blocks
+(`ops.spmm_norm`), the element-wise passes and dropout in node-row ranges,
+and each head group's Adam step in ranges, all in at most p parts. A p = 1
+run cuts into one part per thread instead, and its device, which runs on
+the master in a one-item round, splits its kernels on the same pool; the
+devices of a p > 1 run get `ops.INLINE`, so no round starts inside a
+device task. Parts depend on the part count and the shapes only, and every
+split gives the whole's bits, so `threads` leaves every bit as it is.
 
 In the fusion variants every device gets the same input z. When a device's
 layer 0 does not narrow, it aggregates z first, so the master computes Â·z
@@ -68,8 +72,8 @@ gradients over forward arrays that are dead by then (README, "Memory").
 
 from __future__ import annotations
 
-import contextlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -104,7 +108,7 @@ class TrainConfig:
     seed: int = 0
     precision: str = "f32"
     layer_form: str = nn.FORM_DUAL
-    threads: Optional[int] = None  # None -> p; counts the master's; 1 -> sequential in-thread
+    threads: Optional[int] = None  # None -> the cores this process may use; counts the master's; 1 -> in-thread
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -156,6 +160,7 @@ class WorkerState:
     input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
     layer0_t: Optional[int] = None  # group.t when an eval forward left layer 0 in ws
     ws: ops.Workspace = field(default_factory=ops.Workspace)
+    pool: ops.Pool = ops.INLINE  # the pool its kernels split on: the run's when p = 1
 
     def forward(
         self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False, *, out, agg=None,
@@ -176,21 +181,25 @@ class WorkerState:
         kept = False
         if fixed_input:
             if self.input_agg is None:
-                self.input_agg = ops.spmm_norm(adj, s, x, out=np.empty_like(x), ws=ops.Workspace())
+                self.input_agg = ops.spmm_norm(
+                    adj, s, x, out=np.empty_like(x), ws=ops.Workspace(), pool=self.pool
+                )
             agg = self.input_agg
             kept = self.layer0_t == self.group.t
         h = x
         caches = []
         last = len(self.layers) - 1
+        reusable = fixed_input and not training and last > 0
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
             h, c = nn.gcn_layer_forward(
                 adj, s, h, layer, self.rng, training, rate, agg=agg, kept=kept,
                 ws=self.ws, layer=li, out=out if li == last else None,
+                record_mask=training or (reusable and li == 0), pool=self.pool,
             )
             agg, kept = None, False
             caches.append(c)
-        self.layer0_t = self.group.t if fixed_input and not training and last > 0 else None
+        self.layer0_t = self.group.t if reusable else None
         self.cache = caches if training else None
         return h
 
@@ -216,13 +225,13 @@ class WorkerState:
             else:
                 d_in = None
             *_, d = nn.gcn_layer_backward(
-                cache, d, layer, adj, s, out=grads[start:end], ws=self.ws, d_in=d_in
+                cache, d, layer, adj, s, out=grads[start:end], ws=self.ws, d_in=d_in, pool=self.pool
             )
             end = start
         return d
 
     def step(self, lr: float):
-        nn.adam_step(self.group, lr)
+        nn.adam_step(self.group, lr, self.pool)
         self.cache = None
 
 
@@ -309,15 +318,23 @@ def forward_work(n: int, nnz: int, widths, dual: bool) -> int:
     return sum(nnz * min(a, b) + n * a * b * per_product for a, b in zip(widths, widths[1:]))
 
 
+def available_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def pool_threads(config: TrainConfig, graph: AttributedGraph, layers: list) -> int:
-    """Threads a run's rounds use: `config.threads` (default p), or 1 when
-    one device's forward through `layers` is below `ops.MIN_TASK_WORK`
-    multiply-adds."""
+    """Threads a run's pool uses: `config.threads` (default
+    `available_cores()`), or 1 when one device's forward through `layers`
+    is below `ops.MIN_TASK_WORK` multiply-adds."""
     widths = [layers[0].w_agg.shape[0]] + [layer.w_agg.shape[1] for layer in layers]
     work = forward_work(graph.num_nodes, graph.adj.num_edges, widths, layers[0].w_self is not None)
     if work < ops.MIN_TASK_WORK:
         return 1
-    return config.threads if config.threads is not None else config.p
+    return config.threads if config.threads is not None else available_cores()
 
 
 def slice_strategy(config: TrainConfig, d_feat: int) -> slicing.SliceStrategy:
@@ -333,8 +350,10 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
     A device's input is its feature slice, or the fusion output; each device
     layer is ceil(hidden / p) wide. These widths are derived here only, and
-    the built arrays are the run's record of them. The run's pool cuts
-    products into p blocks and has `pool_threads` threads; its owner closes it.
+    the built arrays are the run's record of them. The run's pool has
+    `pool_threads` threads and cuts the master's kernels into p parts; with
+    p = 1 it cuts into one part per thread, and the device's kernels split
+    on it too. Its owner closes it.
     """
     d_feat = graph.num_features
     strategy = slice_strategy(config, d_feat)
@@ -364,6 +383,10 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
     features = np.ascontiguousarray(graph.features, dtype=dtype)
     slices = None if config.use_ff else slicing.slice_feature(features, strategy)
+    threads = pool_threads(config, graph, workers[0].layers)
+    pool = ops.Pool(config.p if config.p > 1 else threads, threads)
+    if config.p == 1:
+        workers[0].pool = pool
     return RunState(
         graph=graph,
         config=config,
@@ -375,7 +398,7 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
         train_idx=np.flatnonzero(graph.split == TRAIN),
         val_idx=np.flatnonzero(graph.split == VAL),
         test_idx=np.flatnonzero(graph.split == TEST),
-        pool=ops.Pool(config.p, pool_threads(config, graph, workers[0].layers)),
+        pool=pool,
     )
 
 
@@ -397,7 +420,7 @@ def epoch_forward(run: RunState, training: bool):
         if not nn.narrows(run.workers[0].layers[0]):
             # every device's layer 0 would aggregate this same z
             agg = ops.spmm_norm(
-                adj, s, z, out=head.fusion_ws.get("agg", z.shape, z.dtype), ws=head.fusion_ws
+                adj, s, z, out=head.fusion_ws.get("agg", z.shape, z.dtype), ws=head.fusion_ws, pool=pool
             )
     else:
         inputs = run.slices
@@ -419,7 +442,7 @@ def epoch_forward(run: RunState, training: bool):
             nn.slice_encode(h, head.encoding, i, out=h)
 
     logits, cls_cache = nn.mlp_forward(
-        rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, pool=pool
+        rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, record_masks=training, pool=pool
     )
     train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
     if training:
@@ -550,15 +573,14 @@ def train(
     `on_epoch(report, eval_logits)` is called after each epoch when given.
     `eval_logits` is the classifier's output array, which every forward
     rewrites: it is valid until the callback returns, and a callback that
-    keeps the logits keeps a copy. A run with p > 1 sets the loaded OpenBLAS
-    to one thread and gives the caller's count back, and the run's pool
-    threads end, when it returns or raises.
+    keeps the logits keeps a copy. The run sets the loaded OpenBLAS to one
+    thread and gives the caller's count back, and the run's pool threads
+    end, when it returns or raises.
     """
     run = build_run(graph, config)
     reports = []
     total_seconds = 0.0
-    one_blas_thread = blas.limit_threads(1) if config.p > 1 else contextlib.nullcontext()
-    with one_blas_thread, run.pool:
+    with blas.limit_threads(1), run.pool:
         if config.epochs == 0:
             _, logits, _ = epoch_forward(run, training=False)
             _, val_m, test_m = _metrics(run, logits)

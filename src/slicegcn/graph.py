@@ -65,6 +65,20 @@ class RowBlocks:
     blocks: tuple  # of (first rank, end rank, D, offset), ints
     rank: np.ndarray  # int64, length num_nodes, read-only
     max_entries: int  # largest D * B over the blocks
+    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # k -> parts(k)
+
+    def parts(self, k: int) -> tuple:
+        """The blocks cut into at most k runs of near-equal entries, as
+        (first block, end block) pairs that cover them in order; each k is
+        cut once, at its first use."""
+        cut = self._parts.get(k)
+        if cut is None:
+            entries = np.array([d * (hi - lo) for lo, hi, d, _ in self.blocks], dtype=np.int64)
+            before = np.concatenate([[0], np.cumsum(entries)])  # entries of the blocks before each block
+            ends = np.searchsorted(before, before[-1] * np.arange(1, k) / k)
+            bounds = np.unique(np.concatenate([[0], ends, [len(self.blocks)]]))
+            cut = self._parts[k] = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        return cut
 
 
 def _row_blocks(offsets: np.ndarray, cols: np.ndarray) -> RowBlocks:

@@ -24,7 +24,9 @@ layer then skips its aggregation.
 A rectified layer keeps, for its backward pass, only where its
 pre-activation was positive: it forms the pre-activation in its output
 array, records pre > 0 in a bool mask, and rectifies in place, and backward
-forms d_pre = d_out * mask.
+forms d_pre = d_out * mask. A forward whose caller says that nothing will
+read the mask (`record_mask=False`: an evaluation pass whose result is not
+kept) skips it.
 
 A layer's dropout-free result depends only on its input and parameters, and
 dropout is the first random draw of a training forward. So after an
@@ -59,6 +61,7 @@ gradients into views of the group's flat gradient buffer (`out`), and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -112,15 +115,20 @@ def init_gcn_layers(widths, rng, dtype, form: str = FORM_DUAL):
 class GcnLayerCache:
     h_in: np.ndarray
     agg: Optional[np.ndarray]  # Â h_in; None when the layer multiplied by W_agg first
-    mask: np.ndarray  # bool, where the pre-activation Â h_in W_agg + b is positive
+    mask: Optional[np.ndarray]  # bool, where the pre-activation Â h_in W_agg + b is positive; None if not recorded
     keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
 
 
-def _rectify(pre, mask) -> None:
-    """Records pre > 0 in the bool array `mask` and rectifies `pre` in place."""
-    np.greater(pre, 0, out=mask)
-    ops.relu(pre, out=pre)
+def _activate(h, mask, self_path, bias) -> None:
+    """h = ReLU(h + bias) + self_path, in place, recording h + bias > 0 in
+    the bool array `mask` first; a None mask or self path is skipped."""
+    h += bias
+    if mask is not None:
+        np.greater(h, 0, out=mask)
+    ops.relu(h, out=h)
+    if self_path is not None:
+        h += self_path
 
 
 def narrows(params: GcnLayerParams) -> bool:
@@ -131,7 +139,7 @@ def narrows(params: GcnLayerParams) -> bool:
 
 def gcn_layer_forward(
     adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
-    kept: bool = False, *, ws, layer=0, out=None,
+    kept: bool = False, *, ws, layer=0, out=None, record_mask: bool = True, pool=ops.INLINE,
 ):
     """One layer. Dropout (if rate > 0) is applied to the layer output.
 
@@ -140,13 +148,16 @@ def gcn_layer_forward(
     other layer aggregates H. `kept=True` says that `ws` still holds the
     output and mask of an evaluation forward over the same h_in, agg and
     parameters; only dropout is computed then, in place, so a training
-    forward consumes the kept output.
+    forward consumes the kept output. `record_mask=False` skips the ReLU
+    mask, which only a backward pass, or a later forward that keeps this
+    result, reads; the cache's mask is None then.
 
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
     layer `layer` writes the same arrays, and its temporaries share the
     workspace's scratch keys. `out`, when given, is the array the output is
-    written into instead; the pre-activation is formed there too.
+    written into instead; the pre-activation is formed there too. The
+    products, the SpMM, dropout and the element-wise passes split on `pool`.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
     if kept and agg is None:
@@ -154,31 +165,44 @@ def gcn_layer_forward(
     if kept and out is not None:
         raise ValueError("a kept layer result is in the workspace, not in out")
     h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
-    mask = ws.get((layer, "mask"), (n, w_out), bool)
+    mask = ws.get((layer, "mask"), (n, w_out), bool) if record_mask else None
     if not kept:
         if agg is None and narrows(params):
-            t = np.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
-            ops.spmm_norm(adj, s, t, out=h_out, ws=ws)
+            t = pool.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
+            ops.spmm_norm(adj, s, t, out=h_out, ws=ws, pool=pool)
         else:
             if agg is None:
-                agg = ops.spmm_norm(adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws)
-            np.matmul(agg, params.w_agg, out=h_out)
-        h_out += params.bias
-        _rectify(h_out, mask)
+                agg = ops.spmm_norm(
+                    adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws, pool=pool
+                )
+            pool.matmul(agg, params.w_agg, out=h_out)
+        self_path = None
         if params.w_self is not None:
-            h_out += np.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
+            self_path = pool.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
+        pool.rows(_activate, (h_out, mask, self_path), params.bias)
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
-    h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep)
+    h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep, pool=pool)
     return h_out, GcnLayerCache(h_in=h_in, agg=agg, mask=mask, keep=keep, scale=scale)
 
 
-def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, out, ws, d_in=None):
+def _deactivate(out, d, keep, mask, scale) -> None:
+    """The gradient through dropout and the ReLU: d = (d * keep) * scale,
+    in place, when dropout was applied (`keep` not None), then out = d * mask."""
+    if keep is not None:
+        ops.apply_mask(d, keep, scale, out=d)
+    np.multiply(d, mask, out=out)
+
+
+def gcn_layer_backward(
+    cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, out, ws, d_in=None, pool=ops.INLINE,
+):
     """Gradients (dW_agg, dW_self, db, dH_in); dW_self/dH_in may be None.
 
     `out` holds the arrays to write the parameter gradients into, aligned
     with `params.arrays()`; they are returned. dH_in is written into `d_in`,
     and is not formed without it. The temporaries come from the scratch keys
-    of `ws`, and the dropout mask is applied to `d_out` in place.
+    of `ws`, and the dropout mask is applied to `d_out` in place. The
+    products, the SpMM and the element-wise passes split on `pool`.
 
     A narrowing layer forms G = Âᵀ d_pre once, at the output width, for
     dW_agg = H_inᵀ G (when the forward kept no aggregate) and dH_in = G W_aggᵀ.
@@ -186,28 +210,30 @@ def gcn_layer_backward(cache: GcnLayerCache, d_out, params: GcnLayerParams, adj,
     own array.
     """
     n, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
-    if cache.keep is not None:
-        ops.apply_mask(d_out, cache.keep, cache.scale, out=d_out)
-    d_pre = np.multiply(d_out, cache.mask, out=ws.get("d_pre", (n, w_out), dtype))
+    d_pre = ws.get("d_pre", (n, w_out), dtype)
+    pool.rows(_deactivate, (d_pre, d_out, cache.keep, cache.mask), cache.scale)
     db = np.sum(d_pre, axis=0, out=out[-1])
     narrowing = narrows(params)
     g = None
     if narrowing and (cache.agg is None or d_in is not None):
-        g = ops.spmm_norm(adj, s, d_pre, transpose=True, out=ws.get("tmp", (n, w_out), dtype), ws=ws)
+        g = ops.spmm_norm(
+            adj, s, d_pre, transpose=True, out=ws.get("tmp", (n, w_out), dtype), ws=ws, pool=pool
+        )
     if cache.agg is None:
-        dw_agg = np.matmul(cache.h_in.T, g, out=out[0])
+        dw_agg = pool.matmul(cache.h_in.T, g, out=out[0])
     else:
-        dw_agg = np.matmul(cache.agg.T, d_pre, out=out[0])
-    dw_self = np.matmul(cache.h_in.T, d_out, out=out[1]) if params.w_self is not None else None
+        dw_agg = pool.matmul(cache.agg.T, d_pre, out=out[0])
+    dw_self = pool.matmul(cache.h_in.T, d_out, out=out[1]) if params.w_self is not None else None
     if d_in is None:
         return dw_agg, dw_self, db, None
     if narrowing:
-        np.matmul(g, params.w_agg.T, out=d_in)
+        pool.matmul(g, params.w_agg.T, out=d_in)
     else:
-        t = np.matmul(d_pre, params.w_agg.T, out=ws.get("tmp", (n, w_in), dtype))
-        ops.spmm_norm(adj, s, t, transpose=True, out=d_in, ws=ws)
+        t = pool.matmul(d_pre, params.w_agg.T, out=ws.get("tmp", (n, w_in), dtype))
+        ops.spmm_norm(adj, s, t, transpose=True, out=d_in, ws=ws, pool=pool)
     if params.w_self is not None:
-        d_in += np.matmul(d_out, params.w_self.T, out=ws.get("tmp", (n, w_in), dtype))
+        self_path = pool.matmul(d_out, params.w_self.T, out=ws.get("tmp", (n, w_in), dtype))
+        pool.rows(operator.iadd, (d_in, self_path))
     return dw_agg, dw_self, db, d_in
 
 
@@ -231,7 +257,8 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws, pool=ops.INLINE):
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws, record_masks: bool = True,
+                pool=ops.INLINE):
     """Returns (output, cache). The last layer is linear (no activation).
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
@@ -239,8 +266,11 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
     `kept=True` says that `ws` still holds the first hidden layer's relu(z)
     and mask from an evaluation forward over the same x and parameters;
     that layer then only applies dropout, in place, so a training forward
-    consumes the kept relu(z). Each layer's product runs in column blocks of
-    its output on `pool` (`ops.Pool.matmul`).
+    consumes the kept relu(z). `record_masks=False` skips the hidden
+    layers' ReLU masks, which only a backward pass, or a later forward that
+    keeps the first layer, reads; the cache's masks are None then. Each
+    layer's product runs in blocks on `pool` (`ops.Pool.matmul`), and its
+    bias, ReLU and dropout in row ranges.
     """
     cache = []
     h = x
@@ -254,13 +284,13 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
             h = pool.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
             h += b
             continue
-        a, mask = ws.get((li, "a"), shape, h.dtype), ws.get((li, "mask"), shape, bool)
+        a = ws.get((li, "a"), shape, h.dtype)
+        mask = ws.get((li, "mask"), shape, bool) if record_masks else None
         if not (li == 0 and kept):
             pool.matmul(h, w, out=a)
-            a += b
-            _rectify(a, mask)
+            pool.rows(_activate, (a, mask, None), b)
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
-        a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep)
+        a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep, pool=pool)
         cache.append((h, mask, keep, scale))
         h = a
     return h, cache
@@ -273,9 +303,9 @@ def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, pool=ops.INLIN
     each layer, in layer order. d_input is written into `d_in`, and is not
     formed without it. The backward consumes the forward's cache: the
     gradient of each hidden layer's output is written over that output,
-    which nothing reads afterwards, so it needs no scratch. Weight gradients
-    run in column blocks and input gradients in row blocks on `pool`
-    (`ops.Pool.matmul`).
+    which nothing reads afterwards, so it needs no scratch. The products
+    run in blocks on `pool` (`ops.Pool.matmul`), and the gradient through
+    dropout and the ReLU in row ranges.
     """
     grads = [None] * len(mlp.layers)
     d = d_out
@@ -283,13 +313,11 @@ def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, pool=ops.INLIN
         h, mask, keep, scale = cache[li]
         w, _ = mlp.layers[li]
         if mask is not None:  # hidden layer: undo dropout and ReLU, in place (d is this pass's own)
-            if keep is not None:
-                d = ops.apply_mask(d, keep, scale, out=d)
-            d = np.multiply(d, mask, out=d)
+            pool.rows(_deactivate, (d, d, keep, mask), scale)
         grads[li] = (pool.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
         if li == 0 and d_in is None:
             return grads, None
-        d = pool.matmul(d, w.T, out=h if li > 0 else d_in, rows=True)
+        d = pool.matmul(d, w.T, out=h if li > 0 else d_in)
     return grads, d
 
 

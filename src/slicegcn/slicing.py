@@ -5,8 +5,8 @@ direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
 is broadcast to every device. The fusion forward runs in its owner's
 workspace, as every layer does, and keeps only a bool ReLU mask of its
-hidden layer for backward (see `nn`). Its products run in blocks on the
-pool the caller gives (`ops.Pool`).
+hidden layer for backward (see `nn`). Its products and element-wise passes
+run in parts on the pool the caller gives (`ops.Pool`).
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slicegcn import cli, engine
+from slicegcn import cli, engine, nn, ops
 from slicegcn.cli import MetricsArtifact
 from slicegcn.graph import AttributedGraph, build_csr, save_dataset, synth_graph
 
@@ -39,6 +40,48 @@ class TestTrainCommand:
             blobs.append((d / "metrics.csv").read_bytes())
         assert blobs[0] == blobs[2]
         assert blobs[1] == blobs[3]
+
+    @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_ffse", 2)])
+    def test_artifacts_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, submitted, variant, p):
+        # a graph where the master's SpMM, element-wise passes, dropout masks
+        # and products split (n x hidden = 3200 x 256, ~400k stored edges): a
+        # p = 1 run cuts them into one part per thread, and its device's
+        # kernels too; a p = 2 run cuts the head's into p parts
+        caller, on_pool = threading.get_ident(), set()
+
+        def watch(module, name):
+            fn = getattr(module, name)
+
+            def watched(*args):
+                if threading.get_ident() != caller:
+                    on_pool.add(name)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, watched)
+
+        passes = [(ops, "_scale_rows"), (ops, "_gather_reduce"), (ops, "_dropout_rows"), (nn, "_activate"),
+                  (nn, "_deactivate")]
+        for module, name in passes:
+            watch(module, name)
+        args = ["train", "--dataset", "synth", "--synth-nodes", "3200", "--synth-classes", "2",
+                "--synth-feat", "200", "--synth-pin", "0.07", "--synth-pout", "0.008", "--hidden", "256",
+                "--epochs", "2", "--seed", "3", "--variant", variant, "-p", str(p), "--no-timing"]
+        blobs = []
+        for threads in ("1", "2", "3"):
+            submitted.clear()
+            on_pool.clear()
+            out = tmp_path / threads / "m.json"
+            out.parent.mkdir()
+            assert run_cli([*args, "--threads", threads, "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+            products = "Pool.matmul.<locals>.<lambda>" in {fn.__qualname__ for fn in submitted}
+            if threads == "1":
+                assert not submitted and not on_pool
+            else:
+                # the master's Â·z (p = 2) is too narrow for its row passes to split
+                split = {name for _, name in passes} - ({"_scale_rows"} if p > 1 else set())
+                assert products and split <= on_pool
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_zero_devices_usage_error(self, tmp_path):
         rc = run_cli(["train", *SYNTH_ARGS, "-p", "0", "--out", str(tmp_path / "m.json")])

@@ -224,6 +224,16 @@ class TestWorkerPool:
         with ops.Pool(threads=4) as pool:
             assert pool.run(task, [0, 1, 2, 3]) == [0, 1, 2, 3]
 
+    def test_a_round_started_on_a_pool_thread_raises(self):
+        # item 1 runs on the pool's one thread, where a round of its own pool
+        # could wait for that thread; the master may start one
+        with ops.Pool(threads=2) as pool:
+            with pytest.raises(RuntimeError, match="own pool"):
+                pool.run(lambda i: pool.run(lambda j: j, [0, 1]), [0, 1])
+            assert pool.run(lambda i: pool.run(lambda j: i + j, [0, 1]) if i == 0 else i, [0, 1]) == [[0, 1], 1]
+            with ops.Pool(threads=2) as other:
+                assert pool.run(lambda i: other.run(lambda j: i + j, [0, 1]), [0, 1]) == [[0, 1], [1, 2]]
+
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failure_raised_after_every_task_finished(self, failing):
         finished = []
@@ -327,6 +337,10 @@ class TestTrain:
         ("small_default", 400, 6_400, [9, 32, 32], False),
         ("wide_features", 2708, 10_000, [718, 128, 128], True),
         ("large_sparse", 50_000, 400_000, [16, 64, 64], True),
+        # and their baseline cells (p=1): the whole features and hidden width
+        ("small_default", 400, 6_400, [16, 64, 64], False),
+        ("wide_features", 2708, 10_000, [1433, 256, 256], True),
+        ("large_sparse", 50_000, 400_000, [32, 128, 128], True),
     ])
     def test_pool_threshold_splits_the_benchmark_shapes(self, name, n, nnz, widths, to_pool):
         assert (engine.forward_work(n, nnz, widths, dual=True) >= ops.MIN_TASK_WORK) == to_pool
@@ -434,10 +448,10 @@ def two_blas_threads():
 
 
 class TestBlasThreads:
-    """A p > 1 run holds the loaded OpenBLAS at one thread; a p = 1 run
-    leaves the caller's count."""
+    """Every run holds the loaded OpenBLAS at one thread, and gives the
+    caller's count back."""
 
-    @pytest.mark.parametrize("variant,p,inside", [("slice_ffse", 2, 1), ("slice", 2, 1), ("baseline", 1, 2)])
+    @pytest.mark.parametrize("variant,p,inside", [("slice_ffse", 2, 1), ("slice", 2, 1), ("baseline", 1, 1)])
     def test_count_during_and_after_the_run(self, small_graph, two_blas_threads, pooled, variant, p, inside):
         seen = []
         cfg = TrainConfig(variant=variant, p=p, epochs=2, hidden=8, seed=1)
@@ -467,24 +481,26 @@ class TestBlasThreads:
         assert pooled
 
     def test_artifacts_do_not_depend_on_the_blas_environment(self, tmp_path):
-        # fusion products (2000 x 600 x 600) large enough for threaded BLAS,
-        # which rounds them differently at 2 threads than at 1
+        # products (2000 x 600 x 600 in the fusion MLP, 2000 x 600 x 64 in the
+        # baseline's first layer) large enough for threaded BLAS, which
+        # rounds them differently at 2 threads than at 1
         src = str(Path(slicegcn.__file__).resolve().parents[1])
-        blobs = []
-        for count in ("1", "2"):
-            env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-            env["OPENBLAS_NUM_THREADS"] = count
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = tmp_path / count / "m.json"
-            done = subprocess.run(
-                [sys.executable, "-m", "slicegcn.cli", "train", "--dataset", "synth", "--synth-nodes", "2000",
-                 "--synth-feat", "600", "--variant", "slice_ffse", "-p", "2", "--epochs", "2", "--seed", "3",
-                 "--no-timing", "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert done.returncode == 0, done.stderr
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+        for variant, p in (("slice_ffse", 2), ("baseline", 1)):
+            blobs = []
+            for count in ("1", "2"):
+                env = {k: v for k, v in os.environ.items() if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+                env["OPENBLAS_NUM_THREADS"] = count
+                env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+                out = tmp_path / variant / count / "m.json"
+                done = subprocess.run(
+                    [sys.executable, "-m", "slicegcn.cli", "train", "--dataset", "synth", "--synth-nodes", "2000",
+                     "--synth-feat", "600", "--variant", variant, "-p", str(p), "--epochs", "2", "--seed", "3",
+                     "--no-timing", "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert done.returncode == 0, done.stderr
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1], variant
 
 
 _TRACED = [  # the functions the benchmark's tracer wraps, which no block of a split may call
@@ -562,6 +578,27 @@ class TestSplitRounds:
         monkeypatch.setattr(ops, "softmax_cross_entropy", lambda *a: calls.append(1) or full(*a))
         engine.train(small_graph, TrainConfig(variant="slice", p=2, epochs=3, hidden=8, seed=1))
         assert len(calls) == 3  # one per training forward
+
+
+@pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
+def test_eval_forward_forms_only_the_masks_a_later_forward_reads(small_graph, variant):
+    # an eval forward writes the ReLU mask of a device's layer 0 over a fixed
+    # input and of the fusion MLP's hidden layer, which the next forward
+    # keeps, and no other: device layers >= 1, the classifier's hidden layer
+    cfg = TrainConfig(variant=variant, p=2, hidden=16, layers=3, seed=7)
+    run = engine.build_run(small_graph, cfg)
+    engine.epoch_forward(run, training=True)  # every mask array exists now
+    n, head = small_graph.num_nodes, run.head
+    masks = {("device", i, li): w.ws.get((li, "mask"), (n, layer.bias.size), bool)
+             for i, w in enumerate(run.workers) for li, layer in enumerate(w.layers)}
+    masks["classifier", 0, 0] = head.cls_ws.get((0, "mask"), (n, cfg.hidden), bool)
+    if cfg.use_ff:
+        masks["fusion", 0, 0] = head.fusion_ws.get((0, "mask"), (n, small_graph.num_features), bool)
+    for m in masks.values():
+        m.fill(True)
+    engine.epoch_forward(run, training=False)
+    written = {key for key, m in masks.items() if not m.all()}
+    assert written == ({("fusion", 0, 0)} if cfg.use_ff else {("device", 0, 0), ("device", 1, 0)})
 
 
 def _stamped(run) -> list:
@@ -905,7 +942,7 @@ class TestBuffers:
             tracemalloc.stop()
         assert len(rises) == cfg.epochs - 1
         assert max(rises[1:]) < n * hidden * 4, rises
-        assert bool(pooled) == (threads > 1 and p > 1)
+        assert bool(pooled) == (threads > 1)  # a p = 1 run's device splits its kernels on the pool
 
     @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_ffse", 2)])
     def test_workspaces_hold_what_backward_reads(self, small_graph, monkeypatch, variant, p):

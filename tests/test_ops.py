@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -153,6 +154,54 @@ class TestSpmmNorm:
         dense = dense_oracle(adj)
         np.testing.assert_allclose(out, (dense.T if directed else dense) @ x, rtol=1e-5, atol=1e-6)
         assert ("spmm.acc" in ws._memory) == (cols == 1)
+
+    @staticmethod
+    def _part_graph(case):
+        """300-node graphs for the row-part tests."""
+        n, rng = 300, np.random.default_rng(13)
+        if case == "directed":
+            return build_csr(n, rng.integers(0, n, size=(6 * n, 2)), symmetrize=False)
+        if case == "star":
+            return build_csr(n, [(0, v) for v in range(1, n)])
+        if case == "isolated":  # every third node touches no edge
+            nodes = [v for v in range(n) if v % 3]
+            return build_csr(n, [(u, v) for u in nodes for v in nodes if u < v and rng.random() < 0.05])
+        return build_csr(n, [])
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("cols", [1, 5])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("case", ["directed", "star", "isolated", "edgeless"])
+    def test_row_parts_equal_the_whole(self, monkeypatch, case, transpose, cols, parts):
+        # without floors every pass splits: the blocks in runs of near-equal
+        # entries, each through its own gather buffer, and the scaling and
+        # reordering passes in node-row ranges; also into the input itself
+        adj = self._part_graph(case)
+        s = degree_norms(adj).astype(np.float32)
+        x = np.random.default_rng(14).standard_normal((adj.num_nodes, cols)).astype(np.float32)
+        whole = _spmm(adj, s, x, transpose)
+        monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+        lay = adj.blocks_t if transpose else adj.blocks
+        cut = lay.parts(parts)
+        assert [b for part in cut for b in range(*part)] == list(range(len(lay.blocks)))
+        for threads in (1, parts):
+            pool = ops.Pool(parts, threads)
+            with pool:
+                ws = ops.Workspace()
+                got = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
+                h = x.copy()
+                into_h = ops.spmm_norm(adj, s, h, transpose, out=h, ws=ws, pool=pool)
+            assert got.tobytes() == whole.tobytes() == into_h.tobytes()
+            gathers = [k for k in ws._memory if k == "spmm.gather" or k[0] == "spmm.gather"]
+            assert len(gathers) == len(cut)
+        if case == "directed":
+            assert len(cut) == parts
+
+    def test_row_parts_are_cut_once_per_count(self):
+        adj = self._part_graph("directed")
+        assert adj.blocks.parts(2) is adj.blocks.parts(2)
+        assert adj.blocks.parts(1) == ((0, len(adj.blocks.blocks)),)
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
@@ -342,6 +391,58 @@ class TestDropout:
         assert rng.bit_generator.random_raw() == ref.random_raw()
 
 
+    @pytest.mark.parametrize("drawn", [0, 1, 3, 6])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 40])
+    def test_skip_moves_the_stream_as_raw_draws_do(self, drawn, k):
+        # from every buffer position, and keeping a buffered 32-bit half
+        rng, ref = ops.rng_stream(8, 4), ops.rng_stream(8, 4)
+        for g in (rng, ref):
+            g.bit_generator.random_raw(drawn)
+            g.integers(0, 1 << 32, dtype=np.uint32)  # leaves the other 32-bit half buffered
+        ops._skip(rng.bit_generator, k)
+        ref.bit_generator.random_raw(k)
+        assert rng.integers(0, 1 << 32, dtype=np.uint32) == ref.integers(0, 1 << 32, dtype=np.uint32)
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))
+
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 - 2**-17])
+    @pytest.mark.parametrize("drawn", [0, 1, 3, 6])
+    @pytest.mark.parametrize(
+        "shape,parts,offsets",
+        # the fields where each part starts: multiples of 16, multiples of 4
+        # but not of 16, and neither
+        [((64, 16), 2, [0, 512]), ((50, 8), 2, [0, 200]), ((50, 7), 3, [0, 112, 231]), ((33, 5), 4, [0, 40, 80, 120])],
+    )
+    def test_split_mask_equals_the_whole(self, monkeypatch, shape, parts, offsets, drawn, rate):
+        # a stream with raw draws left in its buffer from an earlier call
+        a = np.random.default_rng(3).standard_normal(shape).astype(np.float32)
+        rng, ref = ops.rng_stream(5, 1), ops.rng_stream(5, 1)
+        for g in (rng, ref):
+            g.bit_generator.random_raw(drawn)
+        want, want_keep, _ = ops.dropout(a.copy(), rate, True, ref)
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+        pool, calls = _counting(parts)
+        got, keep, _ = ops.dropout(a.copy(), rate, True, rng, pool=pool)
+        assert [[lo * shape[1] for lo, _ in c] for c in calls] == [offsets]
+        np.testing.assert_array_equal(keep, want_keep)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))
+        assert rng.random() == ref.random()
+
+    def test_split_mask_on_pool_threads(self, monkeypatch):
+        # parts of 2.3 chunks of raw draws each, drawn at once
+        shape = (3, 3 * ops._DROPOUT_CHUNK + 5)
+        a = np.ones(shape, np.float32)
+        ref = ops.rng_stream(7, 0)
+        want, want_keep, _ = ops.dropout(a.copy(), 0.4, True, ref)
+        rng = ops.rng_stream(7, 0)
+        with ops.Pool(3, 3) as pool:
+            got, keep, _ = ops.dropout(a.copy(), 0.4, True, rng, pool=pool)
+        assert len(pool.row_ranges(*shape)) == 3
+        np.testing.assert_array_equal(keep, want_keep)
+        np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_ln_c(self):
         for c in (2, 5, 9):
@@ -424,41 +525,84 @@ def _f32(rng, *shape):
 class TestBlocks:
     def test_ranges_cover_the_length(self):
         assert ops.Pool(3).ranges(10, 2) == [(0, 3), (3, 6), (6, 10)]
-        assert ops.Pool(3).ranges(5, 2) == [(0, 5)]  # a range would be under 2
+        assert ops.Pool(3).ranges(5, 2) == [(0, 2), (2, 5)]  # a third range would be under 2
+        assert ops.Pool(3).ranges(3, 2) == [(0, 3)]
         assert ops.INLINE.ranges(10, 1) == [(0, 10)]
+
+    def test_row_ranges_hold_the_element_floor(self):
+        rows = ops.MIN_PASS_ELEMENTS // 64
+        assert ops.Pool(4).row_ranges(3 * rows, 64) == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows)]
+        assert ops.Pool(4).row_ranges(2 * rows - 1, 64) == [(0, 2 * rows - 1)]
 
     def test_small_or_narrow_products_stay_whole(self, monkeypatch):
         # a product below the work floor, and, with no floor, one whose
-        # blocks would be one column wide (BLAS's matrix-vector path)
+        # blocks would be under SPLIT_MIN_WIDTH rows and columns (a
+        # one-column block would take BLAS's matrix-vector path); a product
+        # is cut along its output's longer side
         rng = np.random.default_rng(0)
-        a, square, narrow = _f32(rng, 400, 64), _f32(rng, 64, 64), _f32(rng, 64, 2)
-        for floor, b, blocks in [(ops.MIN_TASK_WORK, square, []), (0, narrow, []), (0, square, [2])]:
+        a, small, square, narrow = _f32(rng, 400, 64), _f32(rng, 24, 64), _f32(rng, 64, 64), _f32(rng, 64, 2)
+        cases = [(ops.MIN_TASK_WORK, a, square, []), (0, small, _f32(rng, 64, 24), []),
+                 (0, a, square, [2]), (0, a, narrow, [2]), (0, narrow.T, a.T, [2])]
+        for floor, lhs, rhs, blocks in cases:
             monkeypatch.setattr(ops, "MIN_TASK_WORK", floor)
             pool, calls = _counting(2)
-            out = pool.matmul(a, b, out=np.empty((a.shape[0], b.shape[1]), np.float32))
+            out = pool.matmul(lhs, rhs, out=np.empty((lhs.shape[0], rhs.shape[1]), np.float32))
             assert [len(c) for c in calls] == blocks
-            np.testing.assert_array_equal(out, a @ b)
+            np.testing.assert_array_equal(out, lhs @ rhs)
 
     @pytest.mark.parametrize("parts", [2, 3])
     def test_split_products_equal_the_whole_at_one_blas_thread(self, parts):
         # each product the engine splits, at the benchmark's shapes: the
         # fusion MLP of Cora-sized features (2708 x 1433, hidden 1433, output
-        # 718) and the classifier's first layer over 50k nodes (128 -> 128)
+        # 718), the classifier's first layer over 50k nodes (128 -> 128), and
+        # the p = 1 baselines' layers: 32 -> 128 -> 128 over 50k nodes, and
+        # 1433 -> 256 -> 256 over 2708
         rng = np.random.default_rng(1)
         x, a, d_z, d_a = _f32(rng, 2708, 1433), _f32(rng, 2708, 1433), _f32(rng, 2708, 718), _f32(rng, 2708, 1433)
         w0, w1 = _f32(rng, 1433, 1433), _f32(rng, 1433, 718)
         rep, d_h, cls_w0 = _f32(rng, 50_000, 128), _f32(rng, 50_000, 128), _f32(rng, 128, 128)
+        feat, w_in = _f32(rng, 50_000, 32), _f32(rng, 32, 128)
+        h_w, d_w, w_h, w_hh = _f32(rng, 2708, 256), _f32(rng, 2708, 256), _f32(rng, 1433, 256), _f32(rng, 256, 256)
+        # (lhs, rhs, whether the output is cut into row blocks): its longer side
         products = [
-            (x, w0, False), (a, w1, False), (a.T, d_z, False), (x.T, d_a, False), (d_z, w1.T, True),
-            (rep, cls_w0, False), (rep.T, d_h, False), (d_h, cls_w0.T, True),
+            (x, w0, True), (a, w1, True), (a.T, d_z, True), (x.T, d_a, True), (d_z, w1.T, True),
+            (rep, cls_w0, True), (rep.T, d_h, True), (d_h, cls_w0.T, True),
+            (feat, w_in, True), (feat.T, d_h, False),
+            (x, w_h, True), (x.T, d_w, True), (h_w, w_hh, True), (h_w.T, d_w, True), (d_w, w_hh.T, True),
         ]
         with blas.limit_threads(1):
             for lhs, rhs, rows in products:
                 pool, calls = _counting(parts)
                 shape = (lhs.shape[0], rhs.shape[1])
-                got = pool.matmul(lhs, rhs, out=np.empty(shape, np.float32), rows=rows)
+                got = pool.matmul(lhs, rhs, out=np.empty(shape, np.float32))
                 assert [len(c) for c in calls] == [parts]
+                assert calls[0][0] == (0, shape[0 if rows else 1] // parts)
                 np.testing.assert_array_equal(got, np.matmul(lhs, rhs))
+
+
+def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
+    # more threads than cores, switching every microsecond: the parts of an
+    # SpMM and of a dropout mask still write exactly the whole's bits
+    monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+    monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+    rng = np.random.default_rng(15)
+    adj = build_csr(400, rng.integers(0, 400, size=(3000, 2)), symmetrize=False)
+    s = degree_norms(adj).astype(np.float32)
+    h = rng.standard_normal((400, 24)).astype(np.float32)
+    spmm = _spmm(adj, s, h, True)
+    drop, keep, _ = ops.dropout(h.copy(), 0.3, True, ops.rng_stream(3, 0))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ops.Pool(4, 4) as pool:
+            ws = ops.Workspace()
+            for _ in range(20):
+                out = ops.spmm_norm(adj, s, h, True, out=np.empty_like(h), ws=ws, pool=pool)
+                assert out.tobytes() == spmm.tobytes()
+                got, got_keep, _ = ops.dropout(h.copy(), 0.3, True, ops.rng_stream(3, 0), pool=pool)
+                assert got.tobytes() == drop.tobytes() and np.array_equal(got_keep, keep)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestDeterminism:
