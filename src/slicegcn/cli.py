@@ -281,6 +281,15 @@ def _check_out_path(path: Path) -> None:
             return
 
 
+def _write(path: Path, text: str) -> None:
+    """Writes `text` to `path`, making its directory; a failure is a UsageError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec, args.spec_flags) if args.spec else {}
     settings = _merge_settings(args, spec)
@@ -303,9 +312,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     include_timing = not settings["no_timing"]
     artifact = build_artifact(_config_echo(settings), summary, reports, include_timing)
 
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(artifact.to_json())
-    csv_path.write_text(epochs_csv(reports))
+    _write(out_path, artifact.to_json())
+    _write(csv_path, epochs_csv(reports))
 
     print(
         f"best_val={summary.best_val:.4f} test_at_best_val={summary.test_at_best_val:.4f} "
@@ -381,8 +389,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     table = bench_table(rows)
     print(table)
     if out:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps({"cells": rows}, indent=2) + "\n")
+        _write(out, json.dumps({"cells": rows}, indent=2) + "\n")
         print(f"wrote {out}")
     return EXIT_OK
 

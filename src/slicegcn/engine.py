@@ -55,19 +55,17 @@ passes write the gradients into it, and a step is one pass over it.
 
 Each epoch ends with an evaluation forward, and the next epoch's training
 forward runs with the same parameters. Layer 0 of a direct-slice device and
-layer 0 of the fusion MLP see a fixed input, and dropout is the first random
-draw of a training forward, so the evaluation pass's layer-0 output and
-ReLU mask, left in the owner's workspace, serve the next training forward:
-the owner stamps them with its optimizer group's step count `t`, a forward
-reuses them while `t` is unchanged, and a training forward, whose dropout
-consumes them, clears the stamp (`WorkerState.forward`, `epoch_forward`).
+layer 0 of the fusion MLP see a fixed input, so their owners pass their
+group's step count as the layer's `version`, and the evaluation pass's
+layer-0 result serves the next training forward (see `nn`).
 
 Every device and the head own workspaces (`ops.Workspace`), and each
 layer and SpMM runs in its owner's, where its per-epoch arrays are made in
-the first epoch and reused after: a reused layer 0 stays where the
-evaluation pass wrote it, devices write their outputs straight into their
-column blocks of the head's representation, and backward passes write
-gradients over forward arrays that are dead by then (README, "Memory").
+the first epoch and reused after: devices write their outputs straight
+into their column blocks of the head's representation, and backward passes
+write gradients over forward arrays that are dead by then (README,
+"Memory"). Each owner keeps its training forward's caches (`cache`) for
+its backward pass.
 """
 
 from __future__ import annotations
@@ -157,8 +155,6 @@ class WorkerState:
     group: nn.ParamGroup
     rng: np.random.Generator
     cache: Optional[list] = None  # per-layer forward caches, one epoch
-    input_agg: Optional[np.ndarray] = None  # Â·x of a fixed input, from the first forward
-    layer0_t: Optional[int] = None  # group.t when an eval forward left layer 0 in ws
     ws: ops.Workspace = field(default_factory=ops.Workspace)
     pool: ops.Pool = ops.INLINE  # the pool its kernels split on: the run's when p = 1
 
@@ -167,39 +163,23 @@ class WorkerState:
     ):
         """Runs the stack on x; the last layer writes the device's output into `out`.
 
-        `fixed_input`: x is the same in every call, so Â·x is computed once.
-        `agg`, when given, is Â·x computed by the caller, which layer 0 uses
-        as its aggregate (see `nn.gcn_layer_forward`); it must stay valid
-        until the device's backward pass.
-
-        Over a fixed input, an eval forward of a stack of two or more layers
-        leaves layer 0's dropout-free output and mask in the device's
-        workspace and stamps them with `group.t`; any later forward reuses
-        them while the stamp equals `group.t`. Every other forward clears
-        the stamp: a training forward's dropout consumes the output.
+        `fixed_input`: x is the same in every call, so layer 0 runs at the
+        group's step count as its version (see `nn`). `agg`, when given, is
+        Â·x computed by the caller, which layer 0 uses as its aggregate; it
+        must stay valid until the device's backward pass.
         """
-        kept = False
-        if fixed_input:
-            if self.input_agg is None:
-                self.input_agg = ops.spmm_norm(
-                    adj, s, x, out=np.empty_like(x), ws=ops.Workspace(), pool=self.pool
-                )
-            agg = self.input_agg
-            kept = self.layer0_t == self.group.t
         h = x
         caches = []
         last = len(self.layers) - 1
-        reusable = fixed_input and not training and last > 0
+        version = self.group.t if fixed_input else None
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
             h, c = nn.gcn_layer_forward(
-                adj, s, h, layer, self.rng, training, rate, agg=agg, kept=kept,
-                ws=self.ws, layer=li, out=out if li == last else None,
-                record_mask=training or (reusable and li == 0), pool=self.pool,
+                adj, s, h, layer, self.rng, training, rate, agg=agg, ws=self.ws, layer=li,
+                out=out if li == last else None, version=version, pool=self.pool,
             )
-            agg, kept = None, False
+            agg = version = None
             caches.append(c)
-        self.layer0_t = self.group.t if reusable else None
         self.cache = caches if training else None
         return h
 
@@ -248,7 +228,7 @@ class MasterHead:
     fusion: Optional[nn.MlpParams] = None
     fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
-    fusion_layer0_t: Optional[int] = None  # fusion.group.t when an eval forward left layer 0 in fusion_ws
+    cache: Optional[tuple] = None  # (classifier cache, fusion cache, d_logits) of a training forward, one epoch
     cls_ws: ops.Workspace = field(default_factory=ops.Workspace)
     fusion_ws: ops.Workspace = field(default_factory=ops.Workspace)
 
@@ -276,16 +256,6 @@ class RunState:
     def param_count(self) -> int:
         """Total size of the optimizer groups."""
         return sum(g.size for g in [w.group for w in self.workers] + self.head.groups())
-
-
-@dataclass
-class EpochContext:
-    """Forward intermediates the backward pass needs."""
-
-    representation: np.ndarray  # gathered pre-classifier matrix
-    cls_cache: Optional[list] = None
-    fusion_cache: Optional[list] = None
-    d_logits: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -403,19 +373,18 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
 
 def epoch_forward(run: RunState, training: bool):
-    """One full forward pass; returns (training-mask loss, logits, context)."""
+    """One full forward pass; returns (training-mask loss, logits). A
+    training forward leaves the caches its backward reads with their owners."""
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head, pool = run.head, run.pool
 
     fusion_cache = agg = None
     if cfg.use_ff:
-        group = head.fusion.group
         z, fusion_cache = slicing.feature_fusion_forward(
             run.features, head.fusion, head.fusion_rng, training,
-            kept=head.fusion_layer0_t == group.t, ws=head.fusion_ws, pool=pool,
+            ws=head.fusion_ws, version=head.fusion.group.t, pool=pool,
         )
-        head.fusion_layer0_t = None if training else group.t
         inputs = [z] * cfg.p
         if not nn.narrows(run.workers[0].layers[0]):
             # every device's layer 0 would aggregate this same z
@@ -441,9 +410,7 @@ def epoch_forward(run: RunState, training: bool):
         for i, h in enumerate(outputs):
             nn.slice_encode(h, head.encoding, i, out=h)
 
-    logits, cls_cache = nn.mlp_forward(
-        rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, record_masks=training, pool=pool
-    )
+    logits, cls_cache = nn.mlp_forward(rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, pool=pool)
     train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
     if training:
         loss, d_sub = ops.softmax_cross_entropy(train_logits, train_labels)
@@ -452,19 +419,18 @@ def epoch_forward(run: RunState, training: bool):
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss ({loss})")
 
-    ctx = EpochContext(representation=rep)
+    head.cache = None
     if training:
         d_logits = head.cls_ws.get("d_logits", logits.shape, logits.dtype)
         d_logits.fill(0)
         d_logits[run.train_idx] = d_sub
-        ctx.cls_cache = cls_cache
-        ctx.fusion_cache = fusion_cache
-        ctx.d_logits = d_logits
-    return loss, logits, ctx
+        head.cache = (cls_cache, fusion_cache, d_logits)
+    return loss, logits
 
 
-def epoch_backward(run: RunState, ctx: EpochContext, lr: float) -> None:
-    """Reverse the epoch: head backward, scatter blocks, worker backward.
+def epoch_backward(run: RunState, lr: float) -> None:
+    """Reverse the last training forward: head backward, scatter blocks,
+    worker backward. It consumes the owners' forward caches.
 
     Every group's gradients land in its own buffer. Each device steps its
     optimizer at `lr` at the end of its backward task; the head's groups
@@ -473,12 +439,13 @@ def epoch_backward(run: RunState, ctx: EpochContext, lr: float) -> None:
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head, pool = run.head, run.pool
+    cls_cache, fusion_cache, d_logits = head.cache
+    head.cache = None
 
-    # the representation is dead once the classifier's weight gradients are
-    # formed, so its gradient is written over it
+    # the representation (the classifier's input) is dead once the
+    # classifier's weight gradients are formed, so its gradient is written over it
     _, d_rep = nn.mlp_backward(
-        ctx.cls_cache, ctx.d_logits, head.classifier, out=head.classifier.group.grads,
-        d_in=ctx.representation, pool=pool,
+        cls_cache, d_logits, head.classifier, out=head.classifier.group.grads, d_in=cls_cache[0][0], pool=pool,
     )
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
@@ -501,9 +468,7 @@ def epoch_backward(run: RunState, ctx: EpochContext, lr: float) -> None:
         d_z = dxs[0]  # device 0's own array, dead after this sum
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        slicing.feature_fusion_backward(
-            d_z, ctx.fusion_cache, head.fusion, out=head.fusion.group.grads, pool=pool
-        )
+        slicing.feature_fusion_backward(d_z, fusion_cache, head.fusion, out=head.fusion.group.grads, pool=pool)
 
 
 def apply_updates(run: RunState, lr: float) -> None:
@@ -582,18 +547,17 @@ def train(
     total_seconds = 0.0
     with blas.limit_threads(1), run.pool:
         if config.epochs == 0:
-            _, logits, _ = epoch_forward(run, training=False)
+            _, logits = epoch_forward(run, training=False)
             _, val_m, test_m = _metrics(run, logits)
             best = (-1, val_m, test_m)
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             try:
-                loss, _, ctx = epoch_forward(run, training=True)
+                loss, _ = epoch_forward(run, training=True)
                 lr = nn.cosine_lr(epoch, config.epochs, config.lr)
-                epoch_backward(run, ctx, lr)
+                epoch_backward(run, lr)
                 apply_updates(run, lr)
-                ctx = None
-                _, logits, _ = epoch_forward(run, training=False)
+                _, logits = epoch_forward(run, training=False)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}: {err}") from err
             train_m, val_m, test_m = _metrics(run, logits)

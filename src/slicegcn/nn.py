@@ -16,25 +16,29 @@ in-degree on directed graphs) on both sides.
 
 Each layer aggregates once, on its narrow side. Since Â (H W) = (Â H) W,
 a narrowing layer (w_in > w_out) multiplies by W_agg first and aggregates
-w_out columns; any other layer aggregates H. A caller whose input H is the
-same in every forward (a device's fixed feature slice; dropout acts on layer
-outputs, not on H) computes Â H once and passes it in as `agg`, and the
+w_out columns; any other layer aggregates H. A caller that holds Â H
+already (the fusion variants' shared input) passes it in as `agg`, and the
 layer then skips its aggregation.
 
 A rectified layer keeps, for its backward pass, only where its
 pre-activation was positive: it forms the pre-activation in its output
 array, records pre > 0 in a bool mask, and rectifies in place, and backward
-forms d_pre = d_out * mask. A forward whose caller says that nothing will
-read the mask (`record_mask=False`: an evaluation pass whose result is not
-kept) skips it.
+forms d_pre = d_out * mask.
 
-A layer's dropout-free result depends only on its input and parameters, and
-dropout is the first random draw of a training forward. So after an
-evaluation pass over a fixed input, the first layer's output and ReLU mask
-are still current in the workspace until a parameter update, and a later
-forward over the same input can reuse them (`kept=True`), drawing only
-dropout. The same holds for the first layer of an MLP. Whether they are
-current is the caller's to know (see `engine`).
+A layer over a fixed input (a device's feature slice, or the features
+under the fusion MLP; dropout acts on layer outputs, not on the input) is
+called with `version=`, its owner's optimizer-group step count `t`, and
+keeps its state in its owner's workspace, whose `versions` records the
+version at which each kept result was formed. It aggregates the fixed input
+once. Its dropout-free output and ReLU mask depend only on the input and
+the parameters, and dropout is the first random draw of a training
+forward, so it keeps them (unless it writes into `out`) and reuses them
+while the version holds, drawing only dropout; a training forward drops
+them, as its dropout consumes the output in place. A ReLU mask is formed
+only in training, whose backward reads it, or for a kept result. The same
+holds for the first layer of an MLP. An owner passes `version` to a layer
+in every call or in none: an unversioned call writes over kept arrays and
+leaves `versions` alone.
 
 Forward passes and the GCN layer's backward run in their owner's
 `ops.Workspace` (`ws`), and a result lives there unless `out` names an
@@ -139,18 +143,15 @@ def narrows(params: GcnLayerParams) -> bool:
 
 def gcn_layer_forward(
     adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
-    kept: bool = False, *, ws, layer=0, out=None, record_mask: bool = True, pool=ops.INLINE,
+    *, ws, layer=0, out=None, version=None, pool=ops.INLINE,
 ):
     """One layer. Dropout (if rate > 0) is applied to the layer output.
 
     `agg`, when given, is Â h_in computed by the caller and is used as is.
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
-    other layer aggregates H. `kept=True` says that `ws` still holds the
-    output and mask of an evaluation forward over the same h_in, agg and
-    parameters; only dropout is computed then, in place, so a training
-    forward consumes the kept output. `record_mask=False` skips the ReLU
-    mask, which only a backward pass, or a later forward that keeps this
-    result, reads; the cache's mask is None then.
+    other layer aggregates H, or, given a `version`, h_in is fixed and its
+    aggregate is formed once and kept (module docstring). The cache's mask
+    is None where no mask is formed.
 
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
@@ -160,12 +161,16 @@ def gcn_layer_forward(
     products, the SpMM, dropout and the element-wise passes split on `pool`.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
-    if kept and agg is None:
-        raise ValueError("a kept layer result needs the aggregate its backward pass uses")
-    if kept and out is not None:
-        raise ValueError("a kept layer result is in the workspace, not in out")
+    keeps = version is not None and out is None
+    kept = keeps and ws.versions.pop((layer, "out"), None) == version
+    if version is not None and agg is None:
+        agg = ws.get((layer, "agg"), (n, w_in), dtype)
+        if (layer, "agg") not in ws.versions:  # a fixed input's aggregate holds at every version
+            # in a throwaway workspace: this SpMM's scratch is as wide as the input, and needed once
+            ops.spmm_norm(adj, s, h_in, out=agg, ws=ops.Workspace(), pool=pool)
+            ws.versions[layer, "agg"] = version
     h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
-    mask = ws.get((layer, "mask"), (n, w_out), bool) if record_mask else None
+    mask = ws.get((layer, "mask"), (n, w_out), bool) if training or keeps else None
     if not kept:
         if agg is None and narrows(params):
             t = pool.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
@@ -180,6 +185,8 @@ def gcn_layer_forward(
         if params.w_self is not None:
             self_path = pool.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
         pool.rows(_activate, (h_out, mask, self_path), params.bias)
+    if keeps and not training:
+        ws.versions[layer, "out"] = version
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
     h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep, pool=pool)
     return h_out, GcnLayerCache(h_in=h_in, agg=agg, mask=mask, keep=keep, scale=scale)
@@ -257,20 +264,16 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, ws, record_masks: bool = True,
-                pool=ops.INLINE):
+def mlp_forward(x, mlp: MlpParams, rng, training: bool, *, ws, version=None, pool=ops.INLINE):
     """Returns (output, cache). The last layer is linear (no activation).
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
     `ws` under keys (li, name), so every pass writes the same arrays.
-    `kept=True` says that `ws` still holds the first hidden layer's relu(z)
-    and mask from an evaluation forward over the same x and parameters;
-    that layer then only applies dropout, in place, so a training forward
-    consumes the kept relu(z). `record_masks=False` skips the hidden
-    layers' ReLU masks, which only a backward pass, or a later forward that
-    keeps the first layer, reads; the cache's masks are None then. Each
-    layer's product runs in blocks on `pool` (`ops.Pool.matmul`), and its
-    bias, ReLU and dropout in row ranges.
+    `version` says that x is fixed: the first hidden layer then keeps and
+    reuses its relu(z) and mask by it (module docstring). The cache's masks
+    are None where none is formed. Each layer's product runs in blocks on
+    `pool` (`ops.Pool.matmul`), and its bias, ReLU and dropout in row
+    ranges.
     """
     cache = []
     h = x
@@ -284,11 +287,14 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, kept: bool = False, *, w
             h = pool.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
             h += b
             continue
+        keeps = li == 0 and version is not None
         a = ws.get((li, "a"), shape, h.dtype)
-        mask = ws.get((li, "mask"), shape, bool) if record_masks else None
-        if not (li == 0 and kept):
+        mask = ws.get((li, "mask"), shape, bool) if training or keeps else None
+        if not (keeps and ws.versions.pop((li, "a"), None) == version):
             pool.matmul(h, w, out=a)
             pool.rows(_activate, (a, mask, None), b)
+        if keeps and not training:
+            ws.versions[li, "a"] = version
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
         a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep, pool=pool)
         cache.append((h, mask, keep, scale))

@@ -190,11 +190,16 @@ class Workspace:
     key when each is dead before the next is written (a kernel's
     temporaries die when it returns), so a key's memory is the largest of
     them and not their sum.
+
+    `versions` maps a key to the version at which the value its array holds
+    was formed, for the results an owner keeps from one pass to the next
+    (see `nn`); the workspace only stores it.
     """
 
     def __init__(self):
         self._memory = {}  # key -> 1-D uint8 array
         self._arrays = {}  # (key, shape, dtype) -> view of the key's memory
+        self.versions = {}  # key -> version of the kept value in its array
 
     def get(self, key, shape: tuple, dtype) -> np.ndarray:
         a = self._arrays.get((key, shape, dtype))

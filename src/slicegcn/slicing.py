@@ -85,19 +85,19 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
 
 
 def feature_fusion_forward(
-    x: np.ndarray, ff: nn.MlpParams, rng, training: bool, kept: bool = False, *, ws, pool=ops.INLINE,
+    x: np.ndarray, ff: nn.MlpParams, rng, training: bool, *, ws, version=None, pool=ops.INLINE,
 ):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
     not one per device. `ws` is the workspace the MLP's arrays live in, and
-    `kept=True` reuses the hidden layer an evaluation forward with the same
-    parameters left there (see `nn.mlp_forward`).
+    `version`, the fusion group's step count, keeps and reuses its hidden
+    layer there (see `nn.mlp_forward`).
     """
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
         raise ValueError(f"fusion hidden layer {w0.shape} does not match feature dim {x.shape[1]}")
-    return nn.mlp_forward(x, ff, rng, training, kept=kept, ws=ws, pool=pool)
+    return nn.mlp_forward(x, ff, rng, training, ws=ws, version=version, pool=pool)
 
 
 def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, pool=ops.INLINE):

@@ -80,11 +80,11 @@ def _gradient_failures(graph, variant) -> list:
     run = engine.build_run(graph, cfg)
 
     def loss_fn():
-        loss, _, _ = engine.epoch_forward(run, training=True)
+        loss, _ = engine.epoch_forward(run, training=True)
         return loss
 
-    _, _, ctx = engine.epoch_forward(run, training=True)
-    engine.epoch_backward(run, ctx, 0.0)  # lr 0: the devices' steps leave them as they are
+    engine.epoch_forward(run, training=True)
+    engine.epoch_backward(run, 0.0)  # lr 0: the devices' steps leave them as they are
 
     groups = {}
     for w in run.workers:

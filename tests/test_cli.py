@@ -271,6 +271,17 @@ class TestOutPath:
         assert self._run("train", out) == cli.EXIT_USAGE
         assert not trains and not out.exists() and f"cannot write {out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,name", [("train", "m.json"), ("train", "m.csv"), ("bench", "b.json")])
+    def test_write_failure_after_training_is_a_usage_error(self, tmp_path, capsys, command, name):
+        # a dangling symlink passes the checks before training; writing through it fails
+        link = tmp_path / name
+        link.symlink_to(tmp_path / "gone" / name)
+        out = link if name != "m.csv" else tmp_path / "m.json"
+        extra = ["--cells", "slice:2"] if command == "bench" else []
+        rc = run_cli([command, *SYNTH_ARGS, "--epochs", "1", *extra, "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert f"error: cannot write {link}: No such file or directory" in capsys.readouterr().err
+
     def test_bench_makes_the_out_directory(self, tmp_path):
         out = tmp_path / "new" / "bench.json"
         assert self._run("bench", out) == cli.EXIT_OK

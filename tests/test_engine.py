@@ -26,17 +26,22 @@ def auc_pair_counting(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
-def _reference_d_rep(run, ctx):
+def _reference_d_rep(run):
     """The classifier's input gradient, from its backward over copies of the
-    forward's cache, in a fresh workspace and into new arrays: the run's own
-    backward still finds its forward's arrays."""
-    cache = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in layer) for layer in ctx.cls_cache]
+    training forward's cache, in a fresh workspace and into new arrays: the
+    run's own backward still finds its forward's arrays."""
+    cls_cache, _, d_logits = run.head.cache
+    cache = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in layer) for layer in cls_cache]
     classifier = run.head.classifier
     out = [np.empty_like(a) for a in classifier.group.params]
-    _, d_rep = nn.mlp_backward(
-        cache, ctx.d_logits, classifier, out=out, d_in=np.empty_like(ctx.representation)
-    )
+    _, d_rep = nn.mlp_backward(cache, d_logits, classifier, out=out, d_in=np.empty_like(_representation(run)))
     return d_rep
+
+
+def _representation(run):
+    """The gathered representation, which every forward writes into the head's workspace."""
+    shape = (run.graph.num_nodes, run.head.classifier.layers[0][0].shape[0])
+    return run.head.cls_ws.get("rep", shape, run.features.dtype)
 
 
 class TestConfig:
@@ -126,7 +131,7 @@ class TestEpochForward:
                 a[:] = 0
         run.head.classifier.group.param[:] = 0
         run.head.encoding.table[:] = 0
-        loss, _, _ = engine.epoch_forward(run, training=False)
+        loss, _ = engine.epoch_forward(run, training=False)
         assert loss == pytest.approx(np.log(small_graph.num_classes), abs=1e-12)
 
     def test_threaded_matches_sequential_bitwise(self, small_graph, pooled):
@@ -134,8 +139,8 @@ class TestEpochForward:
         run_t = engine.build_run(small_graph, dataclasses.replace(cfg, threads=2))
         run_s = engine.build_run(small_graph, dataclasses.replace(cfg, threads=1))
         with run_t.pool, run_s.pool:
-            lt, logits_t, _ = engine.epoch_forward(run_t, training=True)
-            ls, logits_s, _ = engine.epoch_forward(run_s, training=True)
+            lt, logits_t = engine.epoch_forward(run_t, training=True)
+            ls, logits_s = engine.epoch_forward(run_s, training=True)
         assert pooled
         assert lt == ls
         np.testing.assert_array_equal(logits_t, logits_s)
@@ -144,12 +149,12 @@ class TestEpochForward:
         # perturbing worker 1 leaves other devices' representation columns alone
         cfg = TrainConfig(variant="slice", p=3, hidden=12, layers=2, seed=5, precision="f64")
         run = engine.build_run(small_graph, cfg)
-        _, _, ctx0 = engine.epoch_forward(run, training=False)
-        before = ctx0.representation.copy()  # the next forward rewrites the head's array
+        engine.epoch_forward(run, training=False)
+        before = _representation(run).copy()  # the next forward rewrites the head's array
         for a in run.workers[1].group.params:
             a += 0.37
-        _, _, ctx1 = engine.epoch_forward(run, training=False)
-        after = ctx1.representation
+        engine.epoch_forward(run, training=False)
+        after = _representation(run)
         h_out = before.shape[1] // 3
         changed = [
             not np.array_equal(before[:, i * h_out : (i + 1) * h_out],
@@ -165,9 +170,10 @@ class TestEpochBackward:
         run = engine.build_run(small_graph, cfg)
         for group in [w.group for w in run.workers] + run.head.groups():
             group.grad[:] = np.nan  # every element must be written
-        _, _, ctx = engine.epoch_forward(run, training=True)
-        ctx.d_logits[:] = 0
-        engine.epoch_backward(run, ctx, 1e-2)
+        engine.epoch_forward(run, training=True)
+        _, _, d_logits = run.head.cache
+        d_logits[:] = 0
+        engine.epoch_backward(run, 1e-2)
         for flat in (w.group.grads for w in run.workers):
             assert all(not g.any() for g in flat)
         assert all(not g.any() for g in run.head.classifier.group.grads)
@@ -183,8 +189,8 @@ class TestEpochBackward:
         for zero_other_block in (False, True):
             run = engine.build_run(small_graph, cfg)
             h_out = run.workers[0].layers[-1].bias.size
-            _, _, ctx = engine.epoch_forward(run, training=True)
-            d_rep = _reference_d_rep(run, ctx)
+            engine.epoch_forward(run, training=True)
+            d_rep = _reference_d_rep(run)
             if zero_other_block:
                 d_rep[:, h_out:] = 0  # worker 1's block
             run.workers[0].backward(run.graph.adj, run.norm_scale, d_rep[:, :h_out], need_dx=False)
@@ -601,37 +607,42 @@ def test_eval_forward_forms_only_the_masks_a_later_forward_reads(small_graph, va
     assert written == ({("fusion", 0, 0)} if cfg.use_ff else {("device", 0, 0), ("device", 1, 0)})
 
 
-def _stamped(run) -> list:
-    """Per device, then for the fusion MLP: whether the owner's stamp says
-    that an eval forward's layer 0 is still current in its workspace."""
+# the workspace key of a kept layer-0 result: a device's output, the fusion MLP's relu(z)
+_DEVICE_KEPT, _FUSION_KEPT = (0, "out"), (0, "a")
+
+
+def _kept_now(run) -> list:
+    """Per device, then for the fusion MLP: whether the owner's workspace
+    holds an eval forward's layer 0 at its group's current step count."""
     head = run.head
-    return [w.layer0_t == w.group.t for w in run.workers] + [
-        head.fusion is not None and head.fusion_layer0_t == head.fusion.group.t
+    return [w.ws.versions.get(_DEVICE_KEPT) == w.group.t for w in run.workers] + [
+        head.fusion is not None and head.fusion_ws.versions.get(_FUSION_KEPT) == head.fusion.group.t
     ]
 
 
-def _clear_stamps(run) -> None:
+def _drop_kept(run) -> None:
     for w in run.workers:
-        w.layer0_t = None
-    run.head.fusion_layer0_t = None
+        w.ws.versions.pop(_DEVICE_KEPT, None)
+    run.head.fusion_ws.versions.pop(_FUSION_KEPT, None)
 
 
 @pytest.fixture
 def reuses(monkeypatch) -> list:
     """One entry per layer-0 forward, in call order: ("device", kept) for a
     device's layer 0 and ("fusion", kept) for the fusion MLP, where kept
-    says whether it reused the result an eval forward left in place."""
+    says whether the owner's workspace held the result an eval forward left
+    in place at the call's version."""
     calls = []
     layer_forward, fusion_forward = nn.gcn_layer_forward, slicing.feature_fusion_forward
 
-    def spy_layer(*args, kept=False, layer=0, **kwargs):
+    def spy_layer(*args, ws, layer=0, version=None, **kwargs):
         if layer == 0:
-            calls.append(("device", kept))
-        return layer_forward(*args, kept=kept, layer=layer, **kwargs)
+            calls.append(("device", version is not None and ws.versions.get(_DEVICE_KEPT) == version))
+        return layer_forward(*args, ws=ws, layer=layer, version=version, **kwargs)
 
-    def spy_fusion(*args, kept=False, **kwargs):
-        calls.append(("fusion", kept))
-        return fusion_forward(*args, kept=kept, **kwargs)
+    def spy_fusion(*args, ws, version=None, **kwargs):
+        calls.append(("fusion", version is not None and ws.versions.get(_FUSION_KEPT) == version))
+        return fusion_forward(*args, ws=ws, version=version, **kwargs)
 
     monkeypatch.setattr(nn, "gcn_layer_forward", spy_layer)
     monkeypatch.setattr(slicing, "feature_fusion_forward", spy_fusion)
@@ -648,28 +659,28 @@ class TestLayer0Reuse:
 
     @staticmethod
     def _recomputing_reference(graph, cfg) -> list:
-        """engine.train's loop, in the calling thread, with the stamps
-        cleared before every training forward, so that nothing is reused."""
+        """engine.train's loop, in the calling thread, with the kept results
+        dropped before every training forward, so that nothing is reused."""
         run = engine.build_run(graph, dataclasses.replace(cfg, threads=1))
         rows = []
         for epoch in range(cfg.epochs):
-            _clear_stamps(run)
-            loss, _, ctx = engine.epoch_forward(run, training=True)
+            _drop_kept(run)
+            loss, _ = engine.epoch_forward(run, training=True)
             lr = nn.cosine_lr(epoch, cfg.epochs, cfg.lr)
-            engine.epoch_backward(run, ctx, lr)
+            engine.epoch_backward(run, lr)
             engine.apply_updates(run, lr)
-            _, logits, _ = engine.epoch_forward(run, training=False)
+            _, logits = engine.epoch_forward(run, training=False)
             rows.append((epoch, lr, loss, *engine._metrics(run, logits)))
         return rows
 
     @pytest.mark.parametrize("variant", ["slice", "slice_se", "slice_ffse"])
     def test_reuse_matches_recomputing_reference(self, small_graph, monkeypatch, variant, pooled, reuses):
-        runs, stamped_after = [], []
+        runs, kept_after = [], []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
         cfg = TrainConfig(variant=variant, p=2, epochs=4, hidden=16, layers=2, seed=6)
         _, reports = engine.train(
-            small_graph, cfg, on_epoch=lambda report, logits: stamped_after.append(_stamped(runs[-1]))
+            small_graph, cfg, on_epoch=lambda report, logits: kept_after.append(_kept_now(runs[-1]))
         )
         assert pooled
         # every training forward but the first reused layer 0: on each device
@@ -683,33 +694,33 @@ class TestLayer0Reuse:
 
         # bit for bit: floats compare exactly
         assert rows(reports) == self._recomputing_reference(small_graph, cfg) == rows(sequential)
-        # every eval forward stamped its layer 0
+        # every eval forward kept its layer 0
         expect = [False] * cfg.p + [True] if cfg.use_ff else [True] * cfg.p + [False]
-        assert stamped_after == [expect] * cfg.epochs
+        assert kept_after == [expect] * cfg.epochs
 
     @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
     def test_update_drops_kept_result(self, small_graph, variant, pooled, reuses):
         # eval forward -> parameter update -> training forward: the training
         # forward recomputes layer 0 from the updated parameters, as it does
-        # with the stamps cleared (the update steps every group once more, on
+        # with the kept results dropped (the update steps every group once more, on
         # the same gradients)
         cfg = TrainConfig(variant=variant, p=2, epochs=2, hidden=16, layers=2, seed=7)
         logits, losses = [], []
         for clear in (False, True):
             run = engine.build_run(small_graph, cfg)
             with run.pool:
-                _, _, ctx = engine.epoch_forward(run, training=True)
-                engine.epoch_backward(run, ctx, 1e-2)
+                engine.epoch_forward(run, training=True)
+                engine.epoch_backward(run, 1e-2)
                 engine.epoch_forward(run, training=False)
                 if clear:
-                    _clear_stamps(run)
-                assert any(_stamped(run)) != clear
+                    _drop_kept(run)
+                assert any(_kept_now(run)) != clear
                 for w in run.workers:
                     w.step(1e-2)
                 engine.apply_updates(run, 1e-2)
-                assert not any(_stamped(run))
+                assert not any(_kept_now(run))
                 reuses.clear()
-                loss, out, _ = engine.epoch_forward(run, training=True)
+                loss, out = engine.epoch_forward(run, training=True)
                 assert reuses and not any(kept for _, kept in reuses)
             losses.append(loss)
             logits.append(out)
@@ -737,14 +748,14 @@ class TestLayer0Reuse:
         assert reuses == [("device", False)] * cfg.p + [("device", True)] * cfg.p
         # the training cache holds the very mask array the eval forward wrote
         for w, mask in zip(run.workers, masks):
-            assert w.cache[0].mask is mask and w.layer0_t is None
+            assert w.cache[0].mask is mask and _DEVICE_KEPT not in w.ws.versions
 
     def test_fused_input_is_never_reused_by_a_device(self, small_graph, reuses):
         # no group steps between the two forwards, but the training forward's
         # fusion dropout changes every device's input
         run = engine.build_run(small_graph, TrainConfig(variant="slice_ff", p=2, hidden=16, layers=2, seed=7))
         engine.epoch_forward(run, training=False)
-        assert all(w.layer0_t is None for w in run.workers)
+        assert not any(w.ws.versions for w in run.workers)
         engine.epoch_forward(run, training=True)
         assert [w.group.t for w in run.workers] == [0, 0]
         assert reuses == [("fusion", False)] + [("device", False)] * 2 + [("fusion", True)] + [("device", False)] * 2
@@ -758,15 +769,15 @@ class TestLayer0Reuse:
             mp.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
             engine.train(small_graph, cfg)
         assert len(reuses) == 2 * cfg.epochs * cfg.p and not any(kept for _, kept in reuses)
-        assert all(w.layer0_t is None for w in runs[0].workers)
+        assert all(_DEVICE_KEPT not in w.ws.versions for w in runs[0].workers)
 
     @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
     def test_second_eval_forward_reuses_layer_0_bit_for_bit(self, small_graph, variant, reuses):
         cfg = TrainConfig(variant=variant, p=2, hidden=16, layers=2, seed=7)
         run = engine.build_run(small_graph, cfg)
-        loss_a, logits, _ = engine.epoch_forward(run, training=False)
+        loss_a, logits = engine.epoch_forward(run, training=False)
         first, n = logits.copy(), len(reuses)
-        loss_b, second, _ = engine.epoch_forward(run, training=False)
+        loss_b, second = engine.epoch_forward(run, training=False)
         assert not any(kept for _, kept in reuses[:n])
         owner = "fusion" if cfg.use_ff else "device"
         assert _count(reuses[n:], owner) == (1 if cfg.use_ff else cfg.p)
@@ -878,10 +889,10 @@ class TestInputAggregate:
                 if not share:
                     forward = engine.WorkerState.forward
                     mp.setattr(engine.WorkerState, "forward", lambda w, *a, agg=None, **k: forward(w, *a, **k))
-                loss, logits, ctx = engine.epoch_forward(run, training=training)
-                arrays = [ctx.representation.copy(), logits.copy()]
+                loss, logits = engine.epoch_forward(run, training=training)
+                arrays = [_representation(run).copy(), logits.copy()]
                 if training:
-                    engine.epoch_backward(run, ctx, 1e-2)
+                    engine.epoch_backward(run, 1e-2)
                     # the devices stepped on their gradients in their backward tasks
                     arrays += [run.head.fusion.group.grad.copy()] + [w.group.param.copy() for w in run.workers]
             results.append((loss, arrays))
@@ -894,22 +905,24 @@ class TestInputAggregate:
     def test_reused_aggregate_equals_a_fresh_one(self, small_graph, pooled):
         cfg = TrainConfig(variant="slice_se", p=2, epochs=4, hidden=16, layers=2, seed=3)
         run = engine.build_run(small_graph, cfg)
-        assert all(w.input_agg is None for w in run.workers)
+        assert not any(w.ws.versions for w in run.workers)
         with run.pool:
             for _ in range(cfg.epochs):
-                _, _, ctx = engine.epoch_forward(run, training=True)
-                engine.epoch_backward(run, ctx, 1e-2)
+                engine.epoch_forward(run, training=True)
+                engine.epoch_backward(run, 1e-2)
                 engine.apply_updates(run, 1e-2)
                 engine.epoch_forward(run, training=False)
         assert pooled
         adj, s = small_graph.adj, run.norm_scale
         for w, x in zip(run.workers, run.slices):
             fresh_agg = ops.spmm_norm(adj, s, x, out=np.empty_like(x), ws=ops.Workspace())
-            np.testing.assert_array_equal(w.input_agg, fresh_agg)
+            np.testing.assert_array_equal(w.ws.get((0, "agg"), x.shape, x.dtype), fresh_agg)
+            assert w.ws.versions[0, "agg"] == 0  # formed in the first forward
             # layer 0 widens (6 -> 8), so reuse keeps the aggregate-first order bit for bit
             reused, fresh = np.empty((2, x.shape[0], w.layers[-1].w_agg.shape[1]), dtype=x.dtype)
             w.forward(adj, s, x, False, cfg.dropout, fixed_input=True, out=reused)
-            w.forward(adj, s, x, False, cfg.dropout, out=fresh)
+            # unversioned, in a workspace of its own: it would write over the kept arrays
+            dataclasses.replace(w, ws=ops.Workspace()).forward(adj, s, x, False, cfg.dropout, out=fresh)
             np.testing.assert_array_equal(reused, fresh)
 
 
@@ -968,6 +981,8 @@ class TestBuffers:
         if cfg.use_ff:
             assert engine.slicing.fusion_output_width(d, p) == h
             device["dx"] = n * h * f4  # the input gradient, summed into d_z
+        else:
+            device[0, "agg"] = n * d * f4  # Â·X of the fixed input, formed once
         classifier = {
             "rep": n * p * h * f4, (0, "a"): n * cfg.hidden * f4, (0, "mask"): n * cfg.hidden,
             (0, "keep"): n * cfg.hidden, (1, "out"): n * c * f4, "d_logits": n * c * f4,
@@ -1018,10 +1033,10 @@ class TestBuffers:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine.slicing, "feature_fusion_backward",
                        lambda d_z, *a, **k: seen.append(d_z) or fusion_backward(d_z, *a, **k))
-            _, _, ctx = engine.epoch_forward(run, training=True)
-            d_rep = _reference_d_rep(run, ctx)
-            engine.epoch_backward(run, ctx, 1e-2)
-        np.testing.assert_array_equal(ctx.representation, d_rep)
+            engine.epoch_forward(run, training=True)
+            d_rep = _reference_d_rep(run)
+            engine.epoch_backward(run, 1e-2)
+        np.testing.assert_array_equal(_representation(run), d_rep)
         w0 = run.workers[0]
         assert seen[0] is w0.ws.get("dx", seen[0].shape, seen[0].dtype)
 

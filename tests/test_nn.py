@@ -164,7 +164,7 @@ class TestGcnLayer:
             out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)  # rate 0: eval's arithmetic
         d_out = h_out - target
         dw_agg, dw_self, db, d_in = _backward(cache, d_out, params, adj, s)
         groups = [(params.w_agg, dw_agg), (params.bias, db)]
@@ -184,7 +184,7 @@ class TestGcnLayer:
             out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
         _, _, _, d_in = _backward(cache, h_out - target, params, adj, s)
         assert rel_err(central_diff(loss, h_in), d_in) <= 1e-5
 
@@ -201,7 +201,7 @@ class TestGcnLayer:
             out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
         dw_agg, _, db, d_in = _backward(cache, h_out - target, params, adj, s)
         for param, ana in ((h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)):
             assert rel_err(central_diff(loss, param), ana) <= 1e-5
@@ -223,7 +223,7 @@ class TestGcnLayer:
             out, _ = _forward(adj, s, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
         assert (cache.agg is None) == (shape == "narrowing")
         dw_agg, dw_self, db, d_in = _backward(cache, h_out - target, params, adj, s)
         groups = [(h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)]
@@ -240,14 +240,14 @@ class TestGcnLayer:
         params = _gcn_layer(w_in, w_out, rng, np.float64)
         h_in = rng.standard_normal((30, w_in))
         d_out = rng.standard_normal((30, w_out))
-        own, own_cache = _forward(adj, s, h_in, params, rng, training=False)
+        own, own_cache = _forward(adj, s, h_in, params, rng, training=True)
         own_grads = _backward(own_cache, d_out, params, adj, s, input_grad=False)
         agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
 
         calls = []
         spmm = ops.spmm_norm
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
-        out, cache = _forward(adj, s, h_in, params, rng, training=False, agg=agg)
+        out, cache = _forward(adj, s, h_in, params, rng, training=True, agg=agg)
         grads = _backward(cache, d_out, params, adj, s, input_grad=False)
         assert not calls and cache.agg is agg
         if shape == "narrowing":  # the layer's own order differs; values agree
@@ -262,48 +262,93 @@ class TestGcnLayer:
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_kept_result_replaces_layer_arithmetic(self, rand_graph, monkeypatch, shape, form):
-        # an eval forward's output and mask, left in the workspace, reused by a
-        # training forward: the same output, cache and stream position as
-        # computing the layer again
+        # an eval forward's output and mask, kept in the workspace at a
+        # version, reused by a training forward at that version: the same
+        # output, cache and stream position as computing the layer again
         adj, s = rand_graph
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
         h_in = ops.rng_stream(16, 1).standard_normal((30, w_in)).astype(np.float32)
         agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
         ws = ops.Workspace()
-        h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg, ws=ws)
+        h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws, version=3)
         rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
         fresh, c_fresh = _forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
 
         for param in params.arrays():  # a layer that computed again would give NaN
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
-        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, agg=agg, kept=True, ws=ws)
+        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, ws=ws, version=3)
         np.testing.assert_array_equal(out, fresh)
-        assert out is h_eval and cache.mask is c_eval.mask and cache.agg is agg and cache.h_in is h_in
+        assert out is h_eval and cache.mask is c_eval.mask and cache.agg is c_eval.agg and cache.h_in is h_in
+        np.testing.assert_array_equal(cache.agg, agg)
         np.testing.assert_array_equal(cache.mask, c_fresh.mask)
         np.testing.assert_array_equal(cache.keep, c_fresh.keep)
         assert cache.scale == c_fresh.scale and rng.random() == ref.random()
 
-    def test_kept_result_needs_the_aggregate(self, rand_graph):
-        adj, s = rand_graph
-        params = _gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
-        h_in = np.ones((30, 4))
-        ws = ops.Workspace()
-        nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws)
-        with pytest.raises(ValueError, match="aggregate"):
-            nn.gcn_layer_forward(adj, s, h_in, params, None, False, kept=True, ws=ws)
 
-    def test_kept_result_takes_no_out(self, rand_graph):
-        adj, s = rand_graph
+class TestVersionedForward:
+    """A layer over a fixed input, called with its owner's `version`: what
+    it keeps in the workspace, and when it forms its aggregate."""
+
+    @staticmethod
+    def _layer():
         params = _gcn_layer(4, 4, ops.rng_stream(18, 0), np.float64)
-        h_in = np.ones((30, 4))
-        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
+        return params, ops.rng_stream(18, 1).standard_normal((30, 4))
+
+    def test_forward_into_out_keeps_nothing(self, rand_graph):
+        adj, s = rand_graph
+        params, h_in = self._layer()
         ws = ops.Workspace()
-        nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg, ws=ws)
-        with pytest.raises(ValueError, match="workspace"):
-            nn.gcn_layer_forward(adj, s, h_in, params, None, False, agg=agg, kept=True, ws=ws,
-                                 out=np.empty((30, 4)))
+        _, cache = nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws, out=np.empty((30, 4)), version=0)
+        assert cache.mask is None and (0, "out") not in ws.versions
+        params.bias[:] += 1.0  # the version holds, but a result in `out` is never reused
+        out, _ = nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws, out=np.empty((30, 4)), version=0)
+        fresh, _ = _forward(adj, s, h_in, params, None, False, agg=cache.agg)
+        np.testing.assert_array_equal(out, fresh)
+        assert (0, "out") not in ws.versions
+
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_input_aggregated_once_over_eval_train_eval(self, rand_graph, monkeypatch, shape):
+        adj, s = rand_graph
+        w_in, w_out = LAYER_SHAPES[shape]
+        params = _gcn_layer(w_in, w_out, ops.rng_stream(19, 0), np.float64)
+        h_in = ops.rng_stream(19, 1).standard_normal((30, w_in))
+        calls = []
+        spmm = ops.spmm_norm
+        monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
+        ws, rng = ops.Workspace(), ops.rng_stream(19, 2)
+        for training, version in ((False, 0), (True, 0), (False, 1)):  # eval, train, step, eval
+            _, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training, 0.5, ws=ws, version=version)
+        assert len(calls) == 1 and ws.versions[0, "agg"] == 0
+        np.testing.assert_array_equal(cache.agg, spmm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace()))
+
+    def test_training_forward_drops_the_kept_result(self, rand_graph):
+        adj, s = rand_graph
+        params, h_in = self._layer()
+        mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(20, 0), np.float64, dropout=0.5)
+        ws, mlp_ws, rng = ops.Workspace(), ops.Workspace(), ops.rng_stream(20, 1)
+        nn.gcn_layer_forward(adj, s, h_in, params, rng, False, 0.5, ws=ws, version=2)
+        nn.mlp_forward(h_in, mlp, rng, False, ws=mlp_ws, version=2)
+        assert ws.versions[0, "out"] == 2 and mlp_ws.versions == {(0, "a"): 2}
+        nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, ws=ws, version=2)
+        nn.mlp_forward(h_in, mlp, rng, True, ws=mlp_ws, version=2)
+        assert ws.versions == {(0, "agg"): 2} and mlp_ws.versions == {}
+
+    def test_unversioned_calls_leave_versions_alone(self, rand_graph):
+        adj, s = rand_graph
+        params, h_in = self._layer()
+        mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(21, 0), np.float64, dropout=0.5)
+        ws, rng = ops.Workspace(), ops.rng_stream(21, 1)
+        nn.gcn_layer_forward(adj, s, h_in, params, rng, False, 0.5, ws=ws, version=5)
+        nn.mlp_forward(h_in, mlp, rng, False, ws=ws, version=5)
+        before = dict(ws.versions)
+        assert before == {(0, "agg"): 5, (0, "out"): 5, (0, "a"): 5}
+        for training in (False, True):
+            for layer in (0, 1):
+                nn.gcn_layer_forward(adj, s, h_in, params, rng, training, 0.5, ws=ws, layer=layer)
+            nn.mlp_forward(h_in, mlp, rng, training, ws=ws)
+        assert ws.versions == before
 
 
 class _FilledWorkspace(ops.Workspace):
@@ -451,7 +496,7 @@ class TestMlp:
             out, _ = _mlp_forward(x, mlp, rng, training=False)
             return ops.softmax_cross_entropy(out, labels)[0]
 
-        out, cache = _mlp_forward(x, mlp, rng, training=False)
+        out, cache = _mlp_forward(x, mlp, rng, training=True)  # no dropout: eval's arithmetic
         _, d_logits = ops.softmax_cross_entropy(out, labels)
         grads, d_x = _mlp_backward(cache, d_logits, mlp)
         for (w, b), (dw, db) in zip(mlp.layers, grads):
@@ -480,7 +525,7 @@ class TestMlp:
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(14, 0), np.float32, dropout=0.4)
         x = ops.rng_stream(14, 1).standard_normal((9, 5)).astype(np.float32)
         ws = ops.Workspace()
-        _, eval_cache = nn.mlp_forward(x, mlp, None, training=False, ws=ws)
+        _, eval_cache = nn.mlp_forward(x, mlp, None, training=False, ws=ws, version=0)
         # no dropout in an eval forward, so the second layer's input is relu(z)
         mask, a = eval_cache[0][1], eval_cache[1][0]
         w, b = mlp.layers[0]
@@ -493,7 +538,7 @@ class TestMlp:
         fresh, fresh_cache = _mlp_forward(x, mlp, ref, training=True)
         for param in mlp.layers[0]:  # a first layer that computed again would give NaN
             param[:] = np.nan
-        out, cache = nn.mlp_forward(x, mlp, rng, training=True, kept=True, ws=ws)
+        out, cache = nn.mlp_forward(x, mlp, rng, training=True, ws=ws, version=0)
         np.testing.assert_array_equal(out, fresh)
         assert cache[0][0] is x and cache[0][1] is mask and cache[1][0] is a
         for got, want in zip(cache, fresh_cache):
