@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import logging
@@ -58,51 +59,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclasses.dataclass(frozen=True)
-class MetricsArtifact:
-    """Run summary plus per-epoch records, written out as JSON (`to_json`)."""
-
-    schema_version: int
-    config: dict
-    summary: dict
-    epochs: list
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "summary": self.summary,
-            "epochs": self.epochs,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+_TIMING_FIELDS = {"wall_ms", "throughput_eps"}  # of EpochReport and RunSummary
 
 
-def build_artifact(config_echo: dict, summary, reports, include_timing: bool) -> MetricsArtifact:
-    """Assemble the artifact; timing fields are nulled when excluded so the
-    document is byte-for-byte reproducible at a fixed seed."""
-    summary_doc = {
-        "best_epoch": summary.best_epoch,
-        "best_val": summary.best_val,
-        "test_at_best_val": summary.test_at_best_val,
-        "param_count": summary.param_count,
-        "epochs": summary.epochs,
-        "throughput_eps": summary.throughput_eps if include_timing else None,
+def build_artifact(config_echo: dict, summary, reports, include_timing: bool) -> dict:
+    """The artifact: the config echo, and the fields of the RunSummary and
+    of each EpochReport in their order. Timing fields are nulled when
+    excluded so the document is byte-for-byte reproducible at a fixed seed."""
+
+    def doc(record) -> dict:
+        fields = dataclasses.asdict(record)
+        if not include_timing:
+            fields.update(dict.fromkeys(_TIMING_FIELDS & fields.keys()))
+        return fields
+
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": config_echo,
+        "summary": doc(summary),
+        "epochs": [doc(r) for r in reports],
     }
-    epoch_docs = [
-        {
-            "epoch": r.epoch,
-            "lr": r.lr,
-            "loss": r.loss,
-            "train_metric": r.train_metric,
-            "val_metric": r.val_metric,
-            "test_metric": r.test_metric,
-            "wall_ms": r.wall_ms if include_timing else None,
-        }
-        for r in reports
-    ]
-    return MetricsArtifact(
-        schema_version=SCHEMA_VERSION, config=config_echo, summary=summary_doc, epochs=epoch_docs
-    )
 
 
 def epochs_csv(reports) -> str:
@@ -270,12 +246,16 @@ def _log_epoch(report, _logits) -> None:
 
 
 def _check_out_path(path: Path) -> None:
-    """Fails unless a file can be written at `path`: it is no directory, and
-    its nearest existing ancestor is one. Checked before any epoch runs."""
+    """Fails unless a file can be written at `path`: it is no directory, its
+    nearest existing ancestor (a link to nothing counts) is one, and a link
+    to nothing points into an existing directory, as the write makes none
+    for a link's target. Checked before any epoch runs; creates no file."""
     if path.is_dir():
         raise UsageError(f"cannot write {path}: it is a directory")
+    if path.is_symlink() and not path.exists() and not Path(os.path.realpath(path)).parent.is_dir():
+        raise UsageError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
     for parent in path.parents:
-        if parent.exists():
+        if parent.exists() or parent.is_symlink():
             if not parent.is_dir():
                 raise UsageError(f"cannot write {path}: {parent} is not a directory")
             return
@@ -312,7 +292,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     include_timing = not settings["no_timing"]
     artifact = build_artifact(_config_echo(settings), summary, reports, include_timing)
 
-    _write(out_path, artifact.to_json())
+    _write(out_path, json.dumps(artifact, indent=2) + "\n")
     _write(csv_path, epochs_csv(reports))
 
     print(

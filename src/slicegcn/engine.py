@@ -50,8 +50,9 @@ passes read it for their layer-0 weight gradients.
 
 Each optimizer group (a device's layer stack, the classifier, the fusion
 MLP, the slice encoding) keeps its parameters, gradients and Adam moments in
-one flat buffer each (`nn.ParamGroup`): layers are views into it, backward
-passes write the gradients into it, and a step is one pass over it.
+one flat buffer each (`nn.ParamGroup`): each layer holds views of its
+parameters and of their gradients in it, backward passes write the
+gradients through those views, and a step is one pass over it.
 
 Each epoch ends with an evaluation forward, and the next epoch's training
 forward runs with the same parameters. Layer 0 of a direct-slice device and
@@ -59,13 +60,14 @@ layer 0 of the fusion MLP see a fixed input, so their owners pass their
 group's step count as the layer's `version`, and the evaluation pass's
 layer-0 result serves the next training forward (see `nn`).
 
-Every device and the head own workspaces (`ops.Workspace`), and each
-layer and SpMM runs in its owner's, where its per-epoch arrays are made in
-the first epoch and reused after: devices write their outputs straight
-into their column blocks of the head's representation, and backward passes
-write gradients over forward arrays that are dead by then (README,
-"Memory"). Each owner keeps its training forward's caches (`cache`) for
-its backward pass.
+Every layer stack (a device's, the classifier, the fusion MLP) owns its
+dropout stream, its workspace (`ops.Workspace`) and its training forward's
+cache (`cache`), which its backward pass consumes. Each layer and SpMM runs
+in its owner's workspace, where its per-epoch arrays are made in the first
+epoch and reused after: devices write their outputs straight into their
+column blocks of the representation, which lives in the classifier's
+workspace, and backward passes write gradients over forward arrays that
+are dead by then (README, "Memory").
 """
 
 from __future__ import annotations
@@ -192,45 +194,35 @@ class WorkerState:
         backward. dX goes to an array of the device's workspace, valid until
         its next backward.
         """
-        grads = self.group.grads
-        end = len(grads)
+        caches, self.cache = self.cache, None
         d = d_h
         for li in range(len(self.layers) - 1, -1, -1):
-            layer, cache = self.layers[li], self.cache[li]
-            start = end - len(layer.arrays())
+            cache = caches[li]
             if li > 0:
                 d_in = cache.h_in
             elif need_dx:
                 d_in = self.ws.get("dx", cache.h_in.shape, cache.h_in.dtype)
             else:
                 d_in = None
-            *_, d = nn.gcn_layer_backward(
-                cache, d, layer, adj, s, out=grads[start:end], ws=self.ws, d_in=d_in, pool=self.pool
-            )
-            end = start
+            d = nn.gcn_layer_backward(cache, d, self.layers[li], adj, s, ws=self.ws, d_in=d_in, pool=self.pool)
         return d
 
     def step(self, lr: float):
         nn.adam_step(self.group, lr, self.pool)
-        self.cache = None
 
 
 @dataclass
 class MasterHead:
     """Master-owned parameters: fusion (optional), encoding (optional), classifier.
 
-    The classifier's workspace also holds the gathered representation and
-    the logits' gradient; the fusion MLP has a workspace of its own.
+    The classifier's workspace also holds the gathered representation
+    ("rep") and the logits' gradient ("d_logits"), and the fusion MLP's the
+    shared Â·z ("agg").
     """
 
     classifier: nn.MlpParams
-    cls_rng: np.random.Generator
     fusion: Optional[nn.MlpParams] = None
-    fusion_rng: Optional[np.random.Generator] = None
     encoding: Optional[nn.SliceEncoding] = None
-    cache: Optional[tuple] = None  # (classifier cache, fusion cache, d_logits) of a training forward, one epoch
-    cls_ws: ops.Workspace = field(default_factory=ops.Workspace)
-    fusion_ws: ops.Workspace = field(default_factory=ops.Workspace)
 
     def groups(self) -> list:
         """The head's optimizer groups."""
@@ -340,13 +332,10 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
     cls_rng = ops.rng_stream(config.seed, ops.STREAM_CLASSIFIER)
     classifier_sizes = [config.p * h_out, config.hidden, graph.num_classes]
-    head = MasterHead(
-        classifier=nn.init_mlp(classifier_sizes, cls_rng, dtype, config.dropout),
-        cls_rng=cls_rng,
-    )
+    head = MasterHead(classifier=nn.init_mlp(classifier_sizes, cls_rng, dtype, config.dropout))
     if config.use_ff:
-        head.fusion_rng = ops.rng_stream(config.seed, ops.STREAM_FUSION)
-        head.fusion = slicing.init_fusion(d_feat, config.p, head.fusion_rng, dtype, config.dropout)
+        fusion_rng = ops.rng_stream(config.seed, ops.STREAM_FUSION)
+        head.fusion = slicing.init_fusion(d_feat, config.p, fusion_rng, dtype, config.dropout)
     if config.use_se:
         enc_rng = ops.rng_stream(config.seed, ops.STREAM_ENCODING)
         head.encoding = nn.init_slice_encoding(config.p, h_out, enc_rng, dtype)
@@ -377,27 +366,23 @@ def epoch_forward(run: RunState, training: bool):
     training forward leaves the caches its backward reads with their owners."""
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
-    head, pool = run.head, run.pool
+    head, classifier, pool = run.head, run.head.classifier, run.pool
 
-    fusion_cache = agg = None
+    agg = None
     if cfg.use_ff:
-        z, fusion_cache = slicing.feature_fusion_forward(
-            run.features, head.fusion, head.fusion_rng, training,
-            ws=head.fusion_ws, version=head.fusion.group.t, pool=pool,
-        )
+        fusion = head.fusion
+        z = slicing.feature_fusion_forward(run.features, fusion, training, version=fusion.group.t, pool=pool)
         inputs = [z] * cfg.p
         if not nn.narrows(run.workers[0].layers[0]):
             # every device's layer 0 would aggregate this same z
-            agg = ops.spmm_norm(
-                adj, s, z, out=head.fusion_ws.get("agg", z.shape, z.dtype), ws=head.fusion_ws, pool=pool
-            )
+            agg = ops.spmm_norm(adj, s, z, out=fusion.ws.get("agg", z.shape, z.dtype), ws=fusion.ws, pool=pool)
     else:
         inputs = run.slices
 
     # each device writes its output straight into its column block of the
     # representation (the gather), which the slice encoding then updates in place
-    rep_shape = (run.graph.num_nodes, head.classifier.layers[0][0].shape[0])
-    rep = head.cls_ws.get("rep", rep_shape, run.features.dtype)
+    rep_shape = (run.graph.num_nodes, classifier.layers[0][0].shape[0])
+    rep = classifier.ws.get("rep", rep_shape, run.features.dtype)
     width = rep.shape[1] // cfg.p  # every device's output is equally wide
     blocks = [rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
 
@@ -410,7 +395,7 @@ def epoch_forward(run: RunState, training: bool):
         for i, h in enumerate(outputs):
             nn.slice_encode(h, head.encoding, i, out=h)
 
-    logits, cls_cache = nn.mlp_forward(rep, head.classifier, head.cls_rng, training, ws=head.cls_ws, pool=pool)
+    logits = nn.mlp_forward(rep, classifier, training, pool=pool)
     train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
     if training:
         loss, d_sub = ops.softmax_cross_entropy(train_logits, train_labels)
@@ -419,12 +404,10 @@ def epoch_forward(run: RunState, training: bool):
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss ({loss})")
 
-    head.cache = None
     if training:
-        d_logits = head.cls_ws.get("d_logits", logits.shape, logits.dtype)
+        d_logits = classifier.ws.get("d_logits", logits.shape, logits.dtype)
         d_logits.fill(0)
         d_logits[run.train_idx] = d_sub
-        head.cache = (cls_cache, fusion_cache, d_logits)
     return loss, logits
 
 
@@ -438,15 +421,13 @@ def epoch_backward(run: RunState, lr: float) -> None:
     """
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
-    head, pool = run.head, run.pool
-    cls_cache, fusion_cache, d_logits = head.cache
-    head.cache = None
+    head, classifier, pool = run.head, run.head.classifier, run.pool
 
     # the representation (the classifier's input) is dead once the
     # classifier's weight gradients are formed, so its gradient is written over it
-    _, d_rep = nn.mlp_backward(
-        cls_cache, d_logits, head.classifier, out=head.classifier.group.grads, d_in=cls_cache[0][0], pool=pool,
-    )
+    rep = classifier.cache[0][0]
+    d_logits = classifier.ws.get("d_logits", (len(rep), classifier.layers[-1][1].size), rep.dtype)
+    d_rep = nn.mlp_backward(d_logits, classifier, d_in=rep, pool=pool)
 
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
     blocks = [d_rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
@@ -468,7 +449,7 @@ def epoch_backward(run: RunState, lr: float) -> None:
         d_z = dxs[0]  # device 0's own array, dead after this sum
         for dx in dxs[1:]:  # fixed device order
             d_z += dx
-        slicing.feature_fusion_backward(d_z, fusion_cache, head.fusion, out=head.fusion.group.grads, pool=pool)
+        slicing.feature_fusion_backward(d_z, head.fusion, pool=pool)
 
 
 def apply_updates(run: RunState, lr: float) -> None:

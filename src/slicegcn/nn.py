@@ -40,15 +40,15 @@ holds for the first layer of an MLP. An owner passes `version` to a layer
 in every call or in none: an unversioned call writes over kept arrays and
 leaves `versions` alone.
 
-Forward passes and the GCN layer's backward run in their owner's
-`ops.Workspace` (`ws`), and a result lives there unless `out` names an
-array for it; parameter gradients go to the `out` arrays, and an input
-gradient to `d_in`, formed only when given. A layer writes its cached
-arrays and output under per-layer keys, so each pass writes the arrays the
-previous pass did; a kept result is then already where the next
-forward reads it. Temporaries share scratch keys, and backward passes write
-gradients over forward arrays that nothing reads afterwards (see
-`mlp_backward`, which so needs no scratch).
+A GCN layer's passes run in their owner's `ops.Workspace` (`ws`), and a
+result lives there unless `out` names an array for it. An MLP owns its
+state as a device does (`MlpParams`): its dropout stream, its workspace,
+and the cache of its training forward, which its backward consumes. A
+layer writes its cached arrays and output under per-layer keys, so each
+pass writes the arrays the previous pass did; a kept result is then
+already where the next forward reads it. Temporaries share scratch keys,
+and backward passes write gradients over forward arrays that nothing reads
+afterwards (see `mlp_backward`, which so needs no scratch).
 
 All backward passes are hand-derived reverse-mode gradients. The input
 gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
@@ -56,17 +56,20 @@ undirected graphs. Backward aggregates on the same side as forward: a
 narrowing layer forms Âᵀ d_pre once and reuses it for both the weight and
 the input gradient.
 
-Parameters live in optimizer groups (`ParamGroup`): the layers of a group
-are views into one flat parameter buffer, backward passes can write their
-gradients into views of the group's flat gradient buffer (`out`), and
-`adam_step` updates a whole group in one in-place pass.
+Parameters live in optimizer groups (`ParamGroup`): `init_gcn_layers` and
+`init_mlp` give each layer views into its group's flat parameter buffer and
+views into its flat gradient buffer at the same offsets
+(`GcnLayerParams.grads`, `MlpParams.grads`). A backward pass writes the
+parameter gradients into those views and returns only the input gradient,
+written into `d_in` and formed only when given; `adam_step` updates a
+whole group in one in-place pass.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -90,19 +93,14 @@ class GcnLayerParams:
     w_agg: np.ndarray  # w_in x w_out
     w_self: Optional[np.ndarray]  # w_in x w_out, None in the single form
     bias: np.ndarray  # w_out
-
-    def arrays(self) -> list:
-        out = [self.w_agg]
-        if self.w_self is not None:
-            out.append(self.w_self)
-        out.append(self.bias)
-        return out
+    grads: Optional[GcnLayerParams] = None  # the gradients of these arrays, views into the group's `grad`
 
 
 def init_gcn_layers(widths, rng, dtype, form: str = FORM_DUAL):
     """GCN layers widths[0] -> ... -> widths[-1], built in one new group.
 
-    Returns (layers, group): the layers hold views into the group.
+    Returns (layers, group): the layers and their `grads` hold views into
+    the group's parameters and gradients.
     """
     dual = form == FORM_DUAL
     shapes = [
@@ -110,8 +108,12 @@ def init_gcn_layers(widths, rng, dtype, form: str = FORM_DUAL):
         for s in [(w_in, w_out)] * (2 if dual else 1) + [(w_out,)]
     ]
     group = ParamGroup(shapes, rng, dtype)
-    it = iter(group.params)
-    layers = [GcnLayerParams(next(it), next(it) if dual else None, next(it)) for _ in widths[1:]]
+    params, grads = iter(group.params), iter(group.grads)
+
+    def take(it):
+        return next(it), next(it) if dual else None, next(it)
+
+    layers = [GcnLayerParams(*take(params), grads=GcnLayerParams(*take(grads))) for _ in widths[1:]]
     return layers, group
 
 
@@ -201,15 +203,14 @@ def _deactivate(out, d, keep, mask, scale) -> None:
 
 
 def gcn_layer_backward(
-    cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, out, ws, d_in=None, pool=ops.INLINE,
+    cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, ws, d_in=None, pool=ops.INLINE,
 ):
-    """Gradients (dW_agg, dW_self, db, dH_in); dW_self/dH_in may be None.
+    """Writes dW_agg, dW_self and db into `params.grads`; returns dH_in.
 
-    `out` holds the arrays to write the parameter gradients into, aligned
-    with `params.arrays()`; they are returned. dH_in is written into `d_in`,
-    and is not formed without it. The temporaries come from the scratch keys
-    of `ws`, and the dropout mask is applied to `d_out` in place. The
-    products, the SpMM and the element-wise passes split on `pool`.
+    dH_in is written into `d_in`, and is not formed without it (None is
+    returned then). The temporaries come from the scratch keys of `ws`, and
+    the dropout mask is applied to `d_out` in place. The products, the SpMM
+    and the element-wise passes split on `pool`.
 
     A narrowing layer forms G = Âᵀ d_pre once, at the output width, for
     dW_agg = H_inᵀ G (when the forward kept no aggregate) and dH_in = G W_aggᵀ.
@@ -217,9 +218,10 @@ def gcn_layer_backward(
     own array.
     """
     n, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
+    grads = params.grads
     d_pre = ws.get("d_pre", (n, w_out), dtype)
     pool.rows(_deactivate, (d_pre, d_out, cache.keep, cache.mask), cache.scale)
-    db = np.sum(d_pre, axis=0, out=out[-1])
+    np.sum(d_pre, axis=0, out=grads.bias)
     narrowing = narrows(params)
     g = None
     if narrowing and (cache.agg is None or d_in is not None):
@@ -227,12 +229,13 @@ def gcn_layer_backward(
             adj, s, d_pre, transpose=True, out=ws.get("tmp", (n, w_out), dtype), ws=ws, pool=pool
         )
     if cache.agg is None:
-        dw_agg = pool.matmul(cache.h_in.T, g, out=out[0])
+        pool.matmul(cache.h_in.T, g, out=grads.w_agg)
     else:
-        dw_agg = pool.matmul(cache.agg.T, d_pre, out=out[0])
-    dw_self = pool.matmul(cache.h_in.T, d_out, out=out[1]) if params.w_self is not None else None
+        pool.matmul(cache.agg.T, d_pre, out=grads.w_agg)
+    if params.w_self is not None:
+        pool.matmul(cache.h_in.T, d_out, out=grads.w_self)
     if d_in is None:
-        return dw_agg, dw_self, db, None
+        return None
     if narrowing:
         pool.matmul(g, params.w_agg.T, out=d_in)
     else:
@@ -241,7 +244,7 @@ def gcn_layer_backward(
     if params.w_self is not None:
         self_path = pool.matmul(d_out, params.w_self.T, out=ws.get("tmp", (n, w_in), dtype))
         pool.rows(operator.iadd, (d_in, self_path))
-    return dw_agg, dw_self, db, d_in
+    return d_in
 
 
 # ---------------------------------------------------------------------------
@@ -250,32 +253,41 @@ def gcn_layer_backward(
 
 @dataclass
 class MlpParams:
-    layers: list  # of (W, b), views into group
+    """An MLP's layers, and the state its passes keep, as a device's do."""
+
+    layers: list  # of (W, b), views into group.params
+    grads: list  # of (dW, db), views into group.grads
     group: ParamGroup
+    rng: Optional[np.random.Generator]  # dropout stream: the one the layers were drawn from
     dropout: float = 0.0
+    ws: ops.Workspace = field(default_factory=ops.Workspace)  # where its passes' arrays live
+    cache: Optional[list] = None  # per-layer caches of a training forward, one epoch
 
 
 def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     """Linear layers sizes[0] -> ... -> sizes[-1], ReLU + dropout between,
-    built in one new group."""
+    built in one new group; `rng` goes on as their dropout stream."""
     shapes = [s for w_in, w_out in zip(sizes[:-1], sizes[1:]) for s in ((w_in, w_out), (w_out,))]
     group = ParamGroup(shapes, rng, dtype)
-    it = iter(group.params)
-    return MlpParams(layers=list(zip(it, it)), group=group, dropout=dropout)
+    params, grads = iter(group.params), iter(group.grads)
+    return MlpParams(
+        layers=list(zip(params, params)), grads=list(zip(grads, grads)), group=group, rng=rng, dropout=dropout
+    )
 
 
-def mlp_forward(x, mlp: MlpParams, rng, training: bool, *, ws, version=None, pool=ops.INLINE):
-    """Returns (output, cache). The last layer is linear (no activation).
+def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, pool=ops.INLINE):
+    """Returns the output. The last layer is linear (no activation).
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
-    `ws` under keys (li, name), so every pass writes the same arrays.
-    `version` says that x is fixed: the first hidden layer then keeps and
-    reuses its relu(z) and mask by it (module docstring). The cache's masks
-    are None where none is formed. Each layer's product runs in blocks on
-    `pool` (`ops.Pool.matmul`), and its bias, ReLU and dropout in row
-    ranges.
+    `mlp.ws` under keys (li, name), so every pass writes the same arrays,
+    and dropout draws from `mlp.rng`. `version` says that x is fixed: the
+    first hidden layer then keeps and reuses its relu(z) and mask by it
+    (module docstring). A training forward leaves its cache in `mlp.cache`
+    for the backward; its masks are None where none is formed. Each layer's
+    product runs in blocks on `pool` (`ops.Pool.matmul`), and its bias,
+    ReLU and dropout in row ranges.
     """
-    cache = []
+    ws, cache = mlp.ws, []
     h = x
     last = len(mlp.layers) - 1
     for li, (w, b) in enumerate(mlp.layers):
@@ -296,35 +308,36 @@ def mlp_forward(x, mlp: MlpParams, rng, training: bool, *, ws, version=None, poo
         if keeps and not training:
             ws.versions[li, "a"] = version
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
-        a, keep, scale = ops.dropout(a, mlp.dropout, training, rng, keep=keep, pool=pool)
+        a, keep, scale = ops.dropout(a, mlp.dropout, training, mlp.rng, keep=keep, pool=pool)
         cache.append((h, mask, keep, scale))
         h = a
-    return h, cache
+    mlp.cache = cache if training else None
+    return h
 
 
-def mlp_backward(cache, d_out, mlp: MlpParams, *, out, d_in=None, pool=ops.INLINE):
-    """Returns ([(dW, db) per layer], d_input); d_input is None without `d_in`.
+def mlp_backward(d_out, mlp: MlpParams, *, d_in=None, pool=ops.INLINE):
+    """Writes each layer's dW and db into `mlp.grads`; returns d_input.
 
-    `out` holds the arrays to write the parameter gradients into: W and b of
-    each layer, in layer order. d_input is written into `d_in`, and is not
-    formed without it. The backward consumes the forward's cache: the
-    gradient of each hidden layer's output is written over that output,
-    which nothing reads afterwards, so it needs no scratch. The products
-    run in blocks on `pool` (`ops.Pool.matmul`), and the gradient through
-    dropout and the ReLU in row ranges.
+    d_input is written into `d_in`, and is not formed without it (None is
+    returned then). The backward consumes the training forward's cache
+    (`mlp.cache`): the gradient of each hidden layer's output is written
+    over that output, which nothing reads afterwards, so it needs no
+    scratch. The products run in blocks on `pool` (`ops.Pool.matmul`), and
+    the gradient through dropout and the ReLU in row ranges.
     """
-    grads = [None] * len(mlp.layers)
+    cache, mlp.cache = mlp.cache, None
     d = d_out
     for li in range(len(mlp.layers) - 1, -1, -1):
         h, mask, keep, scale = cache[li]
-        w, _ = mlp.layers[li]
+        (w, _), (dw, db) = mlp.layers[li], mlp.grads[li]
         if mask is not None:  # hidden layer: undo dropout and ReLU, in place (d is this pass's own)
             pool.rows(_deactivate, (d, d, keep, mask), scale)
-        grads[li] = (pool.matmul(h.T, d, out=out[2 * li]), np.sum(d, axis=0, out=out[2 * li + 1]))
+        pool.matmul(h.T, d, out=dw)
+        np.sum(d, axis=0, out=db)
         if li == 0 and d_in is None:
-            return grads, None
+            return None
         d = pool.matmul(d, w.T, out=h if li > 0 else d_in)
-    return grads, d
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +376,6 @@ def slice_encode_backward(d_h):
 
 
 _ADAM_CHUNK = 1 << 16  # elements per pass of adam_step; a scratch array holds two
-_ADAM_MIN_RANGE = 1 << 18  # elements of one range of a split step
 
 
 class ParamGroup:
@@ -429,10 +441,10 @@ def adam_step(group: ParamGroup, lr: float, pool=ops.INLINE) -> None:
     group.t += 1
     c1 = 1.0 - group.beta1 ** group.t
     c2 = 1.0 - group.beta2 ** group.t
-    ranges = pool.ranges(grad.size, _ADAM_MIN_RANGE)
+    ranges = pool.ranges(grad.size)
     while len(group.scratch) < len(ranges):
         group.scratch.append(np.empty_like(group.scratch[0]))
-    pool.each(lambda item: _adam_range(group, *item, lr, c1, c2), list(zip(ranges, group.scratch)))
+    pool.run(lambda item: _adam_range(group, *item, lr, c1, c2), list(zip(ranges, group.scratch)))
 
 
 def _adam_range(group: ParamGroup, span, scratch, lr: float, c1: float, c2: float) -> None:
@@ -460,9 +472,9 @@ def _adam_range(group: ParamGroup, span, scratch, lr: float, c1: float, c2: floa
         p -= s
 
 
-def cosine_lr(epoch: int, total: int, lr0: float, lr_min: float = 0.0) -> float:
-    """Cosine annealing from lr0 at epoch 0 to lr_min at epoch `total`."""
+def cosine_lr(epoch: int, total: int, lr0: float) -> float:
+    """Cosine annealing from lr0 at epoch 0 to 0 at epoch `total`."""
     if total < 1:
         raise ValueError("schedule horizon must be >= 1")
-    return lr_min + 0.5 * (lr0 - lr_min) * (1.0 + math.cos(math.pi * epoch / total))
+    return 0.5 * lr0 * (1.0 + math.cos(math.pi * epoch / total))
 

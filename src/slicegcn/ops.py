@@ -39,8 +39,8 @@ _DROPOUT_CHUNK = 1 << 17  # raw draws per chunk of a dropout mask: 1 MB of uint6
 # device's forward for a run's device rounds, and of one part of a split
 # product or SpMM. A part also has at least SPLIT_MIN_WIDTH rows or columns:
 # a one-column product takes BLAS's matrix-vector path, which rounds
-# differently. A range of a split element-wise pass has at least
-# MIN_PASS_ELEMENTS elements.
+# differently. A range of a split element-wise pass (an Adam step's too)
+# has at least MIN_PASS_ELEMENTS elements.
 MIN_TASK_WORK = 16e6
 SPLIT_MIN_WIDTH = 16
 MIN_PASS_ELEMENTS = 1 << 18
@@ -65,19 +65,19 @@ class Pool:
 
     `run(fn, items)` returns [fn(item) for item in items]. `threads` counts
     the calling thread: it runs item 0 itself and hands the other items to
-    threads - 1 pool threads, and threads == 1 runs every item in the
-    calling thread, in order. Results do not depend on the choice. `run`
-    returns or raises only once every task has finished, so no task
-    outlives a failed call; of several failures, the lowest item's is
-    raised. A task must not start a round of its own pool: `run` raises
-    RuntimeError when called from one of the pool's threads, where the
-    round could wait for itself.
+    threads - 1 pool threads; threads == 1, and any one-item round, runs
+    every item in the calling thread, in order. Results do not depend on
+    the choice. `run` returns or raises only once every task has finished,
+    so no task outlives a failed call; of several failures, the lowest
+    item's is raised. A task must not start a round of several items on
+    its own pool: `run` raises RuntimeError when called so from one of the
+    pool's threads, where the round could wait for itself.
 
-    `ranges` cuts a length into at most `parts` near-equal ranges, as many
-    as keep each at least a given length; `row_ranges` does so for the rows
-    of an element-wise pass, each range at least `MIN_PASS_ELEMENTS`
-    elements, and `rows` runs a pass over them. `matmul` cuts a product's output into at most `parts` blocks
-    along its longer side (rows on a tie), as many as give every block
+    `ranges` cuts the rows of an element-wise pass (or the elements of a
+    flat buffer) into at most `parts` near-equal ranges, each at least
+    `MIN_PASS_ELEMENTS` elements, and `rows` runs a pass over them.
+    `matmul` cuts a product's output into at most `parts` blocks along its
+    longer side (rows on a tie), as many as give every block
     `MIN_TASK_WORK` multiply-adds and `SPLIT_MIN_WIDTH` rows (columns). So
     the parts depend on `parts` and the shapes alone, not on `threads`. Each
     block of a product is one BLAS call that writes its own part of `out`
@@ -97,7 +97,7 @@ class Pool:
             self._ex = ThreadPoolExecutor(threads - 1, initializer=_mark_pool_thread, initargs=(self._token,))
 
     def run(self, fn: Callable, items: list) -> list:
-        if self._ex is None:
+        if self._ex is None or len(items) < 2:
             return [fn(item) for item in items]
         if getattr(_thread, "pool", None) is self._token:
             raise RuntimeError("a pool task started a round of its own pool, which could wait for itself")
@@ -109,34 +109,23 @@ class Pool:
                 f.exception()  # waits for the task; its error, if any, is raised below
         return [first] + [f.result() for f in futures]
 
-    def each(self, fn: Callable, items: list) -> None:
-        """fn(item) for every item; through `run` when there are several."""
-        if len(items) == 1:
-            fn(items[0])
-        else:
-            self.run(fn, items)
-
-    def ranges(self, size: int, min_size: int) -> list:
-        """At most `parts` near-equal (start, end) ranges over [0, size): as
-        many as keep every range at least `min_size` long, and at least one."""
+    def ranges(self, rows: int, width: int = 1) -> list:
+        """At most `parts` near-equal (start, end) ranges over [0, rows): as
+        many as keep every range at least `MIN_PASS_ELEMENTS` elements of
+        rows x width, and at least one."""
         if self.parts < 2:
-            return [(0, size)]
-        return _cut(size, min(self.parts, size // max(min_size, 1)))
-
-    def row_ranges(self, rows: int, width: int) -> list:
-        """`ranges` over the rows of an element-wise pass over rows x width
-        elements, each range at least `MIN_PASS_ELEMENTS` elements."""
-        return self.ranges(rows, -(-MIN_PASS_ELEMENTS // max(width, 1)))
+            return [(0, rows)]
+        return _cut(rows, min(self.parts, rows // -(-MIN_PASS_ELEMENTS // max(width, 1))))
 
     def rows(self, fn: Callable, arrays: tuple, *args) -> None:
-        """fn(*arrays, *args), in the `row_ranges` of the first array's rows:
+        """fn(*arrays, *args), in the `ranges` of the first array's rows:
         each call gets the same rows of every array (None stays None)."""
         first = arrays[0]
         if self.parts < 2 or first.size < 2 * MIN_PASS_ELEMENTS:  # one range
             fn(*arrays, *args)
             return
-        ranges = self.row_ranges(len(first), first.size // len(first))
-        self.each(lambda r: fn(*[a if a is None else a[r[0] : r[1]] for a in arrays], *args), ranges)
+        ranges = self.ranges(len(first), first.size // len(first))
+        self.run(lambda r: fn(*[a if a is None else a[r[0] : r[1]] for a in arrays], *args), ranges)
 
     def count(self, work: float, size: int) -> int:
         """How many parts a task of `work` multiply-adds over `size` rows
@@ -160,9 +149,9 @@ class Pool:
         if len(blocks) == 1:
             return np.matmul(a, b, out=out)
         if rows:
-            self.each(lambda r: np.matmul(a[r[0] : r[1]], b, out=out[r[0] : r[1]]), blocks)
+            self.run(lambda r: np.matmul(a[r[0] : r[1]], b, out=out[r[0] : r[1]]), blocks)
         else:
-            self.each(lambda r: np.matmul(a, b[:, r[0] : r[1]], out=out[:, r[0] : r[1]]), blocks)
+            self.run(lambda r: np.matmul(a, b[:, r[0] : r[1]], out=out[:, r[0] : r[1]]), blocks)
         return out
 
     def close(self):
@@ -275,7 +264,7 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     scaled[n] = 0
     parts = lay.parts(k)
     buffers = [ws.get(("spmm.gather", i) if i else "spmm.gather", shape, h.dtype) for i in range(len(parts))]
-    pool.each(lambda part: _gather_reduce(lay, *part, scaled, acc), list(zip(parts, buffers)))
+    pool.run(lambda part: _gather_reduce(lay, *part, scaled, acc), list(zip(parts, buffers)))
     pool.rows(_reorder, (scaled[:n], lay.rank), acc)
     pool.rows(_unscale, (out, scaled[:n], s))
     return out
@@ -343,7 +332,7 @@ def dropout(a, rate, training, rng, keep=None, pool=INLINE):
     with probability 1 - t/2**16, below 1 - rate by less than 2**-16. A rate
     above 1 - 2**-16 gives t = 2**16 and drops every element.
 
-    On `pool`, the rows of `a` run in ranges (`Pool.row_ranges`). Philox is
+    On `pool`, the rows of `a` run in ranges (`Pool.ranges`). Philox is
     counter-based, so a range whose first element is field f draws from a
     copy of the stream moved f // 4 raw draws on (`_skip`), and then `rng`
     moves past the whole mask: the mask and the stream's next draws are
@@ -360,7 +349,7 @@ def dropout(a, rate, training, rng, keep=None, pool=INLINE):
     bitgen = rng.bit_generator
     split = pool.parts > 1 and a.size >= 2 * MIN_PASS_ELEMENTS  # else one range
     width = a.size // len(a) if split else 0
-    rows = pool.row_ranges(len(a), width) if split else ()
+    rows = pool.ranges(len(a), width) if split else ()
     if len(rows) < 2:
         _dropout_rows(bitgen, a, keep, 0, threshold, scale)
         return a, keep, scale
@@ -373,7 +362,7 @@ def dropout(a, rate, training, rng, keep=None, pool=INLINE):
         _skip(copy, lo * width // 4)
         _dropout_rows(copy, a[lo:hi], keep[lo:hi], lo * width % 4, threshold, scale)
 
-    pool.each(part, rows)
+    pool.run(part, rows)
     _skip(bitgen, -(-a.size // 4))
     return a, keep, scale
 
@@ -393,8 +382,7 @@ def _dropout_rows(bitgen, a, keep, lead: int, threshold: int, scale) -> None:
         else:
             fields = raw.astype("<u8", copy=False).view("<u2")[max(-lo, 0) : hi - lo]
             np.greater_equal(fields, np.uint16(threshold), out=part)
-    np.multiply(a, keep, out=a)  # the two roundings of apply_mask
-    a *= scale
+    apply_mask(a, keep, scale, out=a)
 
 
 def _skip(bitgen, k: int) -> None:

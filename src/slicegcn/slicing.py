@@ -3,10 +3,10 @@
 Two ways to produce per-device inputs from the n x d feature matrix:
 direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
-is broadcast to every device. The fusion forward runs in its owner's
-workspace, as every layer does, and keeps only a bool ReLU mask of its
-hidden layer for backward (see `nn`). Its products and element-wise passes
-run in parts on the pool the caller gives (`ops.Pool`).
+is broadcast to every device. The fusion MLP owns its dropout stream,
+workspace and training cache, as every MLP does, and keeps only a bool
+ReLU mask of its hidden layer for backward (see `nn`). Its products and
+element-wise passes run in parts on the pool the caller gives (`ops.Pool`).
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ class SliceStrategy:
 
     ranges: tuple  # of (start, end), 0-based half-open
     slice_size: int  # ceil(d / p)
-    scale: float
-
-    @property
-    def p(self) -> int:
-        return len(self.ranges)
 
     @property
     def width(self) -> int:
@@ -62,7 +57,7 @@ def slice_strategy_generator(in_d: int, p: int, scale: float = 1.0) -> SliceStra
             start -= end - in_d
             end = in_d
         ranges.append((start, end))
-    return SliceStrategy(ranges=tuple(ranges), slice_size=slice_size, scale=scale)
+    return SliceStrategy(ranges=tuple(ranges), slice_size=slice_size)
 
 
 def slice_feature(x: np.ndarray, strategy: SliceStrategy) -> list:
@@ -84,30 +79,26 @@ def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
     return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
 
 
-def feature_fusion_forward(
-    x: np.ndarray, ff: nn.MlpParams, rng, training: bool, *, ws, version=None, pool=ops.INLINE,
-):
+def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, training: bool, *, version=None, pool=ops.INLINE):
     """Compress features into the shared per-device input Z.
 
     The single output is delivered to every worker; there is one fusion MLP,
-    not one per device. `ws` is the workspace the MLP's arrays live in, and
-    `version`, the fusion group's step count, keeps and reuses its hidden
-    layer there (see `nn.mlp_forward`).
+    not one per device. `version`, the fusion group's step count, keeps and
+    reuses its hidden layer in the MLP's workspace (see `nn.mlp_forward`).
     """
     w0 = ff.layers[0][0]
     if w0.shape != (x.shape[1], x.shape[1]):
         raise ValueError(f"fusion hidden layer {w0.shape} does not match feature dim {x.shape[1]}")
-    return nn.mlp_forward(x, ff, rng, training, ws=ws, version=version, pool=pool)
+    return nn.mlp_forward(x, ff, training, version=version, pool=pool)
 
 
-def feature_fusion_backward(d_z: np.ndarray, cache, ff: nn.MlpParams, *, out, pool=ops.INLINE):
-    """Gradients of the fusion MLP given the summed worker input gradient.
+def feature_fusion_backward(d_z: np.ndarray, ff: nn.MlpParams, *, pool=ops.INLINE) -> None:
+    """Writes the fusion MLP's gradients into `ff.grads`, given the summed
+    worker input gradient, and consumes its training forward's cache.
 
     Because every worker consumes the same Z, the caller accumulates
-    d_z = sum of per-worker input gradients in fixed device order. Returns
-    [(dW, db) per layer], written into `out` (see `nn.mlp_backward`); the
+    d_z = sum of per-worker input gradients in fixed device order. The
     gradient w.r.t. the raw features is not computed, since nothing upstream
     of the features trains.
     """
-    grads, _ = nn.mlp_backward(cache, d_z, ff, out=out, pool=pool)
-    return grads
+    nn.mlp_backward(d_z, ff, pool=pool)

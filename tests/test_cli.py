@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ import numpy as np
 import pytest
 
 from slicegcn import cli, engine, nn, ops
-from slicegcn.cli import MetricsArtifact
 from slicegcn.graph import AttributedGraph, build_csr, save_dataset, synth_graph
 
 SYNTH_ARGS = ["--dataset", "synth", "--synth-feat", "12", "--epochs", "4", "--seed", "7"]
@@ -17,13 +17,6 @@ SYNTH_ARGS = ["--dataset", "synth", "--synth-feat", "12", "--epochs", "4", "--se
 
 def run_cli(args):
     return cli.main(args)
-
-
-def _parse_artifact(text: str) -> MetricsArtifact:
-    doc = json.loads(text)
-    return MetricsArtifact(
-        schema_version=doc["schema_version"], config=doc["config"], summary=doc["summary"], epochs=doc["epochs"]
-    )
 
 
 class TestTrainCommand:
@@ -125,11 +118,19 @@ class TestTrainCommand:
         assert len(lines) - 1 == 4
 
     def test_artifact_round_trip(self, tmp_path):
+        # the artifact is the summary's and each epoch report's fields, in
+        # their order, with the timing fields nulled under --no-timing
         out = tmp_path / "m.json"
-        run_cli(["train", *SYNTH_ARGS, "--out", str(out)])
-        art = _parse_artifact(out.read_text())
-        assert _parse_artifact(art.to_json()) == art
-        assert art.to_json() == out.read_text()
+        assert run_cli(["train", *SYNTH_ARGS, "--no-timing", "--out", str(out)]) == 0
+        text = out.read_text()
+        doc = json.loads(text)
+        graph = synth_graph(n=400, classes=3, d_feat=12, p_in=0.1, p_out=0.01, signal=1.0, seed=7)
+        summary, reports = engine.train(graph, engine.TrainConfig(epochs=4, seed=7))
+        assert doc == cli.build_artifact(doc["config"], summary, reports, include_timing=False)
+        assert list(doc["summary"]) == [f.name for f in dataclasses.fields(engine.RunSummary)]
+        assert list(doc["epochs"][0]) == [f.name for f in dataclasses.fields(engine.EpochReport)]
+        assert doc["summary"]["throughput_eps"] is None and {r["wall_ms"] for r in doc["epochs"]} == {None}
+        assert json.dumps(doc, indent=2) + "\n" == text
 
     def test_run_spec_file(self, tmp_path):
         spec = {"dataset": "synth", "variant": "slice", "p": 2, "epochs": 3,
@@ -272,8 +273,11 @@ class TestOutPath:
         assert not trains and not out.exists() and f"cannot write {out}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,name", [("train", "m.json"), ("train", "m.csv"), ("bench", "b.json")])
-    def test_write_failure_after_training_is_a_usage_error(self, tmp_path, capsys, command, name):
-        # a dangling symlink passes the checks before training; writing through it fails
+    def test_dangling_link_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command, name):
+        # a link into a missing directory: the write would follow it, and
+        # makes no directory for it; the check makes nothing either
+        forwards, forward = [], engine.epoch_forward
+        monkeypatch.setattr(engine, "epoch_forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
         link = tmp_path / name
         link.symlink_to(tmp_path / "gone" / name)
         out = link if name != "m.csv" else tmp_path / "m.json"
@@ -281,6 +285,16 @@ class TestOutPath:
         rc = run_cli([command, *SYNTH_ARGS, "--epochs", "1", *extra, "--out", str(out)])
         assert rc == cli.EXIT_USAGE
         assert f"error: cannot write {link}: No such file or directory" in capsys.readouterr().err
+        assert not forwards
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name] and not link.exists()
+
+    def test_out_under_a_dangling_link_fails_before_training(self, tmp_path, capsys, trains):
+        # making the link's directory would fail: the link itself is in the way
+        link = tmp_path / "d"
+        link.symlink_to(tmp_path / "gone")
+        assert self._run("train", link / "m.json") == cli.EXIT_USAGE
+        assert not trains and f"{link} is not a directory" in capsys.readouterr().err
+        assert not (tmp_path / "gone").exists()
 
     def test_bench_makes_the_out_directory(self, tmp_path):
         out = tmp_path / "new" / "bench.json"

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +29,35 @@ def auc_pair_counting(scores, labels):
 
 def _reference_d_rep(run):
     """The classifier's input gradient, from its backward over copies of the
-    training forward's cache, in a fresh workspace and into new arrays: the
-    run's own backward still finds its forward's arrays."""
-    cls_cache, _, d_logits = run.head.cache
-    cache = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in layer) for layer in cls_cache]
+    training forward's cache, into new arrays: the run's own backward still
+    finds its forward's arrays and the classifier's cache."""
     classifier = run.head.classifier
-    out = [np.empty_like(a) for a in classifier.group.params]
-    _, d_rep = nn.mlp_backward(cache, d_logits, classifier, out=out, d_in=np.empty_like(_representation(run)))
-    return d_rep
+    cache = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in layer) for layer in classifier.cache]
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in classifier.layers]
+    reference = dataclasses.replace(classifier, grads=grads, cache=cache)
+    return nn.mlp_backward(_d_logits(run), reference, d_in=np.empty_like(_representation(run)))
 
 
 def _representation(run):
-    """The gathered representation, which every forward writes into the head's workspace."""
+    """The gathered representation, which every forward writes into the classifier's workspace."""
     shape = (run.graph.num_nodes, run.head.classifier.layers[0][0].shape[0])
-    return run.head.cls_ws.get("rep", shape, run.features.dtype)
+    return run.head.classifier.ws.get("rep", shape, run.features.dtype)
+
+
+def _d_logits(run):
+    """The logits' gradient, which a training forward writes into the classifier's workspace."""
+    shape = (run.graph.num_nodes, run.graph.num_classes)
+    return run.head.classifier.ws.get("d_logits", shape, run.features.dtype)
+
+
+def _layer_arrays(layer) -> list:
+    """W_agg, W_self (unless None) and b of a GCN layer, or of its `grads`."""
+    return [a for a in (layer.w_agg, layer.w_self, layer.bias) if a is not None]
+
+
+def _device_round(items) -> bool:
+    """Whether a pool round runs the devices' tasks, not a split kernel's parts."""
+    return isinstance(items[0], tuple) and isinstance(items[0][0], engine.WorkerState)
 
 
 class TestConfig:
@@ -87,21 +103,32 @@ class TestBuildRun:
         np.testing.assert_array_equal(a.head.encoding.table, b.head.encoding.table)
 
     def test_every_parameter_is_a_view_of_its_group(self, wide_graph):
-        cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
-        run = engine.build_run(wide_graph, cfg)
-        head = run.head
-        cls_arrays = [a for layer in head.classifier.layers for a in layer]
-        fusion_arrays = [a for layer in head.fusion.layers for a in layer]
-        owners = [(w.group, [a for layer in w.layers for a in layer.arrays()]) for w in run.workers]
-        owners += [(head.classifier.group, cls_arrays), (head.encoding.group, [head.encoding.table]),
-                   (head.fusion.group, fusion_arrays)]
-        assert [g for g, _ in owners] == [w.group for w in run.workers] + head.groups()
-        for group, arrays in owners:
-            assert all(np.shares_memory(a, group.param) for a in arrays)
-            assert all(np.shares_memory(g, group.grad) for g in group.grads)
-            assert [a.shape for a in arrays] == [g.shape for g in group.grads]
-            assert sum(a.size for a in arrays) == group.size
-        assert run.param_count == sum(group.size for group, _ in owners)
+        # each layer's parameters tile its group's `param` in order, and its
+        # gradient views sit in the group's `grad` at the same offsets
+        def offsets(arrays, flat):
+            return [a.ctypes.data - flat.ctypes.data for a in arrays]
+
+        def mlp_views(mlp):
+            return mlp.group, [a for layer in mlp.layers for a in layer], [g for layer in mlp.grads for g in layer]
+
+        for form in engine.LAYER_FORMS:
+            cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3, layer_form=form)
+            run = engine.build_run(wide_graph, cfg)
+            head = run.head
+            # (group, its parameter views, their gradient views), in the group's order
+            owners = [(w.group, [a for layer in w.layers for a in _layer_arrays(layer)],
+                       [g for layer in w.layers for g in _layer_arrays(layer.grads)]) for w in run.workers]
+            owners += [mlp_views(head.classifier), (head.encoding.group, [head.encoding.table], head.encoding.group.grads),
+                       mlp_views(head.fusion)]
+            assert [g for g, *_ in owners] == [w.group for w in run.workers] + head.groups()
+            for group, params, grads in owners:
+                assert all(np.shares_memory(a, group.param) for a in params)
+                assert all(np.shares_memory(g, group.grad) for g in grads)
+                assert [a.shape for a in params] == [g.shape for g in grads]
+                tiled = list(np.cumsum([0] + [a.nbytes for a in params[:-1]]))
+                assert offsets(params, group.param) == offsets(grads, group.grad) == tiled
+                assert sum(a.size for a in params) == group.size
+            assert run.param_count == sum(group.size for group, *_ in owners)
 
     def test_more_devices_than_columns_rejected(self, wide_graph):
         with pytest.raises(ValueError, match="feature columns"):
@@ -171,14 +198,26 @@ class TestEpochBackward:
         for group in [w.group for w in run.workers] + run.head.groups():
             group.grad[:] = np.nan  # every element must be written
         engine.epoch_forward(run, training=True)
-        _, _, d_logits = run.head.cache
-        d_logits[:] = 0
+        _d_logits(run)[:] = 0
         engine.epoch_backward(run, 1e-2)
         for flat in (w.group.grads for w in run.workers):
             assert all(not g.any() for g in flat)
         assert all(not g.any() for g in run.head.classifier.group.grads)
         assert all(not g.any() for g in run.head.fusion.group.grads)
         assert not run.head.encoding.group.grads[0].any()
+
+    def test_backward_consumes_every_training_cache(self, small_graph):
+        # a training forward leaves a cache with each layer stack, a backward
+        # clears each, and an evaluation forward leaves none
+        run = engine.build_run(small_graph, TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=6))
+        owners = [*run.workers, run.head.classifier, run.head.fusion]
+        engine.epoch_forward(run, training=True)
+        assert all(owner.cache for owner in owners)
+        engine.epoch_backward(run, 1e-2)
+        assert all(owner.cache is None for owner in owners)
+        engine.epoch_forward(run, training=True)
+        engine.epoch_forward(run, training=False)
+        assert all(owner.cache is None for owner in owners)
 
     def test_worker_gradient_ignores_other_blocks(self, small_graph):
         # zeroing worker 1's columns of the gathered gradient leaves worker
@@ -310,14 +349,15 @@ class TestTrain:
 
     def test_pool_calls_and_submissions_per_epoch(self, tiny_graph, monkeypatch, pooled):
         # training forward, backward (each device steps in its task), eval
-        # forward: three pool calls per epoch, each handing off p - 1 tasks;
-        # on 30 nodes no product reaches two blocks of `ops.SPLIT_MIN_WIDTH`
-        # rows or columns, so every pool call is a device round
+        # forward: three device rounds per epoch, each handing off p - 1
+        # tasks; on 30 nodes no product reaches two blocks of
+        # `ops.SPLIT_MIN_WIDTH` rows or columns, so no other round hands off one
         run = ops.Pool.run
         calls = []
 
         def counting_run(pool, fn, items):
-            calls.append(len(items))
+            if _device_round(items):
+                calls.append(len(items))
             return run(pool, fn, items)
 
         monkeypatch.setattr(ops.Pool, "run", counting_run)
@@ -389,7 +429,8 @@ class TestTrain:
 
         def counting_run(pool, fn, items):
             results = run(pool, fn, items)
-            counted.append(carries_array(items) + carries_array(results))
+            if _device_round(items):
+                counted.append(carries_array(items) + carries_array(results))
             return results
 
         monkeypatch.setattr(ops.Pool, "run", counting_run)
@@ -517,13 +558,15 @@ _TRACED = [  # the functions the benchmark's tracer wraps, which no block of a s
 
 @pytest.fixture
 def split_rounds(monkeypatch):
-    """The pool's blocks, watched: the fixture is (the item count of each
-    round of several blocks, a thread-local whose `inside` is true while a
-    block runs)."""
+    """The pool's blocks (every round but the devices'), watched: the
+    fixture is (the item count of each round of several blocks, a
+    thread-local whose `inside` is true while a block runs)."""
     rounds, local = [], threading.local()
-    each = ops.Pool.each
+    run = ops.Pool.run
 
-    def watched_each(pool, fn, items):
+    def watched_run(pool, fn, items):
+        if _device_round(items):
+            return run(pool, fn, items)
         if len(items) > 1:
             rounds.append(len(items))
 
@@ -534,9 +577,9 @@ def split_rounds(monkeypatch):
             finally:
                 local.inside = False
 
-        return each(pool, task, items)
+        return run(pool, task, items)
 
-    monkeypatch.setattr(ops.Pool, "each", watched_each)
+    monkeypatch.setattr(ops.Pool, "run", watched_run)
     return rounds, local
 
 
@@ -563,7 +606,7 @@ class TestSplitRounds:
 
         for module, name in _TRACED:
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
-        monkeypatch.setattr(nn, "_ADAM_MIN_RANGE", 1 << 12)  # the fusion MLP's step splits too
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1 << 12)  # the fusion MLP's step splits too
         engine.train(_fusion_graph(), TrainConfig(variant="slice_ffse", p=2, epochs=2, hidden=16, seed=1))
         assert rounds and set(rounds) == {2}
         assert inside and not any(inside)
@@ -587,6 +630,52 @@ class TestSplitRounds:
 
 
 @pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
+def test_traced_boundaries_are_called_through_their_module_attributes(small_graph, monkeypatch, variant):
+    # the benchmark's tracer wraps these module attributes, so a pass that
+    # bypassed one would read 0 in its metric (nn.classifier_s counts the MLP
+    # passes outside a fusion pass, slicing.fusion_* the fusion passes);
+    # each call is counted as (name, whether it ran inside a fusion pass)
+    calls, fusing = [], []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, bool(fusing)))
+            if name.startswith("feature_fusion"):
+                fusing.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if name.startswith("feature_fusion"):
+                    fusing.pop()
+
+        return wrapped
+
+    for name in ("gcn_layer_forward", "gcn_layer_backward", "mlp_forward", "mlp_backward"):
+        monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
+    for name in ("feature_fusion_forward", "feature_fusion_backward"):
+        monkeypatch.setattr(slicing, name, counting(name, getattr(slicing, name)))
+    per_epoch = []
+    cfg = TrainConfig(variant=variant, p=2, epochs=3, hidden=16, layers=2, seed=1)
+
+    def on_epoch(report, logits):
+        per_epoch.append(Counter(calls))
+        calls.clear()
+
+    engine.train(small_graph, cfg, on_epoch=on_epoch)
+    p, layers = cfg.p, cfg.layers
+    want = {
+        ("gcn_layer_forward", False): 2 * p * layers,  # training and eval forward
+        ("gcn_layer_backward", False): p * layers,
+        ("mlp_forward", False): 2,  # the classifier's
+        ("mlp_backward", False): 1,
+    }
+    if cfg.use_ff:
+        want |= {("feature_fusion_forward", False): 2, ("mlp_forward", True): 2,
+                 ("feature_fusion_backward", False): 1, ("mlp_backward", True): 1}
+    assert per_epoch == [want] * cfg.epochs
+
+
+@pytest.mark.parametrize("variant", ["slice", "slice_ffse"])
 def test_eval_forward_forms_only_the_masks_a_later_forward_reads(small_graph, variant):
     # an eval forward writes the ReLU mask of a device's layer 0 over a fixed
     # input and of the fusion MLP's hidden layer, which the next forward
@@ -597,9 +686,9 @@ def test_eval_forward_forms_only_the_masks_a_later_forward_reads(small_graph, va
     n, head = small_graph.num_nodes, run.head
     masks = {("device", i, li): w.ws.get((li, "mask"), (n, layer.bias.size), bool)
              for i, w in enumerate(run.workers) for li, layer in enumerate(w.layers)}
-    masks["classifier", 0, 0] = head.cls_ws.get((0, "mask"), (n, cfg.hidden), bool)
+    masks["classifier", 0, 0] = head.classifier.ws.get((0, "mask"), (n, cfg.hidden), bool)
     if cfg.use_ff:
-        masks["fusion", 0, 0] = head.fusion_ws.get((0, "mask"), (n, small_graph.num_features), bool)
+        masks["fusion", 0, 0] = head.fusion.ws.get((0, "mask"), (n, small_graph.num_features), bool)
     for m in masks.values():
         m.fill(True)
     engine.epoch_forward(run, training=False)
@@ -616,14 +705,15 @@ def _kept_now(run) -> list:
     holds an eval forward's layer 0 at its group's current step count."""
     head = run.head
     return [w.ws.versions.get(_DEVICE_KEPT) == w.group.t for w in run.workers] + [
-        head.fusion is not None and head.fusion_ws.versions.get(_FUSION_KEPT) == head.fusion.group.t
+        head.fusion is not None and head.fusion.ws.versions.get(_FUSION_KEPT) == head.fusion.group.t
     ]
 
 
 def _drop_kept(run) -> None:
     for w in run.workers:
         w.ws.versions.pop(_DEVICE_KEPT, None)
-    run.head.fusion_ws.versions.pop(_FUSION_KEPT, None)
+    if run.head.fusion is not None:
+        run.head.fusion.ws.versions.pop(_FUSION_KEPT, None)
 
 
 @pytest.fixture
@@ -640,9 +730,9 @@ def reuses(monkeypatch) -> list:
             calls.append(("device", version is not None and ws.versions.get(_DEVICE_KEPT) == version))
         return layer_forward(*args, ws=ws, layer=layer, version=version, **kwargs)
 
-    def spy_fusion(*args, ws, version=None, **kwargs):
-        calls.append(("fusion", version is not None and ws.versions.get(_FUSION_KEPT) == version))
-        return fusion_forward(*args, ws=ws, version=version, **kwargs)
+    def spy_fusion(x, ff, *args, version=None, **kwargs):
+        calls.append(("fusion", version is not None and ff.ws.versions.get(_FUSION_KEPT) == version))
+        return fusion_forward(x, ff, *args, version=version, **kwargs)
 
     monkeypatch.setattr(nn, "gcn_layer_forward", spy_layer)
     monkeypatch.setattr(slicing, "feature_fusion_forward", spy_fusion)
@@ -987,13 +1077,13 @@ class TestBuffers:
             "rep": n * p * h * f4, (0, "a"): n * cfg.hidden * f4, (0, "mask"): n * cfg.hidden,
             (0, "keep"): n * cfg.hidden, (1, "out"): n * c * f4, "d_logits": n * c * f4,
         }
-        owners = [(w.ws, device) for w in run.workers] + [(run.head.cls_ws, classifier)]
+        owners = [(w.ws, device) for w in run.workers] + [(run.head.classifier.ws, classifier)]
         if cfg.use_ff:
             fusion = {
                 (0, "a"): n * d * f4, (0, "mask"): n * d, (0, "keep"): n * d, (1, "out"): n * h * f4,
                 "agg": n * h * f4, "spmm.padded": (n + 1) * h * f4, "spmm.gather": e * h * f4,
             }
-            owners.append((run.head.fusion_ws, fusion))
+            owners.append((run.head.fusion.ws, fusion))
         for ws, want in owners:
             assert {k: m.size for k, m in ws._memory.items()} == want
             assert all(dtype is bool for (k, _, dtype) in ws._arrays if k[-1] in ("mask", "keep"))

@@ -56,24 +56,34 @@ def _forward(*args, **kwargs):
     return nn.gcn_layer_forward(*args, ws=ops.Workspace(), **kwargs)
 
 
+def _arrays(layer) -> list:
+    """W_agg, W_self (unless None) and b of a GCN layer, or of its `grads`."""
+    return [a for a in (layer.w_agg, layer.w_self, layer.bias) if a is not None]
+
+
 def _backward(cache, d_out, params, adj, s, input_grad=True):
-    """gcn_layer_backward in a fresh workspace, into new gradient arrays."""
-    out = [np.empty_like(a) for a in params.arrays()]
+    """gcn_layer_backward in a fresh workspace; returns (dW_agg, dW_self,
+    db, dH_in), copies of the gradients it wrote into `params.grads`."""
     d_in = np.empty_like(cache.h_in) if input_grad else None
-    return nn.gcn_layer_backward(cache, d_out, params, adj, s, out=out, ws=ops.Workspace(), d_in=d_in)
+    d_in = nn.gcn_layer_backward(cache, d_out, params, adj, s, ws=ops.Workspace(), d_in=d_in)
+    g = params.grads
+    return g.w_agg.copy(), None if g.w_self is None else g.w_self.copy(), g.bias.copy(), d_in
 
 
-def _mlp_forward(*args, **kwargs):
-    """mlp_forward in a fresh workspace of its own."""
-    return nn.mlp_forward(*args, ws=ops.Workspace(), **kwargs)
+def _mlp_forward(x, mlp, rng, training):
+    """mlp_forward in a fresh workspace of its own, with `rng` as the
+    dropout stream; returns (output, the MLP that holds its cache)."""
+    mlp = dataclasses.replace(mlp, rng=rng, ws=ops.Workspace())
+    return nn.mlp_forward(x, mlp, training), mlp
 
 
-def _mlp_backward(cache, d_out, mlp, input_grad=True):
-    """mlp_backward into new gradient arrays. It consumes the forward's
-    cache, so each backward needs a forward."""
-    out = [np.empty_like(a) for a in mlp.group.params]
-    d_in = np.empty_like(cache[0][0]) if input_grad else None
-    return nn.mlp_backward(cache, d_out, mlp, out=out, d_in=d_in)
+def _mlp_backward(mlp, d_out, input_grad=True):
+    """mlp_backward; returns ([(dW, db) per layer], d_input), copies of the
+    gradients it wrote into `mlp.grads`. It consumes the forward's cache,
+    so each backward needs a forward."""
+    d_in = np.empty_like(mlp.cache[0][0]) if input_grad else None
+    d_in = nn.mlp_backward(d_out, mlp, d_in=d_in)
+    return [(dw.copy(), db.copy()) for dw, db in mlp.grads], d_in
 
 
 # (w_in, w_out): a narrowing layer multiplies by W_agg before aggregating
@@ -275,7 +285,7 @@ class TestGcnLayer:
         rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
         fresh, c_fresh = _forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
 
-        for param in params.arrays():  # a layer that computed again would give NaN
+        for param in _arrays(params):  # a layer that computed again would give NaN
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
         out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, ws=ws, version=3)
@@ -327,27 +337,29 @@ class TestVersionedForward:
         adj, s = rand_graph
         params, h_in = self._layer()
         mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(20, 0), np.float64, dropout=0.5)
-        ws, mlp_ws, rng = ops.Workspace(), ops.Workspace(), ops.rng_stream(20, 1)
+        ws = ops.Workspace()
+        mlp.rng = rng = ops.rng_stream(20, 1)
         nn.gcn_layer_forward(adj, s, h_in, params, rng, False, 0.5, ws=ws, version=2)
-        nn.mlp_forward(h_in, mlp, rng, False, ws=mlp_ws, version=2)
-        assert ws.versions[0, "out"] == 2 and mlp_ws.versions == {(0, "a"): 2}
+        nn.mlp_forward(h_in, mlp, False, version=2)
+        assert ws.versions[0, "out"] == 2 and mlp.ws.versions == {(0, "a"): 2}
         nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, ws=ws, version=2)
-        nn.mlp_forward(h_in, mlp, rng, True, ws=mlp_ws, version=2)
-        assert ws.versions == {(0, "agg"): 2} and mlp_ws.versions == {}
+        nn.mlp_forward(h_in, mlp, True, version=2)
+        assert ws.versions == {(0, "agg"): 2} and mlp.ws.versions == {}
 
     def test_unversioned_calls_leave_versions_alone(self, rand_graph):
         adj, s = rand_graph
         params, h_in = self._layer()
         mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(21, 0), np.float64, dropout=0.5)
         ws, rng = ops.Workspace(), ops.rng_stream(21, 1)
+        mlp.ws, mlp.rng = ws, rng  # the layer's and the MLP's arrays in one workspace
         nn.gcn_layer_forward(adj, s, h_in, params, rng, False, 0.5, ws=ws, version=5)
-        nn.mlp_forward(h_in, mlp, rng, False, ws=ws, version=5)
+        nn.mlp_forward(h_in, mlp, False, version=5)
         before = dict(ws.versions)
         assert before == {(0, "agg"): 5, (0, "out"): 5, (0, "a"): 5}
         for training in (False, True):
             for layer in (0, 1):
                 nn.gcn_layer_forward(adj, s, h_in, params, rng, training, 0.5, ws=ws, layer=layer)
-            nn.mlp_forward(h_in, mlp, rng, training, ws=ws)
+            nn.mlp_forward(h_in, mlp, training)
         assert ws.versions == before
 
 
@@ -409,10 +421,11 @@ class TestPassesReadOnlyWhatTheyWrite:
             rng = ops.rng_stream(32, 0)
             h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, dropout, ws=ws)
             h_out = h_out.copy()
-            out = [np.full_like(a, fill) for a in params.arrays()]
+            for g in _arrays(params.grads):
+                g.fill(fill)
             d_in = np.full_like(h_in, fill)
-            nn.gcn_layer_backward(cache, d_out.copy(), params, adj, s, out=out, ws=ws, d_in=d_in)
-            return [h_out, *out, d_in]
+            nn.gcn_layer_backward(cache, d_out.copy(), params, adj, s, ws=ws, d_in=d_in)
+            return [h_out, *(g.copy() for g in _arrays(params.grads)), d_in]
 
         _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
 
@@ -424,12 +437,12 @@ class TestPassesReadOnlyWhatTheyWrite:
         d_out = ops.rng_stream(33, 2).standard_normal((9, 3)).astype(dtype)
 
         def run(ws, fill):
-            y, cache = nn.mlp_forward(x, mlp, ops.rng_stream(34, 0), True, ws=ws)
-            y = y.copy()
-            out = [np.full_like(a, fill) for a in mlp.group.params]
+            m = dataclasses.replace(mlp, rng=ops.rng_stream(34, 0), ws=ws)
+            y = nn.mlp_forward(x, m, True).copy()
+            m.group.grad.fill(fill)
             d_in = np.full_like(x, fill)
-            nn.mlp_backward(cache, d_out, mlp, out=out, d_in=d_in)
-            return [y, *out, d_in]
+            nn.mlp_backward(d_out, m, d_in=d_in)
+            return [y, *(g.copy() for layer in m.grads for g in layer), d_in]
 
         _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
 
@@ -496,9 +509,9 @@ class TestMlp:
             out, _ = _mlp_forward(x, mlp, rng, training=False)
             return ops.softmax_cross_entropy(out, labels)[0]
 
-        out, cache = _mlp_forward(x, mlp, rng, training=True)  # no dropout: eval's arithmetic
+        out, trained = _mlp_forward(x, mlp, rng, training=True)  # no dropout: eval's arithmetic
         _, d_logits = ops.softmax_cross_entropy(out, labels)
-        grads, d_x = _mlp_backward(cache, d_logits, mlp)
+        grads, d_x = _mlp_backward(trained, d_logits)
         for (w, b), (dw, db) in zip(mlp.layers, grads):
             assert rel_err(central_diff(loss, w), dw) <= 1e-5
             assert rel_err(central_diff(loss, b), db) <= 1e-5
@@ -511,8 +524,8 @@ class TestMlp:
         d_out = rng.standard_normal((8, 3))
 
         def backward(input_grad):  # each backward over a forward of its own, with the same mask
-            _, cache = _mlp_forward(x, mlp, ops.rng_stream(13, 1), training=True)
-            return _mlp_backward(cache, d_out, mlp, input_grad)
+            _, trained = _mlp_forward(x, mlp, ops.rng_stream(13, 1), training=True)
+            return _mlp_backward(trained, d_out, input_grad)
 
         full, d_x = backward(True)
         skipped, none = backward(False)
@@ -521,13 +534,24 @@ class TestMlp:
             np.testing.assert_array_equal(dw, sw)
             np.testing.assert_array_equal(db, sb)
 
+    def test_training_forward_leaves_its_cache_and_backward_consumes_it(self):
+        # as a device's stack does: an eval forward leaves no cache, and a
+        # backward clears the one it read
+        mlp = nn.init_mlp([5, 6, 3], ops.rng_stream(16, 0), np.float64, dropout=0.5)
+        x = ops.rng_stream(16, 1).standard_normal((7, 5))
+        nn.mlp_forward(x, mlp, training=True)
+        assert len(mlp.cache) == 2 and mlp.cache[0][0] is x
+        assert nn.mlp_backward(np.ones((7, 3)), mlp) is None and mlp.cache is None
+        nn.mlp_forward(x, mlp, training=True)
+        nn.mlp_forward(x, mlp, training=False)
+        assert mlp.cache is None
+
     def test_kept_first_layer_replaces_its_arithmetic(self):
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(14, 0), np.float32, dropout=0.4)
         x = ops.rng_stream(14, 1).standard_normal((9, 5)).astype(np.float32)
-        ws = ops.Workspace()
-        _, eval_cache = nn.mlp_forward(x, mlp, None, training=False, ws=ws, version=0)
+        nn.mlp_forward(x, mlp, training=False, version=0)
         # no dropout in an eval forward, so the second layer's input is relu(z)
-        mask, a = eval_cache[0][1], eval_cache[1][0]
+        mask, a = mlp.ws.get((0, "mask"), (9, 6), bool), mlp.ws.get((0, "a"), (9, 6), x.dtype)
         w, b = mlp.layers[0]
         z = x @ w + b
         assert mask.dtype == bool
@@ -535,13 +559,15 @@ class TestMlp:
         np.testing.assert_array_equal(a, ops.relu(z))
 
         rng, ref = ops.rng_stream(15, 0), ops.rng_stream(15, 0)
-        fresh, fresh_cache = _mlp_forward(x, mlp, ref, training=True)
+        fresh, fresh_mlp = _mlp_forward(x, mlp, ref, training=True)
         for param in mlp.layers[0]:  # a first layer that computed again would give NaN
             param[:] = np.nan
-        out, cache = nn.mlp_forward(x, mlp, rng, training=True, ws=ws, version=0)
+        mlp.rng = rng
+        out = nn.mlp_forward(x, mlp, training=True, version=0)
         np.testing.assert_array_equal(out, fresh)
+        cache = mlp.cache
         assert cache[0][0] is x and cache[0][1] is mask and cache[1][0] is a
-        for got, want in zip(cache, fresh_cache):
+        for got, want in zip(cache, fresh_mlp.cache):
             for g, f in zip(got, want):
                 np.testing.assert_array_equal(g, f)
         assert rng.random() == ref.random()
@@ -661,7 +687,7 @@ class TestAdam:
         # element-wise, so neither the cut nor the order moves a bit
         rng = np.random.default_rng(parts)
         start = [rng.standard_normal(shape).astype(np.float32) for shape in ((40, 30), (30,), (30, 7))]
-        with mock.patch.object(nn, "_ADAM_CHUNK", 64), mock.patch.object(nn, "_ADAM_MIN_RANGE", 100):
+        with mock.patch.object(nn, "_ADAM_CHUNK", 64), mock.patch.object(ops, "MIN_PASS_ELEMENTS", 100):
             whole, cut = _group(*start), _group(*start)
             rounds = []
             pool = ops.Pool(parts)
@@ -712,10 +738,10 @@ class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
         assert nn.cosine_lr(0, 100, 0.01) == pytest.approx(0.01)
         assert nn.cosine_lr(100, 100, 0.01) == pytest.approx(0.0, abs=1e-18)
-        assert nn.cosine_lr(50, 100, 0.01, lr_min=0.002) == pytest.approx(0.006)
+        assert nn.cosine_lr(50, 100, 0.01) == pytest.approx(0.005)
 
     def test_non_increasing(self):
-        values = [nn.cosine_lr(t, 37, 0.3, lr_min=0.01) for t in range(38)]
+        values = [nn.cosine_lr(t, 37, 0.3) for t in range(38)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_bad_horizon(self):

@@ -437,7 +437,7 @@ class TestDropout:
         rng = ops.rng_stream(7, 0)
         with ops.Pool(3, 3) as pool:
             got, keep, _ = ops.dropout(a.copy(), 0.4, True, rng, pool=pool)
-        assert len(pool.row_ranges(*shape)) == 3
+        assert len(pool.ranges(*shape)) == 3
         np.testing.assert_array_equal(keep, want_keep)
         np.testing.assert_array_equal(got, want)
         assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
@@ -523,16 +523,19 @@ def _f32(rng, *shape):
 
 
 class TestBlocks:
-    def test_ranges_cover_the_length(self):
-        assert ops.Pool(3).ranges(10, 2) == [(0, 3), (3, 6), (6, 10)]
-        assert ops.Pool(3).ranges(5, 2) == [(0, 2), (2, 5)]  # a third range would be under 2
-        assert ops.Pool(3).ranges(3, 2) == [(0, 3)]
-        assert ops.INLINE.ranges(10, 1) == [(0, 10)]
+    def test_ranges_cover_the_length(self, monkeypatch):
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 2)
+        assert ops.Pool(3).ranges(10) == [(0, 3), (3, 6), (6, 10)]
+        assert ops.Pool(3).ranges(5) == [(0, 2), (2, 5)]  # a third range would be under 2
+        assert ops.Pool(3).ranges(3) == [(0, 3)]
+        assert ops.INLINE.ranges(10) == [(0, 10)]
 
     def test_row_ranges_hold_the_element_floor(self):
         rows = ops.MIN_PASS_ELEMENTS // 64
-        assert ops.Pool(4).row_ranges(3 * rows, 64) == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows)]
-        assert ops.Pool(4).row_ranges(2 * rows - 1, 64) == [(0, 2 * rows - 1)]
+        assert ops.Pool(4).ranges(3 * rows, 64) == [(0, rows), (rows, 2 * rows), (2 * rows, 3 * rows)]
+        assert ops.Pool(4).ranges(2 * rows - 1, 64) == [(0, 2 * rows - 1)]
+        # an Adam step's flat buffer: ranges of MIN_PASS_ELEMENTS elements
+        assert ops.Pool(4).ranges(2 * ops.MIN_PASS_ELEMENTS) == [(0, rows * 64), (rows * 64, 2 * rows * 64)]
 
     def test_small_or_narrow_products_stay_whole(self, monkeypatch):
         # a product below the work floor, and, with no floor, one whose

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,16 +114,19 @@ class TestSliceFeature:
         np.testing.assert_array_equal(rebuilt, x)
 
 
-def _fusion_forward(*args, **kwargs):
-    """feature_fusion_forward in a fresh workspace of its own."""
-    return slicing.feature_fusion_forward(*args, ws=ops.Workspace(), **kwargs)
+def _fusion_forward(x, ff, rng, training):
+    """feature_fusion_forward in a fresh workspace of its own, with `rng` as
+    the dropout stream; returns (z, the fusion MLP that holds its cache)."""
+    ff = dataclasses.replace(ff, rng=rng, ws=ops.Workspace())
+    return slicing.feature_fusion_forward(x, ff, training), ff
 
 
-def _fusion_backward(d_z, cache, ff):
-    """feature_fusion_backward into new gradient arrays. It consumes the
-    forward's cache, so each backward needs a forward."""
-    out = [np.empty_like(a) for a in ff.group.params]
-    return slicing.feature_fusion_backward(d_z, cache, ff, out=out)
+def _fusion_backward(d_z, ff):
+    """feature_fusion_backward; returns copies of the gradients it wrote into
+    `ff.grads`. It consumes the forward's cache, so each backward needs a
+    forward."""
+    slicing.feature_fusion_backward(d_z, ff)
+    return [(dw.copy(), db.copy()) for dw, db in ff.grads]
 
 
 class TestFeatureFusion:
@@ -159,8 +163,8 @@ class TestFeatureFusion:
     def test_zero_upstream_zero_grads(self):
         ff = self._fusion(6, 3)
         x = np.random.default_rng(2).standard_normal((5, 6))
-        z, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
-        grads = _fusion_backward(np.zeros_like(z), cache, ff)
+        z, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        grads = _fusion_backward(np.zeros_like(z), trained)
         for dw, db in grads:
             assert not dw.any() and not db.any()
 
@@ -168,11 +172,11 @@ class TestFeatureFusion:
         # two identical consumers contribute exactly twice the single gradient
         ff = self._fusion(5, 2)
         x = np.random.default_rng(3).standard_normal((4, 5))
-        z, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        z, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
         dz = np.random.default_rng(4).standard_normal(z.shape)
-        g1 = _fusion_backward(dz, cache, ff)
-        _, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)  # g1 consumed the first
-        g2 = _fusion_backward(dz + dz, cache, ff)
+        g1 = _fusion_backward(dz, trained)
+        _, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)  # g1 consumed the first
+        g2 = _fusion_backward(dz + dz, trained)
         for (dw1, db1), (dw2, db2) in zip(g1, g2):
             np.testing.assert_allclose(dw2, 2 * dw1, rtol=1e-12)
             np.testing.assert_allclose(db2, 2 * db1, rtol=1e-12)
@@ -187,8 +191,8 @@ class TestFeatureFusion:
             z, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
             return 0.5 * float(((z - target) ** 2).sum())
 
-        z, cache = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
-        grads = _fusion_backward(z - target, cache, ff)
+        z, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        grads = _fusion_backward(z - target, trained)
         flat = [g for pair in grads for g in pair]
         params = [a for layer in ff.layers for a in layer]
         h = 1e-6
