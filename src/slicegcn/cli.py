@@ -248,12 +248,17 @@ def _log_epoch(report, _logits) -> None:
 def _check_out_path(path: Path) -> None:
     """Fails unless a file can be written at `path`: it is no directory, its
     nearest existing ancestor (a link to nothing counts) is one, and a link
-    to nothing points into an existing directory, as the write makes none
-    for a link's target. Checked before any epoch runs; creates no file."""
+    to nothing ends in no loop (its resolved path is no link) and points
+    into an existing directory, as the write makes none for a link's
+    target. Checked before any epoch runs; creates no file."""
     if path.is_dir():
         raise UsageError(f"cannot write {path}: it is a directory")
-    if path.is_symlink() and not path.exists() and not Path(os.path.realpath(path)).parent.is_dir():
-        raise UsageError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+    if path.is_symlink() and not path.exists():
+        target = Path(os.path.realpath(path))
+        if target.is_symlink():  # realpath stops at a loop
+            raise UsageError(f"cannot write {path}: {os.strerror(errno.ELOOP)}")
+        if not target.parent.is_dir():
+            raise UsageError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
     for parent in path.parents:
         if parent.exists() or parent.is_symlink():
             if not parent.is_dir():

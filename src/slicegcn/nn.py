@@ -23,7 +23,8 @@ layer then skips its aggregation.
 A rectified layer keeps, for its backward pass, only where its
 pre-activation was positive: it forms the pre-activation in its output
 array, records pre > 0 in a bool mask, and rectifies in place, and backward
-forms d_pre = d_out * mask.
+masks the gradient it is handed in place, d_pre = d_out * mask, once the
+self path has read d_out.
 
 A layer over a fixed input (a device's feature slice, or the features
 under the fusion MLP; dropout acts on layer outputs, not on the input) is
@@ -46,8 +47,11 @@ state as a device does (`MlpParams`): its dropout stream, its workspace,
 and the cache of its training forward, which its backward consumes. A
 layer writes its cached arrays and output under per-layer keys, so each
 pass writes the arrays the previous pass did; a kept result is then
-already where the next forward reads it. Temporaries share scratch keys,
-and backward passes write gradients over forward arrays that nothing reads
+already where the next forward reads it. A GCN layer's temporaries live in
+the workspace's one scratch array (`ops.scratch`), which is also the
+SpMM's padded input: a product the layer aggregates next is formed there,
+and the SpMM scales it in place. Backward passes consume the gradient they
+are handed and write gradients over forward arrays that nothing reads
 afterwards (see `mlp_backward`, which so needs no scratch).
 
 All backward passes are hand-derived reverse-mode gradients. The input
@@ -124,6 +128,7 @@ class GcnLayerCache:
     mask: Optional[np.ndarray]  # bool, where the pre-activation Â h_in W_agg + b is positive; None if not recorded
     keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
+    own_agg: bool = False  # agg was formed by this pass, and nothing reads it after backward's dW_agg
 
 
 def _activate(h, mask, self_path, bias) -> None:
@@ -157,14 +162,17 @@ def gcn_layer_forward(
 
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
-    layer `layer` writes the same arrays, and its temporaries share the
-    workspace's scratch keys. `out`, when given, is the array the output is
-    written into instead; the pre-activation is formed there too. The
-    products, the SpMM, dropout and the element-wise passes split on `pool`.
+    layer `layer` writes the same arrays, and its temporaries live in the
+    workspace's scratch (`ops.scratch`): a narrowing layer forms H W_agg
+    there, where the SpMM scales it as its padded input. `out`, when given,
+    is the array the output is written into instead; the pre-activation is
+    formed there too. The products, the SpMM, dropout and the element-wise
+    passes split on `pool`.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
     keeps = version is not None and out is None
     kept = keeps and ws.versions.pop((layer, "out"), None) == version
+    own_agg = False
     if version is not None and agg is None:
         agg = ws.get((layer, "agg"), (n, w_in), dtype)
         if (layer, "agg") not in ws.versions:  # a fixed input's aggregate holds at every version
@@ -175,31 +183,34 @@ def gcn_layer_forward(
     mask = ws.get((layer, "mask"), (n, w_out), bool) if training or keeps else None
     if not kept:
         if agg is None and narrows(params):
-            t = pool.matmul(h_in, params.w_agg, out=ws.get("tmp", (n, w_out), dtype))
+            # H W_agg in the scratch, which the SpMM then scales in place as its padded input
+            t = pool.matmul(h_in, params.w_agg, out=ops.scratch(ws, n, w_out, dtype))
             ops.spmm_norm(adj, s, t, out=h_out, ws=ws, pool=pool)
         else:
             if agg is None:
+                own_agg = True
                 agg = ops.spmm_norm(
                     adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws, pool=pool
                 )
             pool.matmul(agg, params.w_agg, out=h_out)
         self_path = None
         if params.w_self is not None:
-            self_path = pool.matmul(h_in, params.w_self, out=ws.get("tmp", (n, w_out), dtype))
+            self_path = pool.matmul(h_in, params.w_self, out=ops.scratch(ws, n, w_out, dtype))
         pool.rows(_activate, (h_out, mask, self_path), params.bias)
     if keeps and not training:
         ws.versions[layer, "out"] = version
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
     h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep, pool=pool)
-    return h_out, GcnLayerCache(h_in=h_in, agg=agg, mask=mask, keep=keep, scale=scale)
+    return h_out, GcnLayerCache(h_in=h_in, agg=agg, mask=mask, keep=keep, scale=scale, own_agg=own_agg)
 
 
-def _deactivate(out, d, keep, mask, scale) -> None:
-    """The gradient through dropout and the ReLU: d = (d * keep) * scale,
-    in place, when dropout was applied (`keep` not None), then out = d * mask."""
+def _deactivate(d, keep, mask, scale) -> None:
+    """The gradient through dropout and the ReLU, in place: d = (d * keep) * scale
+    when dropout was applied (`keep` not None), then d = d * mask unless `mask` is None."""
     if keep is not None:
         ops.apply_mask(d, keep, scale, out=d)
-    np.multiply(d, mask, out=out)
+    if mask is not None:
+        np.multiply(d, mask, out=d)
 
 
 def gcn_layer_backward(
@@ -208,42 +219,62 @@ def gcn_layer_backward(
     """Writes dW_agg, dW_self and db into `params.grads`; returns dH_in.
 
     dH_in is written into `d_in`, and is not formed without it (None is
-    returned then). The temporaries come from the scratch keys of `ws`, and
-    the dropout mask is applied to `d_out` in place. The products, the SpMM
-    and the element-wise passes split on `pool`.
+    returned then). The backward consumes `d_out`, which may be a strided
+    view (a device's column block): it applies the dropout mask to it in
+    place, and, once dW_self and the self path's d_out W_selfᵀ are formed,
+    the ReLU mask, so `d_out` holds d_pre; then it writes further gradients
+    over it. Its temporaries are the scratch of `ws` (`ops.scratch`). The
+    products, the SpMM and the element-wise passes split on `pool`.
 
-    A narrowing layer forms G = Âᵀ d_pre once, at the output width, for
-    dW_agg = H_inᵀ G (when the forward kept no aggregate) and dH_in = G W_aggᵀ.
-    dH_in is formed last, after every read of H_in, so `d_in` may be H_in's
-    own array.
+    A narrowing layer forms G = Âᵀ d_pre once, at the output width, over
+    d_pre, for dW_agg = H_inᵀ G (when the forward kept no aggregate) and
+    dH_in = G W_aggᵀ; H_in is read after `d_in` is first written, so `d_in`
+    must not share H_in's memory there (ValueError). Any other layer
+    aggregates d_pre W_aggᵀ, which it forms in the scratch, and may be
+    given H_in's own array as `d_in`. The aggregation term goes straight
+    into `d_in` when the layer has no self path; otherwise it goes to an
+    array that is dead by then and is added to `d_in`: the layer's own
+    aggregate, else d_pre's memory (a strided d_pre's first columns, which
+    the SpMM reaches through its accumulator), never a caller's `agg`.
     """
     n, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
-    grads = params.grads
-    d_pre = ws.get("d_pre", (n, w_out), dtype)
-    pool.rows(_deactivate, (d_pre, d_out, cache.keep, cache.mask), cache.scale)
-    np.sum(d_pre, axis=0, out=grads.bias)
-    narrowing = narrows(params)
-    g = None
-    if narrowing and (cache.agg is None or d_in is not None):
-        g = ops.spmm_norm(
-            adj, s, d_pre, transpose=True, out=ws.get("tmp", (n, w_out), dtype), ws=ws, pool=pool
-        )
-    if cache.agg is None:
-        pool.matmul(cache.h_in.T, g, out=grads.w_agg)
-    else:
-        pool.matmul(cache.agg.T, d_pre, out=grads.w_agg)
-    if params.w_self is not None:
+    grads, narrowing, dual = params.grads, narrows(params), params.w_self is not None
+    if narrowing and d_in is not None and np.shares_memory(d_in, cache.h_in):
+        raise ValueError("gcn_layer_backward: a narrowing layer's d_in shares H_in's memory, which it reads last")
+    if cache.keep is not None:
+        pool.rows(_deactivate, (d_out, cache.keep, None), cache.scale)
+    if dual:
         pool.matmul(cache.h_in.T, d_out, out=grads.w_self)
-    if d_in is None:
-        return None
+        if d_in is not None:
+            pool.matmul(d_out, params.w_self.T, out=d_in)
+    d_pre = d_out
+    pool.rows(_deactivate, (d_pre, None, cache.mask), None)
+    np.sum(d_pre, axis=0, out=grads.bias)
+    if cache.agg is not None:
+        pool.matmul(cache.agg.T, d_pre, out=grads.w_agg)
     if narrowing:
-        pool.matmul(g, params.w_agg.T, out=d_in)
+        if cache.agg is None or d_in is not None:
+            g = ops.spmm_norm(adj, s, d_pre, transpose=True, out=d_pre, ws=ws, pool=pool)
+        if cache.agg is None:
+            pool.matmul(cache.h_in.T, g, out=grads.w_agg)
+        if d_in is None:
+            return None
+        term = pool.matmul(g, params.w_agg.T, out=ops.scratch(ws, n, w_in, dtype) if dual else d_in)
     else:
-        t = pool.matmul(d_pre, params.w_agg.T, out=ws.get("tmp", (n, w_in), dtype))
-        ops.spmm_norm(adj, s, t, transpose=True, out=d_in, ws=ws, pool=pool)
-    if params.w_self is not None:
-        self_path = pool.matmul(d_out, params.w_self.T, out=ws.get("tmp", (n, w_in), dtype))
-        pool.rows(operator.iadd, (d_in, self_path))
+        if d_in is None:
+            return None
+        t = pool.matmul(d_pre, params.w_agg.T, out=ops.scratch(ws, n, w_in, dtype))
+        if not dual:
+            target = d_in
+        elif cache.own_agg:
+            target = cache.agg
+        elif d_pre.flags.c_contiguous:
+            target = d_pre.reshape(-1)[: n * w_in].reshape(n, w_in)
+        else:  # a one-layer stack's strided block: the SpMM sums in an accumulator of `ws`
+            target = d_pre[:, :w_in]
+        term = ops.spmm_norm(adj, s, t, transpose=True, out=target, ws=ws, pool=pool)
+    if dual:
+        pool.rows(operator.iadd, (d_in, term))
     return d_in
 
 
@@ -331,7 +362,7 @@ def mlp_backward(d_out, mlp: MlpParams, *, d_in=None, pool=ops.INLINE):
         h, mask, keep, scale = cache[li]
         (w, _), (dw, db) = mlp.layers[li], mlp.grads[li]
         if mask is not None:  # hidden layer: undo dropout and ReLU, in place (d is this pass's own)
-            pool.rows(_deactivate, (d, d, keep, mask), scale)
+            pool.rows(_deactivate, (d, keep, mask), scale)
         pool.matmul(h.T, d, out=dw)
         np.sum(d, axis=0, out=db)
         if li == 0 and d_in is None:

@@ -7,8 +7,10 @@ which writes its output into the array it is given (callers pass arrays they
 own). The element-wise kernels follow numpy: `out=` names the array their
 result is written into, and without it they return a new one. `spmm_norm`
 writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
-where its temporaries live. Kernels keep no state; a workspace belongs to
-one owner, which uses it from one thread at a time.
+where its temporaries live; its padded input is the workspace's scratch
+array (`scratch`), so an input its caller formed there is scaled in place.
+Kernels keep no state; a workspace belongs to one owner, which uses it
+from one thread at a time.
 
 `Pool` holds a run's threads: it runs one task per device, and cuts a
 large dense product, SpMM, dropout mask or element-wise pass into at most
@@ -228,12 +230,15 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     adds each row's terms one by one in CSR order from +0.0 (padding adds
     +0.0, a no-op there), so results are bit-identical for any thread schedule.
 
-    The padded input and the gather buffer come from `ws` (they are dead
-    when the call returns). The blocks sum into `out`, which may be `h`
-    itself, as the input is read only through the padded copy; then the
-    rows go back to node order in the padded buffer, and from there, scaled,
-    into `out`, which is returned. With one column (padded to two) they sum
-    into a scratch accumulator of `ws` instead.
+    The padded input is the scratch array of `ws` (`scratch`), and the
+    gather buffer comes from `ws` too (both are dead when the call
+    returns). An input the caller wrote into the scratch is scaled there in
+    place. The blocks sum into `out`, which may be `h` itself, as the input
+    is read only through the padded array, but is never the scratch; then
+    the rows go back to node order in the padded array, and from there,
+    scaled, into `out`, which is returned. With one column (padded to two),
+    or an `out` that is not C-contiguous (np.take would copy it), they sum
+    into an accumulator of `ws` instead.
 
     On `pool`, the blocks run in up to `pool.parts` runs of near-equal
     entries (`RowBlocks.parts`, `Pool.count`), each through a gather buffer
@@ -249,8 +254,8 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
     lay = adj.blocks_t if transpose else adj.blocks
     width = max(c, 2)  # one column would make a one-row block's reduce pairwise, out of order
-    scaled = ws.get("spmm.padded", (n + 1, width), h.dtype)
-    acc = out if width == c else ws.get("spmm.acc", (n, width), h.dtype)
+    scaled = _padded(ws, n, c, h.dtype)  # h itself may be its first n rows and c columns
+    acc = out if width == c and out.flags.c_contiguous else ws.get("spmm.acc", (n, width), h.dtype)
 
     k, shape = pool.count(lay.indices.size * width, n), (lay.max_entries, width)
     if k == 1 and (pool.parts < 2 or n * width < 2 * MIN_PASS_ELEMENTS):  # whole: no pass splits
@@ -268,6 +273,23 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     pool.rows(_reorder, (scaled[:n], lay.rank), acc)
     pool.rows(_unscale, (out, scaled[:n], s))
     return out
+
+
+SCRATCH = "tmp"  # the workspace key of a layer's temporaries and of the SpMM's padded input
+
+
+def _padded(ws, n: int, c: int, dtype) -> np.ndarray:
+    """The scratch array of `ws` at the shape `spmm_norm` pads an n x c input to."""
+    return ws.get(SCRATCH, (n + 1, max(c, 2)), dtype)
+
+
+def scratch(ws, n: int, c: int, dtype) -> np.ndarray:
+    """An n x c temporary in the scratch array of `ws`: its first n rows
+    and c columns. The array is fetched at the (n + 1) x max(c, 2) shape
+    `spmm_norm` pads its input to, so its memory is made once, at that
+    size; a product written here and passed to `spmm_norm` is scaled in
+    place, as the SpMM's own padded input."""
+    return _padded(ws, n, c, dtype)[:n, :c]
 
 
 def _scale_rows(out, h, s) -> None:

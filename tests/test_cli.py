@@ -288,6 +288,21 @@ class TestOutPath:
         assert not forwards
         assert sorted(p.name for p in tmp_path.iterdir()) == [name] and not link.exists()
 
+    @pytest.mark.parametrize("command,name", [("train", "m.json"), ("train", "m.csv"), ("bench", "b.json")])
+    def test_link_loop_out_fails_before_training(self, tmp_path, capsys, monkeypatch, command, name):
+        # a link to itself: the write would fail with ELOOP after every epoch
+        forwards, forward = [], engine.epoch_forward
+        monkeypatch.setattr(engine, "epoch_forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+        link = tmp_path / name
+        link.symlink_to(name)
+        out = link if name != "m.csv" else tmp_path / "m.json"
+        extra = ["--cells", "slice:2"] if command == "bench" else []
+        rc = run_cli([command, *SYNTH_ARGS, "--epochs", "2", *extra, "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert f"error: cannot write {link}: Too many levels of symbolic links" in capsys.readouterr().err
+        assert not forwards
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name] and link.is_symlink()
+
     def test_out_under_a_dangling_link_fails_before_training(self, tmp_path, capsys, trains):
         # making the link's directory would fail: the link itself is in the way
         link = tmp_path / "d"

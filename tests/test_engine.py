@@ -1047,11 +1047,45 @@ class TestBuffers:
         assert max(rises[1:]) < n * hidden * 4, rises
         assert bool(pooled) == (threads > 1)  # a p = 1 run's device splits its kernels on the pool
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("variant,p,layers,hidden", [
+        ("baseline", 1, 2, 64), ("slice", 2, 2, 64), ("slice_ffse", 2, 2, 64),
+        ("slice_ff", 2, 1, 64),  # a one-layer fusion stack: a strided d_out and a shared aggregate
+        ("slice_ff", 2, 1, 16),  # the same, narrowing (9 -> 8): G = Âᵀ d_pre over a strided d_pre
+    ])
+    def test_warm_backward_allocates_less_than_one_device_gradient(self, variant, p, layers, hidden, threads, pooled):
+        # once the buffers exist, a backward pass allocates less than one
+        # device's n x hidden/p output gradient: the steady-epoch bound
+        # (n x hidden) would miss a per-device copy at p = 2. What a pass
+        # allocates is numpy's fixed-size ufunc buffers, up to 130 KB per
+        # thread at once: n makes the narrowest gradient twice two threads' worth
+        n = 16000
+        g = synth_graph(n=n, classes=3, d_feat=16, p_in=2.5e-3, p_out=2.5e-4, signal=1.0, seed=2)
+        cfg = TrainConfig(variant=variant, p=p, hidden=hidden, layers=layers, seed=1, threads=threads)
+        run = engine.build_run(g, cfg)
+        with blas.limit_threads(1), run.pool:
+            for _ in range(2):
+                engine.epoch_forward(run, training=True)
+                engine.epoch_backward(run, 1e-3)
+                engine.apply_updates(run, 1e-3)
+                engine.epoch_forward(run, training=False)
+            engine.epoch_forward(run, training=True)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                engine.epoch_backward(run, 1e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - base < n * (hidden // p) * 4, peak - base
+
     @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_ffse", 2)])
     def test_workspaces_hold_what_backward_reads(self, small_graph, monkeypatch, variant, p):
         # every workspace key and its bytes after a training, counted by hand:
         # a layer keeps a bool ReLU mask (1 byte per element, like the dropout
-        # keep mask), no f32 pre-activation, and the SpMM sums into its output
+        # keep mask), no f32 pre-activation, and the SpMM sums into its output;
+        # one scratch array, which is also the SpMM's padded input, and no
+        # d_pre, as backward masks the gradient it is handed in place
         runs = []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
@@ -1065,8 +1099,7 @@ class TestBuffers:
         device = {
             (0, "out"): n * h * f4, (0, "mask"): n * h, (0, "keep"): n * h,
             (1, "agg"): n * h * f4, (1, "mask"): n * h,
-            "tmp": n * h * f4, "d_pre": n * h * f4,
-            "spmm.padded": (n + 1) * h * f4, "spmm.gather": e * h * f4,
+            "tmp": (n + 1) * h * f4, "spmm.gather": e * h * f4,
         }
         if cfg.use_ff:
             assert engine.slicing.fusion_output_width(d, p) == h
@@ -1081,7 +1114,7 @@ class TestBuffers:
         if cfg.use_ff:
             fusion = {
                 (0, "a"): n * d * f4, (0, "mask"): n * d, (0, "keep"): n * d, (1, "out"): n * h * f4,
-                "agg": n * h * f4, "spmm.padded": (n + 1) * h * f4, "spmm.gather": e * h * f4,
+                "agg": n * h * f4, "tmp": (n + 1) * h * f4, "spmm.gather": e * h * f4,
             }
             owners.append((run.head.fusion.ws, fusion))
         for ws, want in owners:
@@ -1114,8 +1147,10 @@ class TestBuffers:
 
     def test_backward_writes_over_dead_forward_arrays(self, small_graph):
         # the representation's gradient is written over the representation,
-        # bit for bit that of a backward over copies of the forward's arrays;
-        # fusion mode sums the devices' input gradients into device 0's own array
+        # bit for bit that of a backward over copies of the forward's arrays,
+        # and each device's last layer then writes its d_pre over its block
+        # (the layer's aggregation term goes to its own aggregate); fusion
+        # mode sums the devices' input gradients into device 0's own array
         cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
         run = engine.build_run(small_graph, cfg)
         seen = []
@@ -1125,7 +1160,12 @@ class TestBuffers:
                        lambda d_z, *a, **k: seen.append(d_z) or fusion_backward(d_z, *a, **k))
             engine.epoch_forward(run, training=True)
             d_rep = _reference_d_rep(run)
+            masks = [w.cache[-1].mask for w in run.workers]  # the last layers' ReLU masks; no dropout there
             engine.epoch_backward(run, 1e-2)
+        width = d_rep.shape[1] // cfg.p
+        for i, mask in enumerate(masks):
+            block = slice(i * width, (i + 1) * width)
+            np.multiply(d_rep[:, block], mask, out=d_rep[:, block])
         np.testing.assert_array_equal(_representation(run), d_rep)
         w0 = run.workers[0]
         assert seen[0] is w0.ws.get("dx", seen[0].shape, seen[0].dtype)

@@ -158,7 +158,7 @@ class TestGcnLayer:
         h_in = rng.standard_normal((30, 6))
         h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
         d_out = rng.standard_normal(h_out.shape)
-        _, dw_self, _, _ = _backward(cache, d_out, params, adj, s)
+        _, dw_self, _, _ = _backward(cache, d_out.copy(), params, adj, s)  # backward consumes its d_out
         np.testing.assert_allclose(dw_self, h_in.T @ d_out, atol=1e-12)
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
@@ -251,7 +251,7 @@ class TestGcnLayer:
         h_in = rng.standard_normal((30, w_in))
         d_out = rng.standard_normal((30, w_out))
         own, own_cache = _forward(adj, s, h_in, params, rng, training=True)
-        own_grads = _backward(own_cache, d_out, params, adj, s, input_grad=False)
+        own_grads = _backward(own_cache, d_out.copy(), params, adj, s, input_grad=False)  # consumes its d_out
         agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
 
         calls = []
@@ -363,18 +363,119 @@ class TestVersionedForward:
         assert ws.versions == before
 
 
+class TestBackwardConsumesItsGradient:
+    """gcn_layer_backward masks the d_out it is handed in place and writes
+    further gradients over it; the arrays it writes the aggregation term
+    into are dead ones of its own, never a caller's."""
+
+    @staticmethod
+    def _run(adj, s, shape, form, d_out, given_agg):
+        """A training forward with dropout in a fresh workspace, then a
+        backward of `d_out` into a new d_in; returns (grads, d_in, the
+        given aggregate's bytes before and after the backward)."""
+        w_in, w_out = LAYER_SHAPES[shape]
+        params = _gcn_layer(w_in, w_out, ops.rng_stream(40, 0), np.float32, form)
+        h_in = ops.rng_stream(40, 1).standard_normal((adj.num_nodes, w_in)).astype(np.float32)
+        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace()) if given_agg else None
+        ws = ops.Workspace()
+        _, cache = nn.gcn_layer_forward(adj, s, h_in, params, ops.rng_stream(40, 2), True, 0.5, agg=agg, ws=ws)
+        before = None if agg is None else agg.tobytes()
+        d_in = nn.gcn_layer_backward(cache, d_out, params, adj, s, ws=ws, d_in=np.empty_like(h_in))
+        return [g.copy() for g in _arrays(params.grads)], d_in, (before, None if agg is None else agg.tobytes())
+
+    @staticmethod
+    def _block(n, w_out):
+        """A column block of a wider array, as a p > 1 device's last layer gets its d_out."""
+        wide = ops.rng_stream(41, 0).standard_normal((n, 3 * w_out)).astype(np.float32)
+        return wide[:, w_out : 2 * w_out]
+
+    @pytest.mark.parametrize("given_agg", [False, True])
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_strided_d_out_gives_the_bits_of_a_contiguous_copy(self, directed_graph, shape, form, given_agg):
+        adj, s = directed_graph
+        s = s.astype(np.float32)
+        block = self._block(adj.num_nodes, LAYER_SHAPES[shape][1])
+        assert not block.flags.c_contiguous
+        contiguous = self._run(adj, s, shape, form, block.copy(), given_agg)
+        strided = self._run(adj, s, shape, form, block, given_agg)
+        _assert_same_bits([*strided[0], strided[1]], [*contiguous[0], contiguous[1]])
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_given_aggregate_unchanged_by_backward(self, directed_graph, shape, form, strided):
+        # the fusion variants' shared Â·z is read by every device's backward
+        adj, s = directed_graph
+        s = s.astype(np.float32)
+        block = self._block(adj.num_nodes, LAYER_SHAPES[shape][1])
+        _, _, (before, after) = self._run(adj, s, shape, form, block if strided else block.copy(), given_agg=True)
+        assert after == before
+
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    def test_narrowing_layer_rejects_d_in_over_h_in(self, rand_graph, form):
+        # its input gradient G W_aggᵀ (and the self path) would overwrite
+        # H_in before dW_agg = H_inᵀ G reads it
+        adj, s = rand_graph
+        params = _gcn_layer(*LAYER_SHAPES["narrowing"], ops.rng_stream(42, 0), np.float64, form)
+        h_in = ops.rng_stream(42, 1).standard_normal((30, LAYER_SHAPES["narrowing"][0]))
+        ws = ops.Workspace()
+        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, None, True, ws=ws)
+        with pytest.raises(ValueError, match="shares H_in"):
+            nn.gcn_layer_backward(cache, np.ones_like(h_out), params, adj, s, ws=ws, d_in=h_in[:, ::-1])
+
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", ["widening", "equal"])
+    def test_other_layers_write_d_in_over_h_in(self, rand_graph, shape, form):
+        # as the engine's layers above 0 do: the bits of a separate d_in
+        adj, s = rand_graph
+        w_in, w_out = LAYER_SHAPES[shape]
+        params = _gcn_layer(w_in, w_out, ops.rng_stream(43, 0), np.float64, form)
+        h_in = ops.rng_stream(43, 1).standard_normal((30, w_in))
+        d_out = ops.rng_stream(43, 2).standard_normal((30, w_out))
+        h_out, cache = _forward(adj, s, h_in.copy(), params, None, True)
+        want = _backward(cache, d_out.copy(), params, adj, s)
+        h_out, cache = _forward(adj, s, h_in, params, None, True)
+        ws = ops.Workspace()
+        got = nn.gcn_layer_backward(cache, d_out.copy(), params, adj, s, ws=ws, d_in=h_in)
+        assert got is h_in
+        _assert_same_bits([*_arrays(params.grads), got], [g for g in want if g is not None])
+
+
 class _FilledWorkspace(ops.Workspace):
     """A workspace whose arrays hold `byte` in every byte each time it hands
-    one out, however often it did before."""
+    one out, however often it did before, but for the elements of `spared`:
+    the input an SpMM was handed (`_sparing_spmm`). A caller that writes
+    the SpMM's input into the scratch hands it over so, and the SpMM's own
+    get of its padded input, the same memory, keeps what the caller wrote;
+    the rest of that array, and every other array, is poisoned."""
 
     def __init__(self, byte):
         super().__init__()
         self.byte = byte
+        self.spared = None
 
     def get(self, key, shape, dtype):
         a = super().get(key, shape, dtype)
+        kept = self.spared.copy() if self.spared is not None and np.shares_memory(a, self.spared) else None
         a.reshape(-1).view(np.uint8).fill(self.byte)
+        if kept is not None:
+            self.spared[...] = kept
         return a
+
+
+def _sparing_spmm(monkeypatch):
+    """Makes every `ops.spmm_norm` call spare its input `h` in a `_FilledWorkspace`."""
+    spmm = ops.spmm_norm
+
+    def sparing(adj, s, h, *args, ws, **kwargs):
+        ws.spared = h
+        try:
+            return spmm(adj, s, h, *args, ws=ws, **kwargs)
+        finally:
+            ws.spared = None
+
+    monkeypatch.setattr(ops, "spmm_norm", sparing)
 
 
 def _assert_same_bits(got, want):
@@ -408,8 +509,9 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
-    def test_gcn_layer(self, directed_graph, shape, form, dropout, dtype):
+    def test_gcn_layer(self, directed_graph, monkeypatch, shape, form, dropout, dtype):
         adj, s = directed_graph
+        _sparing_spmm(monkeypatch)
         s = s.astype(dtype)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(31, 0), dtype, form)

@@ -131,9 +131,9 @@ class TestSpmmNorm:
 
     @pytest.mark.parametrize("case", ["out_is_h", "column_block", "one_column", "transpose_directed"])
     def test_sums_into_given_output(self, case, dense_oracle):
-        # the blocks sum straight into `out` (a one-column input keeps the
-        # scratch accumulator): the bits of a fresh output and of the
-        # accumulator that a call without `out` sums into, the oracle's values
+        # the blocks sum straight into `out` (a one-column input, and a
+        # strided `out`, which np.take would copy, keep the workspace's
+        # accumulator): the bits of a fresh output, the oracle's values
         rng = np.random.default_rng(12)
         n, cols = 300, 1 if case == "one_column" else 5
         directed = case == "transpose_directed"
@@ -153,7 +153,7 @@ class TestSpmmNorm:
         assert out.tobytes() == fresh.tobytes() == _spmm(adj, s, x, directed).tobytes()
         dense = dense_oracle(adj)
         np.testing.assert_allclose(out, (dense.T if directed else dense) @ x, rtol=1e-5, atol=1e-6)
-        assert ("spmm.acc" in ws._memory) == (cols == 1)
+        assert ("spmm.acc" in ws._memory) == (cols == 1 or case == "column_block")
 
     @staticmethod
     def _part_graph(case):
@@ -197,6 +197,31 @@ class TestSpmmNorm:
             assert len(gathers) == len(cut)
         if case == "directed":
             assert len(cut) == parts
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_input_in_its_own_scratch(self, monkeypatch, cols, transpose, split):
+        # a caller that writes the input into the workspace's scratch
+        # (`ops.scratch`) has it scaled there, in place, as the padded input:
+        # the bits of a separate input, and no other memory for the input
+        adj = self._part_graph("directed")
+        n = adj.num_nodes
+        s = degree_norms(adj).astype(np.float32)
+        x = np.random.default_rng(15).standard_normal((n, cols)).astype(np.float32)
+        want = _spmm(adj, s, x, transpose)
+        if split:  # every pass splits, in two parts on two threads
+            monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+            monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+        with ops.Pool(2, 2) if split else ops.INLINE as pool:
+            ws = ops.Workspace()
+            h = ops.scratch(ws, n, cols, np.float32)
+            h[...] = x
+            memory = ws._memory[ops.SCRATCH]
+            got = ops.spmm_norm(adj, s, h, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
+        assert got.tobytes() == want.tobytes()
+        assert ws._memory[ops.SCRATCH] is memory and memory.size == (n + 1) * max(cols, 2) * 4
+        assert not [k for k in ws._memory if k not in (ops.SCRATCH, "spmm.acc") and "spmm.gather" not in k]
 
     def test_row_parts_are_cut_once_per_count(self):
         adj = self._part_graph("directed")
