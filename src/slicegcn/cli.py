@@ -111,9 +111,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
         help="upper bound on the run's threads, the master's included: it runs device 0 itself "
              "(default: the cores this process may use; 1 = sequential). These are all of the run's "
              "compute threads, as BLAS runs on one thread: they run the devices, and the master's "
-             "large products, SpMMs, element-wise passes and optimizer steps in parts (with p = 1, "
-             "one part per thread, the device's too). A run whose devices do too little work for a "
-             "thread hand-off to pay runs everything on the master",
+             "large products, SpMMs, element-wise passes and optimizer steps in one part per thread, "
+             "for every p (with p = 1, the device's too). A run whose devices do too little work for "
+             "a thread hand-off to pay runs everything on the master",
     )
     p.add_argument("--synth-nodes", type=int, dest="synth_nodes")
     p.add_argument("--synth-classes", type=int, dest="synth_classes")

@@ -18,10 +18,10 @@ the process may run on. A pool round costs a hand-off of the
 interpreter lock per task, which a small device's work does not repay, so
 `build_run` decides once per run, from the shapes alone: when one device's
 forward (`forward_work`) is below `ops.MIN_TASK_WORK` multiply-adds, the
-pool has no threads and every round runs inline on the master, and
-`threads` is an upper bound. Workers never talk to each other; the only
-cross-thread payloads are the scattered inputs, the gathered outputs, and
-the gradient blocks. Every worker owns its parameters, optimizer state, and
+pool has one thread, so every round runs inline on the master and no
+kernel splits: `threads` is an upper bound. Workers never talk to each
+other; the only cross-thread payloads are the scattered inputs, the
+gathered outputs, and the gradient blocks. Every worker owns its parameters, optimizer state, and
 RNG stream, so results are bit-identical for a fixed seed no matter how the
 OS schedules the threads, and a single-threaded reference execution
 (threads=1) matches exactly.
@@ -34,12 +34,12 @@ master's passes outside device rounds use the pool instead: the fusion
 MLP's and the classifier's products run in blocks along the output's longer
 side (`ops.Pool.matmul`), the shared Â·z in runs of row blocks
 (`ops.spmm_norm`), the element-wise passes and dropout in node-row ranges,
-and each head group's Adam step in ranges, all in at most p parts. A p = 1
-run cuts into one part per thread instead, and its device, which runs on
-the master in a one-item round, splits its kernels on the same pool; the
-devices of a p > 1 run get `ops.INLINE`, so no round starts inside a
-device task. Parts depend on the part count and the shapes only, and every
-split gives the whole's bits, so `threads` leaves every bit as it is.
+and each head group's Adam step in ranges, for every p in at most one
+part per thread. A p = 1 run's device, which runs on the master in a
+one-item round, splits its kernels on the same pool; the devices of a
+p > 1 run get `ops.INLINE`, so no round starts inside a device task. Parts
+depend on the thread count and the shapes only, and every split gives the
+whole's bits, so `threads` leaves every bit as it is.
 
 In the fusion variants every device gets the same input z. When a device's
 layer 0 does not narrow, it aggregates z first, so the master computes Â·z
@@ -313,9 +313,9 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     A device's input is its feature slice, or the fusion output; each device
     layer is ceil(hidden / p) wide. These widths are derived here only, and
     the built arrays are the run's record of them. The run's pool has
-    `pool_threads` threads and cuts the master's kernels into p parts; with
-    p = 1 it cuts into one part per thread, and the device's kernels split
-    on it too. Its owner closes it.
+    `pool_threads` threads and cuts the master's kernels into at most one
+    part per thread; with p = 1 the device's kernels split on it too. Its
+    owner closes it.
     """
     d_feat = graph.num_features
     strategy = slice_strategy(config, d_feat)
@@ -342,8 +342,7 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
     features = np.ascontiguousarray(graph.features, dtype=dtype)
     slices = None if config.use_ff else slicing.slice_feature(features, strategy)
-    threads = pool_threads(config, graph, workers[0].layers)
-    pool = ops.Pool(config.p if config.p > 1 else threads, threads)
+    pool = ops.Pool(pool_threads(config, graph, workers[0].layers))
     if config.p == 1:
         workers[0].pool = pool
     return RunState(
@@ -402,7 +401,7 @@ def epoch_forward(run: RunState, training: bool):
     else:
         loss = ops.cross_entropy(train_logits, train_labels)
     if not np.isfinite(loss):
-        raise NumericError(f"non-finite training loss ({loss})")
+        raise NumericError(f"{'training' if training else 'evaluation'} forward: non-finite training loss ({loss})")
 
     if training:
         d_logits = classifier.ws.get("d_logits", logits.shape, logits.dtype)
@@ -454,8 +453,8 @@ def epoch_backward(run: RunState, lr: float) -> None:
 
 def apply_updates(run: RunState, lr: float) -> None:
     """The head's groups take their optimizer step at the epoch's lr, each
-    in up to p ranges on the run's pool (the devices stepped at the end of
-    their backward tasks)."""
+    in ranges on the run's pool (the devices stepped at the end of their
+    backward tasks)."""
     for group in run.head.groups():
         nn.adam_step(group, lr, run.pool)
 
@@ -503,6 +502,7 @@ def _metrics(run: RunState, logits: np.ndarray):
     )
 
 
+@np.errstate(all="ignore")
 def train(
     graph: AttributedGraph,
     config: TrainConfig,
@@ -521,7 +521,8 @@ def train(
     rewrites: it is valid until the callback returns, and a callback that
     keeps the logits keeps a copy. The run sets the loaded OpenBLAS to one
     thread and gives the caller's count back, and the run's pool threads
-    end, when it returns or raises.
+    end, when it returns or raises. Numpy warns of nothing in the run, its
+    pool threads included (`np.errstate`): a `NumericError` names the fault.
     """
     run = build_run(graph, config)
     reports = []

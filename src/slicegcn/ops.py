@@ -14,7 +14,7 @@ from one thread at a time.
 
 `Pool` holds a run's threads: it runs one task per device, and cuts a
 large dense product, SpMM, dropout mask or element-wise pass into at most
-a fixed number of parts, which it runs at once. `spmm_norm` and `dropout`
+one part per thread, which it runs at once. `spmm_norm` and `dropout`
 take the pool they split on (`pool=`, `INLINE` by default); every part
 writes its own rows, so the parts' bits are the whole's.
 """
@@ -50,8 +50,10 @@ MIN_PASS_ELEMENTS = 1 << 18
 _thread = threading.local()  # .pool: the token of the Pool whose thread this is
 
 
-def _mark_pool_thread(token) -> None:
+def _init_thread(token, errors: dict) -> None:
+    """Marks a thread as its pool's, and sets its numpy error state (`np.errstate` holds for one thread)."""
     _thread.pool = token
+    np.seterr(**errors)
 
 
 def _cut(size: int, k: int) -> list:
@@ -75,28 +77,26 @@ class Pool:
     its own pool: `run` raises RuntimeError when called so from one of the
     pool's threads, where the round could wait for itself.
 
-    `ranges` cuts the rows of an element-wise pass (or the elements of a
-    flat buffer) into at most `parts` near-equal ranges, each at least
-    `MIN_PASS_ELEMENTS` elements, and `rows` runs a pass over them.
-    `matmul` cuts a product's output into at most `parts` blocks along its
-    longer side (rows on a tie), as many as give every block
-    `MIN_TASK_WORK` multiply-adds and `SPLIT_MIN_WIDTH` rows (columns). So
-    the parts depend on `parts` and the shapes alone, not on `threads`. Each
-    block of a product is one BLAS call that writes its own part of `out`
-    over the whole inner dimension, so no block sums what another formed;
-    at one BLAS thread the blocks' bits are the whole product's
-    (`tests/test_ops.py` checks the shapes the engine splits). A part task
-    calls numpy only.
+    A kernel is cut into at most one part per thread, each at or above its
+    floor (`ranges`: `MIN_PASS_ELEMENTS` elements of an element-wise pass,
+    which `rows` runs; `count`: `MIN_TASK_WORK` multiply-adds and
+    `SPLIT_MIN_WIDTH` rows or columns of a product or SpMM), so the parts
+    depend on `threads` and the shapes alone. `matmul` cuts a product's
+    output along its longer side (rows on a tie); each block is one BLAS
+    call over the whole inner dimension, so at one BLAS thread the blocks'
+    bits are the whole product's (`tests/test_ops.py` checks the shapes the
+    engine splits). A part task calls numpy only.
 
-    `close` (or leaving a `with` block) waits for and ends the pool threads.
+    Pool threads keep the numpy error state of the thread that made the
+    pool. `close` (or leaving a `with` block) waits for and ends them.
     """
 
-    def __init__(self, parts: int = 1, threads: int = 1):
-        self.parts = parts
+    def __init__(self, threads: int = 1):
+        self.threads = threads
         self._token = object()
         self._ex = None
         if threads > 1:
-            self._ex = ThreadPoolExecutor(threads - 1, initializer=_mark_pool_thread, initargs=(self._token,))
+            self._ex = ThreadPoolExecutor(threads - 1, initializer=_init_thread, initargs=(self._token, np.geterr()))
 
     def run(self, fn: Callable, items: list) -> list:
         if self._ex is None or len(items) < 2:
@@ -112,39 +112,37 @@ class Pool:
         return [first] + [f.result() for f in futures]
 
     def ranges(self, rows: int, width: int = 1) -> list:
-        """At most `parts` near-equal (start, end) ranges over [0, rows): as
-        many as keep every range at least `MIN_PASS_ELEMENTS` elements of
+        """At most `threads` near-equal (start, end) ranges over [0, rows):
+        as many as keep every range at least `MIN_PASS_ELEMENTS` elements of
         rows x width, and at least one."""
-        if self.parts < 2:
+        if self.threads < 2:
             return [(0, rows)]
-        return _cut(rows, min(self.parts, rows // -(-MIN_PASS_ELEMENTS // max(width, 1))))
+        return _cut(rows, min(self.threads, rows // -(-MIN_PASS_ELEMENTS // max(width, 1))))
 
     def rows(self, fn: Callable, arrays: tuple, *args) -> None:
         """fn(*arrays, *args), in the `ranges` of the first array's rows:
         each call gets the same rows of every array (None stays None)."""
         first = arrays[0]
-        if self.parts < 2 or first.size < 2 * MIN_PASS_ELEMENTS:  # one range
+        ranges = self.ranges(len(first), math.prod(first.shape[1:])) if self.threads > 1 else ()
+        if len(ranges) < 2:
             fn(*arrays, *args)
-            return
-        ranges = self.ranges(len(first), first.size // len(first))
-        self.run(lambda r: fn(*[a if a is None else a[r[0] : r[1]] for a in arrays], *args), ranges)
+        else:
+            self.run(lambda r: fn(*[a if a is None else a[r[0] : r[1]] for a in arrays], *args), ranges)
 
     def count(self, work: float, size: int) -> int:
         """How many parts a task of `work` multiply-adds over `size` rows
-        (columns) splits into: at most `parts`, each with `MIN_TASK_WORK`
+        (columns) splits into: at most `threads`, each with `MIN_TASK_WORK`
         multiply-adds and `SPLIT_MIN_WIDTH` rows (columns), and at least one."""
-        if self.parts < 2 or work < 2 * MIN_TASK_WORK:
+        if self.threads < 2:
             return 1
-        k = min(self.parts, size // SPLIT_MIN_WIDTH)
-        if MIN_TASK_WORK > 0:
-            k = min(k, int(work // MIN_TASK_WORK))
-        return max(k, 1)
+        return max(1, min(self.threads, size // SPLIT_MIN_WIDTH, int(work // MIN_TASK_WORK)))
 
     def matmul(self, a: np.ndarray, b: np.ndarray, *, out: np.ndarray) -> np.ndarray:
-        """out = a @ b, in blocks of out's longer side (rows on a tie); returns out."""
-        (m, k), n = a.shape, b.shape[1]
-        if self.parts < 2 or m * k * n < 2 * MIN_TASK_WORK:  # one block
+        """out = a @ b, in blocks of out's longer side (rows on a tie), or whole
+        in float64, whose blocks this OpenBLAS can round apart; returns out."""
+        if self.threads < 2 or a.dtype != np.float32:
             return np.matmul(a, b, out=out)
+        (m, k), n = a.shape, b.shape[1]
         rows = m >= n
         size = m if rows else n
         blocks = _cut(size, self.count(m * k * n, size))
@@ -168,7 +166,7 @@ class Pool:
         return False
 
 
-INLINE = Pool()  # every product and pass in one piece, and every item in the calling thread
+INLINE = Pool()  # one thread: every product and pass in one piece, and every item in the calling thread
 
 
 class Workspace:
@@ -240,7 +238,7 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     or an `out` that is not C-contiguous (np.take would copy it), they sum
     into an accumulator of `ws` instead.
 
-    On `pool`, the blocks run in up to `pool.parts` runs of near-equal
+    On `pool`, the blocks run in up to `pool.threads` runs of near-equal
     entries (`RowBlocks.parts`, `Pool.count`), each through a gather buffer
     of its own, and the scaling and reordering passes in node-row ranges
     (`Pool.rows`). Each part writes rows no other part writes, and
@@ -258,7 +256,7 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     acc = out if width == c and out.flags.c_contiguous else ws.get("spmm.acc", (n, width), h.dtype)
 
     k, shape = pool.count(lay.indices.size * width, n), (lay.max_entries, width)
-    if k == 1 and (pool.parts < 2 or n * width < 2 * MIN_PASS_ELEMENTS):  # whole: no pass splits
+    if k == 1 and len(pool.ranges(n, width)) == 1:  # whole: no pass splits
         np.multiply(h, s[:, None], out=scaled[:n, :c])
         scaled[:n, c:] = scaled[n] = 0
         _gather_reduce(lay, (0, len(lay.blocks)), ws.get("spmm.gather", shape, h.dtype), scaled, acc)
@@ -369,10 +367,9 @@ def dropout(a, rate, training, rng, keep=None, pool=INLINE):
         keep = np.empty(a.shape, dtype=bool)
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
     bitgen = rng.bit_generator
-    split = pool.parts > 1 and a.size >= 2 * MIN_PASS_ELEMENTS  # else one range
-    width = a.size // len(a) if split else 0
-    rows = pool.ranges(len(a), width) if split else ()
-    if len(rows) < 2:
+    width = math.prod(a.shape[1:])
+    rows = pool.ranges(len(a), width)
+    if len(rows) == 1:
         _dropout_rows(bitgen, a, keep, 0, threshold, scale)
         return a, keep, scale
     state = bitgen.state

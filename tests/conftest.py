@@ -21,15 +21,15 @@ def submitted(monkeypatch):
 
 @pytest.fixture
 def pooled(monkeypatch, submitted):
-    """Tasks of every size go to the pool (`ops.MIN_TASK_WORK` is 0), as a
-    large graph's do: runs built under it hand devices 1 … p−1 to pool
-    threads, and the head's products split into p blocks wherever
-    `ops.SPLIT_MIN_WIDTH` allows. A pooled run and its `threads=1`
-    reference split alike, so they compare like with like; a test that
-    compares a pooled run with one built outside the fixture does not. The
-    fixture is the list of tasks handed to pool threads, so a test can show
-    that it used the pool."""
-    monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+    """Tasks of every size go to the pool (`ops.MIN_TASK_WORK` is 1), as a
+    large graph's do: runs built under it with threads > 1 hand devices
+    1 … p−1 to pool threads, and the master's products split into one
+    block per thread wherever `ops.SPLIT_MIN_WIDTH` allows. A one-thread
+    pool cuts nothing, so a pooled run's `threads=1` reference runs whole,
+    and comparing the two checks split against whole. The fixture is the
+    list of tasks handed to pool threads, so a test can show that it used
+    the pool."""
+    monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
     return submitted
 
 

@@ -38,8 +38,8 @@ class TestTrainCommand:
     def test_artifacts_do_not_depend_on_the_thread_count(self, tmp_path, monkeypatch, submitted, variant, p):
         # a graph where the master's SpMM, element-wise passes, dropout masks
         # and products split (n x hidden = 3200 x 256, ~400k stored edges): a
-        # p = 1 run cuts them into one part per thread, and its device's
-        # kernels too; a p = 2 run cuts the head's into p parts
+        # run cuts the master's into one part per thread, and a p = 1 run its
+        # device's kernels too
         caller, on_pool = threading.get_ident(), set()
 
         def watch(module, name):
@@ -201,11 +201,15 @@ class TestTrainCommand:
         assert flag.removeprefix("--").replace("-", "_") in err and "Traceback" not in err
         assert not forwards
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverging_run_exits_numeric(self, tmp_path):
-        rc = run_cli(["train", *SYNTH_ARGS, "--lr", "1e12", "--epochs", "20",
-                      "--out", str(tmp_path / "m.json")])
-        assert rc == cli.EXIT_NUMERIC
+    @pytest.mark.parametrize("variant,p", [("slice", 1), ("slice_ffse", 2)])
+    def test_diverging_run_exits_numeric(self, tmp_path, capsys, pooled, variant, p):
+        # one line, which names the forward that failed: no numpy warning
+        # from the master or a pool thread, and no traceback
+        rc = run_cli(["train", *SYNTH_ARGS, "--lr", "1e12", "--epochs", "20", "--variant", variant,
+                      "-p", str(p), "--threads", "2", "--out", str(tmp_path / "m.json")])
+        assert rc == cli.EXIT_NUMERIC and pooled
+        err = capsys.readouterr().err
+        assert err == "numeric failure: epoch 0: evaluation forward: non-finite training loss (nan)\n"
 
     def test_dropout_that_drops_every_element(self, tmp_path, capsys):
         # ceil(0.99999 * 2**16) is 2**16, past every 16-bit mask field

@@ -584,12 +584,12 @@ def split_rounds(monkeypatch):
 
 
 def _fusion_graph():
-    """600 nodes, 400 features: every product of the fusion MLP splits at p=2."""
+    """600 nodes, 400 features: every product of the fusion MLP splits in two."""
     return synth_graph(n=600, classes=3, d_feat=400, p_in=0.05, p_out=0.01, signal=1.0, seed=2)
 
 
 class TestSplitRounds:
-    """The head's large dense products and Adam steps run in p blocks."""
+    """The head's large dense products and Adam steps run in one block per thread."""
 
     def test_split_tasks_call_no_traced_function(self, monkeypatch, pooled, split_rounds):
         # a pool thread's span parents under the master's innermost open span,
@@ -607,20 +607,30 @@ class TestSplitRounds:
         for module, name in _TRACED:
             monkeypatch.setattr(module, name, recording(getattr(module, name)))
         monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1 << 12)  # the fusion MLP's step splits too
-        engine.train(_fusion_graph(), TrainConfig(variant="slice_ffse", p=2, epochs=2, hidden=16, seed=1))
+        engine.train(_fusion_graph(), TrainConfig(variant="slice_ffse", p=2, epochs=2, hidden=16, seed=1, threads=2))
         assert rounds and set(rounds) == {2}
         assert inside and not any(inside)
 
-    def test_blocks_on_the_pool_or_inline_give_the_same_bits(self, pooled, split_rounds):
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("variant,p", [("slice_ffse", 2), ("slice_ff", 3)])
+    def test_blocks_on_the_pool_or_inline_give_the_same_bits(self, pooled, split_rounds, variant, p, threads):
+        # a run above the floor gets a pool of `threads` threads whatever p
+        # is, and cuts the master's kernels into one block per thread: the
+        # curves are those of the whole kernels, which a one-thread pool runs
         rounds, _ = split_rounds
-        graph, cfg = _fusion_graph(), TrainConfig(variant="slice_ffse", p=2, epochs=3, hidden=16, seed=1)
+        graph = _fusion_graph()
+        cfg = TrainConfig(variant=variant, p=p, epochs=3, hidden=16, seed=1, threads=threads)
+        with engine.build_run(graph, cfg).pool as pool:
+            assert pool.threads == threads
 
         def rows(c):
             return [(r.loss, r.train_metric, r.val_metric, r.test_metric) for r in engine.train(graph, c)[1]]
 
-        assert rows(cfg) == rows(dataclasses.replace(cfg, threads=1))
+        got = rows(cfg)
+        assert max(rounds, default=1) == threads
         # per epoch at least A W1 in training, X W0 and A W1 in eval, and three backward products
-        assert len(rounds) >= 2 * 6 * cfg.epochs
+        assert len(rounds) >= (6 * cfg.epochs if threads > 1 else 0)
+        assert got == rows(dataclasses.replace(cfg, threads=1))
 
     def test_eval_forward_forms_no_loss_gradient(self, small_graph, monkeypatch):
         calls, full = [], ops.softmax_cross_entropy

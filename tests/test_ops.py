@@ -173,28 +173,28 @@ class TestSpmmNorm:
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("case", ["directed", "star", "isolated", "edgeless"])
     def test_row_parts_equal_the_whole(self, monkeypatch, case, transpose, cols, parts):
-        # without floors every pass splits: the blocks in runs of near-equal
+        # with floors of 1 every pass splits: the blocks in runs of near-equal
         # entries, each through its own gather buffer, and the scaling and
-        # reordering passes in node-row ranges; also into the input itself
+        # reordering passes in node-row ranges; also into the input itself;
+        # a one-thread pool runs whole
         adj = self._part_graph(case)
         s = degree_norms(adj).astype(np.float32)
         x = np.random.default_rng(14).standard_normal((adj.num_nodes, cols)).astype(np.float32)
         whole = _spmm(adj, s, x, transpose)
-        monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+        monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
         monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
         lay = adj.blocks_t if transpose else adj.blocks
         cut = lay.parts(parts)
         assert [b for part in cut for b in range(*part)] == list(range(len(lay.blocks)))
         for threads in (1, parts):
-            pool = ops.Pool(parts, threads)
-            with pool:
+            with ops.Pool(threads) as pool:
                 ws = ops.Workspace()
                 got = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
                 h = x.copy()
                 into_h = ops.spmm_norm(adj, s, h, transpose, out=h, ws=ws, pool=pool)
             assert got.tobytes() == whole.tobytes() == into_h.tobytes()
             gathers = [k for k in ws._memory if k == "spmm.gather" or k[0] == "spmm.gather"]
-            assert len(gathers) == len(cut)
+            assert len(gathers) == (len(cut) if threads > 1 else 1)
         if case == "directed":
             assert len(cut) == parts
 
@@ -211,9 +211,9 @@ class TestSpmmNorm:
         x = np.random.default_rng(15).standard_normal((n, cols)).astype(np.float32)
         want = _spmm(adj, s, x, transpose)
         if split:  # every pass splits, in two parts on two threads
-            monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+            monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
             monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
-        with ops.Pool(2, 2) if split else ops.INLINE as pool:
+        with ops.Pool(2) if split else ops.INLINE as pool:
             ws = ops.Workspace()
             h = ops.scratch(ws, n, cols, np.float32)
             h[...] = x
@@ -460,7 +460,7 @@ class TestDropout:
         ref = ops.rng_stream(7, 0)
         want, want_keep, _ = ops.dropout(a.copy(), 0.4, True, ref)
         rng = ops.rng_stream(7, 0)
-        with ops.Pool(3, 3) as pool:
+        with ops.Pool(3) as pool:
             got, keep, _ = ops.dropout(a.copy(), 0.4, True, rng, pool=pool)
         assert len(pool.ranges(*shape)) == 3
         np.testing.assert_array_equal(keep, want_keep)
@@ -531,7 +531,8 @@ class TestSoftmaxCrossEntropy:
 
 
 def _counting(parts):
-    """A pool of `parts` blocks whose run records the items of each call."""
+    """A pool of `parts` threads whose run records the items of each call
+    and runs them in the calling thread."""
     calls = []
     pool = ops.Pool(parts)
 
@@ -563,22 +564,24 @@ class TestBlocks:
         assert ops.Pool(4).ranges(2 * ops.MIN_PASS_ELEMENTS) == [(0, rows * 64), (rows * 64, 2 * rows * 64)]
 
     def test_small_or_narrow_products_stay_whole(self, monkeypatch):
-        # a product below the work floor, and, with no floor, one whose
+        # a product below the work floor, and, with a floor of 1, one whose
         # blocks would be under SPLIT_MIN_WIDTH rows and columns (a
-        # one-column block would take BLAS's matrix-vector path); a product
-        # is cut along its output's longer side
+        # one-column block would take BLAS's matrix-vector path), a float64
+        # one, or one on a one-thread pool; a product is cut along its
+        # output's longer side
         rng = np.random.default_rng(0)
         a, small, square, narrow = _f32(rng, 400, 64), _f32(rng, 24, 64), _f32(rng, 64, 64), _f32(rng, 64, 2)
-        cases = [(ops.MIN_TASK_WORK, a, square, []), (0, small, _f32(rng, 64, 24), []),
-                 (0, a, square, [2]), (0, a, narrow, [2]), (0, narrow.T, a.T, [2])]
-        for floor, lhs, rhs, blocks in cases:
+        cases = [(ops.MIN_TASK_WORK, 2, a, square, []), (1, 2, small, _f32(rng, 64, 24), []),
+                 (1, 2, a, square, [2]), (1, 2, a, narrow, [2]), (1, 2, narrow.T, a.T, [2]), (1, 1, a, square, []),
+                 (1, 2, a.astype(np.float64), square.astype(np.float64), [])]
+        for floor, threads, lhs, rhs, blocks in cases:
             monkeypatch.setattr(ops, "MIN_TASK_WORK", floor)
-            pool, calls = _counting(2)
-            out = pool.matmul(lhs, rhs, out=np.empty((lhs.shape[0], rhs.shape[1]), np.float32))
+            pool, calls = _counting(threads)
+            out = pool.matmul(lhs, rhs, out=np.empty((lhs.shape[0], rhs.shape[1]), lhs.dtype))
             assert [len(c) for c in calls] == blocks
             np.testing.assert_array_equal(out, lhs @ rhs)
 
-    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("parts", [2, 3, 4])
     def test_split_products_equal_the_whole_at_one_blas_thread(self, parts):
         # each product the engine splits, at the benchmark's shapes: the
         # fusion MLP of Cora-sized features (2708 x 1433, hidden 1433, output
@@ -611,7 +614,7 @@ class TestBlocks:
 def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
     # more threads than cores, switching every microsecond: the parts of an
     # SpMM and of a dropout mask still write exactly the whole's bits
-    monkeypatch.setattr(ops, "MIN_TASK_WORK", 0)
+    monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
     monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
     rng = np.random.default_rng(15)
     adj = build_csr(400, rng.integers(0, 400, size=(3000, 2)), symmetrize=False)
@@ -622,7 +625,7 @@ def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ops.Pool(4, 4) as pool:
+        with ops.Pool(4) as pool:
             ws = ops.Workspace()
             for _ in range(20):
                 out = ops.spmm_norm(adj, s, h, True, out=np.empty_like(h), ws=ws, pool=pool)

@@ -8,7 +8,7 @@ keyword, all by position. If a parameter moved, its `_nbytes` would read 0
 or a wrong array, or a pass would be named by the wrong argument, and the
 metric would still be reported, so the benchmark's own smoke test would not
 notice. Delete this test once the tracer binds arguments by name (ROADMAP
-item 1).
+item 3).
 """
 
 import inspect
