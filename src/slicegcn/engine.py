@@ -32,7 +32,7 @@ BLAS workers neither compete with the pool nor spin between calls, and the
 results do not depend on the environment's BLAS thread setting. The
 master's passes outside device rounds use the pool instead: the fusion
 MLP's and the classifier's products run in blocks along the output's longer
-side (`ops.Pool.matmul`), the shared Â·z in runs of row blocks
+side (`ops.Pool.matmul`), the shared Â·z in row parts of near-equal entries
 (`ops.spmm_norm`), the element-wise passes and dropout in node-row ranges,
 and each head group's Adam step in ranges, for every p in at most one
 part per thread. A p = 1 run's device, which runs on the master in a

@@ -41,91 +41,38 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Gather entries per row block: B rows whose first degree is D pad to D * B
-# entries, and B is the most rows that keep D * B within this budget (a row
-# above it is a block of its own). It trades the SpMM's gather buffer against
-# its two numpy calls per block: on the CLI-default graph 2048 was no faster
-# and raised peak memory.
-_BLOCK_ENTRIES = 1024
-
-
-@dataclass(frozen=True)
-class RowBlocks:
-    """Row-block (sliced ELL) layout of a CSR matrix, the SpMM's iteration order.
-
-    Rows are ranked by descending degree, ties in row order; row v has rank
-    `rank[v]`. Consecutive ranks form blocks, listed as (first rank, end rank,
-    D, offset) with D the degree of the block's first row. A block of B rows
-    owns the D x B index matrix `indices[offset : offset + D * B]`: entry
-    [k, b] is the k-th CSR neighbour of the block's row b, or n past that
-    row's degree, which points at a zero row appended to the SpMM's input.
-    """
-
-    indices: np.ndarray  # int64, read-only
-    blocks: tuple  # of (first rank, end rank, D, offset), ints
-    rank: np.ndarray  # int64, length num_nodes, read-only
-    max_entries: int  # largest D * B over the blocks
-    _parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # k -> parts(k)
-
-    def parts(self, k: int) -> tuple:
-        """The blocks cut into at most k runs of near-equal entries, as
-        (first block, end block) pairs that cover them in order; each k is
-        cut once, at its first use."""
-        cut = self._parts.get(k)
-        if cut is None:
-            entries = np.array([d * (hi - lo) for lo, hi, d, _ in self.blocks], dtype=np.int64)
-            before = np.concatenate([[0], np.cumsum(entries)])  # entries of the blocks before each block
-            ends = np.searchsorted(before, before[-1] * np.arange(1, k) / k)
-            bounds = np.unique(np.concatenate([[0], ends, [len(self.blocks)]]))
-            cut = self._parts[k] = tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-        return cut
-
-
-def _row_blocks(offsets: np.ndarray, cols: np.ndarray) -> RowBlocks:
-    n = len(offsets) - 1
-    deg = np.diff(offsets)
-    order = np.argsort(-deg, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    starts = [0]
-    while starts[-1] < n:
-        d = int(deg[order[starts[-1]]])
-        starts.append(n if d == 0 else min(n, starts[-1] + max(1, _BLOCK_ENTRIES // d)))
-    starts = np.asarray(starts, dtype=np.int64)
-    size, first_deg = np.diff(starts), deg[order[starts[:-1]]]
-    block_offsets = np.concatenate([[0], np.cumsum(first_deg * size)])
-    # entry k of row v goes to [k, b] of its block: offset + b + k * B
-    stride = np.repeat(size, size)[rank]
-    base = (np.arange(n) + np.repeat(block_offsets[:-1] - starts[:-1], size))[rank]
-    slot = np.repeat(base - offsets[:-1] * stride, deg) + np.arange(len(cols)) * np.repeat(stride, deg)
-    indices = np.full(block_offsets[-1], n, dtype=np.int64)
-    indices[slot] = cols
-    blocks = tuple(zip(starts[:-1].tolist(), starts[1:].tolist(), first_deg.tolist(), block_offsets[:-1].tolist()))
-    return RowBlocks(_readonly(indices), blocks, _readonly(rank), int((first_deg * size).max(initial=0)))
-
-
 @dataclass(frozen=True)
 class CsrAdjacency:
     """CSR adjacency: neighbor lists sorted ascending, no duplicates.
 
-    Row v lists the nodes v aggregates from. The row-block layouts of the
-    matrix A (`blocks`) and of its transpose (`blocks_t`, the same object when
-    A is symmetric) are built once here, so threads only ever read them.
+    Row v lists the nodes v aggregates from. The CSR of the transpose Aᵀ
+    (`row_offsets_t`, `col_indices_t`: the same arrays when A is symmetric)
+    is built once here, read-only, so threads only ever read it.
     """
 
     num_nodes: int
     row_offsets: np.ndarray  # int64, length num_nodes + 1
     col_indices: np.ndarray  # int64, length nnz
-    blocks: RowBlocks = field(init=False, repr=False, compare=False)
-    blocks_t: RowBlocks = field(init=False, repr=False, compare=False)
+    row_offsets_t: np.ndarray = field(init=False, repr=False, compare=False)
+    col_indices_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _ones: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # dtype -> ones(dtype)
 
     def __post_init__(self):
         n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
         t_offsets, t_cols = _csr_from_keys(cols * n + rows, n)
         symmetric = np.array_equal(t_offsets, offsets) and np.array_equal(t_cols, cols)
-        object.__setattr__(self, "blocks", _row_blocks(offsets, cols))
-        object.__setattr__(self, "blocks_t", self.blocks if symmetric else _row_blocks(t_offsets, t_cols))
+        object.__setattr__(self, "row_offsets_t", offsets if symmetric else _readonly(t_offsets))
+        object.__setattr__(self, "col_indices_t", cols if symmetric else _readonly(t_cols))
+
+    def ones(self, dtype) -> np.ndarray:
+        """The stored values of A and of Aᵀ: num_edges ones in `dtype`,
+        read-only, made at the dtype's first use (threads that race to make
+        them each get ones)."""
+        a = self._ones.get(np.dtype(dtype))
+        if a is None:
+            a = self._ones[np.dtype(dtype)] = _readonly(np.ones(self.num_edges, dtype=dtype))
+        return a
 
     @property
     def num_edges(self) -> int:

@@ -49,7 +49,7 @@ layer writes its cached arrays and output under per-layer keys, so each
 pass writes the arrays the previous pass did; a kept result is then
 already where the next forward reads it. A GCN layer's temporaries live in
 the workspace's one scratch array (`ops.scratch`), which is also the
-SpMM's padded input: a product the layer aggregates next is formed there,
+SpMM's scaled input: a product the layer aggregates next is formed there,
 and the SpMM scales it in place. Backward passes consume the gradient they
 are handed and write gradients over forward arrays that nothing reads
 afterwards (see `mlp_backward`, which so needs no scratch).
@@ -164,7 +164,7 @@ def gcn_layer_forward(
     output live in `ws` under keys (layer, name), so every pass through
     layer `layer` writes the same arrays, and its temporaries live in the
     workspace's scratch (`ops.scratch`): a narrowing layer forms H W_agg
-    there, where the SpMM scales it as its padded input. `out`, when given,
+    there, where the SpMM scales it in place. `out`, when given,
     is the array the output is written into instead; the pre-activation is
     formed there too. The products, the SpMM, dropout and the element-wise
     passes split on `pool`.
@@ -183,7 +183,7 @@ def gcn_layer_forward(
     mask = ws.get((layer, "mask"), (n, w_out), bool) if training or keeps else None
     if not kept:
         if agg is None and narrows(params):
-            # H W_agg in the scratch, which the SpMM then scales in place as its padded input
+            # H W_agg in the scratch, which the SpMM then scales in place
             t = pool.matmul(h_in, params.w_agg, out=ops.scratch(ws, n, w_out, dtype))
             ops.spmm_norm(adj, s, t, out=h_out, ws=ws, pool=pool)
         else:

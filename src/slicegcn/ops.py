@@ -7,7 +7,7 @@ which writes its output into the array it is given (callers pass arrays they
 own). The element-wise kernels follow numpy: `out=` names the array their
 result is written into, and without it they return a new one. `spmm_norm`
 writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
-where its temporaries live; its padded input is the workspace's scratch
+where its temporaries live; its scaled input is the workspace's scratch
 array (`scratch`), so an input its caller formed there is scaled in place.
 Kernels keep no state; a workspace belongs to one owner, which uses it
 from one thread at a time.
@@ -21,12 +21,42 @@ writes its own rows, so the parts' bits are the whole's.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, the extension module
+    `scipy.sparse._sparsetools` loaded from its file alone.
+
+    `import scipy.sparse` would run scipy's Python code and load some 75
+    scipy modules, raising a fresh interpreter's peak RSS from 26.8 to
+    48.7 MB; the extension alone adds 0.2 MB. Finding scipy's directory
+    runs none of its code.
+    """
+    name = "scipy.sparse._sparsetools"
+    spec = importlib.util.find_spec("scipy")
+    for directory in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError(f"slicegcn needs scipy's compiled extension {name}, which was not found")
+
+
+_sparsetools = _load_sparsetools()
 
 # Stream ids for master-owned draws. Worker i uses stream id i, so master
 # streams start far above any plausible device count.
@@ -85,7 +115,7 @@ class Pool:
     output along its longer side (rows on a tie); each block is one BLAS
     call over the whole inner dimension, so at one BLAS thread the blocks'
     bits are the whole product's (`tests/test_ops.py` checks the shapes the
-    engine splits). A part task calls numpy only.
+    engine splits). A part task calls numpy, or the SpMM's compiled kernel, only.
 
     Pool threads keep the numpy error state of the thread that made the
     pool. `close` (or leaving a `with` block) waits for and ends them.
@@ -222,100 +252,63 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     `transpose=True` computes Âᵀ H = S Aᵀ S H instead, which the backward
     pass needs; on undirected graphs the two coincide.
 
-    The product runs over the precomputed row blocks of A (or Aᵀ): each block
-    gathers its D x B rows of S H (above a zero row) in one np.take and sums
-    over k in one np.add.reduce; then rows go back to node order. The reduce
-    adds each row's terms one by one in CSR order from +0.0 (padding adds
-    +0.0, a no-op there), so results are bit-identical for any thread schedule.
+    S H is formed in the scratch array of `ws` (`scratch`); an input the
+    caller wrote there is scaled in place. A·(S H) is summed by scipy's
+    compiled CSR kernel `csr_matvecs` over the CSR of A (or of Aᵀ), whose
+    stored values are ones: each row adds its terms one by one in CSR
+    order, from +0.0, so its bits do not depend on how the rows are cut.
+    The sum goes into `out`, which may be `h` itself, as the input is read
+    only through the scratch, but is never the scratch; a strided `out`, or
+    one of another dtype, which the kernel would write through a copy, sums
+    in the accumulator `"spmm.acc"` of `ws` instead. Scaled by S, it ends
+    in `out`, which is returned.
 
-    The padded input is the scratch array of `ws` (`scratch`), and the
-    gather buffer comes from `ws` too (both are dead when the call
-    returns). An input the caller wrote into the scratch is scaled there in
-    place. The blocks sum into `out`, which may be `h` itself, as the input
-    is read only through the padded array, but is never the scratch; then
-    the rows go back to node order in the padded array, and from there,
-    scaled, into `out`, which is returned. With one column (padded to two),
-    or an `out` that is not C-contiguous (np.take would copy it), they sum
-    into an accumulator of `ws` instead.
-
-    On `pool`, the blocks run in up to `pool.threads` runs of near-equal
-    entries (`RowBlocks.parts`, `Pool.count`), each through a gather buffer
-    of its own, and the scaling and reordering passes in node-row ranges
-    (`Pool.rows`). Each part writes rows no other part writes, and
-    every pass ends before the next begins: the reordering reads rows of
-    the accumulator, which may be `out`, that any part may have written.
+    On `pool`, the scaling runs in node-row ranges (`Pool.rows`), and then
+    the sum and the final scaling in up to `pool.threads` row parts of
+    near-equal stored entries (`Pool.count`), each of which writes its own
+    rows only.
     """
     n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
         raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, graph has {n} nodes")
     if s.shape != (n,):
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
-    lay = adj.blocks_t if transpose else adj.blocks
-    width = max(c, 2)  # one column would make a one-row block's reduce pairwise, out of order
-    scaled = _padded(ws, n, c, h.dtype)  # h itself may be its first n rows and c columns
-    acc = out if width == c and out.flags.c_contiguous else ws.get("spmm.acc", (n, width), h.dtype)
-
-    k, shape = pool.count(lay.indices.size * width, n), (lay.max_entries, width)
-    if k == 1 and len(pool.ranges(n, width)) == 1:  # whole: no pass splits
-        np.multiply(h, s[:, None], out=scaled[:n, :c])
-        scaled[:n, c:] = scaled[n] = 0
-        _gather_reduce(lay, (0, len(lay.blocks)), ws.get("spmm.gather", shape, h.dtype), scaled, acc)
-        # back to node order, into scaled, which is no longer read
-        res = acc.take(lay.rank, axis=0, out=scaled[:n], mode="clip")[:, :c]
-        return np.multiply(res, s[:, None], out=out)
-    pool.rows(_scale_rows, (scaled[:n], h, s))
-    scaled[n] = 0
-    parts = lay.parts(k)
-    buffers = [ws.get(("spmm.gather", i) if i else "spmm.gather", shape, h.dtype) for i in range(len(parts))]
-    pool.run(lambda part: _gather_reduce(lay, *part, scaled, acc), list(zip(parts, buffers)))
-    pool.rows(_reorder, (scaled[:n], lay.rank), acc)
-    pool.rows(_unscale, (out, scaled[:n], s))
+    offsets, cols = (adj.row_offsets_t, adj.col_indices_t) if transpose else (adj.row_offsets, adj.col_indices)
+    scaled = scratch(ws, n, c, h.dtype)  # h itself when the caller formed the input there
+    pool.rows(_scale_rows, (scaled, h, s))
+    acc = out if out.flags.c_contiguous and out.dtype == h.dtype else ws.get("spmm.acc", (n, c), h.dtype)
+    k, ones = pool.count(cols.size * c, n), adj.ones(h.dtype)
+    if k == 1:
+        parts = [(0, n)]
+    else:  # rows [lo, hi) of near-equal stored entries
+        bounds = np.unique(np.concatenate([[0], np.searchsorted(offsets, cols.size * np.arange(1, k) / k), [n]]))
+        parts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    pool.run(lambda part: _spmm_rows(*part, offsets, cols, ones, scaled, acc, out, s), parts)
     return out
 
 
-SCRATCH = "tmp"  # the workspace key of a layer's temporaries and of the SpMM's padded input
-
-
-def _padded(ws, n: int, c: int, dtype) -> np.ndarray:
-    """The scratch array of `ws` at the shape `spmm_norm` pads an n x c input to."""
-    return ws.get(SCRATCH, (n + 1, max(c, 2)), dtype)
+SCRATCH = "tmp"  # the workspace key of a layer's temporaries and of the SpMM's scaled input
 
 
 def scratch(ws, n: int, c: int, dtype) -> np.ndarray:
-    """An n x c temporary in the scratch array of `ws`: its first n rows
-    and c columns. The array is fetched at the (n + 1) x max(c, 2) shape
-    `spmm_norm` pads its input to, so its memory is made once, at that
-    size; a product written here and passed to `spmm_norm` is scaled in
-    place, as the SpMM's own padded input."""
-    return _padded(ws, n, c, dtype)[:n, :c]
+    """The n x c scratch array of `ws`, a temporary; a product written here
+    and passed to `spmm_norm` is scaled in place, as the SpMM's own input."""
+    return ws.get(SCRATCH, (n, c), dtype)
 
 
 def _scale_rows(out, h, s) -> None:
-    """out = S h, padded with zero columns to out's width."""
-    c = h.shape[1]
-    np.multiply(h, s[:, None], out=out[:, :c])
-    out[:, c:] = 0
+    """out = S h."""
+    np.multiply(h, s[:, None], out=out)
 
 
-def _gather_reduce(lay, span: tuple, buf, scaled, acc) -> None:
-    """The rows of acc in the row blocks span[0] <= b < span[1] of `lay`,
-    summed from the rows of `scaled` through the gather buffer `buf`."""
-    for lo, hi, d, offset in lay.blocks[span[0] : span[1]]:
-        m = d * (hi - lo)
-        # indices are in range; "clip" lets take write into the buffer unbuffered
-        scaled.take(lay.indices[offset : offset + m], axis=0, out=buf[:m], mode="clip")
-        np.add.reduce(buf[:m].reshape(d, hi - lo, scaled.shape[1]), axis=0, out=acc[lo:hi], initial=0)
-
-
-def _reorder(out, rank, acc) -> None:
-    """out = the rows `rank` of acc: rows back to node order (into the
-    padded input, which is no longer read)."""
-    acc.take(rank, axis=0, out=out, mode="clip")
-
-
-def _unscale(out, scaled, s) -> None:
-    """out = S scaled, over out's columns."""
-    np.multiply(scaled[:, : out.shape[1]], s[:, None], out=out)
+def _spmm_rows(lo: int, hi: int, offsets, cols, ones, scaled, acc, out, s) -> None:
+    """Rows [lo, hi) of out = S A scaled, summed in the same rows of acc,
+    which may be out; A's CSR is (offsets, cols, ones)."""
+    rows = acc[lo:hi]
+    rows[...] = 0
+    _sparsetools.csr_matvecs(hi - lo, len(scaled), scaled.shape[1], offsets[lo : hi + 1], cols, ones,
+                             scaled.reshape(-1), rows.reshape(-1))
+    np.multiply(rows, s[lo:hi, None], out=out[lo:hi])
 
 
 def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -52,7 +52,7 @@ class TestTrainCommand:
 
             monkeypatch.setattr(module, name, watched)
 
-        passes = [(ops, "_scale_rows"), (ops, "_gather_reduce"), (ops, "_dropout_rows"), (nn, "_activate"),
+        passes = [(ops, "_scale_rows"), (ops, "_spmm_rows"), (ops, "_dropout_rows"), (nn, "_activate"),
                   (nn, "_deactivate")]
         for module, name in passes:
             watch(module, name)

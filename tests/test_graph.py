@@ -2,14 +2,12 @@ import functools
 import json
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegcn import graph
 from slicegcn.graph import (
     TEST,
     TRAIN,
@@ -96,98 +94,41 @@ class TestCsr:
             build_csr(2**32, [])
 
 
-class TestRowBlocks:
+class TestTransposeCsr:
     @staticmethod
-    def _columns(lay, n):
-        """Each row's column of its block's index matrix, in summation order."""
-        by_rank = [None] * n
-        for lo, hi, d, offset in lay.blocks:
-            mat = lay.indices[offset : offset + d * (hi - lo)].reshape(d, hi - lo)
-            for b in range(hi - lo):
-                by_rank[lo + b] = mat[:, b].tolist()
-        return [by_rank[lay.rank[v]] for v in range(n)]
-
-    def _check(self, lay, offsets, rows):
-        """`lay` holds `rows` (the CSR rows, as lists) and is well formed."""
-        n = len(rows)
-        deg = np.diff(offsets)
-        for v, column in enumerate(self._columns(lay, n)):
-            # the CSR row in order, then padding that points at the zero row n
-            assert column == rows[v] + [n] * (len(column) - len(rows[v]))
-        # ranks order rows by descending degree, ties by row
-        order = np.argsort(lay.rank)
-        assert all((-deg[a], a) < (-deg[b], b) for a, b in zip(order[:-1], order[1:]))
-        # blocks cover the ranks in order, back to back, each padded to its first degree
-        assert [b[0] for b in lay.blocks] == [0] + [b[1] for b in lay.blocks[:-1]]
-        assert lay.blocks[-1][1] == n
-        sizes = [d * (hi - lo) for lo, hi, d, _ in lay.blocks]
-        assert [b[3] for b in lay.blocks] == np.cumsum([0] + sizes[:-1]).tolist()
-        assert len(lay.indices) == sum(sizes) and lay.max_entries == max(sizes, default=0)
-        for lo, hi, d, _ in lay.blocks:
-            assert d == deg[order[lo]]
-            # as many rows as the budget allows, or a single row above it
-            budget = graph._BLOCK_ENTRIES
-            assert d * (hi - lo) <= budget or hi - lo == 1
-            assert hi == n or d == 0 or d * (hi - lo + 1) > budget
-
-    def _check_both(self, adj):
-        n = adj.num_nodes
+    def _dense(offsets, cols, n):
         dense = np.zeros((n, n), dtype=int)
-        for u, v in adj.edge_list():
-            dense[u, v] = 1
-        rows = np.split(adj.col_indices, adj.row_offsets[1:-1])
-        self._check(adj.blocks, adj.row_offsets, [r.tolist() for r in rows])
-        t_rows = [np.flatnonzero(dense[:, v]).tolist() for v in range(n)]
-        self._check(adj.blocks_t, np.concatenate([[0], np.cumsum(dense.sum(axis=0))]), t_rows)
+        dense[np.repeat(np.arange(n), np.diff(offsets)), cols] = 1
+        return dense
 
-    @given(edge_lists, st.booleans(), st.sampled_from([1, 3, 8, 2048]))
+    @given(edge_lists, st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_layout_holds_the_csr_rows(self, edges, symmetrize, budget):
-        with mock.patch.object(graph, "_BLOCK_ENTRIES", budget):
-            self._check_both(build_csr(10, edges, symmetrize=symmetrize))
+    def test_equals_the_dense_transpose(self, edges, symmetrize):
+        adj = build_csr(10, edges, symmetrize=symmetrize)
+        a = self._dense(adj.row_offsets, adj.col_indices, 10)
+        np.testing.assert_array_equal(self._dense(adj.row_offsets_t, adj.col_indices_t, 10), a.T)
+        # rows ascending and free of repeats, as A's are
+        for lo, hi in zip(adj.row_offsets_t[:-1], adj.row_offsets_t[1:]):
+            assert (np.diff(adj.col_indices_t[lo:hi]) > 0).all()
+        assert adj.row_offsets_t.dtype == adj.col_indices_t.dtype == np.int64
 
-    @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_several_blocks_and_a_hub(self, symmetrize):
-        n = graph._BLOCK_ENTRIES + 100
-        rng = np.random.default_rng(4)
-        edges = rng.integers(0, n, size=(6 * n, 2))
-        edges = np.concatenate([edges, [(0, v) for v in range(1, n)]])  # node 0 is a hub
-        adj = build_csr(n, edges, symmetrize=symmetrize)
-        for lay in {id(adj.blocks): adj.blocks, id(adj.blocks_t): adj.blocks_t}.values():
-            assert len(lay.blocks) > 3
-        # the hub's row is above the budget, so it is a block by itself
-        hub_deg = int(adj.row_offsets[1])  # the length of node 0's row
-        assert hub_deg > graph._BLOCK_ENTRIES and adj.blocks.blocks[0] == (0, 1, hub_deg, 0)
-        self._check_both(adj)
-
-    def test_star_hub_is_a_block_of_its_own(self):
-        n = graph._BLOCK_ENTRIES + 2
-        adj = build_csr(n, [(0, v) for v in range(1, n)])
-        assert adj.blocks.blocks == (
-            (0, 1, n - 1, 0),
-            (1, n - 1, 1, n - 1),  # as many leaves as the budget allows
-            (n - 1, n, 1, 2 * n - 3),
-        )
-        assert adj.blocks.max_entries == n - 1
-
-    def test_isolated_rows_end_in_one_empty_block(self):
-        with mock.patch.object(graph, "_BLOCK_ENTRIES", 2):
-            adj = build_csr(6, [(0, 1)])
-        assert adj.blocks.blocks == ((0, 2, 1, 0), (2, 6, 0, 2))
-        # under the real budget the one-neighbour block pads the isolated rows
-        assert build_csr(6, [(0, 1)]).blocks.blocks == ((0, 6, 1, 0),)
-
-    def test_symmetric_graph_shares_one_layout(self):
+    def test_symmetric_graph_shares_its_arrays(self):
         adj = build_csr(4, [(0, 1), (1, 2)])
-        assert adj.blocks_t is adj.blocks
+        assert adj.row_offsets_t is adj.row_offsets and adj.col_indices_t is adj.col_indices
         directed = build_csr(4, [(0, 1), (1, 2)], symmetrize=False)
-        assert directed.blocks_t is not directed.blocks
+        assert directed.row_offsets_t is not directed.row_offsets
+        assert directed.col_indices_t is not directed.col_indices
 
-    def test_layout_is_read_only(self):
+    def test_read_only(self):
         adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
-        for lay in (adj.blocks, adj.blocks_t):
-            for a in (lay.indices, lay.rank):
-                assert not a.flags.writeable
+        for a in (adj.row_offsets_t, adj.col_indices_t, adj.ones(np.float32)):
+            assert not a.flags.writeable
+
+    def test_ones_are_made_once_per_dtype(self):
+        adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
+        f4, f8 = adj.ones(np.float32), adj.ones(np.float64)
+        assert adj.ones(np.float32) is f4 and f4.dtype == np.float32 and f8.dtype == np.float64
+        assert f4.tolist() == f8.tolist() == [1.0] * adj.num_edges
 
 
 class TestDegreeNorms:

@@ -7,13 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegcn import blas, graph, ops
+from slicegcn import blas, ops
 from slicegcn.graph import build_csr, degree_norms
 
 
 def _spmm(adj, s, h, transpose=False):
     """spmm_norm in a fresh workspace, into a new array."""
     return ops.spmm_norm(adj, s, h, transpose, out=np.empty_like(h), ws=ops.Workspace())
+
+
+class TestSparsetools:
+    def test_kernel_is_registered_under_its_scipy_name(self):
+        # loaded from its file alone, it is the module `scipy.sparse` would import
+        assert ops._sparsetools.__name__ == "scipy.sparse._sparsetools"
+        assert sys.modules["scipy.sparse._sparsetools"] is ops._sparsetools
+        assert callable(ops._sparsetools.csr_matvecs)
+
+    @pytest.mark.parametrize("case", ["no_scipy", "no_extension"])
+    def test_missing_extension_fails_naming_it(self, monkeypatch, tmp_path, case):
+        # no numpy fallback: without the compiled file the import fails, and says which file
+        found = None if case == "no_scipy" else SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        (tmp_path / "sparse").mkdir()
+        monkeypatch.setattr("importlib.util.find_spec", lambda name: found)
+        with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"):
+            ops._load_sparsetools()
 
 
 class TestSpmmNorm:
@@ -99,15 +116,13 @@ class TestSpmmNorm:
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_rows_sum_in_csr_order_across_blocks(self, neighbors, transpose, cols):
-        # a directed graph of several row blocks; node 0 is a hub above the
-        # block budget in A and in Aᵀ, so it is a block by itself in both
-        n = graph._BLOCK_ENTRIES + 100
+    def test_rows_sum_in_csr_order_with_a_hub(self, neighbors, transpose, cols):
+        # a directed graph where node 0 is a hub in A and in Aᵀ: every row,
+        # the hub's too, at any width, is a left-to-right sum in CSR order
+        n = 1100
         rng = np.random.default_rng(5)
         hub = [(0, v) for v in range(1, n)] + [(v, 0) for v in range(1, n)]
         adj = build_csr(n, np.concatenate([rng.integers(0, n, size=(8 * n, 2)), hub]), symmetrize=False)
-        lay = adj.blocks_t if transpose else adj.blocks
-        assert len(lay.blocks) > 3 and lay.blocks[0][:2] == (0, 1) and lay.blocks[0][2] > graph._BLOCK_ENTRIES
         s = degree_norms(adj).astype(np.float32)
         h = rng.standard_normal((n, cols)).astype(np.float32)
         scaled = h * s[:, None]
@@ -131,8 +146,8 @@ class TestSpmmNorm:
 
     @pytest.mark.parametrize("case", ["out_is_h", "column_block", "one_column", "transpose_directed"])
     def test_sums_into_given_output(self, case, dense_oracle):
-        # the blocks sum straight into `out` (a one-column input, and a
-        # strided `out`, which np.take would copy, keep the workspace's
+        # the rows sum straight into `out` (a strided `out`, which the
+        # kernel would write through a copy, keeps the workspace's
         # accumulator): the bits of a fresh output, the oracle's values
         rng = np.random.default_rng(12)
         n, cols = 300, 1 if case == "one_column" else 5
@@ -153,7 +168,7 @@ class TestSpmmNorm:
         assert out.tobytes() == fresh.tobytes() == _spmm(adj, s, x, directed).tobytes()
         dense = dense_oracle(adj)
         np.testing.assert_allclose(out, (dense.T if directed else dense) @ x, rtol=1e-5, atol=1e-6)
-        assert ("spmm.acc" in ws._memory) == (cols == 1 or case == "column_block")
+        assert ("spmm.acc" in ws._memory) == (case == "column_block")
 
     @staticmethod
     def _part_graph(case):
@@ -163,8 +178,8 @@ class TestSpmmNorm:
             return build_csr(n, rng.integers(0, n, size=(6 * n, 2)), symmetrize=False)
         if case == "star":
             return build_csr(n, [(0, v) for v in range(1, n)])
-        if case == "isolated":  # every third node touches no edge
-            nodes = [v for v in range(n) if v % 3]
+        if case == "isolated":  # every third node touches no edge, the last node among them
+            nodes = [v for v in range(n) if v % 3 != 2]
             return build_csr(n, [(u, v) for u in nodes for v in nodes if u < v and rng.random() < 0.05])
         return build_csr(n, [])
 
@@ -173,38 +188,86 @@ class TestSpmmNorm:
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("case", ["directed", "star", "isolated", "edgeless"])
     def test_row_parts_equal_the_whole(self, monkeypatch, case, transpose, cols, parts):
-        # with floors of 1 every pass splits: the blocks in runs of near-equal
-        # entries, each through its own gather buffer, and the scaling and
-        # reordering passes in node-row ranges; also into the input itself;
-        # a one-thread pool runs whole
+        # with floors of 1 every pass splits: the rows in parts of near-equal
+        # stored entries, and the scaling in node-row ranges; also into the
+        # input itself; a one-thread pool runs whole
         adj = self._part_graph(case)
+        n = adj.num_nodes
         s = degree_norms(adj).astype(np.float32)
-        x = np.random.default_rng(14).standard_normal((adj.num_nodes, cols)).astype(np.float32)
+        x = np.random.default_rng(14).standard_normal((n, cols)).astype(np.float32)
         whole = _spmm(adj, s, x, transpose)
         monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
         monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
-        lay = adj.blocks_t if transpose else adj.blocks
-        cut = lay.parts(parts)
-        assert [b for part in cut for b in range(*part)] == list(range(len(lay.blocks)))
+        spans, spmm_rows = [], ops._spmm_rows
+        monkeypatch.setattr(ops, "_spmm_rows", lambda lo, hi, *a: spans.append((lo, hi)) or spmm_rows(lo, hi, *a))
         for threads in (1, parts):
             with ops.Pool(threads) as pool:
-                ws = ops.Workspace()
-                got = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
+                spans.clear()
+                got = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ops.Workspace(), pool=pool)
+                cut = sorted(spans)
                 h = x.copy()
-                into_h = ops.spmm_norm(adj, s, h, transpose, out=h, ws=ws, pool=pool)
+                into_h = ops.spmm_norm(adj, s, h, transpose, out=h, ws=ops.Workspace(), pool=pool)
             assert got.tobytes() == whole.tobytes() == into_h.tobytes()
-            gathers = [k for k in ws._memory if k == "spmm.gather" or k[0] == "spmm.gather"]
-            assert len(gathers) == (len(cut) if threads > 1 else 1)
-        if case == "directed":
-            assert len(cut) == parts
+            # the parts cover the rows in order
+            assert [lo for lo, _ in cut] == [0] + [hi for _, hi in cut[:-1]] and cut[-1][1] == n
+            if case == "directed":
+                assert len(cut) == threads
+
+    @staticmethod
+    def _cut(monkeypatch, adj, threads, transpose=False):
+        """The row spans `spmm_norm` sums in, one part each, on a pool of
+        `threads` with every pass split."""
+        monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+        spans, spmm_rows = [], ops._spmm_rows
+        monkeypatch.setattr(ops, "_spmm_rows", lambda lo, hi, *a: spans.append((lo, hi)) or spmm_rows(lo, hi, *a))
+        x = np.ones((adj.num_nodes, 2), dtype=np.float32)
+        with ops.Pool(threads) as pool:
+            ops.spmm_norm(adj, degree_norms(adj).astype(np.float32), x, transpose, out=np.empty_like(x),
+                          ws=ops.Workspace(), pool=pool)
+        return sorted(spans)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_row_parts_hold_near_equal_entries(self, monkeypatch, transpose, parts):
+        # part i starts at the first row whose stored entries before it reach
+        # i/k of them all, so it misses the ideal by less than one row
+        adj = self._part_graph("directed")
+        offsets = adj.row_offsets_t if transpose else adj.row_offsets
+        cut = self._cut(monkeypatch, adj, parts, transpose)
+        assert len(cut) == parts
+        nnz, widest = offsets[-1], np.diff(offsets).max()
+        for i, (lo, _) in enumerate(cut[1:], 1):
+            assert 0 <= offsets[lo] - nnz * i / parts < widest
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_star_hub_is_a_part_of_its_own(self, monkeypatch, parts):
+        # the hub's row holds half of the 598 stored entries (row offsets 0,
+        # 299, 300, ...), so it is a part alone; at 3 parts the cut inside it
+        # falls on row 1, and the one at two thirds on row 101 (offset 399)
+        adj = self._part_graph("star")
+        n = adj.num_nodes
+        leaves = [(1, n)] if parts == 2 else [(1, 101), (101, n)]
+        assert self._cut(monkeypatch, adj, parts) == [(0, 1)] + leaves
+
+    def test_output_of_another_dtype_sums_in_the_accumulator(self):
+        # the kernel would write a float64 `out` through a float32 copy and
+        # drop it; the sum goes into the accumulator, then, scaled, into `out`
+        adj = self._part_graph("directed")
+        s = degree_norms(adj).astype(np.float32)
+        x = np.random.default_rng(16).standard_normal((adj.num_nodes, 5)).astype(np.float32)
+        ws, out = ops.Workspace(), np.full(x.shape, np.nan)
+        assert ops.spmm_norm(adj, s, x, out=out, ws=ws) is out
+        assert out.tobytes() == _spmm(adj, s, x).astype(np.float64).tobytes()
+        assert ws._memory["spmm.acc"].size == x.nbytes
 
     @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("cols", [1, 3])
     def test_input_in_its_own_scratch(self, monkeypatch, cols, transpose, split):
         # a caller that writes the input into the workspace's scratch
-        # (`ops.scratch`) has it scaled there, in place, as the padded input:
-        # the bits of a separate input, and no other memory for the input
+        # (`ops.scratch`) has it scaled there, in place: the bits of a
+        # separate input, and no other memory in the workspace
         adj = self._part_graph("directed")
         n = adj.num_nodes
         s = degree_norms(adj).astype(np.float32)
@@ -220,13 +283,8 @@ class TestSpmmNorm:
             memory = ws._memory[ops.SCRATCH]
             got = ops.spmm_norm(adj, s, h, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
         assert got.tobytes() == want.tobytes()
-        assert ws._memory[ops.SCRATCH] is memory and memory.size == (n + 1) * max(cols, 2) * 4
-        assert not [k for k in ws._memory if k not in (ops.SCRATCH, "spmm.acc") and "spmm.gather" not in k]
-
-    def test_row_parts_are_cut_once_per_count(self):
-        adj = self._part_graph("directed")
-        assert adj.blocks.parts(2) is adj.blocks.parts(2)
-        assert adj.blocks.parts(1) == ((0, len(adj.blocks.blocks)),)
+        assert ws._memory[ops.SCRATCH] is memory and memory.size == n * cols * 4
+        assert list(ws._memory) == [ops.SCRATCH]
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
