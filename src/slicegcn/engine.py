@@ -237,7 +237,7 @@ class RunState:
     workers: list
     head: MasterHead
     features: np.ndarray  # run-precision copy of graph features
-    norm_scale: np.ndarray  # degree norms of graph.adj, in run precision
+    norm_scale: np.ndarray  # degree norms of graph.adj, in run precision, read-only
     slices: Optional[list]  # precomputed per-device inputs (direct mode)
     train_idx: np.ndarray  # node indices of the train, val and test splits
     val_idx: np.ndarray
@@ -343,6 +343,8 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     features = np.ascontiguousarray(graph.features, dtype=dtype)
     slices = None if config.use_ff else slicing.slice_feature(features, strategy)
     pool = ops.Pool(pool_threads(config, graph, workers[0].layers))
+    norm_scale = degree_norms(graph.adj).astype(dtype)
+    norm_scale.setflags(write=False)  # the adjacency keeps its SpMM weights for this array
     if config.p == 1:
         workers[0].pool = pool
     return RunState(
@@ -351,7 +353,7 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
         workers=workers,
         head=head,
         features=features,
-        norm_scale=degree_norms(graph.adj).astype(dtype),
+        norm_scale=norm_scale,
         slices=slices,
         train_idx=np.flatnonzero(graph.split == TRAIN),
         val_idx=np.flatnonzero(graph.split == VAL),
@@ -389,10 +391,9 @@ def epoch_forward(run: RunState, training: bool):
         worker, x, out = item
         return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff, out=out, agg=agg)
 
-    outputs = pool.run(fwd, list(zip(run.workers, inputs, blocks)))
+    pool.run(fwd, list(zip(run.workers, inputs, blocks)))
     if cfg.use_se:
-        for i, h in enumerate(outputs):
-            nn.slice_encode(h, head.encoding, i, out=h)
+        nn.slice_encode(rep, head.encoding)
 
     logits = nn.mlp_forward(rep, classifier, training, pool=pool)
     train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
@@ -428,13 +429,10 @@ def epoch_backward(run: RunState, lr: float) -> None:
     d_logits = classifier.ws.get("d_logits", (len(rep), classifier.layers[-1][1].size), rep.dtype)
     d_rep = nn.mlp_backward(d_logits, classifier, d_in=rep, pool=pool)
 
+    if cfg.use_se:  # before the devices' backward passes consume their blocks
+        nn.slice_encode_backward(d_rep, head.encoding)
     width = d_rep.shape[1] // cfg.p  # every device's output is equally wide
     blocks = [d_rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
-
-    if cfg.use_se:
-        (d_table,) = head.encoding.group.grads
-        for i in range(cfg.p):
-            d_table[i], blocks[i] = nn.slice_encode_backward(blocks[i])
 
     def bwd(item):
         worker, d_h = item

@@ -55,7 +55,7 @@ class CsrAdjacency:
     col_indices: np.ndarray  # int64, length nnz
     row_offsets_t: np.ndarray = field(init=False, repr=False, compare=False)
     col_indices_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _ones: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # dtype -> ones(dtype)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # (Aᵀ apart, dtype) -> (s, values)
 
     def __post_init__(self):
         n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
@@ -65,14 +65,17 @@ class CsrAdjacency:
         object.__setattr__(self, "row_offsets_t", offsets if symmetric else _readonly(t_offsets))
         object.__setattr__(self, "col_indices_t", cols if symmetric else _readonly(t_cols))
 
-    def ones(self, dtype) -> np.ndarray:
-        """The stored values of A and of Aᵀ: num_edges ones in `dtype`,
-        read-only, made at the dtype's first use (threads that race to make
-        them each get ones)."""
-        a = self._ones.get(np.dtype(dtype))
-        if a is None:
-            a = self._ones[np.dtype(dtype)] = _readonly(np.ones(self.num_edges, dtype=dtype))
-        return a
+    def weights(self, s: np.ndarray, transpose: bool, dtype) -> np.ndarray:
+        """The stored values of A S (of Aᵀ S with `transpose`): s at each
+        stored entry's column, in `dtype`, read-only. Kept for the very array
+        `s`, which must not change meanwhile, and shared by A and Aᵀ on a
+        symmetric graph; threads that race to make them get equal arrays."""
+        cols = self.col_indices_t if transpose else self.col_indices
+        key = (cols is not self.col_indices, np.dtype(dtype))
+        kept = self._weights.get(key)
+        if kept is None or kept[0] is not s:
+            kept = self._weights[key] = (s, _readonly(s[cols].astype(key[1], copy=False)))
+        return kept[1]
 
     @property
     def num_edges(self) -> int:

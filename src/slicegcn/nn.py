@@ -48,10 +48,9 @@ and the cache of its training forward, which its backward consumes. A
 layer writes its cached arrays and output under per-layer keys, so each
 pass writes the arrays the previous pass did; a kept result is then
 already where the next forward reads it. A GCN layer's temporaries live in
-the workspace's one scratch array (`ops.scratch`), which is also the
-SpMM's scaled input: a product the layer aggregates next is formed there,
-and the SpMM scales it in place. Backward passes consume the gradient they
-are handed and write gradients over forward arrays that nothing reads
+the workspace's one scratch array (`ops.scratch`); the SpMM reads a product
+formed there in place. Backward passes consume the gradient they are
+handed and write gradients over forward arrays that nothing reads
 afterwards (see `mlp_backward`, which so needs no scratch).
 
 All backward passes are hand-derived reverse-mode gradients. The input
@@ -164,10 +163,10 @@ def gcn_layer_forward(
     output live in `ws` under keys (layer, name), so every pass through
     layer `layer` writes the same arrays, and its temporaries live in the
     workspace's scratch (`ops.scratch`): a narrowing layer forms H W_agg
-    there, where the SpMM scales it in place. `out`, when given,
-    is the array the output is written into instead; the pre-activation is
-    formed there too. The products, the SpMM, dropout and the element-wise
-    passes split on `pool`.
+    there, which the SpMM reads in place. `out`, when given, is the array
+    the output is written into instead; the pre-activation is formed there
+    too. The products, the SpMM, dropout and the element-wise passes split
+    on `pool`.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
     keeps = version is not None and out is None
@@ -176,14 +175,12 @@ def gcn_layer_forward(
     if version is not None and agg is None:
         agg = ws.get((layer, "agg"), (n, w_in), dtype)
         if (layer, "agg") not in ws.versions:  # a fixed input's aggregate holds at every version
-            # in a throwaway workspace: this SpMM's scratch is as wide as the input, and needed once
-            ops.spmm_norm(adj, s, h_in, out=agg, ws=ops.Workspace(), pool=pool)
+            ops.spmm_norm(adj, s, h_in, out=agg, ws=ws, pool=pool)
             ws.versions[layer, "agg"] = version
     h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
     mask = ws.get((layer, "mask"), (n, w_out), bool) if training or keeps else None
     if not kept:
         if agg is None and narrows(params):
-            # H W_agg in the scratch, which the SpMM then scales in place
             t = pool.matmul(h_in, params.w_agg, out=ops.scratch(ws, n, w_out, dtype))
             ops.spmm_norm(adj, s, t, out=h_out, ws=ws, pool=pool)
         else:
@@ -227,7 +224,8 @@ def gcn_layer_backward(
     products, the SpMM and the element-wise passes split on `pool`.
 
     A narrowing layer forms G = Âᵀ d_pre once, at the output width, over
-    d_pre, for dW_agg = H_inᵀ G (when the forward kept no aggregate) and
+    d_pre (which the SpMM so first copies into the scratch), for
+    dW_agg = H_inᵀ G (when the forward kept no aggregate) and
     dH_in = G W_aggᵀ; H_in is read after `d_in` is first written, so `d_in`
     must not share H_in's memory there (ValueError). Any other layer
     aggregates d_pre W_aggᵀ, which it forms in the scratch, and may be
@@ -377,7 +375,8 @@ def mlp_backward(d_out, mlp: MlpParams, *, d_in=None, pool=ops.INLINE):
 
 @dataclass
 class SliceEncoding:
-    """One learned offset row per device, added to that device's output."""
+    """One learned offset row per device, added to that device's output
+    block of the gathered representation."""
 
     table: np.ndarray  # p x width
     group: Optional[ParamGroup] = None  # the group the table is a view into
@@ -388,18 +387,17 @@ def init_slice_encoding(p: int, width: int, rng, dtype) -> SliceEncoding:
     return SliceEncoding(table=group.params[0], group=group)
 
 
-def slice_encode(h, enc: SliceEncoding, device_index: int, out=None):
-    """h + the device's table row, written into `out` (which may be h) when given."""
-    if h.shape[1] != enc.table.shape[1]:
-        raise ValueError(f"encoding width {enc.table.shape[1]} != representation width {h.shape[1]}")
-    if not 0 <= device_index < enc.table.shape[0]:
-        raise ValueError(f"device index {device_index} out of range")
-    return np.add(h, enc.table[device_index], out=out)
+def slice_encode(rep, enc: SliceEncoding):
+    """Adds each device's table row to its column block of the gathered
+    representation `rep`, in place, as one pass over `rep`; returns rep."""
+    rep += enc.table.reshape(-1)
+    return rep
 
 
-def slice_encode_backward(d_h):
-    """Returns (d_table_row, d_h); the pass-through gradient is unchanged."""
-    return d_h.sum(axis=0), d_h
+def slice_encode_backward(d_rep, enc: SliceEncoding) -> None:
+    """Writes the table's gradient, the column sums of each device's block
+    of `d_rep`, into the group's gradient view; d_rep passes through unchanged."""
+    np.sum(d_rep, axis=0, out=enc.group.grads[0].reshape(-1))
 
 
 # ---------------------------------------------------------------------------

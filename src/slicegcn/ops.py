@@ -7,10 +7,10 @@ which writes its output into the array it is given (callers pass arrays they
 own). The element-wise kernels follow numpy: `out=` names the array their
 result is written into, and without it they return a new one. `spmm_norm`
 writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
-where its temporaries live; its scaled input is the workspace's scratch
-array (`scratch`), so an input its caller formed there is scaled in place.
-Kernels keep no state; a workspace belongs to one owner, which uses it
-from one thread at a time.
+where its temporaries live: it reads its input where it lies, and copies
+it into the workspace's scratch array (`scratch`) only when it is strided
+or shares memory with `out`. Kernels keep no state; a workspace belongs to
+one owner, which uses it from one thread at a time.
 
 `Pool` holds a run's threads: it runs one task per device, and cuts a
 large dense product, SpMM, dropout mask or element-wise pass into at most
@@ -252,21 +252,22 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     `transpose=True` computes Âᵀ H = S Aᵀ S H instead, which the backward
     pass needs; on undirected graphs the two coincide.
 
-    S H is formed in the scratch array of `ws` (`scratch`); an input the
-    caller wrote there is scaled in place. A·(S H) is summed by scipy's
-    compiled CSR kernel `csr_matvecs` over the CSR of A (or of Aᵀ), whose
-    stored values are ones: each row adds its terms one by one in CSR
-    order, from +0.0, so its bits do not depend on how the rows are cut.
-    The sum goes into `out`, which may be `h` itself, as the input is read
-    only through the scratch, but is never the scratch; a strided `out`, or
-    one of another dtype, which the kernel would write through a copy, sums
-    in the accumulator `"spmm.acc"` of `ws` instead. Scaled by S, it ends
-    in `out`, which is returned.
+    (A S) H is summed by scipy's compiled CSR kernel `csr_matvecs` over the
+    CSR of A (or of Aᵀ), whose stored values are s at each entry's column
+    (`CsrAdjacency.weights`, in H's dtype): each row adds its terms
+    s[u] * h[u, :] one by one in CSR order, from +0.0, so its bits do not
+    depend on how the rows are cut. The kernel reads H where it lies when
+    H is C-contiguous and shares no memory with `out`; any other H is first
+    copied into the scratch array of `ws` (`scratch`), the only use the
+    SpMM makes of it. The sum goes into `out`, which may be `h` itself but
+    is never the scratch; a strided `out`, or one of another dtype, which
+    the kernel would write through a copy, sums in the accumulator
+    `"spmm.acc"` of `ws` instead. Scaled by S, it ends in `out`, which is
+    returned.
 
-    On `pool`, the scaling runs in node-row ranges (`Pool.rows`), and then
-    the sum and the final scaling in up to `pool.threads` row parts of
-    near-equal stored entries (`Pool.count`), each of which writes its own
-    rows only.
+    On `pool`, a copy runs in node-row ranges (`Pool.rows`), and the sum
+    and the scaling in up to `pool.threads` row parts of near-equal stored
+    entries (`Pool.count`), each of which writes its own rows only.
     """
     n, c = adj.num_nodes, h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
@@ -274,40 +275,36 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     if s.shape != (n,):
         raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
     offsets, cols = (adj.row_offsets_t, adj.col_indices_t) if transpose else (adj.row_offsets, adj.col_indices)
-    scaled = scratch(ws, n, c, h.dtype)  # h itself when the caller formed the input there
-    pool.rows(_scale_rows, (scaled, h, s))
+    if not h.flags.c_contiguous or np.may_share_memory(h, out):
+        x = scratch(ws, n, c, h.dtype)
+        pool.rows(np.copyto, (x, h))
+        h = x
     acc = out if out.flags.c_contiguous and out.dtype == h.dtype else ws.get("spmm.acc", (n, c), h.dtype)
-    k, ones = pool.count(cols.size * c, n), adj.ones(h.dtype)
+    k, weights = pool.count(cols.size * c, n), adj.weights(s, transpose, h.dtype)
     if k == 1:
         parts = [(0, n)]
     else:  # rows [lo, hi) of near-equal stored entries
         bounds = np.unique(np.concatenate([[0], np.searchsorted(offsets, cols.size * np.arange(1, k) / k), [n]]))
         parts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    pool.run(lambda part: _spmm_rows(*part, offsets, cols, ones, scaled, acc, out, s), parts)
+    pool.run(lambda part: _spmm_rows(*part, offsets, cols, weights, h, acc, out, s), parts)
     return out
 
 
-SCRATCH = "tmp"  # the workspace key of a layer's temporaries and of the SpMM's scaled input
+SCRATCH = "tmp"  # the workspace key of a layer's temporaries and of the SpMM's copied input
 
 
 def scratch(ws, n: int, c: int, dtype) -> np.ndarray:
-    """The n x c scratch array of `ws`, a temporary; a product written here
-    and passed to `spmm_norm` is scaled in place, as the SpMM's own input."""
+    """The n x c scratch array of `ws`, a temporary."""
     return ws.get(SCRATCH, (n, c), dtype)
 
 
-def _scale_rows(out, h, s) -> None:
-    """out = S h."""
-    np.multiply(h, s[:, None], out=out)
-
-
-def _spmm_rows(lo: int, hi: int, offsets, cols, ones, scaled, acc, out, s) -> None:
-    """Rows [lo, hi) of out = S A scaled, summed in the same rows of acc,
-    which may be out; A's CSR is (offsets, cols, ones)."""
+def _spmm_rows(lo: int, hi: int, offsets, cols, weights, h, acc, out, s) -> None:
+    """Rows [lo, hi) of out = S (A S) h, summed in the same rows of acc,
+    which may be out; A S's CSR is (offsets, cols, weights)."""
     rows = acc[lo:hi]
     rows[...] = 0
-    _sparsetools.csr_matvecs(hi - lo, len(scaled), scaled.shape[1], offsets[lo : hi + 1], cols, ones,
-                             scaled.reshape(-1), rows.reshape(-1))
+    _sparsetools.csr_matvecs(hi - lo, len(h), h.shape[1], offsets[lo : hi + 1], cols, weights,
+                             h.reshape(-1), rows.reshape(-1))
     np.multiply(rows, s[lo:hi, None], out=out[lo:hi])
 
 

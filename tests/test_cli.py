@@ -52,8 +52,7 @@ class TestTrainCommand:
 
             monkeypatch.setattr(module, name, watched)
 
-        passes = [(ops, "_scale_rows"), (ops, "_spmm_rows"), (ops, "_dropout_rows"), (nn, "_activate"),
-                  (nn, "_deactivate")]
+        passes = [(ops, "_spmm_rows"), (ops, "_dropout_rows"), (nn, "_activate"), (nn, "_deactivate")]
         for module, name in passes:
             watch(module, name)
         args = ["train", "--dataset", "synth", "--synth-nodes", "3200", "--synth-classes", "2",
@@ -71,9 +70,7 @@ class TestTrainCommand:
             if threads == "1":
                 assert not submitted and not on_pool
             else:
-                # the master's Â·z (p = 2) is too narrow for its row passes to split
-                split = {name for _, name in passes} - ({"_scale_rows"} if p > 1 else set())
-                assert products and split <= on_pool
+                assert products and {name for _, name in passes} <= on_pool
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_zero_devices_usage_error(self, tmp_path):

@@ -1094,8 +1094,10 @@ class TestBuffers:
         # every workspace key and its bytes after a training, counted by hand:
         # a layer keeps a bool ReLU mask (1 byte per element, like the dropout
         # keep mask), no f32 pre-activation, and the SpMM sums into its output;
-        # one n x width scratch array, which is also the SpMM's scaled input,
-        # and no d_pre, as backward masks the gradient it is handed in place
+        # one n x width scratch array for a layer's temporaries, and no d_pre,
+        # as backward masks the gradient it is handed in place; the SpMM reads
+        # its input where it lies, so the fusion MLP's workspace, which only
+        # the master's Â·z aggregates in, holds no scratch
         runs = []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
@@ -1123,7 +1125,7 @@ class TestBuffers:
         if cfg.use_ff:
             fusion = {
                 (0, "a"): n * d * f4, (0, "mask"): n * d, (0, "keep"): n * d, (1, "out"): n * h * f4,
-                "agg": n * h * f4, "tmp": n * h * f4,
+                "agg": n * h * f4,
             }
             owners.append((run.head.fusion.ws, fusion))
         for ws, want in owners:

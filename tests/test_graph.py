@@ -1,6 +1,8 @@
 import functools
 import json
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -121,14 +123,51 @@ class TestTransposeCsr:
 
     def test_read_only(self):
         adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
-        for a in (adj.row_offsets_t, adj.col_indices_t, adj.ones(np.float32)):
+        s = degree_norms(adj)
+        for a in (adj.row_offsets_t, adj.col_indices_t, adj.weights(s, False, s.dtype), adj.weights(s, True, s.dtype)):
             assert not a.flags.writeable
 
-    def test_ones_are_made_once_per_dtype(self):
+    def test_weights_are_kept_for_their_scale_array(self):
+        # s at each stored entry's column, made once per s array and
+        # operator, and made again when another array is passed
         adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
-        f4, f8 = adj.ones(np.float32), adj.ones(np.float64)
-        assert adj.ones(np.float32) is f4 and f4.dtype == np.float32 and f8.dtype == np.float64
-        assert f4.tolist() == f8.tolist() == [1.0] * adj.num_edges
+        s = np.array([0.5, 0.25, 2.0, 4.0])
+        a, at = adj.weights(s, False, s.dtype), adj.weights(s, True, s.dtype)
+        assert a.tolist() == s[adj.col_indices].tolist() and at.tolist() == s[adj.col_indices_t].tolist()
+        assert adj.weights(s, False, s.dtype) is a and adj.weights(s, True, s.dtype) is at and a is not at
+        f4 = adj.weights(s, False, np.float32)
+        assert f4.dtype == np.float32 and f4.tolist() == a.tolist() and adj.weights(s, False, s.dtype) is a
+        other = s.copy()
+        remade = adj.weights(other, False, s.dtype)
+        assert remade is not a and remade.tolist() == a.tolist() and adj.weights(other, False, s.dtype) is remade
+
+    def test_symmetric_graph_shares_its_weights(self):
+        adj = build_csr(4, [(0, 1), (1, 2), (0, 3)])
+        s = degree_norms(adj)
+        assert adj.weights(s, True, s.dtype) is adj.weights(s, False, s.dtype)
+
+    def test_threads_that_race_get_the_weights_of_their_own_scale_array(self):
+        # devices share one adjacency: a call never gets values made for
+        # another array, however the threads interleave the cache's check and set
+        adj = build_csr(50, [(u, (3 * u + 1) % 50) for u in range(50)], symmetrize=False)
+        scales = [np.arange(50.0) + k for k in range(4)]
+        wrong = []
+
+        def hammer(s):
+            want = [s[adj.col_indices].tolist(), s[adj.col_indices_t].tolist()]
+            for i in range(6000):
+                if adj.weights(s, i % 2 == 1, np.float64).tolist() != want[i % 2]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as ex:
+                for f in [ex.submit(hammer, s) for s in scales]:
+                    f.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not wrong
 
 
 class TestDegreeNorms:

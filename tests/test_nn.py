@@ -444,38 +444,18 @@ class TestBackwardConsumesItsGradient:
 
 class _FilledWorkspace(ops.Workspace):
     """A workspace whose arrays hold `byte` in every byte each time it hands
-    one out, however often it did before, but for the elements of `spared`:
-    the input an SpMM was handed (`_sparing_spmm`). A caller that writes
-    the SpMM's input into the scratch hands it over so, and the SpMM's own
-    get of its padded input, the same memory, keeps what the caller wrote;
-    the rest of that array, and every other array, is poisoned."""
+    one out, however often it did before. The SpMM gets no array over its
+    input's memory (it reads a product formed in the scratch where it lies),
+    so a pass that reads what it did not write reads poison."""
 
     def __init__(self, byte):
         super().__init__()
         self.byte = byte
-        self.spared = None
 
     def get(self, key, shape, dtype):
         a = super().get(key, shape, dtype)
-        kept = self.spared.copy() if self.spared is not None and np.shares_memory(a, self.spared) else None
         a.reshape(-1).view(np.uint8).fill(self.byte)
-        if kept is not None:
-            self.spared[...] = kept
         return a
-
-
-def _sparing_spmm(monkeypatch):
-    """Makes every `ops.spmm_norm` call spare its input `h` in a `_FilledWorkspace`."""
-    spmm = ops.spmm_norm
-
-    def sparing(adj, s, h, *args, ws, **kwargs):
-        ws.spared = h
-        try:
-            return spmm(adj, s, h, *args, ws=ws, **kwargs)
-        finally:
-            ws.spared = None
-
-    monkeypatch.setattr(ops, "spmm_norm", sparing)
 
 
 def _assert_same_bits(got, want):
@@ -509,9 +489,8 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
-    def test_gcn_layer(self, directed_graph, monkeypatch, shape, form, dropout, dtype):
+    def test_gcn_layer(self, directed_graph, shape, form, dropout, dtype):
         adj, s = directed_graph
-        _sparing_spmm(monkeypatch)
         s = s.astype(dtype)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(31, 0), dtype, form)
@@ -552,34 +531,55 @@ class TestPassesReadOnlyWhatTheyWrite:
 class TestSliceEncoding:
     def test_zero_table_identity(self):
         enc = nn.SliceEncoding(table=np.zeros((3, 4)))
-        h = np.random.default_rng(0).standard_normal((5, 4))
-        np.testing.assert_array_equal(nn.slice_encode(h, enc, 1), h)
+        rep = np.random.default_rng(0).standard_normal((5, 12))
+        want = rep.copy()
+        assert nn.slice_encode(rep, enc) is rep
+        np.testing.assert_array_equal(rep, want)
 
     def test_pure_broadcast(self):
+        # device i's block of the representation gets row i of the table
         enc = nn.SliceEncoding(table=np.arange(8.0).reshape(2, 4))
-        out = nn.slice_encode(np.zeros((3, 4)), enc, 1)
-        np.testing.assert_array_equal(out, np.tile([4.0, 5, 6, 7], (3, 1)))
+        out = nn.slice_encode(np.zeros((3, 8)), enc)
+        np.testing.assert_array_equal(out, np.tile(np.arange(8.0), (3, 1)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        enc = nn.SliceEncoding(table=rng.standard_normal((2, 4)))
-        h = rng.standard_normal((6, 4))
-        target = rng.standard_normal((6, 4))
+        enc = nn.init_slice_encoding(2, 4, ops.rng_stream(1, 0), np.float64)
+        h = rng.standard_normal((6, 8))
+        target = rng.standard_normal((6, 8))
 
         def loss():
-            return 0.5 * float(((nn.slice_encode(h, enc, 0) - target) ** 2).sum())
+            return 0.5 * float(((nn.slice_encode(h.copy(), enc) - target) ** 2).sum())
 
-        d_out = nn.slice_encode(h, enc, 0) - target
-        d_row, d_h = nn.slice_encode_backward(d_out)
+        d_out = nn.slice_encode(h.copy(), enc) - target
+        passed = d_out.copy()
+        nn.slice_encode_backward(d_out, enc)
         fd = central_diff(loss, enc.table)
-        assert rel_err(fd[0], d_row) <= 1e-5
-        assert not fd[1].any()  # the other device's row is untouched
-        np.testing.assert_array_equal(d_h, d_out)
+        assert rel_err(fd, enc.group.grads[0]) <= 1e-5
+        np.testing.assert_array_equal(d_out, passed)  # the pass-through gradient is unchanged
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_pass_has_the_bits_of_one_pass_per_device(self, p, dtype):
+        # the add and the column sums over the whole representation equal
+        # each device block's own, bit for bit
+        width = 5
+        enc = nn.init_slice_encoding(p, width, ops.rng_stream(2, 0), dtype)
+        rep = np.random.default_rng(2).standard_normal((300, p * width)).astype(dtype)
+        want = rep.copy()
+        blocks = [want[:, i * width : (i + 1) * width] for i in range(p)]
+        for i, block in enumerate(blocks):
+            np.add(block, enc.table[i], out=block)
+        nn.slice_encode(rep, enc)
+        assert rep.tobytes() == want.tobytes()
+        nn.slice_encode_backward(rep, enc)
+        _assert_same_bits(list(enc.group.grads[0]), [block.sum(axis=0) for block in blocks])
 
     def test_bad_device_index(self):
+        # a representation with a block for device 2 of a 2-row table does not broadcast
         enc = nn.SliceEncoding(table=np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            nn.slice_encode(np.zeros((1, 3)), enc, 2)
+            nn.slice_encode(np.zeros((1, 9)), enc)
 
 
 class TestMlp:

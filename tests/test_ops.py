@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -265,9 +266,9 @@ class TestSpmmNorm:
     @pytest.mark.parametrize("transpose", [False, True])
     @pytest.mark.parametrize("cols", [1, 3])
     def test_input_in_its_own_scratch(self, monkeypatch, cols, transpose, split):
-        # a caller that writes the input into the workspace's scratch
-        # (`ops.scratch`) has it scaled there, in place: the bits of a
-        # separate input, and no other memory in the workspace
+        # an input the caller wrote into the workspace's scratch
+        # (`ops.scratch`) is read there, where it lies, and left as it was:
+        # the bits of a separate input, and no other memory in the workspace
         adj = self._part_graph("directed")
         n = adj.num_nodes
         s = degree_norms(adj).astype(np.float32)
@@ -282,9 +283,64 @@ class TestSpmmNorm:
             h[...] = x
             memory = ws._memory[ops.SCRATCH]
             got = ops.spmm_norm(adj, s, h, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() and h.tobytes() == x.tobytes()
         assert ws._memory[ops.SCRATCH] is memory and memory.size == n * cols * 4
         assert list(ws._memory) == [ops.SCRATCH]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["column_block", "out_is_h"])
+    def test_strided_or_aliased_input_gives_the_bits_of_a_contiguous_copy(self, monkeypatch, case, threads):
+        # a C-contiguous input that shares no memory with `out` is read where
+        # it lies, and the workspace stays empty; a column block, or an input
+        # that is `out` itself, is first copied into the scratch: the bits of
+        # a contiguous copy, whole and in two parts
+        adj = self._part_graph("directed")
+        n, cols = adj.num_nodes, 5
+        s = degree_norms(adj).astype(np.float32)
+        wide = np.random.default_rng(18).standard_normal((n, 3 * cols)).astype(np.float32)
+        x = np.ascontiguousarray(wide[:, cols : 2 * cols])
+        monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+        spans, spmm_rows = [], ops._spmm_rows
+        monkeypatch.setattr(ops, "_spmm_rows", lambda lo, hi, *a: spans.append((lo, hi)) or spmm_rows(lo, hi, *a))
+        with ops.Pool(threads) as pool:
+            for transpose in (False, True):
+                ws = ops.Workspace()
+                want = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
+                assert ws._memory == {}
+                spans.clear()
+                h = wide[:, cols : 2 * cols] if case == "column_block" else x.copy()
+                out = np.full_like(x, np.nan) if case == "column_block" else h
+                assert ops.spmm_norm(adj, s, h, transpose, out=out, ws=ws, pool=pool) is out
+                assert out.tobytes() == want.tobytes() and len(spans) == threads
+                assert list(ws._memory) == [ops.SCRATCH] and ws._memory[ops.SCRATCH].size == x.nbytes
+        assert wide[:, cols : 2 * cols].tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_each_term_rounds_before_it_is_summed(self, transpose, dtype):
+        # out[v] = s_v · (((0 + fl(s_u0·h_u0)) + fl(s_u1·h_u1)) + …) over row
+        # v in CSR order, bit for bit: the term s_u·h_u, which the kernel
+        # forms from the stored weight s_u, rounds on its own. On these
+        # inputs a kernel that fused each multiply-add, rounding acc + s_u·h_u
+        # once (modelled below from the exact sum), gives other bits, so a
+        # scipy build that fuses fails here
+        rng = np.random.default_rng(19)
+        n, cols = 60, 3
+        adj = build_csr(n, rng.integers(0, n, size=(8 * n, 2)), symmetrize=False)
+        offsets, idx = (adj.row_offsets_t, adj.col_indices_t) if transpose else (adj.row_offsets, adj.col_indices)
+        s = degree_norms(adj).astype(dtype)
+        h = rng.standard_normal((n, cols)).astype(dtype)
+        want, fused = np.zeros_like(h), np.zeros_like(h)
+        for v in range(n):
+            for k in range(cols):
+                acc = exact = dtype(0.0)
+                for u in idx[offsets[v] : offsets[v + 1]]:
+                    acc = acc + s[u] * h[u, k]  # scalar ops of `dtype`: each rounds
+                    exact = dtype(float(Fraction(float(exact)) + Fraction(float(s[u])) * Fraction(float(h[u, k]))))
+                want[v, k], fused[v, k] = s[v] * acc, s[v] * exact
+        assert (want != fused).sum() >= 10
+        assert _spmm(adj, s, h, transpose).tobytes() == want.tobytes()
 
     def test_shape_mismatch(self):
         adj = build_csr(3, [(0, 1)])
