@@ -1,7 +1,8 @@
 """Command-line surface: training runs, benchmark sweeps, dataset validation.
 
 Exit codes: 0 ok, 1 usage/config error, 2 data error, 3 numeric failure.
-Set SLICEGCN_LOG=debug|info|warning to control verbosity.
+Set SLICEGCN_LOG=debug|info|warning|error|critical to control verbosity;
+any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -392,11 +393,22 @@ def cmd_validate_dataset(path: str) -> int:
     return EXIT_OK
 
 
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
+def log_level() -> str:
+    """The logging level SLICEGCN_LOG names (default warning), or a UsageError."""
+    level = os.environ.get("SLICEGCN_LOG", "warning")
+    if level.lower() not in LOG_LEVELS:
+        raise UsageError(f"SLICEGCN_LOG={level!r} is not a log level; use one of {', '.join(LOG_LEVELS)}")
+    return level.upper()
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SLICEGCN_LOG", "WARNING").upper())
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=log_level())
         if args.command == "train":
             return cmd_train(args)
         if args.command == "bench":

@@ -81,7 +81,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import blas, nn, ops, slicing
-from .graph import TRAIN, VAL, TEST, AttributedGraph, degree_norms
+from .graph import TRAIN, VAL, TEST, AttributedGraph, RowRestriction, degree_norms
 from .nn import NumericError
 
 VARIANTS = ("baseline", "slice", "slice_se", "slice_ff", "slice_ffse")
@@ -162,13 +162,16 @@ class WorkerState:
 
     def forward(
         self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False, *, out, agg=None,
+        rows=None,
     ):
         """Runs the stack on x; the last layer writes the device's output into `out`.
 
         `fixed_input`: x is the same in every call, so layer 0 runs at the
         group's step count as its version (see `nn`). `agg`, when given, is
         Â·x computed by the caller, which layer 0 uses as its aggregate; it
-        must stay valid until the device's backward pass.
+        must stay valid until the device's backward pass. `rows`, when
+        given, is the adjacency at a row set R (`graph.RowRestriction`): the
+        last layer then forms rows R of the output only, and `out` has m rows.
         """
         h = x
         caches = []
@@ -178,7 +181,8 @@ class WorkerState:
             rate = dropout_rate if li < last else 0.0
             h, c = nn.gcn_layer_forward(
                 adj, s, h, layer, self.rng, training, rate, agg=agg, ws=self.ws, layer=li,
-                out=out if li == last else None, version=version, pool=self.pool,
+                out=out if li == last else None, version=version, rows=rows if li == last else None,
+                pool=self.pool,
             )
             agg = version = None
             caches.append(c)
@@ -243,6 +247,14 @@ class RunState:
     val_idx: np.ndarray
     test_idx: np.ndarray
     pool: ops.Pool  # the run's device rounds and split blocks
+    train_rows: Optional[RowRestriction] = None  # graph.adj at train_idx, made by the first training forward
+
+    def training_rows(self) -> RowRestriction:
+        """The adjacency restricted to the training rows, made at the first
+        call, on the calling thread, and read-only from then on."""
+        if self.train_rows is None:
+            self.train_rows = self.graph.adj.restrict(self.train_idx)
+        return self.train_rows
 
     @property
     def param_count(self) -> int:
@@ -363,11 +375,20 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
 
 
 def epoch_forward(run: RunState, training: bool):
-    """One full forward pass; returns (training-mask loss, logits). A
-    training forward leaves the caches its backward reads with their owners."""
+    """One full forward pass; returns (training-split loss, logits).
+
+    A training forward runs the devices' last layers and the classifier on
+    the training rows only (`RunState.training_rows`, made on the master
+    before the first device round), as the loss reads nothing else, so its
+    representation and logits have m rows, one per training node in order.
+    An evaluation forward runs the same code on all rows. A training
+    forward leaves the caches its backward reads with their owners, and the
+    logits' gradient in the classifier's workspace.
+    """
     cfg = run.config
     adj, s = run.graph.adj, run.norm_scale
     head, classifier, pool = run.head, run.head.classifier, run.pool
+    rows = run.training_rows() if training else None
 
     agg = None
     if cfg.use_ff:
@@ -382,32 +403,31 @@ def epoch_forward(run: RunState, training: bool):
 
     # each device writes its output straight into its column block of the
     # representation (the gather), which the slice encoding then updates in place
-    rep_shape = (run.graph.num_nodes, classifier.layers[0][0].shape[0])
-    rep = classifier.ws.get("rep", rep_shape, run.features.dtype)
+    n = run.graph.num_nodes
+    rep_shape = (n if rows is None else rows.num_rows, classifier.layers[0][0].shape[0])
+    rep = classifier.ws.get("rep", rep_shape, run.features.dtype, rows=n)
     width = rep.shape[1] // cfg.p  # every device's output is equally wide
     blocks = [rep[:, i * width : (i + 1) * width] for i in range(cfg.p)]
 
     def fwd(item):
         worker, x, out = item
-        return worker.forward(adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff, out=out, agg=agg)
+        return worker.forward(
+            adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff, out=out, agg=agg, rows=rows,
+        )
 
     pool.run(fwd, list(zip(run.workers, inputs, blocks)))
     if cfg.use_se:
         nn.slice_encode(rep, head.encoding)
 
-    logits = nn.mlp_forward(rep, classifier, training, pool=pool)
-    train_logits, train_labels = logits[run.train_idx], run.graph.labels[run.train_idx]
-    if training:
-        loss, d_sub = ops.softmax_cross_entropy(train_logits, train_labels)
-    else:
-        loss = ops.cross_entropy(train_logits, train_labels)
-    if not np.isfinite(loss):
-        raise NumericError(f"{'training' if training else 'evaluation'} forward: non-finite training loss ({loss})")
-
+    logits = nn.mlp_forward(rep, classifier, training, rows=rows, pool=pool)
+    train_labels = run.graph.labels[run.train_idx]
     if training:
         d_logits = classifier.ws.get("d_logits", logits.shape, logits.dtype)
-        d_logits.fill(0)
-        d_logits[run.train_idx] = d_sub
+        loss, _ = ops.softmax_cross_entropy(logits, train_labels, out=d_logits)
+    else:
+        loss = ops.cross_entropy(logits[run.train_idx], train_labels)
+    if not np.isfinite(loss):
+        raise NumericError(f"{'training' if training else 'evaluation'} forward: non-finite training loss ({loss})")
     return loss, logits
 
 

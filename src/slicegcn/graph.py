@@ -41,29 +41,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CsrAdjacency:
-    """CSR adjacency: neighbor lists sorted ascending, no duplicates.
+class _Csr:
+    """What `ops.spmm_norm` reads of a CSR operator: its stored entries, the
+    scale of its output rows, and its stored values."""
 
-    Row v lists the nodes v aggregates from. The CSR of the transpose Aᵀ
-    (`row_offsets_t`, `col_indices_t`: the same arrays when A is symmetric)
-    is built once here, read-only, so threads only ever read it.
-    """
+    @property
+    def num_rows(self) -> int:
+        """Rows of A (columns of Aᵀ)."""
+        return len(self.row_offsets) - 1
 
-    num_nodes: int
-    row_offsets: np.ndarray  # int64, length num_nodes + 1
-    col_indices: np.ndarray  # int64, length nnz
-    row_offsets_t: np.ndarray = field(init=False, repr=False, compare=False)
-    col_indices_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # (Aᵀ apart, dtype) -> (s, values)
+    @property
+    def num_edges(self) -> int:
+        """Stored directed entries (an undirected edge counts twice)."""
+        return int(len(self.col_indices))
 
-    def __post_init__(self):
-        n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        t_offsets, t_cols = _csr_from_keys(cols * n + rows, n)
-        symmetric = np.array_equal(t_offsets, offsets) and np.array_equal(t_cols, cols)
-        object.__setattr__(self, "row_offsets_t", offsets if symmetric else _readonly(t_offsets))
-        object.__setattr__(self, "col_indices_t", cols if symmetric else _readonly(t_cols))
+    def scale(self, s: np.ndarray, transpose: bool) -> np.ndarray:
+        """s at the nodes of the rows of A (of Aᵀ with `transpose`), read-only:
+        `s` itself, or s[nodes] kept for the very array `s`."""
+        if transpose or self.nodes is None:
+            return s
+        kept = self._weights.get("scale")
+        if kept is None or kept[0] is not s:
+            kept = self._weights["scale"] = (s, _readonly(s[self.nodes]))
+        return kept[1]
 
     def weights(self, s: np.ndarray, transpose: bool, dtype) -> np.ndarray:
         """The stored values of A S (of Aᵀ S with `transpose`): s at each
@@ -74,18 +74,92 @@ class CsrAdjacency:
         key = (cols is not self.col_indices, np.dtype(dtype))
         kept = self._weights.get(key)
         if kept is None or kept[0] is not s:
-            kept = self._weights[key] = (s, _readonly(s[cols].astype(key[1], copy=False)))
+            column_scale = self.scale(s, not transpose)  # Aᵀ's columns are A's rows
+            kept = self._weights[key] = (s, _readonly(column_scale[cols].astype(key[1], copy=False)))
         return kept[1]
 
-    @property
-    def num_edges(self) -> int:
-        """Stored directed entries (an undirected edge counts twice)."""
-        return int(len(self.col_indices))
+
+@dataclass(frozen=True)
+class CsrAdjacency(_Csr):
+    """CSR adjacency: neighbor lists sorted ascending, no duplicates.
+
+    Row v lists the nodes v aggregates from. The CSR of the transpose Aᵀ
+    (`row_offsets_t`, `col_indices_t`: the same arrays when A is symmetric)
+    is built once here, read-only, so threads only ever read it.
+    """
+
+    nodes = None  # row v is node v's (a class attribute, not a field)
+    num_nodes: int
+    row_offsets: np.ndarray  # int64, length num_nodes + 1
+    col_indices: np.ndarray  # int64, length nnz
+    row_offsets_t: np.ndarray = field(init=False, repr=False, compare=False)
+    col_indices_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see `weights`, `scale`
+
+    def __post_init__(self):
+        n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        t_offsets, t_cols = _csr_from_keys(cols * n + rows, n)
+        symmetric = np.array_equal(t_offsets, offsets) and np.array_equal(t_cols, cols)
+        object.__setattr__(self, "row_offsets_t", offsets if symmetric else _readonly(t_offsets))
+        object.__setattr__(self, "col_indices_t", cols if symmetric else _readonly(t_cols))
+
+    def restrict(self, nodes) -> RowRestriction:
+        """A restricted to the rows `nodes` (ascending and distinct), and Aᵀ
+        to the same columns, as read-only CSRs.
+
+        Both keep the whole's entries in the whole's order, so each row of
+        either sums its terms in the order the same row of A (of Aᵀ) does,
+        less the terms of the columns left out. One pass over the entries,
+        with no sort.
+        """
+        n = self.num_nodes
+        nodes = np.array(nodes, dtype=np.int64)
+        if nodes.ndim != 1 or len(nodes) and (nodes[0] < 0 or nodes[-1] >= n or (np.diff(nodes) <= 0).any()):
+            raise ValueError(f"restrict: rows must be ascending, distinct nodes below {n}")
+        member = np.zeros(n, dtype=bool)
+        member[nodes] = True
+        degree = np.diff(self.row_offsets)
+        offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(degree[nodes], out=offsets[1:])
+        cols = self.col_indices[np.repeat(member, degree)]
+        # Aᵀ[:, R]: the entries of Aᵀ in columns R, renumbered by their place in R
+        kept = member[self.col_indices_t]
+        before = np.zeros(len(kept) + 1, dtype=np.int64)  # kept entries before each entry of Aᵀ
+        np.cumsum(kept, out=before[1:])
+        place = np.cumsum(member) - 1
+        return RowRestriction(
+            num_nodes=n,
+            nodes=_readonly(nodes),
+            row_offsets=_readonly(offsets),
+            col_indices=_readonly(cols),
+            row_offsets_t=_readonly(before[self.row_offsets_t]),
+            col_indices_t=_readonly(place[self.col_indices_t[kept]]),
+        )
 
     def edge_list(self) -> np.ndarray:
         """All stored (row, col) pairs, row-major order."""
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.row_offsets))
         return np.stack([rows, self.col_indices], axis=1)
+
+
+@dataclass(frozen=True)
+class RowRestriction(_Csr):
+    """The rows R = `nodes` of an adjacency A (`CsrAdjacency.restrict`): the
+    m x n operator A[R, :] (`row_offsets`, `col_indices`), whose row i is
+    node R[i]'s, and the n x m operator Aᵀ[:, R] (`row_offsets_t`,
+    `col_indices_t`, whose column j is node R[j]). `ops.spmm_norm` runs
+    either as it runs the whole: Â[R, :] H gives rows R of Â H, and
+    (Â[R, :])ᵀ G gives Âᵀ of an n-row array that holds G at rows R and
+    zeros elsewhere. Every array is read-only."""
+
+    num_nodes: int
+    nodes: np.ndarray  # R: int64, ascending
+    row_offsets: np.ndarray  # int64, length m + 1
+    col_indices: np.ndarray  # int64 in [0, n)
+    row_offsets_t: np.ndarray  # int64, length n + 1
+    col_indices_t: np.ndarray  # int64 in [0, m)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see `weights`, `scale`
 
 
 def build_csr(num_nodes: int, edges, symmetrize: bool = True) -> CsrAdjacency:

@@ -123,11 +123,13 @@ def init_gcn_layers(widths, rng, dtype, form: str = FORM_DUAL):
 @dataclass
 class GcnLayerCache:
     h_in: np.ndarray
-    agg: Optional[np.ndarray]  # Â h_in; None when the layer multiplied by W_agg first
+    agg: Optional[np.ndarray]  # Â h_in at the output rows; None when the layer multiplied by W_agg first
     mask: Optional[np.ndarray]  # bool, where the pre-activation Â h_in W_agg + b is positive; None if not recorded
     keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
     own_agg: bool = False  # agg was formed by this pass, and nothing reads it after backward's dW_agg
+    rows: Optional[object] = None  # the operator of the output rows R (`graph.RowRestriction`); None: all rows
+    h_rows: Optional[np.ndarray] = None  # h_in's rows R, the self path's input, gathered; None on all rows
 
 
 def _activate(h, mask, self_path, bias) -> None:
@@ -149,7 +151,7 @@ def narrows(params: GcnLayerParams) -> bool:
 
 def gcn_layer_forward(
     adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
-    *, ws, layer=0, out=None, version=None, pool=ops.INLINE,
+    *, ws, layer=0, out=None, version=None, rows=None, pool=ops.INLINE,
 ):
     """One layer. Dropout (if rate > 0) is applied to the layer output.
 
@@ -159,17 +161,26 @@ def gcn_layer_forward(
     aggregate is formed once and kept (module docstring). The cache's mask
     is None where no mask is formed.
 
+    `rows`, when given, is the adjacency restricted to a row set R
+    (`graph.RowRestriction`), and the layer forms rows R of its output
+    only: m rows of output, ReLU mask and dropout mask (the whole mask's
+    rows R, see `ops.dropout`). It aggregates over the restricted operator,
+    or takes rows R of a whole aggregate (a caller's `agg`, or the kept one
+    of a fixed input); its self path reads H_in's rows R, gathered once,
+    which its cache keeps for dW_self. Nothing is kept for a later pass.
+
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
     layer `layer` writes the same arrays, and its temporaries live in the
     workspace's scratch (`ops.scratch`): a narrowing layer forms H W_agg
     there, which the SpMM reads in place. `out`, when given, is the array
     the output is written into instead; the pre-activation is formed there
-    too. The products, the SpMM, dropout and the element-wise passes split
-    on `pool`.
+    too. The products, the SpMM, the gathers, dropout and the element-wise
+    passes split on `pool`.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
-    keeps = version is not None and out is None
+    op, m = (adj, n) if rows is None else (rows, rows.num_rows)
+    keeps = version is not None and out is None and rows is None
     kept = keeps and ws.versions.pop((layer, "out"), None) == version
     own_agg = False
     if version is not None and agg is None:
@@ -177,28 +188,63 @@ def gcn_layer_forward(
         if (layer, "agg") not in ws.versions:  # a fixed input's aggregate holds at every version
             ops.spmm_norm(adj, s, h_in, out=agg, ws=ws, pool=pool)
             ws.versions[layer, "agg"] = version
-    h_out = ws.get((layer, "out"), (n, w_out), dtype) if out is None else out
-    mask = ws.get((layer, "mask"), (n, w_out), bool) if training or keeps else None
+    h_rows = None
+    if rows is not None:
+        if agg is not None:
+            agg, own_agg = _gather(agg, rows, ws.get((layer, "agg.rows"), (m, w_in), dtype), pool), True
+        if params.w_self is not None:
+            h_rows = _gather(h_in, rows, ws.get((layer, "h_in.rows"), (m, w_in), dtype), pool)
+    h_out = ws.get((layer, "out"), (m, w_out), dtype) if out is None else out
+    mask = ws.get((layer, "mask"), (m, w_out), bool) if training or keeps else None
     if not kept:
         if agg is None and narrows(params):
             t = pool.matmul(h_in, params.w_agg, out=ops.scratch(ws, n, w_out, dtype))
-            ops.spmm_norm(adj, s, t, out=h_out, ws=ws, pool=pool)
+            ops.spmm_norm(op, s, t, out=h_out, ws=ws, pool=pool)
         else:
             if agg is None:
                 own_agg = True
                 agg = ops.spmm_norm(
-                    adj, s, h_in, out=ws.get((layer, "agg"), (n, w_in), dtype), ws=ws, pool=pool
+                    op, s, h_in, out=ws.get((layer, "agg"), (m, w_in), dtype, rows=n), ws=ws, pool=pool
                 )
             pool.matmul(agg, params.w_agg, out=h_out)
         self_path = None
         if params.w_self is not None:
-            self_path = pool.matmul(h_in, params.w_self, out=ops.scratch(ws, n, w_out, dtype))
+            h_self = h_in if rows is None else h_rows
+            self_path = pool.matmul(h_self, params.w_self, out=ops.scratch(ws, m, w_out, dtype))
         pool.rows(_activate, (h_out, mask, self_path), params.bias)
     if keeps and not training:
         ws.versions[layer, "out"] = version
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
-    h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, rng, keep=keep, pool=pool)
-    return h_out, GcnLayerCache(h_in=h_in, agg=agg, mask=mask, keep=keep, scale=scale, own_agg=own_agg)
+    h_out, keep, scale = ops.dropout(
+        h_out, dropout_rate, training, rng, keep=keep, pool=pool, rows=_nodes(rows), num_rows=n
+    )
+    cache = GcnLayerCache(h_in, agg, mask, keep, scale, own_agg=own_agg, rows=rows, h_rows=h_rows)
+    return h_out, cache
+
+
+def _nodes(rows):
+    """The node of each row of a row set's operator; None for all rows."""
+    return None if rows is None else rows.nodes
+
+
+def _gather(a, rows, out, pool) -> np.ndarray:
+    """out = a[R] for the row set `rows`, in row ranges on `pool`; returns out."""
+    pool.rows(_take_rows, (out, rows.nodes), a)
+    return out
+
+
+def _take_rows(out, index, a) -> None:
+    np.take(a, index, axis=0, out=out)
+
+
+_ADD_CHUNK = 1 << 15  # elements per step of `_add_rows`, whose temporary is that large
+
+
+def _add_rows(a, index, out) -> None:
+    """out[index] += a, a few rows at a time."""
+    step = max(1, _ADD_CHUNK // max(a.shape[1], 1))
+    for lo in range(0, len(a), step):
+        out[index[lo : lo + step]] += a[lo : lo + step]
 
 
 def _deactivate(d, keep, mask, scale) -> None:
@@ -234,17 +280,28 @@ def gcn_layer_backward(
     array that is dead by then and is added to `d_in`: the layer's own
     aggregate, else d_pre's memory (a strided d_pre's first columns, which
     the SpMM reaches through its accumulator), never a caller's `agg`.
+
+    A layer whose forward ran on rows R (`cache.rows`) takes m rows of
+    `d_out` and writes all n rows of `d_in`. Its aggregation runs over the
+    restricted operator's transpose, Âᵀ[:, R], which reads the m-row
+    d_pre W_aggᵀ (d_pre itself in a narrowing layer, whose G then goes to
+    the workspace's `"g"`), and its term goes straight into `d_in`; the self
+    path's term, formed over H_in's gathered rows once dW_self has read
+    them, is then added at rows R. H_in is read before `d_in` is written.
     """
-    n, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
+    m, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
+    n, rows = cache.h_in.shape[0], cache.rows
     grads, narrowing, dual = params.grads, narrows(params), params.w_self is not None
-    if narrowing and d_in is not None and np.shares_memory(d_in, cache.h_in):
+    op = adj if rows is None else rows
+    if rows is None and narrowing and d_in is not None and np.shares_memory(d_in, cache.h_in):
         raise ValueError("gcn_layer_backward: a narrowing layer's d_in shares H_in's memory, which it reads last")
     if cache.keep is not None:
         pool.rows(_deactivate, (d_out, cache.keep, None), cache.scale)
     if dual:
-        pool.matmul(cache.h_in.T, d_out, out=grads.w_self)
-        if d_in is not None:
-            pool.matmul(d_out, params.w_self.T, out=d_in)
+        h_self = cache.h_in if rows is None else cache.h_rows
+        pool.matmul(h_self.T, d_out, out=grads.w_self)
+        if d_in is not None:  # on rows R, over the gathered rows, which nothing reads after dW_self
+            self_term = pool.matmul(d_out, params.w_self.T, out=d_in if rows is None else h_self)
     d_pre = d_out
     pool.rows(_deactivate, (d_pre, None, cache.mask), None)
     np.sum(d_pre, axis=0, out=grads.bias)
@@ -252,17 +309,18 @@ def gcn_layer_backward(
         pool.matmul(cache.agg.T, d_pre, out=grads.w_agg)
     if narrowing:
         if cache.agg is None or d_in is not None:
-            g = ops.spmm_norm(adj, s, d_pre, transpose=True, out=d_pre, ws=ws, pool=pool)
+            g_out = d_pre if rows is None else ws.get("g", (n, w_out), dtype)
+            g = ops.spmm_norm(op, s, d_pre, transpose=True, out=g_out, ws=ws, pool=pool)
         if cache.agg is None:
             pool.matmul(cache.h_in.T, g, out=grads.w_agg)
         if d_in is None:
             return None
-        term = pool.matmul(g, params.w_agg.T, out=ops.scratch(ws, n, w_in, dtype) if dual else d_in)
+        term = pool.matmul(g, params.w_agg.T, out=ops.scratch(ws, n, w_in, dtype) if dual and rows is None else d_in)
     else:
         if d_in is None:
             return None
-        t = pool.matmul(d_pre, params.w_agg.T, out=ops.scratch(ws, n, w_in, dtype))
-        if not dual:
+        t = pool.matmul(d_pre, params.w_agg.T, out=ops.scratch(ws, m, w_in, dtype))
+        if not dual or rows is not None:
             target = d_in
         elif cache.own_agg:
             target = cache.agg
@@ -270,9 +328,11 @@ def gcn_layer_backward(
             target = d_pre.reshape(-1)[: n * w_in].reshape(n, w_in)
         else:  # a one-layer stack's strided block: the SpMM sums in an accumulator of `ws`
             target = d_pre[:, :w_in]
-        term = ops.spmm_norm(adj, s, t, transpose=True, out=target, ws=ws, pool=pool)
-    if dual:
+        term = ops.spmm_norm(op, s, t, transpose=True, out=target, ws=ws, pool=pool)
+    if dual and rows is None:
         pool.rows(operator.iadd, (d_in, term))
+    elif dual:
+        pool.rows(_add_rows, (self_term, rows.nodes), d_in)
     return d_in
 
 
@@ -304,14 +364,18 @@ def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
     )
 
 
-def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, pool=ops.INLINE):
+def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, rows=None, pool=ops.INLINE):
     """Returns the output. The last layer is linear (no activation).
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
     `mlp.ws` under keys (li, name), so every pass writes the same arrays,
     and dropout draws from `mlp.rng`. `version` says that x is fixed: the
     first hidden layer then keeps and reuses its relu(z) and mask by it
-    (module docstring). A training forward leaves its cache in `mlp.cache`
+    (module docstring). `rows`, a row set's operator
+    (`graph.RowRestriction`), says that x holds the rows R of an n-row
+    input: dropout then draws the n-row masks and keeps their rows R
+    (`ops.dropout`), so each row's mask is the one it has in a pass over
+    all rows. A training forward leaves its cache in `mlp.cache`
     for the backward; its masks are None where none is formed. Each layer's
     product runs in blocks on `pool` (`ops.Pool.matmul`), and its bias,
     ReLU and dropout in row ranges.
@@ -319,17 +383,18 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, pool=ops.INL
     ws, cache = mlp.ws, []
     h = x
     last = len(mlp.layers) - 1
+    whole = len(x) if rows is None else rows.num_nodes  # the rows of a pass over all rows
     for li, (w, b) in enumerate(mlp.layers):
         if h.shape[1] != w.shape[0]:
             raise ValueError(f"mlp layer {li}: input width {h.shape[1]} != {w.shape[0]}")
         shape = (h.shape[0], w.shape[1])
         if li == last:
             cache.append((h, None, None, None))
-            h = pool.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype))
+            h = pool.matmul(h, w, out=ws.get((li, "out"), shape, h.dtype, rows=whole))
             h += b
             continue
-        keeps = li == 0 and version is not None
-        a = ws.get((li, "a"), shape, h.dtype)
+        keeps = li == 0 and version is not None and rows is None
+        a = ws.get((li, "a"), shape, h.dtype, rows=whole)
         mask = ws.get((li, "mask"), shape, bool) if training or keeps else None
         if not (keeps and ws.versions.pop((li, "a"), None) == version):
             pool.matmul(h, w, out=a)
@@ -337,7 +402,9 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, pool=ops.INL
         if keeps and not training:
             ws.versions[li, "a"] = version
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
-        a, keep, scale = ops.dropout(a, mlp.dropout, training, mlp.rng, keep=keep, pool=pool)
+        a, keep, scale = ops.dropout(
+            a, mlp.dropout, training, mlp.rng, keep=keep, pool=pool, rows=_nodes(rows), num_rows=whole
+        )
         cache.append((h, mask, keep, scale))
         h = a
     mlp.cache = cache if training else None

@@ -213,6 +213,11 @@ class Workspace:
     `versions` maps a key to the version at which the value its array holds
     was formed, for the results an owner keeps from one pass to the next
     (see `nn`); the workspace only stores it.
+
+    `rows`, when given, makes new memory room for that many rows of the
+    shape's width: a pass over a row subset names the whole row count for
+    the arrays a pass over all rows writes later, so that pass finds its
+    memory made and the subset's array is not dropped for a larger one.
     """
 
     def __init__(self):
@@ -220,13 +225,14 @@ class Workspace:
         self._arrays = {}  # (key, shape, dtype) -> view of the key's memory
         self.versions = {}  # key -> version of the kept value in its array
 
-    def get(self, key, shape: tuple, dtype) -> np.ndarray:
+    def get(self, key, shape: tuple, dtype, rows: int = 0) -> np.ndarray:
         a = self._arrays.get((key, shape, dtype))
         if a is None:
-            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            row_bytes = math.prod(shape[1:]) * np.dtype(dtype).itemsize
+            nbytes = shape[0] * row_bytes
             memory = self._memory.get(key)
             if memory is None or memory.size < nbytes:
-                memory = self._memory[key] = np.empty(nbytes, dtype=np.uint8)
+                memory = self._memory[key] = np.empty(max(nbytes, rows * row_bytes), dtype=np.uint8)
                 self._arrays = {k: v for k, v in self._arrays.items() if k[0] != key}
             a = self._arrays[key, shape, dtype] = memory[:nbytes].view(dtype).reshape(shape)
         return a
@@ -250,7 +256,11 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     is 1/sqrt of the row degree (the in-degree on directed graphs) on both
     sides: out[v, :] = sum over u in row v of s[u] * s[v] * h[u, :].
     `transpose=True` computes Âᵀ H = S Aᵀ S H instead, which the backward
-    pass needs; on undirected graphs the two coincide.
+    pass needs; on undirected graphs the two coincide. `adj` is a
+    `CsrAdjacency` or its restriction to rows R (`graph.RowRestriction`):
+    then Â[R, :] H, with m rows, is rows R of Â H, and its transpose takes
+    an m-row G and gives Âᵀ of the n-row array that holds G at rows R and
+    zeros elsewhere, with the same bits. `s` always has all n nodes.
 
     (A S) H is summed by scipy's compiled CSR kernel `csr_matvecs` over the
     CSR of A (or of Aᵀ), whose stored values are s at each entry's column
@@ -262,31 +272,34 @@ def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out
     SpMM makes of it. The sum goes into `out`, which may be `h` itself but
     is never the scratch; a strided `out`, or one of another dtype, which
     the kernel would write through a copy, sums in the accumulator
-    `"spmm.acc"` of `ws` instead. Scaled by S, it ends in `out`, which is
-    returned.
+    `"spmm.acc"` of `ws` instead. Scaled by S at its rows
+    (`CsrAdjacency.scale`), it ends in `out`, which is returned.
 
-    On `pool`, a copy runs in node-row ranges (`Pool.rows`), and the sum
+    On `pool`, a copy runs in row ranges (`Pool.rows`), and the sum
     and the scaling in up to `pool.threads` row parts of near-equal stored
     entries (`Pool.count`), each of which writes its own rows only.
     """
-    n, c = adj.num_nodes, h.shape[-1]
+    out_rows, n = (adj.num_nodes, adj.num_rows) if transpose else (adj.num_rows, adj.num_nodes)
+    c = h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
-        raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, graph has {n} nodes")
-    if s.shape != (n,):
-        raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({n},)")
+        raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, the operator has {n} columns")
+    if s.shape != (adj.num_nodes,):
+        raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({adj.num_nodes},)")
     offsets, cols = (adj.row_offsets_t, adj.col_indices_t) if transpose else (adj.row_offsets, adj.col_indices)
     if not h.flags.c_contiguous or np.may_share_memory(h, out):
         x = scratch(ws, n, c, h.dtype)
         pool.rows(np.copyto, (x, h))
         h = x
-    acc = out if out.flags.c_contiguous and out.dtype == h.dtype else ws.get("spmm.acc", (n, c), h.dtype)
-    k, weights = pool.count(cols.size * c, n), adj.weights(s, transpose, h.dtype)
+    acc = out if out.flags.c_contiguous and out.dtype == h.dtype else ws.get("spmm.acc", (out_rows, c), h.dtype)
+    k, weights = pool.count(cols.size * c, out_rows), adj.weights(s, transpose, h.dtype)
     if k == 1:
-        parts = [(0, n)]
+        parts = [(0, out_rows)]
     else:  # rows [lo, hi) of near-equal stored entries
-        bounds = np.unique(np.concatenate([[0], np.searchsorted(offsets, cols.size * np.arange(1, k) / k), [n]]))
+        cuts = np.searchsorted(offsets, cols.size * np.arange(1, k) / k)
+        bounds = np.unique(np.concatenate([[0], cuts, [out_rows]]))
         parts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    pool.run(lambda part: _spmm_rows(*part, offsets, cols, weights, h, acc, out, s), parts)
+    scale = adj.scale(s, transpose)
+    pool.run(lambda part: _spmm_rows(*part, offsets, cols, weights, h, acc, out, scale), parts)
     return out
 
 
@@ -300,7 +313,8 @@ def scratch(ws, n: int, c: int, dtype) -> np.ndarray:
 
 def _spmm_rows(lo: int, hi: int, offsets, cols, weights, h, acc, out, s) -> None:
     """Rows [lo, hi) of out = S (A S) h, summed in the same rows of acc,
-    which may be out; A S's CSR is (offsets, cols, weights)."""
+    which may be out; A S's CSR is (offsets, cols, weights), and s holds
+    the scale of out's rows."""
     rows = acc[lo:hi]
     rows[...] = 0
     _sparsetools.csr_matvecs(hi - lo, len(h), h.shape[1], offsets[lo : hi + 1], cols, weights,
@@ -325,7 +339,7 @@ def relu(a: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(a, 0, out=out)
 
 
-def dropout(a, rate, training, rng, keep=None, pool=INLINE):
+def dropout(a, rate, training, rng, keep=None, pool=INLINE, *, rows=None, num_rows=None):
     """Inverted dropout, in place: (a, keep mask, scale).
 
     Writes (a * keep) * scale into `a` and returns it; the keep mask is bool
@@ -341,6 +355,12 @@ def dropout(a, rate, training, rng, keep=None, pool=INLINE):
     >= t = ceil(rate * 2**16): rate 0.5 is exact, and any other rate keeps
     with probability 1 - t/2**16, below 1 - rate by less than 2**-16. A rate
     above 1 - 2**-16 gives t = 2**16 and drops every element.
+
+    `rows`, when given, says that `a` holds the rows `rows` (ascending,
+    distinct) of a `num_rows`-row array: its mask is that array's mask at
+    those rows. The fields of every row are drawn, and the stream moves
+    past the whole array's mask, so a row subset's mask and the stream's
+    next draws are those of one whole draw.
 
     On `pool`, the rows of `a` run in ranges (`Pool.ranges`). Philox is
     counter-based, so a range whose first element is field f draws from a
@@ -358,39 +378,54 @@ def dropout(a, rate, training, rng, keep=None, pool=INLINE):
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
     bitgen = rng.bit_generator
     width = math.prod(a.shape[1:])
-    rows = pool.ranges(len(a), width)
-    if len(rows) == 1:
-        _dropout_rows(bitgen, a, keep, 0, threshold, scale)
+    total = len(a) if rows is None else num_rows
+    parts = pool.ranges(len(a), width)
+    if len(parts) == 1:
+        _dropout_rows(bitgen, a, keep, rows, 0, total, threshold, scale)
         return a, keep, scale
     state = bitgen.state
 
     def part(r):
         lo, hi = r
+        first, last = (lo, hi) if rows is None else (int(rows[lo]), int(rows[hi - 1]) + 1)
         copy = np.random.Philox(key=0)
         copy.state = state
-        _skip(copy, lo * width // 4)
-        _dropout_rows(copy, a[lo:hi], keep[lo:hi], lo * width % 4, threshold, scale)
+        _skip(copy, first * width // 4)
+        index = None if rows is None else rows[lo:hi]
+        _dropout_rows(copy, a[lo:hi], keep[lo:hi], index, first, last, threshold, scale)
 
-    pool.run(part, rows)
-    _skip(bitgen, -(-a.size // 4))
+    pool.run(part, parts)
+    _skip(bitgen, -(-total * width // 4))
     return a, keep, scale
 
 
-def _dropout_rows(bitgen, a, keep, lead: int, threshold: int, scale) -> None:
-    """Dropout of `a` into `keep` and `a`, from fields `lead`, `lead` + 1, …
-    of the raw draws of `bitgen`; the fields before `lead` belong to the
-    rows above."""
-    flat = keep.reshape(-1)
-    step = 4 * _DROPOUT_CHUNK  # whole raw draws, so the chunk size leaves the mask alone
-    for lo in range(-lead, flat.size, step):
-        hi = min(lo + step, flat.size)
-        raw = bitgen.random_raw(-(-(hi - lo) // 4))
-        part = flat[max(lo, 0) : hi]
-        if threshold == 1 << 16:  # past every field: nothing is kept
-            part[...] = False
+def _dropout_rows(bitgen, a, keep, index, first: int, last: int, threshold: int, scale) -> None:
+    """Dropout of `a` into `keep` and `a`, where the rows of `a` are the
+    rows `index` of a whole mask (first, first + 1, … when None), from the
+    fields of its rows [first, last): `bitgen` stands at the raw draw that
+    holds field first * width, and the fields before it belong to the rows
+    above. The rows run in blocks that end where a raw draw does, so the
+    block size leaves the mask alone."""
+    width = math.prod(a.shape[1:])
+    flat = keep.reshape(len(keep), width)
+    step = max(4, 4 * _DROPOUT_CHUNK // max(width, 1) // 4 * 4)  # a multiple of 4 rows ends a raw draw
+    lo, done = first, 0  # the block's first row, and the rows of `a` written
+    while lo < last:
+        hi = min(lo - lo % step + step, last)
+        start = lo * width // 4 * 4  # the first field of the raw draw that holds field lo * width
+        raw = bitgen.random_raw(-(-(hi * width - start) // 4))
+        fields = raw.astype("<u8", copy=False).view("<u2")[lo * width - start : hi * width - start]
+        fields = fields.reshape(hi - lo, width)
+        if index is None:
+            out, done = flat[lo - first : hi - first], hi - first
         else:
-            fields = raw.astype("<u8", copy=False).view("<u2")[max(-lo, 0) : hi - lo]
-            np.greater_equal(fields, np.uint16(threshold), out=part)
+            end = done + int(np.searchsorted(index[done:], hi))
+            fields, out, done = fields[index[done:end] - lo], flat[done:end], end
+        if threshold == 1 << 16:  # past every field: nothing is kept
+            out[...] = False
+        else:
+            np.greater_equal(fields, np.uint16(threshold), out=out)
+        lo = hi
     apply_mask(a, keep, scale, out=a)
 
 
@@ -442,8 +477,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return _cross_entropy(logits, labels)[0]
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its gradient.
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, out=None):
+    """Mean cross-entropy and its gradient, written into `out` when given.
 
     loss = mean over rows of -log softmax(logits)[label]
     dLogits = (softmax - onehot) / m
@@ -452,7 +487,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     loss, exp, denom, rows = _cross_entropy(logits, labels)
     m = len(rows)
-    d_logits = exp / denom
+    d_logits = np.divide(exp, denom, out=out)
     d_logits[rows, labels] -= 1
     d_logits /= m
     return loss, d_logits

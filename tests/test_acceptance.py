@@ -73,10 +73,11 @@ def _directed_copy(graph: AttributedGraph) -> AttributedGraph:
                            num_classes=graph.num_classes, split=graph.split)
 
 
-def _gradient_failures(graph, variant) -> list:
-    """(group, relative error) for every parameter group of one epoch off its FD."""
-    cfg = TrainConfig(variant=variant, p=2, epochs=1, hidden=6, layers=2,
-                      dropout=0.0, seed=4, precision="f64")
+def _gradient_failures(graph, variant, **settings) -> list:
+    """(group, relative error) for every parameter group of one epoch off
+    its FD; `settings` override the config's p=2, two dual-form layers."""
+    cfg = TrainConfig(**{**dict(variant=variant, p=2, epochs=1, hidden=6, layers=2,
+                                dropout=0.0, seed=4, precision="f64"), **settings})
     run = engine.build_run(graph, cfg)
 
     def loss_fn():
@@ -99,7 +100,8 @@ def _gradient_failures(graph, variant) -> list:
         for li, (wt, b) in enumerate(run.head.fusion.layers):
             groups[f"fusion.{li}.w"] = (wt, fusion_grads[2 * li])
             groups[f"fusion.{li}.b"] = (b, fusion_grads[2 * li + 1])
-    groups["encoding"] = (run.head.encoding.table, run.head.encoding.group.grads[0])
+    if cfg.use_se:
+        groups["encoding"] = (run.head.encoding.table, run.head.encoding.group.grads[0])
 
     step = 1e-6
     failures = []
@@ -137,6 +139,29 @@ def test_c02_gradients_match_finite_differences():
     elapsed = time.perf_counter() - t0
     check(2, "all parameter-group gradients match central differences",
           not failures and elapsed < 30.0, f"failures={failures} elapsed={elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("variant,settings", [
+    ("baseline", dict(p=1)),
+    ("slice", dict(p=3)),
+    ("slice_ff", dict(layers=1)),  # the last layer is layer 0, and narrows (fusion width 6 -> 3)
+    # three single-form layers at hidden 6 leave rows whose input is all
+    # zeros, so their pre-activation is the bias, 0, at the ReLU kink where
+    # central differences are undefined; hidden 8 and seed 6 leave none there
+    ("slice_se", dict(layers=3, layer_form=engine.nn.FORM_SINGLE, hidden=8, seed=6)),
+])
+def test_gradients_match_finite_differences_beyond_c02(variant, settings):
+    # the paths c02 does not reach, each of which trains its last layer on
+    # the training rows: a single device, three devices, a one-layer stack
+    # whose layer 0 narrows and takes the training rows, and three layers
+    # in the single form; on c02's graph and its directed copy
+    t0 = time.perf_counter()
+    graph = synth_graph(n=30, classes=3, d_feat=10, p_in=0.3, p_out=0.1, signal=1.0, seed=2)
+    failures = []
+    for g, kind in ((graph, "undirected"), (_directed_copy(graph), "directed")):
+        failures += [(kind, *f) for f in _gradient_failures(g, variant, **settings)]
+    assert not failures
+    assert time.perf_counter() - t0 < 15.0
 
 
 def test_c03_single_device_run_equals_baseline():

@@ -241,6 +241,23 @@ class TestTrainCommand:
         assert "minor_faults" not in out.read_text()
 
 
+    def test_unknown_log_level_is_a_usage_error(self, tmp_path):
+        # a fresh interpreter, as for a user: one stderr line, no traceback
+        env = dict(os.environ, SLICEGCN_LOG="verbose")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "m.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "slicegcn.cli", "train", *SYNTH_ARGS, "--epochs", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == cli.EXIT_USAGE
+        assert done.stderr.splitlines() == [
+            "error: SLICEGCN_LOG='verbose' is not a log level; use one of debug, info, warning, error, critical"
+        ]
+        assert not out.exists()
+
+
 class TestOutPath:
     """A path the results cannot be written to fails before any training."""
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import slicegcn
 from slicegcn import blas, engine, nn, ops, slicing
 from slicegcn.engine import TrainConfig, auc_roc, evaluate
-from slicegcn.graph import TEST, TRAIN, VAL, degree_norms, synth_graph
+from slicegcn.graph import TEST, TRAIN, VAL, build_csr, degree_norms, synth_graph
 
 
 def auc_pair_counting(scores, labels):
@@ -35,18 +35,21 @@ def _reference_d_rep(run):
     cache = [tuple(a.copy() if isinstance(a, np.ndarray) else a for a in layer) for layer in classifier.cache]
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in classifier.layers]
     reference = dataclasses.replace(classifier, grads=grads, cache=cache)
-    return nn.mlp_backward(_d_logits(run), reference, d_in=np.empty_like(_representation(run)))
+    return nn.mlp_backward(_d_logits(run), reference, d_in=np.empty_like(_representation(run, training=True)))
 
 
-def _representation(run):
-    """The gathered representation, which every forward writes into the classifier's workspace."""
-    shape = (run.graph.num_nodes, run.head.classifier.layers[0][0].shape[0])
+def _representation(run, training=False):
+    """The gathered representation, which every forward writes into the
+    classifier's workspace: at the training rows after a training forward."""
+    rows = len(run.train_idx) if training else run.graph.num_nodes
+    shape = (rows, run.head.classifier.layers[0][0].shape[0])
     return run.head.classifier.ws.get("rep", shape, run.features.dtype)
 
 
 def _d_logits(run):
-    """The logits' gradient, which a training forward writes into the classifier's workspace."""
-    shape = (run.graph.num_nodes, run.graph.num_classes)
+    """The logits' gradient at the training rows, which a training forward
+    writes into the classifier's workspace."""
+    shape = (len(run.train_idx), run.graph.num_classes)
     return run.head.classifier.ws.get("d_logits", shape, run.features.dtype)
 
 
@@ -189,6 +192,56 @@ class TestEpochForward:
             for i in range(3)
         ]
         assert changed == [False, True, False]
+
+
+def _one_way(graph):
+    """The graph with one direction of each undirected edge: a directed graph."""
+    pairs = graph.adj.edge_list()
+    adj = build_csr(graph.num_nodes, pairs[pairs[:, 0] < pairs[:, 1]], symmetrize=False)
+    return dataclasses.replace(graph, adj=adj)
+
+
+class TestTrainingRows:
+    """A training forward runs the devices' last layers and the classifier
+    on the training rows only."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_training_rows_change_no_forward_bit(self, small_graph, directed, precision):
+        # at dropout 0 each training forward's loss is, bit for bit, that of
+        # the evaluation forward before it (same parameters) over the
+        # training rows: epoch 0's against an evaluation of the initial
+        # parameters, each later one against the previous epoch's, whose
+        # kept layer-0 results it reuses. Hidden 12 makes slice_ff's layer 0
+        # narrow (fusion width 13, 7, 5 -> 12, 6, 4), so there the last layer
+        # narrows when it is layer 0; hidden 24 widens every other variant's
+        graph = _one_way(small_graph) if directed else small_graph
+        idx, labels = np.flatnonzero(graph.split == TRAIN), graph.labels
+        cells = [
+            (variant, p, layers, form)
+            for variant in engine.VARIANTS for p in ((1,) if variant == "baseline" else (1, 2, 3))
+            for layers in (1, 2, 3) for form in engine.LAYER_FORMS
+        ]
+        for variant, p, layers, form in cells:
+            cfg = TrainConfig(variant=variant, p=p, epochs=3, hidden=12 if variant == "slice_ff" else 24,
+                              layers=layers, layer_form=form, dropout=0.0, seed=2, precision=precision)
+            run = engine.build_run(graph, cfg)
+            with run.pool:
+                _, logits = engine.epoch_forward(run, training=False)
+            evals = [ops.cross_entropy(logits[idx], labels[idx])]
+            _, reports = engine.train(
+                graph, cfg, on_epoch=lambda _, lg: evals.append(ops.cross_entropy(lg[idx], labels[idx]))
+            )
+            assert [r.loss for r in reports] == evals[:-1], (variant, p, layers, form)
+
+    def test_training_logits_are_the_evaluation_logits_at_the_training_rows(self, small_graph):
+        cfg = TrainConfig(variant="slice_ffse", p=2, hidden=16, layers=2, dropout=0.0, seed=3, threads=1)
+        run = engine.build_run(small_graph, cfg)
+        _, logits = engine.epoch_forward(run, training=False)
+        want = logits[run.train_idx]
+        _, got = engine.epoch_forward(run, training=True)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert _d_logits(run).shape == want.shape and run.train_rows.nodes.tolist() == run.train_idx.tolist()
 
 
 class TestEpochBackward:
@@ -634,7 +687,7 @@ class TestSplitRounds:
 
     def test_eval_forward_forms_no_loss_gradient(self, small_graph, monkeypatch):
         calls, full = [], ops.softmax_cross_entropy
-        monkeypatch.setattr(ops, "softmax_cross_entropy", lambda *a: calls.append(1) or full(*a))
+        monkeypatch.setattr(ops, "softmax_cross_entropy", lambda *a, **k: calls.append(1) or full(*a, **k))
         engine.train(small_graph, TrainConfig(variant="slice", p=2, epochs=3, hidden=8, seed=1))
         assert len(calls) == 3  # one per training forward
 
@@ -990,7 +1043,7 @@ class TestInputAggregate:
                     forward = engine.WorkerState.forward
                     mp.setattr(engine.WorkerState, "forward", lambda w, *a, agg=None, **k: forward(w, *a, **k))
                 loss, logits = engine.epoch_forward(run, training=training)
-                arrays = [_representation(run).copy(), logits.copy()]
+                arrays = [_representation(run, training).copy(), logits.copy()]
                 if training:
                     engine.epoch_backward(run, 1e-2)
                     # the devices stepped on their gradients in their backward tasks
@@ -1097,7 +1150,10 @@ class TestBuffers:
         # one n x width scratch array for a layer's temporaries, and no d_pre,
         # as backward masks the gradient it is handed in place; the SpMM reads
         # its input where it lies, so the fusion MLP's workspace, which only
-        # the master's Â·z aggregates in, holds no scratch
+        # the master's Â·z aggregates in, holds no scratch. The last device
+        # layer and the classifier train on the m training rows: their
+        # masks and the logits' gradient have m rows, and the last layer
+        # keeps its input's m gathered rows for dW_self
         runs = []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
@@ -1105,11 +1161,12 @@ class TestBuffers:
         engine.train(small_graph, cfg)
         (run,) = runs
         n, d, c = small_graph.num_nodes, small_graph.num_features, small_graph.num_classes
+        m = len(run.train_idx)
         h = cfg.hidden // p  # a device layer's width; the fusion output is as wide
         f4 = 4  # bytes of an f32
         device = {
             (0, "out"): n * h * f4, (0, "mask"): n * h, (0, "keep"): n * h,
-            (1, "agg"): n * h * f4, (1, "mask"): n * h,
+            (1, "agg"): n * h * f4, (1, "mask"): m * h, (1, "h_in.rows"): m * h * f4,
             "tmp": n * h * f4,
         }
         if cfg.use_ff:
@@ -1118,8 +1175,8 @@ class TestBuffers:
         else:
             device[0, "agg"] = n * d * f4  # Â·X of the fixed input, formed once
         classifier = {
-            "rep": n * p * h * f4, (0, "a"): n * cfg.hidden * f4, (0, "mask"): n * cfg.hidden,
-            (0, "keep"): n * cfg.hidden, (1, "out"): n * c * f4, "d_logits": n * c * f4,
+            "rep": n * p * h * f4, (0, "a"): n * cfg.hidden * f4, (0, "mask"): m * cfg.hidden,
+            (0, "keep"): m * cfg.hidden, (1, "out"): n * c * f4, "d_logits": m * c * f4,
         }
         owners = [(w.ws, device) for w in run.workers] + [(run.head.classifier.ws, classifier)]
         if cfg.use_ff:
@@ -1157,11 +1214,11 @@ class TestBuffers:
         np.testing.assert_array_equal(seen[0], copies[-1])
 
     def test_backward_writes_over_dead_forward_arrays(self, small_graph):
-        # the representation's gradient is written over the representation,
-        # bit for bit that of a backward over copies of the forward's arrays,
-        # and each device's last layer then writes its d_pre over its block
-        # (the layer's aggregation term goes to its own aggregate); fusion
-        # mode sums the devices' input gradients into device 0's own array
+        # the representation's gradient (at the training rows) is written
+        # over the representation, bit for bit that of a backward over copies
+        # of the forward's arrays, and each device's last layer then writes
+        # its d_pre over its block; fusion mode sums the devices' input
+        # gradients into device 0's own array
         cfg = TrainConfig(variant="slice_ffse", p=2, hidden=8, layers=2, seed=3)
         run = engine.build_run(small_graph, cfg)
         seen = []
@@ -1177,7 +1234,7 @@ class TestBuffers:
         for i, mask in enumerate(masks):
             block = slice(i * width, (i + 1) * width)
             np.multiply(d_rep[:, block], mask, out=d_rep[:, block])
-        np.testing.assert_array_equal(_representation(run), d_rep)
+        np.testing.assert_array_equal(_representation(run, training=True), d_rep)
         w0 = run.workers[0]
         assert seen[0] is w0.ws.get("dx", seen[0].shape, seen[0].dtype)
 

@@ -170,6 +170,57 @@ class TestTransposeCsr:
         assert not wrong
 
 
+class TestRowRestriction:
+    """An adjacency restricted to a row set R: A[R, :] and Aᵀ[:, R]."""
+
+    @given(edge_lists, st.booleans(), st.lists(st.booleans(), min_size=10, max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_dense_slicing(self, edges, symmetrize, member):
+        adj = build_csr(10, edges, symmetrize=symmetrize)
+        rows = np.flatnonzero(member)
+        r = adj.restrict(rows)
+        m = len(rows)
+        a = TestTransposeCsr._dense(adj.row_offsets, adj.col_indices, 10)
+        got = np.zeros((m, 10), dtype=int)
+        got[np.repeat(np.arange(m), np.diff(r.row_offsets)), r.col_indices] = 1
+        np.testing.assert_array_equal(got, a[rows, :])
+        got_t = np.zeros((10, m), dtype=int)
+        got_t[np.repeat(np.arange(10), np.diff(r.row_offsets_t)), r.col_indices_t] = 1
+        np.testing.assert_array_equal(got_t, a.T[:, rows])
+        # every row in the whole's order: ascending, as the whole's rows are
+        for offsets, cols in ((r.row_offsets, r.col_indices), (r.row_offsets_t, r.col_indices_t)):
+            for lo, hi in zip(offsets[:-1], offsets[1:]):
+                assert (np.diff(cols[lo:hi]) > 0).all()
+        assert r.num_nodes == 10 and r.num_rows == m and r.nodes.tolist() == rows.tolist()
+        assert r.num_edges == len(r.col_indices) == int(a[rows].sum())
+
+    def test_read_only(self):
+        adj = build_csr(5, [(0, 1), (1, 2), (0, 3), (4, 2)], symmetrize=False)
+        r = adj.restrict([1, 2, 4])
+        s = degree_norms(adj)
+        arrays = (r.nodes, r.row_offsets, r.col_indices, r.row_offsets_t, r.col_indices_t,
+                  r.weights(s, False, s.dtype), r.weights(s, True, s.dtype), r.scale(s, False))
+        for a in arrays:
+            assert not a.flags.writeable
+
+    def test_values_and_scales(self):
+        # A[R, :] stores s at each entry's column and scales its rows by s[R];
+        # Aᵀ[:, R] stores s[R] at each entry's column and scales by s
+        adj = build_csr(5, [(0, 1), (1, 2), (0, 3), (4, 2)], symmetrize=False)
+        r = adj.restrict([1, 2, 4])
+        s = np.array([0.5, 0.25, 2.0, 4.0, 8.0])
+        assert r.weights(s, False, s.dtype).tolist() == s[r.col_indices].tolist()
+        assert r.weights(s, True, s.dtype).tolist() == s[r.nodes][r.col_indices_t].tolist()
+        assert r.scale(s, False).tolist() == [0.25, 2.0, 8.0] and r.scale(s, True) is s
+        assert adj.scale(s, False) is s and adj.scale(s, True) is s
+
+    @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1], [5], [[0, 1]]])
+    def test_rejects_rows_that_are_not_ascending_nodes(self, rows):
+        adj = build_csr(5, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            adj.restrict(rows)
+
+
 class TestDegreeNorms:
     def test_path_graph_values(self):
         # path 0-1-2-3: end nodes degree 1, middle nodes degree 2

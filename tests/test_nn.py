@@ -220,20 +220,32 @@ class TestGcnLayer:
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     @pytest.mark.parametrize("graph", ["rand_graph", "directed_graph"])
     def test_both_aggregation_orders_match_finite_differences(self, request, graph, shape, form):
-        adj, s = request.getfixturevalue(graph)
+        self._check_finite_differences(*request.getfixturevalue(graph), shape, form, subset=False)
+
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    @pytest.mark.parametrize("graph", ["rand_graph", "directed_graph"])
+    def test_row_set_matches_finite_differences(self, request, graph, shape, form):
+        # on every other row: a loss over those rows alone, whose input
+        # gradient reaches every row
+        self._check_finite_differences(*request.getfixturevalue(graph), shape, form, subset=True)
+
+    @staticmethod
+    def _check_finite_differences(adj, s, shape, form, subset):
         w_in, w_out = LAYER_SHAPES[shape]
         n = adj.num_nodes
+        rows = adj.restrict(np.arange(0, n, 2)) if subset else None
         rng = ops.rng_stream(14, 0)
         params = _gcn_layer(w_in, w_out, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(w_out)
         h_in = rng.standard_normal((n, w_in))
-        target = rng.standard_normal((n, w_out))
+        target = rng.standard_normal((n if rows is None else rows.num_rows, w_out))
 
         def loss():
-            out, _ = _forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(adj, s, h_in, params, rng, training=False, rows=rows)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
+        h_out, cache = _forward(adj, s, h_in, params, rng, training=True, rows=rows)
         assert (cache.agg is None) == (shape == "narrowing")
         dw_agg, dw_self, db, d_in = _backward(cache, h_out - target, params, adj, s)
         groups = [(h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)]
@@ -452,8 +464,8 @@ class _FilledWorkspace(ops.Workspace):
         super().__init__()
         self.byte = byte
 
-    def get(self, key, shape, dtype):
-        a = super().get(key, shape, dtype)
+    def get(self, key, shape, dtype, rows=0):
+        a = super().get(key, shape, dtype, rows)
         a.reshape(-1).view(np.uint8).fill(self.byte)
         return a
 
@@ -490,17 +502,30 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_gcn_layer(self, directed_graph, shape, form, dropout, dtype):
-        adj, s = directed_graph
+        self._check_gcn_layer(*directed_graph, shape, form, dropout, dtype, rows=None)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
+    @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
+    def test_gcn_layer_on_a_row_set(self, directed_graph, shape, form, dropout, dtype):
+        # its output and d_out have the row set's rows only
+        self._check_gcn_layer(*directed_graph, shape, form, dropout, dtype, rows=[0, 2, 3, 6])
+
+    @staticmethod
+    def _check_gcn_layer(adj, s, shape, form, dropout, dtype, rows):
         s = s.astype(dtype)
+        restricted = None if rows is None else adj.restrict(rows)
+        m = adj.num_nodes if rows is None else len(rows)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(31, 0), dtype, form)
         params.bias[:] = 0.1 * ops.rng_stream(31, 1).standard_normal(w_out)
         h_in = ops.rng_stream(31, 2).standard_normal((adj.num_nodes, w_in)).astype(dtype)
-        d_out = ops.rng_stream(31, 3).standard_normal((adj.num_nodes, w_out)).astype(dtype)
+        d_out = ops.rng_stream(31, 3).standard_normal((m, w_out)).astype(dtype)
 
         def run(ws, fill):
             rng = ops.rng_stream(32, 0)
-            h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, dropout, ws=ws)
+            h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, dropout, ws=ws, rows=restricted)
             h_out = h_out.copy()
             for g in _arrays(params.grads):
                 g.fill(fill)
@@ -513,13 +538,25 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     def test_mlp(self, dropout, dtype):
+        self._check_mlp(dropout, dtype, rows=None)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_mlp_on_a_row_set(self, dropout, dtype):
+        # x holds rows R of a 12-row input
+        self._check_mlp(dropout, dtype, rows=[1, 4, 5, 8, 11])
+
+    @staticmethod
+    def _check_mlp(dropout, dtype, rows):
+        restricted = None if rows is None else build_csr(12, []).restrict(rows)
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(33, 0), dtype, dropout)
-        x = ops.rng_stream(33, 1).standard_normal((9, 5)).astype(dtype)
-        d_out = ops.rng_stream(33, 2).standard_normal((9, 3)).astype(dtype)
+        height = 9 if rows is None else len(rows)
+        x = ops.rng_stream(33, 1).standard_normal((height, 5)).astype(dtype)
+        d_out = ops.rng_stream(33, 2).standard_normal((height, 3)).astype(dtype)
 
         def run(ws, fill):
             m = dataclasses.replace(mlp, rng=ops.rng_stream(34, 0), ws=ws)
-            y = nn.mlp_forward(x, m, True).copy()
+            y = nn.mlp_forward(x, m, True, rows=restricted).copy()
             m.group.grad.fill(fill)
             d_in = np.full_like(x, fill)
             nn.mlp_backward(d_out, m, d_in=d_in)

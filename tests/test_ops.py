@@ -348,6 +348,55 @@ class TestSpmmNorm:
             _spmm(adj, degree_norms(adj), np.ones((4, 2)))
 
 
+class TestWorkspace:
+    def test_rows_makes_room_for_a_later_whole_array(self):
+        # a row subset's array asked with the whole row count sits at the
+        # head of memory the whole array then takes, with nothing made again
+        ws = ops.Workspace()
+        part = ws.get("a", (2, 3), np.float32, rows=5)
+        memory = ws._memory["a"]
+        assert memory.size == 5 * 3 * 4 and part.shape == (2, 3)
+        whole = ws.get("a", (5, 3), np.float32)
+        assert ws._memory["a"] is memory and np.shares_memory(part, whole)
+        assert ws.get("a", (2, 3), np.float32, rows=5) is part
+
+
+class TestRestrictedSpmm:
+    """`spmm_norm` over an adjacency restricted to rows R (`CsrAdjacency.restrict`)."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["directed", "star", "isolated"])
+    def test_rows_and_columns_give_the_whole_operators_bits(self, case, dtype, threads, pooled):
+        # Â[R, :] H is rows R of Â H, and (Â[R, :])ᵀ G is Âᵀ of the n-row
+        # array that holds G at rows R and zeros elsewhere, bit for bit,
+        # whole and in row parts on a split pool
+        adj = TestSpmmNorm._part_graph(case)
+        n, cols = adj.num_nodes, 7
+        rng = np.random.default_rng(22)
+        rows = np.flatnonzero(rng.random(n) < 0.5)
+        r = adj.restrict(rows)
+        s = degree_norms(adj).astype(dtype)
+        h = rng.standard_normal((n, cols)).astype(dtype)
+        g = rng.standard_normal((len(rows), cols)).astype(dtype)
+        padded = np.zeros_like(h)
+        padded[rows] = g
+        with ops.Pool(threads) as pool:
+            got = ops.spmm_norm(r, s, h, out=np.full_like(g, np.nan), ws=ops.Workspace(), pool=pool)
+            got_t = ops.spmm_norm(r, s, g, True, out=np.full_like(h, np.nan), ws=ops.Workspace(), pool=pool)
+        assert got.tobytes() == _spmm(adj, s, h)[rows].tobytes()
+        assert got_t.tobytes() == _spmm(adj, s, padded, True).tobytes()
+        assert bool(pooled) == (threads > 1)
+
+    def test_rejects_an_input_of_the_wrong_height(self):
+        adj = build_csr(5, [(0, 1), (1, 2), (3, 4)])
+        r, s = adj.restrict([1, 3]), degree_norms(adj)
+        with pytest.raises(ValueError, match="2 columns"):
+            ops.spmm_norm(r, s, np.ones((5, 2)), True, out=np.empty((5, 2)), ws=ops.Workspace())
+        with pytest.raises(ValueError, match="5 columns"):
+            ops.spmm_norm(r, s, np.ones((2, 2)), out=np.empty((2, 2)), ws=ops.Workspace())
+
+
 class TestGlorot:
     def test_bound(self):
         m = ops.glorot_init(np.empty((20, 30)), ops.rng_stream(1, 0))
@@ -580,6 +629,29 @@ class TestDropout:
         np.testing.assert_array_equal(keep, want_keep)
         np.testing.assert_array_equal(got, want)
         assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 - 2**-17])
+    @pytest.mark.parametrize("drawn", [0, 3])
+    @pytest.mark.parametrize("shape", [(50, 7), (64, 16), (40, 3 * ops._DROPOUT_CHUNK // 16 + 5)])
+    def test_row_subset_draws_the_whole_mask_at_its_rows(self, shape, drawn, rate, threads, pooled, monkeypatch):
+        # rows R of an n-row array get the whole mask's rows R, and the
+        # stream moves past the whole mask, on one thread and in parts
+        n, width = shape
+        rows = np.flatnonzero(np.random.default_rng(23).random(n) < 0.4)
+        a = np.random.default_rng(24).standard_normal(shape).astype(np.float32)
+        rng, ref = ops.rng_stream(5, 2), ops.rng_stream(5, 2)
+        for g in (rng, ref):
+            g.bit_generator.random_raw(drawn)
+        want, want_keep, _ = ops.dropout(a.copy(), rate, True, ref)
+        monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
+        with ops.Pool(threads) as pool:
+            got, keep, _ = ops.dropout(a[rows], rate, True, rng, pool=pool, rows=rows, num_rows=n)
+        np.testing.assert_array_equal(keep, want_keep[rows])
+        assert got.tobytes() == want[rows].tobytes()
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+        assert bool(pooled) == (threads > 1)
 
 
 class TestSoftmaxCrossEntropy:
