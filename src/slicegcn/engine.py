@@ -10,6 +10,9 @@ One run is p simulated devices plus a master. Per epoch, barrier-synchronous:
     -> workers backpropagate their stacks and step their own optimizers
     -> master steps the head's optimizers.
 
+Every device aggregates with the run's normalized operator Â = S A S
+(`RunState.op`), made in `build_run`, or its training rows.
+
 Each run owns one `ops.Pool` (`RunState.pool`), which `build_run` makes
 and `train` closes. The master thread runs device 0's task of each phase
 itself and hands the other devices' tasks to threads - 1 pool threads, so
@@ -81,7 +84,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import blas, nn, ops, slicing
-from .graph import TRAIN, VAL, TEST, AttributedGraph, RowRestriction, degree_norms
+from .graph import TRAIN, VAL, TEST, AttributedGraph, NormOperator
 from .nn import NumericError
 
 VARIANTS = ("baseline", "slice", "slice_se", "slice_ff", "slice_ffse")
@@ -160,18 +163,16 @@ class WorkerState:
     ws: ops.Workspace = field(default_factory=ops.Workspace)
     pool: ops.Pool = ops.INLINE  # the pool its kernels split on: the run's when p = 1
 
-    def forward(
-        self, adj, s, x, training: bool, dropout_rate: float, fixed_input: bool = False, *, out, agg=None,
-        rows=None,
-    ):
-        """Runs the stack on x; the last layer writes the device's output into `out`.
+    def forward(self, op, rows, x, training: bool, dropout_rate: float, fixed_input: bool = False, *, out, agg=None):
+        """Runs the stack on x over the run's operator `op`; the last layer
+        writes the device's output into `out`.
 
         `fixed_input`: x is the same in every call, so layer 0 runs at the
         group's step count as its version (see `nn`). `agg`, when given, is
         Â·x computed by the caller, which layer 0 uses as its aggregate; it
-        must stay valid until the device's backward pass. `rows`, when
-        given, is the adjacency at a row set R (`graph.RowRestriction`): the
-        last layer then forms rows R of the output only, and `out` has m rows.
+        must stay valid until the device's backward pass. `rows`, when not
+        None, is the operator's rows R (`NormOperator.restrict`): the last
+        layer then forms rows R of the output only, and `out` has m rows.
         """
         h = x
         caches = []
@@ -180,7 +181,7 @@ class WorkerState:
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
             h, c = nn.gcn_layer_forward(
-                adj, s, h, layer, self.rng, training, rate, agg=agg, ws=self.ws, layer=li,
+                op, h, layer, self.rng, training, rate, agg=agg, ws=self.ws, layer=li,
                 out=out if li == last else None, version=version, rows=rows if li == last else None,
                 pool=self.pool,
             )
@@ -189,18 +190,18 @@ class WorkerState:
         self.cache = caches if training else None
         return h
 
-    def backward(self, adj, s, d_h, need_dx: bool):
+    def backward(self, op, rows, d_h, need_dx: bool):
         """Writes the stack's gradients into its group; returns dX (None in direct mode).
 
-        It consumes the training forward's caches: the input gradient of
-        layer li > 0 is written over that layer's input, the output of layer
-        li - 1, which nothing reads afterwards; so one forward serves one
-        backward. dX goes to an array of the device's workspace, valid until
-        its next backward.
+        `op` and `rows` are the training forward's. It consumes that
+        forward's caches: the input gradient of layer li > 0 is written over
+        that layer's input, the output of layer li - 1, which nothing reads
+        afterwards; so one forward serves one backward. dX goes to an array
+        of the device's workspace, valid until its next backward.
         """
         caches, self.cache = self.cache, None
-        d = d_h
-        for li in range(len(self.layers) - 1, -1, -1):
+        d, last = d_h, len(self.layers) - 1
+        for li in range(last, -1, -1):
             cache = caches[li]
             if li > 0:
                 d_in = cache.h_in
@@ -208,7 +209,9 @@ class WorkerState:
                 d_in = self.ws.get("dx", cache.h_in.shape, cache.h_in.dtype)
             else:
                 d_in = None
-            d = nn.gcn_layer_backward(cache, d, self.layers[li], adj, s, ws=self.ws, d_in=d_in, pool=self.pool)
+            d = nn.gcn_layer_backward(
+                cache, d, self.layers[li], op, ws=self.ws, d_in=d_in, rows=rows if li == last else None, pool=self.pool
+            )
         return d
 
     def step(self, lr: float):
@@ -241,19 +244,19 @@ class RunState:
     workers: list
     head: MasterHead
     features: np.ndarray  # run-precision copy of graph features
-    norm_scale: np.ndarray  # degree norms of graph.adj, in run precision, read-only
+    op: NormOperator  # graph.adj's normalized operator, in run precision
     slices: Optional[list]  # precomputed per-device inputs (direct mode)
     train_idx: np.ndarray  # node indices of the train, val and test splits
     val_idx: np.ndarray
     test_idx: np.ndarray
     pool: ops.Pool  # the run's device rounds and split blocks
-    train_rows: Optional[RowRestriction] = None  # graph.adj at train_idx, made by the first training forward
+    train_rows: Optional[NormOperator] = None  # op at train_idx, made by the first training forward
 
-    def training_rows(self) -> RowRestriction:
-        """The adjacency restricted to the training rows, made at the first
+    def training_rows(self) -> NormOperator:
+        """The operator restricted to the training rows, made at the first
         call, on the calling thread, and read-only from then on."""
         if self.train_rows is None:
-            self.train_rows = self.graph.adj.restrict(self.train_idx)
+            self.train_rows = self.op.restrict(self.train_idx)
         return self.train_rows
 
     @property
@@ -355,8 +358,6 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     features = np.ascontiguousarray(graph.features, dtype=dtype)
     slices = None if config.use_ff else slicing.slice_feature(features, strategy)
     pool = ops.Pool(pool_threads(config, graph, workers[0].layers))
-    norm_scale = degree_norms(graph.adj).astype(dtype)
-    norm_scale.setflags(write=False)  # the adjacency keeps its SpMM weights for this array
     if config.p == 1:
         workers[0].pool = pool
     return RunState(
@@ -365,7 +366,7 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
         workers=workers,
         head=head,
         features=features,
-        norm_scale=norm_scale,
+        op=NormOperator.of(graph.adj, dtype),
         slices=slices,
         train_idx=np.flatnonzero(graph.split == TRAIN),
         val_idx=np.flatnonzero(graph.split == VAL),
@@ -385,8 +386,7 @@ def epoch_forward(run: RunState, training: bool):
     forward leaves the caches its backward reads with their owners, and the
     logits' gradient in the classifier's workspace.
     """
-    cfg = run.config
-    adj, s = run.graph.adj, run.norm_scale
+    cfg, op = run.config, run.op
     head, classifier, pool = run.head, run.head.classifier, run.pool
     rows = run.training_rows() if training else None
 
@@ -397,7 +397,7 @@ def epoch_forward(run: RunState, training: bool):
         inputs = [z] * cfg.p
         if not nn.narrows(run.workers[0].layers[0]):
             # every device's layer 0 would aggregate this same z
-            agg = ops.spmm_norm(adj, s, z, out=fusion.ws.get("agg", z.shape, z.dtype), ws=fusion.ws, pool=pool)
+            agg = ops.spmm_norm(op, z, fusion.ws.get("agg", z.shape, z.dtype), ws=fusion.ws, pool=pool)
     else:
         inputs = run.slices
 
@@ -411,9 +411,7 @@ def epoch_forward(run: RunState, training: bool):
 
     def fwd(item):
         worker, x, out = item
-        return worker.forward(
-            adj, s, x, training, cfg.dropout, fixed_input=not cfg.use_ff, out=out, agg=agg, rows=rows,
-        )
+        return worker.forward(op, rows, x, training, cfg.dropout, fixed_input=not cfg.use_ff, out=out, agg=agg)
 
     pool.run(fwd, list(zip(run.workers, inputs, blocks)))
     if cfg.use_se:
@@ -439,8 +437,7 @@ def epoch_backward(run: RunState, lr: float) -> None:
     optimizer at `lr` at the end of its backward task; the head's groups
     step in `apply_updates`.
     """
-    cfg = run.config
-    adj, s = run.graph.adj, run.norm_scale
+    cfg, op, rows = run.config, run.op, run.training_rows()
     head, classifier, pool = run.head, run.head.classifier, run.pool
 
     # the representation (the classifier's input) is dead once the
@@ -456,7 +453,7 @@ def epoch_backward(run: RunState, lr: float) -> None:
 
     def bwd(item):
         worker, d_h = item
-        dx = worker.backward(adj, s, d_h, need_dx=cfg.use_ff)
+        dx = worker.backward(op, rows, d_h, need_dx=cfg.use_ff)
         worker.step(lr)
         return dx
 

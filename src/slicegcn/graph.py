@@ -2,7 +2,8 @@
 
 Graphs are immutable after construction: the CSR index arrays and feature
 matrix are marked read-only so they can be shared across worker threads
-without copies.
+without copies. A graph holds its structure only; each run builds its own
+normalized operator Â = S A S over it (`NormOperator.of`), read-only too.
 
 Dataset directory layout (all multi-byte values little-endian):
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -41,46 +43,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Csr:
-    """What `ops.spmm_norm` reads of a CSR operator: its stored entries, the
-    scale of its output rows, and its stored values."""
-
-    @property
-    def num_rows(self) -> int:
-        """Rows of A (columns of Aᵀ)."""
-        return len(self.row_offsets) - 1
-
-    @property
-    def num_edges(self) -> int:
-        """Stored directed entries (an undirected edge counts twice)."""
-        return int(len(self.col_indices))
-
-    def scale(self, s: np.ndarray, transpose: bool) -> np.ndarray:
-        """s at the nodes of the rows of A (of Aᵀ with `transpose`), read-only:
-        `s` itself, or s[nodes] kept for the very array `s`."""
-        if transpose or self.nodes is None:
-            return s
-        kept = self._weights.get("scale")
-        if kept is None or kept[0] is not s:
-            kept = self._weights["scale"] = (s, _readonly(s[self.nodes]))
-        return kept[1]
-
-    def weights(self, s: np.ndarray, transpose: bool, dtype) -> np.ndarray:
-        """The stored values of A S (of Aᵀ S with `transpose`): s at each
-        stored entry's column, in `dtype`, read-only. Kept for the very array
-        `s`, which must not change meanwhile, and shared by A and Aᵀ on a
-        symmetric graph; threads that race to make them get equal arrays."""
-        cols = self.col_indices_t if transpose else self.col_indices
-        key = (cols is not self.col_indices, np.dtype(dtype))
-        kept = self._weights.get(key)
-        if kept is None or kept[0] is not s:
-            column_scale = self.scale(s, not transpose)  # Aᵀ's columns are A's rows
-            kept = self._weights[key] = (s, _readonly(column_scale[cols].astype(key[1], copy=False)))
-        return kept[1]
-
-
 @dataclass(frozen=True)
-class CsrAdjacency(_Csr):
+class CsrAdjacency:
     """CSR adjacency: neighbor lists sorted ascending, no duplicates.
 
     Row v lists the nodes v aggregates from. The CSR of the transpose Aᵀ
@@ -88,13 +52,11 @@ class CsrAdjacency(_Csr):
     is built once here, read-only, so threads only ever read it.
     """
 
-    nodes = None  # row v is node v's (a class attribute, not a field)
     num_nodes: int
     row_offsets: np.ndarray  # int64, length num_nodes + 1
     col_indices: np.ndarray  # int64, length nnz
     row_offsets_t: np.ndarray = field(init=False, repr=False, compare=False)
     col_indices_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see `weights`, `scale`
 
     def __post_init__(self):
         n, offsets, cols = self.num_nodes, self.row_offsets, self.col_indices
@@ -104,16 +66,88 @@ class CsrAdjacency(_Csr):
         object.__setattr__(self, "row_offsets_t", offsets if symmetric else _readonly(t_offsets))
         object.__setattr__(self, "col_indices_t", cols if symmetric else _readonly(t_cols))
 
-    def restrict(self, nodes) -> RowRestriction:
-        """A restricted to the rows `nodes` (ascending and distinct), and Aᵀ
-        to the same columns, as read-only CSRs.
+    @property
+    def num_edges(self) -> int:
+        """Stored directed entries (an undirected edge counts twice)."""
+        return int(len(self.col_indices))
+
+    def edge_list(self) -> np.ndarray:
+        """All stored (row, col) pairs, row-major order."""
+        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.row_offsets))
+        return np.stack([rows, self.col_indices], axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class NormOperator:
+    """The normalized adjacency Â = S A S of one run, S = diag(s) with s =
+    `degree_norms`, as `ops.spmm_norm` reads it, or its rows R.
+
+    Its CSR (`row_offsets`, `col_indices`) lists the columns each output
+    row sums; `values` holds s at each stored entry's column and `scale` s
+    at each output row, in the run's dtype, so Â H is `scale` times the CSR
+    product with `values` (A S H). `nodes` is the node of each row (R), or
+    None when row v is node v. Every array is made read-only.
+
+    `t` is the transpose, made at each access from the fields held for it
+    (`transposed`), or the operator itself without them (a symmetric
+    graph's: A and Aᵀ share their arrays). Operators that referred to each
+    other would form a reference cycle, which keeps a run's operator after
+    its run until the cycle collector runs.
+
+    `of(adj, dtype)` builds a graph's whole operator, and `restrict(R)` the
+    m x n Â[R, :], whose `t` is the n x m Âᵀ[:, R]: Â[R, :] H gives rows R
+    of Â H, and Âᵀ[:, R] G gives Âᵀ of the n-row array that holds G at rows
+    R and zeros elsewhere.
+    """
+
+    row_offsets: np.ndarray  # int64, length num_rows + 1
+    col_indices: np.ndarray  # int64 in [0, num_cols)
+    values: np.ndarray  # s at each stored entry's column
+    scale: np.ndarray  # s at each output row
+    num_cols: int
+    nodes: Optional[np.ndarray] = None  # R: int64, ascending; None for all rows
+    transposed: Optional[tuple] = field(default=None, repr=False)  # the transpose's fields, in order
+
+    def __post_init__(self):
+        for a in (self.row_offsets, self.col_indices, self.values, self.scale, self.nodes, *(self.transposed or ())):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+    @property
+    def t(self) -> NormOperator:
+        if self.transposed is None:
+            return self
+        fields = (self.row_offsets, self.col_indices, self.values, self.scale, self.num_cols, self.nodes)
+        return NormOperator(*self.transposed, transposed=fields)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.row_offsets) - 1
+
+    @property
+    def num_edges(self) -> int:
+        """Stored entries, the same in `t`."""
+        return int(len(self.col_indices))
+
+    @classmethod
+    def of(cls, adj: CsrAdjacency, dtype) -> NormOperator:
+        """Â of `adj`, with s in `dtype`."""
+        s, n, cols_t = degree_norms(adj).astype(dtype), adj.num_nodes, adj.col_indices_t
+        t = None if cols_t is adj.col_indices else (adj.row_offsets_t, cols_t, s[cols_t], s, n, None)
+        return cls(adj.row_offsets, adj.col_indices, s[adj.col_indices], s, n, transposed=t)
+
+    def restrict(self, nodes) -> NormOperator:
+        """Â[R, :] for the rows R = `nodes` (ascending and distinct) of a
+        whole operator, with `t` = Âᵀ[:, R].
 
         Both keep the whole's entries in the whole's order, so each row of
-        either sums its terms in the order the same row of A (of Aᵀ) does,
+        either sums its terms in the order the same row of Â (of Âᵀ) does,
         less the terms of the columns left out. One pass over the entries,
         with no sort.
         """
-        n = self.num_nodes
+        n, t = self.num_cols, self.t
+        if self.nodes is not None or self.num_rows != n:
+            raise ValueError("restrict: only a whole operator restricts")
         nodes = np.array(nodes, dtype=np.int64)
         if nodes.ndim != 1 or len(nodes) and (nodes[0] < 0 or nodes[-1] >= n or (np.diff(nodes) <= 0).any()):
             raise ValueError(f"restrict: rows must be ascending, distinct nodes below {n}")
@@ -123,43 +157,14 @@ class CsrAdjacency(_Csr):
         offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(degree[nodes], out=offsets[1:])
         cols = self.col_indices[np.repeat(member, degree)]
-        # Aᵀ[:, R]: the entries of Aᵀ in columns R, renumbered by their place in R
-        kept = member[self.col_indices_t]
-        before = np.zeros(len(kept) + 1, dtype=np.int64)  # kept entries before each entry of Aᵀ
+        # Âᵀ[:, R]: the entries of Âᵀ in columns R, renumbered by their place in R
+        kept = member[t.col_indices]
+        before = np.zeros(len(kept) + 1, dtype=np.int64)  # kept entries before each entry of Âᵀ
         np.cumsum(kept, out=before[1:])
-        place = np.cumsum(member) - 1
-        return RowRestriction(
-            num_nodes=n,
-            nodes=_readonly(nodes),
-            row_offsets=_readonly(offsets),
-            col_indices=_readonly(cols),
-            row_offsets_t=_readonly(before[self.row_offsets_t]),
-            col_indices_t=_readonly(place[self.col_indices_t[kept]]),
-        )
-
-    def edge_list(self) -> np.ndarray:
-        """All stored (row, col) pairs, row-major order."""
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(self.row_offsets))
-        return np.stack([rows, self.col_indices], axis=1)
-
-
-@dataclass(frozen=True)
-class RowRestriction(_Csr):
-    """The rows R = `nodes` of an adjacency A (`CsrAdjacency.restrict`): the
-    m x n operator A[R, :] (`row_offsets`, `col_indices`), whose row i is
-    node R[i]'s, and the n x m operator Aᵀ[:, R] (`row_offsets_t`,
-    `col_indices_t`, whose column j is node R[j]). `ops.spmm_norm` runs
-    either as it runs the whole: Â[R, :] H gives rows R of Â H, and
-    (Â[R, :])ᵀ G gives Âᵀ of an n-row array that holds G at rows R and
-    zeros elsewhere. Every array is read-only."""
-
-    num_nodes: int
-    nodes: np.ndarray  # R: int64, ascending
-    row_offsets: np.ndarray  # int64, length m + 1
-    col_indices: np.ndarray  # int64 in [0, n)
-    row_offsets_t: np.ndarray  # int64, length n + 1
-    col_indices_t: np.ndarray  # int64 in [0, m)
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # see `weights`, `scale`
+        t_cols = (np.cumsum(member) - 1)[t.col_indices[kept]]
+        s, s_rows = self.scale, self.scale[nodes]
+        rows_t = (before[t.row_offsets], t_cols, s_rows[t_cols], s, len(nodes), None)
+        return NormOperator(offsets, cols, s[cols], s_rows, n, nodes, transposed=rows_t)
 
 
 def build_csr(num_nodes: int, edges, symmetrize: bool = True) -> CsrAdjacency:

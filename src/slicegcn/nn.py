@@ -12,7 +12,8 @@ drops the self path:
 
 where agg(H) = Â H with Â = S A S: A[v, u] = 1 when u is stored in row v of
 the adjacency, and S = diag(s) holds 1/sqrt of each row's degree (the
-in-degree on directed graphs) on both sides.
+in-degree on directed graphs) on both sides. A layer is handed Â as one
+read-only operator (`graph.NormOperator`), and its rows R as another.
 
 Each layer aggregates once, on its narrow side. Since Â (H W) = (Â H) W,
 a narrowing layer (w_in > w_out) multiplies by W_agg first and aggregates
@@ -54,10 +55,10 @@ handed and write gradients over forward arrays that nothing reads
 afterwards (see `mlp_backward`, which so needs no scratch).
 
 All backward passes are hand-derived reverse-mode gradients. The input
-gradient of the aggregation is Âᵀ G = S Aᵀ S G, which equals Â G only on
-undirected graphs. Backward aggregates on the same side as forward: a
-narrowing layer forms Âᵀ d_pre once and reuses it for both the weight and
-the input gradient.
+gradient of the aggregation is Âᵀ G = S Aᵀ S G (the operator's `t`),
+which equals Â G only on undirected graphs. Backward aggregates on the
+same side as forward: a narrowing layer forms Âᵀ d_pre once and reuses it
+for both the weight and the input gradient.
 
 Parameters live in optimizer groups (`ParamGroup`): `init_gcn_layers` and
 `init_mlp` give each layer views into its group's flat parameter buffer and
@@ -128,7 +129,6 @@ class GcnLayerCache:
     keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
     own_agg: bool = False  # agg was formed by this pass, and nothing reads it after backward's dW_agg
-    rows: Optional[object] = None  # the operator of the output rows R (`graph.RowRestriction`); None: all rows
     h_rows: Optional[np.ndarray] = None  # h_in's rows R, the self path's input, gathered; None on all rows
 
 
@@ -150,10 +150,11 @@ def narrows(params: GcnLayerParams) -> bool:
 
 
 def gcn_layer_forward(
-    adj, s, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
+    op, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
     *, ws, layer=0, out=None, version=None, rows=None, pool=ops.INLINE,
 ):
-    """One layer. Dropout (if rate > 0) is applied to the layer output.
+    """One layer over the normalized operator `op` (`graph.NormOperator`).
+    Dropout (if rate > 0) is applied to the layer output.
 
     `agg`, when given, is Â h_in computed by the caller and is used as is.
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
@@ -161,13 +162,12 @@ def gcn_layer_forward(
     aggregate is formed once and kept (module docstring). The cache's mask
     is None where no mask is formed.
 
-    `rows`, when given, is the adjacency restricted to a row set R
-    (`graph.RowRestriction`), and the layer forms rows R of its output
-    only: m rows of output, ReLU mask and dropout mask (the whole mask's
-    rows R, see `ops.dropout`). It aggregates over the restricted operator,
-    or takes rows R of a whole aggregate (a caller's `agg`, or the kept one
-    of a fixed input); its self path reads H_in's rows R, gathered once,
-    which its cache keeps for dW_self. Nothing is kept for a later pass.
+    `rows`, when given, is `op.restrict(R)`: the layer forms rows R of its
+    output only, m rows of output, ReLU mask and dropout mask (the whole
+    mask's rows R, see `ops.dropout`). It aggregates over `rows`, or takes
+    rows R of a whole aggregate (a caller's `agg`, or the kept one of a
+    fixed input); its self path reads H_in's rows R, gathered once, which
+    its cache keeps for dW_self. Nothing is kept for a later pass.
 
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
@@ -179,14 +179,15 @@ def gcn_layer_forward(
     passes split on `pool`.
     """
     n, (w_in, w_out), dtype = h_in.shape[0], params.w_agg.shape, h_in.dtype
-    op, m = (adj, n) if rows is None else (rows, rows.num_rows)
+    out_op = op if rows is None else rows  # the operator of the output rows
+    m = out_op.num_rows
     keeps = version is not None and out is None and rows is None
     kept = keeps and ws.versions.pop((layer, "out"), None) == version
     own_agg = False
     if version is not None and agg is None:
         agg = ws.get((layer, "agg"), (n, w_in), dtype)
         if (layer, "agg") not in ws.versions:  # a fixed input's aggregate holds at every version
-            ops.spmm_norm(adj, s, h_in, out=agg, ws=ws, pool=pool)
+            ops.spmm_norm(op, h_in, agg, ws=ws, pool=pool)
             ws.versions[layer, "agg"] = version
     h_rows = None
     if rows is not None:
@@ -199,13 +200,11 @@ def gcn_layer_forward(
     if not kept:
         if agg is None and narrows(params):
             t = pool.matmul(h_in, params.w_agg, out=ops.scratch(ws, n, w_out, dtype))
-            ops.spmm_norm(op, s, t, out=h_out, ws=ws, pool=pool)
+            ops.spmm_norm(out_op, t, h_out, ws=ws, pool=pool)
         else:
             if agg is None:
                 own_agg = True
-                agg = ops.spmm_norm(
-                    op, s, h_in, out=ws.get((layer, "agg"), (m, w_in), dtype, rows=n), ws=ws, pool=pool
-                )
+                agg = ops.spmm_norm(out_op, h_in, ws.get((layer, "agg"), (m, w_in), dtype, rows=n), ws=ws, pool=pool)
             pool.matmul(agg, params.w_agg, out=h_out)
         self_path = None
         if params.w_self is not None:
@@ -218,7 +217,7 @@ def gcn_layer_forward(
     h_out, keep, scale = ops.dropout(
         h_out, dropout_rate, training, rng, keep=keep, pool=pool, rows=_nodes(rows), num_rows=n
     )
-    cache = GcnLayerCache(h_in, agg, mask, keep, scale, own_agg=own_agg, rows=rows, h_rows=h_rows)
+    cache = GcnLayerCache(h_in, agg, mask, keep, scale, own_agg=own_agg, h_rows=h_rows)
     return h_out, cache
 
 
@@ -257,9 +256,10 @@ def _deactivate(d, keep, mask, scale) -> None:
 
 
 def gcn_layer_backward(
-    cache: GcnLayerCache, d_out, params: GcnLayerParams, adj, s, *, ws, d_in=None, pool=ops.INLINE,
+    cache: GcnLayerCache, d_out, params: GcnLayerParams, op, *, ws, d_in=None, rows=None, pool=ops.INLINE,
 ):
-    """Writes dW_agg, dW_self and db into `params.grads`; returns dH_in.
+    """Backward of `gcn_layer_forward` over `op` and `rows` as the forward
+    had them. Writes dW_agg, dW_self and db into `params.grads`; returns dH_in.
 
     dH_in is written into `d_in`, and is not formed without it (None is
     returned then). The backward consumes `d_out`, which may be a strided
@@ -281,7 +281,7 @@ def gcn_layer_backward(
     aggregate, else d_pre's memory (a strided d_pre's first columns, which
     the SpMM reaches through its accumulator), never a caller's `agg`.
 
-    A layer whose forward ran on rows R (`cache.rows`) takes m rows of
+    A layer whose forward ran on rows R (`rows`) takes m rows of
     `d_out` and writes all n rows of `d_in`. Its aggregation runs over the
     restricted operator's transpose, Âᵀ[:, R], which reads the m-row
     d_pre W_aggᵀ (d_pre itself in a narrowing layer, whose G then goes to
@@ -290,9 +290,9 @@ def gcn_layer_backward(
     them, is then added at rows R. H_in is read before `d_in` is written.
     """
     m, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
-    n, rows = cache.h_in.shape[0], cache.rows
+    n = cache.h_in.shape[0]
     grads, narrowing, dual = params.grads, narrows(params), params.w_self is not None
-    op = adj if rows is None else rows
+    op_t = (op if rows is None else rows).t
     if rows is None and narrowing and d_in is not None and np.shares_memory(d_in, cache.h_in):
         raise ValueError("gcn_layer_backward: a narrowing layer's d_in shares H_in's memory, which it reads last")
     if cache.keep is not None:
@@ -310,7 +310,7 @@ def gcn_layer_backward(
     if narrowing:
         if cache.agg is None or d_in is not None:
             g_out = d_pre if rows is None else ws.get("g", (n, w_out), dtype)
-            g = ops.spmm_norm(op, s, d_pre, transpose=True, out=g_out, ws=ws, pool=pool)
+            g = ops.spmm_norm(op_t, d_pre, g_out, ws=ws, pool=pool)
         if cache.agg is None:
             pool.matmul(cache.h_in.T, g, out=grads.w_agg)
         if d_in is None:
@@ -328,7 +328,7 @@ def gcn_layer_backward(
             target = d_pre.reshape(-1)[: n * w_in].reshape(n, w_in)
         else:  # a one-layer stack's strided block: the SpMM sums in an accumulator of `ws`
             target = d_pre[:, :w_in]
-        term = ops.spmm_norm(op, s, t, transpose=True, out=target, ws=ws, pool=pool)
+        term = ops.spmm_norm(op_t, t, target, ws=ws, pool=pool)
     if dual and rows is None:
         pool.rows(operator.iadd, (d_in, term))
     elif dual:
@@ -372,8 +372,8 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, rows=None, p
     and dropout draws from `mlp.rng`. `version` says that x is fixed: the
     first hidden layer then keeps and reuses its relu(z) and mask by it
     (module docstring). `rows`, a row set's operator
-    (`graph.RowRestriction`), says that x holds the rows R of an n-row
-    input: dropout then draws the n-row masks and keeps their rows R
+    (`graph.NormOperator.restrict`), says that x holds the rows R of an
+    n-row input: dropout then draws the n-row masks and keeps their rows R
     (`ops.dropout`), so each row's mask is the one it has in a pass over
     all rows. A training forward leaves its cache in `mlp.cache`
     for the backward; its masks are None where none is formed. Each layer's
@@ -383,7 +383,7 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, rows=None, p
     ws, cache = mlp.ws, []
     h = x
     last = len(mlp.layers) - 1
-    whole = len(x) if rows is None else rows.num_nodes  # the rows of a pass over all rows
+    whole = len(x) if rows is None else rows.num_cols  # the rows of a pass over all rows
     for li, (w, b) in enumerate(mlp.layers):
         if h.shape[1] != w.shape[0]:
             raise ValueError(f"mlp layer {li}: input width {h.shape[1]} != {w.shape[0]}")

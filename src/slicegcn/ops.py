@@ -5,12 +5,14 @@ Matrices are plain numpy arrays, row-major, float32 or float64 (chosen once
 per run). Every kernel is a pure function of its inputs, except `dropout`,
 which writes its output into the array it is given (callers pass arrays they
 own). The element-wise kernels follow numpy: `out=` names the array their
-result is written into, and without it they return a new one. `spmm_norm`
-writes its result into `out=` and runs in its owner's `Workspace` (`ws=`),
-where its temporaries live: it reads its input where it lies, and copies
-it into the workspace's scratch array (`scratch`) only when it is strided
-or shares memory with `out`. Kernels keep no state; a workspace belongs to
-one owner, which uses it from one thread at a time.
+result is written into, and without it they return a new one.
+`spmm_norm(op, h, out)` applies a run's read-only normalized operator
+(`graph.NormOperator`) to `h`, writes the result into `out`, and runs in
+its owner's `Workspace` (`ws=`), where its temporaries live: it reads its
+input where it lies, and copies it into the workspace's scratch array
+(`scratch`) only when it is strided or shares memory with `out`. Kernels
+keep no state; a workspace belongs to one owner, which uses it from one
+thread at a time.
 
 `Pool` holds a run's threads: it runs one task per device, and cuts a
 large dense product, SpMM, dropout mask or element-wise pass into at most
@@ -249,57 +251,53 @@ def rng_stream(seed: int, *stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def spmm_norm(adj, s: np.ndarray, h: np.ndarray, transpose: bool = False, *, out, ws, pool=INLINE) -> np.ndarray:
-    """Degree-normalized sparse aggregation, out = Â H with Â = S A S.
+def spmm_norm(op, h: np.ndarray, out, /, *, ws, pool=INLINE) -> np.ndarray:
+    """Degree-normalized sparse aggregation, out = op · H, for a normalized
+    operator `op` (`graph.NormOperator`): Â = S A S, its transpose `Â.t`,
+    or the rows R of either (`restrict`).
 
-    A[v, u] = 1 when u is stored in row v of `adj`, and S = diag(s), where s
-    is 1/sqrt of the row degree (the in-degree on directed graphs) on both
-    sides: out[v, :] = sum over u in row v of s[u] * s[v] * h[u, :].
-    `transpose=True` computes Âᵀ H = S Aᵀ S H instead, which the backward
-    pass needs; on undirected graphs the two coincide. `adj` is a
-    `CsrAdjacency` or its restriction to rows R (`graph.RowRestriction`):
-    then Â[R, :] H, with m rows, is rows R of Â H, and its transpose takes
-    an m-row G and gives Âᵀ of the n-row array that holds G at rows R and
-    zeros elsewhere, with the same bits. `s` always has all n nodes.
+    A[v, u] = 1 when u is stored in row v of the adjacency, and S = diag(s),
+    where s is 1/sqrt of the row degree (the in-degree on directed graphs)
+    on both sides: (Â H)[v, :] = sum over u in row v of s[u] * s[v] * h[u, :].
+    On undirected graphs Â is its own transpose. H must have `op.num_cols`
+    rows and the dtype of `op.values` (ValueError otherwise); `out` has
+    `op.num_rows` rows and H's width.
 
     (A S) H is summed by scipy's compiled CSR kernel `csr_matvecs` over the
-    CSR of A (or of Aᵀ), whose stored values are s at each entry's column
-    (`CsrAdjacency.weights`, in H's dtype): each row adds its terms
-    s[u] * h[u, :] one by one in CSR order, from +0.0, so its bits do not
-    depend on how the rows are cut. The kernel reads H where it lies when
-    H is C-contiguous and shares no memory with `out`; any other H is first
-    copied into the scratch array of `ws` (`scratch`), the only use the
-    SpMM makes of it. The sum goes into `out`, which may be `h` itself but
-    is never the scratch; a strided `out`, or one of another dtype, which
-    the kernel would write through a copy, sums in the accumulator
-    `"spmm.acc"` of `ws` instead. Scaled by S at its rows
-    (`CsrAdjacency.scale`), it ends in `out`, which is returned.
+    operator's CSR, whose stored values are s at each entry's column
+    (`op.values`): each row adds its terms s[u] * h[u, :] one by one in CSR
+    order, from +0.0, so its bits do not depend on how the rows are cut.
+    The kernel reads H where it lies when H is C-contiguous and shares no
+    memory with `out`; any other H is first copied into the scratch array
+    of `ws` (`scratch`), the only use the SpMM makes of it. The sum goes
+    into `out`, which may be `h` itself but is never the scratch; a strided
+    `out`, or one of another dtype, which the kernel would write through a
+    copy, sums in the accumulator `"spmm.acc"` of `ws` instead. Scaled by S
+    at its rows (`op.scale`), it ends in `out`, which is returned.
 
     On `pool`, a copy runs in row ranges (`Pool.rows`), and the sum
     and the scaling in up to `pool.threads` row parts of near-equal stored
     entries (`Pool.count`), each of which writes its own rows only.
     """
-    out_rows, n = (adj.num_nodes, adj.num_rows) if transpose else (adj.num_rows, adj.num_nodes)
+    out_rows, n, offsets, cols = op.num_rows, op.num_cols, op.row_offsets, op.col_indices
     c = h.shape[-1]
     if h.ndim != 2 or h.shape[0] != n:
         raise ValueError(f"spmm_norm: H has {h.shape[0]} rows, the operator has {n} columns")
-    if s.shape != (adj.num_nodes,):
-        raise ValueError(f"spmm_norm: scale vector has shape {s.shape}, want ({adj.num_nodes},)")
-    offsets, cols = (adj.row_offsets_t, adj.col_indices_t) if transpose else (adj.row_offsets, adj.col_indices)
+    if h.dtype != op.values.dtype:
+        raise ValueError(f"spmm_norm: H is {h.dtype}, the operator's values are {op.values.dtype}")
     if not h.flags.c_contiguous or np.may_share_memory(h, out):
         x = scratch(ws, n, c, h.dtype)
         pool.rows(np.copyto, (x, h))
         h = x
     acc = out if out.flags.c_contiguous and out.dtype == h.dtype else ws.get("spmm.acc", (out_rows, c), h.dtype)
-    k, weights = pool.count(cols.size * c, out_rows), adj.weights(s, transpose, h.dtype)
+    k = pool.count(cols.size * c, out_rows)
     if k == 1:
         parts = [(0, out_rows)]
     else:  # rows [lo, hi) of near-equal stored entries
         cuts = np.searchsorted(offsets, cols.size * np.arange(1, k) / k)
         bounds = np.unique(np.concatenate([[0], cuts, [out_rows]]))
         parts = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    scale = adj.scale(s, transpose)
-    pool.run(lambda part: _spmm_rows(*part, offsets, cols, weights, h, acc, out, scale), parts)
+    pool.run(lambda part: _spmm_rows(*part, op, h, acc, out), parts)
     return out
 
 
@@ -311,15 +309,14 @@ def scratch(ws, n: int, c: int, dtype) -> np.ndarray:
     return ws.get(SCRATCH, (n, c), dtype)
 
 
-def _spmm_rows(lo: int, hi: int, offsets, cols, weights, h, acc, out, s) -> None:
-    """Rows [lo, hi) of out = S (A S) h, summed in the same rows of acc,
-    which may be out; A S's CSR is (offsets, cols, weights), and s holds
-    the scale of out's rows."""
+def _spmm_rows(lo: int, hi: int, op, h, acc, out) -> None:
+    """Rows [lo, hi) of out = op · h, summed in the same rows of acc,
+    which may be out."""
     rows = acc[lo:hi]
     rows[...] = 0
-    _sparsetools.csr_matvecs(hi - lo, len(h), h.shape[1], offsets[lo : hi + 1], cols, weights,
+    _sparsetools.csr_matvecs(hi - lo, len(h), h.shape[1], op.row_offsets[lo : hi + 1], op.col_indices, op.values,
                              h.reshape(-1), rows.reshape(-1))
-    np.multiply(rows, s[lo:hi, None], out=out[lo:hi])
+    np.multiply(rows, op.scale[lo:hi, None], out=out[lo:hi])
 
 
 def glorot_init(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,8 @@
 import functools
+import gc
 import json
-import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from slicegcn.graph import (
     VAL,
     AttributedGraph,
     DatasetError,
+    NormOperator,
     build_csr,
     check_splits,
     degree_norms,
@@ -123,102 +124,110 @@ class TestTransposeCsr:
 
     def test_read_only(self):
         adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
-        s = degree_norms(adj)
-        for a in (adj.row_offsets_t, adj.col_indices_t, adj.weights(s, False, s.dtype), adj.weights(s, True, s.dtype)):
+        for a in (adj.row_offsets_t, adj.col_indices_t):
             assert not a.flags.writeable
 
-    def test_weights_are_kept_for_their_scale_array(self):
-        # s at each stored entry's column, made once per s array and
-        # operator, and made again when another array is passed
-        adj = build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False)
-        s = np.array([0.5, 0.25, 2.0, 4.0])
-        a, at = adj.weights(s, False, s.dtype), adj.weights(s, True, s.dtype)
-        assert a.tolist() == s[adj.col_indices].tolist() and at.tolist() == s[adj.col_indices_t].tolist()
-        assert adj.weights(s, False, s.dtype) is a and adj.weights(s, True, s.dtype) is at and a is not at
-        f4 = adj.weights(s, False, np.float32)
-        assert f4.dtype == np.float32 and f4.tolist() == a.tolist() and adj.weights(s, False, s.dtype) is a
-        other = s.copy()
-        remade = adj.weights(other, False, s.dtype)
-        assert remade is not a and remade.tolist() == a.tolist() and adj.weights(other, False, s.dtype) is remade
 
-    def test_symmetric_graph_shares_its_weights(self):
-        adj = build_csr(4, [(0, 1), (1, 2), (0, 3)])
-        s = degree_norms(adj)
-        assert adj.weights(s, True, s.dtype) is adj.weights(s, False, s.dtype)
+def _arrays(op) -> list:
+    """Every array an operator holds, and its transpose."""
+    return [a for o in (op, op.t) for a in (o.row_offsets, o.col_indices, o.values, o.scale, o.nodes)
+            if a is not None]
 
-    def test_threads_that_race_get_the_weights_of_their_own_scale_array(self):
-        # devices share one adjacency: a call never gets values made for
-        # another array, however the threads interleave the cache's check and set
-        adj = build_csr(50, [(u, (3 * u + 1) % 50) for u in range(50)], symmetrize=False)
-        scales = [np.arange(50.0) + k for k in range(4)]
-        wrong = []
 
-        def hammer(s):
-            want = [s[adj.col_indices].tolist(), s[adj.col_indices_t].tolist()]
-            for i in range(6000):
-                if adj.weights(s, i % 2 == 1, np.float64).tolist() != want[i % 2]:
-                    wrong.append(i)
+def _dense(op) -> np.ndarray:
+    """An operator as a dense float64 matrix: scale[i] * values[k] at each stored entry (i, col k)."""
+    dense = np.zeros((op.num_rows, op.num_cols))
+    rows = np.repeat(np.arange(op.num_rows), np.diff(op.row_offsets))
+    dense[rows, op.col_indices] = op.scale[rows].astype(np.float64) * op.values
+    return dense
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+
+class TestNormOperator:
+    """Â = S A S of a graph (`NormOperator.of`), and its rows R: Â[R, :] and Âᵀ[:, R]."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_and_scales(self, dtype):
+        # Â and Â[R, :] store s at each entry's column and scale their rows
+        # by s and s[R]; Âᵀ stores s at each entry's column and Âᵀ[:, R]
+        # s[R], and both scale by s; all in the run's dtype
+        adj = build_csr(5, [(0, 1), (1, 2), (0, 3), (4, 2), (3, 2)], symmetrize=False)
+        s = degree_norms(adj).astype(dtype)
+        op = NormOperator.of(adj, dtype)
+        r = op.restrict([1, 2, 4])
+        want = [
+            (op, s[adj.col_indices], s), (op.t, s[adj.col_indices_t], s),
+            (r, s[r.col_indices], s[[1, 2, 4]]), (r.t, s[[1, 2, 4]][r.t.col_indices], s),
+        ]
+        for o, values, scale in want:
+            assert o.values.dtype == o.scale.dtype == dtype
+            assert o.values.tobytes() == values.tobytes() and o.scale.tobytes() == scale.tobytes()
+
+    def test_read_only(self):
+        adj = build_csr(5, [(0, 1), (1, 2), (0, 3), (4, 2)], symmetrize=False)
+        op = NormOperator.of(adj, np.float32)
+        arrays = _arrays(op) + _arrays(op.restrict([1, 2, 4]))
+        assert len(arrays) == 8 + 9
+        for a in arrays:
+            assert not a.flags.writeable
+
+    def test_symmetric_whole_operator_is_its_own_transpose(self):
+        op = NormOperator.of(build_csr(4, [(0, 1), (1, 2), (0, 3)]), np.float64)
+        assert op.t is op and op.t.values is op.values
+
+    def test_directed_operator_shares_no_values_with_its_transpose(self):
+        op = NormOperator.of(build_csr(4, [(0, 1), (1, 2), (0, 3)], symmetrize=False), np.float64)
+        assert op.t is not op and op.t.t.values is op.values
+        assert not np.shares_memory(op.values, op.t.values)
+        assert not np.shares_memory(op.col_indices, op.t.col_indices)
+
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_operators_go_with_their_last_reference(self, symmetrize):
+        # no operator refers to another (or to itself), so none waits for
+        # the cycle collector: a run's operator goes with the run
+        op = NormOperator.of(build_csr(5, [(0, 1), (1, 2), (4, 2)], symmetrize=symmetrize), np.float32)
+        refs = [weakref.ref(o) for o in (op, op.t, op.restrict([1, 2]), op.restrict([1, 2]).t)]
+        gc.disable()
         try:
-            with ThreadPoolExecutor(4) as ex:
-                for f in [ex.submit(hammer, s) for s in scales]:
-                    f.result(timeout=60)
+            del op
+            assert [r() for r in refs] == [None] * 4
         finally:
-            sys.setswitchinterval(interval)
-        assert not wrong
-
-
-class TestRowRestriction:
-    """An adjacency restricted to a row set R: A[R, :] and Aᵀ[:, R]."""
+            gc.enable()
 
     @given(edge_lists, st.booleans(), st.lists(st.booleans(), min_size=10, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_equals_dense_slicing(self, edges, symmetrize, member):
         adj = build_csr(10, edges, symmetrize=symmetrize)
-        rows = np.flatnonzero(member)
-        r = adj.restrict(rows)
-        m = len(rows)
-        a = TestTransposeCsr._dense(adj.row_offsets, adj.col_indices, 10)
-        got = np.zeros((m, 10), dtype=int)
-        got[np.repeat(np.arange(m), np.diff(r.row_offsets)), r.col_indices] = 1
-        np.testing.assert_array_equal(got, a[rows, :])
-        got_t = np.zeros((10, m), dtype=int)
-        got_t[np.repeat(np.arange(10), np.diff(r.row_offsets_t)), r.col_indices_t] = 1
-        np.testing.assert_array_equal(got_t, a.T[:, rows])
-        # every row in the whole's order: ascending, as the whole's rows are
-        for offsets, cols in ((r.row_offsets, r.col_indices), (r.row_offsets_t, r.col_indices_t)):
-            for lo, hi in zip(offsets[:-1], offsets[1:]):
-                assert (np.diff(cols[lo:hi]) > 0).all()
-        assert r.num_nodes == 10 and r.num_rows == m and r.nodes.tolist() == rows.tolist()
-        assert r.num_edges == len(r.col_indices) == int(a[rows].sum())
-
-    def test_read_only(self):
-        adj = build_csr(5, [(0, 1), (1, 2), (0, 3), (4, 2)], symmetrize=False)
-        r = adj.restrict([1, 2, 4])
         s = degree_norms(adj)
-        arrays = (r.nodes, r.row_offsets, r.col_indices, r.row_offsets_t, r.col_indices_t,
-                  r.weights(s, False, s.dtype), r.weights(s, True, s.dtype), r.scale(s, False))
-        for a in arrays:
-            assert not a.flags.writeable
-
-    def test_values_and_scales(self):
-        # A[R, :] stores s at each entry's column and scales its rows by s[R];
-        # Aᵀ[:, R] stores s[R] at each entry's column and scales by s
-        adj = build_csr(5, [(0, 1), (1, 2), (0, 3), (4, 2)], symmetrize=False)
-        r = adj.restrict([1, 2, 4])
-        s = np.array([0.5, 0.25, 2.0, 4.0, 8.0])
-        assert r.weights(s, False, s.dtype).tolist() == s[r.col_indices].tolist()
-        assert r.weights(s, True, s.dtype).tolist() == s[r.nodes][r.col_indices_t].tolist()
-        assert r.scale(s, False).tolist() == [0.25, 2.0, 8.0] and r.scale(s, True) is s
-        assert adj.scale(s, False) is s and adj.scale(s, True) is s
+        a = np.zeros((10, 10))
+        a[np.repeat(np.arange(10), np.diff(adj.row_offsets)), adj.col_indices] = 1
+        norm = s[:, None] * a * s[None, :]  # S A S
+        rows = np.flatnonzero(member)
+        op = NormOperator.of(adj, np.float64)
+        r = op.restrict(rows)
+        m = len(rows)
+        np.testing.assert_array_equal(_dense(op), norm)
+        np.testing.assert_array_equal(_dense(op.t), norm.T)
+        np.testing.assert_array_equal(_dense(r), norm[rows, :])
+        np.testing.assert_array_equal(_dense(r.t), norm.T[:, rows])
+        # every row in the whole's order: ascending, as the whole's rows are
+        for o in (r, r.t):
+            for lo, hi in zip(o.row_offsets[:-1], o.row_offsets[1:]):
+                assert (np.diff(o.col_indices[lo:hi]) > 0).all()
+        assert (r.num_rows, r.num_cols, r.t.num_rows, r.t.num_cols) == (m, 10, 10, m)
+        assert r.nodes.tolist() == rows.tolist() and r.t.nodes is None and r.t.t.nodes is r.nodes
+        assert r.num_edges == r.t.num_edges == len(r.col_indices) == int(a[rows].sum())
 
     @pytest.mark.parametrize("rows", [[2, 1], [1, 1], [-1], [5], [[0, 1]]])
     def test_rejects_rows_that_are_not_ascending_nodes(self, rows):
-        adj = build_csr(5, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError):
-            adj.restrict(rows)
+        op = NormOperator.of(build_csr(5, [(0, 1), (1, 2)]), np.float64)
+        with pytest.raises(ValueError, match="ascending, distinct nodes below 5"):
+            op.restrict(rows)
+
+    def test_only_a_whole_operator_restricts(self):
+        r = NormOperator.of(build_csr(5, [(0, 1), (1, 2)]), np.float64).restrict([1, 2])
+        for o in (r, r.t):
+            with pytest.raises(ValueError, match="only a whole operator"):
+                o.restrict([0])
 
 
 class TestDegreeNorms:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicegcn import engine, nn, ops
-from slicegcn.graph import build_csr, degree_norms, synth_graph
+from slicegcn.graph import NormOperator, build_csr, synth_graph
 
 
 def central_diff(loss_fn, param, h=1e-6):
@@ -33,8 +33,7 @@ def rel_err(a, b):
 
 @pytest.fixture(scope="module")
 def rand_graph():
-    g = synth_graph(n=30, classes=3, d_feat=6, p_in=0.3, p_out=0.1, signal=1.0, seed=7)
-    return g.adj, degree_norms(g.adj)
+    return synth_graph(n=30, classes=3, d_feat=6, p_in=0.3, p_out=0.1, signal=1.0, seed=7).adj
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +41,12 @@ def directed_graph():
     # in-degrees differ from out-degrees, so Âᵀ != Â and the input
     # gradient needs the transposed operator
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 0), (5, 0), (5, 6), (6, 7), (7, 5), (2, 7)]
-    adj = build_csr(8, edges, symmetrize=False)
-    return adj, degree_norms(adj)
+    return build_csr(8, edges, symmetrize=False)
+
+
+def _op(adj, dtype=np.float64):
+    """The normalized operator of `adj`, in `dtype`."""
+    return NormOperator.of(adj, dtype)
 
 
 def _gcn_layer(w_in, w_out, rng, dtype, form=nn.FORM_DUAL):
@@ -61,11 +64,11 @@ def _arrays(layer) -> list:
     return [a for a in (layer.w_agg, layer.w_self, layer.bias) if a is not None]
 
 
-def _backward(cache, d_out, params, adj, s, input_grad=True):
+def _backward(cache, d_out, params, op, input_grad=True, rows=None):
     """gcn_layer_backward in a fresh workspace; returns (dW_agg, dW_self,
     db, dH_in), copies of the gradients it wrote into `params.grads`."""
     d_in = np.empty_like(cache.h_in) if input_grad else None
-    d_in = nn.gcn_layer_backward(cache, d_out, params, adj, s, ws=ops.Workspace(), d_in=d_in)
+    d_in = nn.gcn_layer_backward(cache, d_out, params, op, ws=ops.Workspace(), d_in=d_in, rows=rows)
     g = params.grads
     return g.w_agg.copy(), None if g.w_self is None else g.w_self.copy(), g.bias.copy(), d_in
 
@@ -92,78 +95,74 @@ LAYER_SHAPES = {"narrowing": (5, 3), "widening": (3, 5), "equal": (4, 4)}
 
 class TestGcnLayer:
     def test_edgeless_graph_keeps_self_path(self):
-        adj = build_csr(4, [])
-        s = degree_norms(adj)
+        op = _op(build_csr(4, []))
         rng = ops.rng_stream(0, 0)
         params = _gcn_layer(3, 3, rng, np.float64)
         params.bias[:] = 0
         h_in = rng.standard_normal((4, 3))
-        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, rng, training=False)
         np.testing.assert_allclose(h_out, h_in @ params.w_self)
 
     def test_identity_self_path(self):
-        adj = build_csr(3, [(0, 1), (1, 2)])
-        s = degree_norms(adj)
+        op = _op(build_csr(3, [(0, 1), (1, 2)]))
         rng = ops.rng_stream(1, 0)
         params = nn.GcnLayerParams(
             w_agg=np.zeros((4, 4)), w_self=np.eye(4), bias=np.zeros(4)
         )
         h_in = rng.standard_normal((3, 4))
-        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, rng, training=False)
         np.testing.assert_array_equal(h_out, h_in)
 
     def test_single_form_matches_dense_oracle(self):
-        adj = build_csr(2, [(0, 1)])
-        s = degree_norms(adj)
+        op = _op(build_csr(2, [(0, 1)]))
         rng = ops.rng_stream(2, 0)
         params = _gcn_layer(3, 2, rng, np.float64, form=nn.FORM_SINGLE)
         params.bias[:] = rng.standard_normal(2)
         h_in = rng.standard_normal((2, 3))
-        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, rng, training=False)
         dense = np.array([[0.0, 1.0], [1.0, 0.0]])  # normalized single edge
         expect = np.maximum(dense @ h_in @ params.w_agg + params.bias, 0)
         np.testing.assert_allclose(h_out, expect, atol=1e-12)
 
     def test_zero_agg_weight_is_affine_plus_constant(self):
         # with W_agg = 0 the layer is H_in @ W_self plus the fixed ReLU(b) row
-        adj = build_csr(3, [(0, 1), (1, 2)])
-        s = degree_norms(adj)
+        op = _op(build_csr(3, [(0, 1), (1, 2)]))
         rng = ops.rng_stream(3, 0)
         params = _gcn_layer(4, 4, rng, np.float64)
         params.w_agg[:] = 0
         params.bias[:] = rng.standard_normal(4)
         h_in = rng.standard_normal((3, 4))
-        h_out, _ = _forward(adj, s, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, rng, training=False)
         np.testing.assert_allclose(
             h_out, h_in @ params.w_self + np.maximum(params.bias, 0), atol=1e-12
         )
 
     def test_zero_upstream_zero_grads(self, rand_graph):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         rng = ops.rng_stream(4, 0)
         params = _gcn_layer(6, 5, rng, np.float64)
         h_in = rng.standard_normal((30, 6))
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
+        h_out, cache = _forward(op, h_in, params, rng, training=True)
         dw_agg, dw_self, db, d_in = _backward(
-            cache, np.zeros_like(h_out), params, adj, s
+            cache, np.zeros_like(h_out), params, op
         )
         assert not dw_agg.any() and not dw_self.any() and not db.any() and not d_in.any()
 
     def test_zero_agg_weight_self_gradient(self, rand_graph):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         rng = ops.rng_stream(5, 0)
         params = _gcn_layer(6, 5, rng, np.float64)
         params.w_agg[:] = 0
         params.bias[:] = -1e3  # keep the ReLU branch inactive
         h_in = rng.standard_normal((30, 6))
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
+        h_out, cache = _forward(op, h_in, params, rng, training=True)
         d_out = rng.standard_normal(h_out.shape)
-        _, dw_self, _, _ = _backward(cache, d_out.copy(), params, adj, s)  # backward consumes its d_out
+        _, dw_self, _, _ = _backward(cache, d_out.copy(), params, op)  # backward consumes its d_out
         np.testing.assert_allclose(dw_self, h_in.T @ d_out, atol=1e-12)
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     def test_gradients_match_finite_differences(self, rand_graph, form):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         rng = ops.rng_stream(6, 0)
         params = _gcn_layer(6, 5, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(5)
@@ -171,12 +170,12 @@ class TestGcnLayer:
         target = rng.standard_normal((30, 5))
 
         def loss():
-            out, _ = _forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(op, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)  # rate 0: eval's arithmetic
+        h_out, cache = _forward(op, h_in, params, rng, training=True)  # rate 0: eval's arithmetic
         d_out = h_out - target
-        dw_agg, dw_self, db, d_in = _backward(cache, d_out, params, adj, s)
+        dw_agg, dw_self, db, d_in = _backward(cache, d_out, params, op)
         groups = [(params.w_agg, dw_agg), (params.bias, db)]
         if form == nn.FORM_DUAL:
             groups.append((params.w_self, dw_self))
@@ -184,23 +183,23 @@ class TestGcnLayer:
             assert rel_err(central_diff(loss, param), ana) <= 1e-5
 
     def test_input_gradient_matches_finite_differences(self, rand_graph):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         rng = ops.rng_stream(7, 0)
         params = _gcn_layer(4, 3, rng, np.float64)
         h_in = rng.standard_normal((30, 4))
         target = rng.standard_normal((30, 3))
 
         def loss():
-            out, _ = _forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(op, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
-        _, _, _, d_in = _backward(cache, h_out - target, params, adj, s)
+        h_out, cache = _forward(op, h_in, params, rng, training=True)
+        _, _, _, d_in = _backward(cache, h_out - target, params, op)
         assert rel_err(central_diff(loss, h_in), d_in) <= 1e-5
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     def test_directed_graph_gradients_match_finite_differences(self, directed_graph, form):
-        adj, s = directed_graph
+        op = _op(directed_graph)
         rng = ops.rng_stream(12, 0)
         params = _gcn_layer(4, 3, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(3)
@@ -208,11 +207,11 @@ class TestGcnLayer:
         target = rng.standard_normal((8, 3))
 
         def loss():
-            out, _ = _forward(adj, s, h_in, params, rng, training=False)
+            out, _ = _forward(op, h_in, params, rng, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True)
-        dw_agg, _, db, d_in = _backward(cache, h_out - target, params, adj, s)
+        h_out, cache = _forward(op, h_in, params, rng, training=True)
+        dw_agg, _, db, d_in = _backward(cache, h_out - target, params, op)
         for param, ana in ((h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)):
             assert rel_err(central_diff(loss, param), ana) <= 1e-5
 
@@ -220,7 +219,7 @@ class TestGcnLayer:
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     @pytest.mark.parametrize("graph", ["rand_graph", "directed_graph"])
     def test_both_aggregation_orders_match_finite_differences(self, request, graph, shape, form):
-        self._check_finite_differences(*request.getfixturevalue(graph), shape, form, subset=False)
+        self._check_finite_differences(request.getfixturevalue(graph), shape, form, subset=False)
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
@@ -228,13 +227,13 @@ class TestGcnLayer:
     def test_row_set_matches_finite_differences(self, request, graph, shape, form):
         # on every other row: a loss over those rows alone, whose input
         # gradient reaches every row
-        self._check_finite_differences(*request.getfixturevalue(graph), shape, form, subset=True)
+        self._check_finite_differences(request.getfixturevalue(graph), shape, form, subset=True)
 
     @staticmethod
-    def _check_finite_differences(adj, s, shape, form, subset):
+    def _check_finite_differences(adj, shape, form, subset):
         w_in, w_out = LAYER_SHAPES[shape]
-        n = adj.num_nodes
-        rows = adj.restrict(np.arange(0, n, 2)) if subset else None
+        op, n = _op(adj), adj.num_nodes
+        rows = op.restrict(np.arange(0, n, 2)) if subset else None
         rng = ops.rng_stream(14, 0)
         params = _gcn_layer(w_in, w_out, rng, np.float64, form=form)
         params.bias[:] = 0.01 * rng.standard_normal(w_out)
@@ -242,12 +241,12 @@ class TestGcnLayer:
         target = rng.standard_normal((n if rows is None else rows.num_rows, w_out))
 
         def loss():
-            out, _ = _forward(adj, s, h_in, params, rng, training=False, rows=rows)
+            out, _ = _forward(op, h_in, params, rng, training=False, rows=rows)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(adj, s, h_in, params, rng, training=True, rows=rows)
+        h_out, cache = _forward(op, h_in, params, rng, training=True, rows=rows)
         assert (cache.agg is None) == (shape == "narrowing")
-        dw_agg, dw_self, db, d_in = _backward(cache, h_out - target, params, adj, s)
+        dw_agg, dw_self, db, d_in = _backward(cache, h_out - target, params, op, rows=rows)
         groups = [(h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)]
         if form == nn.FORM_DUAL:
             groups.append((params.w_self, dw_self))
@@ -256,21 +255,21 @@ class TestGcnLayer:
 
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_given_aggregate_replaces_aggregation(self, rand_graph, monkeypatch, shape):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         w_in, w_out = LAYER_SHAPES[shape]
         rng = ops.rng_stream(15, 0)
         params = _gcn_layer(w_in, w_out, rng, np.float64)
         h_in = rng.standard_normal((30, w_in))
         d_out = rng.standard_normal((30, w_out))
-        own, own_cache = _forward(adj, s, h_in, params, rng, training=True)
-        own_grads = _backward(own_cache, d_out.copy(), params, adj, s, input_grad=False)  # consumes its d_out
-        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
+        own, own_cache = _forward(op, h_in, params, rng, training=True)
+        own_grads = _backward(own_cache, d_out.copy(), params, op, input_grad=False)  # consumes its d_out
+        agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace())
 
         calls = []
         spmm = ops.spmm_norm
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
-        out, cache = _forward(adj, s, h_in, params, rng, training=True, agg=agg)
-        grads = _backward(cache, d_out, params, adj, s, input_grad=False)
+        out, cache = _forward(op, h_in, params, rng, training=True, agg=agg)
+        grads = _backward(cache, d_out, params, op, input_grad=False)
         assert not calls and cache.agg is agg
         if shape == "narrowing":  # the layer's own order differs; values agree
             np.testing.assert_allclose(out, own, atol=1e-12)
@@ -287,20 +286,20 @@ class TestGcnLayer:
         # an eval forward's output and mask, kept in the workspace at a
         # version, reused by a training forward at that version: the same
         # output, cache and stream position as computing the layer again
-        adj, s = rand_graph
+        op = _op(rand_graph, np.float32)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
         h_in = ops.rng_stream(16, 1).standard_normal((30, w_in)).astype(np.float32)
-        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace())
+        agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace())
         ws = ops.Workspace()
-        h_eval, c_eval = nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws, version=3)
+        h_eval, c_eval = nn.gcn_layer_forward(op, h_in, params, None, False, ws=ws, version=3)
         rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
-        fresh, c_fresh = _forward(adj, s, h_in, params, ref, True, 0.5, agg=agg)
+        fresh, c_fresh = _forward(op, h_in, params, ref, True, 0.5, agg=agg)
 
         for param in _arrays(params):  # a layer that computed again would give NaN
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
-        out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, ws=ws, version=3)
+        out, cache = nn.gcn_layer_forward(op, h_in, params, rng, True, 0.5, ws=ws, version=3)
         np.testing.assert_array_equal(out, fresh)
         assert out is h_eval and cache.mask is c_eval.mask and cache.agg is c_eval.agg and cache.h_in is h_in
         np.testing.assert_array_equal(cache.agg, agg)
@@ -319,20 +318,20 @@ class TestVersionedForward:
         return params, ops.rng_stream(18, 1).standard_normal((30, 4))
 
     def test_forward_into_out_keeps_nothing(self, rand_graph):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         params, h_in = self._layer()
         ws = ops.Workspace()
-        _, cache = nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws, out=np.empty((30, 4)), version=0)
+        _, cache = nn.gcn_layer_forward(op, h_in, params, None, False, ws=ws, out=np.empty((30, 4)), version=0)
         assert cache.mask is None and (0, "out") not in ws.versions
         params.bias[:] += 1.0  # the version holds, but a result in `out` is never reused
-        out, _ = nn.gcn_layer_forward(adj, s, h_in, params, None, False, ws=ws, out=np.empty((30, 4)), version=0)
-        fresh, _ = _forward(adj, s, h_in, params, None, False, agg=cache.agg)
+        out, _ = nn.gcn_layer_forward(op, h_in, params, None, False, ws=ws, out=np.empty((30, 4)), version=0)
+        fresh, _ = _forward(op, h_in, params, None, False, agg=cache.agg)
         np.testing.assert_array_equal(out, fresh)
         assert (0, "out") not in ws.versions
 
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_input_aggregated_once_over_eval_train_eval(self, rand_graph, monkeypatch, shape):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(19, 0), np.float64)
         h_in = ops.rng_stream(19, 1).standard_normal((30, w_in))
@@ -341,36 +340,36 @@ class TestVersionedForward:
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
         ws, rng = ops.Workspace(), ops.rng_stream(19, 2)
         for training, version in ((False, 0), (True, 0), (False, 1)):  # eval, train, step, eval
-            _, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, training, 0.5, ws=ws, version=version)
+            _, cache = nn.gcn_layer_forward(op, h_in, params, rng, training, 0.5, ws=ws, version=version)
         assert len(calls) == 1 and ws.versions[0, "agg"] == 0
-        np.testing.assert_array_equal(cache.agg, spmm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace()))
+        np.testing.assert_array_equal(cache.agg, spmm(op, h_in, np.empty_like(h_in), ws=ops.Workspace()))
 
     def test_training_forward_drops_the_kept_result(self, rand_graph):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         params, h_in = self._layer()
         mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(20, 0), np.float64, dropout=0.5)
         ws = ops.Workspace()
         mlp.rng = rng = ops.rng_stream(20, 1)
-        nn.gcn_layer_forward(adj, s, h_in, params, rng, False, 0.5, ws=ws, version=2)
+        nn.gcn_layer_forward(op, h_in, params, rng, False, 0.5, ws=ws, version=2)
         nn.mlp_forward(h_in, mlp, False, version=2)
         assert ws.versions[0, "out"] == 2 and mlp.ws.versions == {(0, "a"): 2}
-        nn.gcn_layer_forward(adj, s, h_in, params, rng, True, 0.5, ws=ws, version=2)
+        nn.gcn_layer_forward(op, h_in, params, rng, True, 0.5, ws=ws, version=2)
         nn.mlp_forward(h_in, mlp, True, version=2)
         assert ws.versions == {(0, "agg"): 2} and mlp.ws.versions == {}
 
     def test_unversioned_calls_leave_versions_alone(self, rand_graph):
-        adj, s = rand_graph
+        op = _op(rand_graph)
         params, h_in = self._layer()
         mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(21, 0), np.float64, dropout=0.5)
         ws, rng = ops.Workspace(), ops.rng_stream(21, 1)
         mlp.ws, mlp.rng = ws, rng  # the layer's and the MLP's arrays in one workspace
-        nn.gcn_layer_forward(adj, s, h_in, params, rng, False, 0.5, ws=ws, version=5)
+        nn.gcn_layer_forward(op, h_in, params, rng, False, 0.5, ws=ws, version=5)
         nn.mlp_forward(h_in, mlp, False, version=5)
         before = dict(ws.versions)
         assert before == {(0, "agg"): 5, (0, "out"): 5, (0, "a"): 5}
         for training in (False, True):
             for layer in (0, 1):
-                nn.gcn_layer_forward(adj, s, h_in, params, rng, training, 0.5, ws=ws, layer=layer)
+                nn.gcn_layer_forward(op, h_in, params, rng, training, 0.5, ws=ws, layer=layer)
             nn.mlp_forward(h_in, mlp, training)
         assert ws.versions == before
 
@@ -381,18 +380,18 @@ class TestBackwardConsumesItsGradient:
     into are dead ones of its own, never a caller's."""
 
     @staticmethod
-    def _run(adj, s, shape, form, d_out, given_agg):
+    def _run(op, shape, form, d_out, given_agg):
         """A training forward with dropout in a fresh workspace, then a
         backward of `d_out` into a new d_in; returns (grads, d_in, the
         given aggregate's bytes before and after the backward)."""
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(40, 0), np.float32, form)
-        h_in = ops.rng_stream(40, 1).standard_normal((adj.num_nodes, w_in)).astype(np.float32)
-        agg = ops.spmm_norm(adj, s, h_in, out=np.empty_like(h_in), ws=ops.Workspace()) if given_agg else None
+        h_in = ops.rng_stream(40, 1).standard_normal((op.num_rows, w_in)).astype(np.float32)
+        agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace()) if given_agg else None
         ws = ops.Workspace()
-        _, cache = nn.gcn_layer_forward(adj, s, h_in, params, ops.rng_stream(40, 2), True, 0.5, agg=agg, ws=ws)
+        _, cache = nn.gcn_layer_forward(op, h_in, params, ops.rng_stream(40, 2), True, 0.5, agg=agg, ws=ws)
         before = None if agg is None else agg.tobytes()
-        d_in = nn.gcn_layer_backward(cache, d_out, params, adj, s, ws=ws, d_in=np.empty_like(h_in))
+        d_in = nn.gcn_layer_backward(cache, d_out, params, op, ws=ws, d_in=np.empty_like(h_in))
         return [g.copy() for g in _arrays(params.grads)], d_in, (before, None if agg is None else agg.tobytes())
 
     @staticmethod
@@ -405,12 +404,11 @@ class TestBackwardConsumesItsGradient:
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_strided_d_out_gives_the_bits_of_a_contiguous_copy(self, directed_graph, shape, form, given_agg):
-        adj, s = directed_graph
-        s = s.astype(np.float32)
-        block = self._block(adj.num_nodes, LAYER_SHAPES[shape][1])
+        op = _op(directed_graph, np.float32)
+        block = self._block(op.num_rows, LAYER_SHAPES[shape][1])
         assert not block.flags.c_contiguous
-        contiguous = self._run(adj, s, shape, form, block.copy(), given_agg)
-        strided = self._run(adj, s, shape, form, block, given_agg)
+        contiguous = self._run(op, shape, form, block.copy(), given_agg)
+        strided = self._run(op, shape, form, block, given_agg)
         _assert_same_bits([*strided[0], strided[1]], [*contiguous[0], contiguous[1]])
 
     @pytest.mark.parametrize("strided", [False, True])
@@ -418,38 +416,37 @@ class TestBackwardConsumesItsGradient:
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_given_aggregate_unchanged_by_backward(self, directed_graph, shape, form, strided):
         # the fusion variants' shared Â·z is read by every device's backward
-        adj, s = directed_graph
-        s = s.astype(np.float32)
-        block = self._block(adj.num_nodes, LAYER_SHAPES[shape][1])
-        _, _, (before, after) = self._run(adj, s, shape, form, block if strided else block.copy(), given_agg=True)
+        op = _op(directed_graph, np.float32)
+        block = self._block(op.num_rows, LAYER_SHAPES[shape][1])
+        _, _, (before, after) = self._run(op, shape, form, block if strided else block.copy(), given_agg=True)
         assert after == before
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     def test_narrowing_layer_rejects_d_in_over_h_in(self, rand_graph, form):
         # its input gradient G W_aggᵀ (and the self path) would overwrite
         # H_in before dW_agg = H_inᵀ G reads it
-        adj, s = rand_graph
+        op = _op(rand_graph)
         params = _gcn_layer(*LAYER_SHAPES["narrowing"], ops.rng_stream(42, 0), np.float64, form)
         h_in = ops.rng_stream(42, 1).standard_normal((30, LAYER_SHAPES["narrowing"][0]))
         ws = ops.Workspace()
-        h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, None, True, ws=ws)
+        h_out, cache = nn.gcn_layer_forward(op, h_in, params, None, True, ws=ws)
         with pytest.raises(ValueError, match="shares H_in"):
-            nn.gcn_layer_backward(cache, np.ones_like(h_out), params, adj, s, ws=ws, d_in=h_in[:, ::-1])
+            nn.gcn_layer_backward(cache, np.ones_like(h_out), params, op, ws=ws, d_in=h_in[:, ::-1])
 
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", ["widening", "equal"])
     def test_other_layers_write_d_in_over_h_in(self, rand_graph, shape, form):
         # as the engine's layers above 0 do: the bits of a separate d_in
-        adj, s = rand_graph
+        op = _op(rand_graph)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(43, 0), np.float64, form)
         h_in = ops.rng_stream(43, 1).standard_normal((30, w_in))
         d_out = ops.rng_stream(43, 2).standard_normal((30, w_out))
-        h_out, cache = _forward(adj, s, h_in.copy(), params, None, True)
-        want = _backward(cache, d_out.copy(), params, adj, s)
-        h_out, cache = _forward(adj, s, h_in, params, None, True)
+        h_out, cache = _forward(op, h_in.copy(), params, None, True)
+        want = _backward(cache, d_out.copy(), params, op)
+        h_out, cache = _forward(op, h_in, params, None, True)
         ws = ops.Workspace()
-        got = nn.gcn_layer_backward(cache, d_out.copy(), params, adj, s, ws=ws, d_in=h_in)
+        got = nn.gcn_layer_backward(cache, d_out.copy(), params, op, ws=ws, d_in=h_in)
         assert got is h_in
         _assert_same_bits([*_arrays(params.grads), got], [g for g in want if g is not None])
 
@@ -486,14 +483,14 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("transpose", [False, True])
     def test_spmm_norm(self, directed_graph, transpose, dtype):
-        adj, s = directed_graph
-        s = s.astype(dtype)
-        h = ops.rng_stream(30, 0).standard_normal((adj.num_nodes, 3)).astype(dtype)
+        op = _op(directed_graph, dtype)
+        op = op.t if transpose else op
+        h = ops.rng_stream(30, 0).standard_normal((op.num_rows, 3)).astype(dtype)
 
         def run(ws, fill):
             # three columns sum into out; one column, into the workspace's accumulator
             col = np.ascontiguousarray(h[:, :1])
-            return [ops.spmm_norm(adj, s, a, transpose, out=np.full_like(a, fill), ws=ws) for a in (h, col)]
+            return [ops.spmm_norm(op, a, np.full_like(a, fill), ws=ws) for a in (h, col)]
 
         _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
 
@@ -502,7 +499,7 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_gcn_layer(self, directed_graph, shape, form, dropout, dtype):
-        self._check_gcn_layer(*directed_graph, shape, form, dropout, dtype, rows=None)
+        self._check_gcn_layer(directed_graph, shape, form, dropout, dtype, rows=None)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
@@ -510,12 +507,12 @@ class TestPassesReadOnlyWhatTheyWrite:
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     def test_gcn_layer_on_a_row_set(self, directed_graph, shape, form, dropout, dtype):
         # its output and d_out have the row set's rows only
-        self._check_gcn_layer(*directed_graph, shape, form, dropout, dtype, rows=[0, 2, 3, 6])
+        self._check_gcn_layer(directed_graph, shape, form, dropout, dtype, rows=[0, 2, 3, 6])
 
     @staticmethod
-    def _check_gcn_layer(adj, s, shape, form, dropout, dtype, rows):
-        s = s.astype(dtype)
-        restricted = None if rows is None else adj.restrict(rows)
+    def _check_gcn_layer(adj, shape, form, dropout, dtype, rows):
+        op = _op(adj, dtype)
+        restricted = None if rows is None else op.restrict(rows)
         m = adj.num_nodes if rows is None else len(rows)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(31, 0), dtype, form)
@@ -525,12 +522,12 @@ class TestPassesReadOnlyWhatTheyWrite:
 
         def run(ws, fill):
             rng = ops.rng_stream(32, 0)
-            h_out, cache = nn.gcn_layer_forward(adj, s, h_in, params, rng, True, dropout, ws=ws, rows=restricted)
+            h_out, cache = nn.gcn_layer_forward(op, h_in, params, rng, True, dropout, ws=ws, rows=restricted)
             h_out = h_out.copy()
             for g in _arrays(params.grads):
                 g.fill(fill)
             d_in = np.full_like(h_in, fill)
-            nn.gcn_layer_backward(cache, d_out.copy(), params, adj, s, ws=ws, d_in=d_in)
+            nn.gcn_layer_backward(cache, d_out.copy(), params, op, ws=ws, d_in=d_in, rows=restricted)
             return [h_out, *(g.copy() for g in _arrays(params.grads)), d_in]
 
         _assert_same_bits(run(_FilledWorkspace(0xFF), np.nan), run(_FilledWorkspace(0), 0))
@@ -548,7 +545,7 @@ class TestPassesReadOnlyWhatTheyWrite:
 
     @staticmethod
     def _check_mlp(dropout, dtype, rows):
-        restricted = None if rows is None else build_csr(12, []).restrict(rows)
+        restricted = None if rows is None else _op(build_csr(12, [])).restrict(rows)
         mlp = nn.init_mlp([5, 6, 4, 3], ops.rng_stream(33, 0), dtype, dropout)
         height = 9 if rows is None else len(rows)
         x = ops.rng_stream(33, 1).standard_normal((height, 5)).astype(dtype)

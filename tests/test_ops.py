@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicegcn import blas, ops
-from slicegcn.graph import build_csr, degree_norms
+from slicegcn.graph import NormOperator, build_csr, degree_norms
 
 
-def _spmm(adj, s, h, transpose=False):
+def _op(adj, dtype=np.float64, transpose=False):
+    """The normalized operator of `adj` in `dtype`, or its transpose."""
+    op = NormOperator.of(adj, dtype)
+    return op.t if transpose else op
+
+
+def _spmm(op, h):
     """spmm_norm in a fresh workspace, into a new array."""
-    return ops.spmm_norm(adj, s, h, transpose, out=np.empty_like(h), ws=ops.Workspace())
+    return ops.spmm_norm(op, h, np.empty((op.num_rows, h.shape[1]), h.dtype), ws=ops.Workspace())
 
 
 class TestSparsetools:
@@ -37,15 +43,14 @@ class TestSparsetools:
 class TestSpmmNorm:
     def test_edgeless_graph_zero(self):
         adj = build_csr(4, [])
-        s = degree_norms(adj)
         for transpose in (False, True):
-            out = _spmm(adj, s, np.ones((4, 3)), transpose=transpose)
+            out = _spmm(_op(adj, transpose=transpose), np.ones((4, 3)))
             np.testing.assert_array_equal(out, np.zeros((4, 3)))
 
     def test_single_edge_permutes(self):
         adj = build_csr(2, [(0, 1)])
         h = np.eye(2)
-        out = _spmm(adj, np.ones(2), h)
+        out = _spmm(_op(adj), h)
         np.testing.assert_array_equal(out, [[0.0, 1.0], [1.0, 0.0]])
 
     @pytest.mark.parametrize("seed", range(6))
@@ -55,25 +60,22 @@ class TestSpmmNorm:
         mask = rng.random((n, n)) < 0.3
         edges = [(u, v) for u in range(n) for v in range(n) if u < v and mask[u, v]]
         adj = build_csr(n, edges)
-        s = degree_norms(adj)
         h = rng.standard_normal((n, 5))
         dense = dense_oracle(adj) @ h
-        np.testing.assert_allclose(_spmm(adj, s, h), dense, atol=1e-12)
+        np.testing.assert_allclose(_spmm(_op(adj), h), dense, atol=1e-12)
 
     def test_path_graph_all_ones_column(self, dense_oracle):
         adj = build_csr(3, [(0, 1), (1, 2)])
-        s = degree_norms(adj)
         h = np.ones((3, 1))
         dense = dense_oracle(adj) @ h
-        np.testing.assert_allclose(_spmm(adj, s, h), dense, atol=1e-12)
+        np.testing.assert_allclose(_spmm(_op(adj), h), dense, atol=1e-12)
 
     @staticmethod
     def _check_against_dense(dense_oracle, adj, h):
         """spmm_norm and its transpose against the dense S A S oracle."""
-        s = degree_norms(adj)
-        dense = dense_oracle(adj)
-        np.testing.assert_allclose(_spmm(adj, s, h), dense @ h, atol=1e-12)
-        np.testing.assert_allclose(_spmm(adj, s, h, transpose=True), dense.T @ h, atol=1e-12)
+        op, dense = _op(adj), dense_oracle(adj)
+        np.testing.assert_allclose(_spmm(op, h), dense @ h, atol=1e-12)
+        np.testing.assert_allclose(_spmm(op.t, h), dense.T @ h, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_oracle_random_directed_graphs(self, seed, dense_oracle):
@@ -98,7 +100,7 @@ class TestSpmmNorm:
         h = np.random.default_rng(2).standard_normal((9, 5))
         self._check_against_dense(dense_oracle, adj, h)
         for v in (0, 3, 7):
-            assert not _spmm(adj, degree_norms(adj), h)[v].any()
+            assert not _spmm(_op(adj), h)[v].any()
 
     def test_rows_sum_in_csr_order(self, neighbors):
         # each row is a left-to-right sum of its terms, in CSR order
@@ -113,7 +115,7 @@ class TestSpmmNorm:
             for u in neighbors(adj, v):
                 expect[v] += scaled[u]
         expect *= s[:, None]
-        np.testing.assert_array_equal(_spmm(adj, s, h), expect)
+        np.testing.assert_array_equal(_spmm(_op(adj, np.float32), h), expect)
 
     @pytest.mark.parametrize("cols", [1, 2, 7])
     @pytest.mark.parametrize("transpose", [False, True])
@@ -135,14 +137,14 @@ class TestSpmmNorm:
                 else:
                     expect[v] += scaled[u]
         expect *= s[:, None]
-        out = _spmm(adj, s, h, transpose=transpose)
+        out = _spmm(_op(adj, np.float32, transpose), h)
         np.testing.assert_array_equal(out.view(np.uint32), expect.view(np.uint32))
 
     def test_negative_zero_terms_sum_to_positive_zero(self):
         # the sequential sum starts from +0.0, so -0.0 + -0.0 + ... gives +0.0
         adj = build_csr(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], symmetrize=False)
         h = np.full((5, 3), -0.0)
-        out = _spmm(adj, degree_norms(adj), h)
+        out = _spmm(_op(adj), h)
         np.testing.assert_array_equal(out.view(np.uint64), np.zeros((5, 3), np.uint64))
 
     @pytest.mark.parametrize("case", ["out_is_h", "column_block", "one_column", "transpose_directed"])
@@ -154,9 +156,9 @@ class TestSpmmNorm:
         n, cols = 300, 1 if case == "one_column" else 5
         directed = case == "transpose_directed"
         adj = build_csr(n, rng.integers(0, n, size=(6 * n, 2)), symmetrize=not directed)
-        s = degree_norms(adj).astype(np.float32)
+        op = _op(adj, np.float32, directed)
         x = rng.standard_normal((n, cols)).astype(np.float32)
-        fresh = ops.spmm_norm(adj, s, x, directed, out=np.zeros_like(x), ws=ops.Workspace())
+        fresh = ops.spmm_norm(op, x, np.zeros_like(x), ws=ops.Workspace())
         h = x.copy()
         if case == "out_is_h":
             out = h
@@ -165,8 +167,8 @@ class TestSpmmNorm:
         else:
             out = np.full_like(h, np.nan)
         ws = ops.Workspace()
-        assert ops.spmm_norm(adj, s, h, directed, out=out, ws=ws) is out
-        assert out.tobytes() == fresh.tobytes() == _spmm(adj, s, x, directed).tobytes()
+        assert ops.spmm_norm(op, h, out, ws=ws) is out
+        assert out.tobytes() == fresh.tobytes() == _spmm(op, x).tobytes()
         dense = dense_oracle(adj)
         np.testing.assert_allclose(out, (dense.T if directed else dense) @ x, rtol=1e-5, atol=1e-6)
         assert ("spmm.acc" in ws._memory) == (case == "column_block")
@@ -193,10 +195,9 @@ class TestSpmmNorm:
         # stored entries, and the scaling in node-row ranges; also into the
         # input itself; a one-thread pool runs whole
         adj = self._part_graph(case)
-        n = adj.num_nodes
-        s = degree_norms(adj).astype(np.float32)
+        n, op = adj.num_nodes, _op(adj, np.float32, transpose)
         x = np.random.default_rng(14).standard_normal((n, cols)).astype(np.float32)
-        whole = _spmm(adj, s, x, transpose)
+        whole = _spmm(op, x)
         monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
         monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
         spans, spmm_rows = [], ops._spmm_rows
@@ -204,10 +205,10 @@ class TestSpmmNorm:
         for threads in (1, parts):
             with ops.Pool(threads) as pool:
                 spans.clear()
-                got = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ops.Workspace(), pool=pool)
+                got = ops.spmm_norm(op, x, np.full_like(x, np.nan), ws=ops.Workspace(), pool=pool)
                 cut = sorted(spans)
                 h = x.copy()
-                into_h = ops.spmm_norm(adj, s, h, transpose, out=h, ws=ops.Workspace(), pool=pool)
+                into_h = ops.spmm_norm(op, h, h, ws=ops.Workspace(), pool=pool)
             assert got.tobytes() == whole.tobytes() == into_h.tobytes()
             # the parts cover the rows in order
             assert [lo for lo, _ in cut] == [0] + [hi for _, hi in cut[:-1]] and cut[-1][1] == n
@@ -224,8 +225,7 @@ class TestSpmmNorm:
         monkeypatch.setattr(ops, "_spmm_rows", lambda lo, hi, *a: spans.append((lo, hi)) or spmm_rows(lo, hi, *a))
         x = np.ones((adj.num_nodes, 2), dtype=np.float32)
         with ops.Pool(threads) as pool:
-            ops.spmm_norm(adj, degree_norms(adj).astype(np.float32), x, transpose, out=np.empty_like(x),
-                          ws=ops.Workspace(), pool=pool)
+            ops.spmm_norm(_op(adj, np.float32, transpose), x, np.empty_like(x), ws=ops.Workspace(), pool=pool)
         return sorted(spans)
 
     @pytest.mark.parametrize("parts", [2, 3])
@@ -254,12 +254,11 @@ class TestSpmmNorm:
     def test_output_of_another_dtype_sums_in_the_accumulator(self):
         # the kernel would write a float64 `out` through a float32 copy and
         # drop it; the sum goes into the accumulator, then, scaled, into `out`
-        adj = self._part_graph("directed")
-        s = degree_norms(adj).astype(np.float32)
-        x = np.random.default_rng(16).standard_normal((adj.num_nodes, 5)).astype(np.float32)
+        op = _op(self._part_graph("directed"), np.float32)
+        x = np.random.default_rng(16).standard_normal((op.num_rows, 5)).astype(np.float32)
         ws, out = ops.Workspace(), np.full(x.shape, np.nan)
-        assert ops.spmm_norm(adj, s, x, out=out, ws=ws) is out
-        assert out.tobytes() == _spmm(adj, s, x).astype(np.float64).tobytes()
+        assert ops.spmm_norm(op, x, out, ws=ws) is out
+        assert out.tobytes() == _spmm(op, x).astype(np.float64).tobytes()
         assert ws._memory["spmm.acc"].size == x.nbytes
 
     @pytest.mark.parametrize("split", [False, True])
@@ -270,10 +269,9 @@ class TestSpmmNorm:
         # (`ops.scratch`) is read there, where it lies, and left as it was:
         # the bits of a separate input, and no other memory in the workspace
         adj = self._part_graph("directed")
-        n = adj.num_nodes
-        s = degree_norms(adj).astype(np.float32)
+        n, op = adj.num_nodes, _op(adj, np.float32, transpose)
         x = np.random.default_rng(15).standard_normal((n, cols)).astype(np.float32)
-        want = _spmm(adj, s, x, transpose)
+        want = _spmm(op, x)
         if split:  # every pass splits, in two parts on two threads
             monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
             monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
@@ -282,7 +280,7 @@ class TestSpmmNorm:
             h = ops.scratch(ws, n, cols, np.float32)
             h[...] = x
             memory = ws._memory[ops.SCRATCH]
-            got = ops.spmm_norm(adj, s, h, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
+            got = ops.spmm_norm(op, h, np.full_like(x, np.nan), ws=ws, pool=pool)
         assert got.tobytes() == want.tobytes() and h.tobytes() == x.tobytes()
         assert ws._memory[ops.SCRATCH] is memory and memory.size == n * cols * 4
         assert list(ws._memory) == [ops.SCRATCH]
@@ -295,8 +293,7 @@ class TestSpmmNorm:
         # that is `out` itself, is first copied into the scratch: the bits of
         # a contiguous copy, whole and in two parts
         adj = self._part_graph("directed")
-        n, cols = adj.num_nodes, 5
-        s = degree_norms(adj).astype(np.float32)
+        n, cols, whole = adj.num_nodes, 5, _op(adj, np.float32)
         wide = np.random.default_rng(18).standard_normal((n, 3 * cols)).astype(np.float32)
         x = np.ascontiguousarray(wide[:, cols : 2 * cols])
         monkeypatch.setattr(ops, "MIN_TASK_WORK", 1)
@@ -304,14 +301,14 @@ class TestSpmmNorm:
         spans, spmm_rows = [], ops._spmm_rows
         monkeypatch.setattr(ops, "_spmm_rows", lambda lo, hi, *a: spans.append((lo, hi)) or spmm_rows(lo, hi, *a))
         with ops.Pool(threads) as pool:
-            for transpose in (False, True):
+            for op in (whole, whole.t):
                 ws = ops.Workspace()
-                want = ops.spmm_norm(adj, s, x, transpose, out=np.full_like(x, np.nan), ws=ws, pool=pool)
+                want = ops.spmm_norm(op, x, np.full_like(x, np.nan), ws=ws, pool=pool)
                 assert ws._memory == {}
                 spans.clear()
                 h = wide[:, cols : 2 * cols] if case == "column_block" else x.copy()
                 out = np.full_like(x, np.nan) if case == "column_block" else h
-                assert ops.spmm_norm(adj, s, h, transpose, out=out, ws=ws, pool=pool) is out
+                assert ops.spmm_norm(op, h, out, ws=ws, pool=pool) is out
                 assert out.tobytes() == want.tobytes() and len(spans) == threads
                 assert list(ws._memory) == [ops.SCRATCH] and ws._memory[ops.SCRATCH].size == x.nbytes
         assert wide[:, cols : 2 * cols].tobytes() == x.tobytes()
@@ -340,12 +337,14 @@ class TestSpmmNorm:
                     exact = dtype(float(Fraction(float(exact)) + Fraction(float(s[u])) * Fraction(float(h[u, k]))))
                 want[v, k], fused[v, k] = s[v] * acc, s[v] * exact
         assert (want != fused).sum() >= 10
-        assert _spmm(adj, s, h, transpose).tobytes() == want.tobytes()
+        assert _spmm(_op(adj, dtype, transpose), h).tobytes() == want.tobytes()
 
-    def test_shape_mismatch(self):
-        adj = build_csr(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            _spmm(adj, degree_norms(adj), np.ones((4, 2)))
+    def test_rejects_an_input_of_the_wrong_height_or_dtype(self):
+        op = _op(build_csr(3, [(0, 1)], symmetrize=False), np.float32)
+        with pytest.raises(ValueError, match="4 rows, the operator has 3 columns"):
+            _spmm(op, np.ones((4, 2), dtype=np.float32))
+        with pytest.raises(ValueError, match="float64, the operator's values are float32"):
+            _spmm(op.t, np.ones((3, 2)))
 
 
 class TestWorkspace:
@@ -362,7 +361,7 @@ class TestWorkspace:
 
 
 class TestRestrictedSpmm:
-    """`spmm_norm` over an adjacency restricted to rows R (`CsrAdjacency.restrict`)."""
+    """`spmm_norm` over an operator restricted to rows R (`NormOperator.restrict`)."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -375,26 +374,25 @@ class TestRestrictedSpmm:
         n, cols = adj.num_nodes, 7
         rng = np.random.default_rng(22)
         rows = np.flatnonzero(rng.random(n) < 0.5)
-        r = adj.restrict(rows)
-        s = degree_norms(adj).astype(dtype)
+        op = _op(adj, dtype)
+        r = op.restrict(rows)
         h = rng.standard_normal((n, cols)).astype(dtype)
         g = rng.standard_normal((len(rows), cols)).astype(dtype)
         padded = np.zeros_like(h)
         padded[rows] = g
         with ops.Pool(threads) as pool:
-            got = ops.spmm_norm(r, s, h, out=np.full_like(g, np.nan), ws=ops.Workspace(), pool=pool)
-            got_t = ops.spmm_norm(r, s, g, True, out=np.full_like(h, np.nan), ws=ops.Workspace(), pool=pool)
-        assert got.tobytes() == _spmm(adj, s, h)[rows].tobytes()
-        assert got_t.tobytes() == _spmm(adj, s, padded, True).tobytes()
+            got = ops.spmm_norm(r, h, np.full_like(g, np.nan), ws=ops.Workspace(), pool=pool)
+            got_t = ops.spmm_norm(r.t, g, np.full_like(h, np.nan), ws=ops.Workspace(), pool=pool)
+        assert got.tobytes() == _spmm(op, h)[rows].tobytes()
+        assert got_t.tobytes() == _spmm(op.t, padded).tobytes()
         assert bool(pooled) == (threads > 1)
 
     def test_rejects_an_input_of_the_wrong_height(self):
-        adj = build_csr(5, [(0, 1), (1, 2), (3, 4)])
-        r, s = adj.restrict([1, 3]), degree_norms(adj)
+        r = _op(build_csr(5, [(0, 1), (1, 2), (3, 4)])).restrict([1, 3])
         with pytest.raises(ValueError, match="2 columns"):
-            ops.spmm_norm(r, s, np.ones((5, 2)), True, out=np.empty((5, 2)), ws=ops.Workspace())
+            ops.spmm_norm(r.t, np.ones((5, 2)), np.empty((5, 2)), ws=ops.Workspace())
         with pytest.raises(ValueError, match="5 columns"):
-            ops.spmm_norm(r, s, np.ones((2, 2)), out=np.empty((2, 2)), ws=ops.Workspace())
+            ops.spmm_norm(r, np.ones((2, 2)), np.empty((2, 2)), ws=ops.Workspace())
 
 
 class TestGlorot:
@@ -804,9 +802,9 @@ def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
     monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
     rng = np.random.default_rng(15)
     adj = build_csr(400, rng.integers(0, 400, size=(3000, 2)), symmetrize=False)
-    s = degree_norms(adj).astype(np.float32)
+    op = _op(adj, np.float32, transpose=True)
     h = rng.standard_normal((400, 24)).astype(np.float32)
-    spmm = _spmm(adj, s, h, True)
+    spmm = _spmm(op, h)
     drop, keep, _ = ops.dropout(h.copy(), 0.3, True, ops.rng_stream(3, 0))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -814,7 +812,7 @@ def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
         with ops.Pool(4) as pool:
             ws = ops.Workspace()
             for _ in range(20):
-                out = ops.spmm_norm(adj, s, h, True, out=np.empty_like(h), ws=ws, pool=pool)
+                out = ops.spmm_norm(op, h, np.empty_like(h), ws=ws, pool=pool)
                 assert out.tobytes() == spmm.tobytes()
                 got, got_keep, _ = ops.dropout(h.copy(), 0.3, True, ops.rng_stream(3, 0), pool=pool)
                 assert got.tobytes() == drop.tobytes() and np.array_equal(got_keep, keep)
