@@ -24,10 +24,12 @@ forward (`forward_work`) is below `ops.MIN_TASK_WORK` multiply-adds, the
 pool has one thread, so every round runs inline on the master and no
 kernel splits: `threads` is an upper bound. Workers never talk to each
 other; the only cross-thread payloads are the scattered inputs, the
-gathered outputs, and the gradient blocks. Every worker owns its parameters, optimizer state, and
-RNG stream, so results are bit-identical for a fixed seed no matter how the
-OS schedules the threads, and a single-threaded reference execution
-(threads=1) matches exactly.
+gathered outputs, and the gradient blocks. Every worker owns its parameters,
+optimizer state and dropout key, and each dropout mask is a function of
+that key, the layer, the step and the element (`ops.dropout`), so results
+are bit-identical for a fixed seed no matter how the OS schedules the
+threads, and a single-threaded reference execution (threads=1) matches
+exactly.
 
 Every run holds the loaded OpenBLAS at one thread from start to end
 (`blas.limit_threads`), so every core it uses is one of its own threads:
@@ -64,7 +66,7 @@ group's step count as the layer's `version`, and the evaluation pass's
 layer-0 result serves the next training forward (see `nn`).
 
 Every layer stack (a device's, the classifier, the fusion MLP) owns its
-dropout stream, its workspace (`ops.Workspace`) and its training forward's
+dropout key, its workspace (`ops.Workspace`) and its training forward's
 cache (`cache`), which its backward pass consumes. Each layer and SpMM runs
 in its owner's workspace, where its per-epoch arrays are made in the first
 epoch and reused after: devices write their outputs straight into their
@@ -124,6 +126,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.hidden < 1 or self.layers < 1:
             raise ValueError("hidden and layers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr >= 0):
@@ -152,13 +156,13 @@ class TrainConfig:
 
 @dataclass
 class WorkerState:
-    """One simulated device: its layer stack, their optimizer group, RNG
-    stream, and the workspace its per-epoch arrays live in."""
+    """One simulated device: its layer stack, their optimizer group, dropout
+    key, and the workspace its per-epoch arrays live in."""
 
     device_index: int
     layers: list  # of GcnLayerParams, views into group
     group: nn.ParamGroup
-    rng: np.random.Generator
+    key: int  # its dropout key (`ops.owner_key`)
     cache: Optional[list] = None  # per-layer forward caches, one epoch
     ws: ops.Workspace = field(default_factory=ops.Workspace)
     pool: ops.Pool = ops.INLINE  # the pool its kernels split on: the run's when p = 1
@@ -168,11 +172,13 @@ class WorkerState:
         writes the device's output into `out`.
 
         `fixed_input`: x is the same in every call, so layer 0 runs at the
-        group's step count as its version (see `nn`). `agg`, when given, is
-        Â·x computed by the caller, which layer 0 uses as its aggregate; it
-        must stay valid until the device's backward pass. `rows`, when not
-        None, is the operator's rows R (`NormOperator.restrict`): the last
-        layer then forms rows R of the output only, and `out` has m rows.
+        group's step count as its version (see `nn`). Layer li's dropout
+        mask is that of `ops.dropout_key(self.key, li, self.group.t)`.
+        `agg`, when given, is Â·x computed by the caller, which layer 0 uses
+        as its aggregate; it must stay valid until the device's backward
+        pass. `rows`, when not None, is the operator's rows R
+        (`NormOperator.restrict`): the last layer then forms rows R of the
+        output only, and `out` has m rows.
         """
         h = x
         caches = []
@@ -180,8 +186,9 @@ class WorkerState:
         version = self.group.t if fixed_input else None
         for li, layer in enumerate(self.layers):
             rate = dropout_rate if li < last else 0.0
+            key = ops.dropout_key(self.key, li, self.group.t)
             h, c = nn.gcn_layer_forward(
-                op, h, layer, self.rng, training, rate, agg=agg, ws=self.ws, layer=li,
+                op, h, layer, key, training, rate, agg=agg, ws=self.ws, layer=li,
                 out=out if li == last else None, version=version, rows=rows if li == last else None,
                 pool=self.pool,
             )
@@ -323,7 +330,8 @@ def slice_strategy(config: TrainConfig, d_feat: int) -> slicing.SliceStrategy:
 
 
 def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
-    """Initialize workers and head from per-purpose RNG streams.
+    """Initialize workers and head from per-purpose RNG streams, and give
+    each owner its dropout key from the same seed and stream id.
 
     A device's input is its feature slice, or the fusion output; each device
     layer is ceil(hidden / p) wide. These widths are derived here only, and
@@ -339,20 +347,21 @@ def build_run(graph: AttributedGraph, config: TrainConfig) -> RunState:
     widths = [w_in] + [h_out] * config.layers
     dtype = config.dtype
 
+    seed, rate = config.seed, config.dropout
     workers = []
     for i in range(config.p):
-        rng = ops.rng_stream(config.seed, i)
-        layers, group = nn.init_gcn_layers(widths, rng, dtype, config.layer_form)
-        workers.append(WorkerState(device_index=i, layers=layers, group=group, rng=rng))
+        layers, group = nn.init_gcn_layers(widths, ops.rng_stream(seed, i), dtype, config.layer_form)
+        workers.append(WorkerState(device_index=i, layers=layers, group=group, key=ops.owner_key(seed, i)))
 
-    cls_rng = ops.rng_stream(config.seed, ops.STREAM_CLASSIFIER)
+    cls, ff = ops.STREAM_CLASSIFIER, ops.STREAM_FUSION
     classifier_sizes = [config.p * h_out, config.hidden, graph.num_classes]
-    head = MasterHead(classifier=nn.init_mlp(classifier_sizes, cls_rng, dtype, config.dropout))
+    classifier = nn.init_mlp(classifier_sizes, ops.rng_stream(seed, cls), dtype, rate, ops.owner_key(seed, cls))
+    head = MasterHead(classifier=classifier)
     if config.use_ff:
-        fusion_rng = ops.rng_stream(config.seed, ops.STREAM_FUSION)
-        head.fusion = slicing.init_fusion(d_feat, config.p, fusion_rng, dtype, config.dropout)
+        fusion_rng = ops.rng_stream(seed, ff)
+        head.fusion = slicing.init_fusion(d_feat, config.p, fusion_rng, dtype, rate, ops.owner_key(seed, ff))
     if config.use_se:
-        enc_rng = ops.rng_stream(config.seed, ops.STREAM_ENCODING)
+        enc_rng = ops.rng_stream(seed, ops.STREAM_ENCODING)
         head.encoding = nn.init_slice_encoding(config.p, h_out, enc_rng, dtype)
 
     features = np.ascontiguousarray(graph.features, dtype=dtype)

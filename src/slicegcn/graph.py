@@ -17,6 +17,7 @@ Dataset directory layout (all multi-byte values little-endian):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -409,8 +410,10 @@ def synth_graph(
         raise ValueError("classes must be >= 2")
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
         raise ValueError("edge probabilities must be in [0, 1]")
-    if signal < 0:
-        raise ValueError("signal must be >= 0")
+    if not (math.isfinite(signal) and signal >= 0):
+        raise ValueError(f"synth_signal must be finite and >= 0, got {signal}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if d_feat < 1:
         raise ValueError("d_feat must be >= 1")
 

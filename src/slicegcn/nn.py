@@ -33,18 +33,17 @@ called with `version=`, its owner's optimizer-group step count `t`, and
 keeps its state in its owner's workspace, whose `versions` records the
 version at which each kept result was formed. It aggregates the fixed input
 once. Its dropout-free output and ReLU mask depend only on the input and
-the parameters, and dropout is the first random draw of a training
-forward, so it keeps them (unless it writes into `out`) and reuses them
-while the version holds, drawing only dropout; a training forward drops
-them, as its dropout consumes the output in place. A ReLU mask is formed
-only in training, whose backward reads it, or for a kept result. The same
-holds for the first layer of an MLP. An owner passes `version` to a layer
+the parameters, so it keeps them (unless it writes into `out`) and reuses
+them while the version holds, applying only dropout; a training forward
+drops them, as its dropout consumes the output in place. A ReLU mask is
+formed only in training, whose backward reads it, or for a kept result.
+The same holds for the first layer of an MLP. An owner passes `version` to a layer
 in every call or in none: an unversioned call writes over kept arrays and
 leaves `versions` alone.
 
 A GCN layer's passes run in their owner's `ops.Workspace` (`ws`), and a
 result lives there unless `out` names an array for it. An MLP owns its
-state as a device does (`MlpParams`): its dropout stream, its workspace,
+state as a device does (`MlpParams`): its dropout key, its workspace,
 and the cache of its training forward, which its backward consumes. A
 layer writes its cached arrays and output under per-layer keys, so each
 pass writes the arrays the previous pass did; a kept result is then
@@ -150,11 +149,12 @@ def narrows(params: GcnLayerParams) -> bool:
 
 
 def gcn_layer_forward(
-    op, h_in, params: GcnLayerParams, rng, training: bool, dropout_rate: float = 0.0, agg=None,
+    op, h_in, params: GcnLayerParams, key, training: bool, dropout_rate: float = 0.0, agg=None,
     *, ws, layer=0, out=None, version=None, rows=None, pool=ops.INLINE,
 ):
     """One layer over the normalized operator `op` (`graph.NormOperator`).
-    Dropout (if rate > 0) is applied to the layer output.
+    Dropout (if rate > 0) is applied to the layer output, with the mask
+    of `key` (`ops.dropout`).
 
     `agg`, when given, is Â h_in computed by the caller and is used as is.
     Otherwise a narrowing layer (w_in > w_out) aggregates H W_agg and any
@@ -214,9 +214,7 @@ def gcn_layer_forward(
     if keeps and not training:
         ws.versions[layer, "out"] = version
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
-    h_out, keep, scale = ops.dropout(
-        h_out, dropout_rate, training, rng, keep=keep, pool=pool, rows=_nodes(rows), num_rows=n
-    )
+    h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, key, keep=keep, pool=pool, rows=_nodes(rows))
     cache = GcnLayerCache(h_in, agg, mask, keep, scale, own_agg=own_agg, h_rows=h_rows)
     return h_out, cache
 
@@ -250,7 +248,8 @@ def _deactivate(d, keep, mask, scale) -> None:
     """The gradient through dropout and the ReLU, in place: d = (d * keep) * scale
     when dropout was applied (`keep` not None), then d = d * mask unless `mask` is None."""
     if keep is not None:
-        ops.apply_mask(d, keep, scale, out=d)
+        np.multiply(d, keep, out=d)
+        d *= scale
     if mask is not None:
         np.multiply(d, mask, out=d)
 
@@ -347,20 +346,20 @@ class MlpParams:
     layers: list  # of (W, b), views into group.params
     grads: list  # of (dW, db), views into group.grads
     group: ParamGroup
-    rng: Optional[np.random.Generator]  # dropout stream: the one the layers were drawn from
     dropout: float = 0.0
+    key: int = 0  # its dropout key (`ops.owner_key`)
     ws: ops.Workspace = field(default_factory=ops.Workspace)  # where its passes' arrays live
     cache: Optional[list] = None  # per-layer caches of a training forward, one epoch
 
 
-def init_mlp(sizes, rng, dtype, dropout: float = 0.0) -> MlpParams:
+def init_mlp(sizes, rng, dtype, dropout: float = 0.0, key: int = 0) -> MlpParams:
     """Linear layers sizes[0] -> ... -> sizes[-1], ReLU + dropout between,
-    built in one new group; `rng` goes on as their dropout stream."""
+    built in one new group, Glorot-drawn from `rng`; `key` is their dropout key."""
     shapes = [s for w_in, w_out in zip(sizes[:-1], sizes[1:]) for s in ((w_in, w_out), (w_out,))]
     group = ParamGroup(shapes, rng, dtype)
     params, grads = iter(group.params), iter(group.grads)
     return MlpParams(
-        layers=list(zip(params, params)), grads=list(zip(grads, grads)), group=group, rng=rng, dropout=dropout
+        layers=list(zip(params, params)), grads=list(zip(grads, grads)), group=group, dropout=dropout, key=key
     )
 
 
@@ -369,16 +368,17 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, rows=None, p
 
     Layer li writes relu(z), its ReLU and keep masks and the output into
     `mlp.ws` under keys (li, name), so every pass writes the same arrays,
-    and dropout draws from `mlp.rng`. `version` says that x is fixed: the
-    first hidden layer then keeps and reuses its relu(z) and mask by it
-    (module docstring). `rows`, a row set's operator
+    and layer li's dropout mask is that of
+    `ops.dropout_key(mlp.key, li, mlp.group.t)`. `version` says that x is
+    fixed: the first hidden layer then keeps and reuses its relu(z) and
+    mask by it (module docstring). `rows`, a row set's operator
     (`graph.NormOperator.restrict`), says that x holds the rows R of an
-    n-row input: dropout then draws the n-row masks and keeps their rows R
-    (`ops.dropout`), so each row's mask is the one it has in a pass over
-    all rows. A training forward leaves its cache in `mlp.cache`
-    for the backward; its masks are None where none is formed. Each layer's
-    product runs in blocks on `pool` (`ops.Pool.matmul`), and its bias,
-    ReLU and dropout in row ranges.
+    n-row input: dropout then forms the masks' rows R (`ops.dropout`), so
+    each row's mask is the one it has in a pass over all rows. A training
+    forward leaves its cache in `mlp.cache` for the backward; its masks are
+    None where none is formed. Each layer's product runs in blocks on
+    `pool` (`ops.Pool.matmul`), and its bias, ReLU and dropout in row
+    ranges.
     """
     ws, cache = mlp.ws, []
     h = x
@@ -402,9 +402,8 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, rows=None, p
         if keeps and not training:
             ws.versions[li, "a"] = version
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None
-        a, keep, scale = ops.dropout(
-            a, mlp.dropout, training, mlp.rng, keep=keep, pool=pool, rows=_nodes(rows), num_rows=whole
-        )
+        key = ops.dropout_key(mlp.key, li, mlp.group.t)
+        a, keep, scale = ops.dropout(a, mlp.dropout, training, key, keep=keep, pool=pool, rows=_nodes(rows))
         cache.append((h, mask, keep, scale))
         h = a
     mlp.cache = cache if training else None

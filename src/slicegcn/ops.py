@@ -1,5 +1,5 @@
-"""Dense kernels with explicit gradients, deterministic RNG streams, and
-the workspace that holds an owner's reusable arrays.
+"""Dense kernels with explicit gradients, deterministic RNG streams, keyed
+dropout masks, and the workspace that holds an owner's reusable arrays.
 
 Matrices are plain numpy arrays, row-major, float32 or float64 (chosen once
 per run). Every kernel is a pure function of its inputs, except `dropout`,
@@ -65,8 +65,6 @@ _sparsetools = _load_sparsetools()
 STREAM_FUSION = 1 << 16
 STREAM_ENCODING = (1 << 16) + 1
 STREAM_CLASSIFIER = (1 << 16) + 2
-
-_DROPOUT_CHUNK = 1 << 17  # raw draws per chunk of a dropout mask: 1 MB of uint64
 
 # Multiply-adds of one pool task below which its hand-off to a pool thread
 # costs more than it overlaps (README, "Pool rounds"): the floor of one
@@ -336,122 +334,84 @@ def relu(a: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(a, 0, out=out)
 
 
-def dropout(a, rate, training, rng, keep=None, pool=INLINE, *, rows=None, num_rows=None):
-    """Inverted dropout, in place: (a, keep mask, scale).
+def dropout(a, rate, training, key, keep=None, pool=INLINE, *, rows=None):
+    """Inverted dropout of the rows x w array `a`, in place: writes
+    (a * keep) * scale into `a` (a dropped entry keeps a's sign, as with a
+    float mask) and returns (a, keep, scale), which backward applies to the
+    gradient: the bool mask, written into `keep` when given, and the scalar
+    1/(1-rate) in a's dtype. Returns (a, None, None) when inactive.
 
-    Writes (a * keep) * scale into `a` and returns it; the keep mask is bool
-    (written into `keep` when given) and the scale is the scalar 1/(1-rate)
-    in a's dtype. Survivors are scaled at train time so evaluation is a
-    plain forward pass. Returns (a, None, None) when inactive; no rng draw
-    happens then, keeping stream positions independent of evaluation passes.
-
-    Each mask element costs 16 random bits. Element i (in C order) is 16-bit
-    field i of the stream, where field 4k+j is bits [16j, 16j+16) of raw
-    64-bit draw k, so an N-element mask consumes ceil(N/4) raw draws, and the
-    mask is the same on every platform. An element is kept iff its field is
-    >= t = ceil(rate * 2**16): rate 0.5 is exact, and any other rate keeps
-    with probability 1 - t/2**16, below 1 - rate by less than 2**-16. A rate
-    above 1 - 2**-16 gives t = 2**16 and drops every element.
-
-    `rows`, when given, says that `a` holds the rows `rows` (ascending,
-    distinct) of a `num_rows`-row array: its mask is that array's mask at
-    those rows. The fields of every row are drawn, and the stream moves
-    past the whole array's mask, so a row subset's mask and the stream's
-    next draws are those of one whole draw.
-
-    On `pool`, the rows of `a` run in ranges (`Pool.ranges`). Philox is
-    counter-based, so a range whose first element is field f draws from a
-    copy of the stream moved f // 4 raw draws on (`_skip`), and then `rng`
-    moves past the whole mask: the mask and the stream's next draws are
-    those of one whole draw.
+    The mask is a pure function of the 64-bit `key` (`dropout_key`) and of
+    each element's place: element (r, j) is kept iff 16-bit field j % 4
+    (low bits first) of the SplitMix64 hash
+    `_mix(key + (r * ceil(w / 4) + j // 4) * _GAMMA)` is >= ceil(rate * 2**16).
+    Row i of `a` is row r = rows[i] when `rows` is given, so a row subset's
+    mask is the whole mask at those rows, and any split of the rows on
+    `pool` (`Pool.rows`) gives the whole's bits.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return a, None, None
-    threshold = math.ceil(rate * 2.0**16)  # at most 2**16, as rate < 1
+    threshold = math.ceil(rate * 2.0**16)  # 2**16, past every field, for a rate above 1 - 2**-16
     if keep is None:
         keep = np.empty(a.shape, dtype=bool)
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
-    bitgen = rng.bit_generator
-    width = math.prod(a.shape[1:])
-    total = len(a) if rows is None else num_rows
-    parts = pool.ranges(len(a), width)
-    if len(parts) == 1:
-        _dropout_rows(bitgen, a, keep, rows, 0, total, threshold, scale)
-        return a, keep, scale
-    state = bitgen.state
-
-    def part(r):
-        lo, hi = r
-        first, last = (lo, hi) if rows is None else (int(rows[lo]), int(rows[hi - 1]) + 1)
-        copy = np.random.Philox(key=0)
-        copy.state = state
-        _skip(copy, first * width // 4)
-        index = None if rows is None else rows[lo:hi]
-        _dropout_rows(copy, a[lo:hi], keep[lo:hi], index, first, last, threshold, scale)
-
-    pool.run(part, parts)
-    _skip(bitgen, -(-total * width // 4))
+    nodes = np.arange(len(a), dtype=np.uint64) if rows is None else rows.astype(np.uint64)
+    pool.rows(_mask_rows, (a, keep, nodes), key, threshold, scale)
     return a, keep, scale
 
 
-def _dropout_rows(bitgen, a, keep, index, first: int, last: int, threshold: int, scale) -> None:
-    """Dropout of `a` into `keep` and `a`, where the rows of `a` are the
-    rows `index` of a whole mask (first, first + 1, … when None), from the
-    fields of its rows [first, last): `bitgen` stands at the raw draw that
-    holds field first * width, and the fields before it belong to the rows
-    above. The rows run in blocks that end where a raw draw does, so the
-    block size leaves the mask alone."""
-    width = math.prod(a.shape[1:])
-    flat = keep.reshape(len(keep), width)
-    step = max(4, 4 * _DROPOUT_CHUNK // max(width, 1) // 4 * 4)  # a multiple of 4 rows ends a raw draw
-    lo, done = first, 0  # the block's first row, and the rows of `a` written
-    while lo < last:
-        hi = min(lo - lo % step + step, last)
-        start = lo * width // 4 * 4  # the first field of the raw draw that holds field lo * width
-        raw = bitgen.random_raw(-(-(hi * width - start) // 4))
-        fields = raw.astype("<u8", copy=False).view("<u2")[lo * width - start : hi * width - start]
-        fields = fields.reshape(hi - lo, width)
-        if index is None:
-            out, done = flat[lo - first : hi - first], hi - first
-        else:
-            end = done + int(np.searchsorted(index[done:], hi))
-            fields, out, done = fields[index[done:end] - lo], flat[done:end], end
-        if threshold == 1 << 16:  # past every field: nothing is kept
-            out[...] = False
-        else:
-            np.greater_equal(fields, np.uint16(threshold), out=out)
-        lo = hi
-    apply_mask(a, keep, scale, out=a)
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 over the golden ratio
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1))  # its finalizer's steps
+_MASK_BLOCK = 1 << 12  # hashes in a dropout mask's smallest block: 32 KB per uint64 temporary
 
 
-def _skip(bitgen, k: int) -> None:
-    """Moves a Philox bit generator on by k raw draws, to where
-    `random_raw(k)` would leave it: first past the draws left in its
-    buffer, then whole blocks of four (`advance`), then the rest."""
-    state = bitgen.state
-    buffered = min(k, 4 - state["buffer_pos"])
-    bitgen.random_raw(buffered)
-    k -= buffered
-    if k >= 4:
-        bitgen.advance(k // 4)  # also drops a buffered 32-bit half, which random_raw keeps
-        if state["has_uint32"]:
-            moved = bitgen.state
-            moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
-            bitgen.state = moved
-    bitgen.random_raw(k % 4)
+def _mix(z: int) -> int:
+    """SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA'14) of a 64-bit int."""
+    for shift, factor in _MIX:
+        z = (z ^ z >> shift) * factor % 2**64
+    return z
 
 
-def apply_mask(a, keep, scale, out=None):
-    """(a * keep) * scale: dropout forward, and its backward on a gradient.
+def owner_key(seed: int, stream_id: int) -> int:
+    """The dropout key of stream `stream_id`'s owner: 64 bits of the seed sequence
+    of all of `seed` under spawn key (stream_id, 2**20), unlike any `rng_stream`'s."""
+    return int(np.random.SeedSequence(seed, spawn_key=(stream_id, 1 << 20)).generate_state(1, np.uint64)[0])
 
-    Dropped entries become zeros carrying a's sign, as with a float mask.
-    `out` may be `a` itself.
-    """
-    out = np.multiply(a, keep, out=out)
-    out *= scale
-    return out
+
+def dropout_key(owner: int, layer: int, step: int) -> int:
+    """The mask key of an owner's layer `layer` at its optimizer step count
+    `step`, one of its own for each layer below 2**24 and step below 2**40."""
+    return _mix((owner + ((layer << 40) + step) * _GAMMA) % 2**64)
+
+
+def _mask_rows(a, keep, nodes, key: int, threshold: int, scale) -> None:
+    """Dropout on `a`, in place, row i hashed as row nodes[i]: its keep
+    mask into `keep`, a block of rows at a time. A block is at least
+    `_MASK_BLOCK` hashes and a sixteenth of the rows, as each of its dozen
+    numpy calls hands the interpreter lock to the run's other threads."""
+    width = a.shape[1]
+    words = -(-width // 4)  # hashes per row, of four fields each
+    block = max(1, _MASK_BLOCK // words, len(a) // 16)
+    cols = np.arange(words, dtype=np.uint64) * _GAMMA + key
+    z_block, t_block = np.empty((2, min(block, len(a)), words), "<u8")  # little-endian on any host
+    fields = z_block.view("<u2")[:, :width]
+    for b in range(0, len(a), block):
+        node = nodes[b : b + block]
+        z, t, out = z_block[: len(node)], t_block[: len(node)], a[b : b + block]
+        # key + (r * words + c) * _GAMMA, in same-shape passes: a broadcast operand costs a buffer
+        z[...] = (node * (words * _GAMMA % 2**64))[:, None]
+        t[...] = cols
+        z += t
+        for shift, factor in _MIX:
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            if factor != 1:
+                z *= factor
+        np.greater_equal(fields[: len(node)], threshold, out=keep[b : b + block])
+        np.multiply(out, keep[b : b + block], out=out)
+        out *= scale
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):

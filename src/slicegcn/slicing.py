@@ -3,7 +3,7 @@
 Two ways to produce per-device inputs from the n x d feature matrix:
 direct slicing cuts equal-width column ranges, one per device; feature
 fusion compresses the full features through a small shared MLP whose output
-is broadcast to every device. The fusion MLP owns its dropout stream,
+is broadcast to every device. The fusion MLP owns its dropout key,
 workspace and training cache, as every MLP does, and keeps only a bool
 ReLU mask of its hidden layer for backward (see `nn`). Its products and
 element-wise passes run in parts on the pool the caller gives (`ops.Pool`).
@@ -74,9 +74,9 @@ def fusion_output_width(in_d: int, p: int) -> int:
     return -(-in_d // p) + 1
 
 
-def init_fusion(in_d: int, p: int, rng, dtype, dropout: float) -> nn.MlpParams:
+def init_fusion(in_d: int, p: int, rng, dtype, dropout: float, key: int = 0) -> nn.MlpParams:
     """Two-layer fusion MLP: in_d -> in_d -> ceil(in_d / p) + 1."""
-    return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout)
+    return nn.init_mlp([in_d, in_d, fusion_output_width(in_d, p)], rng, dtype, dropout, key)
 
 
 def feature_fusion_forward(x: np.ndarray, ff: nn.MlpParams, training: bool, *, version=None, pool=ops.INLINE):

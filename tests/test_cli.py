@@ -52,7 +52,7 @@ class TestTrainCommand:
 
             monkeypatch.setattr(module, name, watched)
 
-        passes = [(ops, "_spmm_rows"), (ops, "_dropout_rows"), (nn, "_activate"), (nn, "_deactivate")]
+        passes = [(ops, "_spmm_rows"), (ops, "_mask_rows"), (nn, "_activate"), (nn, "_deactivate")]
         for module, name in passes:
             watch(module, name)
         args = ["train", "--dataset", "synth", "--synth-nodes", "3200", "--synth-classes", "2",
@@ -187,7 +187,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "flag,value",
         [("--lr", "nan"), ("--lr", "inf"), ("--lr", "-1"),
-         ("--slice-scale", "nan"), ("--slice-scale", "inf"), ("--slice-scale", "0")],
+         ("--slice-scale", "nan"), ("--slice-scale", "inf"), ("--slice-scale", "0"),
+         ("--seed", "-1"), ("--synth-signal", "nan")],
     )
     def test_bad_rate_or_scale_fails_before_epoch_0(self, tmp_path, capsys, monkeypatch, flag, value):
         forwards = []

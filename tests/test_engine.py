@@ -72,7 +72,7 @@ class TestConfig:
         for kw in ({"p": 0}, {"epochs": -1}, {"dropout": 1.0}, {"precision": "f16"},
                    {"variant": "nope"}, {"threads": 0}, {"lr": float("nan")}, {"lr": float("inf")},
                    {"lr": -1.0}, {"slice_scale": float("nan")}, {"slice_scale": float("inf")},
-                   {"slice_scale": 0.0}, {"slice_scale": -1.0}):
+                   {"slice_scale": 0.0}, {"slice_scale": -1.0}, {"seed": -1}):
             with pytest.raises(ValueError):
                 TrainConfig(**kw)
 
@@ -175,6 +175,23 @@ class TestEpochForward:
         assert pooled
         assert lt == ls
         np.testing.assert_array_equal(logits_t, logits_s)
+
+    def test_each_mask_is_keyed_by_its_owner_layer_and_step(self, small_graph):
+        # the keep masks of device layers 0 and 1 and of the classifier's
+        # hidden layer at step counts 0 and 1: ten distinct masks, each that
+        # of its owner's key, layer and step at its rows
+        run = engine.build_run(small_graph, TrainConfig(variant="slice", p=2, hidden=16, layers=3, seed=6))
+        classifier, masks = run.head.classifier, []
+        for t in (0, 1):
+            for owner in (*run.workers, classifier):
+                owner.group.t = t
+            engine.epoch_forward(run, training=True)
+            masks += [(w.key, li, t, c.keep.copy(), None) for w in run.workers for li, c in enumerate(w.cache[:-1])]
+            masks.append((classifier.key, 0, t, classifier.cache[0][2].copy(), run.train_idx))
+        assert len({keep.tobytes() for *_, keep, _ in masks}) == len(masks) == 10
+        for key, layer, t, keep, rows in masks:
+            want = ops.dropout(np.ones(keep.shape), 0.5, True, ops.dropout_key(key, layer, t), rows=rows)[1]
+            np.testing.assert_array_equal(keep, want)
 
     def test_column_block_isolation(self, small_graph):
         # perturbing worker 1 leaves other devices' representation columns alone
@@ -1101,8 +1118,8 @@ class TestBuffers:
     def test_steady_epoch_allocates_less_than_one_layer_array(self, variant, p, threads, pooled):
         # from one epoch's end to the next, traced memory never rises by as much
         # as one n x hidden f32 array once the buffers exist (after epoch 0);
-        # what remains are dropout's raw draws, half a mask's f32 size, and
-        # numpy's fixed-size ufunc buffers
+        # what remains are dropout's blocks of hashes, and numpy's fixed-size
+        # ufunc buffers
         n, hidden = 1000, 64
         g = synth_graph(n=n, classes=3, d_feat=16, p_in=0.1, p_out=0.01, signal=1.0, seed=2)
         cfg = TrainConfig(variant=variant, p=p, epochs=6, hidden=hidden, seed=1, threads=threads)

@@ -73,10 +73,10 @@ def _backward(cache, d_out, params, op, input_grad=True, rows=None):
     return g.w_agg.copy(), None if g.w_self is None else g.w_self.copy(), g.bias.copy(), d_in
 
 
-def _mlp_forward(x, mlp, rng, training):
-    """mlp_forward in a fresh workspace of its own, with `rng` as the
-    dropout stream; returns (output, the MLP that holds its cache)."""
-    mlp = dataclasses.replace(mlp, rng=rng, ws=ops.Workspace())
+def _mlp_forward(x, mlp, training, key=0):
+    """mlp_forward in a fresh workspace of its own, with `key` as the
+    dropout key; returns (output, the MLP that holds its cache)."""
+    mlp = dataclasses.replace(mlp, key=key, ws=ops.Workspace())
     return nn.mlp_forward(x, mlp, training), mlp
 
 
@@ -100,7 +100,7 @@ class TestGcnLayer:
         params = _gcn_layer(3, 3, rng, np.float64)
         params.bias[:] = 0
         h_in = rng.standard_normal((4, 3))
-        h_out, _ = _forward(op, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, None, training=False)
         np.testing.assert_allclose(h_out, h_in @ params.w_self)
 
     def test_identity_self_path(self):
@@ -110,7 +110,7 @@ class TestGcnLayer:
             w_agg=np.zeros((4, 4)), w_self=np.eye(4), bias=np.zeros(4)
         )
         h_in = rng.standard_normal((3, 4))
-        h_out, _ = _forward(op, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, None, training=False)
         np.testing.assert_array_equal(h_out, h_in)
 
     def test_single_form_matches_dense_oracle(self):
@@ -119,7 +119,7 @@ class TestGcnLayer:
         params = _gcn_layer(3, 2, rng, np.float64, form=nn.FORM_SINGLE)
         params.bias[:] = rng.standard_normal(2)
         h_in = rng.standard_normal((2, 3))
-        h_out, _ = _forward(op, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, None, training=False)
         dense = np.array([[0.0, 1.0], [1.0, 0.0]])  # normalized single edge
         expect = np.maximum(dense @ h_in @ params.w_agg + params.bias, 0)
         np.testing.assert_allclose(h_out, expect, atol=1e-12)
@@ -132,7 +132,7 @@ class TestGcnLayer:
         params.w_agg[:] = 0
         params.bias[:] = rng.standard_normal(4)
         h_in = rng.standard_normal((3, 4))
-        h_out, _ = _forward(op, h_in, params, rng, training=False)
+        h_out, _ = _forward(op, h_in, params, None, training=False)
         np.testing.assert_allclose(
             h_out, h_in @ params.w_self + np.maximum(params.bias, 0), atol=1e-12
         )
@@ -142,7 +142,7 @@ class TestGcnLayer:
         rng = ops.rng_stream(4, 0)
         params = _gcn_layer(6, 5, rng, np.float64)
         h_in = rng.standard_normal((30, 6))
-        h_out, cache = _forward(op, h_in, params, rng, training=True)
+        h_out, cache = _forward(op, h_in, params, None, training=True)
         dw_agg, dw_self, db, d_in = _backward(
             cache, np.zeros_like(h_out), params, op
         )
@@ -155,7 +155,7 @@ class TestGcnLayer:
         params.w_agg[:] = 0
         params.bias[:] = -1e3  # keep the ReLU branch inactive
         h_in = rng.standard_normal((30, 6))
-        h_out, cache = _forward(op, h_in, params, rng, training=True)
+        h_out, cache = _forward(op, h_in, params, None, training=True)
         d_out = rng.standard_normal(h_out.shape)
         _, dw_self, _, _ = _backward(cache, d_out.copy(), params, op)  # backward consumes its d_out
         np.testing.assert_allclose(dw_self, h_in.T @ d_out, atol=1e-12)
@@ -170,10 +170,10 @@ class TestGcnLayer:
         target = rng.standard_normal((30, 5))
 
         def loss():
-            out, _ = _forward(op, h_in, params, rng, training=False)
+            out, _ = _forward(op, h_in, params, None, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(op, h_in, params, rng, training=True)  # rate 0: eval's arithmetic
+        h_out, cache = _forward(op, h_in, params, None, training=True)  # rate 0: eval's arithmetic
         d_out = h_out - target
         dw_agg, dw_self, db, d_in = _backward(cache, d_out, params, op)
         groups = [(params.w_agg, dw_agg), (params.bias, db)]
@@ -190,10 +190,10 @@ class TestGcnLayer:
         target = rng.standard_normal((30, 3))
 
         def loss():
-            out, _ = _forward(op, h_in, params, rng, training=False)
+            out, _ = _forward(op, h_in, params, None, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(op, h_in, params, rng, training=True)
+        h_out, cache = _forward(op, h_in, params, None, training=True)
         _, _, _, d_in = _backward(cache, h_out - target, params, op)
         assert rel_err(central_diff(loss, h_in), d_in) <= 1e-5
 
@@ -207,10 +207,10 @@ class TestGcnLayer:
         target = rng.standard_normal((8, 3))
 
         def loss():
-            out, _ = _forward(op, h_in, params, rng, training=False)
+            out, _ = _forward(op, h_in, params, None, training=False)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(op, h_in, params, rng, training=True)
+        h_out, cache = _forward(op, h_in, params, None, training=True)
         dw_agg, _, db, d_in = _backward(cache, h_out - target, params, op)
         for param, ana in ((h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)):
             assert rel_err(central_diff(loss, param), ana) <= 1e-5
@@ -225,12 +225,13 @@ class TestGcnLayer:
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
     @pytest.mark.parametrize("graph", ["rand_graph", "directed_graph"])
     def test_row_set_matches_finite_differences(self, request, graph, shape, form):
-        # on every other row: a loss over those rows alone, whose input
-        # gradient reaches every row
+        # on every other row, with dropout: a loss over those rows alone,
+        # whose input gradient reaches every row
         self._check_finite_differences(request.getfixturevalue(graph), shape, form, subset=True)
 
     @staticmethod
     def _check_finite_differences(adj, shape, form, subset):
+        # a training forward: a key's dropout mask is the same in every call
         w_in, w_out = LAYER_SHAPES[shape]
         op, n = _op(adj), adj.num_nodes
         rows = op.restrict(np.arange(0, n, 2)) if subset else None
@@ -240,11 +241,13 @@ class TestGcnLayer:
         h_in = rng.standard_normal((n, w_in))
         target = rng.standard_normal((n if rows is None else rows.num_rows, w_out))
 
+        rate = 0.5 if subset else 0.0
+
         def loss():
-            out, _ = _forward(op, h_in, params, rng, training=False, rows=rows)
+            out, _ = _forward(op, h_in, params, 14, True, rate, rows=rows)
             return 0.5 * float(((out - target) ** 2).sum())
 
-        h_out, cache = _forward(op, h_in, params, rng, training=True, rows=rows)
+        h_out, cache = _forward(op, h_in, params, 14, True, rate, rows=rows)
         assert (cache.agg is None) == (shape == "narrowing")
         dw_agg, dw_self, db, d_in = _backward(cache, h_out - target, params, op, rows=rows)
         groups = [(h_in, d_in), (params.w_agg, dw_agg), (params.bias, db)]
@@ -261,14 +264,14 @@ class TestGcnLayer:
         params = _gcn_layer(w_in, w_out, rng, np.float64)
         h_in = rng.standard_normal((30, w_in))
         d_out = rng.standard_normal((30, w_out))
-        own, own_cache = _forward(op, h_in, params, rng, training=True)
+        own, own_cache = _forward(op, h_in, params, None, training=True)
         own_grads = _backward(own_cache, d_out.copy(), params, op, input_grad=False)  # consumes its d_out
         agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace())
 
         calls = []
         spmm = ops.spmm_norm
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
-        out, cache = _forward(op, h_in, params, rng, training=True, agg=agg)
+        out, cache = _forward(op, h_in, params, None, training=True, agg=agg)
         grads = _backward(cache, d_out, params, op, input_grad=False)
         assert not calls and cache.agg is agg
         if shape == "narrowing":  # the layer's own order differs; values agree
@@ -285,7 +288,7 @@ class TestGcnLayer:
     def test_kept_result_replaces_layer_arithmetic(self, rand_graph, monkeypatch, shape, form):
         # an eval forward's output and mask, kept in the workspace at a
         # version, reused by a training forward at that version: the same
-        # output, cache and stream position as computing the layer again
+        # output and cache as computing the layer again
         op = _op(rand_graph, np.float32)
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(16, 0), np.float32, form)
@@ -293,19 +296,18 @@ class TestGcnLayer:
         agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace())
         ws = ops.Workspace()
         h_eval, c_eval = nn.gcn_layer_forward(op, h_in, params, None, False, ws=ws, version=3)
-        rng, ref = ops.rng_stream(17, 0), ops.rng_stream(17, 0)
-        fresh, c_fresh = _forward(op, h_in, params, ref, True, 0.5, agg=agg)
+        fresh, c_fresh = _forward(op, h_in, params, 17, True, 0.5, agg=agg)
 
         for param in _arrays(params):  # a layer that computed again would give NaN
             param[:] = np.nan
         monkeypatch.setattr(ops, "spmm_norm", None)
-        out, cache = nn.gcn_layer_forward(op, h_in, params, rng, True, 0.5, ws=ws, version=3)
+        out, cache = nn.gcn_layer_forward(op, h_in, params, 17, True, 0.5, ws=ws, version=3)
         np.testing.assert_array_equal(out, fresh)
         assert out is h_eval and cache.mask is c_eval.mask and cache.agg is c_eval.agg and cache.h_in is h_in
         np.testing.assert_array_equal(cache.agg, agg)
         np.testing.assert_array_equal(cache.mask, c_fresh.mask)
         np.testing.assert_array_equal(cache.keep, c_fresh.keep)
-        assert cache.scale == c_fresh.scale and rng.random() == ref.random()
+        assert cache.scale == c_fresh.scale
 
 
 class TestVersionedForward:
@@ -338,38 +340,36 @@ class TestVersionedForward:
         calls = []
         spmm = ops.spmm_norm
         monkeypatch.setattr(ops, "spmm_norm", lambda *a, **k: calls.append(1) or spmm(*a, **k))
-        ws, rng = ops.Workspace(), ops.rng_stream(19, 2)
+        ws = ops.Workspace()
         for training, version in ((False, 0), (True, 0), (False, 1)):  # eval, train, step, eval
-            _, cache = nn.gcn_layer_forward(op, h_in, params, rng, training, 0.5, ws=ws, version=version)
+            _, cache = nn.gcn_layer_forward(op, h_in, params, 19, training, 0.5, ws=ws, version=version)
         assert len(calls) == 1 and ws.versions[0, "agg"] == 0
         np.testing.assert_array_equal(cache.agg, spmm(op, h_in, np.empty_like(h_in), ws=ops.Workspace()))
 
     def test_training_forward_drops_the_kept_result(self, rand_graph):
         op = _op(rand_graph)
         params, h_in = self._layer()
-        mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(20, 0), np.float64, dropout=0.5)
+        mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(20, 0), np.float64, dropout=0.5, key=20)
         ws = ops.Workspace()
-        mlp.rng = rng = ops.rng_stream(20, 1)
-        nn.gcn_layer_forward(op, h_in, params, rng, False, 0.5, ws=ws, version=2)
+        nn.gcn_layer_forward(op, h_in, params, 20, False, 0.5, ws=ws, version=2)
         nn.mlp_forward(h_in, mlp, False, version=2)
         assert ws.versions[0, "out"] == 2 and mlp.ws.versions == {(0, "a"): 2}
-        nn.gcn_layer_forward(op, h_in, params, rng, True, 0.5, ws=ws, version=2)
+        nn.gcn_layer_forward(op, h_in, params, 20, True, 0.5, ws=ws, version=2)
         nn.mlp_forward(h_in, mlp, True, version=2)
         assert ws.versions == {(0, "agg"): 2} and mlp.ws.versions == {}
 
     def test_unversioned_calls_leave_versions_alone(self, rand_graph):
         op = _op(rand_graph)
         params, h_in = self._layer()
-        mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(21, 0), np.float64, dropout=0.5)
-        ws, rng = ops.Workspace(), ops.rng_stream(21, 1)
-        mlp.ws, mlp.rng = ws, rng  # the layer's and the MLP's arrays in one workspace
-        nn.gcn_layer_forward(op, h_in, params, rng, False, 0.5, ws=ws, version=5)
+        mlp = nn.init_mlp([4, 5, 3], ops.rng_stream(21, 0), np.float64, dropout=0.5, key=21)
+        ws = mlp.ws = ops.Workspace()  # the layer's and the MLP's arrays in one workspace
+        nn.gcn_layer_forward(op, h_in, params, 21, False, 0.5, ws=ws, version=5)
         nn.mlp_forward(h_in, mlp, False, version=5)
         before = dict(ws.versions)
         assert before == {(0, "agg"): 5, (0, "out"): 5, (0, "a"): 5}
         for training in (False, True):
             for layer in (0, 1):
-                nn.gcn_layer_forward(op, h_in, params, rng, training, 0.5, ws=ws, layer=layer)
+                nn.gcn_layer_forward(op, h_in, params, 21, training, 0.5, ws=ws, layer=layer)
             nn.mlp_forward(h_in, mlp, training)
         assert ws.versions == before
 
@@ -389,7 +389,7 @@ class TestBackwardConsumesItsGradient:
         h_in = ops.rng_stream(40, 1).standard_normal((op.num_rows, w_in)).astype(np.float32)
         agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace()) if given_agg else None
         ws = ops.Workspace()
-        _, cache = nn.gcn_layer_forward(op, h_in, params, ops.rng_stream(40, 2), True, 0.5, agg=agg, ws=ws)
+        _, cache = nn.gcn_layer_forward(op, h_in, params, 40, True, 0.5, agg=agg, ws=ws)
         before = None if agg is None else agg.tobytes()
         d_in = nn.gcn_layer_backward(cache, d_out, params, op, ws=ws, d_in=np.empty_like(h_in))
         return [g.copy() for g in _arrays(params.grads)], d_in, (before, None if agg is None else agg.tobytes())
@@ -521,8 +521,7 @@ class TestPassesReadOnlyWhatTheyWrite:
         d_out = ops.rng_stream(31, 3).standard_normal((m, w_out)).astype(dtype)
 
         def run(ws, fill):
-            rng = ops.rng_stream(32, 0)
-            h_out, cache = nn.gcn_layer_forward(op, h_in, params, rng, True, dropout, ws=ws, rows=restricted)
+            h_out, cache = nn.gcn_layer_forward(op, h_in, params, 32, True, dropout, ws=ws, rows=restricted)
             h_out = h_out.copy()
             for g in _arrays(params.grads):
                 g.fill(fill)
@@ -552,7 +551,7 @@ class TestPassesReadOnlyWhatTheyWrite:
         d_out = ops.rng_stream(33, 2).standard_normal((height, 3)).astype(dtype)
 
         def run(ws, fill):
-            m = dataclasses.replace(mlp, rng=ops.rng_stream(34, 0), ws=ws)
+            m = dataclasses.replace(mlp, key=34, ws=ws)
             y = nn.mlp_forward(x, m, True, rows=restricted).copy()
             m.group.grad.fill(fill)
             d_in = np.full_like(x, fill)
@@ -623,7 +622,7 @@ class TestMlp:
         for w, b in mlp.layers:
             w[:] = 0
         x = rng.standard_normal((7, 5))
-        out, _ = _mlp_forward(x, mlp, rng, training=False)
+        out, _ = _mlp_forward(x, mlp, training=False)
         loss, _ = ops.softmax_cross_entropy(out, np.zeros(7, dtype=np.int64))
         assert loss == pytest.approx(np.log(3), abs=1e-12)
 
@@ -631,27 +630,35 @@ class TestMlp:
         rng = ops.rng_stream(9, 0)
         mlp = nn.init_mlp([5, 3], rng, np.float64)
         x = rng.standard_normal((4, 5))
-        out, _ = _mlp_forward(x, mlp, rng, training=False)
+        out, _ = _mlp_forward(x, mlp, training=False)
         w, b = mlp.layers[0]
         np.testing.assert_allclose(out, x @ w + b, atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         rng = ops.rng_stream(10, 0)
-        mlp = nn.init_mlp([5, 6, 3], rng, np.float64)
+        mlp = nn.init_mlp([5, 6, 3], rng, np.float64, dropout=0.5)
         x = rng.standard_normal((8, 5))
         labels = rng.integers(0, 3, 8)
 
-        def loss():
-            out, _ = _mlp_forward(x, mlp, rng, training=False)
+        def loss():  # a training forward: a key's dropout mask is the same in every call
+            out, _ = _mlp_forward(x, mlp, training=True, key=10)
             return ops.softmax_cross_entropy(out, labels)[0]
 
-        out, trained = _mlp_forward(x, mlp, rng, training=True)  # no dropout: eval's arithmetic
+        out, trained = _mlp_forward(x, mlp, training=True, key=10)
         _, d_logits = ops.softmax_cross_entropy(out, labels)
         grads, d_x = _mlp_backward(trained, d_logits)
         for (w, b), (dw, db) in zip(mlp.layers, grads):
             assert rel_err(central_diff(loss, w), dw) <= 1e-5
             assert rel_err(central_diff(loss, b), db) <= 1e-5
         assert rel_err(central_diff(loss, x), d_x) <= 1e-5
+
+    def test_row_set_forward_gives_the_whole_forward_at_its_rows(self):
+        # dropout included: rows R of the input get rows R of the output of all rows
+        mlp = nn.init_mlp([5, 6, 3], ops.rng_stream(17, 0), np.float64, dropout=0.5, key=17)
+        x = ops.rng_stream(17, 1).standard_normal((12, 5))
+        rows = _op(build_csr(12, [])).restrict([1, 4, 5, 8, 11])
+        whole = nn.mlp_forward(x, mlp, True).copy()
+        np.testing.assert_allclose(nn.mlp_forward(x[rows.nodes], mlp, True, rows=rows), whole[rows.nodes], rtol=1e-12)
 
     def test_skipping_input_gradient_keeps_weight_gradients(self):
         rng = ops.rng_stream(13, 0)
@@ -660,7 +667,7 @@ class TestMlp:
         d_out = rng.standard_normal((8, 3))
 
         def backward(input_grad):  # each backward over a forward of its own, with the same mask
-            _, trained = _mlp_forward(x, mlp, ops.rng_stream(13, 1), training=True)
+            _, trained = _mlp_forward(x, mlp, training=True, key=13)
             return _mlp_backward(trained, d_out, input_grad)
 
         full, d_x = backward(True)
@@ -694,11 +701,10 @@ class TestMlp:
         np.testing.assert_array_equal(mask, z > 0)
         np.testing.assert_array_equal(a, ops.relu(z))
 
-        rng, ref = ops.rng_stream(15, 0), ops.rng_stream(15, 0)
-        fresh, fresh_mlp = _mlp_forward(x, mlp, ref, training=True)
+        fresh, fresh_mlp = _mlp_forward(x, mlp, training=True, key=15)
         for param in mlp.layers[0]:  # a first layer that computed again would give NaN
             param[:] = np.nan
-        mlp.rng = rng
+        mlp.key = 15
         out = nn.mlp_forward(x, mlp, training=True, version=0)
         np.testing.assert_array_equal(out, fresh)
         cache = mlp.cache
@@ -706,13 +712,12 @@ class TestMlp:
         for got, want in zip(cache, fresh_mlp.cache):
             for g, f in zip(got, want):
                 np.testing.assert_array_equal(g, f)
-        assert rng.random() == ref.random()
 
     def test_width_mismatch(self):
         rng = ops.rng_stream(11, 0)
         mlp = nn.init_mlp([5, 3], rng, np.float64)
         with pytest.raises(ValueError):
-            _mlp_forward(np.zeros((2, 4)), mlp, rng, training=False)
+            _mlp_forward(np.zeros((2, 4)), mlp, training=False)
 
 
 def _group(*arrays) -> nn.ParamGroup:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicegcn import blas, ops
+from slicegcn import blas, nn, ops
 from slicegcn.graph import NormOperator, build_csr, degree_norms
 
 
@@ -449,206 +449,209 @@ class TestRelu:
         np.testing.assert_allclose(ana[away], fd[away], rtol=1e-5)
 
 
+def _hash(z: int) -> int:
+    """SplitMix64's finalizer, in Python ints."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def _unhash(z: int) -> int:
+    """The inverse of `_hash`: the input whose hash is z."""
+    for shift, factor in ((31, 1), (27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
+        z = x = z * pow(factor, -1, 2**64) % 2**64
+        for _ in range(64 // shift):
+            x = z ^ x >> shift
+        z = x
+    return z
+
+
+def _reference_mask(key, shape, rate, rows=None):
+    """The mask, element by element: with w elements per row, element (r, j)
+    is 16-bit field j % 4 (low bits first) of the hash of key + (r * ceil(w/4)
+    + j // 4) * 0x9E3779B97F4A7C15; as a uniform draw u = field / 2**16 in
+    [0, 1) it is kept iff u >= rate. Row i is row rows[i] when given."""
+    width = math.prod(shape[1:])
+    words = -(-width // 4)
+    rows = range(shape[0]) if rows is None else rows
+    fields = [[_hash((key + (int(r) * words + j // 4) * 0x9E3779B97F4A7C15) % 2**64) >> 16 * (j % 4) & 0xFFFF
+               for j in range(width)] for r in rows]
+    return (np.array(fields, dtype=np.float64) / 2**16 >= rate).reshape(len(rows), *shape[1:])
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         a = np.ones((3, 3))
-        out, keep, scale = ops.dropout(a, 0.0, True, ops.rng_stream(0, 0))
+        out, keep, scale = ops.dropout(a, 0.0, True, 0)
         assert out is a and keep is None and scale is None
 
     def test_eval_identity(self):
         a = np.ones((3, 3))
-        out, keep, scale = ops.dropout(a, 0.9, False, ops.rng_stream(0, 0))
+        out, keep, scale = ops.dropout(a, 0.9, False, 0)
         assert out is a and keep is None and scale is None
 
     def test_inverted_scaling_preserves_mean(self):
         a = np.ones((400, 400))
-        out, _, _ = ops.dropout(a, 0.5, True, ops.rng_stream(7, 0))
+        out, _, _ = ops.dropout(a, 0.5, True, 7)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValueError):
-            ops.dropout(np.ones((2, 2)), 1.0, True, ops.rng_stream(0, 0))
+            ops.dropout(np.ones((2, 2)), 1.0, True, 0)
 
     def test_mask_reusable_for_backward(self):
-        rng = ops.rng_stream(8, 0)
-        a = np.ones((10, 10))
-        out, keep, scale = ops.dropout(a.copy(), 0.3, True, rng)
-        assert keep.dtype == bool and np.ndim(scale) == 0
-        np.testing.assert_array_equal(out, ops.apply_mask(a, keep, scale))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bool_mask_matches_float_mask_bitwise(self, dtype):
-        # the float mask keep / (1 - rate) gives the same bits, zero signs too
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((50, 40)).astype(dtype)
-        a[0, :4] = [0.0, -0.0, np.inf, -np.inf]
-        with np.errstate(invalid="ignore"):  # inf * 0
-            out, keep, scale = ops.dropout(a.copy(), 0.3, True, ops.rng_stream(9, 0))
-            float_mask = keep.astype(dtype) / dtype(1.0 - 0.3)
-            expect = a * float_mask
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out.view(f"u{a.itemsize}"), expect.view(f"u{a.itemsize}"))
-        d = rng.standard_normal(a.shape).astype(dtype)
-        back = ops.apply_mask(d, keep, scale)
-        np.testing.assert_array_equal(back.view(f"u{a.itemsize}"), (d * float_mask).view(f"u{a.itemsize}"))
+        # a workspace `keep` buffer is written, returned and overwritten by
+        # the next call with that call's own mask
+        keep = np.empty((10, 10), bool)
+        for key in (8, 9):
+            _, want, _ = ops.dropout(np.ones((10, 10)), 0.3, True, key)
+            out, got, scale = ops.dropout(np.ones((10, 10)), 0.3, True, key, keep=keep)
+            assert got is keep and np.ndim(scale) == 0
+            np.testing.assert_array_equal(keep, want)
+            np.testing.assert_array_equal(out, np.where(keep, scale, 0.0))
 
     def test_writes_into_its_input_and_returns_it(self):
         a = np.full((30, 7), 2.0, np.float32)
-        out, keep, scale = ops.dropout(a, 0.5, True, ops.rng_stream(4, 0))
+        out, keep, scale = ops.dropout(a, 0.5, True, 4)
         assert out is a
         np.testing.assert_array_equal(a, np.where(keep, np.float32(4.0), np.float32(0.0)))
 
-    @staticmethod
-    def _reference_mask(raw, size, rate):
-        # field 4k+j of the stream is bits [16j, 16j+16) of raw draw k; as a
-        # uniform draw u = field / 2**16 in [0, 1) it is kept iff u >= rate
-        shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
-        fields = ((raw[:, None] >> shifts) & np.uint64(0xFFFF)).reshape(-1)[:size]
-        return fields / 2.0**16 >= rate
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 17])
+    def test_mask_does_not_depend_on_chunk_size(self, chunk, monkeypatch):
+        # `_MASK_BLOCK` hashes per block: blocks of one row, of three rows
+        # (the last one short) and of the whole array
+        key = ops.dropout_key(6, 2, 0)
+        for shape in ((31, 3), (30, 29)):
+            _, expect, _ = ops.dropout(np.ones(shape), 0.3, True, key)
+            monkeypatch.setattr(ops, "_MASK_BLOCK", chunk)
+            _, keep, _ = ops.dropout(np.ones(shape), 0.3, True, key)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(keep, expect)
+
+    def test_empty_row_subset_draws_nothing(self):
+        out, keep, _ = ops.dropout(np.ones((0, 5), np.float32), 0.5, True, 3, rows=np.arange(0))
+        assert out.shape == keep.shape == (0, 5) and keep.dtype == bool
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_mask_matches_float_mask_bitwise(self, dtype):
+        # dropout writes into its input the float mask keep / (1 - rate)'s
+        # bits, zero signs too, and backward (`nn._deactivate`) applies the
+        # returned mask and scale to a gradient with the same bits
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((50, 40)).astype(dtype)
+        a[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+        out = a.copy()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got, keep, scale = ops.dropout(out, 0.3, True, 9)
+            float_mask = keep.astype(dtype) / dtype(1.0 - 0.3)
+            expect = a * float_mask
+        assert got is out and out.dtype == dtype and keep.dtype == bool and np.ndim(scale) == 0
+        np.testing.assert_array_equal(out.view(f"u{a.itemsize}"), expect.view(f"u{a.itemsize}"))
+        d = rng.standard_normal(a.shape).astype(dtype)
+        back = d.copy()
+        nn._deactivate(back, keep, None, scale)
+        np.testing.assert_array_equal(back.view(f"u{a.itemsize}"), (d * float_mask).view(f"u{a.itemsize}"))
 
     @pytest.mark.parametrize("rate", [1e-17, 0.1, 1 / 3, 0.5, 0.7, 0.999999])
     @pytest.mark.parametrize(
         "shape",
-        # sizes that are not multiples of 4; the last two span 2.25 and 1.34
-        # chunks of raw draws
-        [(1, 1), (7, 3), (64, 129), (5,), (9, ops._DROPOUT_CHUNK + 1), (301, 2333)],
+        # widths that are not multiples of 4; the last two span blocks of
+        # one row and of 256 rows
+        [(1, 1), (7, 3), (64, 129), (5, 2), (3, 4 * ops._MASK_BLOCK + 1), (301, 61)],
     )
     def test_raw_draw_matches_uniform_draw(self, rate, shape):
-        rng, ref = ops.rng_stream(21, 3), ops.rng_stream(21, 3).bit_generator
-        _, keep, _ = ops.dropout(np.ones(shape, np.float32), rate, True, rng)
-        size = int(np.prod(shape))
-        raw = ref.random_raw(-(-size // 4))
-        np.testing.assert_array_equal(keep.reshape(-1), self._reference_mask(raw, size, rate))
-
-    @pytest.mark.parametrize("size", [1, 3, 4, 5, 130, 1 << 10])
-    def test_stream_sits_after_a_quarter_draw_per_element(self, size):
-        rng, ref = ops.rng_stream(5, 1), ops.rng_stream(5, 1)
-        ops.dropout(np.ones(size), 0.3, True, rng)
-        ref.bit_generator.random_raw(-(-size // 4))
-        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
-        assert rng.random() == ref.random()
-
-    @pytest.mark.parametrize("chunk", [1, 3, 1 << 17])
-    def test_mask_does_not_depend_on_chunk_size(self, chunk, monkeypatch):
-        shape, rate = (37, 29), 0.3
-        _, expect, _ = ops.dropout(np.ones(shape), rate, True, ops.rng_stream(6, 2))
-        monkeypatch.setattr(ops, "_DROPOUT_CHUNK", chunk)
-        rng = ops.rng_stream(6, 2)
-        _, keep, _ = ops.dropout(np.ones(shape), rate, True, rng)
-        np.testing.assert_array_equal(keep, expect)
-        ref = ops.rng_stream(6, 2).bit_generator
-        ref.random_raw(-(-keep.size // 4))
-        assert rng.bit_generator.random_raw() == ref.random_raw()
+        key = ops.dropout_key(ops.owner_key(21, 3), 1, 5)
+        _, keep, _ = ops.dropout(np.ones(shape, np.float32), rate, True, key)
+        np.testing.assert_array_equal(keep, _reference_mask(key, shape, rate))
 
     def test_rate_half_threshold_is_two_to_the_fifteen(self):
-        class Words:  # a stream that hands out chosen raw draws
-            def __init__(self, words):
-                self.words = np.array(words, dtype=np.uint64)
-
-            def random_raw(self, size):
-                out, self.words = self.words[:size], self.words[size:]
-                return out
-
-        def fields(*f):  # four 16-bit fields, low bits first
-            return sum(int(v) << (16 * j) for j, v in enumerate(f))
-
-        rng = SimpleNamespace(bit_generator=Words([fields(0x7FFF, 0x8000, 0, 0xFFFF),
-                                                   fields(0x8001, 1, 0x7FFE, 0x8000)]))
-        _, keep, _ = ops.dropout(np.ones(7), 0.5, True, rng)
-        np.testing.assert_array_equal(keep, [False, True, False, True, True, False, False])
-        assert rng.bit_generator.words.size == 0
+        # keys whose hash at counter 0 has chosen fields, low bits first: a
+        # 1 x 4 mask is those four fields
+        for fields, want in (((0x7FFF, 0x8000, 0, 0xFFFF), [False, True, False, True]),
+                             ((0x8001, 1, 0x7FFE, 0x8000), [True, False, False, True])):
+            key = _unhash(sum(f << 16 * j for j, f in enumerate(fields)))
+            _, keep, _ = ops.dropout(np.ones((1, 4)), 0.5, True, key)
+            np.testing.assert_array_equal(keep[0], want)
 
     @pytest.mark.parametrize("rate", [1e-6, 0.1, 0.5, 0.9])
     def test_keep_fraction_within_binomial_bound(self, rate):
-        n = 1 << 18
-        _, keep, _ = ops.dropout(np.ones(n), rate, True, ops.rng_stream(13, 0))
-        p = 1 - math.ceil(rate * 2**16) / 2**16
+        shape = (40_000, 250)  # 10**7 elements, 2 fields of each row's last hash unused
+        _, keep, _ = ops.dropout(np.ones(shape, np.float32), rate, True, ops.dropout_key(13, 0, 0))
+        n, p = keep.size, 1 - math.ceil(rate * 2**16) / 2**16
         assert 0 <= (1 - rate) - p < 2**-16
-        assert abs(int(keep.sum()) - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1
+        assert abs(int(keep.sum()) - n * p) <= 4 * math.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("pair", ["row", "column", "layer", "step", "owner"])
+    def test_neighbouring_masks_are_independent(self, pair):
+        # chi-square of the 2 x 2 table of (kept, kept) pairs against
+        # independent draws of the keep probability, 3 degrees of freedom
+        rate, owners = 0.3, [ops.owner_key(3, i) for i in (0, 1)]
+
+        def mask(owner=0, layer=1, step=7):
+            return ops.dropout(np.ones((2000, 63)), rate, True, ops.dropout_key(owners[owner], layer, step))[1]
+
+        m = mask()
+        x, y = {"row": (m[:, :-1], m[:, 1:]), "column": (m[:-1], m[1:]), "layer": (m, mask(layer=2)),
+                "step": (m, mask(step=8)), "owner": (m, mask(owner=1))}[pair]
+        p = 1 - math.ceil(rate * 2**16) / 2**16
+        observed = np.bincount((2 * x + y).reshape(-1), minlength=4)
+        expected = observed.sum() * np.outer([1 - p, p], [1 - p, p]).reshape(-1)
+        assert ((observed - expected) ** 2 / expected).sum() < 16.27  # p = 0.001
 
     @pytest.mark.parametrize("rate", [1 - 2**-17, 0.99999, math.nextafter(1.0, 0.0)])
     def test_rate_near_one_drops_everything(self, rate):
         # ceil(rate * 2**16) is 2**16 here, one past the largest 16-bit field
-        rng, ref = ops.rng_stream(2, 0), ops.rng_stream(2, 0).bit_generator
         a = np.ones((5, 3), np.float32)
-        out, keep, _ = ops.dropout(a, rate, True, rng)
+        out, keep, _ = ops.dropout(a, rate, True, 2)
         assert not keep.any() and not out.any()
-        ref.random_raw(4)  # ceil(15 / 4)
-        assert rng.bit_generator.random_raw() == ref.random_raw()
-
-
-    @pytest.mark.parametrize("drawn", [0, 1, 3, 6])
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 40])
-    def test_skip_moves_the_stream_as_raw_draws_do(self, drawn, k):
-        # from every buffer position, and keeping a buffered 32-bit half
-        rng, ref = ops.rng_stream(8, 4), ops.rng_stream(8, 4)
-        for g in (rng, ref):
-            g.bit_generator.random_raw(drawn)
-            g.integers(0, 1 << 32, dtype=np.uint32)  # leaves the other 32-bit half buffered
-        ops._skip(rng.bit_generator, k)
-        ref.bit_generator.random_raw(k)
-        assert rng.integers(0, 1 << 32, dtype=np.uint32) == ref.integers(0, 1 << 32, dtype=np.uint32)
-        np.testing.assert_array_equal(rng.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))
 
     @pytest.mark.parametrize("rate", [0.5, 0.3, 1 - 2**-17])
-    @pytest.mark.parametrize("drawn", [0, 1, 3, 6])
+    @pytest.mark.parametrize("key", [0, 1, 3, 6])
     @pytest.mark.parametrize(
         "shape,parts,offsets",
-        # the fields where each part starts: multiples of 16, multiples of 4
-        # but not of 16, and neither
+        # the elements where each part starts: multiples of 16, multiples of
+        # 4 but not of 16, and neither
         [((64, 16), 2, [0, 512]), ((50, 8), 2, [0, 200]), ((50, 7), 3, [0, 112, 231]), ((33, 5), 4, [0, 40, 80, 120])],
     )
-    def test_split_mask_equals_the_whole(self, monkeypatch, shape, parts, offsets, drawn, rate):
-        # a stream with raw draws left in its buffer from an earlier call
+    def test_split_mask_equals_the_whole(self, monkeypatch, shape, parts, offsets, key, rate):
         a = np.random.default_rng(3).standard_normal(shape).astype(np.float32)
-        rng, ref = ops.rng_stream(5, 1), ops.rng_stream(5, 1)
-        for g in (rng, ref):
-            g.bit_generator.random_raw(drawn)
-        want, want_keep, _ = ops.dropout(a.copy(), rate, True, ref)
+        want, want_keep, _ = ops.dropout(a.copy(), rate, True, key)
         monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
         pool, calls = _counting(parts)
-        got, keep, _ = ops.dropout(a.copy(), rate, True, rng, pool=pool)
+        got, keep, _ = ops.dropout(a.copy(), rate, True, key, pool=pool)
         assert [[lo * shape[1] for lo, _ in c] for c in calls] == [offsets]
         np.testing.assert_array_equal(keep, want_keep)
         assert got.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(rng.bit_generator.random_raw(9), ref.bit_generator.random_raw(9))
-        assert rng.random() == ref.random()
 
-    def test_split_mask_on_pool_threads(self, monkeypatch):
-        # parts of 2.3 chunks of raw draws each, drawn at once
-        shape = (3, 3 * ops._DROPOUT_CHUNK + 5)
-        a = np.ones(shape, np.float32)
-        ref = ops.rng_stream(7, 0)
-        want, want_keep, _ = ops.dropout(a.copy(), 0.4, True, ref)
-        rng = ops.rng_stream(7, 0)
-        with ops.Pool(3) as pool:
-            got, keep, _ = ops.dropout(a.copy(), 0.4, True, rng, pool=pool)
-        assert len(pool.ranges(*shape)) == 3
-        np.testing.assert_array_equal(keep, want_keep)
-        np.testing.assert_array_equal(got, want)
-        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_split_mask_on_pool_threads(self, threads, pooled):
+        # parts of blocks of one row each, and of many rows, hashed at once
+        for shape in ((4, (1 << 18) + 5), (12_000, 110)):
+            a = np.ones(shape, np.float32)
+            want, want_keep, _ = ops.dropout(a.copy(), 0.4, True, 7)
+            with ops.Pool(threads) as pool:
+                got, keep, _ = ops.dropout(a.copy(), 0.4, True, 7, pool=pool)
+            assert len(pool.ranges(*shape)) == threads
+            np.testing.assert_array_equal(keep, want_keep)
+            np.testing.assert_array_equal(got, want)
+        assert bool(pooled) == (threads > 1)
 
-
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     @pytest.mark.parametrize("rate", [0.5, 0.3, 1 - 2**-17])
-    @pytest.mark.parametrize("drawn", [0, 3])
-    @pytest.mark.parametrize("shape", [(50, 7), (64, 16), (40, 3 * ops._DROPOUT_CHUNK // 16 + 5)])
-    def test_row_subset_draws_the_whole_mask_at_its_rows(self, shape, drawn, rate, threads, pooled, monkeypatch):
-        # rows R of an n-row array get the whole mask's rows R, and the
-        # stream moves past the whole mask, on one thread and in parts
+    @pytest.mark.parametrize("key", [0, 3])
+    @pytest.mark.parametrize("shape", [(50, 7), (64, 16), (40, 3 * ops._MASK_BLOCK // 4 + 5)])
+    def test_row_subset_draws_the_whole_mask_at_its_rows(self, shape, key, rate, threads, pooled, monkeypatch):
+        # rows R of an n-row array get the whole mask's rows R, on one
+        # thread and in parts
         n, width = shape
         rows = np.flatnonzero(np.random.default_rng(23).random(n) < 0.4)
         a = np.random.default_rng(24).standard_normal(shape).astype(np.float32)
-        rng, ref = ops.rng_stream(5, 2), ops.rng_stream(5, 2)
-        for g in (rng, ref):
-            g.bit_generator.random_raw(drawn)
-        want, want_keep, _ = ops.dropout(a.copy(), rate, True, ref)
+        want, want_keep, _ = ops.dropout(a.copy(), rate, True, key)
         monkeypatch.setattr(ops, "MIN_PASS_ELEMENTS", 1)
         with ops.Pool(threads) as pool:
-            got, keep, _ = ops.dropout(a[rows], rate, True, rng, pool=pool, rows=rows, num_rows=n)
+            got, keep, _ = ops.dropout(a[rows], rate, True, key, pool=pool, rows=rows)
         np.testing.assert_array_equal(keep, want_keep[rows])
         assert got.tobytes() == want[rows].tobytes()
-        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
         assert bool(pooled) == (threads > 1)
 
 
@@ -805,7 +808,7 @@ def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
     op = _op(adj, np.float32, transpose=True)
     h = rng.standard_normal((400, 24)).astype(np.float32)
     spmm = _spmm(op, h)
-    drop, keep, _ = ops.dropout(h.copy(), 0.3, True, ops.rng_stream(3, 0))
+    drop, keep, _ = ops.dropout(h.copy(), 0.3, True, 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -814,7 +817,7 @@ def test_parts_keep_the_whole_bits_under_thread_switching(monkeypatch):
             for _ in range(20):
                 out = ops.spmm_norm(op, h, np.empty_like(h), ws=ws, pool=pool)
                 assert out.tobytes() == spmm.tobytes()
-                got, got_keep, _ = ops.dropout(h.copy(), 0.3, True, ops.rng_stream(3, 0), pool=pool)
+                got, got_keep, _ = ops.dropout(h.copy(), 0.3, True, 3, pool=pool)
                 assert got.tobytes() == drop.tobytes() and np.array_equal(got_keep, keep)
     finally:
         sys.setswitchinterval(interval)
@@ -828,6 +831,10 @@ class TestDeterminism:
         b = ops.rng_stream(seed, stream).random(16)
         np.testing.assert_array_equal(a, b)
 
+    def test_seeds_past_64_bits_keep_keys_of_their_own(self):
+        keys = {ops.owner_key(seed, 0) for seed in (5, 2**64 + 5, 2**128 + 5, 2**128)}
+        assert len(keys) == 4 and all(0 <= ops.dropout_key(k, 3, 2**40) < 2**64 for k in keys)
+
     def test_distinct_streams_differ(self):
         a = ops.rng_stream(1, 0).random(16)
         b = ops.rng_stream(1, 1).random(16)
@@ -838,7 +845,7 @@ class TestDeterminism:
             rng = ops.rng_stream(42, 3)
             w = ops.glorot_init(np.empty((12, 8), np.float32), rng)
             x = rng.standard_normal((20, 12)).astype(np.float32)
-            y, _, _ = ops.dropout(ops.relu(x @ w), 0.4, True, rng)
+            y, _, _ = ops.dropout(ops.relu(x @ w), 0.4, True, 3)
             return y
 
         np.testing.assert_array_equal(pipeline(), pipeline())

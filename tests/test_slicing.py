@@ -114,10 +114,10 @@ class TestSliceFeature:
         np.testing.assert_array_equal(rebuilt, x)
 
 
-def _fusion_forward(x, ff, rng, training):
-    """feature_fusion_forward in a fresh workspace of its own, with `rng` as
-    the dropout stream; returns (z, the fusion MLP that holds its cache)."""
-    ff = dataclasses.replace(ff, rng=rng, ws=ops.Workspace())
+def _fusion_forward(x, ff, key, training):
+    """feature_fusion_forward in a fresh workspace of its own, with `key` as
+    the dropout key; returns (z, the fusion MLP that holds its cache)."""
+    ff = dataclasses.replace(ff, key=key, ws=ops.Workspace())
     return slicing.feature_fusion_forward(x, ff, training), ff
 
 
@@ -150,20 +150,20 @@ class TestFeatureFusion:
         for w, b in ff.layers:
             w[:] = 0
         x = np.random.default_rng(0).standard_normal((5, 6))
-        z, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=False)
+        z, _ = _fusion_forward(x, ff, 0, training=False)
         np.testing.assert_array_equal(z, np.zeros((5, 4)))
 
     def test_eval_forward_deterministic(self):
         ff = self._fusion(6, 2, dropout=0.5)
         x = np.random.default_rng(1).standard_normal((5, 6))
-        z1, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=False)
-        z2, _ = _fusion_forward(x, ff, ops.rng_stream(9, 9), training=False)
+        z1, _ = _fusion_forward(x, ff, 0, training=False)
+        z2, _ = _fusion_forward(x, ff, 9, training=False)
         np.testing.assert_array_equal(z1, z2)
 
     def test_zero_upstream_zero_grads(self):
         ff = self._fusion(6, 3)
         x = np.random.default_rng(2).standard_normal((5, 6))
-        z, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        z, trained = _fusion_forward(x, ff, 0, training=True)
         grads = _fusion_backward(np.zeros_like(z), trained)
         for dw, db in grads:
             assert not dw.any() and not db.any()
@@ -172,10 +172,10 @@ class TestFeatureFusion:
         # two identical consumers contribute exactly twice the single gradient
         ff = self._fusion(5, 2)
         x = np.random.default_rng(3).standard_normal((4, 5))
-        z, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        z, trained = _fusion_forward(x, ff, 0, training=True)
         dz = np.random.default_rng(4).standard_normal(z.shape)
         g1 = _fusion_backward(dz, trained)
-        _, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)  # g1 consumed the first
+        _, trained = _fusion_forward(x, ff, 0, training=True)  # g1 consumed the first
         g2 = _fusion_backward(dz + dz, trained)
         for (dw1, db1), (dw2, db2) in zip(g1, g2):
             np.testing.assert_allclose(dw2, 2 * dw1, rtol=1e-12)
@@ -188,10 +188,10 @@ class TestFeatureFusion:
         target = rng.standard_normal((6, 4))
 
         def loss():
-            z, _ = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+            z, _ = _fusion_forward(x, ff, 0, training=True)
             return 0.5 * float(((z - target) ** 2).sum())
 
-        z, trained = _fusion_forward(x, ff, ops.rng_stream(0, 0), training=True)
+        z, trained = _fusion_forward(x, ff, 0, training=True)
         grads = _fusion_backward(z - target, trained)
         flat = [g for pair in grads for g in pair]
         params = [a for layer in ff.layers for a in layer]
@@ -216,5 +216,5 @@ class TestFeatureFusion:
         ff = self._fusion(6, 2)
         with pytest.raises(ValueError):
             _fusion_forward(
-                np.zeros((3, 7)), ff, ops.rng_stream(0, 0), training=False
+                np.zeros((3, 7)), ff, 0, training=False
             )
