@@ -23,9 +23,10 @@ layer then skips its aggregation.
 
 A rectified layer keeps, for its backward pass, only where its
 pre-activation was positive: it forms the pre-activation in its output
-array, records pre > 0 in a bool mask, and rectifies in place, and backward
-masks the gradient it is handed in place, d_pre = d_out * mask, once the
-self path has read d_out.
+array (or, on a row set with a self path, in a temporary), records pre > 0
+in a bool mask, and rectifies in place, and backward masks the gradient it
+is handed in place, d_pre = d_out * mask, once the self path has read
+d_out.
 
 A layer over a fixed input (a device's feature slice, or the features
 under the fusion MLP; dropout acts on layer outputs, not on the input) is
@@ -48,10 +49,13 @@ and the cache of its training forward, which its backward consumes. A
 layer writes its cached arrays and output under per-layer keys, so each
 pass writes the arrays the previous pass did; a kept result is then
 already where the next forward reads it. A GCN layer's temporaries live in
-the workspace's one scratch array (`ops.scratch`); the SpMM reads a product
-formed there in place. Backward passes consume the gradient they are
-handed and write gradients over forward arrays that nothing reads
-afterwards (see `mlp_backward`, which so needs no scratch).
+the workspace's one scratch array (`ops.scratch`): a product the SpMM reads
+in place, the gathered input rows of a row set's self path, and an
+evaluation forward's aggregate. A row set's self path keeps no rows of
+its input for backward, which gathers them again: the input is intact
+until the backward writes its input gradient. Backward passes consume the
+gradient they are handed and write gradients over forward arrays that
+nothing reads afterwards (see `mlp_backward`, which so needs no scratch).
 
 All backward passes are hand-derived reverse-mode gradients. The input
 gradient of the aggregation is Âᵀ G = S Aᵀ S G (the operator's `t`),
@@ -128,18 +132,18 @@ class GcnLayerCache:
     keep: Optional[np.ndarray]  # bool dropout keep mask, None without dropout
     scale: Optional[np.generic]  # dropout scale 1/(1-rate)
     own_agg: bool = False  # agg was formed by this pass, and nothing reads it after backward's dW_agg
-    h_rows: Optional[np.ndarray] = None  # h_in's rows R, the self path's input, gathered; None on all rows
 
 
-def _activate(h, mask, self_path, bias) -> None:
-    """h = ReLU(h + bias) + self_path, in place, recording h + bias > 0 in
-    the bool array `mask` first; a None mask or self path is skipped."""
-    h += bias
+def _activate(pre, mask, self_path, out, bias) -> None:
+    """pre = ReLU(pre + bias), in place, recording pre + bias > 0 in the bool
+    array `mask` first; then out = pre + self_path, where `out` may be `pre`
+    or `self_path`. A None mask or self path is skipped."""
+    pre += bias
     if mask is not None:
-        np.greater(h, 0, out=mask)
-    ops.relu(h, out=h)
+        np.greater(pre, 0, out=mask)
+    ops.relu(pre, out=pre)
     if self_path is not None:
-        h += self_path
+        np.add(pre, self_path, out=out)
 
 
 def narrows(params: GcnLayerParams) -> bool:
@@ -163,18 +167,25 @@ def gcn_layer_forward(
     is None where no mask is formed.
 
     `rows`, when given, is `op.restrict(R)`: the layer forms rows R of its
-    output only, m rows of output, ReLU mask and dropout mask (the whole
-    mask's rows R, see `ops.dropout`). It aggregates over `rows`, or takes
-    rows R of a whole aggregate (a caller's `agg`, or the kept one of a
-    fixed input); its self path reads H_in's rows R, gathered once, which
-    its cache keeps for dW_self. Nothing is kept for a later pass.
+    output only, m rows of output, ReLU mask, aggregate and dropout mask
+    (the whole mask's rows R, see `ops.dropout`). It aggregates over
+    `rows`, or takes rows R of a whole aggregate (a caller's `agg`, or the
+    kept one of a fixed input). Its self path gathers H_in's rows R into
+    the scratch and goes into the output first; the pre-activation is then
+    formed in the scratch, or, in a narrowing layer, whose SpMM reads
+    H W_agg from the scratch, in the layer's aggregate array, and
+    ReLU(pre + b) is added to the output (addition commutes, so the bits
+    are those of the other order). Nothing is kept for a later pass.
 
     The layer's cached arrays (ReLU mask, aggregate, keep mask) and its
     output live in `ws` under keys (layer, name), so every pass through
     layer `layer` writes the same arrays, and its temporaries live in the
     workspace's scratch (`ops.scratch`): a narrowing layer forms H W_agg
-    there, which the SpMM reads in place. `out`, when given, is the array
-    the output is written into instead; the pre-activation is formed there
+    there, which the SpMM reads in place, and an evaluation forward that
+    aggregates a C-contiguous H_in itself forms the aggregate there, as no
+    backward reads it (so the cache of an evaluation forward is no
+    backward's input). `out`, when given, is the array the output is
+    written into instead; on all rows the pre-activation is formed there
     too. The products, the SpMM, the gathers, dropout and the element-wise
     passes split on `pool`.
     """
@@ -189,34 +200,39 @@ def gcn_layer_forward(
         if (layer, "agg") not in ws.versions:  # a fixed input's aggregate holds at every version
             ops.spmm_norm(op, h_in, agg, ws=ws, pool=pool)
             ws.versions[layer, "agg"] = version
-    h_rows = None
-    if rows is not None:
-        if agg is not None:
-            agg, own_agg = _gather(agg, rows, ws.get((layer, "agg.rows"), (m, w_in), dtype), pool), True
-        if params.w_self is not None:
-            h_rows = _gather(h_in, rows, ws.get((layer, "h_in.rows"), (m, w_in), dtype), pool)
+    if rows is not None and agg is not None:
+        agg, own_agg = _gather(agg, rows, ws.get((layer, "agg.rows"), (m, w_in), dtype), pool), True
     h_out = ws.get((layer, "out"), (m, w_out), dtype) if out is None else out
     mask = ws.get((layer, "mask"), (m, w_out), bool) if training or keeps else None
     if not kept:
-        if agg is None and narrows(params):
+        pre, self_path, product_first = h_out, None, agg is None and narrows(params)
+        if rows is not None and params.w_self is not None:
+            # the scratch holds H_in's rows R: the self path goes into the output
+            # first, and the pre-activation into the scratch, or into the layer's
+            # aggregate array when the scratch holds H_in W_agg for the SpMM
+            h_rows = _gather(h_in, rows, ops.scratch(ws, m, w_in, dtype), pool)
+            self_path = pool.matmul(h_rows, params.w_self, out=h_out)
+            pre = ws.get((layer, "agg"), (m, w_out), dtype) if product_first else ops.scratch(ws, m, w_out, dtype)
+        if product_first:
             t = pool.matmul(h_in, params.w_agg, out=ops.scratch(ws, n, w_out, dtype))
-            ops.spmm_norm(out_op, t, h_out, ws=ws, pool=pool)
+            ops.spmm_norm(out_op, t, pre, ws=ws, pool=pool)
         else:
             if agg is None:
                 own_agg = True
-                agg = ops.spmm_norm(out_op, h_in, ws.get((layer, "agg"), (m, w_in), dtype, rows=n), ws=ws, pool=pool)
-            pool.matmul(agg, params.w_agg, out=h_out)
-        self_path = None
-        if params.w_self is not None:
-            h_self = h_in if rows is None else h_rows
-            self_path = pool.matmul(h_self, params.w_self, out=ops.scratch(ws, m, w_out, dtype))
-        pool.rows(_activate, (h_out, mask, self_path), params.bias)
+                # no backward reads an evaluation forward's aggregate: it is a
+                # temporary in the scratch, where the self path then goes
+                temporary = not training and pre is h_out and h_in.flags.c_contiguous
+                home = ops.scratch(ws, m, w_in, dtype) if temporary else ws.get((layer, "agg"), (m, w_in), dtype)
+                agg = ops.spmm_norm(out_op, h_in, home, ws=ws, pool=pool)
+            pool.matmul(agg, params.w_agg, out=pre)
+        if params.w_self is not None and self_path is None:
+            self_path = pool.matmul(h_in, params.w_self, out=ops.scratch(ws, m, w_out, dtype))
+        pool.rows(_activate, (pre, mask, self_path, h_out), params.bias)
     if keeps and not training:
         ws.versions[layer, "out"] = version
     keep = ws.get((layer, "keep"), h_out.shape, bool) if training and dropout_rate > 0 else None
     h_out, keep, scale = ops.dropout(h_out, dropout_rate, training, key, keep=keep, pool=pool, rows=_nodes(rows))
-    cache = GcnLayerCache(h_in, agg, mask, keep, scale, own_agg=own_agg, h_rows=h_rows)
-    return h_out, cache
+    return h_out, GcnLayerCache(h_in, agg, mask, keep, scale, own_agg=own_agg)
 
 
 def _nodes(rows):
@@ -231,7 +247,7 @@ def _gather(a, rows, out, pool) -> np.ndarray:
 
 
 def _take_rows(out, index, a) -> None:
-    np.take(a, index, axis=0, out=out)
+    np.take(a, index, axis=0, out=out, mode="clip")  # R is in range; the default mode="raise" buffers `out`
 
 
 _ADD_CHUNK = 1 << 15  # elements per step of `_add_rows`, whose temporary is that large
@@ -264,12 +280,13 @@ def gcn_layer_backward(
     returned then). The backward consumes `d_out`, which may be a strided
     view (a device's column block): it applies the dropout mask to it in
     place, and, once dW_self and the self path's d_out W_selfᵀ are formed,
-    the ReLU mask, so `d_out` holds d_pre; then it writes further gradients
-    over it. Its temporaries are the scratch of `ws` (`ops.scratch`). The
-    products, the SpMM and the element-wise passes split on `pool`.
+    the ReLU mask, so `d_out` holds d_pre (except in a narrowing layer on
+    rows R, below); then it writes further gradients over it. Its
+    temporaries are the scratch of `ws` (`ops.scratch`). The products, the
+    SpMM and the element-wise passes split on `pool`.
 
     A narrowing layer forms G = Âᵀ d_pre once, at the output width, over
-    d_pre (which the SpMM so first copies into the scratch), for
+    d_pre (on all rows, which the SpMM so first copies into the scratch), for
     dW_agg = H_inᵀ G (when the forward kept no aggregate) and
     dH_in = G W_aggᵀ; H_in is read after `d_in` is first written, so `d_in`
     must not share H_in's memory there (ValueError). Any other layer
@@ -282,11 +299,15 @@ def gcn_layer_backward(
 
     A layer whose forward ran on rows R (`rows`) takes m rows of
     `d_out` and writes all n rows of `d_in`. Its aggregation runs over the
-    restricted operator's transpose, Âᵀ[:, R], which reads the m-row
-    d_pre W_aggᵀ (d_pre itself in a narrowing layer, whose G then goes to
-    the workspace's `"g"`), and its term goes straight into `d_in`; the self
-    path's term, formed over H_in's gathered rows once dW_self has read
-    them, is then added at rows R. H_in is read before `d_in` is written.
+    restricted operator's transpose, Âᵀ[:, R], and its term goes straight
+    into `d_in`. The self path gathers H_in's rows R into the scratch
+    again for dW_self, and forms its term d_out W_selfᵀ over them, which
+    is added to `d_in` at rows R last. Any other layer forms d_pre W_aggᵀ
+    in its own m-row aggregate, dead once dW_agg is formed. A narrowing
+    layer forms d_pre = d_out * mask in the scratch, where the SpMM reads
+    it, and G in the workspace's `"g"`, n rows; its self path follows the
+    SpMM, so the scratch is free again. H_in is read before `d_in` is
+    written.
     """
     m, (w_in, w_out), dtype = d_out.shape[0], params.w_agg.shape, d_out.dtype
     n = cache.h_in.shape[0]
@@ -296,13 +317,15 @@ def gcn_layer_backward(
         raise ValueError("gcn_layer_backward: a narrowing layer's d_in shares H_in's memory, which it reads last")
     if cache.keep is not None:
         pool.rows(_deactivate, (d_out, cache.keep, None), cache.scale)
-    if dual:
-        h_self = cache.h_in if rows is None else cache.h_rows
-        pool.matmul(h_self.T, d_out, out=grads.w_self)
-        if d_in is not None:  # on rows R, over the gathered rows, which nothing reads after dW_self
-            self_term = pool.matmul(d_out, params.w_self.T, out=d_in if rows is None else h_self)
-    d_pre = d_out
-    pool.rows(_deactivate, (d_pre, None, cache.mask), None)
+    late_self = rows is not None and narrowing  # d_pre goes to the scratch, and the self path follows the SpMM
+    if dual and not late_self:
+        self_term = _self_path_backward(cache, d_out, params, ws=ws, d_in=d_in, rows=rows, pool=pool)
+    if late_self:
+        d_pre = ops.scratch(ws, m, w_out, dtype)
+        pool.rows(np.multiply, (d_out, cache.mask, d_pre))
+    else:
+        d_pre = d_out
+        pool.rows(_deactivate, (d_pre, None, cache.mask), None)
     np.sum(d_pre, axis=0, out=grads.bias)
     if cache.agg is not None:
         pool.matmul(cache.agg.T, d_pre, out=grads.w_agg)
@@ -312,13 +335,15 @@ def gcn_layer_backward(
             g = ops.spmm_norm(op_t, d_pre, g_out, ws=ws, pool=pool)
         if cache.agg is None:
             pool.matmul(cache.h_in.T, g, out=grads.w_agg)
+        if dual and late_self:
+            self_term = _self_path_backward(cache, d_out, params, ws=ws, d_in=d_in, rows=rows, pool=pool)
         if d_in is None:
             return None
         term = pool.matmul(g, params.w_agg.T, out=ops.scratch(ws, n, w_in, dtype) if dual and rows is None else d_in)
     else:
         if d_in is None:
             return None
-        t = pool.matmul(d_pre, params.w_agg.T, out=ops.scratch(ws, m, w_in, dtype))
+        t = pool.matmul(d_pre, params.w_agg.T, out=ops.scratch(ws, m, w_in, dtype) if rows is None else cache.agg)
         if not dual or rows is not None:
             target = d_in
         elif cache.own_agg:
@@ -333,6 +358,20 @@ def gcn_layer_backward(
     elif dual:
         pool.rows(_add_rows, (self_term, rows.nodes), d_in)
     return d_in
+
+
+def _self_path_backward(cache, d_out, params, *, ws, d_in, rows, pool):
+    """dW_self = H_inᵀ d_out (H_in's rows R on a row set) into
+    `params.grads`; returns the self path's term d_out W_selfᵀ, or None
+    without `d_in`. On all rows the term goes into `d_in`; on rows R the
+    rows are gathered into the scratch, and the term is written over them."""
+    h_self = cache.h_in
+    if rows is not None:
+        h_self = _gather(h_self, rows, ops.scratch(ws, len(d_out), h_self.shape[1], h_self.dtype), pool)
+    pool.matmul(h_self.T, d_out, out=params.grads.w_self)
+    if d_in is None:
+        return None
+    return pool.matmul(d_out, params.w_self.T, out=d_in if rows is None else h_self)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +437,7 @@ def mlp_forward(x, mlp: MlpParams, training: bool, *, version=None, rows=None, p
         mask = ws.get((li, "mask"), shape, bool) if training or keeps else None
         if not (keeps and ws.versions.pop((li, "a"), None) == version):
             pool.matmul(h, w, out=a)
-            pool.rows(_activate, (a, mask, None), b)
+            pool.rows(_activate, (a, mask, None, None), b)
         if keeps and not training:
             ws.versions[li, "a"] = version
         keep = ws.get((li, "keep"), shape, bool) if training and mlp.dropout > 0 else None

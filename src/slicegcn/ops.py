@@ -268,7 +268,8 @@ def spmm_norm(op, h: np.ndarray, out, /, *, ws, pool=INLINE) -> np.ndarray:
     The kernel reads H where it lies when H is C-contiguous and shares no
     memory with `out`; any other H is first copied into the scratch array
     of `ws` (`scratch`), the only use the SpMM makes of it. The sum goes
-    into `out`, which may be `h` itself but is never the scratch; a strided
+    into `out`, which may be `h` itself, and may be the scratch only when
+    H is read where it lies (ValueError otherwise); a strided
     `out`, or one of another dtype, which the kernel would write through a
     copy, sums in the accumulator `"spmm.acc"` of `ws` instead. Scaled by S
     at its rows (`op.scale`), it ends in `out`, which is returned.
@@ -285,6 +286,8 @@ def spmm_norm(op, h: np.ndarray, out, /, *, ws, pool=INLINE) -> np.ndarray:
         raise ValueError(f"spmm_norm: H is {h.dtype}, the operator's values are {op.values.dtype}")
     if not h.flags.c_contiguous or np.may_share_memory(h, out):
         x = scratch(ws, n, c, h.dtype)
+        if np.may_share_memory(x, out):
+            raise ValueError("spmm_norm: out is the scratch, which the copy of H would overwrite")
         pool.rows(np.copyto, (x, h))
         h = x
     acc = out if out.flags.c_contiguous and out.dtype == h.dtype else ws.get("spmm.acc", (out_rows, c), h.dtype)
@@ -345,9 +348,10 @@ def dropout(a, rate, training, key, keep=None, pool=INLINE, *, rows=None):
     each element's place: element (r, j) is kept iff 16-bit field j % 4
     (low bits first) of the SplitMix64 hash
     `_mix(key + (r * ceil(w / 4) + j // 4) * _GAMMA)` is >= ceil(rate * 2**16).
-    Row i of `a` is row r = rows[i] when `rows` is given, so a row subset's
+    Row i of `a` is row r = rows[i] when `rows` (int64, ascending and
+    non-negative, read as uint64 with no copy) is given, so a row subset's
     mask is the whole mask at those rows, and any split of the rows on
-    `pool` (`Pool.rows`) gives the whole's bits.
+    `pool` (`Pool.ranges`) gives the whole's bits.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -357,8 +361,13 @@ def dropout(a, rate, training, key, keep=None, pool=INLINE, *, rows=None):
     if keep is None:
         keep = np.empty(a.shape, dtype=bool)
     scale = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
-    nodes = np.arange(len(a), dtype=np.uint64) if rows is None else rows.astype(np.uint64)
-    pool.rows(_mask_rows, (a, keep, nodes), key, threshold, scale)
+    nodes = None if rows is None else rows.view(np.uint64)
+
+    def part(span):
+        lo, hi = span
+        _mask_rows(a[lo:hi], keep[lo:hi], lo if nodes is None else nodes[lo:hi], key, threshold, scale)
+
+    pool.run(part, pool.ranges(len(a), a.shape[1]))
     return a, keep, scale
 
 
@@ -387,10 +396,11 @@ def dropout_key(owner: int, layer: int, step: int) -> int:
 
 
 def _mask_rows(a, keep, nodes, key: int, threshold: int, scale) -> None:
-    """Dropout on `a`, in place, row i hashed as row nodes[i]: its keep
-    mask into `keep`, a block of rows at a time. A block is at least
-    `_MASK_BLOCK` hashes and a sixteenth of the rows, as each of its dozen
-    numpy calls hands the interpreter lock to the run's other threads."""
+    """Dropout on `a`, in place, row i hashed as row nodes[i], or as row
+    nodes + i when `nodes` is an int: its keep mask into `keep`, a block of
+    rows at a time. A block is at least `_MASK_BLOCK` hashes and a
+    sixteenth of the rows, as each of its dozen numpy calls hands the
+    interpreter lock to the run's other threads."""
     width = a.shape[1]
     words = -(-width // 4)  # hashes per row, of four fields each
     block = max(1, _MASK_BLOCK // words, len(a) // 16)
@@ -398,7 +408,10 @@ def _mask_rows(a, keep, nodes, key: int, threshold: int, scale) -> None:
     z_block, t_block = np.empty((2, min(block, len(a)), words), "<u8")  # little-endian on any host
     fields = z_block.view("<u2")[:, :width]
     for b in range(0, len(a), block):
-        node = nodes[b : b + block]
+        if isinstance(nodes, int):
+            node = np.arange(nodes + b, nodes + min(b + block, len(a)), dtype=np.uint64)
+        else:
+            node = nodes[b : b + block]
         z, t, out = z_block[: len(node)], t_block[: len(node)], a[b : b + block]
         # key + (r * words + c) * _GAMMA, in same-shape passes: a broadcast operand costs a buffer
         z[...] = (node * (words * _GAMMA % 2**64))[:, None]

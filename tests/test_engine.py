@@ -1183,8 +1183,9 @@ class TestBuffers:
         # its input where it lies, so the fusion MLP's workspace, which only
         # the master's Â·z aggregates in, holds no scratch. The last device
         # layer and the classifier train on the m training rows: their
-        # masks and the logits' gradient have m rows, and the last layer
-        # keeps its input's m gathered rows for dW_self
+        # masks, the last layer's aggregate and the logits' gradient have m
+        # rows; the last layer gathers its input's rows R into the scratch,
+        # and the evaluation forward's aggregate is a temporary there too
         runs = []
         build = engine.build_run
         monkeypatch.setattr(engine, "build_run", lambda g, c: runs.append(build(g, c)) or runs[-1])
@@ -1197,7 +1198,7 @@ class TestBuffers:
         f4 = 4  # bytes of an f32
         device = {
             (0, "out"): n * h * f4, (0, "mask"): n * h, (0, "keep"): n * h,
-            (1, "agg"): n * h * f4, (1, "mask"): m * h, (1, "h_in.rows"): m * h * f4,
+            (1, "agg"): m * h * f4, (1, "mask"): m * h,
             "tmp": n * h * f4,
         }
         if cfg.use_ff:
@@ -1219,6 +1220,43 @@ class TestBuffers:
         for ws, want in owners:
             assert {k: m.size for k, m in ws._memory.items()} == want
             assert all(dtype is bool for (k, _, dtype) in ws._arrays if k[-1] in ("mask", "keep"))
+
+    @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice", 2)])
+    def test_one_epoch_peak_is_what_the_design_needs(self, variant, p):
+        # the traced peak of one epoch (training forward, backward, step,
+        # evaluation forward) over the arrays the design needs, counted by
+        # hand, plus a fixed slack for transients (numpy's buffers, dropout's
+        # hash blocks, `_add_rows`' chunk), whatever the arrays are called.
+        # Either of an earlier design's extra arrays, m x w per device (the
+        # last layer's aggregate at n rows, or its input's rows R kept for
+        # dW_self), takes the peak past it.
+        # The run's inputs and its training-row operator are made before
+        # tracing starts
+        n, hidden, d, c, f4 = 4000, 64, 16, 3, 4
+        g = synth_graph(n=n, classes=c, d_feat=d, p_in=2e-3, p_out=2e-4, signal=1.0, seed=2)
+        run = engine.build_run(g, TrainConfig(variant=variant, p=p, hidden=hidden, layers=2, seed=1, threads=1))
+        run.training_rows()
+        m, w, x = len(run.train_idx), hidden // p, run.slices[0].shape[1]  # x: a device's slice width
+        assert 2 * m == n and x < w
+        # per device: Â·x, kept; layer 0's output, ReLU and keep masks; the
+        # last layer's aggregate and ReLU mask at the m training rows; one
+        # n x w scratch. The classifier: the representation, its hidden
+        # activation, its ReLU and keep masks at m rows, the logits and
+        # their gradient at m rows
+        device = f4 * (n * x + n * w + m * w + n * w) + 2 * n * w + m * w
+        classifier = f4 * (2 * n * hidden + n * c + m * c) + 2 * m * hidden
+        slack = 384 << 10  # 165 kB of transients here
+        with blas.limit_threads(1), run.pool:
+            tracemalloc.start()
+            try:
+                engine.epoch_forward(run, training=True)
+                engine.epoch_backward(run, 1e-3)
+                engine.apply_updates(run, 1e-3)
+                engine.epoch_forward(run, training=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < p * device + classifier + slack, (peak, p * device + classifier)
 
     @pytest.mark.parametrize("variant,p", [("baseline", 1), ("slice_se", 2), ("slice_ffse", 2)])
     def test_trainings_in_one_process_are_bit_identical(self, small_graph, variant, p):

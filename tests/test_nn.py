@@ -380,18 +380,19 @@ class TestBackwardConsumesItsGradient:
     into are dead ones of its own, never a caller's."""
 
     @staticmethod
-    def _run(op, shape, form, d_out, given_agg):
-        """A training forward with dropout in a fresh workspace, then a
-        backward of `d_out` into a new d_in; returns (grads, d_in, the
-        given aggregate's bytes before and after the backward)."""
+    def _run(op, shape, form, d_out, given_agg, rows=None):
+        """A training forward with dropout in a fresh workspace, on the row
+        set `rows` when given, then a backward of `d_out` into a new d_in;
+        returns (grads, d_in, the given aggregate's bytes before and after
+        the backward)."""
         w_in, w_out = LAYER_SHAPES[shape]
         params = _gcn_layer(w_in, w_out, ops.rng_stream(40, 0), np.float32, form)
         h_in = ops.rng_stream(40, 1).standard_normal((op.num_rows, w_in)).astype(np.float32)
         agg = ops.spmm_norm(op, h_in, np.empty_like(h_in), ws=ops.Workspace()) if given_agg else None
         ws = ops.Workspace()
-        _, cache = nn.gcn_layer_forward(op, h_in, params, 40, True, 0.5, agg=agg, ws=ws)
+        _, cache = nn.gcn_layer_forward(op, h_in, params, 40, True, 0.5, agg=agg, ws=ws, rows=rows)
         before = None if agg is None else agg.tobytes()
-        d_in = nn.gcn_layer_backward(cache, d_out, params, op, ws=ws, d_in=np.empty_like(h_in))
+        d_in = nn.gcn_layer_backward(cache, d_out, params, op, ws=ws, d_in=np.empty_like(h_in), rows=rows)
         return [g.copy() for g in _arrays(params.grads)], d_in, (before, None if agg is None else agg.tobytes())
 
     @staticmethod
@@ -400,15 +401,19 @@ class TestBackwardConsumesItsGradient:
         wide = ops.rng_stream(41, 0).standard_normal((n, 3 * w_out)).astype(np.float32)
         return wide[:, w_out : 2 * w_out]
 
+    @pytest.mark.parametrize("row_set", [False, True])
     @pytest.mark.parametrize("given_agg", [False, True])
     @pytest.mark.parametrize("form", [nn.FORM_SINGLE, nn.FORM_DUAL])
     @pytest.mark.parametrize("shape", list(LAYER_SHAPES))
-    def test_strided_d_out_gives_the_bits_of_a_contiguous_copy(self, directed_graph, shape, form, given_agg):
+    def test_strided_d_out_gives_the_bits_of_a_contiguous_copy(self, directed_graph, shape, form, given_agg, row_set):
+        # on a row set (every other row), the self path's term and a narrowing
+        # layer's d_pre share the scratch, where the SpMM copies a strided input
         op = _op(directed_graph, np.float32)
-        block = self._block(op.num_rows, LAYER_SHAPES[shape][1])
+        rows = op.restrict(np.arange(0, op.num_rows, 2)) if row_set else None
+        block = self._block(op.num_rows if rows is None else rows.num_rows, LAYER_SHAPES[shape][1])
         assert not block.flags.c_contiguous
-        contiguous = self._run(op, shape, form, block.copy(), given_agg)
-        strided = self._run(op, shape, form, block, given_agg)
+        contiguous = self._run(op, shape, form, block.copy(), given_agg, rows)
+        strided = self._run(op, shape, form, block, given_agg, rows)
         _assert_same_bits([*strided[0], strided[1]], [*contiguous[0], contiguous[1]])
 
     @pytest.mark.parametrize("strided", [False, True])
